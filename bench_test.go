@@ -396,57 +396,6 @@ func BenchmarkAdmissionQueueSize(b *testing.B) {
 
 func BenchmarkExtraWear(b *testing.B) { runExperiment(b, "extra-wear") }
 
-// Ablation: CLOCK vs generalized GCLOCK replacement (the cited NB-GCLOCK
-// design). Higher weights protect hot frames across more sweeps; the
-// simulated-ns/op metric shows whether that pays off under a skewed churn.
-func BenchmarkClockWeight(b *testing.B) {
-	for _, weight := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("weight=%d", weight), func(b *testing.B) {
-			bm, err := spitfire.New(spitfire.Config{
-				DRAMBytes:   8 * spitfire.PageSize,
-				NVMBytes:    32 * (spitfire.PageSize + 64),
-				Policy:      spitfire.SpitfireLazy,
-				ClockWeight: weight,
-				// Foreground path only: the acceptance check for the
-				// GCLOCK sweep fix must not be masked by the cleaner.
-				Cleaner: spitfire.CleanerConfig{Disable: true},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(bm.Close)
-			ctx := spitfire.NewCtx(1)
-			const pages = 256
-			page := make([]byte, spitfire.PageSize)
-			for pid := uint64(0); pid < pages; pid++ {
-				if err := bm.SeedPage(ctx, pid, page); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Skewed access: 80% of touches hit 16 hot pages.
-			rng := uint64(99)
-			buf := make([]byte, 1024)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				pid := (rng >> 33) % pages
-				if rng%10 < 8 {
-					pid = (rng >> 33) % 16
-				}
-				h, err := bm.FetchPage(ctx, pid, spitfire.ReadIntent)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := h.ReadAt(ctx, 0, buf); err != nil {
-					b.Fatal(err)
-				}
-				h.Release()
-			}
-			b.ReportMetric(float64(ctx.Clock.Now())/float64(b.N), "simulated-ns/op")
-		})
-	}
-}
-
 // cleanerBurst is the burst length of the cleaner benchmarks and
 // cleanerIdle the think-time gap between bursts. The watermarks are sized so
 // one burst of dirty misses fits inside the pre-cleaned free-list stock.

@@ -87,18 +87,8 @@ func (c CleanerConfig) watermarks(nFrames int) (low, high int) {
 	return low, high
 }
 
-// cleanerTier selects which pool a cleaner serves.
-type cleanerTier int
-
-const (
-	cleanDRAM cleanerTier = iota
-	cleanNVM
-)
-
 // cleaner is one pool's background page cleaner.
 type cleaner struct {
-	bm   *BufferManager
-	tier cleanerTier
 	pool *basePool
 
 	low, high int
@@ -121,23 +111,26 @@ type cleaner struct {
 	done     chan struct{}
 }
 
-// startCleaners launches the per-pool cleaner goroutines if the manager's
-// cleaner config enables them. Recovery calls it after the arena scan so the
-// cleaners never race the free-list rebuild.
+// startCleaners launches the DRAM and NVM pools' cleaner goroutines if the
+// manager's cleaner config enables them (mini frames are reclaimed inline
+// only). Recovery calls it after the arena scan so the cleaners never race
+// the free-list rebuild.
 func (bm *BufferManager) startCleaners() {
 	cc := bm.cfg.Cleaner
 	if !cc.Enable {
 		return
 	}
-	if bm.dram != nil {
-		bm.dramCleaner = newCleaner(bm, cleanDRAM, &bm.dram.basePool, cc, 0xD7A3C1EA)
-	}
+	// NVM first: the DRAM cleaner's write-backs allocate NVM frames and so
+	// read bm.nvm.cleaner, which must be set before that goroutine starts.
 	if bm.nvm != nil {
-		bm.nvmCleaner = newCleaner(bm, cleanNVM, &bm.nvm.basePool, cc, 0x4E7EC1EA)
+		bm.nvm.cleaner = newCleaner(&bm.nvm.basePool, cc, 0x4E7EC1EA)
+	}
+	if bm.dram != nil {
+		bm.dram.cleaner = newCleaner(&bm.dram.basePool, cc, 0xD7A3C1EA)
 	}
 }
 
-func newCleaner(bm *BufferManager, tier cleanerTier, pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
+func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
 	low, high := cc.watermarks(pool.nFrames)
 	batch := cc.BatchSize
 	if batch <= 0 {
@@ -148,8 +141,8 @@ func newCleaner(bm *BufferManager, tier cleanerTier, pool *basePool, cc CleanerC
 		interval = 200 * time.Microsecond
 	}
 	c := &cleaner{
-		bm: bm, tier: tier, pool: pool,
-		low: low, high: high, batch: batch, interval: interval,
+		pool: pool,
+		low:  low, high: high, batch: batch, interval: interval,
 		ctx:  NewCtx(seed),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -159,12 +152,8 @@ func newCleaner(bm *BufferManager, tier cleanerTier, pool *basePool, cc CleanerC
 	// (route dirty DRAM pages through the NVM admission queue instead of
 	// the Nw coin, so only pages with repeated eviction pressure land).
 	c.ctx.cleaner = true
-	if bm.obs != nil {
-		label := "cleaner-dram"
-		if tier == cleanNVM {
-			label = "cleaner-nvm"
-		}
-		c.ctx.ring = bm.obs.NewRing(label)
+	if o := pool.bm.obs; o != nil {
+		c.ctx.ring = o.NewRing("cleaner-" + pool.tier.String())
 		c.ctx.ringInit = true
 	}
 	go c.run()
@@ -184,13 +173,15 @@ func (c *cleaner) wake(si int) {
 
 // close stops the cleaner and waits for its goroutine to exit. It is
 // idempotent so Close can race a cleaner that already shut itself down (the
-// NVM cleaner exits on its own when its tier permanently fails).
+// NVM cleaner exits on its own when its tier permanently fails), and a no-op
+// on the nil cleaner of a pool that runs without one.
 func (c *cleaner) close() {
+	if c == nil {
+		return
+	}
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 }
-
-func (c *cleaner) freeCount() int { return c.pool.freeCount() }
 
 func (c *cleaner) run() {
 	defer close(c.done)
@@ -202,13 +193,13 @@ func (c *cleaner) run() {
 			return
 		case <-c.kick:
 		case <-tick.C:
-			if c.freeCount() >= c.low {
+			if c.pool.freeCount() >= c.low {
 				continue // above the low watermark: stay idle
 			}
 		}
-		if c.tier == cleanNVM && c.bm.nvmDown() {
-			// The NVM tier failed permanently: there is nothing left to
-			// clean and nothing will allocate from this pool again.
+		if c.pool.failed.Load() {
+			// The tier failed permanently: there is nothing left to clean
+			// and nothing will allocate from this pool again.
 			return
 		}
 		c.replenish()
@@ -220,92 +211,58 @@ func (c *cleaner) run() {
 // attempts makes no progress — every frame pinned or under migration — and
 // leaves the foreground fallback path to cover the pool until pins drain.
 func (c *cleaner) replenish() {
-	st := &c.bm.stats
-	for c.freeCount() < c.high {
+	p := c.pool
+	bm := p.bm
+	for p.freeCount() < c.high {
 		select {
 		case <-c.stop:
 			return
 		default:
 		}
 		var bStart int64
-		if c.bm.obs != nil {
+		if bm.obs != nil {
 			bStart = c.ctx.Clock.Now()
 		}
 		produced := 0
-		attempts := c.batch*2 + c.pool.nFrames
+		attempts := c.batch*2 + p.nFrames
 		// Start the victim sweep at the shard whose allocator kicked us (if
 		// any) and rotate across all shard hands as attempts accumulate.
 		si := int(c.needy.Load())
 		if si < 0 {
 			si = 0
 		}
-		for produced < c.batch && attempts > 0 && c.freeCount() < c.high {
+		for produced < c.batch && attempts > 0 && p.freeCount() < c.high {
 			attempts--
-			if c.reclaimOne(si + attempts) {
-				produced++
+			v, evicted, err := p.reclaim(c.ctx, si+attempts)
+			if err != nil || v == noFrame {
+				// An I/O error already exhausted its retries and, if
+				// permanent, degraded the tier; the no-progress bailout below
+				// keeps a failing device from spinning the cleaner, and
+				// allocation falls back to foreground eviction where the
+				// error surfaces to the caller.
+				continue
 			}
+			if evicted {
+				p.st.cleaned.Inc()
+			}
+			p.release(v)
+			produced++
 		}
 		if produced == 0 {
-			st.cleanerStalls.Inc()
+			bm.stats.cleanerStalls.Inc()
 			return
 		}
-		st.cleanerBatches.Inc()
-		if c.bm.obs != nil {
+		bm.stats.cleanerBatches.Inc()
+		if bm.obs != nil {
 			now := c.ctx.Clock.Now()
-			c.bm.hCleanerBatch.Observe(now - bStart)
-			tier := obs.TierDRAM
-			if c.tier == cleanNVM {
-				tier = obs.TierNVM
-			}
+			bm.hCleanerBatch.Observe(now - bStart)
 			c.ctx.ring.Emit(obs.Event{
 				TS: now, Dur: now - bStart,
-				Type: obs.EvCleanerBatch, From: tier,
+				Type: obs.EvCleanerBatch, From: p.tier,
 				Page: obs.NoPage, Arg: int64(produced),
 			})
 		}
 	}
-}
-
-// reclaimOne freezes one CLOCK victim from shard si's hand (wrapped across
-// shards), pre-cleans it (migrating its page down-tier exactly as a
-// foreground eviction would, charged to the cleaner's clock), and pushes the
-// frozen clean frame onto its home shard's free list.
-func (c *cleaner) reclaimOne(si int) bool {
-	p := c.pool
-	v := p.victim(si)
-	m := &p.meta[v]
-	if !m.tryFreeze() {
-		return false
-	}
-	if m.pid.Load() != InvalidPageID {
-		var ok bool
-		var err error
-		switch c.tier {
-		case cleanDRAM:
-			ok, err = c.bm.evictDRAMFrame(c.ctx, v)
-		case cleanNVM:
-			ok, err = c.bm.evictNVMFrame(c.ctx, v)
-		}
-		if !ok {
-			// The evict thawed the frame. An I/O error (err != nil) already
-			// exhausted its retries and, if permanent, degraded the tier;
-			// replenish's no-progress bailout keeps a failing device from
-			// spinning the cleaner, and allocation falls back to foreground
-			// eviction where the error surfaces to the caller.
-			_ = err
-			return false
-		}
-		switch c.tier {
-		case cleanDRAM:
-			c.bm.stats.cleanerCleanedDRAM.Inc()
-		case cleanNVM:
-			c.bm.stats.cleanerCleanedNVM.Inc()
-		}
-	}
-	// The frame is frozen, clean and unlinked from its descriptor; release
-	// re-marks it free and pushes it onto the free list.
-	p.release(v)
-	return true
 }
 
 // Close stops the background cleaners (if any). The manager remains usable:
@@ -318,11 +275,11 @@ func (bm *BufferManager) Close() {
 		return
 	}
 	bm.closeOnce.Do(func() {
-		if bm.dramCleaner != nil {
-			bm.dramCleaner.close()
+		if bm.dram != nil {
+			bm.dram.cleaner.close()
 		}
-		if bm.nvmCleaner != nil {
-			bm.nvmCleaner.close()
+		if bm.nvm != nil {
+			bm.nvm.cleaner.close()
 		}
 	})
 }

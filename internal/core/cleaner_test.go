@@ -75,7 +75,7 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 	// finish mid-churn and leave the list idling in [low, high), which is
 	// legal under the hysteresis protocol. One explicit post-churn kick
 	// makes the refill-to-high assertion deterministic.
-	bm.dramCleaner.wake(0)
+	bm.dram.cleaner.wake(0)
 	waitFor(t, "free list to reach the high watermark", func() bool {
 		return bm.dram.freeCount() >= 5
 	})
@@ -357,6 +357,21 @@ func TestForegroundBatchStealSaturated(t *testing.T) {
 	bm.Close() // wedge the cleaner: all reclamation now happens inline
 	seed(t, bm, 64)
 
+	// Same-page writers are serialized with per-page locks (the engine's job
+	// in production; see TestCleanerInvariantsConcurrent).
+	var pageLocks [64]sync.Mutex
+	write := func(ctx *Ctx, pid uint64) error {
+		pageLocks[pid].Lock()
+		defer pageLocks[pid].Unlock()
+		h, err := bm.FetchPage(ctx, pid, WriteIntent)
+		if err != nil {
+			return err
+		}
+		defer h.Release()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], pid)
+		return h.WriteAt(ctx, 0, b[:])
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -364,20 +379,10 @@ func TestForegroundBatchStealSaturated(t *testing.T) {
 			defer wg.Done()
 			ctx := NewCtx(uint64(w) + 77)
 			for i := 0; i < 300; i++ {
-				pid := uint64((w*131 + i*17) % 64)
-				h, err := bm.FetchPage(ctx, pid, WriteIntent)
-				if err != nil {
+				if err := write(ctx, uint64((w*131+i*17)%64)); err != nil {
 					t.Error(err)
 					return
 				}
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], pid)
-				if err := h.WriteAt(ctx, 0, b[:]); err != nil {
-					h.Release()
-					t.Error(err)
-					return
-				}
-				h.Release()
 			}
 		}(w)
 	}

@@ -186,11 +186,6 @@ type Config struct {
 	// work well.
 	AdmissionQueueCapacity int
 
-	// ClockWeight selects the replacement policy's reference weight:
-	// 1 (default) is the paper's CLOCK; larger values use generalized
-	// GCLOCK counters, letting hot frames survive that many sweeps.
-	ClockWeight int
-
 	// Shards partitions each pool's replacement state (CLOCK hands and
 	// free lists) into this many worker-affine shards, removing the free-list
 	// convoy on multi-core fetch/evict paths. 0 or 1 keeps the single-shard
@@ -261,16 +256,10 @@ type BufferManager struct {
 	pol      atomic.Pointer[policy.Policy]
 	admQueue *admission.Queue // nil only when the NVM tier is disabled
 
-	dramCleaner *cleaner // nil unless the cleaner is enabled
-	nvmCleaner  *cleaner
-	closeOnce   sync.Once
+	closeOnce sync.Once
 
 	// retry is the resolved retry policy for fallible device operations.
 	retry RetryConfig
-
-	// nvmFailed latches when the NVM tier fails permanently: the hierarchy
-	// collapses to two-tier DRAM–SSD (see degradeNVM in retry.go).
-	nvmFailed atomic.Bool
 
 	nextPID atomic.Uint64
 
@@ -283,8 +272,6 @@ type BufferManager struct {
 	hFetchMini    *metrics.Histogram
 	hFetchNVM     *metrics.Histogram
 	hFetchMiss    *metrics.Histogram
-	hEvictDRAM    *metrics.Histogram
-	hEvictNVM     *metrics.Histogram
 	hCleanerBatch *metrics.Histogram
 }
 
@@ -323,8 +310,6 @@ func New(cfg Config) (*BufferManager, error) {
 		bm.hFetchMini = cfg.Obs.Hist(obs.HFetchMini)
 		bm.hFetchNVM = cfg.Obs.Hist(obs.HFetchNVM)
 		bm.hFetchMiss = cfg.Obs.Hist(obs.HFetchMiss)
-		bm.hEvictDRAM = cfg.Obs.Hist(obs.HEvictDRAM)
-		bm.hEvictNVM = cfg.Obs.Hist(obs.HEvictNVM)
 		bm.hCleanerBatch = cfg.Obs.Hist(obs.HCleanerBatch)
 	}
 	p := cfg.Policy
@@ -335,14 +320,14 @@ func New(cfg Config) (*BufferManager, error) {
 		if charger == nil {
 			charger = DeviceCharger{Dev: device.New(device.DRAMParams)}
 		}
-		dp, err := newDRAMPool(cfg, charger)
+		dp, err := newDRAMPool(bm, cfg, charger)
 		if err != nil {
 			return nil, err
 		}
 		bm.dram = dp
 	}
 	if cfg.NVMBytes > 0 {
-		np, err := newNVMPool(cfg)
+		np, err := newNVMPool(bm, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +358,7 @@ func (bm *BufferManager) SetPolicy(p policy.Policy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if bm.nvmFailed.Load() {
+	if bm.nvmDown() {
 		p.Nr, p.Nw = 0, 0
 		p.NwMode = policy.NwProbabilistic
 	}

@@ -35,149 +35,161 @@ func allocExpired(i int, start *time.Time) bool {
 	return time.Since(*start) > allocDeadline //vet:allow determinism allocDeadline is a host-side liveness bound, never feeds simulated time
 }
 
-// alloc returns a frozen, clean DRAM frame, evicting a victim if the free
-// list is empty. With the background cleaner enabled the common case is a
-// free-list pop; the inline eviction loop below is the fallback when the
-// cleaner cannot keep up. An I/O error from a victim's write-back surfaces
-// immediately (retries already ran inside the eviction) rather than spinning
-// the victim search against a failing device.
-func (p *dramPool) alloc(bm *BufferManager, ctx *Ctx) (int32, error) {
-	home := p.shardIndexFor(ctx)
-	if f, ok := p.takeFree(ctx); ok {
-		if cl := bm.dramCleaner; cl != nil && p.freeCount() < cl.low {
+// alloc returns a frozen, clean frame, evicting a victim if the free list is
+// empty. With the background cleaner enabled the common case is a free-list
+// pop; the inline eviction loop below is the fallback when the cleaner cannot
+// keep up. An I/O error from a victim's write-back surfaces immediately
+// (retries already ran inside the eviction) rather than spinning the victim
+// search against a failing device.
+func (p *basePool) alloc(ctx *Ctx) (int32, error) {
+	home, cl := p.home(ctx), p.cleaner
+	if f, ok := p.takeFree(home); ok {
+		if cl != nil && p.freeCount() < cl.low {
 			cl.wake(home)
 		}
 		return f, nil
 	}
-	if cl := bm.dramCleaner; cl != nil {
+	if cl != nil {
 		cl.wake(home)
 	}
 	var searchStart time.Time
-	for i := 0; ; i++ {
-		if allocExpired(i, &searchStart) {
-			break
-		}
-		if f, ok := p.takeFree(ctx); ok {
+	for i := 0; !allocExpired(i, &searchStart); i++ {
+		if f, ok := p.takeFree(home); ok {
 			return f, nil
 		}
 		// Sweep the home shard's hand first; rotate to the other shards'
 		// hands as attempts accumulate so a fully pinned shard cannot wedge
 		// the search.
-		v := p.victim(home + i)
-		if !p.meta[v].tryFreeze() {
-			backoff(i)
-			continue
-		}
-		if p.meta[v].pid.Load() == InvalidPageID {
-			// Defensive: a frozen frame with no page should only live on
-			// the free list; hand it out rather than losing it.
-			return v, nil
-		}
-		ok, err := bm.evictDRAMFrame(ctx, v)
+		v, evicted, err := p.reclaim(ctx, home+i)
 		if err != nil {
 			return noFrame, err
 		}
-		if ok {
-			bm.stats.fgEvicts.Inc()
-			bm.fgBatchClean(ctx, &p.basePool, bm.evictDRAMFrame)
-			return v, nil
+		if v == noFrame {
+			backoff(i)
+			continue
 		}
+		if evicted && p.assist > 0 {
+			p.bm.stats.fgEvicts.Inc()
+			p.assistBatch(ctx, home)
+		}
+		return v, nil
 	}
 	return noFrame, errPoolExhausted
 }
 
-// fgBatchSteal is how many extra frames an inline eviction pushes onto the
-// free list beyond the one it keeps. Small: the point is amortizing the
-// cache-cold victim scan the foreground thread already paid for, not
-// re-implementing the cleaner inline.
+// reclaim is the one eviction step, shared by alloc, assistBatch and the
+// background cleaner: take a CLOCK victim from shard si's hand (wrapped
+// across shards), freeze it, and evict its page, charging ctx's clock. It
+// returns the frame frozen, clean and unlinked from any descriptor — the
+// caller keeps it or releases it to the free list — or noFrame when the
+// victim was pinned or contended (the frame is thawed again). evicted
+// reports whether a page had to leave.
+func (p *basePool) reclaim(ctx *Ctx, si int) (v int32, evicted bool, err error) {
+	v = p.victim(si)
+	m := &p.meta[v]
+	if !m.tryFreeze() {
+		return noFrame, false, nil
+	}
+	if m.pid.Load() == InvalidPageID {
+		// Defensive: a frozen frame with no page should only live on the
+		// free list; hand it out rather than losing it.
+		return v, false, nil
+	}
+	if ok, err := p.evict(ctx, v); !ok {
+		return noFrame, false, err
+	}
+	return v, true, nil
+}
+
+// fgBatchSteal is how many extra frames an inline DRAM or NVM eviction
+// pushes onto the free list beyond the one it keeps. Small: the point is
+// amortizing the cache-cold victim scan the foreground thread already paid
+// for, not re-implementing the cleaner inline.
 const fgBatchSteal = 3
 
-// fgBatchClean runs after an inline eviction succeeded — the free list was
+// assistBatch runs after an inline eviction succeeded — the free list was
 // empty and the cleaner behind, so the allocators right behind this thread
 // would each pay their own victim scan too. Having eaten the scan's cache
-// misses already, steal a few more victims into the free list (mirroring the
-// cleaner's reclaim: evict, then release). Strictly best-effort: contended or
-// pinned victims are skipped, an I/O error stops the assist (the caller's own
-// frame is already secured; a failing device should not be hammered from the
-// allocation path), and the loop quits as soon as the free list has stock.
-func (bm *BufferManager) fgBatchClean(ctx *Ctx, p *basePool, evict func(*Ctx, int32) (bool, error)) {
-	steal := fgBatchSteal
+// misses already, reclaim a few more victims into the free list. Strictly
+// best-effort: contended or pinned victims are skipped, an I/O error stops
+// the assist (the caller's own frame is already secured; a failing device
+// should not be hammered from the allocation path), and the loop quits as
+// soon as the free list has stock.
+func (p *basePool) assistBatch(ctx *Ctx, home int) {
+	steal := p.assist
 	if lim := p.nFrames / 4; steal > lim {
 		steal = lim // tiny pools: don't sweep the whole CLOCK at once
 	}
-	home := p.shardIndexFor(ctx)
 	stolen := 0
 	for attempts := steal * 2; stolen < steal && attempts > 0 && p.freeCount() < steal; attempts-- {
-		v := p.victim(home + attempts)
-		if !p.meta[v].tryFreeze() {
-			continue
+		v, _, err := p.reclaim(ctx, home+attempts)
+		if err != nil {
+			return
 		}
-		if p.meta[v].pid.Load() != InvalidPageID {
-			ok, err := evict(ctx, v)
-			if err != nil {
-				return // evict thawed the frame; stop assisting the failing tier
-			}
-			if !ok {
-				continue // contended victim, already thawed
-			}
+		if v == noFrame {
+			continue
 		}
 		p.release(v)
 		stolen++
-		bm.stats.fgBatchCleaned.Inc()
+		p.bm.stats.fgBatchCleaned.Inc()
 	}
 }
 
-// evictDRAMFrame evicts the page occupying frozen frame v, leaving the
-// frame frozen and clean for reuse. On failure the frame is thawed; a
-// non-nil error reports an unretryable I/O failure (contention is (false,
-// nil) and is retried by the caller's victim loop).
-func (bm *BufferManager) evictDRAMFrame(ctx *Ctx, v int32) (bool, error) {
-	p := bm.dram
+// evict empties occupied, frozen frame v, leaving it frozen and clean for
+// reuse. On failure the frame is thawed; a non-nil error reports an
+// unretryable I/O failure (contention is (false, nil) and is retried by the
+// caller's victim loop).
+func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	m := &p.meta[v]
 	pid := m.pid.Load()
 	var evStart int64
-	if bm.obs != nil {
+	if p.hEvict != nil {
 		evStart = ctx.Clock.Now()
 	}
-	d, ok := bm.table.Get(pid)
+	d, ok := p.bm.table.Get(pid)
+	if ok {
+		d.lockMu()
+		ok = *p.slot(d) == v
+		d.unlockMu()
+	}
+	var err error
+	if ok {
+		ok, err = p.unlink(ctx, d, v)
+	}
 	if !ok {
 		m.thaw()
-		return false, nil
+		return false, err
 	}
-	d.lockMu()
-	match := d.dramFrame == v
-	d.unlockMu()
-	if !match {
-		m.thaw()
-		return false, nil
+	m.pid.Store(InvalidPageID)
+	m.dirty.Store(false)
+	m.fg.Store(nil)
+	m.clAdmit.Store(false)
+	p.unref(v)
+	p.st.evicts.Inc()
+	if p.hEvict != nil {
+		now := ctx.Clock.Now()
+		p.hEvict.Observe(now - evStart)
+		p.bm.emit(ctx, obs.Event{
+			TS: now, Dur: now - evStart,
+			Type: obs.EvEvict, From: p.tier, Page: pid,
+		})
 	}
+	return true, nil
+}
+
+// unlinkDRAM is the DRAM pool's unlink: write frame v's page down-tier and
+// detach it from d.
+func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	if !d.tryLockD() {
-		m.thaw()
 		return false, nil
 	}
-	ok, err := bm.writeBackDRAM(ctx, d, v)
-	if !ok {
-		d.unlockD()
-		m.thaw()
+	defer d.unlockD()
+	if ok, err := bm.writeBackDRAM(ctx, d, v); !ok {
 		return false, err
 	}
 	d.lockMu()
 	d.dramFrame = noFrame
 	d.unlockMu()
-	d.unlockD()
-	m.pid.Store(InvalidPageID)
-	m.dirty.Store(false)
-	m.fg.Store(nil)
-	p.unref(v)
-	bm.stats.evictDRAM.Inc()
-	if bm.obs != nil {
-		now := ctx.Clock.Now()
-		bm.hEvictDRAM.Observe(now - evStart)
-		bm.obsRing(ctx).Emit(obs.Event{
-			TS: now, Dur: now - evStart,
-			Type: obs.EvEvict, From: obs.TierDRAM, Page: pid,
-		})
-	}
 	return true, nil
 }
 
@@ -257,27 +269,8 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		if !d.tryLockN() {
 			return true, nil // clean: safe to just drop instead
 		}
-		nf, err := bm.nvm.alloc(bm, ctx)
-		if err == nil {
-			frame := p.frame(v)
-			p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-			if ierr := bm.installNVMPage(ctx.Clock, nf, d.pid, frame); ierr != nil {
-				bm.nvm.release(nf) // clean page: dropping is always safe
-			} else {
-				bm.nvm.meta[nf].pid.Store(d.pid)
-				bm.nvm.meta[nf].dirty.Store(false)
-				bm.nvm.meta[nf].clAdmit.Store(ctx.cleaner)
-				if ctx.cleaner {
-					bm.stats.cleanerAdmittedNVM.Inc()
-				}
-				d.lockMu()
-				d.nvmFrame = nf
-				d.unlockMu()
-				bm.nvm.meta[nf].thaw()
-				bm.nvm.ref(nf)
-				bm.stats.dramToNVM.Inc()
-				bm.emit(ctx, obs.Event{Type: obs.EvAdmit, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
-			}
+		if nf, err := bm.nvm.alloc(ctx); err == nil {
+			bm.admitNVM(ctx, d, v, nf, false) // on failure just drop: the page is clean
 		}
 		d.unlockN()
 		return true, nil
@@ -328,39 +321,24 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		if !d.tryLockN() {
 			return false, nil
 		}
-		nf, err := bm.nvm.alloc(bm, ctx)
+		nf, err := bm.nvm.alloc(ctx)
 		if err == nil {
-			p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-			if ierr := bm.installNVMPage(ctx.Clock, nf, d.pid, frame); ierr != nil {
-				// Admission failed mid-install; the page has no NVM copy yet,
-				// so fall back to writing it straight to SSD below.
-				bm.nvm.release(nf)
-				d.unlockN()
-			} else {
-				bm.nvm.meta[nf].pid.Store(d.pid)
-				bm.nvm.meta[nf].dirty.Store(true)
-				bm.nvm.meta[nf].clAdmit.Store(ctx.cleaner)
-				if ctx.cleaner {
-					bm.stats.cleanerAdmittedNVM.Inc()
-				}
-				d.lockMu()
-				d.nvmFrame = nf
-				d.unlockMu()
-				bm.nvm.meta[nf].thaw()
-				bm.nvm.ref(nf)
-				d.unlockN()
-				bm.stats.dramToNVM.Inc()
-				bm.emit(ctx, obs.Event{Type: obs.EvAdmit, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
+			admitted := bm.admitNVM(ctx, d, v, nf, true)
+			d.unlockN()
+			if admitted {
 				return true, nil
 			}
+			// Admission failed mid-install; the page has no NVM copy yet, so
+			// fall back to writing it straight to SSD below.
 		} else {
 			// NVM itself is unevictable right now; fall through to SSD.
 			d.unlockN()
-			if isIOErr(err) && !errors.Is(err, device.ErrCrashed) {
+			if errors.Is(err, device.ErrCrashed) {
+				return false, err
+			}
+			if isIOErr(err) {
 				// note and keep going: SSD can still take the page
 				bm.noteNVMErr(err)
-			} else if errors.Is(err, device.ErrCrashed) {
-				return false, err
 			}
 		}
 	}
@@ -378,122 +356,95 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 	return true, nil
 }
 
-// allocMini returns a frozen, clean mini frame.
-func (p *dramPool) allocMini(bm *BufferManager, ctx *Ctx) (int32, error) {
-	mp := p.mini
-	home := mp.shardIndexFor(ctx)
-	if f, ok := mp.takeFree(ctx); ok {
-		return f, nil
+// admitNVM installs DRAM frame v's contents into frozen NVM frame nf as page
+// d's NVM copy and publishes it (path ❹). Caller holds d.latchN and both
+// frames. It reports false if the install failed (the error is already
+// retried, counted and noted against the tier): nf is back on the free list
+// and d is untouched, since admission is an optimization the caller can skip.
+func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bool) bool {
+	p := bm.dram
+	p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, p.frame(v)); err != nil {
+		bm.nvm.release(nf)
+		return false
 	}
-	var searchStart time.Time
-	for i := 0; ; i++ {
-		if allocExpired(i, &searchStart) {
-			break
-		}
-		if f, ok := mp.takeFree(ctx); ok {
-			return f, nil
-		}
-		v := mp.victim(home + i)
-		if !mp.meta[v].tryFreeze() {
-			backoff(i)
-			continue
-		}
-		if mp.meta[v].pid.Load() == InvalidPageID {
-			return v, nil
-		}
-		ok, err := bm.evictMiniFrame(ctx, v)
-		if err != nil {
-			return noFrame, err
-		}
-		if ok {
-			return v, nil
-		}
-	}
-	return noFrame, errPoolExhausted
-}
-
-// evictMiniFrame evicts the mini page in frozen mini frame v, writing dirty
-// slots back to the page's NVM copy.
-func (bm *BufferManager) evictMiniFrame(ctx *Ctx, v int32) (bool, error) {
-	mp := bm.dram.mini
-	m := &mp.meta[v]
-	pid := m.pid.Load()
-	d, ok := bm.table.Get(pid)
-	if !ok {
-		m.thaw()
-		return false, nil
+	nm := &bm.nvm.meta[nf]
+	nm.pid.Store(d.pid)
+	nm.dirty.Store(dirty)
+	nm.clAdmit.Store(ctx.cleaner)
+	if ctx.cleaner {
+		bm.stats.cleanerAdmittedNVM.Inc()
 	}
 	d.lockMu()
-	match := d.dramMini == v
+	d.nvmFrame = nf
 	d.unlockMu()
-	if !match {
-		m.thaw()
-		return false, nil
-	}
+	nm.thaw()
+	bm.nvm.ref(nf)
+	bm.stats.dramToNVM.Inc()
+	bm.emit(ctx, obs.Event{Type: obs.EvAdmit, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
+	return true
+}
+
+// unlinkMini is the mini pool's unlink: write the mini page's dirty slots
+// back to the page's NVM copy and detach it from d.
+func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	if !d.tryLockD() {
-		m.thaw()
 		return false, nil
 	}
-	fg := m.fg.Load()
-	if m.dirty.Load() && fg != nil && fg.slotDirtyAny() {
-		loc := d.load()
-		if loc.nvmFrame == noFrame {
-			// Invariant violation guard: never drop dirty mini slots with
-			// no backing copy.
-			d.unlockD()
-			m.thaw()
-			return false, nil
+	defer d.unlockD()
+	m := &bm.dram.mini.meta[v]
+	if fg := m.fg.Load(); m.dirty.Load() && fg != nil && fg.slotDirtyAny() {
+		if ok, err := bm.writeBackMini(ctx, d, v, fg); !ok {
+			return false, err
 		}
-		if !d.tryLockN() {
-			d.unlockD()
-			m.thaw()
-			return false, nil
-		}
-		nm := &bm.nvm.meta[loc.nvmFrame]
-		if !nm.freezeWait(pid) {
-			d.unlockN()
-			d.unlockD()
-			m.thaw()
-			return false, nil
-		}
-		fg.lock()
-		data := mp.data(v)
-		var werr error
-		for s := 0; s < fg.slotCount; s++ {
-			if fg.slotDirty&(1<<uint(s)) == 0 {
-				continue
-			}
-			u := int(fg.slots[s])
-			bm.dram.charge.ChargeRead(ctx.Clock, int64(int(v)*mp.slotSize+s*fg.unit), fg.unit)
-			if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
-				break
-			}
-		}
-		if werr == nil {
-			fg.clearDirty()
-		}
-		fg.unlock()
-		if werr != nil {
-			nm.thaw()
-			d.unlockN()
-			d.unlockD()
-			m.thaw()
-			return false, werr
-		}
-		nm.dirty.Store(true)
-		nm.thaw()
-		d.unlockN()
-		bm.stats.dramToNVM.Inc()
 	}
 	d.lockMu()
 	d.dramMini = noFrame
 	d.unlockMu()
-	d.unlockD()
-	m.pid.Store(InvalidPageID)
-	m.dirty.Store(false)
-	m.fg.Store(nil)
-	mp.unref(v)
-	bm.stats.evictMini.Inc()
+	return true, nil
+}
+
+// writeBackMini writes mini frame v's dirty slots into page d's NVM copy.
+// Caller holds d.latchD and the frozen mini frame.
+func (bm *BufferManager) writeBackMini(ctx *Ctx, d *descriptor, v int32, fg *fgState) (bool, error) {
+	mp := bm.dram.mini
+	loc := d.load()
+	if loc.nvmFrame == noFrame {
+		// Invariant violation guard: never drop dirty mini slots with no
+		// backing copy.
+		return false, nil
+	}
+	if !d.tryLockN() {
+		return false, nil
+	}
+	defer d.unlockN()
+	nm := &bm.nvm.meta[loc.nvmFrame]
+	if !nm.freezeWait(d.pid) {
+		return false, nil
+	}
+	defer nm.thaw()
+	fg.lock()
+	data := mp.data(v)
+	var werr error
+	for s := 0; s < fg.slotCount; s++ {
+		if fg.slotDirty&(1<<uint(s)) == 0 {
+			continue
+		}
+		u := int(fg.slots[s])
+		bm.dram.charge.ChargeRead(ctx.Clock, int64(int(v)*mp.slotSize+s*fg.unit), fg.unit)
+		if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
+			break
+		}
+	}
+	if werr == nil {
+		fg.clearDirty()
+	}
+	fg.unlock()
+	if werr != nil {
+		return false, werr
+	}
+	nm.dirty.Store(true)
+	bm.stats.dramToNVM.Inc()
 	return true, nil
 }
 
@@ -501,77 +452,16 @@ func (bm *BufferManager) evictMiniFrame(ctx *Ctx, v int32) (bool, error) {
 // caller revalidates under fg.mu).
 func (fg *fgState) slotDirtyAny() bool { return fg.slotDirty != 0 }
 
-// alloc returns a frozen, clean NVM frame, evicting a victim if needed. As
-// with the DRAM pool, the cleaner-stocked free list is the fast path and the
-// inline eviction loop the fallback.
-func (np *nvmPool) alloc(bm *BufferManager, ctx *Ctx) (int32, error) {
-	home := np.shardIndexFor(ctx)
-	if f, ok := np.takeFree(ctx); ok {
-		if cl := bm.nvmCleaner; cl != nil && np.freeCount() < cl.low {
-			cl.wake(home)
-		}
-		return f, nil
-	}
-	if cl := bm.nvmCleaner; cl != nil {
-		cl.wake(home)
-	}
-	var searchStart time.Time
-	for i := 0; ; i++ {
-		if allocExpired(i, &searchStart) {
-			break
-		}
-		if f, ok := np.takeFree(ctx); ok {
-			return f, nil
-		}
-		v := np.victim(home + i)
-		if !np.meta[v].tryFreeze() {
-			backoff(i)
-			continue
-		}
-		if np.meta[v].pid.Load() == InvalidPageID {
-			return v, nil
-		}
-		ok, err := bm.evictNVMFrame(ctx, v)
-		if err != nil {
-			return noFrame, err
-		}
-		if ok {
-			bm.stats.fgEvicts.Inc()
-			bm.fgBatchClean(ctx, &np.basePool, bm.evictNVMFrame)
-			return v, nil
-		}
-	}
-	return noFrame, errPoolExhausted
-}
-
-// evictNVMFrame evicts the page in frozen NVM frame v, writing it back to
-// SSD if dirty (path ❽). Pages whose DRAM copy is only partially resident
-// (cache-line-grained or mini) are skipped: evicting their backing store
-// would orphan them.
-func (bm *BufferManager) evictNVMFrame(ctx *Ctx, v int32) (bool, error) {
-	np := bm.nvm
-	m := &np.meta[v]
-	pid := m.pid.Load()
-	var evStart int64
-	if bm.obs != nil {
-		evStart = ctx.Clock.Now()
-	}
-	d, ok := bm.table.Get(pid)
-	if !ok {
-		m.thaw()
-		return false, nil
-	}
-	d.lockMu()
-	match := d.nvmFrame == v
-	d.unlockMu()
-	if !match {
-		m.thaw()
-		return false, nil
-	}
+// unlinkNVM is the NVM pool's unlink: write the page in NVM frame v back to
+// SSD if dirty (path ❽), invalidate the frame's durable header and detach it
+// from d. Pages whose DRAM copy is only partially resident (cache-line-
+// grained or mini) are skipped: evicting their backing store would orphan
+// them.
+func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	if !d.tryLockN() {
-		m.thaw()
 		return false, nil
 	}
+	defer d.unlockN()
 	// Re-check DRAM dependencies under latchN (migrations up require it,
 	// so no new fine-grained page can appear once we hold it).
 	d.lockMu()
@@ -579,62 +469,38 @@ func (bm *BufferManager) evictNVMFrame(ctx *Ctx, v int32) (bool, error) {
 	df := d.dramFrame
 	d.unlockMu()
 	if mini {
-		d.unlockN()
-		m.thaw()
 		return false, nil
 	}
 	if df != noFrame && bm.dram != nil {
 		if fg := bm.dram.meta[df].fg.Load(); fg != nil && !fg.fullyResident() {
-			d.unlockN()
-			m.thaw()
 			return false, nil
 		}
 	}
-	if m.dirty.Load() {
+	if bm.nvm.meta[v].dirty.Load() {
 		if !d.tryLockS() {
-			d.unlockN()
-			m.thaw()
 			return false, nil
 		}
 		buf := ctx.buf()
 		err := bm.nvmReadPayload(ctx.Clock, v, 0, buf)
 		if err == nil {
-			err = bm.diskWritePage(ctx.Clock, pid, buf)
+			err = bm.diskWritePage(ctx.Clock, d.pid, buf)
 		}
 		d.unlockS()
 		if err != nil {
-			d.unlockN()
-			m.thaw()
 			return false, err
 		}
 		bm.stats.nvmToSSD.Inc()
-		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierNVM, To: obs.TierSSD, Page: pid})
+		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierNVM, To: obs.TierSSD, Page: d.pid})
 	}
 	// Invalidate the frame's durable header so recovery cannot resurrect it.
 	// An invalidation failure keeps the frame attached (thawed, consistent):
 	// abandoning it here while its valid header survives in the arena would
 	// let a crash-recovery scan revive a page the manager thinks it evicted.
 	if err := bm.nvmWriteHeader(ctx.Clock, v, InvalidPageID, false); err != nil {
-		d.unlockN()
-		m.thaw()
 		return false, err
 	}
 	d.lockMu()
 	d.nvmFrame = noFrame
 	d.unlockMu()
-	d.unlockN()
-	m.pid.Store(InvalidPageID)
-	m.dirty.Store(false)
-	m.clAdmit.Store(false)
-	np.unref(v)
-	bm.stats.evictNVM.Inc()
-	if bm.obs != nil {
-		now := ctx.Clock.Now()
-		bm.hEvictNVM.Observe(now - evStart)
-		bm.obsRing(ctx).Emit(obs.Event{
-			TS: now, Dur: now - evStart,
-			Type: obs.EvEvict, From: obs.TierNVM, Page: pid,
-		})
-	}
 	return true, nil
 }

@@ -231,6 +231,9 @@ func TestCleanerAllFailSurfacesInForeground(t *testing.T) {
 	})
 	seed(t, bm, frames+1)
 
+	// Fail all write-backs from here on — before dirtying, so the cleaner
+	// cannot sneak a frame clean while the loop below is still running.
+	ssdInj.Rearm(device.FaultConfig{Seed: 5, WriteErrProb: 1})
 	ctx := NewCtx(10)
 	data := make([]byte, PageSize)
 	for pid := uint64(0); pid < frames; pid++ {
@@ -245,9 +248,7 @@ func TestCleanerAllFailSurfacesInForeground(t *testing.T) {
 		h.Release()
 	}
 
-	// Every frame is dirty and the free list is empty; now fail all
-	// write-backs and demand a new frame.
-	ssdInj.Rearm(device.FaultConfig{Seed: 5, WriteErrProb: 1})
+	// Every frame is dirty and the free list is empty; demand a new frame.
 	_, err := bm.FetchPage(ctx, frames, ReadIntent)
 	if err == nil {
 		t.Fatal("fetch succeeded with no evictable frame")

@@ -176,76 +176,37 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 	}
 	defer bm.nvm.meta[nf].thaw()
 
-	if bm.cfg.FineGrained {
-		// Fine-grained loading: install an empty cache-line-grained page
-		// (mini if enabled); units fault in on demand, so no bulk copy.
-		if bm.dram.mini != nil {
-			mf, err := bm.dram.allocMini(bm, ctx)
-			if err != nil {
-				if isIOErr(err) {
-					return nil, fmt.Errorf("core: migrate page %d up: %w", d.pid, err)
-				}
-				return nil, nil // DRAM churn; serve from NVM this time
-			}
-			mp := bm.dram.mini
-			mp.meta[mf].pid.Store(d.pid)
-			mp.meta[mf].dirty.Store(false)
-			mp.meta[mf].fg.Store(newMiniFG(bm.cfg.LoadingUnit))
-			d.lockMu()
-			d.dramMini = mf
-			d.unlockMu()
-			mp.meta[mf].pins.Store(1)
-			mp.ref(mf)
-			bm.stats.migNVMToDRAM.Inc()
-			return &Handle{bm: bm, d: d, tier: TierMini, frame: mf, how: howMigrated}, nil
-		}
-		f, err := bm.dram.alloc(bm, ctx)
-		if err != nil {
-			if isIOErr(err) {
-				return nil, fmt.Errorf("core: migrate page %d up: %w", d.pid, err)
-			}
-			return nil, nil
-		}
-		bm.dram.meta[f].pid.Store(d.pid)
-		bm.dram.meta[f].dirty.Store(false)
-		bm.dram.meta[f].fg.Store(newFullFG(bm.cfg.LoadingUnit))
-		d.lockMu()
-		d.dramFrame = f
-		d.unlockMu()
-		bm.dram.meta[f].pins.Store(1)
-		bm.dram.ref(f)
-		bm.stats.migNVMToDRAM.Inc()
-		return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howMigrated}, nil
+	// Whole-page migration copies the page into a full frame. Fine-grained
+	// loading instead installs an empty cache-line-grained page (mini if
+	// enabled); units fault in on demand, so no bulk copy.
+	p, tier, fg := &bm.dram.basePool, TierDRAM, (*fgState)(nil)
+	if mp := bm.dram.mini; mp != nil {
+		p, tier, fg = &mp.basePool, TierMini, newMiniFG(bm.cfg.LoadingUnit)
+	} else if bm.cfg.FineGrained {
+		fg = newFullFG(bm.cfg.LoadingUnit)
 	}
-
-	// Whole-page migration.
-	f, err := bm.dram.alloc(bm, ctx)
+	f, err := p.alloc(ctx)
 	if err != nil {
 		if isIOErr(err) {
 			return nil, fmt.Errorf("core: migrate page %d up: %w", d.pid, err)
 		}
-		return nil, nil
+		return nil, nil // DRAM churn; serve from NVM this time
 	}
-	if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.frame(f)); err != nil {
-		bm.dram.release(f)
-		if errors.Is(err, device.ErrPermanent) && !errors.Is(err, device.ErrCrashed) {
-			// nvmReadPayload already degraded the tier; the caller's retry
-			// loop detaches the dead copy and falls back to the SSD route.
-			return nil, nil
+	if fg == nil {
+		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.frame(f)); err != nil {
+			p.release(f)
+			if errors.Is(err, device.ErrPermanent) && !errors.Is(err, device.ErrCrashed) {
+				// nvmReadPayload already degraded the tier; the caller's retry
+				// loop detaches the dead copy and falls back to the SSD route.
+				return nil, nil
+			}
+			return nil, fmt.Errorf("core: migrate page %d up: %w", d.pid, err)
 		}
-		return nil, fmt.Errorf("core: migrate page %d up: %w", d.pid, err)
+		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 	}
-	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-	bm.dram.meta[f].pid.Store(d.pid)
-	bm.dram.meta[f].dirty.Store(false)
-	bm.dram.meta[f].fg.Store(nil)
-	d.lockMu()
-	d.dramFrame = f
-	d.unlockMu()
-	bm.dram.meta[f].pins.Store(1)
-	bm.dram.ref(f)
+	p.attach(d, f, false, fg)
 	bm.stats.migNVMToDRAM.Inc()
-	return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howMigrated}, nil
+	return &Handle{bm: bm, d: d, tier: tier, frame: f, how: howMigrated}, nil
 }
 
 // fetchMiss brings page d in from SSD. With probability Nr it installs the
@@ -278,7 +239,7 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		return nil, nil
 	}
-	f, err := bm.dram.alloc(bm, ctx)
+	f, err := bm.dram.alloc(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -287,14 +248,7 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 		return nil, fmt.Errorf("core: fetch page %d: %w", d.pid, err)
 	}
 	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-	bm.dram.meta[f].pid.Store(d.pid)
-	bm.dram.meta[f].dirty.Store(false)
-	bm.dram.meta[f].fg.Store(nil)
-	d.lockMu()
-	d.dramFrame = f
-	d.unlockMu()
-	bm.dram.meta[f].pins.Store(1)
-	bm.dram.ref(f)
+	bm.dram.attach(d, f, false, nil)
 	bm.stats.ssdToDRAM.Inc()
 	return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howMissDRAM}, nil
 }
@@ -312,7 +266,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		return nil, nil
 	}
-	nf, err := bm.nvm.alloc(bm, ctx)
+	nf, err := bm.nvm.alloc(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -325,14 +279,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 		bm.nvm.release(nf)
 		return nil, err
 	}
-	bm.nvm.meta[nf].pid.Store(d.pid)
-	bm.nvm.meta[nf].dirty.Store(false)
-	bm.nvm.meta[nf].clAdmit.Store(false)
-	d.lockMu()
-	d.nvmFrame = nf
-	d.unlockMu()
-	bm.nvm.meta[nf].pins.Store(1)
-	bm.nvm.ref(nf)
+	bm.nvm.attach(d, nf, false, nil)
 	bm.stats.ssdToNVM.Inc()
 	return &Handle{bm: bm, d: d, tier: TierNVM, frame: nf, how: howMissNVM}, nil
 }
@@ -363,7 +310,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 	if toDRAM {
 		d.lockD()
 		defer d.unlockD()
-		f, err := bm.dram.alloc(bm, ctx)
+		f, err := bm.dram.alloc(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -372,20 +319,13 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 			fr[i] = 0
 		}
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-		bm.dram.meta[f].pid.Store(pid)
-		bm.dram.meta[f].dirty.Store(true)
-		bm.dram.meta[f].fg.Store(nil)
-		d.lockMu()
-		d.dramFrame = f
-		d.unlockMu()
-		bm.dram.meta[f].pins.Store(1)
-		bm.dram.ref(f)
+		bm.dram.attach(d, f, true, nil)
 		return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f}, nil
 	}
 
 	d.lockN()
 	defer d.unlockN()
-	nf, err := bm.nvm.alloc(bm, ctx)
+	nf, err := bm.nvm.alloc(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -397,14 +337,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 		bm.nvm.release(nf)
 		return nil, fmt.Errorf("core: materialize page %d: %w", pid, err)
 	}
-	bm.nvm.meta[nf].pid.Store(pid)
-	bm.nvm.meta[nf].dirty.Store(true)
-	bm.nvm.meta[nf].clAdmit.Store(false)
-	d.lockMu()
-	d.nvmFrame = nf
-	d.unlockMu()
-	bm.nvm.meta[nf].pins.Store(1)
-	bm.nvm.ref(nf)
+	bm.nvm.attach(d, nf, true, nil)
 	return &Handle{bm: bm, d: d, tier: TierNVM, frame: nf}, nil
 }
 

@@ -373,7 +373,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	}
 	fg := m.fg.Load()
 
-	f, err := h.bm.dram.alloc(h.bm, ctx)
+	f, err := h.bm.dram.alloc(ctx)
 	if err != nil {
 		m.pins.Store(1) // un-freeze back to our single pin
 		return false

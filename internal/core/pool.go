@@ -9,6 +9,8 @@ import (
 
 	"github.com/spitfire-db/spitfire/internal/bitmapclock"
 	"github.com/spitfire-db/spitfire/internal/lockcheck"
+	"github.com/spitfire-db/spitfire/internal/metrics"
+	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/pmem"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
@@ -64,26 +66,6 @@ func (f *frameMeta) freezeWait(pid PageID) bool {
 // thaw releases exclusive ownership, making the frame pinnable again.
 func (f *frameMeta) thaw() { f.pins.Store(0) }
 
-// replacer abstracts the page-replacement policy over a pool's frames.
-// Both the concurrent-bitmap CLOCK the paper uses and the generalized
-// (counter-based) GCLOCK of the cited NB-GCLOCK design satisfy it.
-type replacer interface {
-	Ref(i int)
-	Unref(i int)
-	Referenced(i int) bool
-	Victim() int
-	Len() int
-}
-
-// newReplacer picks the policy for a pool: weight <= 1 is classic CLOCK,
-// larger weights give frames that many sweep-survivals (GCLOCK).
-func newReplacer(nFrames, weight int) replacer {
-	if weight > 1 {
-		return bitmapclock.NewGClock(nFrames, weight)
-	}
-	return bitmapclock.New(nFrames)
-}
-
 // maxPoolShards caps a pool's shard count (mirroring wal.MaxShards).
 const maxPoolShards = 64
 
@@ -106,9 +88,9 @@ func normalizePoolShards(shards, nFrames int) int {
 	return shards
 }
 
-// poolShard is one shard of a pool's replacement state: a private CLOCK (or
-// GCLOCK) hand over the contiguous frame partition [lo, hi) and a free-frame
-// stack. The mutex guards only the stack; the clock is lock-free on its own.
+// poolShard is one shard of a pool's replacement state: a private CLOCK hand
+// over the contiguous frame partition [lo, hi) and a free-frame stack. The
+// mutex guards only the stack; the clock is lock-free on its own.
 //
 // The shard mutex has lockcheck rank RankBMShard: a strict leaf that may be
 // taken under tier latches (allocation runs under latchD/latchN) but admits
@@ -119,17 +101,50 @@ type poolShard struct {
 	free  []int32 // frozen frames, LIFO
 	freeN atomic.Int32
 
-	lo, hi int32    // this shard's frame partition [lo, hi)
-	clock  replacer // over hi-lo shard-local frame indices
+	lo, hi int32              // this shard's frame partition [lo, hi)
+	clock  *bitmapclock.Clock // over hi-lo shard-local frame indices
 
 	_ [64]byte // pad shards onto separate cache lines
 }
 
-// basePool holds the bookkeeping shared by the DRAM and NVM pools. Frames
-// are partitioned contiguously across shards; each shard has its own CLOCK
-// hand and free-frame stack, and workers are pinned to shards by their
-// virtual clock (the same worker-affinity trick as the WAL's append shards).
+// basePool is one buffer pool — DRAM full frames, DRAM mini frames or NVM
+// frames — and everything that differs between them: which descriptor slot
+// names its frames, how a page leaves it, its counters and its cleaner. The
+// allocate-or-evict loop, the foreground assist and the background cleaner
+// are written once against it (evict.go, cleaner.go).
+//
+// Frames are partitioned contiguously across shards; each shard has its own
+// CLOCK hand and free-frame stack, and a worker's home shard is its clock's
+// creation index modulo the shard count (as for the WAL's append shards).
 type basePool struct {
+	bm   *BufferManager
+	tier obs.TierID // names the pool in trace events and the cleaner's ring
+
+	// slot returns the descriptor field that names a page's frame in this
+	// pool (read and written under d.mu).
+	slot func(d *descriptor) *int32
+
+	// unlink is the tier-specific half of an eviction: under the tier latch
+	// (TryLock — d is a second descriptor to the allocating thread) it makes
+	// the page in frozen frame v safe to drop and clears the descriptor's
+	// slot. (false, nil) is contention, a non-nil error an I/O failure whose
+	// retries are already spent; either way the descriptor still owns v.
+	unlink func(ctx *Ctx, d *descriptor, v int32) (bool, error)
+
+	st     *tierStats
+	hEvict *metrics.Histogram // eviction latency; nil when untraced (and for mini frames)
+
+	// assist is how many extra frames an inline eviction reclaims into the
+	// free list beyond the one it keeps (see assistBatch); pools with assist
+	// zero do not count their inline evictions as ForegroundEvicts either.
+	assist int
+
+	cleaner *cleaner // nil unless the background cleaner runs for this pool
+
+	// failed latches when the pool's device fails permanently: nothing
+	// allocates from the pool again (NVM only; see degradeNVM).
+	failed atomic.Bool
+
 	nFrames int
 	meta    []frameMeta
 	shards  []poolShard
@@ -139,21 +154,22 @@ type basePool struct {
 	// maintained outside the shard mutexes, so watermark checks read one
 	// atomic instead of sweeping every shard.
 	freeLen atomic.Int64
-
-	// steals counts free-list pops served by a non-home shard.
-	steals atomic.Uint64
-
-	// affinity pins each worker clock to a shard; rr deals shards
-	// round-robin to clocks seen for the first time.
-	affinity sync.Map // *vclock.Clock -> int
-	rr       atomic.Uint64
 }
 
-// init populates a freshly allocated (embedded) basePool in place — the
-// struct holds atomics and a sync.Map, so it must never be copied.
-func (p *basePool) init(nFrames, clockWeight, shards int) {
+// tierStats are the counters a pool bumps itself. They sit in bmStats so the
+// counter table (stats.go) reaches them; the pool holds a pointer to its own.
+type tierStats struct {
+	evicts     metrics.Counter // pages evicted from the pool
+	cleaned    metrics.Counter // of those, by the background cleaner
+	freeSteals metrics.Counter // free-list pops served by a non-home shard
+}
+
+// init sizes a freshly allocated (embedded) basePool in place — the struct
+// holds atomics, so it must never be copied.
+func (p *basePool) init(nFrames, shards int, st *tierStats) {
 	shards = normalizePoolShards(shards, nFrames)
 	ranges := bitmapclock.Ranges(nFrames, shards)
+	p.st = st
 	p.nFrames = nFrames
 	p.meta = make([]frameMeta, nFrames)
 	p.shards = make([]poolShard, shards)
@@ -161,7 +177,7 @@ func (p *basePool) init(nFrames, clockWeight, shards int) {
 	for si := range p.shards {
 		sh := &p.shards[si]
 		sh.lo, sh.hi = int32(ranges[si][0]), int32(ranges[si][1])
-		sh.clock = newReplacer(int(sh.hi-sh.lo), clockWeight)
+		sh.clock = bitmapclock.New(int(sh.hi - sh.lo))
 		sh.free = make([]int32, 0, sh.hi-sh.lo)
 		// Push descending so low frame indices pop first.
 		for f := sh.hi - 1; f >= sh.lo; f-- {
@@ -186,20 +202,9 @@ func (p *basePool) shardOf(f int32) *poolShard {
 	return &p.shards[si]
 }
 
-// shardIndexFor returns the worker's home shard. Clocks are dealt to shards
-// round-robin on first use and stay pinned, so a worker's allocations,
-// releases and CLOCK sweeps concentrate on one shard's cache lines.
-func (p *basePool) shardIndexFor(ctx *Ctx) int {
-	if len(p.shards) == 1 {
-		return 0
-	}
-	if v, ok := p.affinity.Load(ctx.Clock); ok {
-		return v.(int)
-	}
-	i := int((p.rr.Add(1) - 1) % uint64(len(p.shards)))
-	v, _ := p.affinity.LoadOrStore(ctx.Clock, i)
-	return v.(int)
-}
+// home returns the worker's home shard: its allocations, releases and CLOCK
+// sweeps concentrate on one shard's cache lines.
+func (p *basePool) home(ctx *Ctx) int { return ctx.Clock.Worker() % len(p.shards) }
 
 // lockShard and unlockShard route the shard free-list mutex through the
 // lockcheck shims so the -tags lockcheck build sees RankBMShard as a leaf.
@@ -217,11 +222,10 @@ func (p *basePool) unlockShard(sh *poolShard) {
 // gauges only; never an invariant).
 func (p *basePool) freeCount() int { return int(p.freeLen.Load()) }
 
-// takeFree pops a frame from the caller's home shard, stealing from the
-// other shards in wrap order when it runs dry. The frame is frozen. Only one
-// shard mutex is ever held at a time.
-func (p *basePool) takeFree(ctx *Ctx) (int32, bool) {
-	home := p.shardIndexFor(ctx)
+// takeFree pops a frame from shard home, stealing from the other shards in
+// wrap order when it runs dry. The frame is frozen. Only one shard mutex is
+// ever held at a time.
+func (p *basePool) takeFree(home int) (int32, bool) {
 	n := len(p.shards)
 	for k := 0; k < n; k++ {
 		sh := &p.shards[(home+k)%n]
@@ -239,7 +243,7 @@ func (p *basePool) takeFree(ctx *Ctx) (int32, bool) {
 		p.unlockShard(sh)
 		p.freeLen.Add(-1)
 		if k > 0 {
-			p.steals.Add(1)
+			p.st.freeSteals.Inc()
 		}
 		return f, true
 	}
@@ -253,8 +257,8 @@ func (p *basePool) victim(si int) int32 {
 	return sh.lo + int32(sh.clock.Victim())
 }
 
-// ref, unref and referenced route a frame's reference bit to its home
-// shard's CLOCK instance.
+// ref and unref route a frame's reference bit to its home shard's CLOCK
+// instance.
 func (p *basePool) ref(f int32) {
 	sh := p.shardOf(f)
 	sh.clock.Ref(int(f - sh.lo))
@@ -265,9 +269,21 @@ func (p *basePool) unref(f int32) {
 	sh.clock.Unref(int(f - sh.lo))
 }
 
-func (p *basePool) referenced(f int32) bool {
-	sh := p.shardOf(f)
-	return sh.clock.Referenced(int(f - sh.lo))
+// attach publishes frozen frame f — already holding page d's bytes — as d's
+// copy in this pool, pinned once for the caller (the inverse of evict). fg is
+// the frame's fine-grained residency state, nil for a whole page. Caller holds
+// the pool's tier latch on d.
+func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
+	m := &p.meta[f]
+	m.pid.Store(d.pid)
+	m.dirty.Store(dirty)
+	m.fg.Store(fg)
+	m.clAdmit.Store(false)
+	d.lockMu()
+	*p.slot(d) = f
+	d.unlockMu()
+	m.pins.Store(1)
+	p.ref(f)
 }
 
 // release returns a frozen frame to its home shard's free list. The freeze
@@ -291,9 +307,6 @@ func (p *basePool) release(f int32) {
 	p.freeLen.Add(1)
 }
 
-// Steals reports how many free-list pops were served by a non-home shard.
-func (p *basePool) Steals() uint64 { return p.steals.Load() }
-
 // dramPool is the DRAM buffer: a plain arena priced by a MemCharger.
 // When mini pages are enabled a slice of the budget is carved into mini
 // frames (16 loading units each) with their own CLOCK.
@@ -313,7 +326,7 @@ type miniPool struct {
 	slotSize int // 16*unit bytes of data per mini frame
 }
 
-func newDRAMPool(cfg Config, charge MemCharger) (*dramPool, error) {
+func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, error) {
 	budget := cfg.DRAMBytes
 	var miniBudget int64
 	if cfg.MiniPages {
@@ -328,19 +341,29 @@ func newDRAMPool(cfg Config, charge MemCharger) (*dramPool, error) {
 		arena:  make([]byte, int64(nFrames)*PageSize),
 		charge: charge,
 	}
-	dp.basePool.init(nFrames, cfg.ClockWeight, cfg.Shards)
+	dp.init(nFrames, cfg.Shards, &bm.stats.dram)
+	dp.bm, dp.tier, dp.assist = bm, obs.TierDRAM, fgBatchSteal
+	dp.slot = func(d *descriptor) *int32 { return &d.dramFrame }
+	dp.unlink = bm.unlinkDRAM
+	if bm.obs != nil {
+		dp.hEvict = bm.obs.Hist(obs.HEvictDRAM)
+	}
 	if cfg.MiniPages {
 		slotSize := miniSlots * cfg.LoadingUnit
 		nMini := int(miniBudget / int64(slotSize))
 		if nMini < 1 {
 			nMini = 1
 		}
-		dp.mini = &miniPool{
+		mp := &miniPool{
 			arena:    make([]byte, nMini*slotSize),
 			unit:     cfg.LoadingUnit,
 			slotSize: slotSize,
 		}
-		dp.mini.basePool.init(nMini, cfg.ClockWeight, cfg.Shards)
+		mp.init(nMini, cfg.Shards, &bm.stats.mini)
+		mp.bm, mp.tier = bm, obs.TierMini
+		mp.slot = func(d *descriptor) *int32 { return &d.dramMini }
+		mp.unlink = bm.unlinkMini
+		dp.mini = mp
 	}
 	return dp, nil
 }
@@ -368,7 +391,7 @@ type nvmPool struct {
 	pm *pmem.PMem
 }
 
-func newNVMPool(cfg Config) (*nvmPool, error) {
+func newNVMPool(bm *BufferManager, cfg Config) (*nvmPool, error) {
 	nFrames := int(cfg.NVMBytes / nvmFrameSlot)
 	if nFrames < 1 {
 		return nil, fmt.Errorf("core: NVM buffer of %d bytes holds no frame", cfg.NVMBytes)
@@ -383,7 +406,13 @@ func newNVMPool(cfg Config) (*nvmPool, error) {
 		}
 	}
 	np := &nvmPool{pm: pm}
-	np.basePool.init(nFrames, cfg.ClockWeight, cfg.Shards)
+	np.init(nFrames, cfg.Shards, &bm.stats.nvm)
+	np.bm, np.tier, np.assist = bm, obs.TierNVM, fgBatchSteal
+	np.slot = func(d *descriptor) *int32 { return &d.nvmFrame }
+	np.unlink = bm.unlinkNVM
+	if bm.obs != nil {
+		np.hEvict = bm.obs.Hist(obs.HEvictNVM)
+	}
 	return np, nil
 }
 

@@ -39,7 +39,7 @@ func Recover(cfg Config) (*BufferManager, error) {
 	// are actually free. takeFree sweeps every shard, so draining until it
 	// fails empties all of them.
 	for {
-		if _, ok := np.takeFree(ctx); !ok {
+		if _, ok := np.takeFree(0); !ok {
 			break
 		}
 	}
@@ -51,26 +51,20 @@ func Recover(cfg Config) (*BufferManager, error) {
 		// The scan itself reads every header from NVM; charge it.
 		np.pm.Device().Read(ctx.Clock, 16)
 		pid, valid := np.readHeader(f)
-		if !valid {
-			np.meta[f].pid.Store(InvalidPageID)
-			np.meta[f].pins.Store(-1)
-			np.release(f)
-			continue
-		}
-		if dup, ok := seen[pid]; ok {
+		if _, dup := seen[pid]; valid && dup {
 			// Two frames claim the same page (a crash between header
 			// persist and descriptor publish can leave a torn install).
 			// Keep the first and retire the other.
-			_ = dup
 			if err := np.writeHeader(ctx.Clock, f, InvalidPageID, false); err != nil {
 				// Leaving the stale header durable would let the *next*
 				// recovery resurrect it; fail loudly instead.
 				bm.Close()
 				return nil, fmt.Errorf("core: recover: retiring duplicate frame %d: %w", f, err)
 			}
-			np.meta[f].pid.Store(InvalidPageID)
-			np.meta[f].pins.Store(-1)
-			np.release(f)
+			valid = false
+		}
+		if !valid {
+			np.release(f) // still frozen and untagged, as New built it
 			continue
 		}
 		seen[pid] = f

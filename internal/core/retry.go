@@ -113,12 +113,13 @@ func isIOErr(err error) bool {
 		errors.Is(err, device.ErrCrashed)
 }
 
-// nvmDown reports whether the NVM tier has failed permanently.
-func (bm *BufferManager) nvmDown() bool { return bm.nvmFailed.Load() }
+// nvmDown reports whether the NVM tier has failed permanently: the hierarchy
+// has collapsed to two-tier DRAM–SSD (see degradeNVM).
+func (bm *BufferManager) nvmDown() bool { return bm.nvm != nil && bm.nvm.failed.Load() }
 
 // NVMDegraded reports whether the manager is running in two-tier DRAM–SSD
 // degraded mode after a permanent NVM failure.
-func (bm *BufferManager) NVMDegraded() bool { return bm.nvmFailed.Load() }
+func (bm *BufferManager) NVMDegraded() bool { return bm.nvmDown() }
 
 // noteNVMErr inspects the outcome of an NVM operation and collapses the
 // hierarchy to two tiers on permanent failure. Transient errors (already
@@ -142,7 +143,7 @@ func (bm *BufferManager) noteNVMErr(err error) {
 //
 // Exactly one caller performs the transition; later calls are no-ops.
 func (bm *BufferManager) degradeNVM() {
-	if bm.nvm == nil || !bm.nvmFailed.CompareAndSwap(false, true) {
+	if bm.nvm == nil || !bm.nvm.failed.CompareAndSwap(false, true) {
 		return
 	}
 	bm.stats.nvmDegraded.Inc()
@@ -197,7 +198,7 @@ func (bm *BufferManager) detachDeadNVM(d *descriptor) {
 // audit it (CheckConsistency), and then call this; the explicit call enables
 // the cleaner even when the construction-time config left it off.
 func (bm *BufferManager) StartCleaners() {
-	if bm.dramCleaner != nil || bm.nvmCleaner != nil {
+	if bm.cfg.Cleaner.Enable {
 		return
 	}
 	bm.cfg.Cleaner.Enable = true

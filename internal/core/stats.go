@@ -1,25 +1,31 @@
 package core
 
-import "github.com/spitfire-db/spitfire/internal/metrics"
+import (
+	"github.com/spitfire-db/spitfire/internal/metrics"
+	"github.com/spitfire-db/spitfire/internal/obs"
+)
 
 // bmStats counts the buffer manager's traffic along the data-flow paths of
-// Figure 3 plus hit/miss/eviction activity.
+// Figure 3 plus hit/miss/eviction activity. Every counter has one row in the
+// counters table below.
 type bmStats struct {
 	hitDRAM, hitMini, hitNVM, missSSD metrics.Counter
 	migNVMToDRAM, ssdToDRAM, ssdToNVM metrics.Counter
 	dramToNVM, dramToSSD, nvmToSSD    metrics.Counter
-	evictDRAM, evictMini, evictNVM    metrics.Counter
 	fgUnitLoads, miniPromotions       metrics.Counter
 	flushedDRAMPages, flushedNVMPages metrics.Counter
 	recoveredNVMPages                 metrics.Counter
 
+	// Per-pool counters, bumped through basePool.st. (The mini pool has no
+	// cleaner, and its steal count has never been exported: those two have
+	// no table row.)
+	dram, mini, nvm tierStats
+
 	// Background cleaner activity (DESIGN.md §5-bis).
-	cleanerBatches     metrics.Counter
-	cleanerCleanedDRAM metrics.Counter
-	cleanerCleanedNVM  metrics.Counter
-	cleanerStalls      metrics.Counter
-	fgEvicts           metrics.Counter
-	fgBatchCleaned     metrics.Counter
+	cleanerBatches metrics.Counter
+	cleanerStalls  metrics.Counter
+	fgEvicts       metrics.Counter
+	fgBatchCleaned metrics.Counter
 
 	// Fault handling (DESIGN.md §5-ter).
 	ioRetries             metrics.Counter
@@ -28,6 +34,57 @@ type bmStats struct {
 	nvmOrphanedPages      metrics.Counter
 	cleanerAdmittedNVM    metrics.Counter
 	hitNVMCleanerAdmitted metrics.Counter
+}
+
+// counterRow is one row of the counter table.
+type counterRow struct {
+	name string           // obs sample name; the /metrics family is spitfire_<name>_total
+	live *metrics.Counter // the counter the hot paths bump
+	snap *int64           // its field in a Stats snapshot
+}
+
+const nCounters = 32
+
+// counters is the one table of buffer-manager counters, bound to the live
+// set s and a snapshot o: Stats, ResetStats and the named obs samples are all
+// loops over it, so a new counter is its bmStats field, its Stats field and a
+// row here. The NVMDegraded latch is exposed as a gauge by the obs sources, so
+// it has no sample name, and ResetStats leaves it set.
+func (s *bmStats) counters(o *Stats) [nCounters]counterRow {
+	return [...]counterRow{
+		{"hit_dram", &s.hitDRAM, &o.HitDRAM},
+		{"hit_mini", &s.hitMini, &o.HitMini},
+		{"hit_nvm", &s.hitNVM, &o.HitNVM},
+		{"miss_ssd", &s.missSSD, &o.MissSSD},
+		{"mig_nvm_to_dram", &s.migNVMToDRAM, &o.NVMToDRAM},
+		{"mig_ssd_to_dram", &s.ssdToDRAM, &o.SSDToDRAM},
+		{"mig_ssd_to_nvm", &s.ssdToNVM, &o.SSDToNVM},
+		{"mig_dram_to_nvm", &s.dramToNVM, &o.DRAMToNVM},
+		{"mig_dram_to_ssd", &s.dramToSSD, &o.DRAMToSSD},
+		{"mig_nvm_to_ssd", &s.nvmToSSD, &o.NVMToSSD},
+		{"evict_dram", &s.dram.evicts, &o.EvictDRAM},
+		{"evict_mini", &s.mini.evicts, &o.EvictMini},
+		{"evict_nvm", &s.nvm.evicts, &o.EvictNVM},
+		{"fg_unit_loads", &s.fgUnitLoads, &o.FGUnitLoads},
+		{"mini_promotions", &s.miniPromotions, &o.MiniPromotions},
+		{"flushed_dram_pages", &s.flushedDRAMPages, &o.FlushedDRAMPages},
+		{"flushed_nvm_pages", &s.flushedNVMPages, &o.FlushedNVMPages},
+		{"recovered_nvm_pages", &s.recoveredNVMPages, &o.RecoveredNVMPages},
+		{"cleaner_batches", &s.cleanerBatches, &o.CleanerBatches},
+		{"cleaner_cleaned_dram", &s.dram.cleaned, &o.CleanerCleanedDRAM},
+		{"cleaner_cleaned_nvm", &s.nvm.cleaned, &o.CleanerCleanedNVM},
+		{"cleaner_stalls", &s.cleanerStalls, &o.CleanerStalls},
+		{"foreground_evicts", &s.fgEvicts, &o.ForegroundEvicts},
+		{"foreground_batch_cleaned", &s.fgBatchCleaned, &o.ForegroundBatchCleaned},
+		{"io_retries", &s.ioRetries, &o.IORetries},
+		{"io_give_ups", &s.ioGiveUps, &o.IOGiveUps},
+		{"", &s.nvmDegraded, &o.NVMDegraded},
+		{"nvm_orphaned_pages", &s.nvmOrphanedPages, &o.NVMOrphanedPages},
+		{"cleaner_admitted_nvm", &s.cleanerAdmittedNVM, &o.CleanerAdmittedNVM},
+		{"hit_nvm_cleaner_admitted", &s.hitNVMCleanerAdmitted, &o.HitNVMCleanerAdmitted},
+		{"dram_free_steals", &s.dram.freeSteals, &o.DRAMFreeSteals},
+		{"nvm_free_steals", &s.nvm.freeSteals, &o.NVMFreeSteals},
+	}
 }
 
 // Stats is a snapshot of the buffer manager's counters.
@@ -95,64 +152,35 @@ type Stats struct {
 
 // Stats snapshots the manager's counters.
 func (bm *BufferManager) Stats() Stats {
-	s := &bm.stats
-	var dramSteals, nvmSteals int64
-	if bm.dram != nil {
-		dramSteals = int64(bm.dram.Steals())
+	var out Stats
+	for _, c := range bm.stats.counters(&out) {
+		*c.snap = c.live.Load()
 	}
-	if bm.nvm != nil {
-		nvmSteals = int64(bm.nvm.Steals())
-	}
-	return Stats{
-		DRAMFreeSteals: dramSteals,
-		NVMFreeSteals:  nvmSteals,
-		HitDRAM:        s.hitDRAM.Load(), HitMini: s.hitMini.Load(),
-		HitNVM: s.hitNVM.Load(), MissSSD: s.missSSD.Load(),
-		NVMToDRAM: s.migNVMToDRAM.Load(),
-		SSDToDRAM: s.ssdToDRAM.Load(), SSDToNVM: s.ssdToNVM.Load(),
-		DRAMToNVM: s.dramToNVM.Load(), DRAMToSSD: s.dramToSSD.Load(),
-		NVMToSSD:  s.nvmToSSD.Load(),
-		EvictDRAM: s.evictDRAM.Load(), EvictMini: s.evictMini.Load(),
-		EvictNVM:    s.evictNVM.Load(),
-		FGUnitLoads: s.fgUnitLoads.Load(), MiniPromotions: s.miniPromotions.Load(),
-		FlushedDRAMPages:   s.flushedDRAMPages.Load(),
-		FlushedNVMPages:    s.flushedNVMPages.Load(),
-		RecoveredNVMPages:  s.recoveredNVMPages.Load(),
-		CleanerBatches:     s.cleanerBatches.Load(),
-		CleanerCleanedDRAM: s.cleanerCleanedDRAM.Load(),
-		CleanerCleanedNVM:  s.cleanerCleanedNVM.Load(),
-		CleanerStalls:      s.cleanerStalls.Load(),
-		ForegroundEvicts:   s.fgEvicts.Load(),
+	return out
+}
 
-		ForegroundBatchCleaned: s.fgBatchCleaned.Load(),
-
-		IORetries:             s.ioRetries.Load(),
-		IOGiveUps:             s.ioGiveUps.Load(),
-		NVMDegraded:           s.nvmDegraded.Load(),
-		NVMOrphanedPages:      s.nvmOrphanedPages.Load(),
-		CleanerAdmittedNVM:    s.cleanerAdmittedNVM.Load(),
-		HitNVMCleanerAdmitted: s.hitNVMCleanerAdmitted.Load(),
+// ResetStats zeroes every counter except the NVMDegraded latch (buffer
+// contents are kept).
+func (bm *BufferManager) ResetStats() {
+	for _, c := range bm.stats.counters(new(Stats)) {
+		if c.name != "" {
+			c.live.Store(0)
+		}
 	}
 }
 
-// ResetStats zeroes the hit/migration counters (buffer contents are kept).
-func (bm *BufferManager) ResetStats() {
-	s := &bm.stats
-	for _, c := range []*metrics.Counter{
-		&s.hitDRAM, &s.hitMini, &s.hitNVM, &s.missSSD,
-		&s.migNVMToDRAM, &s.ssdToDRAM, &s.ssdToNVM,
-		&s.dramToNVM, &s.dramToSSD, &s.nvmToSSD,
-		&s.evictDRAM, &s.evictMini, &s.evictNVM,
-		&s.fgUnitLoads, &s.miniPromotions,
-		&s.flushedDRAMPages, &s.flushedNVMPages, &s.recoveredNVMPages,
-		&s.cleanerBatches, &s.cleanerCleanedDRAM, &s.cleanerCleanedNVM,
-		&s.cleanerStalls, &s.fgEvicts, &s.fgBatchCleaned,
-		&s.ioRetries, &s.ioGiveUps,
-		&s.nvmOrphanedPages,
-		&s.cleanerAdmittedNVM, &s.hitNVMCleanerAdmitted,
-	} {
-		c.Store(0)
+// ObsCounters returns every counter as a named monotonic sample — the buffer
+// manager's share of an obs.Source, which the harness and the server append
+// their own families to. The hit_* / miss_ssd names are load-bearing: the
+// snapshot endpoint derives hit rates from them.
+func (bm *BufferManager) ObsCounters() []obs.Sample {
+	out := make([]obs.Sample, 0, nCounters)
+	for _, c := range bm.stats.counters(new(Stats)) {
+		if c.name != "" {
+			out = append(out, obs.Sample{Name: c.name, Value: c.live.Load()})
+		}
 	}
+	return out
 }
 
 // PoolGauges is a point-in-time occupancy snapshot of the buffer pools,
@@ -247,7 +275,7 @@ func (bm *BufferManager) Pressure() Pressure {
 			p.DRAMFreeFrac = float64(p.DRAMFree) / float64(p.DRAMFrames)
 		}
 	}
-	p.Degraded = bm.nvmFailed.Load()
+	p.Degraded = bm.nvmDown()
 	if bm.nvm != nil && !p.Degraded {
 		p.NVMFrames = bm.nvm.nFrames
 		p.NVMFree = bm.nvm.freeCount()

@@ -77,9 +77,9 @@ func (kv *KV) Get(ctx *core.Ctx, txn *Txn, key uint64) ([]byte, error) {
 	return buf[2 : 2+n : 2+n], nil
 }
 
-// Put upserts key → val: an update when the key exists, an insert when it
-// does not. Concurrent writers of an existing key race under MVTO and the
-// loser gets ErrConflict.
+// Put upserts key → val: an update when the key is visible to txn, an insert
+// when it is not — including when txn itself deleted it earlier. Concurrent
+// writers of an existing key race under MVTO and the loser gets ErrConflict.
 func (kv *KV) Put(ctx *core.Ctx, txn *Txn, key uint64, val []byte) error {
 	if len(val) > kv.maxVal {
 		return fmt.Errorf("engine: kv value is %d bytes, max %d", len(val), kv.maxVal)
@@ -87,11 +87,7 @@ func (kv *KV) Put(ctx *core.Ctx, txn *Txn, key uint64, val []byte) error {
 	mu := &kv.stripes[key%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	payload := kv.encode(val)
-	if _, exists := kv.tb.Index().Get(key); exists {
-		return kv.tb.Update(ctx, txn, key, payload)
-	}
-	return kv.tb.Insert(ctx, txn, key, payload)
+	return kv.tb.upsert(ctx, txn, key, kv.encode(val))
 }
 
 // Delete removes key. Missing keys report ErrNotFound.

@@ -191,3 +191,41 @@ func TestKVConcurrentUpserts(t *testing.T) {
 		}
 	}
 }
+
+// TestKVDeleteThenPutSameTxn: a key deleted and re-put inside one
+// transaction must come back with the new value — the index still maps the
+// deleted key until commit, so Put cannot decide from the raw index.
+func TestKVDeleteThenPutSameTxn(t *testing.T) {
+	db, kv := newTestKV(t)
+	ctx := newCtx(42)
+	txn := db.Begin()
+	if err := kv.Put(ctx, txn, 7, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	txn = db.Begin()
+	if err := kv.Delete(ctx, txn, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(ctx, txn, 7, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	txn = db.Begin()
+	got, err := kv.Get(ctx, txn, 7)
+	if err != nil {
+		t.Fatalf("key 7 after delete-then-put in one txn: %v", err)
+	}
+	if string(got) != "v2" {
+		t.Fatalf("got %q want v2", got)
+	}
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/spitfire-db/spitfire/internal/btree"
 	"github.com/spitfire-db/spitfire/internal/core"
@@ -240,7 +241,27 @@ func (tb *Table) Update(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) err
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	return tb.writeRID(ctx, txn, rid, key, payload, false)
+	return tb.writeRID(ctx, txn, rid, key, payload, false, false)
+}
+
+// upsert writes payload under key whatever the key's state in txn's view: an
+// insert when the index does not map the key, otherwise an in-place write
+// that — unlike Update — also overwrites the tombstone txn itself left by
+// deleting the key earlier (the index keeps mapping a deleted key until the
+// delete commits, so the raw index alone cannot tell "exists" from "deleted
+// by me"). The caller serializes concurrent upserts of one key: two inserts
+// of a missing key would both pass Insert's duplicate check. Reviving a
+// tombstone does not maintain secondary indexes; the KV tables that use this
+// have none.
+func (tb *Table) upsert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
+	if len(payload) != tb.tupleSize {
+		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
+	}
+	rid, ok := tb.index.Get(key)
+	if !ok {
+		return tb.Insert(ctx, txn, key, payload)
+	}
+	return tb.writeRID(ctx, txn, rid, key, payload, false, true)
 }
 
 // Delete tombstones the tuple under key. The index entry is removed at
@@ -250,15 +271,17 @@ func (tb *Table) Delete(ctx *core.Ctx, txn *Txn, key uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	if err := tb.writeRID(ctx, txn, rid, key, make([]byte, tb.tupleSize), true); err != nil {
+	if err := tb.writeRID(ctx, txn, rid, key, make([]byte, tb.tupleSize), true, false); err != nil {
 		return err
 	}
 	txn.idxDeletes = append(txn.idxDeletes, idxOp{table: tb, key: key})
 	return nil
 }
 
-// writeRID applies an update or delete at rid.
-func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload []byte, tombstone bool) error {
+// writeRID applies an update or delete at rid. With revive set, the write
+// may also land on the tombstone txn itself wrote earlier, bringing the key
+// back and cancelling the index removal queued for commit.
+func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload []byte, tombstone, revive bool) error {
 	pid, slot := splitRID(rid)
 	if err := validateSlot(tb.tupleSize, slot); err != nil {
 		return err
@@ -279,6 +302,7 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 	if len(tb.secondaries) > 0 {
 		beforePayload = make([]byte, tb.tupleSize)
 	}
+	revived := false
 	err = tb.db.tm.Write(txn.inner, rid,
 		func() uint64 {
 			hdr, _ := tb.slotWTS(ctx, h, slot)
@@ -291,8 +315,16 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 				return nil, err
 			}
 			img := parseSlot(before)
-			if _, occupied, tomb := parseTupleHeader(img.header); !occupied || tomb {
-				return nil, fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
+			if wts, occupied, tomb := parseTupleHeader(img.header); !occupied || tomb {
+				if !revive {
+					return nil, fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
+				}
+				if !tomb || wts != txn.inner.TS {
+					// Someone else's delete: its commit drops the index entry
+					// this write located the slot through, so a retry inserts.
+					return nil, fmt.Errorf("%w: %s key %d deleted concurrently", ErrConflict, tb.name, key)
+				}
+				revived = true
 			}
 			if beforePayload != nil {
 				copy(beforePayload, img.payload)
@@ -312,6 +344,12 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 		})
 	if err != nil {
 		return err
+	}
+	if revived {
+		txn.idxDeletes = slices.DeleteFunc(txn.idxDeletes, func(op idxOp) bool {
+			return op.table == tb && op.key == key
+		})
+		return nil
 	}
 	for _, sec := range tb.secondaries {
 		if tombstone {

@@ -52,37 +52,10 @@ func (e *Env) PolicyStepHook() func(anneal.EpochStep) {
 	}
 }
 
-// ObsCounters implements obs.Source: monotonic totals for the live
-// exposition endpoints. The hit_* / miss_ssd names are load-bearing — the
-// snapshot endpoint derives hit rates from them.
+// ObsCounters implements obs.Source: every buffer-manager counter plus the
+// harness's commit, device-byte and WAL totals.
 func (e *Env) ObsCounters() []obs.Sample {
-	s := e.BM.Stats()
-	out := []obs.Sample{
-		{Name: "hit_dram", Value: s.HitDRAM},
-		{Name: "hit_mini", Value: s.HitMini},
-		{Name: "hit_nvm", Value: s.HitNVM},
-		{Name: "miss_ssd", Value: s.MissSSD},
-		{Name: "mig_nvm_to_dram", Value: s.NVMToDRAM},
-		{Name: "mig_ssd_to_dram", Value: s.SSDToDRAM},
-		{Name: "mig_ssd_to_nvm", Value: s.SSDToNVM},
-		{Name: "mig_dram_to_nvm", Value: s.DRAMToNVM},
-		{Name: "mig_dram_to_ssd", Value: s.DRAMToSSD},
-		{Name: "mig_nvm_to_ssd", Value: s.NVMToSSD},
-		{Name: "evict_dram", Value: s.EvictDRAM},
-		{Name: "evict_mini", Value: s.EvictMini},
-		{Name: "evict_nvm", Value: s.EvictNVM},
-		{Name: "fg_unit_loads", Value: s.FGUnitLoads},
-		{Name: "mini_promotions", Value: s.MiniPromotions},
-		{Name: "cleaner_batches", Value: s.CleanerBatches},
-		{Name: "cleaner_cleaned_dram", Value: s.CleanerCleanedDRAM},
-		{Name: "cleaner_cleaned_nvm", Value: s.CleanerCleanedNVM},
-		{Name: "cleaner_stalls", Value: s.CleanerStalls},
-		{Name: "foreground_evicts", Value: s.ForegroundEvicts},
-		{Name: "foreground_batch_cleaned", Value: s.ForegroundBatchCleaned},
-		{Name: "io_retries", Value: s.IORetries},
-		{Name: "io_give_ups", Value: s.IOGiveUps},
-		{Name: "commits", Value: e.commits.Load()},
-	}
+	out := append(e.BM.ObsCounters(), obs.Sample{Name: "commits", Value: e.commits.Load()})
 	if e.nvmDev != nil {
 		st := e.nvmDev.Stats()
 		out = append(out,

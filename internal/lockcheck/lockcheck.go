@@ -42,44 +42,8 @@ import (
 	"sync"
 )
 
-// Latch ranks, low acquired first. RankMu is a strict leaf; RankFg admits
-// only RankMu under it; the WAL ranks form their own two-level order
-// (flushMu → shard mu).
-const (
-	RankD        = 1
-	RankN        = 2
-	RankS        = 3
-	RankMu       = 4
-	RankFg       = 5
-	RankWALShard = 6
-	RankWALFlush = 7
-	RankBMShard  = 8
-)
-
 // Enabled reports whether the checker is compiled in.
 const Enabled = true
-
-func rankName(r int) string {
-	switch r {
-	case RankD:
-		return "latchD"
-	case RankN:
-		return "latchN"
-	case RankS:
-		return "latchS"
-	case RankMu:
-		return "mu"
-	case RankFg:
-		return "fg.mu"
-	case RankWALShard:
-		return "wal.shard"
-	case RankWALFlush:
-		return "wal.flushMu"
-	case RankBMShard:
-		return "pool.shard"
-	}
-	return "rank?"
-}
 
 // held is one latch on a goroutine's shadow stack.
 type held struct {
@@ -171,10 +135,10 @@ func check(obj any, rank int, blocking bool) {
 		switch {
 		case h.rank == RankMu:
 			fail(h, "lockcheck: acquiring %s(%p) while mu(%p) is held — mu is a leaf lock, acquire nothing under it",
-				rankName(rank), obj, h.obj)
+				RankName(rank), obj, h.obj)
 		case h.rank == RankBMShard:
 			fail(h, "lockcheck: acquiring %s(%p) while pool.shard(%p) is held — a pool shard's free-list mutex is a strict leaf (steal by dropping one shard before probing the next)",
-				rankName(rank), obj, h.obj)
+				RankName(rank), obj, h.obj)
 		case h.rank == RankFg && rank == RankMu:
 			// descriptor.mu under fg.mu: the fine-grained load path pins the
 			// NVM backing (nvmBacking → mu) while holding the frame-group
@@ -182,26 +146,26 @@ func check(obj any, rank int, blocking bool) {
 			// acquired under it, so fg.mu → mu cannot cycle.
 		case h.rank == RankFg:
 			fail(h, "lockcheck: acquiring %s(%p) while fg.mu(%p) is held — only descriptor.mu may be taken under a frame-group lock",
-				rankName(rank), obj, h.obj)
+				RankName(rank), obj, h.obj)
 		case h.rank == RankWALShard && rank == RankWALShard && flushHeld:
 			// The combining flusher drains every shard in index order while
 			// holding flushMu; shard→shard is legal only in that context.
 		case h.rank == RankWALShard:
 			fail(h, "lockcheck: acquiring %s(%p) while wal.shard(%p) is held — a shard mutex is a leaf on the append path",
-				rankName(rank), obj, h.obj)
+				RankName(rank), obj, h.obj)
 		case h.rank == RankWALFlush && rank != RankWALShard:
 			fail(h, "lockcheck: acquiring %s(%p) while wal.flushMu(%p) is held — only shard mutexes may be taken under flushMu",
-				rankName(rank), obj, h.obj)
+				RankName(rank), obj, h.obj)
 		case h.rank == RankWALFlush:
 			// Shard mutex under flushMu: the combining flusher's order.
 		case h.obj == obj && rank == RankMu:
 			// mu under the same descriptor's tier latches: legal leaf use.
 		case h.obj == obj && h.rank >= rank:
 			fail(h, "lockcheck: acquiring %s(%p) while holding %s of the same descriptor — tier order is latchD → latchN → latchS",
-				rankName(rank), obj, rankName(h.rank))
+				RankName(rank), obj, RankName(h.rank))
 		case h.obj != obj && blocking && rank <= RankS && h.rank <= RankS:
 			fail(h, "lockcheck: blocking Lock of %s(%p) while holding %s(%p) of another descriptor — second descriptors only via TryLock",
-				rankName(rank), obj, rankName(h.rank), h.obj)
+				RankName(rank), obj, RankName(h.rank), h.obj)
 		}
 	}
 	if blocking {
@@ -219,7 +183,7 @@ func fail(h *held, format string, args ...any) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, format, args...)
 	b.WriteString("\n\nearlier acquisition of ")
-	b.WriteString(rankName(h.rank))
+	b.WriteString(RankName(h.rank))
 	b.WriteString(" at:\n")
 	frames := runtime.CallersFrames(h.pcs[:h.npc])
 	for {

@@ -4,18 +4,6 @@
 // see lockcheck.go for the real implementation and the rules it enforces.
 package lockcheck
 
-// Latch ranks, mirrored from the checked build.
-const (
-	RankD        = 1
-	RankN        = 2
-	RankS        = 3
-	RankMu       = 4
-	RankFg       = 5
-	RankWALShard = 6
-	RankWALFlush = 7
-	RankBMShard  = 8
-)
-
 // Enabled reports whether the checker is compiled in.
 const Enabled = false
 

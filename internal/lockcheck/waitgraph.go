@@ -145,15 +145,15 @@ func WaitGraphReport() []string {
 	var out []string
 	adj := map[int][]int{}
 	for _, e := range edges {
-		out = append(out, fmt.Sprintf("wait: %s → %s (%d)", rankName(e.from), rankName(e.to), e.n))
+		out = append(out, fmt.Sprintf("wait: %s → %s (%d)", RankName(e.from), RankName(e.to), e.n))
 		adj[e.from] = append(adj[e.from], e.to)
 	}
 	for _, cyc := range rankCycles(adj) {
 		line := "CYCLE:"
 		for _, r := range cyc {
-			line += " " + rankName(r) + " →"
+			line += " " + RankName(r) + " →"
 		}
-		out = append(out, line+" "+rankName(cyc[0]))
+		out = append(out, line+" "+RankName(cyc[0]))
 	}
 	return out
 }

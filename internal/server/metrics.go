@@ -95,12 +95,9 @@ func (s *Server) Stats() Stats {
 }
 
 // ObsCounters implements obs.Source: the request/admission families plus
-// the buffer manager's tier counters (hit_dram / hit_mini / hit_nvm /
-// miss_ssd are load-bearing — the snapshot endpoint derives hit rates from
-// them) and WAL totals when logging is enabled.
+// every buffer-manager counter and, when logging is enabled, WAL totals.
 func (s *Server) ObsCounters() []obs.Sample {
 	st := s.Stats()
-	bs := s.bm.Stats()
 	out := []obs.Sample{
 		{Name: "req_accepted", Value: st.Accepted},
 		{Name: "req_completed", Value: st.Completed},
@@ -117,16 +114,8 @@ func (s *Server) ObsCounters() []obs.Sample {
 		{Name: "shed_enters", Value: st.ShedEnters},
 		{Name: "degraded_trips", Value: st.DegradedTrips},
 		{Name: "checkpoints", Value: st.Checkpoints},
-		{Name: "hit_dram", Value: bs.HitDRAM},
-		{Name: "hit_mini", Value: bs.HitMini},
-		{Name: "hit_nvm", Value: bs.HitNVM},
-		{Name: "miss_ssd", Value: bs.MissSSD},
-		{Name: "evict_dram", Value: bs.EvictDRAM},
-		{Name: "evict_nvm", Value: bs.EvictNVM},
-		{Name: "foreground_evicts", Value: bs.ForegroundEvicts},
-		{Name: "cleaner_batches", Value: bs.CleanerBatches},
-		{Name: "cleaner_stalls", Value: bs.CleanerStalls},
 	}
+	out = append(out, s.bm.ObsCounters()...)
 	if w := s.db.WAL(); w != nil {
 		appends, flushes, commits := w.Stats()
 		out = append(out,

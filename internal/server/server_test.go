@@ -590,3 +590,24 @@ func TestAdmitterUnit(t *testing.T) {
 		t.Fatalf("post-release gauges = %d/%d/%d, want zeros", inflight, queued, clients)
 	}
 }
+
+// TestObsCountersCoverCore: the server source exports every buffer-manager
+// counter next to its request families, under unique names.
+func TestObsCountersCoverCore(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	have := map[string]bool{}
+	for _, c := range s.ObsCounters() {
+		if have[c.Name] {
+			t.Errorf("duplicate sample %q", c.Name)
+		}
+		have[c.Name] = true
+	}
+	for _, c := range s.bm.ObsCounters() {
+		if !have[c.Name] {
+			t.Errorf("server ObsCounters lacks core sample %q", c.Name)
+		}
+	}
+	if !have["req_accepted"] || !have["wal_appends"] {
+		t.Error("server ObsCounters lost its own request/WAL samples")
+	}
+}

@@ -9,17 +9,32 @@
 // deterministic and independent of the host's core count.
 package vclock
 
+import "sync/atomic"
+
 // Clock is a virtual clock owned by a single worker goroutine. It is not
 // safe for concurrent use; each worker must have its own.
 type Clock struct {
-	now int64 // simulated nanoseconds since the start of the run
+	now    int64 // simulated nanoseconds since the start of the run
+	worker int   // creation sequence number, fixed for the clock's life
 }
 
+// workers numbers clocks in creation order.
+var workers atomic.Uint64
+
 // New returns a clock positioned at virtual time zero.
-func New() *Clock { return &Clock{} }
+func New() *Clock { return At(0) }
 
 // At returns a clock positioned at the given virtual time in nanoseconds.
-func At(ns int64) *Clock { return &Clock{now: ns} }
+func At(ns int64) *Clock {
+	return &Clock{now: ns, worker: int((workers.Add(1) - 1) & (1<<31 - 1))}
+}
+
+// Worker returns the clock's creation index. Sharded structures (WAL append
+// shards, buffer-pool shards) pin a worker to shard Worker() % nShards:
+// clocks created back to back spread round-robin, a worker keeps its shard
+// for life, and nothing has to remember the assignment — so short-lived
+// clocks (a server's per-request contexts) leave no state behind.
+func (c *Clock) Worker() int { return c.worker }
 
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() int64 { return c.now }

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 )
 
 // checkLatchOrder enforces the descriptor locking discipline documented in
@@ -47,42 +49,6 @@ func checkLatchOrder(p *pass) {
 			w.block(fd.Body.List)
 		}
 	}
-}
-
-// Latch ranks, mirroring internal/lockcheck. Lower must be acquired first
-// among the tier latches; mu is a strict leaf; fg admits only mu under it;
-// the WAL ranks form their own two-level order (flushMu → shard mu).
-const (
-	rankD        = 1
-	rankN        = 2
-	rankS        = 3
-	rankMu       = 4
-	rankFg       = 5
-	rankWALShard = 6
-	rankWALFlush = 7
-	rankBMShard  = 8
-)
-
-func rankName(r int) string {
-	switch r {
-	case rankD:
-		return "latchD"
-	case rankN:
-		return "latchN"
-	case rankS:
-		return "latchS"
-	case rankMu:
-		return "mu"
-	case rankFg:
-		return "fg.mu"
-	case rankWALShard:
-		return "shard.mu"
-	case rankWALFlush:
-		return "flushMu"
-	case rankBMShard:
-		return "pool.shard"
-	}
-	return "?"
 }
 
 // latchOp is one classified latch call site.
@@ -317,21 +283,21 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 
 	// Rule 2 (mu is a leaf): nothing is acquired while any mu is held.
 	for heldBase, rs := range w.held {
-		if rs[rankMu] {
+		if rs[lockcheck.RankMu] {
 			w.pass.report(pos, "latchorder",
 				"acquiring %s.%s while %s.mu is held (mu is a leaf lock: acquire nothing under it)",
-				base, rankName(op.rank), heldBase)
+				base, lockcheck.RankName(op.rank), heldBase)
 			break
 		}
 	}
 
 	// Rule 4 (frame groups): only descriptor.mu may be acquired under fg.mu.
-	if op.rank != rankMu {
+	if op.rank != lockcheck.RankMu {
 		for heldBase, rs := range w.held {
-			if rs[rankFg] {
+			if rs[lockcheck.RankFg] {
 				w.pass.report(pos, "latchorder",
 					"acquiring %s.%s while %s (a frame-group lock) is held (only descriptor.mu may be taken under fg.mu)",
-					base, rankName(op.rank), heldBase)
+					base, lockcheck.RankName(op.rank), heldBase)
 				break
 			}
 		}
@@ -341,10 +307,10 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 	// leaf — nothing may be acquired while one is held (work-stealing drops
 	// the dry shard before probing the next).
 	for heldBase, rs := range w.held {
-		if rs[rankBMShard] {
+		if rs[lockcheck.RankBMShard] {
 			w.pass.report(pos, "latchorder",
 				"acquiring %s.%s while %s (a buffer-pool shard mutex) is held (pool shards are strict leaves: drop one shard before probing the next)",
-				base, rankName(op.rank), heldBase)
+				base, lockcheck.RankName(op.rank), heldBase)
 			break
 		}
 	}
@@ -354,27 +320,27 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 	// admits nothing but shard mutexes under it.
 	flushHeld := false
 	for _, rs := range w.held {
-		if rs[rankWALFlush] {
+		if rs[lockcheck.RankWALFlush] {
 			flushHeld = true
 			break
 		}
 	}
 	for heldBase, rs := range w.held {
-		if rs[rankWALShard] && !(op.rank == rankWALShard && flushHeld) {
+		if rs[lockcheck.RankWALShard] && !(op.rank == lockcheck.RankWALShard && flushHeld) {
 			w.pass.report(pos, "latchorder",
 				"acquiring %s.%s while %s (a WAL shard mutex) is held (shard mutexes are leaves on the append path; shard→shard only under flushMu)",
-				base, rankName(op.rank), heldBase)
+				base, lockcheck.RankName(op.rank), heldBase)
 			break
 		}
 	}
-	if flushHeld && op.rank != rankWALShard {
+	if flushHeld && op.rank != lockcheck.RankWALShard {
 		w.pass.report(pos, "latchorder",
 			"acquiring %s.%s while flushMu is held (only shard mutexes may be taken under flushMu)",
-			base, rankName(op.rank))
+			base, lockcheck.RankName(op.rank))
 	}
 
-	if op.rank == rankMu {
-		if w.held[base] != nil && w.held[base][rankMu] {
+	if op.rank == lockcheck.RankMu {
+		if w.held[base] != nil && w.held[base][lockcheck.RankMu] {
 			w.pass.report(pos, "latchorder",
 				"re-acquiring %s.mu already held on this path", base)
 		}
@@ -385,12 +351,12 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 	// Rule 1 (tier order on one descriptor): a new tier latch must outrank
 	// every tier latch already held on the same descriptor. Only the tier
 	// ranks participate — fg/WAL locks have their own rules above.
-	if rs := w.held[base]; rs != nil && op.rank <= rankS {
+	if rs := w.held[base]; rs != nil && op.rank <= lockcheck.RankS {
 		for r := range rs {
-			if r <= rankS && r >= op.rank {
+			if r <= lockcheck.RankS && r >= op.rank {
 				w.pass.report(pos, "latchorder",
 					"acquiring %s.%s while holding %s.%s (tier order is latchD → latchN → latchS)",
-					base, rankName(op.rank), base, rankName(r))
+					base, lockcheck.RankName(op.rank), base, lockcheck.RankName(r))
 				break
 			}
 		}
@@ -399,17 +365,17 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 	// Rule 3 (second descriptor): blocking Lock of a tier latch is illegal
 	// while any other descriptor's tier latch is held. Tier latches only:
 	// taking fg.mu or a WAL lock under a tier latch is the normal order.
-	if op.kind == "lock" && op.rank <= rankS {
+	if op.kind == "lock" && op.rank <= lockcheck.RankS {
 	outer:
 		for heldBase, rs := range w.held {
 			if heldBase == base {
 				continue
 			}
 			for r := range rs {
-				if r <= rankS {
+				if r <= lockcheck.RankS {
 					w.pass.report(pos, "latchorder",
 						"blocking Lock of %s.%s while holding %s.%s on another descriptor (use TryLock for second descriptors)",
-						base, rankName(op.rank), heldBase, rankName(r))
+						base, lockcheck.RankName(op.rank), heldBase, lockcheck.RankName(r))
 					break outer
 				}
 			}
@@ -429,7 +395,7 @@ func (w *latchWalker) hold(base string, rank int) {
 // muHeld reports whether any descriptor's mu is in the held set.
 func (w *latchWalker) muHeld() (string, bool) {
 	for base, rs := range w.held {
-		if rs[rankMu] {
+		if rs[lockcheck.RankMu] {
 			return base, true
 		}
 	}
@@ -472,30 +438,30 @@ func (p *pass) calleeIn(call *ast.CallExpr, pkgs []string) *types.Func {
 
 // latchShims maps the internal/core shim method names to (rank, kind).
 var latchShims = map[string]latchOp{
-	"lockD":     {rank: rankD, kind: "lock"},
-	"tryLockD":  {rank: rankD, kind: "try"},
-	"unlockD":   {rank: rankD, kind: "unlock"},
-	"lockN":     {rank: rankN, kind: "lock"},
-	"tryLockN":  {rank: rankN, kind: "try"},
-	"unlockN":   {rank: rankN, kind: "unlock"},
-	"lockS":     {rank: rankS, kind: "lock"},
-	"tryLockS":  {rank: rankS, kind: "try"},
-	"unlockS":   {rank: rankS, kind: "unlock"},
-	"lockMu":    {rank: rankMu, kind: "lock"},
-	"tryLockMu": {rank: rankMu, kind: "try"},
-	"unlockMu":  {rank: rankMu, kind: "unlock"},
+	"lockD":     {rank: lockcheck.RankD, kind: "lock"},
+	"tryLockD":  {rank: lockcheck.RankD, kind: "try"},
+	"unlockD":   {rank: lockcheck.RankD, kind: "unlock"},
+	"lockN":     {rank: lockcheck.RankN, kind: "lock"},
+	"tryLockN":  {rank: lockcheck.RankN, kind: "try"},
+	"unlockN":   {rank: lockcheck.RankN, kind: "unlock"},
+	"lockS":     {rank: lockcheck.RankS, kind: "lock"},
+	"tryLockS":  {rank: lockcheck.RankS, kind: "try"},
+	"unlockS":   {rank: lockcheck.RankS, kind: "unlock"},
+	"lockMu":    {rank: lockcheck.RankMu, kind: "lock"},
+	"tryLockMu": {rank: lockcheck.RankMu, kind: "try"},
+	"unlockMu":  {rank: lockcheck.RankMu, kind: "unlock"},
 }
 
 func latchFieldRank(name string) int {
 	switch name {
 	case "latchD":
-		return rankD
+		return lockcheck.RankD
 	case "latchN":
-		return rankN
+		return lockcheck.RankN
 	case "latchS":
-		return rankS
+		return lockcheck.RankS
 	case "mu":
-		return rankMu
+		return lockcheck.RankMu
 	}
 	return 0
 }
@@ -529,13 +495,13 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 		baseT := p.unit.info.Types[inner.X].Type
 		switch {
 		case inner.Sel.Name == "mu" && p.isFrameGroupType(baseT):
-			return latchOp{base: inner.X, rank: rankFg, kind: kind}, true
+			return latchOp{base: inner.X, rank: lockcheck.RankFg, kind: kind}, true
 		case inner.Sel.Name == "mu" && p.isWALShardType(baseT):
-			return latchOp{base: inner.X, rank: rankWALShard, kind: kind}, true
+			return latchOp{base: inner.X, rank: lockcheck.RankWALShard, kind: kind}, true
 		case inner.Sel.Name == "mu" && p.isBMShardType(baseT):
-			return latchOp{base: inner.X, rank: rankBMShard, kind: kind}, true
+			return latchOp{base: inner.X, rank: lockcheck.RankBMShard, kind: kind}, true
 		case inner.Sel.Name == "flushMu" && p.isWALManagerType(baseT):
-			return latchOp{base: inner.X, rank: rankWALFlush, kind: kind}, true
+			return latchOp{base: inner.X, rank: lockcheck.RankWALFlush, kind: kind}, true
 		}
 		rank := latchFieldRank(inner.Sel.Name)
 		if rank == 0 || !p.isDescriptorType(baseT) {
@@ -552,7 +518,7 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 			if name == "unlock" {
 				k = "unlock"
 			}
-			return latchOp{base: sel.X, rank: rankFg, kind: k}, true
+			return latchOp{base: sel.X, rank: lockcheck.RankFg, kind: k}, true
 		}
 		return latchOp{}, false
 	}
@@ -569,10 +535,10 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 				k = "unlock"
 			}
 			if p.isWALManagerType(recvT) {
-				return latchOp{base: call.Args[0], rank: rankWALShard, kind: k}, true
+				return latchOp{base: call.Args[0], rank: lockcheck.RankWALShard, kind: k}, true
 			}
 			if p.isBMPoolType(recvT) {
-				return latchOp{base: call.Args[0], rank: rankBMShard, kind: k}, true
+				return latchOp{base: call.Args[0], rank: lockcheck.RankBMShard, kind: k}, true
 			}
 		}
 		return latchOp{}, false
@@ -586,7 +552,7 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 			case "unlockFlush":
 				k = "unlock"
 			}
-			return latchOp{base: sel.X, rank: rankWALFlush, kind: k}, true
+			return latchOp{base: sel.X, rank: lockcheck.RankWALFlush, kind: k}, true
 		}
 		return latchOp{}, false
 	}

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/spitfire-db/spitfire/internal/pmem"
 	"github.com/spitfire-db/spitfire/internal/vclock"
@@ -324,5 +327,35 @@ func TestShardCountClamped(t *testing.T) {
 	}
 	if m.Shards() != 1 {
 		t.Fatalf("Shards() = %d, want 1", m.Shards())
+	}
+}
+
+// TestWorkerIdentityLeavesNoState appends once from each of 10k short-lived
+// worker clocks to a 4-shard log and checks the manager remembers none of
+// them (every clock becomes collectable) while consecutive workers still
+// land on consecutive shards.
+func TestWorkerIdentityLeavesNoState(t *testing.T) {
+	const workers = 10000
+	m, _, _ := newShardedManager(t, 1<<20, 4)
+	var collected atomic.Int64
+	var prev *walShard
+	for i := 0; i < workers; i++ {
+		c := vclock.New()
+		runtime.SetFinalizer(c, func(*vclock.Clock) { collected.Add(1) })
+		sh := m.shardFor(c)
+		if sh == prev {
+			t.Fatalf("workers %d and %d landed on the same shard", i-1, i)
+		}
+		prev = sh
+		if _, err := m.Append(c, &Record{TxnID: uint64(i), Type: RecUpdate, After: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for try := 0; try < 50 && collected.Load() < workers-1; try++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got < workers-1 {
+		t.Fatalf("only %d of %d dropped worker clocks were collected: the WAL retains per-worker state", got, workers)
 	}
 }

@@ -317,11 +317,6 @@ type Manager struct {
 	// point; the SSD flush is buffer-space management).
 	durableLSN atomic.Uint64
 
-	// affinity pins each worker clock to a shard; rr deals shards
-	// round-robin to clocks seen for the first time.
-	affinity sync.Map // *vclock.Clock -> int
-	rr       atomic.Uint64
-
 	// nextLSN is the lock-free LSN allocator — the one shared word every
 	// committer must touch. Padding keeps that RMW from false-sharing with
 	// the read-mostly fields around it.
@@ -410,19 +405,11 @@ func New(opt Options) (*Manager, error) {
 // Shards reports the number of append shards the buffer is split into.
 func (m *Manager) Shards() int { return len(m.shards) }
 
-// shardFor returns the appending worker's shard. Clocks are dealt to shards
-// round-robin on first use and stay pinned (worker affinity keeps a worker's
-// records batched in one region and its cache lines hot).
+// shardFor returns the appending worker's shard, fixed by its clock's
+// creation index (worker affinity keeps a worker's records batched in one
+// region and its cache lines hot).
 func (m *Manager) shardFor(c *vclock.Clock) *walShard {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	if v, ok := m.affinity.Load(c); ok {
-		return m.shards[v.(int)]
-	}
-	i := int((m.rr.Add(1) - 1) % uint64(len(m.shards)))
-	v, _ := m.affinity.LoadOrStore(c, i)
-	return m.shards[v.(int)]
+	return m.shards[c.Worker()%len(m.shards)]
 }
 
 // Lock shims: WAL mutex acquisitions route through these so the
