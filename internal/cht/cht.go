@@ -17,9 +17,18 @@
 // table keeps walking an immutable-enough snapshot (nodes it can reach are
 // never relinked into the new table), so it sees every key that was present
 // when it loaded the table pointer — its linearization point.
+//
+// One 64-bit hash addresses both levels, from disjoint bits: the low
+// log2(stripes) bits pick the stripe, the bits above them pick the bucket
+// inside it. (Taking both from the low bits would leave every entry of a
+// stripe agreeing on the bits its table indexes by, so one chain would hold
+// the whole stripe.) Chains therefore stay at about loadFactor nodes at any
+// map size. Range visits entries in an unspecified order that changes as
+// stripes grow; no caller may depend on it.
 package cht
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -41,11 +50,13 @@ type Map[K comparable, V any] struct {
 }
 
 // node is one immutable key/value pair on a bucket chain. The chain link is
-// atomic so writers can splice nodes in and out under readers; key and val
-// are never written after the node is published.
+// atomic so writers can splice nodes in and out under readers; key, val and
+// hash (kept so a resize need not call the hash function again) are never
+// written after the node is published.
 type node[K comparable, V any] struct {
 	key  K
 	val  V
+	hash uint64
 	next atomic.Pointer[node[K, V]]
 }
 
@@ -53,15 +64,17 @@ type node[K comparable, V any] struct {
 // (with copied nodes) rather than rehashing in place.
 type table[K comparable, V any] struct {
 	buckets []atomic.Pointer[node[K, V]]
+	shift   uint // log2(stripes): the hash bits below it picked the stripe
 	mask    uint64
 }
 
+// stripe is exactly one cache line, so writers on neighboring stripes do not
+// false-share mu and count.
 type stripe[K comparable, V any] struct {
-	mu     sync.Mutex // writers only; Get never touches it
-	tab    atomic.Pointer[table[K, V]]
-	count  int            // entries, guarded by mu
-	hashFn func(K) uint64 // the map's hash, needed to rehash during grow
-	_      [24]byte       // pad to reduce false sharing between neighboring stripes
+	mu    sync.Mutex // writers only; Get never touches it
+	tab   atomic.Pointer[table[K, V]]
+	count int // entries, guarded by mu
+	_     [40]byte
 }
 
 // New creates a map using the given hash function with the default stripe
@@ -81,16 +94,17 @@ func NewWithShards[K comparable, V any](hash func(K) uint64, shards int) *Map[K,
 		mask:    uint64(shards - 1),
 		hash:    hash,
 	}
+	shift := uint(bits.TrailingZeros(uint(shards)))
 	for i := range m.stripes {
-		m.stripes[i].hashFn = hash
-		m.stripes[i].tab.Store(newTable[K, V](stripeInitBuckets))
+		m.stripes[i].tab.Store(newTable[K, V](stripeInitBuckets, shift))
 	}
 	return m
 }
 
-func newTable[K comparable, V any](buckets int) *table[K, V] {
+func newTable[K comparable, V any](buckets int, shift uint) *table[K, V] {
 	return &table[K, V]{
 		buckets: make([]atomic.Pointer[node[K, V]], buckets),
+		shift:   shift,
 		mask:    uint64(buckets - 1),
 	}
 }
@@ -106,8 +120,14 @@ func Uint64Hash(k uint64) uint64 {
 	return k
 }
 
+// stripeFor picks h's stripe from the low log2(stripes) hash bits.
 func (m *Map[K, V]) stripeFor(h uint64) *stripe[K, V] {
 	return &m.stripes[h&m.mask]
+}
+
+// bucket picks h's chain head from the hash bits above the stripe's.
+func (t *table[K, V]) bucket(h uint64) *atomic.Pointer[node[K, V]] {
+	return &t.buckets[(h>>t.shift)&t.mask]
 }
 
 // Get returns the value for k, if present. It is lock-free: a table-pointer
@@ -115,7 +135,7 @@ func (m *Map[K, V]) stripeFor(h uint64) *stripe[K, V] {
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	h := m.hash(k)
 	t := m.stripeFor(h).tab.Load()
-	for n := t.buckets[h&t.mask].Load(); n != nil; n = n.next.Load() {
+	for n := t.bucket(h).Load(); n != nil; n = n.next.Load() {
 		if n.key == k {
 			return n.val, true
 		}
@@ -136,14 +156,14 @@ func (m *Map[K, V]) Put(k K, v V) {
 // put inserts or replaces (k, v); the caller holds s.mu.
 func (s *stripe[K, V]) put(h uint64, k K, v V) {
 	t := s.tab.Load()
-	b := &t.buckets[h&t.mask]
+	b := t.bucket(h)
 	var prev *node[K, V]
 	for n := b.Load(); n != nil; n = n.next.Load() {
 		if n.key == k {
 			// Replace by splicing in a fresh node: published nodes are
 			// immutable so concurrent readers see either the old or the new
 			// value, never a torn one.
-			repl := &node[K, V]{key: k, val: v}
+			repl := &node[K, V]{key: k, val: v, hash: h}
 			repl.next.Store(n.next.Load())
 			if prev == nil {
 				b.Store(repl)
@@ -154,7 +174,7 @@ func (s *stripe[K, V]) put(h uint64, k K, v V) {
 		}
 		prev = n
 	}
-	fresh := &node[K, V]{key: k, val: v}
+	fresh := &node[K, V]{key: k, val: v, hash: h}
 	fresh.next.Store(b.Load())
 	b.Store(fresh)
 	s.count++
@@ -167,22 +187,17 @@ func (s *stripe[K, V]) put(h uint64, k K, v V) {
 // published nodes would corrupt the chains concurrent readers are walking in
 // the old table — and the new table is published with one atomic store.
 func (s *stripe[K, V]) grow(old *table[K, V]) {
-	t := newTable[K, V](len(old.buckets) * 2)
+	t := newTable[K, V](len(old.buckets)*2, old.shift)
 	for i := range old.buckets {
 		for n := old.buckets[i].Load(); n != nil; n = n.next.Load() {
-			h := s.rehash(n.key)
-			b := &t.buckets[h&t.mask]
-			c := &node[K, V]{key: n.key, val: n.val}
+			b := t.bucket(n.hash)
+			c := &node[K, V]{key: n.key, val: n.val, hash: n.hash}
 			c.next.Store(b.Load())
 			b.Store(c)
 		}
 	}
 	s.tab.Store(t)
 }
-
-// rehash recomputes a key's hash during a resize. Stored on the stripe via
-// the owning map's hash function pointer, captured at construction.
-func (s *stripe[K, V]) rehash(k K) uint64 { return s.hashFn(k) }
 
 // Delete removes k. It reports whether the key was present.
 func (m *Map[K, V]) Delete(k K) bool {
@@ -191,7 +206,7 @@ func (m *Map[K, V]) Delete(k K) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tab.Load()
-	b := &t.buckets[h&t.mask]
+	b := t.bucket(h)
 	var prev *node[K, V]
 	for n := b.Load(); n != nil; n = n.next.Load() {
 		if n.key == k {
@@ -221,7 +236,7 @@ func (m *Map[K, V]) GetOrInsert(k K, mk func() V) (v V, loaded bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tab.Load()
-	for n := t.buckets[h&t.mask].Load(); n != nil; n = n.next.Load() {
+	for n := t.bucket(h).Load(); n != nil; n = n.next.Load() {
 		if n.key == k {
 			return n.val, true
 		}
@@ -242,9 +257,10 @@ func (m *Map[K, V]) Len() int {
 	return n
 }
 
-// Range calls f for every entry until f returns false. Entries inserted or
-// removed concurrently may or may not be observed; each stripe is walked
-// lock-free over the table snapshot current when the stripe is reached.
+// Range calls f for every entry until f returns false, in unspecified
+// order. Entries inserted or removed concurrently may or may not be observed;
+// each stripe is walked lock-free over the table snapshot current when the
+// stripe is reached.
 func (m *Map[K, V]) Range(f func(K, V) bool) {
 	for i := range m.stripes {
 		t := m.stripes[i].tab.Load()

@@ -82,6 +82,7 @@ type Ctx struct {
 	RNG   *zipf.Rand
 
 	scratch []byte // lazily allocated page-size staging buffer
+	tuple   []byte // TupleBuf's storage
 
 	// ring is the worker's migration-tracer ring, lazily attached on first
 	// instrumented operation against a manager with observability enabled.
@@ -128,6 +129,18 @@ func (ctx *Ctx) interrupted() error {
 		return nil
 	}
 	return ctx.interrupt()
+}
+
+// TupleBuf returns the worker's n-byte staging buffer, in which the layer
+// above composes a tuple image before handing it to WriteAt and the log. It
+// is separate from the page staging buffer migrations use, so an image in it
+// survives any buffer-manager call; it holds whatever its last user left and
+// is valid until the next TupleBuf call on this Ctx.
+func (ctx *Ctx) TupleBuf(n int) []byte {
+	if cap(ctx.tuple) < n {
+		ctx.tuple = make([]byte, n)
+	}
+	return ctx.tuple[:n]
 }
 
 func (ctx *Ctx) buf() []byte {

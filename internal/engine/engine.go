@@ -119,7 +119,7 @@ func (db *DB) Table(id uint32) *Table {
 // Txn is a transaction handle. It is owned by one worker goroutine.
 type Txn struct {
 	db      *DB
-	inner   *mvto.Txn
+	inner   mvto.Txn // embedded by value: a Begin allocates one object
 	lastLSN uint64
 	began   bool // BEGIN record written
 
@@ -141,7 +141,9 @@ type idxOp struct {
 
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
-	return &Txn{db: db, inner: db.tm.Begin()}
+	t := &Txn{db: db}
+	db.tm.Start(&t.inner)
+	return t
 }
 
 // TS returns the transaction's start timestamp.
@@ -185,7 +187,7 @@ func (t *Txn) Commit(ctx *core.Ctx) error {
 	for _, f := range t.secDeletes {
 		f()
 	}
-	t.db.tm.Commit(t.inner)
+	t.db.tm.Commit(&t.inner)
 	if n := t.db.commitCount.Add(1); t.db.gcEvery > 0 && n%t.db.gcEvery == 0 {
 		t.db.tm.GC()
 	}
@@ -195,7 +197,7 @@ func (t *Txn) Commit(ctx *core.Ctx) error {
 // Abort rolls the transaction back: every written slot is restored from its
 // parked before-image and index insertions are removed.
 func (t *Txn) Abort(ctx *core.Ctx) error {
-	undos := t.db.tm.AbortStart(t.inner)
+	undos := t.db.tm.AbortStart(&t.inner)
 	for i := len(undos) - 1; i >= 0; i-- {
 		u := undos[i]
 		pid, slot := splitRID(u.RID)
@@ -225,7 +227,7 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 			return err
 		}
 	}
-	t.db.tm.AbortFinish(t.inner)
+	t.db.tm.AbortFinish(&t.inner)
 	return nil
 }
 

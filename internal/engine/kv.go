@@ -55,14 +55,6 @@ func (kv *KV) Table() *Table { return kv.tb }
 // MaxValue reports the largest storable value size in bytes.
 func (kv *KV) MaxValue() int { return kv.maxVal }
 
-// encode builds the fixed-size tuple payload for val.
-func (kv *KV) encode(val []byte) []byte {
-	buf := make([]byte, 2+kv.maxVal)
-	binary.LittleEndian.PutUint16(buf, uint16(len(val)))
-	copy(buf[2:], val)
-	return buf
-}
-
 // Get returns the value under key, honoring the transaction's snapshot.
 // Missing keys report ErrNotFound.
 func (kv *KV) Get(ctx *core.Ctx, txn *Txn, key uint64) ([]byte, error) {
@@ -84,10 +76,17 @@ func (kv *KV) Put(ctx *core.Ctx, txn *Txn, key uint64, val []byte) error {
 	if len(val) > kv.maxVal {
 		return fmt.Errorf("engine: kv value is %d bytes, max %d", len(val), kv.maxVal)
 	}
+	// Compose the tuple — length prefix, value, zero padding — directly in
+	// the worker's slot staging buffer: the only copy of val the put makes.
+	after := ctx.TupleBuf(slotSize(kv.tb.tupleSize))
+	payload := slotPayload(after)
+	binary.LittleEndian.PutUint16(payload, uint16(len(val)))
+	clear(payload[2+copy(payload[2:], val):])
+
 	mu := &kv.stripes[key%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	return kv.tb.upsert(ctx, txn, key, kv.encode(val))
+	return kv.tb.upsertSlot(ctx, txn, key, after)
 }
 
 // Delete removes key. Missing keys report ErrNotFound.

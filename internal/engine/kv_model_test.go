@@ -15,10 +15,12 @@ import (
 // random commit/abort decision per transaction, against a map oracle. Every
 // get and scan must agree with the transaction's own view (committed state
 // overlaid with its pending writes), and after every boundary a fresh
-// transaction must see exactly the committed state.
+// transaction must see exactly the committed state. Half the writes are
+// followed at once, inside the writing transaction, by a bounded scan that
+// starts at the key just put or deleted.
 func TestQuickKVModel(t *testing.T) {
 	type op struct {
-		Kind  uint8 // put/delete/get/scan
+		Kind  uint8 // put / delete / either followed by a bounded scan / check everything
 		Key   uint8
 		Val   uint8
 		Abort bool // whether the enclosing txn aborts
@@ -76,6 +78,28 @@ func TestQuickKVModel(t *testing.T) {
 			return true
 		}
 
+		// checkScan compares a scan of at most limit rows from key from
+		// against the view.
+		checkScan := func(txn *Txn, from uint64, limit int, when string) bool {
+			var want, seen []string
+			for k := from; k < keys && len(want) < limit; k++ {
+				if wv, wok := view(k); wok {
+					want = append(want, fmt.Sprintf("%d=%x", k, wv))
+				}
+			}
+			err := kv.Scan(ctx, txn, from, limit, func(k uint64, v []byte) bool {
+				seen = append(seen, fmt.Sprintf("%d=%x", k, v))
+				return true
+			})
+			if err != nil {
+				return fail("%s: scan from %d limit %d: %v", when, from, limit, err)
+			}
+			if fmt.Sprint(seen) != fmt.Sprint(want) {
+				return fail("%s: scan from %d limit %d = %v, want %v", when, from, limit, seen, want)
+			}
+			return true
+		}
+
 		txn := db.Begin()
 		aborts := false
 		closeTxn := func() bool {
@@ -103,14 +127,17 @@ func TestQuickKVModel(t *testing.T) {
 		for i, o := range ops {
 			k := uint64(o.Key % keys)
 			aborts = aborts || o.Abort
-			switch o.Kind % 4 {
-			case 0:
+			switch kind := o.Kind % 6; kind {
+			case 0, 2:
 				v := value(o.Val)
 				if err := kv.Put(ctx, txn, k, v); err != nil {
 					return fail("op %d: put %d: %v", i, k, err)
 				}
 				pending[k] = v
-			case 1:
+				if kind == 2 && !checkScan(txn, k, 1+int(o.Val%4), fmt.Sprintf("op %d: after put %d", i, k)) {
+					return false
+				}
+			case 1, 3:
 				_, exists := view(k)
 				err := kv.Delete(ctx, txn, k)
 				if exists && err != nil {
@@ -121,6 +148,9 @@ func TestQuickKVModel(t *testing.T) {
 				}
 				if exists {
 					pending[k] = nil
+				}
+				if kind == 3 && !checkScan(txn, k, 1+int(o.Val%4), fmt.Sprintf("op %d: after delete %d", i, k)) {
+					return false
 				}
 			default:
 				if !checkAll(txn, fmt.Sprintf("op %d", i)) {

@@ -106,17 +106,26 @@ func parseSlot(raw []byte) slotImage {
 	return slotImage{
 		header:  le.Uint64(raw[0:]),
 		key:     le.Uint64(raw[8:]),
-		payload: raw[tupleHeaderSize+keySize:],
+		payload: slotPayload(raw),
 		raw:     raw,
 	}
 }
 
-// buildSlot serializes a slot image into dst.
-func buildSlot(dst []byte, header, key uint64, payload []byte) {
+// slotPayload returns the payload region of a slot image.
+func slotPayload(raw []byte) []byte { return raw[tupleHeaderSize+keySize:] }
+
+// stampSlot writes header and key into a slot image whose payload is
+// already in place.
+func stampSlot(dst []byte, header, key uint64) {
 	le := binary.LittleEndian
 	le.PutUint64(dst[0:], header)
 	le.PutUint64(dst[8:], key)
-	copy(dst[tupleHeaderSize+keySize:], payload)
+}
+
+// buildSlot serializes a slot image into dst.
+func buildSlot(dst []byte, header, key uint64, payload []byte) {
+	stampSlot(dst, header, key)
+	copy(slotPayload(dst), payload)
 }
 
 // validateSlot bounds-checks a slot index for a table.

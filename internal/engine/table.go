@@ -114,8 +114,8 @@ func (tb *Table) readSlot(ctx *core.Ctx, h *core.Handle, slot int, buf []byte) e
 	return h.ReadAt(ctx, slotOffset(tb.tupleSize, slot), buf)
 }
 
-// slotWTS reads just the tuple header at rid via the handle.
-func (tb *Table) slotWTS(ctx *core.Ctx, h *core.Handle, slot int) (uint64, error) {
+// slotHeader reads just the tuple header at rid via the handle.
+func (tb *Table) slotHeader(ctx *core.Ctx, h *core.Handle, slot int) (uint64, error) {
 	var hdr [tupleHeaderSize]byte
 	if err := h.ReadAt(ctx, slotOffset(tb.tupleSize, slot), hdr[:]); err != nil {
 		return 0, err
@@ -123,11 +123,52 @@ func (tb *Table) slotWTS(ctx *core.Ctx, h *core.Handle, slot int) (uint64, error
 	return binary.LittleEndian.Uint64(hdr[:]), nil
 }
 
+// slotWTS reads the in-place write timestamp at rid: MVTO's pageWTS
+// callback. A failed read reports 0, which sends the caller on to the slot
+// access proper, where the same fault surfaces as an error.
+func (tb *Table) slotWTS(ctx *core.Ctx, h *core.Handle, slot int) uint64 {
+	hdr, _ := tb.slotHeader(ctx, h, slot)
+	wts, _, _ := parseTupleHeader(hdr)
+	return wts
+}
+
+// stage returns the worker's slot staging buffer (core.Ctx.TupleBuf) with
+// payload in place. Every after-image is composed there exactly once: the
+// write path stamps header and key into it and hands the same bytes to the
+// log (which encodes them before returning) and to the page.
+func (tb *Table) stage(ctx *core.Ctx, payload []byte) ([]byte, error) {
+	if len(payload) != tb.tupleSize {
+		return nil, fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
+	}
+	after := ctx.TupleBuf(slotSize(tb.tupleSize))
+	copy(slotPayload(after), payload)
+	return after, nil
+}
+
+// install logs the change of a slot from before to after and writes after
+// to the page pinned by h.
+func (tb *Table) install(ctx *core.Ctx, txn *Txn, h *core.Handle, typ wal.RecordType, slot int, before, after []byte) error {
+	if err := txn.log(ctx, &wal.Record{
+		Type: typ, TableID: tb.id, PageID: h.PageID(), Slot: uint16(slot),
+		Before: before, After: after,
+	}); err != nil {
+		return err
+	}
+	return h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after)
+}
+
 // Insert adds a tuple under key. It fails if the key already exists.
 func (tb *Table) Insert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
-	if len(payload) != tb.tupleSize {
-		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
+	after, err := tb.stage(ctx, payload)
+	if err != nil {
+		return err
 	}
+	return tb.insertSlot(ctx, txn, key, after)
+}
+
+// insertSlot is Insert over a staged slot image (see stage): after holds the
+// payload, and header and key are stamped here.
+func (tb *Table) insertSlot(ctx *core.Ctx, txn *Txn, key uint64, after []byte) error {
 	if _, exists := tb.index.Get(key); exists {
 		return fmt.Errorf("engine: %s: duplicate key %d", tb.name, key)
 	}
@@ -143,30 +184,17 @@ func (tb *Table) Insert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) err
 	}
 	defer h.Release()
 
-	ss := slotSize(tb.tupleSize)
-	err = tb.db.tm.Write(txn.inner, rid,
-		func() uint64 {
-			wts, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(wts)
-			return w
-		},
+	err = tb.db.tm.Write(&txn.inner, rid,
+		func() uint64 { return tb.slotWTS(ctx, h, slot) },
 		func() ([]byte, error) {
-			before := make([]byte, ss)
+			// The before-image is allocated here and never written again:
+			// mvto.Write keeps it as the version-store entry.
+			before := make([]byte, len(after))
 			if err := tb.readSlot(ctx, h, slot, before); err != nil {
 				return nil, err
 			}
-			after := make([]byte, ss)
-			buildSlot(after, tupleHeader(txn.inner.TS, false), key, payload)
-			if err := txn.log(ctx, &wal.Record{
-				Type: wal.RecInsert, TableID: tb.id, PageID: pid, Slot: uint16(slot),
-				Before: before, After: after,
-			}); err != nil {
-				return nil, err
-			}
-			if err := h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after); err != nil {
-				return nil, err
-			}
-			return before, nil
+			stampSlot(after, tupleHeader(txn.inner.TS, false), key)
+			return before, tb.install(ctx, txn, h, wal.RecInsert, slot, before, after)
 		})
 	if err != nil {
 		return err
@@ -174,7 +202,7 @@ func (tb *Table) Insert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) err
 	tb.index.Insert(key, rid)
 	txn.idxInserts = append(txn.idxInserts, idxOp{table: tb, key: key})
 	for _, sec := range tb.secondaries {
-		sec.onInsert(txn, key, payload)
+		sec.onInsert(txn, key, slotPayload(after))
 	}
 	return nil
 }
@@ -204,64 +232,70 @@ func (tb *Table) ReadRID(ctx *core.Ctx, txn *Txn, rid RID, buf []byte) error {
 		return err
 	}
 	defer h.Release()
+	return tb.readPinned(ctx, txn, h, rid, slot, buf)
+}
 
-	ss := slotSize(tb.tupleSize)
-	return tb.db.tm.Read(txn.inner, rid,
+// readPinned reads the tuple at rid through h, a handle on rid's page, into
+// buf. The in-place version is read where it lies — header first, then the
+// payload straight into buf — both under the tuple latch, so no writer can
+// come between them; an older snapshot is served from the version store.
+func (tb *Table) readPinned(ctx *core.Ctx, txn *Txn, h *core.Handle, rid RID, slot int, buf []byte) error {
+	var (
+		hdr    uint64 // the in-place header pageWTS saw
+		hdrErr error
+	)
+	return tb.db.tm.Read(&txn.inner, rid,
 		func() uint64 {
-			hdr, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(hdr)
-			return w
+			hdr, hdrErr = tb.slotHeader(ctx, h, slot)
+			wts, _, _ := parseTupleHeader(hdr)
+			return wts
 		},
 		func(hist []byte) error {
-			var img slotImage
 			if hist != nil {
-				img = parseSlot(hist)
-			} else {
-				raw := make([]byte, ss)
-				if err := tb.readSlot(ctx, h, slot, raw); err != nil {
-					return err
-				}
-				img = parseSlot(raw)
+				hdr, hdrErr = parseSlot(hist).header, nil
 			}
-			_, occupied, tomb := parseTupleHeader(img.header)
-			if !occupied || tomb {
+			if hdrErr != nil {
+				return hdrErr
+			}
+			if _, occupied, tomb := parseTupleHeader(hdr); !occupied || tomb {
 				return fmt.Errorf("%w: %s rid %d", ErrNotFound, tb.name, rid)
 			}
-			copy(buf, img.payload)
-			return nil
+			if hist != nil {
+				copy(buf, slotPayload(hist))
+				return nil
+			}
+			return h.ReadAt(ctx, slotOffset(tb.tupleSize, slot)+tupleHeaderSize+keySize, buf)
 		})
 }
 
 // Update overwrites the tuple under key, honoring MVTO write rules.
 func (tb *Table) Update(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
-	if len(payload) != tb.tupleSize {
-		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
+	after, err := tb.stage(ctx, payload)
+	if err != nil {
+		return err
 	}
 	rid, ok := tb.index.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	return tb.writeRID(ctx, txn, rid, key, payload, false, false)
+	return tb.writeRID(ctx, txn, rid, key, after, false, false)
 }
 
-// upsert writes payload under key whatever the key's state in txn's view: an
-// insert when the index does not map the key, otherwise an in-place write
-// that — unlike Update — also overwrites the tombstone txn itself left by
-// deleting the key earlier (the index keeps mapping a deleted key until the
-// delete commits, so the raw index alone cannot tell "exists" from "deleted
-// by me"). The caller serializes concurrent upserts of one key: two inserts
-// of a missing key would both pass Insert's duplicate check. Reviving a
-// tombstone does not maintain secondary indexes; the KV tables that use this
-// have none.
-func (tb *Table) upsert(ctx *core.Ctx, txn *Txn, key uint64, payload []byte) error {
-	if len(payload) != tb.tupleSize {
-		return fmt.Errorf("engine: %s: payload is %d bytes, want %d", tb.name, len(payload), tb.tupleSize)
-	}
+// upsertSlot writes a staged slot image (see stage) under key whatever the
+// key's state in txn's view: an insert when the index does not map the key,
+// otherwise an in-place write that — unlike Update — also overwrites the
+// tombstone txn itself left by deleting the key earlier (the index keeps
+// mapping a deleted key until the delete commits, so the raw index alone
+// cannot tell "exists" from "deleted by me"). The caller serializes
+// concurrent upserts of one key: two inserts of a missing key would both
+// pass Insert's duplicate check. Reviving a tombstone does not maintain
+// secondary indexes; the KV tables that use this have none.
+func (tb *Table) upsertSlot(ctx *core.Ctx, txn *Txn, key uint64, after []byte) error {
 	rid, ok := tb.index.Get(key)
 	if !ok {
-		return tb.Insert(ctx, txn, key, payload)
+		return tb.insertSlot(ctx, txn, key, after)
 	}
-	return tb.writeRID(ctx, txn, rid, key, payload, false, true)
+	return tb.writeRID(ctx, txn, rid, key, after, false, true)
 }
 
 // Delete tombstones the tuple under key. The index entry is removed at
@@ -271,17 +305,20 @@ func (tb *Table) Delete(ctx *core.Ctx, txn *Txn, key uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s key %d", ErrNotFound, tb.name, key)
 	}
-	if err := tb.writeRID(ctx, txn, rid, key, make([]byte, tb.tupleSize), true, false); err != nil {
+	after := ctx.TupleBuf(slotSize(tb.tupleSize))
+	clear(slotPayload(after))
+	if err := tb.writeRID(ctx, txn, rid, key, after, true, false); err != nil {
 		return err
 	}
 	txn.idxDeletes = append(txn.idxDeletes, idxOp{table: tb, key: key})
 	return nil
 }
 
-// writeRID applies an update or delete at rid. With revive set, the write
-// may also land on the tombstone txn itself wrote earlier, bringing the key
-// back and cancelling the index removal queued for commit.
-func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload []byte, tombstone, revive bool) error {
+// writeRID applies an update or delete at rid from a staged slot image (see
+// stage). With revive set, the write may also land on the tombstone txn
+// itself wrote earlier, bringing the key back and cancelling the index
+// removal queued for commit.
+func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, after []byte, tombstone, revive bool) error {
 	pid, slot := splitRID(rid)
 	if err := validateSlot(tb.tupleSize, slot); err != nil {
 		return err
@@ -293,24 +330,18 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 	}
 	defer h.Release()
 
-	ss := slotSize(tb.tupleSize)
 	recType := wal.RecUpdate
 	if tombstone {
 		recType = wal.RecDelete
 	}
-	var beforePayload []byte
-	if len(tb.secondaries) > 0 {
-		beforePayload = make([]byte, tb.tupleSize)
-	}
+	var beforePayload []byte // aliases the before-image, which nothing writes again
 	revived := false
-	err = tb.db.tm.Write(txn.inner, rid,
-		func() uint64 {
-			hdr, _ := tb.slotWTS(ctx, h, slot)
-			w, _, _ := parseTupleHeader(hdr)
-			return w
-		},
+	err = tb.db.tm.Write(&txn.inner, rid,
+		func() uint64 { return tb.slotWTS(ctx, h, slot) },
 		func() ([]byte, error) {
-			before := make([]byte, ss)
+			// The before-image is allocated here and never written again:
+			// mvto.Write keeps it as the version-store entry.
+			before := make([]byte, len(after))
 			if err := tb.readSlot(ctx, h, slot, before); err != nil {
 				return nil, err
 			}
@@ -326,21 +357,9 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 				}
 				revived = true
 			}
-			if beforePayload != nil {
-				copy(beforePayload, img.payload)
-			}
-			after := make([]byte, ss)
-			buildSlot(after, tupleHeader(txn.inner.TS, tombstone), key, payload)
-			if err := txn.log(ctx, &wal.Record{
-				Type: recType, TableID: tb.id, PageID: pid, Slot: uint16(slot),
-				Before: before, After: after,
-			}); err != nil {
-				return nil, err
-			}
-			if err := h.WriteAt(ctx, slotOffset(tb.tupleSize, slot), after); err != nil {
-				return nil, err
-			}
-			return before, nil
+			beforePayload = img.payload
+			stampSlot(after, tupleHeader(txn.inner.TS, tombstone), key)
+			return before, tb.install(ctx, txn, h, recType, slot, before, after)
 		})
 	if err != nil {
 		return err
@@ -355,7 +374,7 @@ func (tb *Table) writeRID(ctx *core.Ctx, txn *Txn, rid RID, key uint64, payload 
 		if tombstone {
 			sec.onDelete(txn, key, beforePayload)
 		} else {
-			sec.onUpdate(txn, key, beforePayload, payload)
+			sec.onUpdate(txn, key, beforePayload, slotPayload(after))
 		}
 	}
 	return nil
@@ -372,11 +391,34 @@ func (tb *Table) ScanKeys(from uint64, fn func(key uint64, rid RID) bool) {
 // transaction's snapshot, until fn returns false. Tuples invisible to the
 // snapshot (deleted, or inserted by concurrent transactions) are skipped;
 // a visibility conflict aborts the scan with ErrConflict.
+//
+// Scan pins one page at a time: consecutive rows on the same page are read
+// through one handle, fetched when the scan reaches the page and released
+// when it moves on or ends, however it ends. fn runs with that page pinned
+// and payload valid only until it returns; it must not fetch the table's
+// pages itself (core's one-pin-per-page rule).
 func (tb *Table) Scan(ctx *core.Ctx, txn *Txn, from uint64, fn func(key uint64, payload []byte) bool) error {
 	buf := make([]byte, tb.tupleSize)
-	var scanErr error
+	var (
+		h       *core.Handle // the pinned page, nil before the first row
+		scanErr error
+	)
 	tb.index.Scan(from, func(key uint64, rid RID) bool {
-		err := tb.ReadRID(ctx, txn, rid, buf)
+		pid, slot := splitRID(rid)
+		if scanErr = validateSlot(tb.tupleSize, slot); scanErr != nil {
+			return false
+		}
+		tb.db.chargeCompute(ctx)
+		if h == nil || h.PageID() != pid {
+			if h != nil {
+				h.Release()
+			}
+			if h, scanErr = tb.db.bm.FetchPage(ctx, pid, core.ReadIntent); scanErr != nil {
+				h = nil
+				return false
+			}
+		}
+		err := tb.readPinned(ctx, txn, h, rid, slot, buf)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				return true // invisible to this snapshot; keep going
@@ -386,5 +428,8 @@ func (tb *Table) Scan(ctx *core.Ctx, txn *Txn, from uint64, fn func(key uint64, 
 		}
 		return fn(key, buf)
 	})
+	if h != nil {
+		h.Release()
+	}
 	return scanErr
 }

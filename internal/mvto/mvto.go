@@ -29,6 +29,7 @@ package mvto
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,20 +49,53 @@ const (
 	TxnAborted
 )
 
-// Txn is a transaction handle, owned by one worker.
+// Txn is a transaction handle, owned by one worker. A Txn is one object:
+// callers that wrap it (the engine) embed it by value and hand it to Start,
+// and it links itself into the manager's active list.
 type Txn struct {
 	TS    uint64 // start timestamp; also the write timestamp of its versions
 	state atomic.Int32
 
-	writes  []uint64 // RIDs written, in first-write order
-	written map[uint64]bool
+	writes    []uint64 // RIDs written, in first-write order
+	writesBuf [4]uint64
+	// written indexes writes once a linear scan of it stops being cheap
+	// (writtenScanMax entries); nil until then.
+	written map[uint64]struct{}
+
+	// Links in the manager's active list, guarded by the shard's mutex.
+	prev, next *Txn
 }
+
+// writtenScanMax is the write-set size up to which "did this transaction
+// already write rid?" is answered by scanning writes.
+const writtenScanMax = 32
 
 // State returns the transaction's current state.
 func (t *Txn) State() TxnState { return TxnState(t.state.Load()) }
 
 // Writes returns the RIDs this transaction has written.
 func (t *Txn) Writes() []uint64 { return t.writes }
+
+func (t *Txn) hasWritten(rid uint64) bool {
+	if t.written != nil {
+		_, ok := t.written[rid]
+		return ok
+	}
+	return slices.Contains(t.writes, rid)
+}
+
+func (t *Txn) noteWrite(rid uint64) {
+	t.writes = append(t.writes, rid)
+	switch {
+	case t.written != nil:
+		t.written[rid] = struct{}{}
+	case len(t.writes) > writtenScanMax:
+		t.written = make(map[uint64]struct{}, 2*len(t.writes))
+		for _, r := range t.writes {
+			t.written[r] = struct{}{}
+		}
+	}
+}
 
 // version is an immutable before-image in the version store.
 type version struct {
@@ -78,10 +112,22 @@ type tupleMeta struct {
 	history *version
 }
 
+// activeShards stripes the active-transaction list by timestamp, so
+// concurrent Begin/Commit pairs rarely meet on one mutex.
+const activeShards = 64
+
+// activeShard is one intrusive doubly-linked list of active transactions,
+// padded to a cache line.
+type activeShard struct {
+	mu   sync.Mutex
+	head *Txn
+	_    [48]byte
+}
+
 // Manager issues timestamps and tracks tuple metadata.
 type Manager struct {
 	nextTS atomic.Uint64
-	active *cht.Map[uint64, *Txn]
+	active [activeShards]activeShard
 	meta   *cht.Map[uint64, *tupleMeta]
 
 	aborts  atomic.Int64
@@ -90,19 +136,51 @@ type Manager struct {
 
 // NewManager creates a transaction manager.
 func NewManager() *Manager {
-	m := &Manager{
-		active: cht.New[uint64, *Txn](cht.Uint64Hash),
-		meta:   cht.New[uint64, *tupleMeta](cht.Uint64Hash),
-	}
+	m := &Manager{meta: cht.New[uint64, *tupleMeta](cht.Uint64Hash)}
 	m.nextTS.Store(1)
 	return m
 }
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
-	t := &Txn{TS: m.nextTS.Add(1) - 1, written: make(map[uint64]bool)}
-	m.active.Put(t.TS, t)
+	t := new(Txn)
+	m.Start(t)
 	return t
+}
+
+// Start begins a transaction in t, which must be a zero Txn the caller
+// keeps at a fixed address until Commit or AbortFinish.
+func (m *Manager) Start(t *Txn) {
+	t.TS = m.nextTS.Add(1) - 1
+	t.writes = t.writesBuf[:0]
+	sh := &m.active[t.TS%activeShards]
+	sh.mu.Lock()
+	if t.next = sh.head; t.next != nil {
+		t.next.prev = t
+	}
+	sh.head = t
+	sh.mu.Unlock()
+}
+
+// finish takes txn off the active list in its final state. Finishing a
+// transaction twice is a no-op, so a stray Abort after Commit cannot unlink
+// a neighbor.
+func (m *Manager) finish(txn *Txn, state TxnState) {
+	if !txn.state.CompareAndSwap(int32(TxnActive), int32(state)) {
+		return
+	}
+	sh := &m.active[txn.TS%activeShards]
+	sh.mu.Lock()
+	if txn.prev != nil {
+		txn.prev.next = txn.next
+	} else {
+		sh.head = txn.next
+	}
+	if txn.next != nil {
+		txn.next.prev = txn.prev
+	}
+	txn.prev, txn.next = nil, nil
+	sh.mu.Unlock()
 }
 
 func (m *Manager) metaFor(rid uint64) *tupleMeta {
@@ -151,6 +229,10 @@ func (m *Manager) Read(txn *Txn, rid uint64, pageWTS func() uint64, serve func(h
 // write the new data (with txn.TS as the new in-place write timestamp),
 // and return the before-image. The before-image is parked in the version
 // store the first time txn writes rid.
+//
+// Write owns the slice apply returns: it becomes the version-store entry
+// as is, serving older readers and rollback without a copy, so apply must
+// return memory nothing else will write to again.
 func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func() (before []byte, err error)) error {
 	e := m.metaFor(rid)
 	e.mu.Lock()
@@ -175,11 +257,9 @@ func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func(
 		return err
 	}
 	e.writer = txn
-	if !txn.written[rid] {
-		txn.written[rid] = true
-		txn.writes = append(txn.writes, rid)
-		img := append([]byte(nil), before...)
-		e.history = &version{wts: wts, data: img, prev: e.history}
+	if !txn.hasWritten(rid) {
+		txn.noteWrite(rid)
+		e.history = &version{wts: wts, data: before, prev: e.history}
 	}
 	return nil
 }
@@ -194,8 +274,7 @@ func (m *Manager) Commit(txn *Txn) {
 		}
 		e.mu.Unlock()
 	}
-	txn.state.Store(int32(TxnCommitted))
-	m.active.Delete(txn.TS)
+	m.finish(txn, TxnCommitted)
 	m.commits.Add(1)
 }
 
@@ -237,8 +316,7 @@ func (m *Manager) AbortFinish(txn *Txn) {
 		}
 		e.mu.Unlock()
 	}
-	txn.state.Store(int32(TxnAborted))
-	m.active.Delete(txn.TS)
+	m.finish(txn, TxnAborted)
 	m.aborts.Add(1)
 }
 
@@ -261,12 +339,16 @@ func (m *Manager) AdvanceTS(ts uint64) {
 // the next timestamp if none are active.
 func (m *Manager) MinActiveTS() uint64 {
 	min := m.nextTS.Load()
-	m.active.Range(func(ts uint64, _ *Txn) bool {
-		if ts < min {
-			min = ts
+	for i := range m.active {
+		sh := &m.active[i]
+		sh.mu.Lock()
+		for t := sh.head; t != nil; t = t.next {
+			if t.TS < min {
+				min = t.TS
+			}
 		}
-		return true
-	})
+		sh.mu.Unlock()
+	}
 	return min
 }
 

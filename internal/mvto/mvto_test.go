@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"github.com/spitfire-db/spitfire/internal/testutil"
 )
 
 // pageSim simulates one tuple slot on a page: the in-place version.
@@ -294,4 +296,118 @@ func TestConcurrentSameTupleSerializes(t *testing.T) {
 		t.Fatalf("applies %d != commits %d", a, commits)
 	}
 	t.Logf("commits=%d aborts=%d", commits, aborts)
+}
+
+// TestWriteOwnsBeforeImage pins the ownership rule of Write: the slice apply
+// returns is the version-store entry, not a copy of it. An older reader and
+// the rollback are both served from that very memory, and a second write by
+// the same transaction — whose apply returns another slice — replaces
+// neither.
+func TestWriteOwnsBeforeImage(t *testing.T) {
+	m := NewManager()
+	p := &pageSim{data: []byte("v0")}
+	older := m.Begin()
+	writer := m.Begin()
+
+	var first []byte // what the first apply handed over
+	err := m.Write(writer, 1, p.readWTS, func() ([]byte, error) {
+		before, err := p.write(writer, []byte("v1"))()
+		first = before
+		return before, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(writer, 1, p.readWTS, p.write(writer, []byte("v2"))); err != nil {
+		t.Fatal(err)
+	}
+
+	err = m.Read(older, 1, p.readWTS, func(hist []byte) error {
+		if string(hist) != "v0" || &hist[0] != &first[0] {
+			t.Errorf("older reader served %q (same memory: %v), want the handed-over v0 image", hist, hist != nil && &hist[0] == &first[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	undos := m.AbortStart(writer)
+	if len(undos) != 1 || string(undos[0].Before) != "v0" || &undos[0].Before[0] != &first[0] {
+		t.Fatalf("rollback image = %+v, want the handed-over v0 image", undos)
+	}
+	m.AbortFinish(writer)
+}
+
+// TestLargeWriteSetSwitchesToIndex crosses writtenScanMax: rewriting every
+// tuple of a large write set must still park exactly one before-image each.
+func TestLargeWriteSetSwitchesToIndex(t *testing.T) {
+	m := NewManager()
+	const tuples = 3 * writtenScanMax
+	pages := make([]*pageSim, tuples)
+	for i := range pages {
+		pages[i] = &pageSim{data: []byte("v0")}
+	}
+	txn := m.Begin()
+	for round := 0; round < 2; round++ {
+		for i, p := range pages {
+			if err := m.Write(txn, uint64(i), p.readWTS, p.write(txn, []byte("v1"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if txn.written == nil || len(txn.Writes()) != tuples {
+		t.Fatalf("write set has %d entries (indexed: %v), want %d indexed", len(txn.Writes()), txn.written != nil, tuples)
+	}
+	for _, u := range m.AbortStart(txn) {
+		if string(u.Before) != "v0" {
+			t.Fatalf("rollback image of tuple %d = %q, want v0", u.RID, u.Before)
+		}
+	}
+	m.AbortFinish(txn)
+}
+
+// TestMinActiveTSTracksTheActiveList begins and finishes transactions in
+// mixed order, across and within active-list shards.
+func TestMinActiveTSTracksTheActiveList(t *testing.T) {
+	m := NewManager()
+	txns := make([]*Txn, 3*activeShards)
+	for i := range txns {
+		txns[i] = m.Begin()
+	}
+	// Finish all but the oldest and one in the middle, newest first, then
+	// the even ones, so heads, tails and interior nodes all get unlinked.
+	keep := map[int]bool{0: true, activeShards + 7: true}
+	for pass := 0; pass < 2; pass++ {
+		for i := len(txns) - 1; i >= 0; i-- {
+			if keep[i] || i%2 != pass {
+				continue
+			}
+			m.Commit(txns[i])
+			m.Commit(txns[i]) // finishing twice must not unlink a neighbor
+		}
+	}
+	if got := m.MinActiveTS(); got != txns[0].TS {
+		t.Fatalf("MinActiveTS = %d, want the oldest active %d", got, txns[0].TS)
+	}
+	m.Commit(txns[0])
+	if got, want := m.MinActiveTS(), txns[activeShards+7].TS; got != want {
+		t.Fatalf("MinActiveTS = %d, want %d", got, want)
+	}
+	m.AbortFinish(txns[activeShards+7])
+	if got, want := m.MinActiveTS(), txns[len(txns)-1].TS+1; got != want {
+		t.Fatalf("MinActiveTS with nothing active = %d, want the next timestamp %d", got, want)
+	}
+}
+
+// TestBeginCommitAllocations is the allocation budget of an empty
+// transaction: the Txn object and nothing per-transaction beside it (no
+// write-set map, no active-table node).
+func TestBeginCommitAllocations(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := NewManager()
+	if n := testing.AllocsPerRun(1000, func() { m.Commit(m.Begin()) }); n > 2 {
+		t.Fatalf("Begin+Commit allocates %.1f objects, budget 2", n)
+	}
 }

@@ -183,3 +183,49 @@ func TestRecoverTornFlushDuplicates(t *testing.T) {
 	}
 	t.Logf("stats=%+v", st)
 }
+
+// TestDecodeOneClassifiesDamage is the frame checksum's contract with
+// recovery: any single flipped bit in a frame's checksum word or body is
+// damage (decodeCorrupt, which the resync scan skips past), while zeroed
+// bytes where a frame would start are the clean end of the log
+// (decodeShort), whatever the checksum of zeros happens to be.
+func TestDecodeOneClassifiesDamage(t *testing.T) {
+	rec := Record{
+		LSN: 7, TxnID: 3, PrevLSN: 6, Type: RecUpdate, TableID: 1, PageID: 9, Slot: 4,
+		Before: []byte("the image before"), After: []byte("the image after the write"),
+	}
+	frame := rec.encode(nil)
+	if got, n, st := decodeOne(frame); st != decodeOK || n != len(frame) || got.LSN != rec.LSN || string(got.After) != string(rec.After) {
+		t.Fatalf("intact frame decoded as status %d, %d of %d bytes, %+v", st, n, len(frame), got)
+	}
+
+	for bit := 4 * 8; bit < len(frame)*8; bit++ { // everything after the length word
+		damaged := append([]byte(nil), frame...)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		if _, n, st := decodeOne(damaged); st != decodeCorrupt || n != 0 {
+			t.Fatalf("bit %d of byte %d flipped: status %d consuming %d bytes, want decodeCorrupt", bit%8, bit/8, st, n)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"zeroed extent", make([]byte, len(frame))},
+		{"zeroed length word before stale bytes", append(make([]byte, 4), frame[4:]...)},
+		{"fewer bytes than a frame header", frame[:7]},
+		{"frame cut short", frame[:len(frame)-1]},
+	} {
+		if _, n, st := decodeOne(c.b); st != decodeShort || n != 0 {
+			t.Errorf("%s: status %d consuming %d bytes, want decodeShort", c.name, st, n)
+		}
+	}
+	// A whole frame followed by a zeroed tail: one record, then a clean end.
+	tail := append(append([]byte(nil), frame...), make([]byte, 64)...)
+	if _, n, st := decodeOne(tail); st != decodeOK || n != len(frame) {
+		t.Fatalf("frame before a zeroed tail: status %d consuming %d bytes", st, n)
+	}
+	if _, _, st := decodeOne(tail[len(frame):]); st != decodeShort {
+		t.Fatalf("zeroed tail: status %d, want decodeShort", st)
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -170,21 +171,20 @@ func decodeOne(b []byte) (rec Record, n int, status decodeStatus) {
 	return rec, 8 + bodyLen, decodeOK
 }
 
-// checksum is a simple FNV-1a over the body; it lets recovery detect torn
-// records in the NVM buffer's tail and resync past damaged regions of the
-// SSD log file.
-func checksum(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
+// castagnoli is the CRC-32C table; the stdlib computes it with the CPU's
+// CRC instructions where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is CRC-32C over the body; it lets recovery detect torn records in
+// the NVM buffer's tail and resync past damaged regions of the SSD log file.
+// A zeroed extent never reaches it: decodeOne classifies a zero length word
+// as a clean tail before checking anything else.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // LogStore is the SSD-resident log file.
 type LogStore interface {
-	// Append durably appends data to the log, charging the worker.
+	// Append durably appends data to the log, charging the worker. It must
+	// not retain data: the caller reuses the slice once Append returns.
 	Append(c *vclock.Clock, data []byte) error
 	// ReadAll returns the full log contents.
 	ReadAll(c *vclock.Clock) ([]byte, error)
@@ -273,6 +273,7 @@ type walShard struct {
 
 	bufOff  int64  // next free byte (absolute arena offset), under mu
 	scratch []byte // record-encoding buffer reused across appends (under mu)
+	drain   []byte // flush staging, region → store, reused across flushes (under mu)
 
 	// Per-shard traffic counters, under mu: counting inside the append
 	// critical section costs nothing extra, while manager-global atomics
@@ -684,7 +685,12 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	if m.obs != nil {
 		start = c.Now()
 	}
-	data := make([]byte, n)
+	// LogStore.Append copies or writes data out before returning, so one
+	// staging buffer per shard serves every flush.
+	if int64(cap(sh.drain)) < n {
+		sh.drain = make([]byte, n)
+	}
+	data := sh.drain[:n]
 	src := sh.base + bufHeaderSize
 	if err := m.retry(c, func() error { return m.pm.ReadErr(c, src, data) }); err != nil {
 		return 0, fmt.Errorf("wal: flush: %w", err)
