@@ -418,7 +418,6 @@ func cleanerBenchBM(b *testing.B, on bool, pages int) *spitfire.BufferManager {
 			LowWater:  6,
 			HighWater: 12,
 			BatchSize: 16,
-			Interval:  50 * time.Microsecond,
 		}
 	} else {
 		cfg.Cleaner = spitfire.CleanerConfig{Disable: true}

@@ -64,6 +64,7 @@ func TestServerFixtureFamilies(t *testing.T) {
 		// Engine counters must still ride along on the same endpoint.
 		"spitfire_hit_dram_total",
 		"spitfire_wal_commits_total",
+		"spitfire_cleaner_wakeups_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("server_metrics.txt missing %q", want)

@@ -11,8 +11,8 @@
 //	DELETE /kv/delete?key=N              204 (404 when missing)
 //	GET    /kv/scan?from=N&limit=M       JSONL {"key":..,"value":"<base64>"}
 //	POST   /kv/txn                       {"ops":[{"op":"put","key":..,"value":..},...]}
-//	GET    /healthz                      liveness (200 while the process serves)
-//	GET    /readyz                       readiness (503 while draining/shedding/read-only)
+//	GET    /healthz                      liveness probe (200 while the process serves)
+//	GET    /readyz                       readiness probe (503 while draining/shedding/read-only)
 //	GET    /stats.json                   admission + robustness counters
 //	GET    /metrics, /snapshot.json, ... obs exposition (with -obs, default on)
 //
@@ -30,13 +30,9 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/spitfire-db/spitfire/internal/core"
+	"github.com/spitfire-db/spitfire"
 	"github.com/spitfire-db/spitfire/internal/engine"
-	"github.com/spitfire-db/spitfire/internal/obs"
-	"github.com/spitfire-db/spitfire/internal/pmem"
-	"github.com/spitfire-db/spitfire/internal/policy"
 	"github.com/spitfire-db/spitfire/internal/server"
-	"github.com/spitfire-db/spitfire/internal/wal"
 )
 
 func main() {
@@ -59,17 +55,23 @@ func main() {
 	testHold := flag.Duration("test-hold", 0, "hold each admitted request this long before executing (overload-testing knob)")
 	flag.Parse()
 
-	p := policy.SpitfireLazy
+	p := spitfire.SpitfireLazy
 	switch *pol {
 	case "lazy":
 	case "eager":
-		p = policy.SpitfireEager
+		p = spitfire.SpitfireEager
 	default:
 		fmt.Fprintf(os.Stderr, "spitfire-serve: unknown -policy %q (lazy or eager)\n", *pol)
 		os.Exit(2)
 	}
 
-	bm, err := core.New(core.Config{
+	// The engine is assembled through the facade, so the server runs the
+	// posture the tests and benchmarks run: cleaner on, sharded pools. The
+	// WAL keeps its own default of one append shard: requests run on pooled
+	// contexts, so with more shards the scheduler, not the request, picks the
+	// shard, and the log's length at a given request count — and with it
+	// where MemLog's growth steps fall between GC cycles — varies run to run.
+	bm, err := spitfire.New(spitfire.Config{
 		DRAMBytes: int64(*dramMB) << 20,
 		NVMBytes:  int64(*nvmMB) << 20,
 		Policy:    p,
@@ -77,14 +79,14 @@ func main() {
 	if err != nil {
 		fatal("buffer manager", err)
 	}
-	w, err := wal.New(wal.Options{
-		Buffer: pmem.New(pmem.Options{Size: 1 << 22}),
-		Store:  wal.NewMemLog(nil),
+	w, err := spitfire.NewWAL(spitfire.WALOptions{
+		Buffer: spitfire.NewPMem(spitfire.PMemOptions{Size: 1 << 22}),
+		Store:  spitfire.NewMemLog(nil),
 	})
 	if err != nil {
 		fatal("wal", err)
 	}
-	db, err := engine.Open(engine.Options{BM: bm, WAL: w})
+	db, err := spitfire.OpenDB(spitfire.DBOptions{BM: bm, WAL: w})
 	if err != nil {
 		fatal("engine", err)
 	}
@@ -93,9 +95,9 @@ func main() {
 		fatal("kv", err)
 	}
 
-	var o *obs.Obs
+	var o *spitfire.Obs
 	if *withObs {
-		o = obs.New(obs.Config{})
+		o = spitfire.NewObs(spitfire.ObsConfig{})
 	}
 	srv, err := server.New(server.Options{
 		DB: db, KV: kv, Obs: o,
@@ -126,7 +128,7 @@ func main() {
 
 	// Two-phase drain: flip readiness first and keep answering for the
 	// grace period so load balancers stop routing, then shut down, finish
-	// in-flight requests, and checkpoint.
+	// in-flight requests, stop the cleaners and checkpoint.
 	srv.StartDrain()
 	time.Sleep(*drainGrace)
 	if err := srv.Drain(); err != nil {
@@ -135,7 +137,6 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "spitfire-serve: drained cleanly: %d accepted, %d completed, checkpoint ok\n",
 		st.Accepted, st.Completed)
-	bm.Close()
 }
 
 func fatal(what string, err error) {

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bufio"
+	"io"
+	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 
 	"github.com/spitfire-db/spitfire/internal/cmdtest"
+	"github.com/spitfire-db/spitfire/internal/harness"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
@@ -23,5 +28,55 @@ func TestFlagParsingSmoke(t *testing.T) {
 	out, exit = cmdtest.Run(t, "-h")
 	if exit != 0 || !strings.Contains(out, "-policy") {
 		t.Errorf("-h exited %d, want 0 with the flag list:\n%s", exit, out)
+	}
+}
+
+var (
+	servingRE        = regexp.MustCompile(`serving on (http://[^/\s]+)/`)
+	cleanerBatchesRE = regexp.MustCompile(`(?m)^spitfire_cleaner_batches_total ([1-9]\d*)$`)
+)
+
+// TestServesTheFacadePosture: the binary runs the stack the facade builds —
+// background cleaner on — so once a load outgrows -dram-mb 1 the cleaner
+// families on /metrics move. A server that drifted back to a private,
+// cleaner-off assembly would read zero here.
+func TestServesTheFacadePosture(t *testing.T) {
+	cmd := cmdtest.Command("-addr", "127.0.0.1:0", "-dram-mb", "1", "-nvm-mb", "2")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	// The first thing the server says is where it listens.
+	line, err := bufio.NewReader(stderr).ReadString('\n')
+	m := servingRE.FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("server did not report its address: %q (%v)", line, err)
+	}
+	base := m[1]
+
+	res := harness.DriveLoad(harness.LoadOpts{
+		BaseURL: base, Clients: 4, Ops: 10_000, Keys: 10_000, ReadFrac: 0.001, ValueSize: 200,
+	})
+	if res.OK < 9_000 {
+		t.Fatalf("load did not go through: %s", res)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scrape, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cleanerBatchesRE.Match(scrape) {
+		t.Fatalf("spitfire_cleaner_batches_total is not > 0 after %s; the binary is not running the facade posture", res)
 	}
 }

@@ -26,12 +26,20 @@ func Main(m *testing.M, main func()) {
 // combined output and exit code.
 func Run(t *testing.T, args ...string) (out string, exit int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), beMain+"=1")
+	cmd := Command(args...)
 	b, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatal(err)
 	}
 	return string(b), cmd.ProcessState.ExitCode()
+}
+
+// Command returns the test binary set up to run as the command with args, not
+// yet started: for tests that need more than Run, such as a server to leave
+// running and signal.
+func Command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), beMain+"=1")
+	return cmd
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/spitfire-db/spitfire/internal/obs"
 )
@@ -43,12 +41,6 @@ type CleanerConfig struct {
 	// BatchSize bounds how many frames the cleaner reclaims between
 	// watermark re-checks (default 8).
 	BatchSize int
-
-	// Interval is the idle poll period of a cleaner goroutine (default
-	// 200µs). Foreground allocators also kick the cleaner directly when a
-	// free list runs empty, so the interval only bounds how stale the
-	// watermark check can get on an otherwise idle pool.
-	Interval time.Duration
 }
 
 // validate rejects explicitly inconsistent watermarks.
@@ -93,19 +85,18 @@ type cleaner struct {
 
 	low, high int
 	batch     int
-	interval  time.Duration
 
 	// ctx is the cleaner's private worker context: all device costs of
 	// pre-cleaning are charged to this clock, which shares every device's
 	// bandwidth horizon with the foreground workers.
 	ctx *Ctx
 
-	// needy is a shard hint: the index of the shard whose allocator kicked
-	// the cleaner most recently. Replenishment starts its victim sweep there
-	// so the shard under pressure is restocked first; -1 means no hint.
-	needy atomic.Int32
-
-	kick     chan struct{}
+	// kick is the cleaner's only wake-up (see wake); its payload is the
+	// kicker's home shard. Only allocation drains a free list, so an idle
+	// pool costs no wakeups; a replenish that stalled on an all-pinned pool
+	// is re-armed by the next allocation's kick, and until then allocation
+	// evicts inline.
+	kick     chan int32
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -136,15 +127,11 @@ func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
 	if batch <= 0 {
 		batch = 8
 	}
-	interval := cc.Interval
-	if interval <= 0 {
-		interval = 200 * time.Microsecond
-	}
 	c := &cleaner{
 		pool: pool,
-		low:  low, high: high, batch: batch, interval: interval,
+		low:  low, high: high, batch: batch,
 		ctx:  NewCtx(seed),
-		kick: make(chan struct{}, 1),
+		kick: make(chan int32, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -164,9 +151,8 @@ func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
 // list runs low or empty, passing their home shard so replenishment sweeps
 // the starved shard first.
 func (c *cleaner) wake(si int) {
-	c.needy.Store(int32(si))
 	select {
-	case c.kick <- struct{}{}:
+	case c.kick <- int32(si):
 	default:
 	}
 }
@@ -185,24 +171,19 @@ func (c *cleaner) close() {
 
 func (c *cleaner) run() {
 	defer close(c.done)
-	tick := time.NewTicker(c.interval)
-	defer tick.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-c.kick:
-		case <-tick.C:
-			if c.pool.freeCount() >= c.low {
-				continue // above the low watermark: stay idle
+		case si := <-c.kick:
+			c.pool.bm.stats.cleanerWakeups.Inc()
+			if c.pool.failed.Load() {
+				// The tier failed permanently: there is nothing left to clean
+				// and nothing will allocate from this pool again.
+				return
 			}
+			c.replenish(int(si))
 		}
-		if c.pool.failed.Load() {
-			// The tier failed permanently: there is nothing left to clean
-			// and nothing will allocate from this pool again.
-			return
-		}
-		c.replenish()
 	}
 }
 
@@ -210,7 +191,9 @@ func (c *cleaner) run() {
 // watermark. It gives up (counting a stall) when a full batch of victim
 // attempts makes no progress — every frame pinned or under migration — and
 // leaves the foreground fallback path to cover the pool until pins drain.
-func (c *cleaner) replenish() {
+// The victim sweep starts at shard si, the kicker's home, and rotates across
+// all shard hands as attempts accumulate.
+func (c *cleaner) replenish(si int) {
 	p := c.pool
 	bm := p.bm
 	for p.freeCount() < c.high {
@@ -225,12 +208,6 @@ func (c *cleaner) replenish() {
 		}
 		produced := 0
 		attempts := c.batch*2 + p.nFrames
-		// Start the victim sweep at the shard whose allocator kicked us (if
-		// any) and rotate across all shard hands as attempts accumulate.
-		si := int(c.needy.Load())
-		if si < 0 {
-			si = 0
-		}
 		for produced < c.batch && attempts > 0 && p.freeCount() < c.high {
 			attempts--
 			v, evicted, err := p.reclaim(c.ctx, si+attempts)

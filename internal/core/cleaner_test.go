@@ -53,7 +53,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestCleanerWatermarkReplenish(t *testing.T) {
 	const frames = 8
 	bm := cleanerBM(t, frames, 0, CleanerConfig{
-		Enable: true, LowWater: 2, HighWater: 5, Interval: 100 * time.Microsecond,
+		Enable: true, LowWater: 2, HighWater: 5,
 	})
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
@@ -96,15 +96,17 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 }
 
 // TestCleanerStallsWhenAllPinned pins every frame and checks the cleaner
-// records a stall instead of spinning or evicting pinned pages.
+// records a stall instead of spinning or evicting pinned pages. A stalled
+// cleaner parks until an allocation kicks it: after the pins drain, one miss
+// is enough for the pool to be replenished.
 func TestCleanerStallsWhenAllPinned(t *testing.T) {
 	const frames = 8
 	bm := cleanerBM(t, frames, 0, CleanerConfig{
-		Enable: true, LowWater: frames - 1, HighWater: frames, Interval: 100 * time.Microsecond,
+		Enable: true, LowWater: frames - 1, HighWater: frames,
 	})
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
-	for pid := PageID(0); pid < frames; pid++ {
+	for pid := PageID(0); pid <= frames; pid++ {
 		if err := bm.SeedPage(ctx, pid, page); err != nil {
 			t.Fatal(err)
 		}
@@ -123,10 +125,57 @@ func TestCleanerStallsWhenAllPinned(t *testing.T) {
 	for _, h := range handles {
 		h.Release()
 	}
-	// Pins drained: the cleaner must now recover the pool to the high
-	// watermark on its own.
-	waitFor(t, "replenish after pins drain", func() bool {
+	// The miss finds the free list empty, kicks the cleaner and evicts
+	// inline. (A kick left over from the pinning phase may already have
+	// refilled the pool; the miss then pops a frame and leaves frames-1.)
+	h, err := bm.FetchPage(ctx, frames, ReadIntent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	waitFor(t, "replenish after pins drain and one miss", func() bool {
 		return bm.dram.freeCount() >= frames-1
+	})
+}
+
+// TestCleanerIdleMakesNoWakeups: allocator kicks are the cleaners' only
+// wake-up, so a warmed pool that nobody allocates from costs exactly zero
+// wakeups, and the next churny burst wakes them again.
+func TestCleanerIdleMakesNoWakeups(t *testing.T) {
+	const pages = 64
+	bm := cleanerBM(t, 8, 24, CleanerConfig{Enable: true})
+	ctx := NewCtx(1)
+	seed(t, bm, pages)
+	churn := func() {
+		for pid := PageID(0); pid < pages; pid++ {
+			h, err := bm.FetchPage(ctx, pid, WriteIntent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		}
+	}
+	churn()
+	// Warm and settled: the churn's kicks were served, both free lists are
+	// past their high watermarks, no kick is still queued, and the last
+	// wakeup's count has landed.
+	bm.dram.cleaner.wake(0)
+	waitFor(t, "both pools above their high watermarks with no kick pending", func() bool {
+		d, n := bm.dram.cleaner, bm.nvm.cleaner
+		return bm.Stats().CleanerWakeups > 0 &&
+			bm.dram.freeCount() >= d.high && bm.nvm.freeCount() >= n.high &&
+			len(d.kick) == 0 && len(n.kick) == 0
+	})
+	time.Sleep(5 * time.Millisecond)
+
+	before := bm.Stats().CleanerWakeups
+	time.Sleep(100 * time.Millisecond)
+	if delta := bm.Stats().CleanerWakeups - before; delta != 0 {
+		t.Fatalf("idle pool woke its cleaners %d times in 100 ms, want 0", delta)
+	}
+	churn()
+	waitFor(t, "a churny burst after the idle period to wake a cleaner", func() bool {
+		return bm.Stats().CleanerWakeups > before
 	})
 }
 
@@ -134,8 +183,8 @@ func TestCleanerStallsWhenAllPinned(t *testing.T) {
 // succeeds — via inline eviction — when the cleaner is wedged (simulated by
 // stopping it), and that the fallback counter records the inline work.
 func TestForegroundFallbackWhenCleanerStalled(t *testing.T) {
-	bm := cleanerBM(t, 8, 0, CleanerConfig{Enable: true, Interval: time.Hour})
-	bm.Close() // wedge the cleaner: kicks and ticks now go nowhere
+	bm := cleanerBM(t, 8, 0, CleanerConfig{Enable: true})
+	bm.Close() // wedge the cleaner: kicks now go nowhere
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < 64; pid++ {
@@ -165,7 +214,7 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 		pages   = 96
 		ops     = 1500
 	)
-	bm := cleanerBM(t, 8, 24, CleanerConfig{Enable: true, Interval: 50 * time.Microsecond})
+	bm := cleanerBM(t, 8, 24, CleanerConfig{Enable: true})
 	seedCtx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < pages; pid++ {
@@ -353,7 +402,7 @@ func TestCleanerFeedsAdmissionQueue(t *testing.T) {
 // queued behind them skip the victim scan. Page contents must survive the
 // churn intact.
 func TestForegroundBatchStealSaturated(t *testing.T) {
-	bm := cleanerBM(t, 16, 0, CleanerConfig{Enable: true, Interval: time.Hour})
+	bm := cleanerBM(t, 16, 0, CleanerConfig{Enable: true})
 	bm.Close() // wedge the cleaner: all reclamation now happens inline
 	seed(t, bm, 64)
 

@@ -227,7 +227,7 @@ func TestCleanerAllFailSurfacesInForeground(t *testing.T) {
 	bm, ssdInj, _ := faultBM(t, Config{
 		DRAMBytes: frames * PageSize,
 		Policy:    policy.Policy{Dr: 1, Dw: 1},
-		Cleaner:   CleanerConfig{Enable: true, Interval: 100 * time.Microsecond},
+		Cleaner:   CleanerConfig{Enable: true},
 	})
 	seed(t, bm, frames+1)
 

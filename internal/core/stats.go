@@ -22,6 +22,7 @@ type bmStats struct {
 	dram, mini, nvm tierStats
 
 	// Background cleaner activity (DESIGN.md §5-bis).
+	cleanerWakeups metrics.Counter
 	cleanerBatches metrics.Counter
 	cleanerStalls  metrics.Counter
 	fgEvicts       metrics.Counter
@@ -43,7 +44,7 @@ type counterRow struct {
 	snap *int64           // its field in a Stats snapshot
 }
 
-const nCounters = 32
+const nCounters = 33
 
 // counters is the one table of buffer-manager counters, bound to the live
 // set s and a snapshot o: Stats, ResetStats and the named obs samples are all
@@ -70,6 +71,7 @@ func (s *bmStats) counters(o *Stats) [nCounters]counterRow {
 		{"flushed_dram_pages", &s.flushedDRAMPages, &o.FlushedDRAMPages},
 		{"flushed_nvm_pages", &s.flushedNVMPages, &o.FlushedNVMPages},
 		{"recovered_nvm_pages", &s.recoveredNVMPages, &o.RecoveredNVMPages},
+		{"cleaner_wakeups", &s.cleanerWakeups, &o.CleanerWakeups},
 		{"cleaner_batches", &s.cleanerBatches, &o.CleanerBatches},
 		{"cleaner_cleaned_dram", &s.dram.cleaned, &o.CleanerCleanedDRAM},
 		{"cleaner_cleaned_nvm", &s.nvm.cleaned, &o.CleanerCleanedNVM},
@@ -105,15 +107,17 @@ type Stats struct {
 	FlushedNVMPages                int64
 	RecoveredNVMPages              int64
 
-	// Background cleaner activity. CleanerCleaned* count frames the cleaner
-	// pre-cleaned and pushed onto a free list; ForegroundEvicts counts
-	// allocations that had to evict inline (the fallback path — with the
-	// cleaner keeping up this stays near zero); CleanerStalls counts
-	// replenish passes that made no progress because every victim was
-	// pinned or under migration. ForegroundBatchCleaned counts the extra
-	// frames an inline eviction stole into the free list beyond its own —
-	// the foreground assist that amortizes one victim scan across the
-	// allocators queued behind it when the cleaner is behind.
+	// Background cleaner activity. CleanerWakeups counts the allocator kicks
+	// a cleaner goroutine woke for (none on an idle pool); CleanerCleaned*
+	// count frames the cleaner pre-cleaned and pushed onto a free list;
+	// ForegroundEvicts counts allocations that had to evict inline (the
+	// fallback path — with the cleaner keeping up this stays near zero);
+	// CleanerStalls counts replenish passes that made no progress because
+	// every victim was pinned or under migration. ForegroundBatchCleaned
+	// counts the extra frames an inline eviction stole into the free list
+	// beyond its own — the foreground assist that amortizes one victim scan
+	// across the allocators queued behind it when the cleaner is behind.
+	CleanerWakeups         int64
 	CleanerBatches         int64
 	CleanerCleanedDRAM     int64
 	CleanerCleanedNVM      int64
@@ -228,11 +232,10 @@ func (bm *BufferManager) PoolGauges() PoolGauges {
 
 // Pressure is the buffer manager's load-shedding signal set, sampled by
 // admission-control front-ends (internal/server) so they can refuse work
-// *before* the manager saturates: free-list depth per tier, the counters
-// that rise when the cleaner falls behind (foreground evictions, cleaner
-// stalls), and the permanent-degradation flag. Unlike PoolGauges it never
-// scans frame metadata — every read is one atomic load — so it is cheap
-// enough to sample on a tight monitoring loop.
+// *before* the manager saturates: free-list depth per tier and the
+// permanent-degradation flag. Unlike PoolGauges it never scans frame
+// metadata — every read is one atomic load — so it is cheap enough to sample
+// on a tight monitoring loop.
 type Pressure struct {
 	// DRAMFree/NVMFree are the current free-list depths in frames;
 	// DRAMFrames/NVMFrames the tier capacities (0 when the tier is absent
@@ -243,12 +246,6 @@ type Pressure struct {
 	// DRAMFreeFrac and NVMFreeFrac are free/capacity, reported as 1 for an
 	// absent tier so "min over tiers" works without special cases.
 	DRAMFreeFrac, NVMFreeFrac float64
-
-	// ForegroundEvicts and CleanerStalls are cumulative counters; a rising
-	// delta between two samples means allocations are outpacing the
-	// background cleaner (the onset of an eviction convoy).
-	ForegroundEvicts int64
-	CleanerStalls    int64
 
 	// Degraded latches true once the NVM tier has failed permanently and
 	// the hierarchy collapsed to two-tier DRAM–SSD mode.
@@ -283,8 +280,6 @@ func (bm *BufferManager) Pressure() Pressure {
 			p.NVMFreeFrac = float64(p.NVMFree) / float64(p.NVMFrames)
 		}
 	}
-	p.ForegroundEvicts = bm.stats.fgEvicts.Load()
-	p.CleanerStalls = bm.stats.cleanerStalls.Load()
 	return p
 }
 

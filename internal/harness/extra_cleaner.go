@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/policy"
@@ -40,9 +39,6 @@ func ExtraCleaner(o Opts) (*Table, error) {
 		}},
 		{"big batches (defaults, batch=32)", core.CleanerConfig{
 			Enable: true, BatchSize: 32,
-		}},
-		{"fast poll (defaults, 50µs interval)", core.CleanerConfig{
-			Enable: true, Interval: 50 * time.Microsecond,
 		}},
 	}
 

@@ -10,14 +10,14 @@
 //     immediately with 429/503 + Retry-After instead of parking without
 //     bound; queued waiters are cancelled when their deadline expires.
 //   - Backpressure: a monitor goroutine watches the buffer manager's
-//     exported Pressure signals (free-list depth, cleaner stalls, the
-//     degraded-mode latch). Low free headroom flips the server into
-//     shedding (no queuing, excess load refused) *before* fetches start
-//     evicting synchronously; a permanent NVM failure flips it into
-//     read-only mode so the surviving tiers serve reads indefinitely.
+//     exported Pressure signals (free-list depth, the degraded-mode latch).
+//     Low free headroom flips the server into shedding (no queuing, excess
+//     load refused) *before* fetches start evicting synchronously; a
+//     permanent NVM failure flips it into read-only mode so the surviving
+//     tiers serve reads indefinitely.
 //   - Graceful drain: Drain stops admission, lets in-flight requests finish
-//     inside their deadlines, checkpoints the engine, and closes the
-//     listener — so SIGTERM never drops an accepted request.
+//     inside their deadlines, stops the cleaners, checkpoints the engine,
+//     and closes the listener — so SIGTERM never drops an accepted request.
 //
 // The package uses wall-clock time throughout: it serves real sockets, so
 // its deadlines and latency histograms are host-side quantities, unlike the
@@ -237,9 +237,11 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Drain performs the graceful shutdown sequence: flip to draining (new
 // requests get 503, /readyz goes not-ready), wait up to DrainTimeout for
-// in-flight requests to finish (their own deadlines cancel stragglers),
-// checkpoint the quiesced engine, and stop the monitor. It is safe to call
-// once; the error reports the first step that failed.
+// in-flight requests to finish (their own deadlines cancel stragglers), stop
+// the monitor, stop the buffer manager's cleaners — a cleaner mid-evict holds
+// a page latch the checkpoint's flush would otherwise skip — and checkpoint
+// the quiesced engine. It is safe to call once; the error reports the first
+// step that failed.
 func (s *Server) Drain() error {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return nil
@@ -252,6 +254,7 @@ func (s *Server) Drain() error {
 		err = s.srv.Shutdown(ctx)
 	}
 	s.stopMonitor()
+	s.bm.Close()
 	if cerr := s.checkpoint(); err == nil {
 		err = cerr
 	}

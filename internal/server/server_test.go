@@ -40,6 +40,25 @@ func newTestEngine(t *testing.T, faulty bool) (*engine.DB, *engine.KV, *device.I
 		nvmDev.SetFaults(inj)
 		cfg.PMem = pmem.New(pmem.Options{Size: cfg.NVMBytes, Device: nvmDev})
 	}
+	db, kv := openTestEngine(t, cfg)
+	return db, kv, inj
+}
+
+// newCleanerEngine builds a DB+KV over an 8-frame DRAM pool with the
+// background cleaner on, as the shipped server runs it. The eager policy
+// sends every new and written page through DRAM.
+func newCleanerEngine(t *testing.T) (*engine.DB, *engine.KV) {
+	t.Helper()
+	return openTestEngine(t, core.Config{
+		DRAMBytes: 8 * core.PageSize,
+		NVMBytes:  32 * core.PageSize,
+		Policy:    policy.SpitfireEager,
+		Cleaner:   core.CleanerConfig{Enable: true},
+	})
+}
+
+func openTestEngine(t *testing.T, cfg core.Config) (*engine.DB, *engine.KV) {
+	t.Helper()
 	bm, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +79,7 @@ func newTestEngine(t *testing.T, faulty bool) (*engine.DB, *engine.KV, *device.I
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, kv, inj
+	return db, kv
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -455,6 +474,77 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatalf("second Drain not idempotent: %v", err)
+	}
+}
+
+// TestDrainWithLiveCleaner: a drain that lands while the cleaner is still
+// replenishing checkpoints every dirty page. Drain stops the cleaners first,
+// so the flush never skips a page because the cleaner held its latch
+// mid-evict.
+func TestDrainWithLiveCleaner(t *testing.T) {
+	val := bytes.Repeat([]byte{'v'}, 64)
+	for i := 0; i < 50; i++ {
+		db, kv := newCleanerEngine(t)
+		s, err := New(Options{DB: db, KV: kv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ~20 pages of tuples through 8 frames: the last PUTs leave the free
+		// list low and the cleaner mid-batch.
+		ctx, txn := core.NewCtx(9), db.Begin()
+		for k := uint64(0); k < 3000; k++ {
+			if err := kv.Put(ctx, txn, k, val); err != nil {
+				t.Fatalf("iteration %d: put %d: %v", i, k, err)
+			}
+		}
+		if err := txn.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatalf("iteration %d: Drain: %v", i, err)
+		}
+		if st := s.Stats(); st.Checkpoints != 1 || st.CheckpointSkipped != 0 {
+			t.Fatalf("iteration %d: drain checkpoint ran=%d skipped=%d, want 1/0", i, st.Checkpoints, st.CheckpointSkipped)
+		}
+	}
+}
+
+// TestSheddingTracksRealPressure: with the cleaner on, a free list under
+// ShedFreeFrac means allocations are outpacing the cleaner — here because
+// every DRAM frame is pinned — and the flag clears once the pins drain and
+// one miss re-arms the cleaner.
+func TestSheddingTracksRealPressure(t *testing.T) {
+	db, kv := newCleanerEngine(t)
+	s, ts := newTestServer(t, Options{DB: db, KV: kv, PressureInterval: time.Millisecond})
+	bm, ctx := db.BM(), core.NewCtx(5)
+
+	var pins []*core.Handle
+	for bm.Pressure().DRAMFree > 0 {
+		_, h, err := bm.NewPage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins = append(pins, h)
+	}
+	waitFor(t, "monitor to start shedding", func() bool { return s.Stats().Shedding })
+	if code, body, _ := doReq(t, "GET", ts.URL+"/readyz", nil); code != 503 || !strings.Contains(body, "shedding") {
+		t.Fatalf("readyz with every DRAM frame pinned = %d %q", code, body)
+	}
+
+	for _, h := range pins {
+		h.Release()
+	}
+	_, h, err := bm.NewPage(ctx) // the miss whose kick re-arms the stalled cleaner
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	waitFor(t, "shedding to clear after the pins drain", func() bool { return !s.Stats().Shedding })
+	if frac := bm.Pressure().MinFreeFrac(); frac < 2*s.opts.ShedFreeFrac {
+		t.Fatalf("shedding cleared at free fraction %.3f, under the %.3f hysteresis mark", frac, 2*s.opts.ShedFreeFrac)
+	}
+	if code, body, _ := doReq(t, "GET", ts.URL+"/readyz", nil); code != 200 {
+		t.Fatalf("readyz after pressure cleared = %d %q", code, body)
 	}
 }
 

@@ -67,7 +67,7 @@ type (
 	// MemCharger prices DRAM-buffer traffic (used by memory-mode setups).
 	MemCharger = core.MemCharger
 	// CleanerConfig tunes the background page cleaner (watermarks, batch
-	// size, poll interval). New and Recover enable the cleaner by default;
+	// size). New and Recover enable the cleaner by default;
 	// set CleanerConfig.Disable for paper-fidelity simulated-time runs.
 	CleanerConfig = core.CleanerConfig
 )

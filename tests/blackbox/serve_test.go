@@ -260,3 +260,56 @@ func TestReadyzFlipsUnderPressure(t *testing.T) {
 		t.Fatalf("stats.json = %d %q, want shedding:true", code, body)
 	}
 }
+
+var minFreeFracRE = regexp.MustCompile(`"min_free_frac":([0-9.]+)`)
+
+// TestReadyAfterDataOutgrowsDRAM loads far more data than the buffers hold
+// and asserts readiness means ready: the cleaner keeps the free lists
+// stocked, so a warm, healthy server answers /readyz 200 — right after the
+// load and again after sitting idle — and still drains cleanly.
+func TestReadyAfterDataOutgrowsDRAM(t *testing.T) {
+	p := startServe(t, "-dram-mb", "1", "-nvm-mb", "2", "-drain-grace", "50ms")
+	res := harness.DriveLoad(harness.LoadOpts{
+		BaseURL: p.base, Clients: 4, Ops: 30_000, Keys: 30_000, ReadFrac: 0.001, ValueSize: 200,
+	})
+	t.Logf("load: %s", res)
+	if res.OK < 29_000 || res.Other5xx != 0 || res.NetErrors != 0 {
+		t.Fatalf("load did not go through cleanly: %s", res)
+	}
+
+	// Shedding that tripped while the load was still allocating clears at
+	// the monitor's next sample; after that the idle server must stay ready.
+	deadline := time.Now().Add(time.Second)
+	for {
+		code, body := get(t, p.base+"/readyz")
+		if code == 200 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz right after the load = %d %q", code, body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond)
+	code, body := get(t, p.base+"/readyz")
+	if code != 200 {
+		t.Fatalf("readyz after 300 ms idle = %d %q", code, body)
+	}
+	m := minFreeFracRE.FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("readyz body %q carries no min_free_frac", body)
+	}
+	if frac, _ := strconv.ParseFloat(m[1], 64); frac < 0.10 {
+		t.Fatalf("idle min_free_frac = %v, want >= 0.10 (the cleaner's low watermark is 1/8)", frac)
+	}
+
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("server exited non-zero after SIGTERM: %v\nstderr:\n%s", err, p.stderr.String())
+	}
+	if !drainedRE.MatchString(p.stderr.String()) {
+		t.Fatalf("no clean-drain report in stderr:\n%s", p.stderr.String())
+	}
+}
