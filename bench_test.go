@@ -11,6 +11,7 @@ package spitfire_test
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,10 +128,9 @@ func BenchmarkFetchChurn(b *testing.B) {
 func BenchmarkFetchChurnParallel(b *testing.B) {
 	const pages = 512
 	bm, _ := benchBM(b, spitfire.SpitfireLazy, pages)
-	var worker int64
+	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
-		w := worker
-		worker++
+		w := worker.Add(1) - 1
 		ctx := spitfire.NewCtx(uint64(w) + 100)
 		rng := uint64(w)*2654435761 + 1
 		buf := make([]byte, 1024)
@@ -182,11 +182,10 @@ func BenchmarkFetchParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			var worker int64
+			var worker atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				w := worker
-				worker++
+				w := worker.Add(1) - 1
 				ctx := spitfire.NewCtx(uint64(w) + 100)
 				rng := uint64(w)*2654435761 + 1
 				buf := make([]byte, 1024)
@@ -254,11 +253,10 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var worker int64
+			var worker atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				wi := worker
-				worker++
+				wi := worker.Add(1) - 1
 				ctx := spitfire.NewCtx(uint64(wi) + 100)
 				// Per-goroutine record: Append assigns rec.LSN in place.
 				rec := &spitfire.LogRecord{TxnID: uint64(wi),
@@ -487,10 +485,9 @@ func BenchmarkFetchChurnCleanerParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("cleaner=%t", on), func(b *testing.B) {
 			const pages = 256
 			bm := cleanerBenchBM(b, on, pages)
-			var worker int64
+			var worker atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
-				w := worker
-				worker++
+				w := worker.Add(1) - 1
 				ctx := spitfire.NewCtx(uint64(w) + 200)
 				rng := uint64(w)*2654435761 + 7
 				buf := make([]byte, 1024)

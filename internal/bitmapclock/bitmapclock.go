@@ -3,10 +3,10 @@
 // which the paper cites for its DRAM and NVM buffers (§5.2).
 //
 // Reference bits live in a packed atomic bitmap so that marking a frame
-// referenced is a single lock-free fetch-OR, and the sweeping hand clears
-// bits with fetch-AND. Victim *selection* is lock-free; the caller is
-// responsible for validating the victim (e.g. freezing its pin count) and
-// calling Evict again if validation fails.
+// referenced is a load and at most one lock-free fetch-OR, and the sweeping
+// hand clears bits with fetch-AND. Victim *selection* is lock-free; the
+// caller is responsible for validating the victim (e.g. freezing its pin
+// count) and calling Evict again if validation fails.
 package bitmapclock
 
 import "sync/atomic"
@@ -32,9 +32,15 @@ func New(n int) *Clock {
 // Len returns the number of frames covered.
 func (c *Clock) Len() int { return c.n }
 
-// Ref marks frame i as recently referenced.
+// Ref marks frame i as recently referenced. It tests before it sets: a hot
+// frame's bit is already on, and a load leaves the word's cache line shared
+// between the workers referencing its 64 frames where an unconditional
+// fetch-OR would take it exclusive every time.
 func (c *Clock) Ref(i int) {
-	c.words[i>>6].Or(1 << uint(i&63))
+	w, bit := &c.words[i>>6], uint64(1)<<uint(i&63)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
+	}
 }
 
 // Unref clears frame i's reference bit (used when a frame is freed).

@@ -176,7 +176,7 @@ func (c *cleaner) run() {
 		case <-c.stop:
 			return
 		case si := <-c.kick:
-			c.pool.bm.stats.cleanerWakeups.Inc()
+			c.pool.bm.count(c.ctx.Clock, cCleanerWakeups)
 			if c.pool.failed.Load() {
 				// The tier failed permanently: there is nothing left to clean
 				// and nothing will allocate from this pool again.
@@ -220,16 +220,16 @@ func (c *cleaner) replenish(si int) {
 				continue
 			}
 			if evicted {
-				p.st.cleaned.Inc()
+				p.count(c.ctx.Clock.Worker(), p.st.cleaned)
 			}
 			p.release(v)
 			produced++
 		}
 		if produced == 0 {
-			bm.stats.cleanerStalls.Inc()
+			bm.count(c.ctx.Clock, cCleanerStalls)
 			return
 		}
-		bm.stats.cleanerBatches.Inc()
+		bm.count(c.ctx.Clock, cCleanerBatches)
 		if bm.obs != nil {
 			now := c.ctx.Clock.Now()
 			bm.hCleanerBatch.Observe(now - bStart)

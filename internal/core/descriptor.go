@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // noFrame marks an empty frame slot in a descriptor.
@@ -18,7 +19,10 @@ const noFrame = int32(-1)
 //  1. Tier latches of one descriptor are acquired in the fixed order
 //     latchD → latchN → latchS (skipping is allowed, reordering is not).
 //  2. mu is a leaf lock: no I/O and no other lock acquisition under it.
-//     The frame-slot fields are read and written only under mu.
+//     The frame slots are written under mu and read atomically. load takes
+//     mu for a consistent snapshot of all three; a reader that did not take
+//     mu must pin the frame it read and validate that frame's pid before
+//     trusting it (fetchPage's hit protocol, DESIGN.md §5).
 //  3. A thread holding latches of one descriptor may touch a *second*
 //     descriptor (the eviction victim's) only via TryLock.
 type descriptor struct {
@@ -29,13 +33,17 @@ type descriptor struct {
 	latchD, latchN, latchS sync.Mutex
 
 	mu        sync.Mutex
-	dramFrame int32 // full DRAM frame index, or noFrame
-	dramMini  int32 // mini DRAM frame index, or noFrame
-	nvmFrame  int32 // NVM frame index, or noFrame
+	dramFrame atomic.Int32 // full DRAM frame index, or noFrame
+	dramMini  atomic.Int32 // mini DRAM frame index, or noFrame
+	nvmFrame  atomic.Int32 // NVM frame index, or noFrame
 }
 
 func newDescriptor(pid PageID) *descriptor {
-	return &descriptor{pid: pid, dramFrame: noFrame, dramMini: noFrame, nvmFrame: noFrame}
+	d := &descriptor{pid: pid}
+	d.dramFrame.Store(noFrame)
+	d.dramMini.Store(noFrame)
+	d.nvmFrame.Store(noFrame)
+	return d
 }
 
 // location is a snapshot of the descriptor's frame slots.
@@ -43,10 +51,11 @@ type location struct {
 	dramFrame, dramMini, nvmFrame int32
 }
 
-// load snapshots the frame slots under mu.
+// load snapshots the frame slots under mu, so the three agree with each other
+// (slot writers hold mu across a multi-slot change such as a mini promotion).
 func (d *descriptor) load() location {
 	d.lockMu()
-	l := location{d.dramFrame, d.dramMini, d.nvmFrame}
+	l := location{d.dramFrame.Load(), d.dramMini.Load(), d.nvmFrame.Load()}
 	d.unlockMu()
 	return l
 }

@@ -42,8 +42,8 @@ func allocExpired(i int, start *time.Time) bool {
 // (retries already ran inside the eviction) rather than spinning the victim
 // search against a failing device.
 func (p *basePool) alloc(ctx *Ctx) (int32, error) {
-	home, cl := p.home(ctx), p.cleaner
-	if f, ok := p.takeFree(home); ok {
+	w, home, cl := ctx.Clock.Worker(), p.home(ctx), p.cleaner
+	if f, ok := p.takeFree(w); ok {
 		if cl != nil && p.freeCount() < cl.low {
 			cl.wake(home)
 		}
@@ -54,7 +54,7 @@ func (p *basePool) alloc(ctx *Ctx) (int32, error) {
 	}
 	var searchStart time.Time
 	for i := 0; !allocExpired(i, &searchStart); i++ {
-		if f, ok := p.takeFree(home); ok {
+		if f, ok := p.takeFree(w); ok {
 			return f, nil
 		}
 		// Sweep the home shard's hand first; rotate to the other shards'
@@ -69,7 +69,7 @@ func (p *basePool) alloc(ctx *Ctx) (int32, error) {
 			continue
 		}
 		if evicted && p.assist > 0 {
-			p.bm.stats.fgEvicts.Inc()
+			p.bm.count(ctx.Clock, cFgEvicts)
 			p.assistBatch(ctx, home)
 		}
 		return v, nil
@@ -131,7 +131,7 @@ func (p *basePool) assistBatch(ctx *Ctx, home int) {
 		}
 		p.release(v)
 		stolen++
-		p.bm.stats.fgBatchCleaned.Inc()
+		p.bm.count(ctx.Clock, cFgBatchCleaned)
 	}
 }
 
@@ -148,9 +148,7 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	}
 	d, ok := p.bm.table.Get(pid)
 	if ok {
-		d.lockMu()
-		ok = *p.slot(d) == v
-		d.unlockMu()
+		ok = p.slot(d).Load() == v
 	}
 	var err error
 	if ok {
@@ -165,7 +163,7 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	m.fg.Store(nil)
 	m.clAdmit.Store(false)
 	p.unref(v)
-	p.st.evicts.Inc()
+	p.count(ctx.Clock.Worker(), p.st.evicts)
 	if p.hEvict != nil {
 		now := ctx.Clock.Now()
 		p.hEvict.Observe(now - evStart)
@@ -188,7 +186,7 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 		return false, err
 	}
 	d.lockMu()
-	d.dramFrame = noFrame
+	d.dramFrame.Store(noFrame)
 	d.unlockMu()
 	return true, nil
 }
@@ -247,7 +245,7 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 			return false, werr
 		}
 		nm.dirty.Store(true)
-		bm.stats.dramToNVM.Inc()
+		bm.count(ctx.Clock, cDRAMToNVM)
 		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
 		return true, nil
 	}
@@ -294,7 +292,7 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 			return false, err
 		}
 		nm.dirty.Store(true)
-		bm.stats.dramToNVM.Inc()
+		bm.count(ctx.Clock, cDRAMToNVM)
 		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
 		return true, nil
 	}
@@ -351,7 +349,7 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 	if err := bm.diskWritePage(ctx.Clock, d.pid, frame); err != nil {
 		return false, err
 	}
-	bm.stats.dramToSSD.Inc()
+	bm.count(ctx.Clock, cDRAMToSSD)
 	bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierSSD, Page: d.pid})
 	return true, nil
 }
@@ -373,14 +371,14 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 	nm.dirty.Store(dirty)
 	nm.clAdmit.Store(ctx.cleaner)
 	if ctx.cleaner {
-		bm.stats.cleanerAdmittedNVM.Inc()
+		bm.count(ctx.Clock, cCleanerAdmittedNVM)
 	}
 	d.lockMu()
-	d.nvmFrame = nf
+	d.nvmFrame.Store(nf)
 	d.unlockMu()
 	nm.thaw()
 	bm.nvm.ref(nf)
-	bm.stats.dramToNVM.Inc()
+	bm.count(ctx.Clock, cDRAMToNVM)
 	bm.emit(ctx, obs.Event{Type: obs.EvAdmit, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
 	return true
 }
@@ -399,7 +397,7 @@ func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, err
 		}
 	}
 	d.lockMu()
-	d.dramMini = noFrame
+	d.dramMini.Store(noFrame)
 	d.unlockMu()
 	return true, nil
 }
@@ -444,7 +442,7 @@ func (bm *BufferManager) writeBackMini(ctx *Ctx, d *descriptor, v int32, fg *fgS
 		return false, werr
 	}
 	nm.dirty.Store(true)
-	bm.stats.dramToNVM.Inc()
+	bm.count(ctx.Clock, cDRAMToNVM)
 	return true, nil
 }
 
@@ -464,14 +462,11 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 	defer d.unlockN()
 	// Re-check DRAM dependencies under latchN (migrations up require it,
 	// so no new fine-grained page can appear once we hold it).
-	d.lockMu()
-	mini := d.dramMini != noFrame
-	df := d.dramFrame
-	d.unlockMu()
-	if mini {
+	loc := d.load()
+	if loc.dramMini != noFrame {
 		return false, nil
 	}
-	if df != noFrame && bm.dram != nil {
+	if df := loc.dramFrame; df != noFrame && bm.dram != nil {
 		if fg := bm.dram.meta[df].fg.Load(); fg != nil && !fg.fullyResident() {
 			return false, nil
 		}
@@ -489,7 +484,7 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		if err != nil {
 			return false, err
 		}
-		bm.stats.nvmToSSD.Inc()
+		bm.count(ctx.Clock, cNVMToSSD)
 		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierNVM, To: obs.TierSSD, Page: d.pid})
 	}
 	// Invalidate the frame's durable header so recovery cannot resurrect it.
@@ -500,7 +495,7 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		return false, err
 	}
 	d.lockMu()
-	d.nvmFrame = noFrame
+	d.nvmFrame.Store(noFrame)
 	d.unlockMu()
 	return true, nil
 }

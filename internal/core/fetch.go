@@ -66,43 +66,44 @@ func (bm *BufferManager) FetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 }
 
 // fetchPage is the uninstrumented fetch; see FetchPage for the contract.
+//
+// A hit takes no mutex. It reads the descriptor's slot atomically, pins the
+// frame the slot named and validates the frame's page id (pinPage); a frame
+// that was frozen, or evicted and reused between the two steps, fails one of
+// them and the loop reads the slots again. The shared writes of a hit are the
+// pin and, later, the device-horizon CAS of the access — counters go to the
+// worker's own block and the CLOCK reference bit is only set when clear.
 func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle, error) {
 	d := bm.descriptorFor(pid)
 	pol := bm.pol.Load()
 
 	for attempt := 0; ; attempt++ {
-		d.lockMu()
 		// DRAM full frame.
-		if f := d.dramFrame; f != noFrame {
-			if bm.dram.meta[f].tryPin() {
-				d.unlockMu()
+		if f := d.dramFrame.Load(); f != noFrame {
+			if bm.dram.pinPage(f, pid) {
 				bm.dram.ref(f)
-				bm.stats.hitDRAM.Inc()
+				bm.count(ctx.Clock, cHitDRAM)
 				return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howHitDRAM}, nil
 			}
-			d.unlockMu() // frozen mid-eviction; wait it out
-			backoff(attempt)
+			backoff(attempt) // frozen mid-eviction, or the slot moved on; look again
 			continue
 		}
 		// DRAM mini frame.
-		if f := d.dramMini; f != noFrame {
+		if f := d.dramMini.Load(); f != noFrame {
 			mp := bm.dram.mini
-			if mp.meta[f].tryPin() {
-				d.unlockMu()
+			if mp.pinPage(f, pid) {
 				mp.ref(f)
-				bm.stats.hitMini.Inc()
+				bm.count(ctx.Clock, cHitMini)
 				return &Handle{bm: bm, d: d, tier: TierMini, frame: f, how: howHitMini}, nil
 			}
-			d.unlockMu()
 			backoff(attempt)
 			continue
 		}
 		// NVM frame.
-		if f := d.nvmFrame; f != noFrame {
+		if f := d.nvmFrame.Load(); f != noFrame {
 			if bm.nvmDown() {
 				// The tier died; this descriptor raced the degradation walk.
 				// Detach its dead copy inline and retry as a miss/DRAM hit.
-				d.unlockMu()
 				bm.detachDeadNVM(d)
 				continue
 			}
@@ -115,20 +116,17 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 				migrate = ctx.bernoulli(p)
 			}
 			if !migrate {
-				if bm.nvm.meta[f].tryPin() {
-					d.unlockMu()
+				if bm.pinNVMCopy(d, f) {
 					bm.nvm.ref(f)
-					bm.stats.hitNVM.Inc()
+					bm.count(ctx.Clock, cHitNVM)
 					if bm.nvm.meta[f].clAdmit.Load() {
-						bm.stats.hitNVMCleanerAdmitted.Inc()
+						bm.count(ctx.Clock, cHitNVMCleanerAdmitted)
 					}
 					return &Handle{bm: bm, d: d, tier: TierNVM, frame: f, how: howHitNVM}, nil
 				}
-				d.unlockMu()
 				backoff(attempt)
 				continue
 			}
-			d.unlockMu()
 			if h, err := bm.migrateUp(ctx, d); err != nil {
 				return nil, err
 			} else if h != nil {
@@ -136,7 +134,6 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 			}
 			continue // state changed under us; retry
 		}
-		d.unlockMu()
 
 		// Miss on both buffers: fetch from SSD.
 		h, err := bm.fetchMiss(ctx, d, pol)
@@ -144,11 +141,31 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 			return nil, err
 		}
 		if h != nil {
-			bm.stats.missSSD.Inc()
+			bm.count(ctx.Clock, cMissSSD)
 			return h, nil
 		}
 		// Lost an install race; retry.
 	}
+}
+
+// pinNVMCopy pins NVM frame f, read from d's slot without d.mu, to serve page
+// d from it in place. Beyond pinPage it must rule out a DRAM copy: the caller
+// read the three slots one at a time, so one may have been published since it
+// saw the DRAM slots empty, and it would be the newer copy. migrateUp freezes
+// the NVM frame before it publishes a DRAM copy and thaws it after, so once
+// the NVM frame is pinned a completed migration is visible and a new one
+// waits for the pin. A mini promotion sets the full-frame slot before it
+// clears the mini slot; reading them here in the opposite order cannot find
+// both empty across one.
+func (bm *BufferManager) pinNVMCopy(d *descriptor, f int32) bool {
+	if !bm.nvm.pinPage(f, d.pid) {
+		return false
+	}
+	if d.dramMini.Load() != noFrame || d.dramFrame.Load() != noFrame {
+		bm.nvm.meta[f].unpin()
+		return false
+	}
+	return true
 }
 
 // migrateUp moves page d from NVM to DRAM along path ❻ of Figure 3, keeping
@@ -205,7 +222,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 	}
 	p.attach(d, f, false, fg)
-	bm.stats.migNVMToDRAM.Inc()
+	bm.count(ctx.Clock, cMigNVMToDRAM)
 	return &Handle{bm: bm, d: d, tier: tier, frame: f, how: howMigrated}, nil
 }
 
@@ -249,7 +266,7 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	}
 	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 	bm.dram.attach(d, f, false, nil)
-	bm.stats.ssdToDRAM.Inc()
+	bm.count(ctx.Clock, cSSDToDRAM)
 	return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howMissDRAM}, nil
 }
 
@@ -280,7 +297,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 		return nil, err
 	}
 	bm.nvm.attach(d, nf, false, nil)
-	bm.stats.ssdToNVM.Inc()
+	bm.count(ctx.Clock, cSSDToNVM)
 	return &Handle{bm: bm, d: d, tier: TierNVM, frame: nf, how: howMissNVM}, nil
 }
 

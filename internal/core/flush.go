@@ -105,7 +105,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 		}
 		nm.dirty.Store(true)
 		m.dirty.Store(false)
-		bm.stats.flushedDRAMPages.Inc()
+		bm.count(ctx.Clock, cFlushedDRAMPages)
 		return true, nil
 	}
 
@@ -147,7 +147,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 		}
 		nm.dirty.Store(true)
 		m.dirty.Store(false)
-		bm.stats.flushedDRAMPages.Inc()
+		bm.count(ctx.Clock, cFlushedDRAMPages)
 		return true, nil
 	}
 
@@ -167,7 +167,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 		fg.unlock()
 	}
 	m.dirty.Store(false)
-	bm.stats.flushedDRAMPages.Inc()
+	bm.count(ctx.Clock, cFlushedDRAMPages)
 	return true, nil
 }
 
@@ -217,7 +217,7 @@ func (bm *BufferManager) FlushAll(ctx *Ctx) error {
 				return err
 			}
 			bm.nvm.meta[loc.nvmFrame].dirty.Store(false)
-			bm.stats.flushedNVMPages.Inc()
+			bm.count(ctx.Clock, cFlushedNVMPages)
 		}
 		d.unlockS()
 		d.unlockN()

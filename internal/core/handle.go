@@ -132,7 +132,7 @@ func (h *Handle) WriteAt(ctx *Ctx, off int, data []byte) error {
 		}
 		p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
 		copy(p.frame(h.frame)[off:off+len(data)], data)
-		p.meta[h.frame].dirty.Store(true)
+		p.meta[h.frame].markDirty()
 		return nil
 	case TierMini:
 		return h.miniAccess(ctx, off, nil, data)
@@ -140,19 +140,16 @@ func (h *Handle) WriteAt(ctx *Ctx, off int, data []byte) error {
 		if err := h.bm.nvmWritePayload(ctx.Clock, h.frame, off, data); err != nil {
 			return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 		}
-		h.bm.nvm.meta[h.frame].dirty.Store(true)
+		h.bm.nvm.meta[h.frame].markDirty()
 		return nil
 	}
 	return fmt.Errorf("core: unknown tier %v", h.tier)
 }
 
-// nvmBacking returns the page's current NVM frame, or noFrame.
-func (h *Handle) nvmBacking() int32 {
-	h.d.lockMu()
-	nf := h.d.nvmFrame
-	h.d.unlockMu()
-	return nf
-}
+// nvmBacking returns the page's current NVM frame, or noFrame. No pin or
+// validation is needed: the NVM copy backing a partially resident DRAM page is
+// never evicted from under it (unlinkNVM), and the caller pins that page.
+func (h *Handle) nvmBacking() int32 { return h.d.nvmFrame.Load() }
 
 // fgLoadUnits faults the non-resident units in [first, last] in from the
 // NVM copy. The unit loads of one access are charged as a single NVM read
@@ -207,7 +204,7 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 		src := h.bm.nvm.pm.Bytes(h.bm.nvm.payloadOffset(nf)+int64(uo), fg.unit)
 		copy(p.frame(h.frame)[uo:uo+fg.unit], src)
 		fg.setResident(u)
-		h.bm.stats.fgUnitLoads.Inc()
+		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
 	p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame), len(need)*fg.unit)
 	return nil
@@ -246,7 +243,7 @@ func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 		fg.setDirty(u)
 	}
 	fg.unlock()
-	p.meta[h.frame].dirty.Store(true)
+	p.meta[h.frame].markDirty()
 	return nil
 }
 
@@ -292,7 +289,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 			return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 		}
 		h.bm.dram.charge.ChargeWrite(ctx.Clock, int64(int(h.frame)*mp.slotSize+s*fg.unit), fg.unit)
-		h.bm.stats.fgUnitLoads.Inc()
+		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
 	if overflow {
 		fg.unlock()
@@ -347,7 +344,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 	}
 	fg.unlock()
 	if dirtied {
-		mp.meta[h.frame].dirty.Store(true)
+		mp.meta[h.frame].markDirty()
 	}
 	return nil
 }
@@ -400,10 +397,13 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	h.bm.dram.meta[f].dirty.Store(dirty)
 	h.bm.dram.meta[f].fg.Store(newFG)
 
+	// Full-frame slot first, mini slot second: a lock-free reader that finds
+	// the mini slot empty then finds the full frame (fetchPage's NVM hit
+	// re-check reads them in that order).
 	old := h.frame
 	h.d.lockMu()
-	h.d.dramMini = noFrame
-	h.d.dramFrame = f
+	h.d.dramFrame.Store(f)
+	h.d.dramMini.Store(noFrame)
 	h.d.unlockMu()
 
 	h.bm.dram.meta[f].pins.Store(1) // transfer our pin to the full frame
@@ -411,6 +411,6 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	mp.release(old)
 	h.tier = TierDRAM
 	h.frame = f
-	h.bm.stats.miniPromotions.Inc()
+	h.bm.count(ctx.Clock, cMiniPromotions)
 	return true
 }

@@ -59,8 +59,9 @@ func (d *descriptor) unlockN() {
 
 // lock acquires a frame group's mutex. fg.mu guards the residency/dirty
 // bitmaps and mini-page slot directory; the only latch that may be taken
-// while it is held is descriptor.mu (the fine-grained load path pins the
-// NVM backing under fg.mu, safe because mu is a strict leaf).
+// while it is held is descriptor.mu (safe because mu is a strict leaf). The
+// fine-grained load path takes nothing under it: it reads the NVM slot
+// atomically (nvmBacking).
 func (fg *fgState) lock() {
 	lockcheck.Acquire(fg, lockcheck.RankFg)
 	fg.mu.Lock()

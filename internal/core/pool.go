@@ -15,17 +15,24 @@ import (
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
-// frameMeta is the volatile metadata of one buffer frame.
+// frameMeta is the volatile metadata of one buffer frame, padded to a cache
+// line of its own: pinning one hot frame must not invalidate its neighbours'
+// lines in the other workers' caches.
 //
 // pins encodes the frame's lifecycle: -1 means frozen (owned exclusively by
 // an allocator/evictor/migrator and invisible to fetchers), 0 means resident
 // and unpinned, >0 counts pinned users. Frames on the free list are frozen.
+//
+// pid changes only while the frame is frozen (the one exception is a dead NVM
+// tier's detach), so a fetcher that pins the frame and then reads its own
+// page id there knows the frame holds that page until it unpins.
 type frameMeta struct {
 	pid     atomic.Uint64
 	pins    atomic.Int32
 	dirty   atomic.Bool
 	fg      atomic.Pointer[fgState] // fine-grained residency; DRAM full frames only
 	clAdmit atomic.Bool             // NVM frames: page was admitted by the background cleaner
+	_       [36]byte
 }
 
 // tryPin attempts to pin the frame; it fails if the frame is frozen.
@@ -43,6 +50,16 @@ func (f *frameMeta) tryPin() bool {
 
 // unpin drops one pin.
 func (f *frameMeta) unpin() { f.pins.Add(-1) }
+
+// markDirty records a modification by a pinner. It tests before it sets so
+// that rewriting an already dirty page leaves the frame's line shared; that
+// is safe because dirty is cleared only on a frozen frame, and the caller's
+// pin keeps the frame from freezing.
+func (f *frameMeta) markDirty() {
+	if !f.dirty.Load() {
+		f.dirty.Store(true)
+	}
+}
 
 // tryFreeze attempts to take exclusive ownership of an unpinned frame.
 func (f *frameMeta) tryFreeze() bool { return f.pins.CompareAndSwap(0, -1) }
@@ -121,8 +138,9 @@ type basePool struct {
 	tier obs.TierID // names the pool in trace events and the cleaner's ring
 
 	// slot returns the descriptor field that names a page's frame in this
-	// pool (read and written under d.mu).
-	slot func(d *descriptor) *int32
+	// pool. Slots are written under d.mu and read atomically; a reader that
+	// did not take d.mu must pin the frame and validate its pid (pinPage).
+	slot func(d *descriptor) *atomic.Int32
 
 	// unlink is the tier-specific half of an eviction: under the tier latch
 	// (TryLock — d is a second descriptor to the allocating thread) it makes
@@ -131,7 +149,8 @@ type basePool struct {
 	// retries are already spent; either way the descriptor still owns v.
 	unlink func(ctx *Ctx, d *descriptor, v int32) (bool, error)
 
-	st     *tierStats
+	stats  *bmStats           // the manager's counter blocks
+	st     tierStats          // which of the counters are this pool's
 	hEvict *metrics.Histogram // eviction latency; nil when untraced (and for mini frames)
 
 	// assist is how many extra frames an inline eviction reclaims into the
@@ -156,20 +175,15 @@ type basePool struct {
 	freeLen atomic.Int64
 }
 
-// tierStats are the counters a pool bumps itself. They sit in bmStats so the
-// counter table (stats.go) reaches them; the pool holds a pointer to its own.
-type tierStats struct {
-	evicts     metrics.Counter // pages evicted from the pool
-	cleaned    metrics.Counter // of those, by the background cleaner
-	freeSteals metrics.Counter // free-list pops served by a non-home shard
-}
+// count bumps one of the pool's counters in worker w's block.
+func (p *basePool) count(w int, id counter) { p.stats.at(w).c[id].Inc() }
 
 // init sizes a freshly allocated (embedded) basePool in place — the struct
 // holds atomics, so it must never be copied.
-func (p *basePool) init(nFrames, shards int, st *tierStats) {
+func (p *basePool) init(nFrames, shards int, stats *bmStats, st tierStats) {
 	shards = normalizePoolShards(shards, nFrames)
 	ranges := bitmapclock.Ranges(nFrames, shards)
-	p.st = st
+	p.stats, p.st = stats, st
 	p.nFrames = nFrames
 	p.meta = make([]frameMeta, nFrames)
 	p.shards = make([]poolShard, shards)
@@ -222,11 +236,12 @@ func (p *basePool) unlockShard(sh *poolShard) {
 // gauges only; never an invariant).
 func (p *basePool) freeCount() int { return int(p.freeLen.Load()) }
 
-// takeFree pops a frame from shard home, stealing from the other shards in
-// wrap order when it runs dry. The frame is frozen. Only one shard mutex is
-// ever held at a time.
-func (p *basePool) takeFree(home int) (int32, bool) {
+// takeFree pops a frame from worker w's home shard, stealing from the other
+// shards in wrap order when it runs dry. The frame is frozen. Only one shard
+// mutex is ever held at a time.
+func (p *basePool) takeFree(w int) (int32, bool) {
 	n := len(p.shards)
+	home := w % n
 	for k := 0; k < n; k++ {
 		sh := &p.shards[(home+k)%n]
 		if sh.freeN.Load() == 0 {
@@ -243,7 +258,7 @@ func (p *basePool) takeFree(home int) (int32, bool) {
 		p.unlockShard(sh)
 		p.freeLen.Add(-1)
 		if k > 0 {
-			p.st.freeSteals.Inc()
+			p.count(w, p.st.freeSteals)
 		}
 		return f, true
 	}
@@ -269,10 +284,28 @@ func (p *basePool) unref(f int32) {
 	sh.clock.Unref(int(f - sh.lo))
 }
 
+// pinPage is the optimistic half of a hit: f was read from pid's slot without
+// d.mu, so it may already name another page's frame. Pin it, then check that
+// it is pid's — attach publishes pid before the slot and thaws last, and pid
+// is cleared only under a freeze, so a pinned frame tagged pid holds pid until
+// the pin is dropped. On failure (frozen, or retargeted) nothing is held.
+func (p *basePool) pinPage(f int32, pid PageID) bool {
+	m := &p.meta[f]
+	if !m.tryPin() {
+		return false
+	}
+	if m.pid.Load() != pid {
+		m.unpin()
+		return false
+	}
+	return true
+}
+
 // attach publishes frozen frame f — already holding page d's bytes — as d's
 // copy in this pool, pinned once for the caller (the inverse of evict). fg is
 // the frame's fine-grained residency state, nil for a whole page. Caller holds
-// the pool's tier latch on d.
+// the pool's tier latch on d. The order is what pinPage relies on: tag the
+// frame, publish the slot, thaw last.
 func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
 	m := &p.meta[f]
 	m.pid.Store(d.pid)
@@ -280,7 +313,7 @@ func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
 	m.fg.Store(fg)
 	m.clAdmit.Store(false)
 	d.lockMu()
-	*p.slot(d) = f
+	p.slot(d).Store(f)
 	d.unlockMu()
 	m.pins.Store(1)
 	p.ref(f)
@@ -341,9 +374,9 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 		arena:  make([]byte, int64(nFrames)*PageSize),
 		charge: charge,
 	}
-	dp.init(nFrames, cfg.Shards, &bm.stats.dram)
+	dp.init(nFrames, cfg.Shards, &bm.stats, dramStats)
 	dp.bm, dp.tier, dp.assist = bm, obs.TierDRAM, fgBatchSteal
-	dp.slot = func(d *descriptor) *int32 { return &d.dramFrame }
+	dp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramFrame }
 	dp.unlink = bm.unlinkDRAM
 	if bm.obs != nil {
 		dp.hEvict = bm.obs.Hist(obs.HEvictDRAM)
@@ -359,9 +392,9 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 			unit:     cfg.LoadingUnit,
 			slotSize: slotSize,
 		}
-		mp.init(nMini, cfg.Shards, &bm.stats.mini)
+		mp.init(nMini, cfg.Shards, &bm.stats, miniStats)
 		mp.bm, mp.tier = bm, obs.TierMini
-		mp.slot = func(d *descriptor) *int32 { return &d.dramMini }
+		mp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramMini }
 		mp.unlink = bm.unlinkMini
 		dp.mini = mp
 	}
@@ -406,9 +439,9 @@ func newNVMPool(bm *BufferManager, cfg Config) (*nvmPool, error) {
 		}
 	}
 	np := &nvmPool{pm: pm}
-	np.init(nFrames, cfg.Shards, &bm.stats.nvm)
+	np.init(nFrames, cfg.Shards, &bm.stats, nvmStats)
 	np.bm, np.tier, np.assist = bm, obs.TierNVM, fgBatchSteal
-	np.slot = func(d *descriptor) *int32 { return &d.nvmFrame }
+	np.slot = func(d *descriptor) *atomic.Int32 { return &d.nvmFrame }
 	np.unlink = bm.unlinkNVM
 	if bm.obs != nil {
 		np.hEvict = bm.obs.Hist(obs.HEvictNVM)

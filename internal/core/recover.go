@@ -73,9 +73,9 @@ func Recover(cfg Config) (*BufferManager, error) {
 		np.meta[f].pins.Store(0)
 		d := bm.descriptorFor(pid)
 		d.lockMu()
-		d.nvmFrame = f
+		d.nvmFrame.Store(f)
 		d.unlockMu()
-		bm.stats.recoveredNVMPages.Inc()
+		bm.count(ctx.Clock, cRecoveredNVMPages)
 		if pid >= maxPID {
 			maxPID = pid + 1
 		}

@@ -51,10 +51,10 @@ func (bm *BufferManager) retryIO(c *vclock.Clock, op func() error) error {
 		}
 		if errors.Is(err, device.ErrPermanent) || errors.Is(err, device.ErrCrashed) ||
 			attempt >= bm.retry.MaxRetries {
-			bm.stats.ioGiveUps.Inc()
+			bm.count(c, cIOGiveUps)
 			return err
 		}
-		bm.stats.ioRetries.Inc()
+		bm.count(c, cIORetries)
 		c.Advance(back)
 		if back *= 2; back > bm.retry.BackoffMaxNs {
 			back = bm.retry.BackoffMaxNs
@@ -146,7 +146,7 @@ func (bm *BufferManager) degradeNVM() {
 	if bm.nvm == nil || !bm.nvm.failed.CompareAndSwap(false, true) {
 		return
 	}
-	bm.stats.nvmDegraded.Inc()
+	bm.stats.at(0).c[cNVMDegraded].Inc()
 
 	p := *bm.pol.Load()
 	p.Nr, p.Nw = 0, 0
@@ -165,13 +165,13 @@ func (bm *BufferManager) degradeNVM() {
 // degradation walk.
 func (bm *BufferManager) detachDeadNVM(d *descriptor) {
 	d.lockMu()
-	nf := d.nvmFrame
+	nf := d.nvmFrame.Load()
 	if nf == noFrame {
 		d.unlockMu()
 		return
 	}
-	d.nvmFrame = noFrame
-	df := d.dramFrame
+	d.nvmFrame.Store(noFrame)
+	df := d.dramFrame.Load()
 	d.unlockMu()
 
 	wasDirty := bm.nvm.meta[nf].dirty.Load()
@@ -189,7 +189,7 @@ func (bm *BufferManager) detachDeadNVM(d *descriptor) {
 		}
 	}
 	if wasDirty && !salvaged {
-		bm.stats.nvmOrphanedPages.Inc()
+		bm.stats.at(0).c[cNVMOrphanedPages].Inc()
 	}
 }
 

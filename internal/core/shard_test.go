@@ -41,7 +41,7 @@ func TestShardPartitionCoversPool(t *testing.T) {
 	for _, nFrames := range []int{2, 7, 8, 64, 65} {
 		for _, shards := range []int{1, 2, 3, 4} {
 			var p basePool
-			p.init(nFrames, shards, new(tierStats))
+			p.init(nFrames, shards, new(bmStats), dramStats)
 			seen := make(map[int32]int)
 			for si := range p.shards {
 				sh := &p.shards[si]
@@ -75,7 +75,7 @@ func TestShardPartitionCoversPool(t *testing.T) {
 // and that the steal counter records them.
 func TestTakeFreeStealsFromNeighbor(t *testing.T) {
 	var p basePool
-	p.init(8, 4, new(tierStats)) // 4 shards × 2 frames
+	p.init(8, 4, new(bmStats), dramStats) // 4 shards × 2 frames
 	got := make(map[int32]bool)
 	for i := 0; i < 8; i++ {
 		f, ok := p.takeFree(0)
@@ -91,7 +91,7 @@ func TestTakeFreeStealsFromNeighbor(t *testing.T) {
 		t.Fatal("takeFree succeeded on an empty pool")
 	}
 	// One worker drained all 4 shards: 2 pops were local, 6 were steals.
-	if got := p.st.freeSteals.Load(); got != 6 {
+	if got := p.stats.at(0).c[cStealsDRAM].Load(); got != 6 {
 		t.Fatalf("freeSteals = %d, want 6", got)
 	}
 	if p.freeCount() != 0 {
@@ -119,7 +119,7 @@ func TestTakeFreeStealsFromNeighbor(t *testing.T) {
 // round-robin.
 func TestWorkerShardAffinity(t *testing.T) {
 	var p basePool
-	p.init(16, 4, new(tierStats))
+	p.init(16, 4, new(bmStats), dramStats)
 	counts := make(map[int]int)
 	prev := -1
 	for i := 0; i < 8; i++ {
@@ -149,7 +149,7 @@ func TestReleaseFreezeInvariant(t *testing.T) {
 		t.Skip("freeze-invariant assert compiled in only with -tags lockcheck")
 	}
 	var p basePool
-	p.init(4, 2, new(tierStats))
+	p.init(4, 2, new(bmStats), dramStats)
 	f, ok := p.takeFree(0)
 	if !ok {
 		t.Fatal("takeFree failed")

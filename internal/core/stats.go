@@ -3,89 +3,150 @@ package core
 import (
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
+	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
-// bmStats counts the buffer manager's traffic along the data-flow paths of
-// Figure 3 plus hit/miss/eviction activity. Every counter has one row in the
-// counters table below.
-type bmStats struct {
-	hitDRAM, hitMini, hitNVM, missSSD metrics.Counter
-	migNVMToDRAM, ssdToDRAM, ssdToNVM metrics.Counter
-	dramToNVM, dramToSSD, nvmToSSD    metrics.Counter
-	fgUnitLoads, miniPromotions       metrics.Counter
-	flushedDRAMPages, flushedNVMPages metrics.Counter
-	recoveredNVMPages                 metrics.Counter
+// counter names one of the buffer manager's counters: its index in every
+// statBlock and its row in the counters table.
+type counter uint8
 
-	// Per-pool counters, bumped through basePool.st. (The mini pool has no
-	// cleaner, and its steal count has never been exported: those two have
-	// no table row.)
-	dram, mini, nvm tierStats
+const (
+	cHitDRAM counter = iota
+	cHitMini
+	cHitNVM
+	cMissSSD
+	cMigNVMToDRAM
+	cSSDToDRAM
+	cSSDToNVM
+	cDRAMToNVM
+	cDRAMToSSD
+	cNVMToSSD
+	cEvictDRAM
+	cEvictMini
+	cEvictNVM
+	cFGUnitLoads
+	cMiniPromotions
+	cFlushedDRAMPages
+	cFlushedNVMPages
+	cRecoveredNVMPages
 
 	// Background cleaner activity (DESIGN.md §5-bis).
-	cleanerWakeups metrics.Counter
-	cleanerBatches metrics.Counter
-	cleanerStalls  metrics.Counter
-	fgEvicts       metrics.Counter
-	fgBatchCleaned metrics.Counter
+	cCleanerWakeups
+	cCleanerBatches
+	cCleanedDRAM
+	cCleanedNVM
+	cCleanerStalls
+	cFgEvicts
+	cFgBatchCleaned
 
 	// Fault handling (DESIGN.md §5-ter).
-	ioRetries             metrics.Counter
-	ioGiveUps             metrics.Counter
-	nvmDegraded           metrics.Counter
-	nvmOrphanedPages      metrics.Counter
-	cleanerAdmittedNVM    metrics.Counter
-	hitNVMCleanerAdmitted metrics.Counter
+	cIORetries
+	cIOGiveUps
+	cNVMDegraded
+	cNVMOrphanedPages
+	cCleanerAdmittedNVM
+	cHitNVMCleanerAdmitted
+
+	cStealsDRAM
+	cStealsNVM
+
+	nCounters // rows in the counters table
+)
+
+// Counted, never exported: the mini pool has no cleaner and its steal count
+// has no Stats field. The ids exist so every pool has its three.
+const (
+	cCleanedMini = nCounters + iota
+	cStealsMini
+	nStats
+)
+
+// tierStats are the ids of the three counters a pool bumps itself.
+type tierStats struct{ evicts, cleaned, freeSteals counter }
+
+var (
+	dramStats = tierStats{cEvictDRAM, cCleanedDRAM, cStealsDRAM}
+	miniStats = tierStats{cEvictMini, cCleanedMini, cStealsMini}
+	nvmStats  = tierStats{cEvictNVM, cCleanedNVM, cStealsNVM}
+)
+
+// statStripes is how many per-worker counter blocks a manager keeps. A constant
+// small enough that summing them is cheap: a traced benchmark pass calls Stats
+// twice per operation.
+const statStripes = 8
+
+// statBlock is one worker stripe's counters. The trailing padding makes a
+// block a whole number of cache lines and keeps one block's counters at least
+// 56 bytes from the next's, so two blocks never share a line at any 8-byte
+// alignment.
+type statBlock struct {
+	c [nStats]metrics.Counter
+	_ [104]byte
 }
+
+// bmStats is the manager's counters, one block per worker stripe: worker w
+// counts in block w % statStripes, so a hit bumps a cache line no other
+// worker's hits write. Sites with no worker at hand use block 0. The leading
+// padding keeps block 0 off the line of whatever field of the BufferManager
+// precedes the counters (each block carries its own trailing padding).
+type bmStats struct {
+	_      [56]byte
+	blocks [statStripes]statBlock
+}
+
+// at returns worker w's counter block.
+func (s *bmStats) at(w int) *statBlock { return &s.blocks[w%statStripes] }
+
+// count bumps counter id in the block of the worker that owns clock c.
+func (bm *BufferManager) count(c *vclock.Clock, id counter) { bm.stats.at(c.Worker()).c[id].Inc() }
 
 // counterRow is one row of the counter table.
 type counterRow struct {
-	name string           // obs sample name; the /metrics family is spitfire_<name>_total
-	live *metrics.Counter // the counter the hot paths bump
-	snap *int64           // its field in a Stats snapshot
+	name string // obs sample name; the /metrics family is spitfire_<name>_total
+	snap *int64 // the counter's field in a Stats snapshot
 }
 
-const nCounters = 33
-
-// counters is the one table of buffer-manager counters, bound to the live
-// set s and a snapshot o: Stats, ResetStats and the named obs samples are all
-// loops over it, so a new counter is its bmStats field, its Stats field and a
-// row here. The NVMDegraded latch is exposed as a gauge by the obs sources, so
-// it has no sample name, and ResetStats leaves it set.
-func (s *bmStats) counters(o *Stats) [nCounters]counterRow {
+// counters is the one table of buffer-manager counters — row i describes
+// counter i — bound to a snapshot o: Stats, ResetStats and the named obs
+// samples are all loops over it (and over the blocks), so a new counter is its
+// id above, its Stats field and a row here. The NVMDegraded latch is exposed as
+// a gauge by the obs sources, so it has no sample name, and ResetStats leaves
+// it set.
+func counters(o *Stats) [nCounters]counterRow {
 	return [...]counterRow{
-		{"hit_dram", &s.hitDRAM, &o.HitDRAM},
-		{"hit_mini", &s.hitMini, &o.HitMini},
-		{"hit_nvm", &s.hitNVM, &o.HitNVM},
-		{"miss_ssd", &s.missSSD, &o.MissSSD},
-		{"mig_nvm_to_dram", &s.migNVMToDRAM, &o.NVMToDRAM},
-		{"mig_ssd_to_dram", &s.ssdToDRAM, &o.SSDToDRAM},
-		{"mig_ssd_to_nvm", &s.ssdToNVM, &o.SSDToNVM},
-		{"mig_dram_to_nvm", &s.dramToNVM, &o.DRAMToNVM},
-		{"mig_dram_to_ssd", &s.dramToSSD, &o.DRAMToSSD},
-		{"mig_nvm_to_ssd", &s.nvmToSSD, &o.NVMToSSD},
-		{"evict_dram", &s.dram.evicts, &o.EvictDRAM},
-		{"evict_mini", &s.mini.evicts, &o.EvictMini},
-		{"evict_nvm", &s.nvm.evicts, &o.EvictNVM},
-		{"fg_unit_loads", &s.fgUnitLoads, &o.FGUnitLoads},
-		{"mini_promotions", &s.miniPromotions, &o.MiniPromotions},
-		{"flushed_dram_pages", &s.flushedDRAMPages, &o.FlushedDRAMPages},
-		{"flushed_nvm_pages", &s.flushedNVMPages, &o.FlushedNVMPages},
-		{"recovered_nvm_pages", &s.recoveredNVMPages, &o.RecoveredNVMPages},
-		{"cleaner_wakeups", &s.cleanerWakeups, &o.CleanerWakeups},
-		{"cleaner_batches", &s.cleanerBatches, &o.CleanerBatches},
-		{"cleaner_cleaned_dram", &s.dram.cleaned, &o.CleanerCleanedDRAM},
-		{"cleaner_cleaned_nvm", &s.nvm.cleaned, &o.CleanerCleanedNVM},
-		{"cleaner_stalls", &s.cleanerStalls, &o.CleanerStalls},
-		{"foreground_evicts", &s.fgEvicts, &o.ForegroundEvicts},
-		{"foreground_batch_cleaned", &s.fgBatchCleaned, &o.ForegroundBatchCleaned},
-		{"io_retries", &s.ioRetries, &o.IORetries},
-		{"io_give_ups", &s.ioGiveUps, &o.IOGiveUps},
-		{"", &s.nvmDegraded, &o.NVMDegraded},
-		{"nvm_orphaned_pages", &s.nvmOrphanedPages, &o.NVMOrphanedPages},
-		{"cleaner_admitted_nvm", &s.cleanerAdmittedNVM, &o.CleanerAdmittedNVM},
-		{"hit_nvm_cleaner_admitted", &s.hitNVMCleanerAdmitted, &o.HitNVMCleanerAdmitted},
-		{"dram_free_steals", &s.dram.freeSteals, &o.DRAMFreeSteals},
-		{"nvm_free_steals", &s.nvm.freeSteals, &o.NVMFreeSteals},
+		cHitDRAM:               {"hit_dram", &o.HitDRAM},
+		cHitMini:               {"hit_mini", &o.HitMini},
+		cHitNVM:                {"hit_nvm", &o.HitNVM},
+		cMissSSD:               {"miss_ssd", &o.MissSSD},
+		cMigNVMToDRAM:          {"mig_nvm_to_dram", &o.NVMToDRAM},
+		cSSDToDRAM:             {"mig_ssd_to_dram", &o.SSDToDRAM},
+		cSSDToNVM:              {"mig_ssd_to_nvm", &o.SSDToNVM},
+		cDRAMToNVM:             {"mig_dram_to_nvm", &o.DRAMToNVM},
+		cDRAMToSSD:             {"mig_dram_to_ssd", &o.DRAMToSSD},
+		cNVMToSSD:              {"mig_nvm_to_ssd", &o.NVMToSSD},
+		cEvictDRAM:             {"evict_dram", &o.EvictDRAM},
+		cEvictMini:             {"evict_mini", &o.EvictMini},
+		cEvictNVM:              {"evict_nvm", &o.EvictNVM},
+		cFGUnitLoads:           {"fg_unit_loads", &o.FGUnitLoads},
+		cMiniPromotions:        {"mini_promotions", &o.MiniPromotions},
+		cFlushedDRAMPages:      {"flushed_dram_pages", &o.FlushedDRAMPages},
+		cFlushedNVMPages:       {"flushed_nvm_pages", &o.FlushedNVMPages},
+		cRecoveredNVMPages:     {"recovered_nvm_pages", &o.RecoveredNVMPages},
+		cCleanerWakeups:        {"cleaner_wakeups", &o.CleanerWakeups},
+		cCleanerBatches:        {"cleaner_batches", &o.CleanerBatches},
+		cCleanedDRAM:           {"cleaner_cleaned_dram", &o.CleanerCleanedDRAM},
+		cCleanedNVM:            {"cleaner_cleaned_nvm", &o.CleanerCleanedNVM},
+		cCleanerStalls:         {"cleaner_stalls", &o.CleanerStalls},
+		cFgEvicts:              {"foreground_evicts", &o.ForegroundEvicts},
+		cFgBatchCleaned:        {"foreground_batch_cleaned", &o.ForegroundBatchCleaned},
+		cIORetries:             {"io_retries", &o.IORetries},
+		cIOGiveUps:             {"io_give_ups", &o.IOGiveUps},
+		cNVMDegraded:           {"", &o.NVMDegraded},
+		cNVMOrphanedPages:      {"nvm_orphaned_pages", &o.NVMOrphanedPages},
+		cCleanerAdmittedNVM:    {"cleaner_admitted_nvm", &o.CleanerAdmittedNVM},
+		cHitNVMCleanerAdmitted: {"hit_nvm_cleaner_admitted", &o.HitNVMCleanerAdmitted},
+		cStealsDRAM:            {"dram_free_steals", &o.DRAMFreeSteals},
+		cStealsNVM:             {"nvm_free_steals", &o.NVMFreeSteals},
 	}
 }
 
@@ -154,11 +215,15 @@ type Stats struct {
 	NVMFreeSteals  int64
 }
 
-// Stats snapshots the manager's counters.
+// Stats snapshots the manager's counters, summed over the worker blocks.
 func (bm *BufferManager) Stats() Stats {
 	var out Stats
-	for _, c := range bm.stats.counters(&out) {
-		*c.snap = c.live.Load()
+	rows := counters(&out)
+	for b := range bm.stats.blocks {
+		blk := &bm.stats.blocks[b]
+		for i := range rows {
+			*rows[i].snap += blk.c[i].Load()
+		}
 	}
 	return out
 }
@@ -166,9 +231,12 @@ func (bm *BufferManager) Stats() Stats {
 // ResetStats zeroes every counter except the NVMDegraded latch (buffer
 // contents are kept).
 func (bm *BufferManager) ResetStats() {
-	for _, c := range bm.stats.counters(new(Stats)) {
-		if c.name != "" {
-			c.live.Store(0)
+	for b := range bm.stats.blocks {
+		blk := &bm.stats.blocks[b]
+		for i := range blk.c {
+			if i != int(cNVMDegraded) {
+				blk.c[i].Store(0)
+			}
 		}
 	}
 }
@@ -178,10 +246,11 @@ func (bm *BufferManager) ResetStats() {
 // their own families to. The hit_* / miss_ssd names are load-bearing: the
 // snapshot endpoint derives hit rates from them.
 func (bm *BufferManager) ObsCounters() []obs.Sample {
+	sum := bm.Stats()
 	out := make([]obs.Sample, 0, nCounters)
-	for _, c := range bm.stats.counters(new(Stats)) {
+	for _, c := range counters(&sum) {
 		if c.name != "" {
-			out = append(out, obs.Sample{Name: c.name, Value: c.live.Load()})
+			out = append(out, obs.Sample{Name: c.name, Value: *c.snap})
 		}
 	}
 	return out

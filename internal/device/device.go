@@ -82,16 +82,29 @@ var (
 	}
 )
 
+// trafficStripes is how many per-worker blocks a device's traffic counters are
+// spread over. A worker counts in block Worker() % trafficStripes, so two
+// workers charging the same device write the shared horizon and nothing else.
+const trafficStripes = 8
+
+// trafficStripe is one worker's share of a device's traffic counters (bytes
+// are media-granularity bytes). The padding puts 96 bytes between one
+// stripe's counters and the next's, so no cache line holds two stripes'
+// counters wherever the allocator places the Device.
+type trafficStripe struct {
+	readOps, writeOps       atomic.Int64
+	bytesRead, bytesWritten atomic.Int64
+	_                       [96]byte
+}
+
 // Device is a simulated storage device shared by all workers.
+//
+// The fields every charge reads and nothing writes after set-up come first;
+// the horizon — the one word every worker CASes — has 56 bytes of padding on
+// either side, which keeps every other field off its cache line at any
+// 8-byte alignment; the striped traffic counters follow.
 type Device struct {
 	p Params
-
-	horizon atomic.Int64 // virtual time at which the device next becomes free
-
-	readOps      atomic.Int64
-	writeOps     atomic.Int64
-	bytesRead    atomic.Int64 // media-granularity bytes
-	bytesWritten atomic.Int64 // media-granularity bytes
 
 	faults atomic.Pointer[Injector]
 
@@ -100,6 +113,12 @@ type Device struct {
 	// unless an observability layer attached them.
 	hRead  atomic.Pointer[metrics.Histogram]
 	hWrite atomic.Pointer[metrics.Histogram]
+
+	_       [56]byte
+	horizon atomic.Int64 // virtual time at which the device next becomes free
+	_       [56]byte
+
+	traffic [trafficStripes]trafficStripe
 }
 
 // New creates a device with the given parameters.
@@ -150,8 +169,9 @@ func (d *Device) Read(c *vclock.Clock, n int) int64 {
 	start := c.Now()
 	end := d.occupy(start, busy)
 	c.AdvanceTo(end + d.p.ReadLatency)
-	d.readOps.Add(1)
-	d.bytesRead.Add(media)
+	t := &d.traffic[c.Worker()%trafficStripes]
+	t.readOps.Add(1)
+	t.bytesRead.Add(media)
 	if h := d.hRead.Load(); h != nil {
 		h.Observe(c.Now() - start)
 	}
@@ -166,8 +186,9 @@ func (d *Device) Write(c *vclock.Clock, n int) int64 {
 	start := c.Now()
 	end := d.occupy(start, busy)
 	c.AdvanceTo(end + d.p.WriteLatency)
-	d.writeOps.Add(1)
-	d.bytesWritten.Add(media)
+	t := &d.traffic[c.Worker()%trafficStripes]
+	t.writeOps.Add(1)
+	t.bytesWritten.Add(media)
 	if h := d.hWrite.Load(); h != nil {
 		h.Observe(c.Now() - start)
 	}
@@ -227,21 +248,27 @@ type Stats struct {
 	BytesRead, BytesWritten int64 // media-granularity bytes
 }
 
-// Stats returns a snapshot of the device's counters.
+// Stats returns a snapshot of the device's counters, summed over the stripes.
 func (d *Device) Stats() Stats {
-	return Stats{
-		ReadOps:      d.readOps.Load(),
-		WriteOps:     d.writeOps.Load(),
-		BytesRead:    d.bytesRead.Load(),
-		BytesWritten: d.bytesWritten.Load(),
+	var s Stats
+	for i := range d.traffic {
+		t := &d.traffic[i]
+		s.ReadOps += t.readOps.Load()
+		s.WriteOps += t.writeOps.Load()
+		s.BytesRead += t.bytesRead.Load()
+		s.BytesWritten += t.bytesWritten.Load()
 	}
+	return s
 }
 
 // ResetStats zeroes the traffic counters (the bandwidth horizon is kept, as
 // resetting it would let a fresh measurement interval travel back in time).
 func (d *Device) ResetStats() {
-	d.readOps.Store(0)
-	d.writeOps.Store(0)
-	d.bytesRead.Store(0)
-	d.bytesWritten.Store(0)
+	for i := range d.traffic {
+		t := &d.traffic[i]
+		t.readOps.Store(0)
+		t.writeOps.Store(0)
+		t.bytesRead.Store(0)
+		t.bytesWritten.Store(0)
+	}
 }

@@ -3,6 +3,7 @@ package device
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
@@ -114,5 +115,46 @@ func TestTable1Defaults(t *testing.T) {
 	}
 	if !(DRAMParams.PricePerGB > NVMParams.PricePerGB && NVMParams.PricePerGB > SSDParams.PricePerGB) {
 		t.Fatal("price ordering DRAM > NVM > SSD violated")
+	}
+}
+
+// TestDeviceLayout pins the layout the charge path depends on. A Device is
+// only 8-byte aligned, so "a line of its own" is stated as distances: the
+// horizon — the one word every worker CASes — has no other field within 56
+// bytes of it on either side, and one traffic stripe's counters end at least
+// 56 bytes before the next stripe's begin.
+func TestDeviceLayout(t *testing.T) {
+	var d Device
+	h := unsafe.Offsetof(d.horizon)
+	if end := unsafe.Offsetof(d.hWrite) + unsafe.Sizeof(d.hWrite); h-end < 56 {
+		t.Errorf("set-up fields end at offset %d, %d bytes before the horizon: want >= 56", end, h-end)
+	}
+	if tr := unsafe.Offsetof(d.traffic); tr-(h+8) < 56 {
+		t.Errorf("traffic stripes start at offset %d, %d bytes after the horizon: want >= 56", tr, tr-(h+8))
+	}
+	var s trafficStripe
+	counters := unsafe.Offsetof(s.bytesWritten) + unsafe.Sizeof(s.bytesWritten)
+	if sz := unsafe.Sizeof(s); sz%64 != 0 || sz-counters < 56 {
+		t.Errorf("traffic stripe is %d bytes with %d of counters: want whole cache lines and >= 56 bytes of padding", sz, counters)
+	}
+}
+
+// TestStatsSumStripes charges one device from clocks that land on every
+// stripe and checks Stats sees all of it and ResetStats clears all of it.
+func TestStatsSumStripes(t *testing.T) {
+	d := New(NVMParams)
+	for i := 0; i < 2*trafficStripes; i++ {
+		c := vclock.New()
+		d.Read(c, 1)
+		d.Write(c, 257)
+	}
+	want := Stats{ReadOps: 2 * trafficStripes, WriteOps: 2 * trafficStripes,
+		BytesRead: 2 * trafficStripes * 256, BytesWritten: 2 * trafficStripes * 512}
+	if got := d.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+	d.ResetStats()
+	if got := d.Stats(); got != (Stats{}) {
+		t.Fatalf("Stats() after ResetStats = %+v", got)
 	}
 }

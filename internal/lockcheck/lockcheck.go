@@ -15,13 +15,15 @@
 //  1. Tier latches of one descriptor in rank order RankD < RankN < RankS;
 //     skipping ranks is fine, acquiring a rank ≤ one already held on the
 //     same descriptor is not.
-//  2. RankMu is a leaf: nothing may be acquired while any mu is held.
+//  2. RankMu is a leaf: nothing may be acquired while any mu is held. (mu
+//     orders the writers of a descriptor's frame slots; readers load the
+//     slots atomically and take no latch, so a hit never shows up here.)
 //  3. Blocking acquisition (Acquire) of a tier latch is illegal while a
 //     tier latch of a different descriptor is held; TryLock acquisitions
 //     (Acquired) of second descriptors are the sanctioned escape hatch.
 //  4. RankFg (a frame group's fg.mu) may be taken under tier latches; the
-//     only acquisition allowed while it is held is RankMu (the fine-grained
-//     load path pins the NVM backing descriptor under fg.mu).
+//     only acquisition allowed while it is held is RankMu (legal because mu
+//     is a strict leaf).
 //  5. RankWALShard (a WAL shard's append mutex) is a leaf on the append
 //     path. The one exception is the combining flusher, which drains every
 //     shard while holding RankWALFlush: shard→shard acquisitions are legal
@@ -140,10 +142,8 @@ func check(obj any, rank int, blocking bool) {
 			fail(h, "lockcheck: acquiring %s(%p) while pool.shard(%p) is held — a pool shard's free-list mutex is a strict leaf (steal by dropping one shard before probing the next)",
 				RankName(rank), obj, h.obj)
 		case h.rank == RankFg && rank == RankMu:
-			// descriptor.mu under fg.mu: the fine-grained load path pins the
-			// NVM backing (nvmBacking → mu) while holding the frame-group
-			// lock. Legal because mu is a strict leaf — nothing is ever
-			// acquired under it, so fg.mu → mu cannot cycle.
+			// descriptor.mu under fg.mu. Legal because mu is a strict leaf —
+			// nothing is ever acquired under it, so fg.mu → mu cannot cycle.
 		case h.rank == RankFg:
 			fail(h, "lockcheck: acquiring %s(%p) while fg.mu(%p) is held — only descriptor.mu may be taken under a frame-group lock",
 				RankName(rank), obj, h.obj)

@@ -13,9 +13,17 @@ import "sync/atomic"
 
 // Clock is a virtual clock owned by a single worker goroutine. It is not
 // safe for concurrent use; each worker must have its own.
+//
+// A clock is written on every charge, and harnesses create their workers'
+// clocks back to back: 16-byte clocks land side by side (and beside other
+// small per-worker objects) on one cache line, which the workers then steal
+// from each other on every operation. Padded to 64 bytes a clock is a
+// pointer-free object of the allocator's 64-byte class, which places it on a
+// line of its own (TestClockIsOneCacheLine).
 type Clock struct {
 	now    int64 // simulated nanoseconds since the start of the run
 	worker int   // creation sequence number, fixed for the clock's life
+	_      [48]byte
 }
 
 // workers numbers clocks in creation order.

@@ -1,6 +1,9 @@
 package vclock
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestAdvance(t *testing.T) {
 	c := New()
@@ -43,3 +46,21 @@ func TestSeconds(t *testing.T) {
 		t.Fatalf("Seconds() = %v, want 2.5", got)
 	}
 }
+
+// TestClockIsOneCacheLine checks both halves of what keeps two workers'
+// clocks off each other's cache line: the size, and that New really returns
+// line-aligned clocks (pointer-free 64-byte objects carry no allocation
+// header, so the allocator's 64-byte class aligns them).
+func TestClockIsOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(Clock{}); sz != 64 {
+		t.Fatalf("Clock is %d bytes, want 64", sz)
+	}
+	for i := 0; i < 64; i++ {
+		heapClock = New() // escapes: a clock that stays on the stack proves nothing
+		if a := uintptr(unsafe.Pointer(heapClock)); a%64 != 0 {
+			t.Fatalf("New returned a clock at %#x, not on a cache-line boundary", a)
+		}
+	}
+}
+
+var heapClock *Clock

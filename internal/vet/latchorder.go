@@ -14,13 +14,15 @@ import (
 //  1. Tier latches of one descriptor are taken in the fixed order
 //     latchD → latchN → latchS. Skipping a tier is fine; reordering is not.
 //  2. mu is a leaf lock: no latch acquisition and no device/vclock/WAL call
-//     may happen while any mu is held.
+//     may happen while any mu is held. The frame slots are written under mu
+//     and read atomically; a reader that did not take mu pins the frame and
+//     validates its pid, and acquires nothing — so an optimistic hit is
+//     clean under every rule here (fixture OptimisticHit).
 //  3. A thread already holding a tier latch may touch a second descriptor's
 //     tier latches only via TryLock — a blocking Lock on a second
 //     descriptor is a lock-cycle waiting to happen.
 //  4. A frame group's fg.mu may be taken under tier latches, but the only
-//     acquisition allowed while it is held is descriptor.mu (the
-//     fine-grained load path pins the NVM backing under fg.mu; legal
+//     acquisition allowed while it is held is descriptor.mu (legal
 //     because mu is a strict leaf).
 //  5. A WAL shard's append mutex is a leaf on the append path; shard→shard
 //     acquisitions are legal only while the WAL's flushMu is held (the

@@ -4,15 +4,24 @@ package latch
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"fix/devio"
 )
 
 type descriptor struct {
+	pid    uint64
 	latchD sync.Mutex
 	latchN sync.Mutex
 	latchS sync.Mutex
 	mu     sync.Mutex
+	frame  atomic.Int32 // written under mu, read atomically
+}
+
+// frameMeta mirrors internal/core's: the page a frame holds and its pins.
+type frameMeta struct {
+	pid  atomic.Uint64
+	pins atomic.Int32
 }
 
 // Shims mirroring internal/core's lockcheck routing.
@@ -78,6 +87,37 @@ func Clean(a, b *descriptor, buf []byte) error {
 	b.mu.Lock()
 	b.mu.Unlock()
 	return nil
+}
+
+// OptimisticHit is the lock-free hit: the slot is read without mu, so the
+// reader pins the frame it names and validates the frame's page id before
+// trusting it. It acquires nothing and is clean under every rule.
+func OptimisticHit(d *descriptor, meta []frameMeta) bool {
+	f := d.frame.Load()
+	if f < 0 {
+		return false
+	}
+	m := &meta[f]
+	if p := m.pins.Load(); p < 0 || !m.pins.CompareAndSwap(p, p+1) {
+		return false
+	}
+	if m.pid.Load() != d.pid {
+		m.pins.Add(-1)
+		return false
+	}
+	return true
+}
+
+// Publish is the writer's half, also clean: under the tier latch, tag the
+// frame, set the slot under mu (the leaf, nothing beneath it), thaw last.
+func Publish(d *descriptor, meta []frameMeta, f int32) {
+	d.latchD.Lock()
+	defer d.latchD.Unlock()
+	meta[f].pid.Store(d.pid)
+	d.mu.Lock()
+	d.frame.Store(f)
+	d.mu.Unlock()
+	meta[f].pins.Store(0)
 }
 
 // fgroup mirrors internal/core's fgState shape: mu plus residency/dirty
