@@ -186,18 +186,9 @@ type Config struct {
 	// MiniPages enables HyMem's mini-page layout: pages with at most 16
 	// resident loading units occupy a small mini frame with a slot
 	// directory, transparently promoted to a full frame on overflow.
-	// Requires FineGrained.
+	// Requires FineGrained. One eighth of DRAMBytes is set aside for the
+	// mini frames.
 	MiniPages bool
-
-	// MiniArenaFraction is the fraction of DRAMBytes reserved for mini
-	// frames when MiniPages is on. Defaults to 1/8.
-	MiniArenaFraction float64
-
-	// AdmissionQueueCapacity sizes HyMem's NVM admission queue (every
-	// admission in NwAdmissionQueue mode; cleaner write-backs in coin mode).
-	// Defaults to half the NVM buffer's page count, the value §6.5 found to
-	// work well.
-	AdmissionQueueCapacity int
 
 	// Shards partitions each pool's replacement state (CLOCK hands and
 	// free lists) into this many worker-affine shards, removing the free-list
@@ -226,12 +217,6 @@ type Config struct {
 	// plain device with Table 1 DRAM parameters. The memory-mode
 	// experiments (§6.2) inject a memmode-backed charger here.
 	DRAMCharger MemCharger
-
-	// Retry bounds the retry/backoff loop wrapped around fallible NVM and
-	// SSD operations (meaningful only when fault injectors are attached to
-	// the underlying devices; see device.Injector). Zero values take the
-	// defaults documented on RetryConfig.
-	Retry RetryConfig
 
 	// Obs attaches the observability layer: per-worker migration tracing
 	// and hot-path latency histograms. Nil (the default) disables both; the
@@ -271,9 +256,6 @@ type BufferManager struct {
 
 	closeOnce sync.Once
 
-	// retry is the resolved retry policy for fallible device operations.
-	retry RetryConfig
-
 	nextPID atomic.Uint64
 
 	stats bmStats
@@ -305,9 +287,6 @@ func New(cfg Config) (*BufferManager, error) {
 	if cfg.MiniPages && !cfg.FineGrained {
 		return nil, errors.New("core: MiniPages requires FineGrained")
 	}
-	if cfg.MiniArenaFraction == 0 {
-		cfg.MiniArenaFraction = 1.0 / 8
-	}
 	if cfg.SSD == nil {
 		cfg.SSD = ssd.NewMem(nil)
 	}
@@ -315,7 +294,7 @@ func New(cfg Config) (*BufferManager, error) {
 		return nil, err
 	}
 
-	bm := &BufferManager{cfg: cfg, disk: cfg.SSD, retry: cfg.Retry.withDefaults()}
+	bm := &BufferManager{cfg: cfg, disk: cfg.SSD}
 	bm.table = cht.New[PageID, *descriptor](cht.Uint64Hash)
 	if cfg.Obs != nil {
 		bm.obs = cfg.Obs
@@ -345,15 +324,12 @@ func New(cfg Config) (*BufferManager, error) {
 			return nil, err
 		}
 		bm.nvm = np
-		cap := cfg.AdmissionQueueCapacity
-		if cap == 0 {
-			cap = np.nFrames / 2
-		}
 		// Always built when the NVM tier exists: NwAdmissionQueue mode uses
 		// it for every admission, and in coin mode the background cleaner
 		// feeds it so off-critical-path write-backs only admit pages with
 		// demonstrated re-eviction pressure instead of bypassing the Nw coin.
-		bm.admQueue = admission.New(cap)
+		// Half the NVM buffer's page count is the size §6.5 found to work well.
+		bm.admQueue = admission.New(np.nFrames / 2)
 	}
 	bm.startCleaners()
 	return bm, nil

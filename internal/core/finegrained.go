@@ -9,6 +9,10 @@ import (
 // exactly as in HyMem's layout (Figure 2b of the paper).
 const miniSlots = 16
 
+// miniArenaDivisor sets aside one eighth of DRAMBytes for mini frames when
+// MiniPages is on.
+const miniArenaDivisor = 8
+
 // noSlot marks an absent unit in a mini page's slot directory.
 const noSlot = -1
 

@@ -173,13 +173,12 @@ func TestMiniPagePromotion(t *testing.T) {
 
 func TestMiniPageDirtySlotsSurviveEviction(t *testing.T) {
 	bm := newBM(t, Config{
-		DRAMBytes:         4 * PageSize,
-		NVMBytes:          32 * nvmFrameSlot,
-		Policy:            policy.SpitfireEager,
-		FineGrained:       true,
-		LoadingUnit:       256,
-		MiniPages:         true,
-		MiniArenaFraction: 0.25,
+		DRAMBytes:   8 * PageSize, // a 4-frame mini arena: one eighth is one page of 4 KB slots
+		NVMBytes:    32 * nvmFrameSlot,
+		Policy:      policy.SpitfireEager,
+		FineGrained: true,
+		LoadingUnit: 256,
+		MiniPages:   true,
 	})
 	const pages = 16
 	seed(t, bm, pages)

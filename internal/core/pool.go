@@ -363,7 +363,7 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 	budget := cfg.DRAMBytes
 	var miniBudget int64
 	if cfg.MiniPages {
-		miniBudget = int64(float64(budget) * cfg.MiniArenaFraction)
+		miniBudget = budget / miniArenaDivisor
 		budget -= miniBudget
 	}
 	nFrames := int(budget / PageSize)

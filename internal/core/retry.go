@@ -8,58 +8,19 @@ import (
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
-// RetryConfig bounds the retry/backoff loop wrapped around fallible device
-// operations (NVM payload/header writes, SSD page I/O). Transient faults —
-// device.ErrTransient, including torn writes — are retried with exponential
-// backoff charged to the calling worker's virtual clock; permanent failures
-// and machine crashes are never retried.
-type RetryConfig struct {
-	// MaxRetries is how many times a failed operation is re-attempted
-	// (default 4; negative disables retries).
-	MaxRetries int
-	// BackoffNs is the first backoff, doubling per attempt (default 20µs).
-	BackoffNs int64
-	// BackoffMaxNs caps the backoff (default 2ms).
-	BackoffMaxNs int64
-}
-
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxRetries == 0 {
-		r.MaxRetries = 4
-	}
-	if r.MaxRetries < 0 {
-		r.MaxRetries = 0
-	}
-	if r.BackoffNs <= 0 {
-		r.BackoffNs = 20_000
-	}
-	if r.BackoffMaxNs <= 0 {
-		r.BackoffMaxNs = 2_000_000
-	}
-	return r
-}
-
-// retryIO runs op under the manager's retry policy. Retries and the final
-// give-up are counted; backoff is simulated time on c, so retry storms are
-// visible in the experiment clocks rather than wall time.
+// retryIO runs op under the one retry policy for device operations
+// (device.Retry: transient faults and torn writes are retried with backoff
+// charged to c; permanent failures and machine crashes are not), counting
+// the retries and the final give-up.
 func (bm *BufferManager) retryIO(c *vclock.Clock, op func() error) error {
-	back := bm.retry.BackoffNs
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if errors.Is(err, device.ErrPermanent) || errors.Is(err, device.ErrCrashed) ||
-			attempt >= bm.retry.MaxRetries {
-			bm.count(c, cIOGiveUps)
-			return err
-		}
-		bm.count(c, cIORetries)
-		c.Advance(back)
-		if back *= 2; back > bm.retry.BackoffMaxNs {
-			back = bm.retry.BackoffMaxNs
-		}
+	retries, err := device.Retry(c, op)
+	if retries > 0 {
+		bm.stats.at(c.Worker()).c[cIORetries].Add(int64(retries))
 	}
+	if err != nil {
+		bm.count(c, cIOGiveUps)
+	}
+	return err
 }
 
 // nvmReadPayload / nvmWritePayload / nvmWriteHeader are the retrying,

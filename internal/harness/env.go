@@ -2,7 +2,8 @@
 // evaluation (§6): it assembles a storage hierarchy (simulated devices,
 // buffer manager, WAL, engine), loads a workload at the reproduction's
 // 1 GB → 1 MB scale, and measures throughput in operations per *simulated*
-// second. One entry point exists per table and figure; see experiments.go.
+// second. Every table, figure and claim is a list of points measured by
+// Opts.measure; see plan.go and figures.go.
 package harness
 
 import (

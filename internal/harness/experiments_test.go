@@ -29,11 +29,25 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestTable1Static(t *testing.T) {
-	tb, err := Table1(Opts{})
+// runOne runs a single-table experiment through the registry.
+func runOne(t *testing.T, name string, o Opts) *Table {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	tables, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tables) != 1 {
+		t.Fatalf("%s rendered %d tables, want 1", name, len(tables))
+	}
+	return tables[0]
+}
+
+func TestTable1Static(t *testing.T) {
+	tb := runOne(t, "table1", Opts{})
 	if len(tb.Rows) != 3 {
 		t.Fatalf("table1 has %d rows", len(tb.Rows))
 	}
@@ -51,17 +65,8 @@ func TestTable1Static(t *testing.T) {
 // scale: duplication across buffers grows with the migration probability.
 func TestInclusivityMonotoneInD(t *testing.T) {
 	inc := func(d float64) float64 {
-		e, err := NewEnv(EnvConfig{
-			DRAMBytes: 2 * MB,
-			NVMBytes:  8 * MB,
-			Policy:    policy.Policy{Dr: d, Dw: d, Nr: 1, Nw: 1},
-			Workload:  YCSBRO,
-			DBBytes:   16 * MB,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := measure(e, 4, 2000, 3000, 5)
+		p := point{dram: 2, nvm: 8, pol: policy.Policy{Dr: d, Dw: d, Nr: 1, Nw: 1}}
+		res, err := Opts{Seed: 5}.measure(p.on(YCSBRO, 16).drive(4, 2000, 3000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +110,7 @@ func TestNVMWritesDropWithLazyN(t *testing.T) {
 // TestAdaptiveImproves verifies the Figure 10 mechanism: annealing from
 // the eager policy finds a better one.
 func TestAdaptiveImproves(t *testing.T) {
-	o := Opts{Quick: true}
-	tb, err := Fig10(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runOne(t, "fig10", Opts{Quick: true})
 	last := tb.Rows[len(tb.Rows)-1]
 	if last[0] != "best" {
 		t.Fatalf("missing summary row: %v", last)
@@ -123,10 +124,7 @@ func TestAdaptiveImproves(t *testing.T) {
 // TestFig11Shape verifies that 64 B loading units move more NVM media
 // bytes than 256 B units (the I/O amplification of §6.5).
 func TestFig11Shape(t *testing.T) {
-	tb, err := Fig11(Opts{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runOne(t, "fig11", Opts{Quick: true})
 	if len(tb.Rows) != 4 {
 		t.Fatalf("fig11 rows = %d", len(tb.Rows))
 	}

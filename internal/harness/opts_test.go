@@ -33,9 +33,12 @@ func TestOptsScaling(t *testing.T) {
 	if quick.sz(100) != 25*MB {
 		t.Fatalf("quick sz(100) = %d", quick.sz(100))
 	}
-	// Tiny sizes are floored, not zeroed.
+	// Tiny sizes are floored, not zeroed; an absent tier (0) stays absent.
 	if quick.sz(0.1) < 64*1024 {
 		t.Fatalf("quick sz(0.1) = %d", quick.sz(0.1))
+	}
+	if quick.sz(0) != 0 || full.sz(0) != 0 {
+		t.Fatalf("sz(0) = %d / %d, want 0", quick.sz(0), full.sz(0))
 	}
 	if full.ops(8000) != 8000 || quick.ops(8000) != 1000 {
 		t.Fatalf("ops scaling: %d / %d", full.ops(8000), quick.ops(8000))

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/spitfire-db/spitfire/internal/anneal"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
 // Claim is one qualitative statement from the paper's evaluation that the
-// reproduction must uphold (direction/ordering, not absolute numbers).
+// reproduction must uphold (direction/ordering, not absolute numbers): the
+// points it measures — built by the constructors its figure uses — and a
+// predicate over their results.
 type Claim struct {
 	ID        string
 	Statement string
-	Check     func(o Opts) (detail string, ok bool, err error)
+	points    func(o Opts) []point
+	holds     func(r []result) (detail string, ok bool)
 }
 
 // Verify runs every claim at quick scale and reports PASS/FAIL. Because
@@ -34,10 +36,11 @@ func Verify(o Opts) (*Table, bool, error) {
 		for trial := uint64(0); trial < 3; trial++ {
 			to := o
 			to.Seed = o.seed() + trial*1000003
-			detail, ok, err := c.Check(to)
+			rs, err := to.measureAll(c.points(to))
 			if err != nil {
 				return nil, false, fmt.Errorf("claim %s: %w", c.ID, err)
 			}
+			detail, ok := c.holds(rs)
 			if ok {
 				passes++
 			}
@@ -56,274 +59,123 @@ func Verify(o Opts) (*Table, bool, error) {
 	return t, allOK, nil
 }
 
-// quickPoint is a small helper: build, warm, measure.
-func quickPoint(o Opts, cfg EnvConfig, workers, ops int) (PointResult, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return PointResult{}, err
-	}
-	return measure(e, workers, o.ops(2000), o.ops(ops), o.seed())
-}
-
 // Claims lists the checks in paper order.
 func Claims() []Claim {
+	// twoTier is the shape of C1 and C10: a DRAM-SSD and an NVM-SSD hierarchy
+	// of equal cost, eight workers, on a database that fits and one that does
+	// not. Points run DRAM-small, NVM-small, DRAM-big, NVM-big.
+	twoTier := func(wl WorkloadKind, dram, nvm point, small, big float64) func(Opts) []point {
+		return func(o Opts) []point {
+			var ps []point
+			for _, db := range []float64{small, big} {
+				for _, h := range []point{dram, nvm} {
+					ps = append(ps, h.on(wl, db).drive(8, o.ops(2000), o.ops(3000)))
+				}
+			}
+			return ps
+		}
+	}
+	// sweepRO is YCSB-RO at the given D or N values of the §6.3 sweep.
+	sweepRO := func(sweepD bool, probs ...float64) func(Opts) []point {
+		return func(o Opts) []point { return sweep(o, YCSBRO, sweepD, 8, probs) }
+	}
 	return []Claim{
 		{
 			ID:        "C1-fig5",
 			Statement: "memory-mode DRAM-SSD competitive while cacheable (paper: wins by <=1.12x); NVM-SSD wins clearly once the DB outgrows it (§6.2)",
-			Check: func(o Opts) (string, bool, error) {
-				point := func(memMode bool, db float64) (float64, error) {
-					cfg := EnvConfig{Workload: YCSBRO, DBBytes: o.sz(db)}
-					if memMode {
-						cfg.DRAMBytes = o.sz(140)
-						cfg.MemoryModeDRAM = o.sz(96)
-						cfg.Policy = policy.Policy{Dr: 1, Dw: 1}
-					} else {
-						cfg.NVMBytes = o.sz(340)
-						cfg.Policy = policy.SpitfireEager
-					}
-					res, err := quickPoint(o, cfg, 8, 3000)
-					return res.Throughput, err
-				}
-				memSmall, err := point(true, 20)
-				if err != nil {
-					return "", false, err
-				}
-				nvmSmall, err := point(false, 20)
-				if err != nil {
-					return "", false, err
-				}
-				memBig, err := point(true, 280)
-				if err != nil {
-					return "", false, err
-				}
-				nvmBig, err := point(false, 280)
-				if err != nil {
-					return "", false, err
-				}
+			points:    twoTier(YCSBRO, memoryMode, appDirect, 20, 280),
+			holds: func(r []result) (string, bool) {
+				memSmall, nvmSmall, memBig, nvmBig := r[0].Throughput, r[1].Throughput, r[2].Throughput, r[3].Throughput
 				detail := fmt.Sprintf("cacheable mem/nvm=%.2f, uncacheable nvm/mem=%.2f",
 					memSmall/nvmSmall, nvmBig/memBig)
-				return detail, memSmall > 0.8*nvmSmall && nvmBig > 1.5*memBig, nil
+				return detail, memSmall > 0.8*nvmSmall && nvmBig > 1.5*memBig
 			},
 		},
 		{
 			ID:        "C2-table2",
 			Statement: "inclusivity is 0 at D=0 and grows monotonically with D (§3.3)",
-			Check: func(o Opts) (string, bool, error) {
-				inc := func(d float64) (float64, error) {
-					res, err := runSweepPoint(o, YCSBRO, policyPoint(true, d), 8)
-					return res.Inclusivity, err
-				}
-				i0, err := inc(0)
-				if err != nil {
-					return "", false, err
-				}
-				iLazy, err := inc(0.01)
-				if err != nil {
-					return "", false, err
-				}
-				iEager, err := inc(1)
-				if err != nil {
-					return "", false, err
-				}
-				detail := fmt.Sprintf("0 -> %.3f -> %.3f", iLazy, iEager)
-				return detail, i0 == 0 && iLazy > 0 && iEager > iLazy, nil
+			points:    sweepRO(true, 0, 0.01, 1),
+			holds: func(r []result) (string, bool) {
+				i0, iLazy, iEager := r[0].Inclusivity, r[1].Inclusivity, r[2].Inclusivity
+				return fmt.Sprintf("0 -> %.3f -> %.3f", iLazy, iEager), i0 == 0 && iLazy > 0 && iEager > iLazy
 			},
 		},
 		{
 			ID:        "C3-fig6",
 			Statement: "lazy D beats eager D=1, and D=0 trails the lazy peak (YCSB-RO, §6.3)",
-			Check: func(o Opts) (string, bool, error) {
-				tput := func(d float64) (float64, error) {
-					res, err := runSweepPoint(o, YCSBRO, policyPoint(true, d), 8)
-					return res.Throughput, err
-				}
-				t0, err := tput(0)
-				if err != nil {
-					return "", false, err
-				}
-				tLazy1, err := tput(0.01)
-				if err != nil {
-					return "", false, err
-				}
-				tLazy2, err := tput(0.1)
-				if err != nil {
-					return "", false, err
-				}
-				t1, err := tput(1)
-				if err != nil {
-					return "", false, err
-				}
-				peak := tLazy1
-				if tLazy2 > peak {
-					peak = tLazy2
-				}
-				detail := fmt.Sprintf("peak/eager=%.2f, D0/peak=%.2f", peak/t1, t0/peak)
-				return detail, peak > t1 && t0 < peak, nil
+			points:    sweepRO(true, sweepProbs...),
+			holds: func(r []result) (string, bool) {
+				t0, t1 := r[0].Throughput, r[3].Throughput
+				peak := max(r[1].Throughput, r[2].Throughput)
+				return fmt.Sprintf("peak/eager=%.2f, D0/peak=%.2f", peak/t1, t0/peak), peak > t1 && t0 < peak
 			},
 		},
 		{
 			ID:        "C4-fig7",
 			Statement: "lazy N beats N=0 (disabled NVM shrinks the buffer 6x, §6.3)",
-			Check: func(o Opts) (string, bool, error) {
-				r0, err := runSweepPoint(o, YCSBRO, policyPoint(false, 0), 8)
-				if err != nil {
-					return "", false, err
-				}
-				rLazy, err := runSweepPoint(o, YCSBRO, policyPoint(false, 0.01), 8)
-				if err != nil {
-					return "", false, err
-				}
-				detail := fmt.Sprintf("lazy/N0=%.2f", rLazy.Throughput/r0.Throughput)
-				return detail, rLazy.Throughput > r0.Throughput, nil
+			points:    sweepRO(false, 0, 0.01),
+			holds: func(r []result) (string, bool) {
+				n0, lazy := r[0].Throughput, r[1].Throughput
+				return fmt.Sprintf("lazy/N0=%.2f", lazy/n0), lazy > n0
 			},
 		},
 		{
 			ID:        "C5-fig8",
 			Statement: "lazy N slashes NVM writes on YCSB-RO (paper: ~92x; require >=5x, §6.3)",
-			Check: func(o Opts) (string, bool, error) {
-				rLazy, err := runSweepPoint(o, YCSBRO, policyPoint(false, 0.01), 8)
-				if err != nil {
-					return "", false, err
-				}
-				rEager, err := runSweepPoint(o, YCSBRO, policyPoint(false, 1), 8)
-				if err != nil {
-					return "", false, err
-				}
-				ratio := float64(rEager.NVMBytesWritten) / float64(maxi64(rLazy.NVMBytesWritten, 1))
-				return fmt.Sprintf("eager/lazy=%.1fx", ratio), ratio >= 5, nil
+			points:    sweepRO(false, 0.01, 1),
+			holds: func(r []result) (string, bool) {
+				ratio := float64(r[1].NVMBytesWritten) / float64(max(r[0].NVMBytesWritten, 1))
+				return fmt.Sprintf("eager/lazy=%.1fx", ratio), ratio >= 5
 			},
 		},
 		{
 			ID:        "C7-fig10",
 			Statement: "annealing from the eager policy improves YCSB-RO throughput (paper: +52%, require >=20%, §6.4)",
-			Check: func(o Opts) (string, bool, error) {
-				e, err := NewEnv(EnvConfig{
-					DRAMBytes: o.sz(2.5), NVMBytes: o.sz(10),
-					Policy: policy.SpitfireEager, Workload: YCSBRO, DBBytes: o.sz(20),
-				})
-				if err != nil {
-					return "", false, err
-				}
-				if err := e.Warmup(1, e.WarmupOps(1, o.ops(1500)), o.seed()); err != nil {
-					return "", false, err
-				}
-				tn := anneal.New(anneal.Options{Initial: policy.SpitfireEager,
-					LockstepD: true, LockstepN: true, Seed: o.seed()})
-				cand := tn.Propose()
-				epochOps := o.ops(3000)
-				if epochOps < 1500 {
-					epochOps = 1500
-				}
-				first, best := 0.0, 0.0
-				for ep := 0; ep < 40; ep++ {
-					if err := e.SetPolicy(cand); err != nil {
-						return "", false, err
-					}
-					res, err := e.Run(1, epochOps, o.seed()+uint64(ep)*13)
-					if err != nil {
-						return "", false, err
-					}
-					if ep == 0 {
-						first = res.Throughput
-					}
-					if res.Throughput > best {
-						best = res.Throughput
-					}
-					cand = tn.Observe(res.Throughput)
-				}
-				return fmt.Sprintf("best/first=%.2f", best/first), best >= 1.2*first, nil
+			points: func(o Opts) []point {
+				// One worker, so the run is deterministic; epochs long
+				// enough at quick scale for the tuner to tell policies apart.
+				return []point{adaptive(YCSBRO, 1, o.ops(1500), max(o.ops(3000), 1500), tuning{epochs: 40, stride: 13})}
+			},
+			holds: func(r []result) (string, bool) {
+				first, best := firstAndBest(r[0].epochs)
+				return fmt.Sprintf("best/first=%.2f", best/first), best >= 1.2*first
 			},
 		},
 		{
 			ID:        "C8-fig11",
 			Statement: "64 B loading units move more NVM media bytes than 256 B (I/O amplification, §6.5)",
-			Check: func(o Opts) (string, bool, error) {
-				read := func(unit int) (int64, error) {
-					res, err := quickPoint(o, EnvConfig{
-						DRAMBytes: o.sz(8), NVMBytes: o.sz(32),
-						Policy: policy.Hymem, FineGrained: true, LoadingUnit: unit,
-						Workload: YCSBRO, DBBytes: o.sz(20),
-					}, 8, 4000)
-					return res.NVMBytesRead, err
-				}
-				r64, err := read(64)
-				if err != nil {
-					return "", false, err
-				}
-				r256, err := read(256)
-				if err != nil {
-					return "", false, err
-				}
-				return fmt.Sprintf("64B/256B media reads = %.2fx", float64(r64)/float64(maxi64(r256, 1))), r64 > r256, nil
+			points: func(o Opts) []point {
+				return []point{loadingUnitPoint(o, 64, 2000, 4000), loadingUnitPoint(o, 256, 2000, 4000)}
+			},
+			holds: func(r []result) (string, bool) {
+				r64, r256 := r[0].NVMBytesRead, r[1].NVMBytesRead
+				return fmt.Sprintf("64B/256B media reads = %.2fx", float64(r64)/float64(max(r256, 1))), r64 > r256
 			},
 		},
 		{
 			ID:        "C9-fig12",
 			Statement: "the migration policy dominates: lazy without optimizations beats HyMem with all of them (§6.5)",
-			Check: func(o Opts) (string, bool, error) {
-				lazyPlain, err := quickPoint(o, EnvConfig{
-					DRAMBytes: o.sz(8), NVMBytes: o.sz(32),
-					Policy: policy.SpitfireLazy, Workload: YCSBRO, DBBytes: o.sz(20),
-				}, 8, 4000)
-				if err != nil {
-					return "", false, err
+			points: func(o Opts) []point {
+				return []point{
+					hymemRig(o, YCSBRO, policy.SpitfireLazy, false, false, 2000, 4000),
+					hymemRig(o, YCSBRO, policy.Hymem, true, true, 2000, 4000),
 				}
-				hymemFull, err := quickPoint(o, EnvConfig{
-					DRAMBytes: o.sz(8), NVMBytes: o.sz(32),
-					Policy: policy.Hymem, FineGrained: true, LoadingUnit: 256, MiniPages: true,
-					Workload: YCSBRO, DBBytes: o.sz(20),
-				}, 8, 4000)
-				if err != nil {
-					return "", false, err
-				}
-				ratio := lazyPlain.Throughput / hymemFull.Throughput
-				return fmt.Sprintf("lazy-plain/hymem-full=%.2f", ratio), ratio > 1, nil
+			},
+			holds: func(r []result) (string, bool) {
+				ratio := r[0].Throughput / r[1].Throughput
+				return fmt.Sprintf("lazy-plain/hymem-full=%.2f", ratio), ratio > 1
 			},
 		},
 		{
 			ID:        "C10-fig15",
 			Statement: "equi-cost NVM-SSD overtakes DRAM-SSD once the DB outgrows DRAM (§6.7)",
-			Check: func(o Opts) (string, bool, error) {
-				point := func(nvm bool, db float64) (float64, error) {
-					cfg := EnvConfig{Workload: YCSBWH, DBBytes: o.sz(db)}
-					if nvm {
-						cfg.NVMBytes = o.sz(104)
-						cfg.Policy = policy.SpitfireEager
-					} else {
-						cfg.DRAMBytes = o.sz(46)
-						cfg.Policy = policy.Policy{Dr: 1, Dw: 1}
-					}
-					res, err := quickPoint(o, cfg, 8, 3000)
-					return res.Throughput, err
-				}
-				dramSmall, err := point(false, 5)
-				if err != nil {
-					return "", false, err
-				}
-				nvmSmall, err := point(true, 5)
-				if err != nil {
-					return "", false, err
-				}
-				dramBig, err := point(false, 140)
-				if err != nil {
-					return "", false, err
-				}
-				nvmBig, err := point(true, 140)
-				if err != nil {
-					return "", false, err
-				}
+			points:    twoTier(YCSBWH, dramSSD, nvmSSD, 5, 140),
+			holds: func(r []result) (string, bool) {
+				dramSmall, nvmSmall, dramBig, nvmBig := r[0].Throughput, r[1].Throughput, r[2].Throughput, r[3].Throughput
 				detail := fmt.Sprintf("small dram/nvm=%.2f, big nvm/dram=%.2f",
 					dramSmall/nvmSmall, nvmBig/dramBig)
-				return detail, nvmBig > dramBig && dramSmall > nvmSmall*0.8, nil
+				return detail, nvmBig > dramBig && dramSmall > nvmSmall*0.8
 			},
 		},
 	}
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,14 +4,7 @@
 // and write-back counts, and NVM write volume.
 package metrics
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is an atomic monotonically increasing counter.
 type Counter struct{ v atomic.Int64 }
@@ -25,93 +18,5 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Store sets the value (used by Reset).
+// Store sets the value (used by core.ResetStats).
 func (c *Counter) Store(n int64) { c.v.Store(n) }
-
-// Set is a named collection of counters with stable ordering, used for
-// human-readable experiment reports.
-type Set struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// NewSet creates an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// Counter returns (creating if needed) the counter with the given name.
-func (s *Set) Counter(name string) *Counter {
-	s.mu.Lock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// Snapshot returns a copy of all counter values. Map iteration order is
-// unspecified; renderers that need stable output use Names, Each or Format.
-func (s *Set) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	out := make(map[string]int64, len(s.counters))
-	for name, c := range s.counters {
-		out[name] = c.Load()
-	}
-	s.mu.Unlock()
-	return out
-}
-
-// Names returns every counter name in sorted order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// Each calls fn once per counter in sorted name order. The values are read
-// after the name list is built, so a counter created concurrently may be
-// missed but an included value is never stale beyond its own load.
-func (s *Set) Each(fn func(name string, value int64)) {
-	for _, n := range s.Names() {
-		fn(n, s.Counter(n).Load())
-	}
-}
-
-// Format writes one "name value" line per counter in sorted name order —
-// deterministic output for reports and golden tests.
-func (s *Set) Format(w io.Writer) error {
-	var err error
-	s.Each(func(name string, value int64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "%s %d\n", name, value)
-		}
-	})
-	return err
-}
-
-// Reset zeroes every counter.
-func (s *Set) Reset() {
-	s.mu.Lock()
-	for _, c := range s.counters {
-		c.Store(0)
-	}
-	s.mu.Unlock()
-}
-
-// String renders the set sorted by name.
-func (s *Set) String() string {
-	var b strings.Builder
-	s.Each(func(name string, value int64) {
-		if b.Len() > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%d", name, value)
-	})
-	return b.String()
-}

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -31,61 +29,5 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 8000 {
 		t.Fatalf("Load = %d, want 8000", c.Load())
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Add(2)
-	s.Counter("b").Inc()
-	if s.Counter("a") != s.Counter("a") {
-		t.Fatal("Counter not idempotent per name")
-	}
-	snap := s.Snapshot()
-	if snap["a"] != 2 || snap["b"] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if got := s.String(); got != "a=2 b=1" {
-		t.Fatalf("String() = %q", got)
-	}
-	s.Reset()
-	if s.Counter("a").Load() != 0 {
-		t.Fatal("Reset did not zero counters")
-	}
-}
-
-func TestSetStableOrdering(t *testing.T) {
-	s := NewSet()
-	// Register in deliberately unsorted order; exposition must still be
-	// deterministic and sorted regardless of map iteration order.
-	for i, name := range []string{"zeta", "alpha", "mu", "beta", "omega"} {
-		s.Counter(name).Add(int64(i + 1))
-	}
-	wantNames := []string{"alpha", "beta", "mu", "omega", "zeta"}
-	if got := s.Names(); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("Names() = %v, want %v", got, wantNames)
-	}
-	var seen []string
-	s.Each(func(name string, value int64) { seen = append(seen, name) })
-	if !reflect.DeepEqual(seen, wantNames) {
-		t.Fatalf("Each order = %v, want %v", seen, wantNames)
-	}
-	var b strings.Builder
-	if err := s.Format(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "alpha 2\nbeta 4\nmu 3\nomega 5\nzeta 1\n"
-	if b.String() != want {
-		t.Fatalf("Format = %q, want %q", b.String(), want)
-	}
-	// Repeated renderings are identical (no map-order leakage).
-	for i := 0; i < 20; i++ {
-		var b2 strings.Builder
-		if err := s.Format(&b2); err != nil {
-			t.Fatal(err)
-		}
-		if b2.String() != want {
-			t.Fatalf("Format unstable on iteration %d: %q", i, b2.String())
-		}
 	}
 }

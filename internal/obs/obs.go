@@ -89,17 +89,12 @@ type Obs struct {
 	cfg   Config
 	hists [NumHists]*metrics.Histogram
 
-	// Counters holds event totals owned by obs itself (events emitted,
-	// rings capped). Subsystem counters stay in their owners and surface
-	// through the Source.
-	Counters *metrics.Set
-
 	mu     sync.Mutex
 	rings  []*Ring
 	capped int // workers refused a ring by MaxRings
 
-	// Auxiliary histograms created on demand by name (per-WAL-shard
-	// latencies and the like); exposed after the fixed registry so the
+	// Auxiliary histograms created on demand by name (the server's
+	// per-route request latencies); exposed after the fixed registry so the
 	// default exposition is unchanged when nothing registers one.
 	namedMu sync.Mutex
 	named   map[string]*metrics.Histogram
@@ -131,7 +126,7 @@ func New(cfg Config) *Obs {
 	if cfg.MaxRings <= 0 {
 		cfg.MaxRings = 256
 	}
-	o := &Obs{cfg: cfg, Counters: metrics.NewSet()}
+	o := &Obs{cfg: cfg}
 	for i := range o.hists {
 		o.hists[i] = metrics.NewHistogram()
 	}

@@ -43,12 +43,20 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
+const (
+	// maxDeadline bounds the deadline a client may ask for with deadline_ms:
+	// outside input must not be able to hold an admission slot indefinitely.
+	maxDeadline = 30 * time.Second
+	// retryAfterSeconds is the Retry-After hint on 429/503 refusals.
+	retryAfterSeconds = "1"
+)
+
 // refuse writes a load-management refusal: status, a one-line reason, and —
 // when hinted — a Retry-After so well-behaved clients back off instead of
 // hammering the admission queue.
 func (s *Server) refuse(w http.ResponseWriter, status int, reason string, retry bool) {
 	if retry {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	http.Error(w, reason, status)
 }
@@ -67,7 +75,7 @@ func clientID(r *http.Request) string {
 }
 
 // deadline resolves the request's deadline from deadline_ms, clamped to
-// [1ms, MaxDeadline], defaulting to DefaultDeadline.
+// [1ms, maxDeadline], defaulting to DefaultDeadline.
 func (s *Server) deadline(r *http.Request) time.Duration {
 	d := s.opts.DefaultDeadline
 	if v := r.URL.Query().Get("deadline_ms"); v != "" {
@@ -75,8 +83,8 @@ func (s *Server) deadline(r *http.Request) time.Duration {
 			d = time.Duration(ms) * time.Millisecond
 		}
 	}
-	if d > s.opts.MaxDeadline {
-		d = s.opts.MaxDeadline
+	if d > maxDeadline {
+		d = maxDeadline
 	}
 	return d
 }

@@ -63,12 +63,8 @@ type Options struct {
 	PerClientQueue    int
 
 	// DefaultDeadline applies when a request carries no deadline_ms query
-	// parameter (default 2s); MaxDeadline clamps what clients may ask for
-	// (default 30s). RetryAfter is the hint attached to 429/503 responses
-	// (default 1s).
+	// parameter (default 2s); what clients ask for is clamped to maxDeadline.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	RetryAfter      time.Duration
 
 	// ShedFreeFrac is the buffer free-list fraction below which the server
 	// sheds load (default 0.05); shedding clears with hysteresis at twice
@@ -77,10 +73,8 @@ type Options struct {
 	PressureInterval time.Duration
 
 	// DrainTimeout bounds how long Drain waits for in-flight requests
-	// (default 30s). SkipDrainCheckpoint suppresses the drain-time engine
-	// checkpoint (tests; the default drain checkpoints).
-	DrainTimeout        time.Duration
-	SkipDrainCheckpoint bool
+	// (default 30s).
+	DrainTimeout time.Duration
 
 	// Seed bases the per-request core.Ctx seeds (default 1).
 	Seed uint64
@@ -109,12 +103,6 @@ func (o *Options) setDefaults() error {
 	}
 	if o.DefaultDeadline <= 0 {
 		o.DefaultDeadline = 2 * time.Second
-	}
-	if o.MaxDeadline <= 0 {
-		o.MaxDeadline = 30 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.ShedFreeFrac <= 0 {
 		o.ShedFreeFrac = 0.05
@@ -283,9 +271,6 @@ func (s *Server) stopMonitor() {
 // checkpoint flushes dirty DRAM and truncates the log once the server is
 // quiescent (Drain guarantees no in-flight transactions remain).
 func (s *Server) checkpoint() error {
-	if s.opts.SkipDrainCheckpoint {
-		return nil
-	}
 	cc := s.ctxPool.Get().(*core.Ctx)
 	defer s.ctxPool.Put(cc)
 	skipped, err := s.db.Checkpoint(cc)

@@ -115,18 +115,17 @@ func TestRecoverAfterCrashTornAppend(t *testing.T) {
 	}
 }
 
-// TestRecoverTornFlushDuplicates tears a flush's SSD append (a partial batch
-// lands mid-file), retries it in full, and checks recovery resyncs past the
-// damage and dedups the re-appended records — counting what it tolerated.
+// TestRecoverTornFlushDuplicates tears a flush's SSD append on every attempt
+// the retry policy allows (five partial batches land mid-file), re-appends it
+// in full, and checks recovery resyncs past the damage and dedups the
+// re-appended records — counting what it tolerated.
 func TestRecoverTornFlushDuplicates(t *testing.T) {
 	logDev := device.New(device.SSDParams)
 	inj := device.NewInjector(device.FaultConfig{Seed: 21})
 	logDev.SetFaults(inj)
 	store := NewMemLog(logDev)
 	pm := pmem.New(pmem.Options{Size: 1 << 16, TrackCrashes: true})
-	// MaxRetries < 0 disables the manager's own retry so the test controls
-	// exactly one torn append followed by one full re-append.
-	m, err := New(Options{Buffer: pm, Store: store, MaxRetries: -1})
+	m, err := New(Options{Buffer: pm, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

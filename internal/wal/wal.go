@@ -213,13 +213,6 @@ type Options struct {
 	// the shard region.
 	FlushThreshold int64
 
-	// MaxRetries bounds how many times a faulting buffer write or log
-	// append is retried before the error is surfaced (default 4; negative
-	// disables retries). Each retry charges RetryBackoffNs simulated
-	// nanoseconds to the appending worker's clock, doubling per attempt.
-	MaxRetries     int
-	RetryBackoffNs int64
-
 	// Obs attaches the observability layer: append/flush latency histograms
 	// and tracer events. Nil disables both.
 	Obs *obs.Obs
@@ -263,9 +256,9 @@ func shardRegions(size int64, n int) [][2]int64 {
 }
 
 // walShard is one independent append region of the NVM log buffer. Its
-// fields are guarded by mu except base/limit (immutable) and the
-// histograms/ring (internally synchronized; the ring additionally relies on
-// mu for its single-producer guarantee).
+// fields are guarded by mu except base/limit (immutable) and the ring
+// (internally synchronized; it additionally relies on mu for its
+// single-producer guarantee).
 type walShard struct {
 	mu    sync.Mutex
 	base  int64 // region start: magic at base, extent word at base+8
@@ -284,9 +277,7 @@ type walShard struct {
 	// Observability: the ring is only touched under mu (for appends) or
 	// with every shard mutex held (for flush events on shard 0), so events
 	// serialize onto one track per shard.
-	ring    *obs.Ring
-	hAppend *metrics.Histogram // per-shard append latency; nil unless Shards > 1
-	hFlush  *metrics.Histogram // per-shard flush latency; nil unless Shards > 1
+	ring *obs.Ring
 
 	// Pad shards out of each other's cache lines: they are allocated
 	// back-to-back at New, and cross-shard false sharing on mu/bufOff would
@@ -299,8 +290,6 @@ type Manager struct {
 	pm        *pmem.PMem
 	store     LogStore
 	threshold int64 // per-shard flush trigger
-	retries   int
-	backoffNs int64
 
 	shards []*walShard
 
@@ -345,21 +334,7 @@ func New(opt Options) (*Manager, error) {
 	} else if opt.Buffer.Size()/int64(n) < bufHeaderSize+1024 {
 		return nil, fmt.Errorf("wal: NVM log buffer of %d bytes is too small for %d shards", opt.Buffer.Size(), n)
 	}
-	retries := opt.MaxRetries
-	if retries == 0 {
-		retries = 4
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	backoff := opt.RetryBackoffNs
-	if backoff <= 0 {
-		backoff = 20_000 // 20µs simulated
-	}
-	m := &Manager{
-		pm: opt.Buffer, store: opt.Store,
-		retries: retries, backoffNs: backoff,
-	}
+	m := &Manager{pm: opt.Buffer, store: opt.Store}
 	for i, reg := range shardRegions(opt.Buffer.Size(), n) {
 		sh := &walShard{base: reg[0], limit: reg[1], bufOff: reg[0] + bufHeaderSize}
 		if opt.Obs != nil {
@@ -368,10 +343,6 @@ func New(opt Options) (*Manager, error) {
 				label = fmt.Sprintf("wal%d", i)
 			}
 			sh.ring = opt.Obs.NewRing(label)
-			if n > 1 {
-				sh.hAppend = opt.Obs.NamedHist(fmt.Sprintf("wal_shard%d_append", i))
-				sh.hFlush = opt.Obs.NamedHist(fmt.Sprintf("wal_shard%d_flush", i))
-			}
 		}
 		m.shards = append(m.shards, sh)
 	}
@@ -391,7 +362,7 @@ func New(opt Options) (*Manager, error) {
 		binary.LittleEndian.PutUint64(hdr[0:], walBufMagic)
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(sh.bufOff))
 		base := sh.base
-		if err := m.retry(ctx, func() error {
+		if _, err := device.Retry(ctx, func() error {
 			if err := m.pm.WriteErr(ctx, base, hdr[:]); err != nil {
 				return err
 			}
@@ -445,28 +416,6 @@ func (m *Manager) unlockFlush() {
 	lockcheck.Release(m, lockcheck.RankWALFlush)
 }
 
-// retry runs op, retrying transient faults with exponential backoff charged
-// to the worker's virtual clock. Permanent and crash faults abort at once.
-func (m *Manager) retry(c *vclock.Clock, op func() error) error {
-	back := m.backoffNs
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if errors.Is(err, device.ErrPermanent) || errors.Is(err, device.ErrCrashed) {
-			return err
-		}
-		if attempt >= m.retries {
-			return err
-		}
-		c.Advance(back)
-		if back *= 2; back > 2_000_000 {
-			back = 2_000_000
-		}
-	}
-}
-
 // NextLSN returns the LSN the next appended record will receive.
 func (m *Manager) NextLSN() uint64 { return m.nextLSN.Load() }
 
@@ -483,12 +432,13 @@ func (m *Manager) persistShardOffset(c *vclock.Clock, sh *walShard) error {
 	var word [8]byte
 	binary.LittleEndian.PutUint64(word[:], uint64(sh.bufOff))
 	off := sh.base + 8
-	return m.retry(c, func() error {
+	_, err := device.Retry(c, func() error {
 		if err := m.pm.WriteErr(c, off, word[:]); err != nil {
 			return err
 		}
 		return m.pm.PersistErr(c, off, len(word))
 	})
+	return err
 }
 
 // Append assigns the record an LSN, persists it in the worker's NVM shard,
@@ -533,7 +483,7 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 	// crash mid-append leaves the extent pointing at the last whole record,
 	// so a torn record is invisible to recovery and the append is simply
 	// unacknowledged. A torn write retries by rewriting the full frame.
-	if err := m.retry(c, func() error {
+	if _, err := device.Retry(c, func() error {
 		if err := m.pm.WriteErr(c, off, frame); err != nil {
 			return err
 		}
@@ -552,9 +502,6 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 	if m.obs != nil {
 		now := c.Now()
 		m.hAppend.Observe(now - start)
-		if sh.hAppend != nil {
-			sh.hAppend.Observe(now - start)
-		}
 		sh.ring.Emit(obs.Event{
 			TS: now, Dur: now - start,
 			Type: obs.EvWALAppend, From: obs.TierNVM, Outcome: obs.OutOK,
@@ -681,10 +628,6 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	var start int64
-	if m.obs != nil {
-		start = c.Now()
-	}
 	// LogStore.Append copies or writes data out before returning, so one
 	// staging buffer per shard serves every flush.
 	if int64(cap(sh.drain)) < n {
@@ -692,10 +635,10 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	}
 	data := sh.drain[:n]
 	src := sh.base + bufHeaderSize
-	if err := m.retry(c, func() error { return m.pm.ReadErr(c, src, data) }); err != nil {
+	if _, err := device.Retry(c, func() error { return m.pm.ReadErr(c, src, data) }); err != nil {
 		return 0, fmt.Errorf("wal: flush: %w", err)
 	}
-	if err := m.retry(c, func() error { return m.store.Append(c, data) }); err != nil {
+	if _, err := device.Retry(c, func() error { return m.store.Append(c, data) }); err != nil {
 		return 0, fmt.Errorf("wal: flush: %w", err)
 	}
 	old := sh.bufOff
@@ -703,9 +646,6 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	if err := m.persistShardOffset(c, sh); err != nil {
 		sh.bufOff = old
 		return n, fmt.Errorf("wal: flush: %w", err)
-	}
-	if m.obs != nil && sh.hFlush != nil {
-		sh.hFlush.Observe(c.Now() - start)
 	}
 	return n, nil
 }
@@ -732,7 +672,7 @@ func (m *Manager) Truncate(c *vclock.Clock) error {
 			}
 		}
 	}
-	if err := m.retry(c, func() error { return m.store.Truncate(c) }); err != nil {
+	if _, err := device.Retry(c, func() error { return m.store.Truncate(c) }); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	return nil

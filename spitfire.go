@@ -217,9 +217,6 @@ type (
 	// the Nth checked write tears and everything after it fails with
 	// ErrCrashed until the harness reboots it.
 	CrashSwitch = device.CrashSwitch
-	// RetryConfig bounds the buffer manager's retry/backoff loop around
-	// fallible NVM and SSD operations.
-	RetryConfig = core.RetryConfig
 	// RecoveryStats counts the damage WAL recovery tolerated (torn tails,
 	// checksum mismatches, resync skips, duplicate LSNs).
 	RecoveryStats = wal.RecoveryStats
@@ -326,10 +323,10 @@ func OpenDB(opts DBOptions) (*DB, error) { return engine.Open(opts) }
 
 // RecommendedWALShards is the WALOptions.Shards value for multi-worker
 // commit paths. It follows RecommendedShards() — one worker-affine append
-// shard per schedulable core (BenchmarkWALAppendParallel showed commit
-// throughput scaling with the shard count up to GOMAXPROCS, while
-// per-shard regions stay large enough that group-commit flushes remain
-// batched). The WAL's own default (Shards = 1) remains the right choice
+// shard per schedulable core (commit throughput scaled with the shard
+// count up to GOMAXPROCS when the sharded log landed — CHANGES.md, PR 5 —
+// while per-shard regions stay large enough that group-commit flushes
+// remain batched; bench/'s wal.append_ns times the append today). The WAL's own default (Shards = 1) remains the right choice
 // for single-worker and determinism-sensitive runs.
 func RecommendedWALShards() int { return RecommendedShards() }
 
