@@ -58,6 +58,9 @@ func TestServerFixtureFamilies(t *testing.T) {
 		"spitfire_shedding",
 		"spitfire_min_free_millifrac",
 		"spitfire_nvm_degraded",
+		// Version-store size and the WAL posture.
+		"spitfire_mvto_versions_retained",
+		"spitfire_wal_shards",
 		// Request latency summaries.
 		`spitfire_req_get_ns{quantile="0.99"}`,
 		"spitfire_req_put_ns_count",

@@ -66,11 +66,8 @@ func main() {
 	}
 
 	// The engine is assembled through the facade, so the server runs the
-	// posture the tests and benchmarks run: cleaner on, sharded pools. The
-	// WAL keeps its own default of one append shard: requests run on pooled
-	// contexts, so with more shards the scheduler, not the request, picks the
-	// shard, and the log's length at a given request count — and with it
-	// where MemLog's growth steps fall between GC cycles — varies run to run.
+	// posture the tests and benchmarks run: cleaner on, sharded pools,
+	// sharded WAL.
 	bm, err := spitfire.New(spitfire.Config{
 		DRAMBytes: int64(*dramMB) << 20,
 		NVMBytes:  int64(*nvmMB) << 20,
@@ -82,6 +79,7 @@ func main() {
 	w, err := spitfire.NewWAL(spitfire.WALOptions{
 		Buffer: spitfire.NewPMem(spitfire.PMemOptions{Size: 1 << 22}),
 		Store:  spitfire.NewMemLog(nil),
+		Shards: spitfire.RecommendedWALShards(),
 	})
 	if err != nil {
 		fatal("wal", err)

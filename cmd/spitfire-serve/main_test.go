@@ -5,9 +5,11 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/spitfire-db/spitfire"
 	"github.com/spitfire-db/spitfire/internal/cmdtest"
 	"github.com/spitfire-db/spitfire/internal/harness"
 )
@@ -34,12 +36,14 @@ func TestFlagParsingSmoke(t *testing.T) {
 var (
 	servingRE        = regexp.MustCompile(`serving on (http://[^/\s]+)/`)
 	cleanerBatchesRE = regexp.MustCompile(`(?m)^spitfire_cleaner_batches_total ([1-9]\d*)$`)
+	walShardsRE      = regexp.MustCompile(`(?m)^spitfire_wal_shards (\d+)$`)
 )
 
 // TestServesTheFacadePosture: the binary runs the stack the facade builds —
-// background cleaner on — so once a load outgrows -dram-mb 1 the cleaner
-// families on /metrics move. A server that drifted back to a private,
-// cleaner-off assembly would read zero here.
+// background cleaner on, WAL sharded as the facade recommends — so once a
+// load outgrows -dram-mb 1 the cleaner families on /metrics move and the
+// shard gauge reads RecommendedWALShards. A server that drifted back to a
+// private assembly would read zero, or one, here.
 func TestServesTheFacadePosture(t *testing.T) {
 	cmd := cmdtest.Command("-addr", "127.0.0.1:0", "-dram-mb", "1", "-nvm-mb", "2")
 	stderr, err := cmd.StderrPipe()
@@ -78,5 +82,9 @@ func TestServesTheFacadePosture(t *testing.T) {
 	}
 	if !cleanerBatchesRE.Match(scrape) {
 		t.Fatalf("spitfire_cleaner_batches_total is not > 0 after %s; the binary is not running the facade posture", res)
+	}
+	want := strconv.Itoa(spitfire.RecommendedWALShards())
+	if m := walShardsRE.FindSubmatch(scrape); m == nil || string(m[1]) != want {
+		t.Fatalf("spitfire_wal_shards = %q, want RecommendedWALShards() = %s", m, want)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -209,6 +210,11 @@ func TestWrongPayloadSizes(t *testing.T) {
 	txn.Commit(ctx)
 }
 
+// TestGCRunsAutomatically: commits reclaim the version store as they go —
+// no option, no checkpoint — so a hot key's chain stays within a couple of
+// reclaim batches (≈1 k retired writes each) however long it is rewritten;
+// a transaction that can still read the old versions holds them back, and
+// its end releases them.
 func TestGCRunsAutomatically(t *testing.T) {
 	bm, err := core.New(core.Config{
 		DRAMBytes: 8 * core.PageSize, NVMBytes: 16 * core.PageSize,
@@ -217,30 +223,45 @@ func TestGCRunsAutomatically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{BM: bm, GCEvery: 8})
+	db, err := Open(Options{BM: bm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb, _ := db.CreateTable(1, "kv", testTupleSize)
 	ctx := newCtx(46)
 	tb.Load(ctx, 1, func(i uint64, p []byte) uint64 { return i })
-	// 32 updates of the same key with GCEvery=8: the version chain must
-	// stay shallow instead of growing to 32.
-	for i := 0; i < 32; i++ {
-		txn := db.Begin()
-		if err := tb.Update(ctx, txn, 0, payloadFor(0, byte(i))); err != nil {
-			t.Fatal(err)
+	const updates = 8192
+	rewrite := func() (peak int) {
+		for i := 0; i < updates; i++ {
+			txn := db.Begin()
+			if err := tb.Update(ctx, txn, 0, payloadFor(0, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			peak = max(peak, db.VersionsRetained())
 		}
-		if err := txn.Commit(ctx); err != nil {
-			t.Fatal(err)
-		}
+		return peak
 	}
-	// Depth is not directly observable; rely on GC() being exercised and
-	// reads still working.
-	check := db.Begin()
+	if peak := rewrite(); peak > updates/4 {
+		t.Fatalf("%d versions retained at the peak of %d updates of one key with no reader", peak, updates)
+	}
+
+	reader := db.Begin()
 	buf := make([]byte, testTupleSize)
-	if err := tb.Read(ctx, check, 0, buf); err != nil {
+	if err := tb.Read(ctx, reader, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	check.Commit(ctx)
+	want := append([]byte(nil), buf...)
+	if peak := rewrite(); peak < updates {
+		t.Fatalf("only %d versions retained while a reader older than %d updates is active", peak, updates)
+	}
+	if err := tb.Read(ctx, reader, 0, buf); err != nil || !bytes.Equal(buf, want) {
+		t.Fatalf("the reader's snapshot changed under it (err %v)", err)
+	}
+	reader.Commit(ctx)
+	if peak := rewrite(); db.VersionsRetained() > updates/4 {
+		t.Fatalf("%d versions still retained (peak %d) %d updates after the reader finished", db.VersionsRetained(), peak, updates)
+	}
 }

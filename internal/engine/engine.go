@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/mvto"
@@ -37,9 +36,6 @@ type Options struct {
 	// ComputeCost is the simulated CPU time (ns) charged per tuple
 	// operation on top of device costs. Defaults to 200 ns.
 	ComputeCost int64
-	// GCEvery runs MVTO version garbage collection after this many
-	// commits. Defaults to 65536; 0 keeps the default, negative disables.
-	GCEvery int64
 }
 
 // DB is an open database.
@@ -48,12 +44,9 @@ type DB struct {
 	wal         *wal.Manager
 	tm          *mvto.Manager
 	computeCost int64
-	gcEvery     int64
 
 	mu     sync.RWMutex
 	tables map[uint32]*Table
-
-	commitCount atomic.Int64
 }
 
 // Open creates a database over the given buffer manager.
@@ -64,15 +57,11 @@ func Open(opt Options) (*DB, error) {
 	if opt.ComputeCost == 0 {
 		opt.ComputeCost = 200
 	}
-	if opt.GCEvery == 0 {
-		opt.GCEvery = 65536
-	}
 	return &DB{
 		bm:          opt.BM,
 		wal:         opt.WAL,
 		tm:          mvto.NewManager(),
 		computeCost: opt.ComputeCost,
-		gcEvery:     opt.GCEvery,
 		tables:      make(map[uint32]*Table),
 	}, nil
 }
@@ -85,6 +74,10 @@ func (db *DB) WAL() *wal.Manager { return db.wal }
 
 // TxnStats reports transaction commit/abort counts.
 func (db *DB) TxnStats() (commits, aborts int64) { return db.tm.Stats() }
+
+// VersionsRetained reports how many before-images of committed writes the
+// MVTO version store is holding for transactions that may still read them.
+func (db *DB) VersionsRetained() int { return db.tm.Retained() }
 
 // chargeCompute accounts the per-operation CPU cost.
 func (db *DB) chargeCompute(ctx *core.Ctx) {
@@ -188,9 +181,6 @@ func (t *Txn) Commit(ctx *core.Ctx) error {
 		f()
 	}
 	t.db.tm.Commit(&t.inner)
-	if n := t.db.commitCount.Add(1); t.db.gcEvery > 0 && n%t.db.gcEvery == 0 {
-		t.db.tm.GC()
-	}
 	return nil
 }
 
@@ -236,8 +226,10 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 // NVM is persistent), force the log, write a checkpoint record, and
 // truncate the log file. It must run quiescently (no concurrent
 // transactions); it returns the number of pages it could not flush, which
-// is non-zero only if that requirement was violated.
+// is non-zero only if that requirement was violated. Being quiescent, it
+// also empties the MVTO version store.
 func (db *DB) Checkpoint(ctx *core.Ctx) (skipped int, err error) {
+	db.tm.GC()
 	skipped, err = db.bm.FlushDirtyDRAM(ctx)
 	if err != nil || skipped > 0 {
 		return skipped, err

@@ -30,9 +30,8 @@ type RecoverOptions struct {
 	// log replay and rebuild scan — the place to re-attach secondary
 	// indexes so the scan repopulates them.
 	Prepare func(db *DB) error
-	// ComputeCost and GCEvery as in Options.
+	// ComputeCost as in Options.
 	ComputeCost int64
-	GCEvery     int64
 }
 
 // applier adapts the engine to wal.Applier for the redo/undo passes.
@@ -99,7 +98,7 @@ func (a *applier) ApplyUndo(c *vclock.Clock, rec *wal.Record) error {
 //     which is exactly why step 1 must precede this scan).
 //  4. A closing checkpoint flushes the undo results out of volatile DRAM.
 func Recover(ctx *core.Ctx, opt RecoverOptions) (*DB, *wal.RecoveredLog, error) {
-	db, err := Open(Options{BM: opt.BM, ComputeCost: opt.ComputeCost, GCEvery: opt.GCEvery})
+	db, err := Open(Options{BM: opt.BM, ComputeCost: opt.ComputeCost})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,6 +24,13 @@
 // All tuple-level page access happens inside callbacks invoked under the
 // tuple's latch, so visibility decisions and the reads/writes they justify
 // are atomic with respect to each other.
+//
+// The version store reclaims at transaction level (Wu et al.'s taxonomy): a
+// parked version dies when the transaction that replaced it is older than
+// every active one. Commit retires each of its writes onto a queue; every
+// reclaimBatch retired writes, the committing transaction computes
+// MinActiveTS once and cuts the chains of the retired writes below it. The
+// work is proportional to writes retired, never to tuples stored.
 package mvto
 
 import (
@@ -55,6 +62,7 @@ const (
 type Txn struct {
 	TS    uint64 // start timestamp; also the write timestamp of its versions
 	state atomic.Int32
+	shard uint8 // index of the active-list shard Start linked it into
 
 	writes    []uint64 // RIDs written, in first-write order
 	writesBuf [4]uint64
@@ -112,16 +120,47 @@ type tupleMeta struct {
 	history *version
 }
 
-// activeShards stripes the active-transaction list by timestamp, so
-// concurrent Begin/Commit pairs rarely meet on one mutex.
+// activeShards stripes the active-transaction list, so concurrent
+// Begin/Commit pairs rarely meet on one mutex.
 const activeShards = 64
 
-// activeShard is one intrusive doubly-linked list of active transactions,
+// reclaimBatch is how many committed writes are retired between two
+// reclamation passes: small enough that the version store stays a rounding
+// error next to the buffers, large enough that a pass's MinActiveTS (one
+// lock per shard) is amortised over a thousand writes.
+const reclaimBatch = 1024
+
+// retiredWrite is one committed write waiting for reclamation: every
+// version of the tuple with wts < ts is unreachable once ts < MinActiveTS.
+type retiredWrite struct {
+	tuple *tupleMeta
+	ts    uint64
+}
+
+// activeShard is one intrusive doubly-linked list of active transactions
+// and the queue of writes retired by the transactions that finished on it,
 // padded to a cache line.
 type activeShard struct {
 	mu   sync.Mutex
 	head *Txn
-	_    [48]byte
+	// retired is a ring in commit order: n entries starting at index
+	// first, wrapping at len(retired) (a power of two, or zero).
+	retired  []retiredWrite
+	first, n int
+	_        [8]byte
+}
+
+// retire queues a committed write. Called with sh.mu held.
+func (sh *activeShard) retire(w retiredWrite) {
+	if sh.n == len(sh.retired) {
+		grown := make([]retiredWrite, max(16, 2*len(sh.retired)))
+		for i := 0; i < sh.n; i++ {
+			grown[i] = sh.retired[(sh.first+i)&(len(sh.retired)-1)]
+		}
+		sh.retired, sh.first = grown, 0
+	}
+	sh.retired[(sh.first+sh.n)&(len(sh.retired)-1)] = w
+	sh.n++
 }
 
 // Manager issues timestamps and tracks tuple metadata.
@@ -132,12 +171,20 @@ type Manager struct {
 
 	aborts  atomic.Int64
 	commits atomic.Int64
+
+	// retained counts the before-images of committed writes still parked;
+	// reclaimAt is the value of retained at which the next commit runs a
+	// reclamation pass. reclaimMu admits one pass at a time.
+	retained  atomic.Int64
+	reclaimAt atomic.Int64
+	reclaimMu sync.Mutex
 }
 
 // NewManager creates a transaction manager.
 func NewManager() *Manager {
 	m := &Manager{meta: cht.New[uint64, *tupleMeta](cht.Uint64Hash)}
 	m.nextTS.Store(1)
+	m.reclaimAt.Store(reclaimBatch)
 	return m
 }
 
@@ -150,11 +197,19 @@ func (m *Manager) Begin() *Txn {
 
 // Start begins a transaction in t, which must be a zero Txn the caller
 // keeps at a fixed address until Commit or AbortFinish.
+//
+// The timestamp is drawn while holding the mutex of the shard t links into,
+// so MinActiveTS — which reads nextTS first and then takes every shard's
+// mutex — can never return a value above a transaction that has drawn its
+// timestamp but is not on a list yet. The shard is therefore picked before
+// the timestamp exists; the counter's current value is only a hint that
+// spreads concurrent starters, and t remembers the shard for finish.
 func (m *Manager) Start(t *Txn) {
-	t.TS = m.nextTS.Add(1) - 1
+	t.shard = uint8(m.nextTS.Load() % activeShards)
 	t.writes = t.writesBuf[:0]
-	sh := &m.active[t.TS%activeShards]
+	sh := &m.active[t.shard]
 	sh.mu.Lock()
+	t.TS = m.nextTS.Add(1) - 1
 	if t.next = sh.head; t.next != nil {
 		t.next.prev = t
 	}
@@ -162,14 +217,15 @@ func (m *Manager) Start(t *Txn) {
 	sh.mu.Unlock()
 }
 
-// finish takes txn off the active list in its final state. Finishing a
-// transaction twice is a no-op, so a stray Abort after Commit cannot unlink
-// a neighbor.
-func (m *Manager) finish(txn *Txn, state TxnState) {
+// finish takes txn off the active list in its final state and, under the
+// same lock, queues the writes it retires (none unless it committed).
+// Finishing a transaction twice is a no-op, so a stray Abort after Commit
+// cannot unlink a neighbor.
+func (m *Manager) finish(txn *Txn, state TxnState, retire []*tupleMeta) {
 	if !txn.state.CompareAndSwap(int32(TxnActive), int32(state)) {
 		return
 	}
-	sh := &m.active[txn.TS%activeShards]
+	sh := &m.active[txn.shard]
 	sh.mu.Lock()
 	if txn.prev != nil {
 		txn.prev.next = txn.next
@@ -180,6 +236,9 @@ func (m *Manager) finish(txn *Txn, state TxnState) {
 		txn.next.prev = txn.prev
 	}
 	txn.prev, txn.next = nil, nil
+	for _, e := range retire {
+		sh.retire(retiredWrite{tuple: e, ts: txn.TS})
+	}
 	sh.mu.Unlock()
 }
 
@@ -264,8 +323,23 @@ func (m *Manager) Write(txn *Txn, rid uint64, pageWTS func() uint64, apply func(
 	return nil
 }
 
-// Commit finalizes txn: its in-place versions become the committed state.
+// Commit finalizes txn: its in-place versions become the committed state,
+// and the before-images it parked are retired — they die once no active
+// transaction is older than txn.
 func (m *Manager) Commit(txn *Txn) {
+	if txn.State() != TxnActive {
+		return
+	}
+	// Counted before the writer registrations go: from then on a younger
+	// writer can commit and reclaim these very versions.
+	var retained int64
+	if len(txn.writes) > 0 {
+		retained = m.retained.Add(int64(len(txn.writes)))
+	}
+	// The tuples go to finish as an argument, not through a Txn field: a
+	// field would move this array to the heap on every commit.
+	var few [8]*tupleMeta
+	written := few[:0]
 	for _, rid := range txn.writes {
 		e := m.metaFor(rid)
 		e.mu.Lock()
@@ -273,9 +347,14 @@ func (m *Manager) Commit(txn *Txn) {
 			e.writer = nil
 		}
 		e.mu.Unlock()
+		written = append(written, e)
 	}
-	m.finish(txn, TxnCommitted)
+	m.finish(txn, TxnCommitted, written)
 	m.commits.Add(1)
+	if retained >= m.reclaimAt.Load() && m.reclaimMu.TryLock() {
+		m.reclaim()
+		m.reclaimMu.Unlock()
+	}
 }
 
 // Undo describes one rollback action: restore `Before` (whose write
@@ -316,7 +395,7 @@ func (m *Manager) AbortFinish(txn *Txn) {
 		}
 		e.mu.Unlock()
 	}
-	m.finish(txn, TxnAborted)
+	m.finish(txn, TxnAborted, nil)
 	m.aborts.Add(1)
 }
 
@@ -352,26 +431,63 @@ func (m *Manager) MinActiveTS() uint64 {
 	return min
 }
 
-// GC prunes version history no active (or future) transaction can see:
-// in each chain, everything older than the newest version with
-// wts < MinActiveTS is unreachable. Returns the number of versions dropped.
+// GC runs a reclamation pass now instead of at the next batch boundary and
+// returns the number of versions it dropped. With no transaction active it
+// empties the version store.
 func (m *Manager) GC() int {
+	m.reclaimMu.Lock()
+	defer m.reclaimMu.Unlock()
+	return m.reclaim()
+}
+
+// Retained reports how many before-images of committed writes are parked in
+// the version store. (A transaction in flight holds one more per tuple it
+// has written, until it commits or aborts.)
+func (m *Manager) Retained() int { return int(m.retained.Load()) }
+
+// reclaim drops, for every retired write older than all active
+// transactions, every version of its tuple that the write made unreachable.
+// Each shard's queue is in commit order, not timestamp order, so a pass
+// stops at the first entry it may not reclaim yet; MinActiveTS only grows,
+// so what waits behind that entry goes in a later pass. Called with
+// reclaimMu held.
+func (m *Manager) reclaim() int {
 	minTS := m.MinActiveTS()
 	dropped := 0
-	m.meta.Range(func(_ uint64, e *tupleMeta) bool {
-		e.mu.Lock()
-		for v := e.history; v != nil; v = v.prev {
-			if v.wts < minTS {
-				for cut := v.prev; cut != nil; cut = cut.prev {
-					dropped++
-				}
-				v.prev = nil
+	for i := range m.active {
+		sh := &m.active[i]
+		sh.mu.Lock()
+		for sh.n > 0 {
+			w := sh.retired[sh.first]
+			if w.ts >= minTS {
 				break
 			}
+			sh.first = (sh.first + 1) & (len(sh.retired) - 1)
+			sh.n--
+			dropped += w.tuple.dropBelow(w.ts)
 		}
-		e.mu.Unlock()
-		return true
-	})
+		sh.mu.Unlock()
+	}
+	m.reclaimAt.Store(m.retained.Add(-int64(dropped)) + reclaimBatch)
+	return dropped
+}
+
+// dropBelow cuts every version with wts < ts off the tuple's chain (they
+// sit at its old end: a chain is newest first) and returns how many went.
+// A writer in flight on the tuple loses nothing: it registered after the
+// retired write committed, so the image it parked has wts >= ts.
+func (e *tupleMeta) dropBelow(ts uint64) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	link := &e.history
+	for *link != nil && (*link).wts >= ts {
+		link = &(*link).prev
+	}
+	dropped := 0
+	for v := *link; v != nil; v = v.prev {
+		dropped++
+	}
+	*link = nil
 	return dropped
 }
 

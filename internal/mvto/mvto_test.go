@@ -187,18 +187,12 @@ func TestGCDropsInvisibleVersions(t *testing.T) {
 		}
 		m.Commit(txn)
 	}
-	// No active transactions: only the newest history entry can matter.
-	dropped := m.GC()
-	if dropped == 0 {
-		t.Fatal("GC dropped nothing despite a 5-deep chain")
+	// No active transactions: every replaced version is unreachable.
+	if dropped := m.GC(); dropped != 5 {
+		t.Fatalf("GC dropped %d versions of a 5-deep chain", dropped)
 	}
-	e := m.metaFor(1)
-	depth := 0
-	for v := e.history; v != nil; v = v.prev {
-		depth++
-	}
-	if depth > 1 {
-		t.Fatalf("chain depth %d after GC", depth)
+	if e := m.metaFor(1); e.history != nil {
+		t.Fatal("a version outlived GC with no transaction active")
 	}
 }
 

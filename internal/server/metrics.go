@@ -128,7 +128,9 @@ func (s *Server) ObsCounters() []obs.Sample {
 }
 
 // ObsGauges implements obs.Source: instantaneous admission occupancy,
-// robustness state (0/1 flags), and buffer-pool headroom.
+// robustness state (0/1 flags), buffer-pool headroom, and the size of the
+// MVTO version store — which only grows while some transaction stays open,
+// so a stuck one shows from outside.
 func (s *Server) ObsGauges() []obs.Sample {
 	st := s.Stats()
 	p := s.bm.Pressure()
@@ -138,7 +140,7 @@ func (s *Server) ObsGauges() []obs.Sample {
 		}
 		return 0
 	}
-	return []obs.Sample{
+	out := []obs.Sample{
 		{Name: "inflight", Value: st.Inflight},
 		{Name: "queued", Value: st.Queued},
 		{Name: "active_clients", Value: int64(st.Clients)},
@@ -151,5 +153,10 @@ func (s *Server) ObsGauges() []obs.Sample {
 		{Name: "nvm_free_frames", Value: int64(p.NVMFree)},
 		{Name: "min_free_millifrac", Value: int64(p.MinFreeFrac() * 1000)},
 		{Name: "nvm_degraded", Value: b2i(p.Degraded)},
+		{Name: "mvto_versions_retained", Value: int64(s.db.VersionsRetained())},
 	}
+	if w := s.db.WAL(); w != nil {
+		out = append(out, obs.Sample{Name: "wal_shards", Value: int64(w.Shards())})
+	}
+	return out
 }

@@ -619,6 +619,10 @@ func TestObsIntegration(t *testing.T) {
 	s, ts := newTestServer(t, Options{DB: db, KV: kv, Obs: o})
 	_ = s
 
+	// A transaction that never finishes holds back version reclamation;
+	// the gauge below is how that shows from outside.
+	stuck := db.Begin()
+	defer stuck.Commit(core.NewCtx(78))
 	if code, _, _ := doReq(t, "PUT", ts.URL+"/kv/put?key=1", []byte("x")); code != 204 {
 		t.Fatal("put failed")
 	}
@@ -640,6 +644,8 @@ func TestObsIntegration(t *testing.T) {
 		"spitfire_inflight",
 		"spitfire_req_get_ns_count 1",
 		"spitfire_req_put_ns_count 1",
+		"spitfire_mvto_versions_retained 1",
+		"spitfire_wal_shards 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
