@@ -184,7 +184,7 @@ func runTorture(args []string, seed uint64) {
 	ops := fs.Int("ops", 150, "updates per worker per cycle")
 	transient := fs.Float64("transient", 0, "transient fault probability on the NVM data arena")
 	finegrained := fs.Bool("finegrained", false, "torture the fine-grained (per-unit) loading path")
-	shards := fs.Int("shards", 1, "WAL append shards and buffer-pool shards (worker-affine NVM regions, per-shard CLOCK hands and free lists)")
+	shards := fs.Int("shards", 1, "WAL append shards (worker-affine regions of the WAL's NVM buffer)")
 	degraded := fs.Bool("degraded", false, "also run the permanent-NVM-failure YCSB degradation check")
 	verbose := fs.Bool("v", false, "log per-cycle progress")
 	_ = fs.Parse(args)

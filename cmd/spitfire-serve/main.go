@@ -66,8 +66,7 @@ func main() {
 	}
 
 	// The engine is assembled through the facade, so the server runs the
-	// posture the tests and benchmarks run: cleaner on, sharded pools,
-	// sharded WAL.
+	// posture the tests and benchmarks run: cleaner on, sharded WAL.
 	bm, err := spitfire.New(spitfire.Config{
 		DRAMBytes: int64(*dramMB) << 20,
 		NVMBytes:  int64(*nvmMB) << 20,

@@ -12,10 +12,17 @@ package bitmapclock
 import "sync/atomic"
 
 // Clock is a concurrent CLOCK replacement policy over n frames.
+//
+// Every step of every sweep writes hand; every Ref reads words. The hand has
+// 56 bytes of padding on either side, which keeps words, and whatever the
+// allocator places after the Clock, off its cache line at any 8-byte
+// alignment.
 type Clock struct {
 	n     int
 	words []atomic.Uint64
+	_     [56]byte
 	hand  atomic.Uint64
+	_     [56]byte
 }
 
 // New creates a policy covering n frames, all initially unreferenced.
@@ -51,36 +58,6 @@ func (c *Clock) Unref(i int) {
 // Referenced reports whether frame i's reference bit is set.
 func (c *Clock) Referenced(i int) bool {
 	return c.words[i>>6].Load()&(1<<uint(i&63)) != 0
-}
-
-// Ranges splits n frames into the given number of contiguous, balanced,
-// non-empty partitions. Sharded buffer pools use it to give each shard its
-// own CLOCK instance — and therefore its own hand — over a private frame
-// range: per-shard hands sweep independently, so victim selection never
-// contends on one shared hand word. The last range absorbs the remainder;
-// shards is clamped so no range is empty.
-func Ranges(n, shards int) [][2]int {
-	if n <= 0 {
-		panic("bitmapclock: frame count must be positive")
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	per := n / shards
-	out := make([][2]int, shards)
-	lo := 0
-	for i := range out {
-		hi := lo + per
-		if i == shards-1 {
-			hi = n
-		}
-		out[i] = [2]int{lo, hi}
-		lo = hi
-	}
-	return out
 }
 
 // Victim advances the hand until it finds a frame whose reference bit is

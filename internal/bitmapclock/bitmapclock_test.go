@@ -3,7 +3,22 @@ package bitmapclock
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestClockLayout pins the hand on a cache line of its own, stated as
+// distances because a Clock is only 8-byte aligned: no other field, and
+// nothing the allocator places after the Clock, within 56 bytes of it.
+func TestClockLayout(t *testing.T) {
+	var c Clock
+	h := unsafe.Offsetof(c.hand)
+	if end := unsafe.Offsetof(c.words) + unsafe.Sizeof(c.words); h-end < 56 {
+		t.Errorf("words ends at offset %d, %d bytes before the hand: want >= 56", end, h-end)
+	}
+	if tail := unsafe.Sizeof(c) - (h + 8); tail < 56 {
+		t.Errorf("the Clock ends %d bytes after the hand: want >= 56", tail)
+	}
+}
 
 func TestRefUnref(t *testing.T) {
 	c := New(128)

@@ -20,17 +20,11 @@ import (
 // shared-bandwidth device model still sees every byte it moves.
 //
 // The zero value leaves the cleaner DISABLED: core-level users (tests, the
-// experiment harness) stay deterministic in simulated time. The spitfire
-// facade enables it by default; set Disable there to keep paper-fidelity
-// behavior.
+// experiment harness) stay deterministic in simulated time and keep the
+// paper's inline eviction. The spitfire facade's New and Recover set Enable.
 type CleanerConfig struct {
-	// Enable starts the cleaner goroutines. Takes precedence over Disable.
+	// Enable starts the cleaner goroutines.
 	Enable bool
-
-	// Disable is consumed by the spitfire facade, whose default is
-	// cleaner-on: New/Recover enable the cleaner unless Disable is set.
-	// core.New itself only reads Enable.
-	Disable bool
 
 	// LowWater and HighWater are free-frame watermarks in frames. The
 	// cleaner starts replenishing when a pool's free list drops below
@@ -91,12 +85,11 @@ type cleaner struct {
 	// bandwidth horizon with the foreground workers.
 	ctx *Ctx
 
-	// kick is the cleaner's only wake-up (see wake); its payload is the
-	// kicker's home shard. Only allocation drains a free list, so an idle
-	// pool costs no wakeups; a replenish that stalled on an all-pinned pool
-	// is re-armed by the next allocation's kick, and until then allocation
-	// evicts inline.
-	kick     chan int32
+	// kick is the cleaner's only wake-up (see wake). Only allocation drains a
+	// free list, so an idle pool costs no wakeups; a replenish that stalled
+	// on an all-pinned pool is re-armed by the next allocation's kick, and
+	// until then allocation evicts inline.
+	kick     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -131,7 +124,7 @@ func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
 		pool: pool,
 		low:  low, high: high, batch: batch,
 		ctx:  NewCtx(seed),
-		kick: make(chan int32, 1),
+		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -147,12 +140,11 @@ func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
 	return c
 }
 
-// wake nudges the cleaner without blocking; allocators call it when a free
-// list runs low or empty, passing their home shard so replenishment sweeps
-// the starved shard first.
-func (c *cleaner) wake(si int) {
+// wake nudges the cleaner without blocking; allocators call it when the free
+// list runs low or empty.
+func (c *cleaner) wake() {
 	select {
-	case c.kick <- int32(si):
+	case c.kick <- struct{}{}:
 	default:
 	}
 }
@@ -175,14 +167,14 @@ func (c *cleaner) run() {
 		select {
 		case <-c.stop:
 			return
-		case si := <-c.kick:
+		case <-c.kick:
 			c.pool.bm.count(c.ctx.Clock, cCleanerWakeups)
 			if c.pool.failed.Load() {
 				// The tier failed permanently: there is nothing left to clean
 				// and nothing will allocate from this pool again.
 				return
 			}
-			c.replenish(int(si))
+			c.replenish()
 		}
 	}
 }
@@ -191,9 +183,7 @@ func (c *cleaner) run() {
 // watermark. It gives up (counting a stall) when a full batch of victim
 // attempts makes no progress — every frame pinned or under migration — and
 // leaves the foreground fallback path to cover the pool until pins drain.
-// The victim sweep starts at shard si, the kicker's home, and rotates across
-// all shard hands as attempts accumulate.
-func (c *cleaner) replenish(si int) {
+func (c *cleaner) replenish() {
 	p := c.pool
 	bm := p.bm
 	for p.freeCount() < c.high {
@@ -210,7 +200,7 @@ func (c *cleaner) replenish(si int) {
 		attempts := c.batch*2 + p.nFrames
 		for produced < c.batch && attempts > 0 && p.freeCount() < c.high {
 			attempts--
-			v, evicted, err := p.reclaim(c.ctx, si+attempts)
+			v, evicted, err := p.reclaim(c.ctx)
 			if err != nil || v == noFrame {
 				// An I/O error already exhausted its retries and, if
 				// permanent, degraded the tier; the no-progress bailout below

@@ -75,7 +75,7 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 	// finish mid-churn and leave the list idling in [low, high), which is
 	// legal under the hysteresis protocol. One explicit post-churn kick
 	// makes the refill-to-high assertion deterministic.
-	bm.dram.cleaner.wake(0)
+	bm.dram.cleaner.wake()
 	waitFor(t, "free list to reach the high watermark", func() bool {
 		return bm.dram.freeCount() >= 5
 	})
@@ -159,7 +159,7 @@ func TestCleanerIdleMakesNoWakeups(t *testing.T) {
 	// Warm and settled: the churn's kicks were served, both free lists are
 	// past their high watermarks, no kick is still queued, and the last
 	// wakeup's count has landed.
-	bm.dram.cleaner.wake(0)
+	bm.dram.cleaner.wake()
 	waitFor(t, "both pools above their high watermarks with no kick pending", func() bool {
 		d, n := bm.dram.cleaner, bm.nvm.cleaner
 		return bm.Stats().CleanerWakeups > 0 &&
@@ -392,73 +392,5 @@ func TestCleanerFeedsAdmissionQueue(t *testing.T) {
 	}
 	if st.CleanerAdmittedNVM > st.DRAMToNVM {
 		t.Fatalf("CleanerAdmittedNVM = %d exceeds DRAMToNVM = %d", st.CleanerAdmittedNVM, st.DRAMToNVM)
-	}
-}
-
-// TestForegroundBatchStealSaturated drives a saturated closed loop against a
-// wedged cleaner: with the free list permanently empty, every allocation
-// falls into inline eviction, and successful inline evicts should steal
-// extra frames into the free list (ForegroundBatchCleaned) so the writers
-// queued behind them skip the victim scan. Page contents must survive the
-// churn intact.
-func TestForegroundBatchStealSaturated(t *testing.T) {
-	bm := cleanerBM(t, 16, 0, CleanerConfig{Enable: true})
-	bm.Close() // wedge the cleaner: all reclamation now happens inline
-	seed(t, bm, 64)
-
-	// Same-page writers are serialized with per-page locks (the engine's job
-	// in production; see TestCleanerInvariantsConcurrent).
-	var pageLocks [64]sync.Mutex
-	write := func(ctx *Ctx, pid uint64) error {
-		pageLocks[pid].Lock()
-		defer pageLocks[pid].Unlock()
-		h, err := bm.FetchPage(ctx, pid, WriteIntent)
-		if err != nil {
-			return err
-		}
-		defer h.Release()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], pid)
-		return h.WriteAt(ctx, 0, b[:])
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := NewCtx(uint64(w) + 77)
-			for i := 0; i < 300; i++ {
-				if err := write(ctx, uint64((w*131+i*17)%64)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	st := bm.Stats()
-	if st.ForegroundEvicts == 0 {
-		t.Fatal("saturated closed loop never hit inline eviction")
-	}
-	if st.ForegroundBatchCleaned == 0 {
-		t.Fatalf("inline evictions (%d) stole no frames into the free list", st.ForegroundEvicts)
-	}
-
-	// Every page must read back the value its last writer stored.
-	ctx := NewCtx(99)
-	for pid := uint64(0); pid < 64; pid++ {
-		h, err := bm.FetchPage(ctx, pid, ReadIntent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b [8]byte
-		if err := h.ReadAt(ctx, 0, b[:]); err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
-		if got := binary.LittleEndian.Uint64(b[:]); got != pid && got != 0 {
-			t.Fatalf("page %d content = %d after churn, want %d or 0 (never written)", pid, got, pid)
-		}
 	}
 }

@@ -190,15 +190,6 @@ type Config struct {
 	// mini frames.
 	MiniPages bool
 
-	// Shards partitions each pool's replacement state (CLOCK hands and
-	// free lists) into this many worker-affine shards, removing the free-list
-	// convoy on multi-core fetch/evict paths. 0 or 1 keeps the single-shard
-	// layout (the deterministic default at the core level; the spitfire
-	// facade defaults to RecommendedShards, sized from GOMAXPROCS). The
-	// count is clamped so every shard owns at least two frames, and capped
-	// at 64.
-	Shards int
-
 	// Cleaner configures the background page cleaner (DESIGN.md §5-bis).
 	// The zero value disables it, keeping core-level simulated-time results
 	// deterministic; the spitfire facade enables it by default.

@@ -42,25 +42,22 @@ func allocExpired(i int, start *time.Time) bool {
 // (retries already ran inside the eviction) rather than spinning the victim
 // search against a failing device.
 func (p *basePool) alloc(ctx *Ctx) (int32, error) {
-	w, home, cl := ctx.Clock.Worker(), p.home(ctx), p.cleaner
-	if f, ok := p.takeFree(w); ok {
+	cl := p.cleaner
+	if f, ok := p.takeFree(); ok {
 		if cl != nil && p.freeCount() < cl.low {
-			cl.wake(home)
+			cl.wake()
 		}
 		return f, nil
 	}
 	if cl != nil {
-		cl.wake(home)
+		cl.wake()
 	}
 	var searchStart time.Time
 	for i := 0; !allocExpired(i, &searchStart); i++ {
-		if f, ok := p.takeFree(w); ok {
+		if f, ok := p.takeFree(); ok {
 			return f, nil
 		}
-		// Sweep the home shard's hand first; rotate to the other shards'
-		// hands as attempts accumulate so a fully pinned shard cannot wedge
-		// the search.
-		v, evicted, err := p.reclaim(ctx, home+i)
+		v, evicted, err := p.reclaim(ctx)
 		if err != nil {
 			return noFrame, err
 		}
@@ -68,24 +65,24 @@ func (p *basePool) alloc(ctx *Ctx) (int32, error) {
 			backoff(i)
 			continue
 		}
-		if evicted && p.assist > 0 {
+		if evicted && p.tier != obs.TierMini {
+			// ForegroundEvicts counts the DRAM and NVM pools' inline
+			// evictions, the ones a cleaner could have taken.
 			p.bm.count(ctx.Clock, cFgEvicts)
-			p.assistBatch(ctx, home)
 		}
 		return v, nil
 	}
 	return noFrame, errPoolExhausted
 }
 
-// reclaim is the one eviction step, shared by alloc, assistBatch and the
-// background cleaner: take a CLOCK victim from shard si's hand (wrapped
-// across shards), freeze it, and evict its page, charging ctx's clock. It
-// returns the frame frozen, clean and unlinked from any descriptor — the
-// caller keeps it or releases it to the free list — or noFrame when the
+// reclaim is the one eviction step, shared by alloc and the background
+// cleaner: take a CLOCK victim, freeze it, and evict its page, charging ctx's
+// clock. It returns the frame frozen, clean and unlinked from any descriptor
+// — the caller keeps it or releases it to the free list — or noFrame when the
 // victim was pinned or contended (the frame is thawed again). evicted
 // reports whether a page had to leave.
-func (p *basePool) reclaim(ctx *Ctx, si int) (v int32, evicted bool, err error) {
-	v = p.victim(si)
+func (p *basePool) reclaim(ctx *Ctx) (v int32, evicted bool, err error) {
+	v = p.victim()
 	m := &p.meta[v]
 	if !m.tryFreeze() {
 		return noFrame, false, nil
@@ -99,40 +96,6 @@ func (p *basePool) reclaim(ctx *Ctx, si int) (v int32, evicted bool, err error) 
 		return noFrame, false, err
 	}
 	return v, true, nil
-}
-
-// fgBatchSteal is how many extra frames an inline DRAM or NVM eviction
-// pushes onto the free list beyond the one it keeps. Small: the point is
-// amortizing the cache-cold victim scan the foreground thread already paid
-// for, not re-implementing the cleaner inline.
-const fgBatchSteal = 3
-
-// assistBatch runs after an inline eviction succeeded — the free list was
-// empty and the cleaner behind, so the allocators right behind this thread
-// would each pay their own victim scan too. Having eaten the scan's cache
-// misses already, reclaim a few more victims into the free list. Strictly
-// best-effort: contended or pinned victims are skipped, an I/O error stops
-// the assist (the caller's own frame is already secured; a failing device
-// should not be hammered from the allocation path), and the loop quits as
-// soon as the free list has stock.
-func (p *basePool) assistBatch(ctx *Ctx, home int) {
-	steal := p.assist
-	if lim := p.nFrames / 4; steal > lim {
-		steal = lim // tiny pools: don't sweep the whole CLOCK at once
-	}
-	stolen := 0
-	for attempts := steal * 2; stolen < steal && attempts > 0 && p.freeCount() < steal; attempts-- {
-		v, _, err := p.reclaim(ctx, home+attempts)
-		if err != nil {
-			return
-		}
-		if v == noFrame {
-			continue
-		}
-		p.release(v)
-		stolen++
-		p.bm.count(ctx.Clock, cFgBatchCleaned)
-	}
 }
 
 // evict empties occupied, frozen frame v, leaving it frozen and clean for

@@ -10,10 +10,11 @@ import (
 	"github.com/spitfire-db/spitfire/internal/testutil"
 )
 
-// TestHitPathLayout pins the two layouts the hit path depends on: one frame's
-// metadata per cache line, and counter blocks that are whole cache lines with
-// enough trailing padding that two workers' counters never share a line (a
-// BufferManager is only 8-byte aligned, so the distance is what counts).
+// TestHitPathLayout pins the layouts the hit path depends on: one frame's
+// metadata per cache line, counter blocks that are whole cache lines with
+// enough trailing padding that two workers' counters never share a line, and
+// a pool's free list off the lines of the fields a hit reads (a BufferManager
+// and its pools are only 8-byte aligned, so the distance is what counts).
 func TestHitPathLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(frameMeta{}); sz != 64 {
 		t.Errorf("frameMeta is %d bytes, want 64", sz)
@@ -25,6 +26,16 @@ func TestHitPathLayout(t *testing.T) {
 	}
 	if lead := unsafe.Offsetof(bmStats{}.blocks); lead < 56 {
 		t.Errorf("block 0 starts %d bytes into bmStats: want >= 56 bytes between it and the field before", lead)
+	}
+	// The free list is written by every allocation and release; the fields
+	// before it, and the pool type's fields after the embedded basePool, are
+	// read by every hit.
+	var p basePool
+	if lead := unsafe.Offsetof(p.freeMu) - (unsafe.Offsetof(p.clock) + unsafe.Sizeof(p.clock)); lead < 56 {
+		t.Errorf("the free list starts %d bytes after the field before it: want >= 56", lead)
+	}
+	if tail := unsafe.Sizeof(p) - (unsafe.Offsetof(p.freeLen) + unsafe.Sizeof(p.freeLen)); tail < 56 {
+		t.Errorf("basePool ends %d bytes after the free list: want >= 56", tail)
 	}
 }
 

@@ -36,9 +36,9 @@ func TestOptimisticPinVsEvict(t *testing.T) {
 	cleaner := CleanerConfig{Enable: true}
 	cfgs := map[string]Config{
 		"lazy": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireLazy,
-			Shards: 2, Cleaner: cleaner},
+			Cleaner: cleaner},
 		"mixed": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot,
-			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}, Shards: 2, Cleaner: cleaner},
+			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}, Cleaner: cleaner},
 		"mini": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireEager,
 			FineGrained: true, LoadingUnit: unit, MiniPages: true, Cleaner: cleaner},
 	}

@@ -83,56 +83,14 @@ func (f *frameMeta) freezeWait(pid PageID) bool {
 // thaw releases exclusive ownership, making the frame pinnable again.
 func (f *frameMeta) thaw() { f.pins.Store(0) }
 
-// maxPoolShards caps a pool's shard count (mirroring wal.MaxShards).
-const maxPoolShards = 64
-
-// normalizePoolShards clamps a configured shard count so every shard owns at
-// least two frames: tiny test pools degrade gracefully to fewer (or one)
-// shard instead of spreading a handful of frames across empty partitions.
-func normalizePoolShards(shards, nFrames int) int {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxPoolShards {
-		shards = maxPoolShards
-	}
-	if lim := nFrames / 2; shards > lim {
-		shards = lim
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
-// poolShard is one shard of a pool's replacement state: a private CLOCK hand
-// over the contiguous frame partition [lo, hi) and a free-frame stack. The
-// mutex guards only the stack; the clock is lock-free on its own.
-//
-// The shard mutex has lockcheck rank RankBMShard: a strict leaf that may be
-// taken under tier latches (allocation runs under latchD/latchN) but admits
-// nothing under it — work-stealing drops one shard's mutex before probing
-// the next, so two shard mutexes are never held together.
-type poolShard struct {
-	mu    sync.Mutex
-	free  []int32 // frozen frames, LIFO
-	freeN atomic.Int32
-
-	lo, hi int32              // this shard's frame partition [lo, hi)
-	clock  *bitmapclock.Clock // over hi-lo shard-local frame indices
-
-	_ [64]byte // pad shards onto separate cache lines
-}
-
 // basePool is one buffer pool — DRAM full frames, DRAM mini frames or NVM
 // frames — and everything that differs between them: which descriptor slot
 // names its frames, how a page leaves it, its counters and its cleaner. The
-// allocate-or-evict loop, the foreground assist and the background cleaner
-// are written once against it (evict.go, cleaner.go).
+// allocate-or-evict loop and the background cleaner are written once against
+// it (evict.go, cleaner.go).
 //
-// Frames are partitioned contiguously across shards; each shard has its own
-// CLOCK hand and free-frame stack, and a worker's home shard is its clock's
-// creation index modulo the shard count (as for the WAL's append shards).
+// Replacement state is one CLOCK over all the pool's frames (lock-free) and
+// one LIFO stack of free frames under freeMu (§5.2: one CLOCK per buffer).
 type basePool struct {
 	bm   *BufferManager
 	tier obs.TierID // names the pool in trace events and the cleaner's ring
@@ -153,11 +111,6 @@ type basePool struct {
 	st     tierStats          // which of the counters are this pool's
 	hEvict *metrics.Histogram // eviction latency; nil when untraced (and for mini frames)
 
-	// assist is how many extra frames an inline eviction reclaims into the
-	// free list beyond the one it keeps (see assistBatch); pools with assist
-	// zero do not count their inline evictions as ForegroundEvicts either.
-	assist int
-
 	cleaner *cleaner // nil unless the background cleaner runs for this pool
 
 	// failed latches when the pool's device fails permanently: nothing
@@ -166,13 +119,26 @@ type basePool struct {
 
 	nFrames int
 	meta    []frameMeta
-	shards  []poolShard
-	per     int // frames per shard (last shard absorbs the remainder)
+	clock   *bitmapclock.Clock
 
-	// freeLen approximates the total free-frame count across shards; it is
-	// maintained outside the shard mutexes, so watermark checks read one
-	// atomic instead of sweeping every shard.
+	// The free list is written by every allocation and release, from every
+	// worker and the cleaner; meta, clock and the pool type's own fields that
+	// follow the basePool are read by every hit. 56 bytes of padding on
+	// either side keep the two off each other's cache lines at any 8-byte
+	// alignment.
+	_ [56]byte
+
+	// freeMu guards free, the frozen free frames (LIFO). Its lockcheck rank
+	// RankFreeList is a strict leaf: allocation takes it under tier latches,
+	// and nothing is acquired while it is held.
+	freeMu sync.Mutex
+	free   []int32
+
+	// freeLen mirrors len(free) so watermark checks and an empty pool's
+	// allocators read one atomic instead of taking freeMu.
 	freeLen atomic.Int64
+
+	_ [56]byte
 }
 
 // count bumps one of the pool's counters in worker w's block.
@@ -180,24 +146,15 @@ func (p *basePool) count(w int, id counter) { p.stats.at(w).c[id].Inc() }
 
 // init sizes a freshly allocated (embedded) basePool in place — the struct
 // holds atomics, so it must never be copied.
-func (p *basePool) init(nFrames, shards int, stats *bmStats, st tierStats) {
-	shards = normalizePoolShards(shards, nFrames)
-	ranges := bitmapclock.Ranges(nFrames, shards)
+func (p *basePool) init(nFrames int, stats *bmStats, st tierStats) {
 	p.stats, p.st = stats, st
 	p.nFrames = nFrames
 	p.meta = make([]frameMeta, nFrames)
-	p.shards = make([]poolShard, shards)
-	p.per = nFrames / shards
-	for si := range p.shards {
-		sh := &p.shards[si]
-		sh.lo, sh.hi = int32(ranges[si][0]), int32(ranges[si][1])
-		sh.clock = bitmapclock.New(int(sh.hi - sh.lo))
-		sh.free = make([]int32, 0, sh.hi-sh.lo)
-		// Push descending so low frame indices pop first.
-		for f := sh.hi - 1; f >= sh.lo; f-- {
-			sh.free = append(sh.free, f)
-		}
-		sh.freeN.Store(int32(len(sh.free)))
+	p.clock = bitmapclock.New(nFrames)
+	p.free = make([]int32, 0, nFrames)
+	// Push descending so low frame indices pop first.
+	for f := int32(nFrames) - 1; f >= 0; f-- {
+		p.free = append(p.free, f)
 	}
 	for i := range p.meta {
 		p.meta[i].pid.Store(InvalidPageID)
@@ -206,83 +163,46 @@ func (p *basePool) init(nFrames, shards int, stats *bmStats, st tierStats) {
 	p.freeLen.Store(int64(nFrames))
 }
 
-// shardOf maps a frame index to its home shard (partitions are contiguous,
-// so this is one division; the last shard absorbs the remainder).
-func (p *basePool) shardOf(f int32) *poolShard {
-	si := int(f) / p.per
-	if si >= len(p.shards) {
-		si = len(p.shards) - 1
-	}
-	return &p.shards[si]
+// lockFree and unlockFree route freeMu through the lockcheck shims so the
+// -tags lockcheck build sees RankFreeList as a leaf.
+func (p *basePool) lockFree() {
+	lockcheck.Acquire(&p.freeMu, lockcheck.RankFreeList)
+	p.freeMu.Lock()
 }
 
-// home returns the worker's home shard: its allocations, releases and CLOCK
-// sweeps concentrate on one shard's cache lines.
-func (p *basePool) home(ctx *Ctx) int { return ctx.Clock.Worker() % len(p.shards) }
-
-// lockShard and unlockShard route the shard free-list mutex through the
-// lockcheck shims so the -tags lockcheck build sees RankBMShard as a leaf.
-func (p *basePool) lockShard(sh *poolShard) {
-	lockcheck.Acquire(sh, lockcheck.RankBMShard)
-	sh.mu.Lock()
+func (p *basePool) unlockFree() {
+	p.freeMu.Unlock()
+	lockcheck.Release(&p.freeMu, lockcheck.RankFreeList)
 }
 
-func (p *basePool) unlockShard(sh *poolShard) {
-	sh.mu.Unlock()
-	lockcheck.Release(sh, lockcheck.RankBMShard)
-}
-
-// freeCount approximates the pool-wide free-list depth (watermarks and
-// gauges only; never an invariant).
+// freeCount is the free-list depth (watermarks and gauges only; it can be
+// stale by the time the caller acts on it).
 func (p *basePool) freeCount() int { return int(p.freeLen.Load()) }
 
-// takeFree pops a frame from worker w's home shard, stealing from the other
-// shards in wrap order when it runs dry. The frame is frozen. Only one shard
-// mutex is ever held at a time.
-func (p *basePool) takeFree(w int) (int32, bool) {
-	n := len(p.shards)
-	home := w % n
-	for k := 0; k < n; k++ {
-		sh := &p.shards[(home+k)%n]
-		if sh.freeN.Load() == 0 {
-			continue // empty at a glance; steal onward without locking
-		}
-		p.lockShard(sh)
-		if len(sh.free) == 0 {
-			p.unlockShard(sh)
-			continue
-		}
-		f := sh.free[len(sh.free)-1]
-		sh.free = sh.free[:len(sh.free)-1]
-		sh.freeN.Store(int32(len(sh.free)))
-		p.unlockShard(sh)
-		p.freeLen.Add(-1)
-		if k > 0 {
-			p.count(w, p.st.freeSteals)
-		}
-		return f, true
+// takeFree pops a frame from the free list. The frame is frozen.
+func (p *basePool) takeFree() (int32, bool) {
+	if p.freeLen.Load() == 0 {
+		return noFrame, false // empty at a glance; don't lock
 	}
-	return noFrame, false
+	p.lockFree()
+	n := len(p.free)
+	if n == 0 {
+		p.unlockFree()
+		return noFrame, false
+	}
+	f := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.freeLen.Store(int64(n - 1))
+	p.unlockFree()
+	return f, true
 }
 
-// victim picks a CLOCK victim from the given shard, returning a pool-global
-// frame index. Victim selection itself is lock-free.
-func (p *basePool) victim(si int) int32 {
-	sh := &p.shards[si%len(p.shards)]
-	return sh.lo + int32(sh.clock.Victim())
-}
+// victim picks a CLOCK victim. Victim selection itself is lock-free.
+func (p *basePool) victim() int32 { return int32(p.clock.Victim()) }
 
-// ref and unref route a frame's reference bit to its home shard's CLOCK
-// instance.
-func (p *basePool) ref(f int32) {
-	sh := p.shardOf(f)
-	sh.clock.Ref(int(f - sh.lo))
-}
-
-func (p *basePool) unref(f int32) {
-	sh := p.shardOf(f)
-	sh.clock.Unref(int(f - sh.lo))
-}
+// ref and unref set and clear a frame's CLOCK reference bit.
+func (p *basePool) ref(f int32)   { p.clock.Ref(int(f)) }
+func (p *basePool) unref(f int32) { p.clock.Unref(int(f)) }
 
 // pinPage is the optimistic half of a hit: f was read from pid's slot without
 // d.mu, so it may already name another page's frame. Pin it, then check that
@@ -319,9 +239,9 @@ func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
 	p.ref(f)
 }
 
-// release returns a frozen frame to its home shard's free list. The freeze
-// invariant is asserted in debug builds: a frame entering a free list with
-// pins != -1 could be surfaced thawed by a cross-shard steal.
+// release returns a frozen frame to the free list. The freeze invariant is
+// asserted in debug builds: a frame entering the free list with pins != -1
+// would be handed to the next allocator thawed.
 func (p *basePool) release(f int32) {
 	p.meta[f].pid.Store(InvalidPageID)
 	p.meta[f].dirty.Store(false)
@@ -331,13 +251,11 @@ func (p *basePool) release(f int32) {
 		panic(fmt.Sprintf("core: frame %d pushed to free list with pins=%d, want -1 (frozen)",
 			f, p.meta[f].pins.Load()))
 	}
-	sh := p.shardOf(f)
-	sh.clock.Unref(int(f - sh.lo))
-	p.lockShard(sh)
-	sh.free = append(sh.free, f)
-	sh.freeN.Store(int32(len(sh.free)))
-	p.unlockShard(sh)
-	p.freeLen.Add(1)
+	p.unref(f)
+	p.lockFree()
+	p.free = append(p.free, f)
+	p.freeLen.Store(int64(len(p.free)))
+	p.unlockFree()
 }
 
 // dramPool is the DRAM buffer: a plain arena priced by a MemCharger.
@@ -374,8 +292,8 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 		arena:  make([]byte, int64(nFrames)*PageSize),
 		charge: charge,
 	}
-	dp.init(nFrames, cfg.Shards, &bm.stats, dramStats)
-	dp.bm, dp.tier, dp.assist = bm, obs.TierDRAM, fgBatchSteal
+	dp.init(nFrames, &bm.stats, dramStats)
+	dp.bm, dp.tier = bm, obs.TierDRAM
 	dp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramFrame }
 	dp.unlink = bm.unlinkDRAM
 	if bm.obs != nil {
@@ -392,7 +310,7 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 			unit:     cfg.LoadingUnit,
 			slotSize: slotSize,
 		}
-		mp.init(nMini, cfg.Shards, &bm.stats, miniStats)
+		mp.init(nMini, &bm.stats, miniStats)
 		mp.bm, mp.tier = bm, obs.TierMini
 		mp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramMini }
 		mp.unlink = bm.unlinkMini
@@ -439,8 +357,8 @@ func newNVMPool(bm *BufferManager, cfg Config) (*nvmPool, error) {
 		}
 	}
 	np := &nvmPool{pm: pm}
-	np.init(nFrames, cfg.Shards, &bm.stats, nvmStats)
-	np.bm, np.tier, np.assist = bm, obs.TierNVM, fgBatchSteal
+	np.init(nFrames, &bm.stats, nvmStats)
+	np.bm, np.tier = bm, obs.TierNVM
 	np.slot = func(d *descriptor) *atomic.Int32 { return &d.nvmFrame }
 	np.unlink = bm.unlinkNVM
 	if bm.obs != nil {

@@ -35,11 +35,10 @@ func Recover(cfg Config) (*BufferManager, error) {
 
 	ctx := NewCtx(0)
 
-	// Drain the free lists so we can re-seed them with only the frames that
-	// are actually free. takeFree sweeps every shard, so draining until it
-	// fails empties all of them.
+	// Drain the free list so we can re-seed it with only the frames that are
+	// actually free.
 	for {
-		if _, ok := np.takeFree(0); !ok {
+		if _, ok := np.takeFree(); !ok {
 			break
 		}
 	}

@@ -37,7 +37,6 @@ const (
 	cCleanedNVM
 	cCleanerStalls
 	cFgEvicts
-	cFgBatchCleaned
 
 	// Fault handling (DESIGN.md §5-ter).
 	cIORetries
@@ -47,27 +46,23 @@ const (
 	cCleanerAdmittedNVM
 	cHitNVMCleanerAdmitted
 
-	cStealsDRAM
-	cStealsNVM
-
 	nCounters // rows in the counters table
 )
 
-// Counted, never exported: the mini pool has no cleaner and its steal count
-// has no Stats field. The ids exist so every pool has its three.
+// Counted, never exported: the mini pool has no cleaner. The id exists so
+// every pool has its two.
 const (
 	cCleanedMini = nCounters + iota
-	cStealsMini
 	nStats
 )
 
-// tierStats are the ids of the three counters a pool bumps itself.
-type tierStats struct{ evicts, cleaned, freeSteals counter }
+// tierStats are the ids of the two counters a pool bumps itself.
+type tierStats struct{ evicts, cleaned counter }
 
 var (
-	dramStats = tierStats{cEvictDRAM, cCleanedDRAM, cStealsDRAM}
-	miniStats = tierStats{cEvictMini, cCleanedMini, cStealsMini}
-	nvmStats  = tierStats{cEvictNVM, cCleanedNVM, cStealsNVM}
+	dramStats = tierStats{cEvictDRAM, cCleanedDRAM}
+	miniStats = tierStats{cEvictMini, cCleanedMini}
+	nvmStats  = tierStats{cEvictNVM, cCleanedNVM}
 )
 
 // statStripes is how many per-worker counter blocks a manager keeps. A constant
@@ -81,7 +76,7 @@ const statStripes = 8
 // alignment.
 type statBlock struct {
 	c [nStats]metrics.Counter
-	_ [104]byte
+	_ [72]byte
 }
 
 // bmStats is the manager's counters, one block per worker stripe: worker w
@@ -138,15 +133,12 @@ func counters(o *Stats) [nCounters]counterRow {
 		cCleanedNVM:            {"cleaner_cleaned_nvm", &o.CleanerCleanedNVM},
 		cCleanerStalls:         {"cleaner_stalls", &o.CleanerStalls},
 		cFgEvicts:              {"foreground_evicts", &o.ForegroundEvicts},
-		cFgBatchCleaned:        {"foreground_batch_cleaned", &o.ForegroundBatchCleaned},
 		cIORetries:             {"io_retries", &o.IORetries},
 		cIOGiveUps:             {"io_give_ups", &o.IOGiveUps},
 		cNVMDegraded:           {"", &o.NVMDegraded},
 		cNVMOrphanedPages:      {"nvm_orphaned_pages", &o.NVMOrphanedPages},
 		cCleanerAdmittedNVM:    {"cleaner_admitted_nvm", &o.CleanerAdmittedNVM},
 		cHitNVMCleanerAdmitted: {"hit_nvm_cleaner_admitted", &o.HitNVMCleanerAdmitted},
-		cStealsDRAM:            {"dram_free_steals", &o.DRAMFreeSteals},
-		cStealsNVM:             {"nvm_free_steals", &o.NVMFreeSteals},
 	}
 }
 
@@ -174,17 +166,13 @@ type Stats struct {
 	// ForegroundEvicts counts allocations that had to evict inline (the
 	// fallback path — with the cleaner keeping up this stays near zero);
 	// CleanerStalls counts replenish passes that made no progress because
-	// every victim was pinned or under migration. ForegroundBatchCleaned
-	// counts the extra frames an inline eviction stole into the free list
-	// beyond its own — the foreground assist that amortizes one victim scan
-	// across the allocators queued behind it when the cleaner is behind.
-	CleanerWakeups         int64
-	CleanerBatches         int64
-	CleanerCleanedDRAM     int64
-	CleanerCleanedNVM      int64
-	CleanerStalls          int64
-	ForegroundEvicts       int64
-	ForegroundBatchCleaned int64
+	// every victim was pinned or under migration.
+	CleanerWakeups     int64
+	CleanerBatches     int64
+	CleanerCleanedDRAM int64
+	CleanerCleanedNVM  int64
+	CleanerStalls      int64
+	ForegroundEvicts   int64
 
 	// Fault handling (DESIGN.md §5-ter). IORetries counts individual retried
 	// device operations, IOGiveUps operations abandoned after the retry
@@ -207,10 +195,8 @@ type Stats struct {
 	CleanerAdmittedNVM    int64
 	HitNVMCleanerAdmitted int64
 
-	// Sharded free-list activity: allocations that could not pop their home
-	// shard's free list and stole a frame from another shard instead. A high
-	// steal rate relative to allocations means the shard count outstrips the
-	// worker count (or affinity churns) and frames slosh between shards.
+	// Always zero: each pool has one free list, so there is nothing to steal
+	// from. Kept only until bench/ stops reading them.
 	DRAMFreeSteals int64
 	NVMFreeSteals  int64
 }

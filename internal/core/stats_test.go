@@ -37,13 +37,19 @@ func TestCounterTable(t *testing.T) {
 		}
 	}
 
+	// The steal fields have no counter (each pool has one free list); they
+	// stay, always zero, until bench/ stops reading them.
+	noRow := map[string]bool{"DRAMFreeSteals": true, "NVMFreeSteals": true}
 	st := reflect.ValueOf(bm.Stats())
-	if st.NumField() != int(nCounters) {
-		t.Fatalf("Stats has %d fields, the counter table %d rows", st.NumField(), nCounters)
+	if st.NumField()-len(noRow) != int(nCounters) {
+		t.Fatalf("Stats has %d fields with a counter, the counter table %d rows", st.NumField()-len(noRow), nCounters)
 	}
 	fieldOf := map[int64]string{}
 	for i := 0; i < st.NumField(); i++ {
 		name, v := st.Type().Field(i).Name, st.Field(i).Int()
+		if noRow[name] {
+			continue
+		}
 		if v == 0 {
 			t.Errorf("Stats.%s is zero after bumping every counter: no table row feeds it", name)
 		}

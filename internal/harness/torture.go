@@ -58,9 +58,6 @@ type TortureOpts struct {
 	// Shards splits the WAL's NVM buffer into this many worker-affine
 	// append regions (default 1: the single-buffer layout), so crashes land
 	// between concurrent shard appends and combined group-commit flushes.
-	// The same count shards the buffer pools' replacement state (per-shard
-	// CLOCK hands and free lists), so crashes and transient faults also
-	// land between cross-shard frame steals.
 	Shards int
 	// Log, if non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -198,7 +195,6 @@ func (t *torture) coreCfg() core.Config {
 		SSD:         t.disk,
 		PMem:        t.dataPM,
 		FineGrained: t.opts.FineGrained,
-		Shards:      t.opts.Shards,
 	}
 }
 

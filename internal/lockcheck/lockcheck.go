@@ -29,11 +29,9 @@
 //     shard while holding RankWALFlush: shard→shard acquisitions are legal
 //     only under flushMu (where the flusher takes them in index order).
 //  6. Under RankWALFlush only RankWALShard may be acquired.
-//  7. RankBMShard (a buffer-pool shard's free-list mutex) is a strict leaf:
-//     it may be taken under tier latches (allocation runs under latchD or
-//     latchN) but nothing — not even another pool shard — may be acquired
-//     while it is held. Work-stealing therefore drops one shard's mutex
-//     before probing the next.
+//  7. RankFreeList (a buffer pool's free-list mutex) is a strict leaf: it
+//     may be taken under tier latches (allocation runs under latchD or
+//     latchN) but nothing may be acquired while it is held.
 package lockcheck
 
 import (
@@ -138,8 +136,8 @@ func check(obj any, rank int, blocking bool) {
 		case h.rank == RankMu:
 			fail(h, "lockcheck: acquiring %s(%p) while mu(%p) is held — mu is a leaf lock, acquire nothing under it",
 				RankName(rank), obj, h.obj)
-		case h.rank == RankBMShard:
-			fail(h, "lockcheck: acquiring %s(%p) while pool.shard(%p) is held — a pool shard's free-list mutex is a strict leaf (steal by dropping one shard before probing the next)",
+		case h.rank == RankFreeList:
+			fail(h, "lockcheck: acquiring %s(%p) while pool.freeMu(%p) is held — a pool's free-list mutex is a strict leaf",
 				RankName(rank), obj, h.obj)
 		case h.rank == RankFg && rank == RankMu:
 			// descriptor.mu under fg.mu. Legal because mu is a strict leaf —

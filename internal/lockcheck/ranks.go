@@ -2,7 +2,7 @@ package lockcheck
 
 // Latch ranks, low acquired first among the tier latches (RankD < RankN <
 // RankS). RankMu is a strict leaf; RankFg admits only RankMu under it; the
-// WAL ranks form their own two-level order (flushMu → shard mu); RankBMShard
+// WAL ranks form their own two-level order (flushMu → shard mu); RankFreeList
 // is a strict leaf. This file carries no build tag: the checked build, the
 // no-op stub and the static latchorder analyzer (internal/vet) all read the
 // ranks and their names from here.
@@ -14,7 +14,7 @@ const (
 	RankFg       = 5
 	RankWALShard = 6
 	RankWALFlush = 7
-	RankBMShard  = 8
+	RankFreeList = 8
 )
 
 // RankName names a rank in diagnostics.
@@ -34,8 +34,8 @@ func RankName(r int) string {
 		return "wal.shard"
 	case RankWALFlush:
 		return "wal.flushMu"
-	case RankBMShard:
-		return "pool.shard"
+	case RankFreeList:
+		return "pool.freeMu"
 	}
 	return "rank?"
 }

@@ -80,7 +80,9 @@ func (s *Server) deadline(r *http.Request) time.Duration {
 	d := s.opts.DefaultDeadline
 	if v := r.URL.Query().Get("deadline_ms"); v != "" {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
+			// Clamp before multiplying: a huge ms would overflow to a
+			// negative, already-expired Duration.
+			d = time.Duration(min(ms, maxDeadline.Milliseconds())) * time.Millisecond
 		}
 	}
 	if d > maxDeadline {

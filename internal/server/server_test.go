@@ -340,6 +340,20 @@ func TestQueueDeadline(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineClamps: a deadline_ms whose nanoseconds overflow int64 is
+// clamped to maxDeadline and served, not turned into an already-expired
+// context and a 503.
+func TestHugeDeadlineClamps(t *testing.T) {
+	db, kv, _ := newTestEngine(t, false)
+	_, ts := newTestServer(t, Options{DB: db, KV: kv})
+	seedKey(t, db, kv, 1, "v")
+
+	code, body, _ := doReq(t, "GET", ts.URL+"/kv/get?key=1&deadline_ms=10000000000000", nil)
+	if code < 200 || code > 299 {
+		t.Fatalf("deadline_ms=1e13 response = %d %q, want 2xx", code, body)
+	}
+}
+
 // TestSheddingDisablesQueuing: when the pressure monitor flips shedding,
 // requests that cannot run immediately are refused with 503 instead of
 // queuing, and /readyz reports not-ready.

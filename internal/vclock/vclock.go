@@ -37,8 +37,8 @@ func At(ns int64) *Clock {
 	return &Clock{now: ns, worker: int((workers.Add(1) - 1) & (1<<31 - 1))}
 }
 
-// Worker returns the clock's creation index. Sharded structures (WAL append
-// shards, buffer-pool shards) pin a worker to shard Worker() % nShards:
+// Worker returns the clock's creation index. Sharded and striped structures
+// (WAL append shards, counter stripes) pin a worker to Worker() % n:
 // clocks created back to back spread round-robin, a worker keeps its shard
 // for life, and nothing has to remember the assignment — so short-lived
 // clocks (a server's per-request contexts) leave no state behind.

@@ -28,16 +28,15 @@ import (
 //     acquisitions are legal only while the WAL's flushMu is held (the
 //     combining flusher draining shards in index order).
 //  6. Under flushMu only shard mutexes may be acquired.
-//  7. A buffer-pool shard's free-list mutex (poolShard.mu) is a strict
-//     leaf: taking it under tier latches is the normal allocation order,
-//     but nothing — not even another pool shard's mutex — may be acquired
-//     while one is held. Work-stealing drops the dry shard's mutex before
-//     probing the next shard.
+//  7. A buffer pool's free-list mutex (basePool.freeMu) is a strict leaf:
+//     taking it under tier latches is the normal allocation order, but
+//     nothing may be acquired while it is held.
 //
 // The analysis is intra-function: it simulates the held-latch set over each
 // function body, recognizing both the raw field forms (d.latchN.Lock(),
-// fg.mu.Lock(), sh.mu.Lock(), m.flushMu.Lock()) and the lockcheck shim
-// methods (d.lockN(), fg.lock(), m.lockShard(sh), m.tryLockFlush(), …). It
+// fg.mu.Lock(), sh.mu.Lock(), m.flushMu.Lock(), p.freeMu.Lock()) and the
+// lockcheck shim methods (d.lockN(), fg.lock(), m.lockShard(sh),
+// m.tryLockFlush(), p.lockFree(), …). It
 // is a static complement to the -tags lockcheck runtime checker, which
 // catches the inter-procedural cases this pass cannot see.
 func checkLatchOrder(p *pass) {
@@ -305,13 +304,12 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 		}
 	}
 
-	// Rule 7 (BM pool shards): a pool shard's free-list mutex is a strict
-	// leaf — nothing may be acquired while one is held (work-stealing drops
-	// the dry shard before probing the next).
+	// Rule 7 (pool free lists): a pool's free-list mutex is a strict leaf —
+	// nothing may be acquired while one is held.
 	for heldBase, rs := range w.held {
-		if rs[lockcheck.RankBMShard] {
+		if rs[lockcheck.RankFreeList] {
 			w.pass.report(pos, "latchorder",
-				"acquiring %s.%s while %s (a buffer-pool shard mutex) is held (pool shards are strict leaves: drop one shard before probing the next)",
+				"acquiring %s.%s while %s.freeMu is held (a pool's free-list mutex is a strict leaf)",
 				base, lockcheck.RankName(op.rank), heldBase)
 			break
 		}
@@ -500,8 +498,8 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 			return latchOp{base: inner.X, rank: lockcheck.RankFg, kind: kind}, true
 		case inner.Sel.Name == "mu" && p.isWALShardType(baseT):
 			return latchOp{base: inner.X, rank: lockcheck.RankWALShard, kind: kind}, true
-		case inner.Sel.Name == "mu" && p.isBMShardType(baseT):
-			return latchOp{base: inner.X, rank: lockcheck.RankBMShard, kind: kind}, true
+		case inner.Sel.Name == "freeMu" && p.isFreeListPoolType(baseT):
+			return latchOp{base: inner.X, rank: lockcheck.RankFreeList, kind: kind}, true
 		case inner.Sel.Name == "flushMu" && p.isWALManagerType(baseT):
 			return latchOp{base: inner.X, rank: lockcheck.RankWALFlush, kind: kind}, true
 		}
@@ -525,23 +523,28 @@ func (p *pass) latchCall(call *ast.CallExpr) (latchOp, bool) {
 		return latchOp{}, false
 	}
 
-	// Shard shim forms carry the shard as an argument, so the *argument* is
-	// the latch's base. The receiver's shape picks the rank: a WAL manager
-	// (flushMu) routes to the WAL shard rank, a buffer pool (shards +
-	// freeLen) to the pool shard rank.
+	// Free-list shim form: p.lockFree() / p.unlockFree() on a pool-shaped
+	// receiver.
+	if name == "lockFree" || name == "unlockFree" {
+		if p.isFreeListPoolType(p.unit.info.Types[sel.X].Type) {
+			k := "lock"
+			if name == "unlockFree" {
+				k = "unlock"
+			}
+			return latchOp{base: sel.X, rank: lockcheck.RankFreeList, kind: k}, true
+		}
+		return latchOp{}, false
+	}
+
+	// WAL shard shim form: the shard is an argument, so the *argument* is the
+	// latch's base.
 	if name == "lockShard" || name == "unlockShard" {
-		if len(call.Args) == 1 {
-			recvT := p.unit.info.Types[sel.X].Type
+		if len(call.Args) == 1 && p.isWALManagerType(p.unit.info.Types[sel.X].Type) {
 			k := "lock"
 			if name == "unlockShard" {
 				k = "unlock"
 			}
-			if p.isWALManagerType(recvT) {
-				return latchOp{base: call.Args[0], rank: lockcheck.RankWALShard, kind: k}, true
-			}
-			if p.isBMPoolType(recvT) {
-				return latchOp{base: call.Args[0], rank: lockcheck.RankBMShard, kind: k}, true
-			}
+			return latchOp{base: call.Args[0], rank: lockcheck.RankWALShard, kind: k}, true
 		}
 		return latchOp{}, false
 	}
@@ -612,55 +615,24 @@ func (p *pass) isWALShardType(t types.Type) bool {
 	return hasMu && hasBufOff
 }
 
-// isBMShardType recognizes internal/core's poolShard shape: a struct with a
-// mu sync.Mutex and a freeN free-list depth counter.
-func (p *pass) isBMShardType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasMu, hasFreeN bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		switch f.Name() {
-		case "mu":
-			hasMu = isSyncMutex(f.Type())
-		case "freeN":
-			hasFreeN = true
-		}
-	}
-	return hasMu && hasFreeN
-}
-
-// isBMPoolType recognizes internal/core's basePool shape: a struct with a
-// shards slice and a freeLen aggregate counter.
-func (p *pass) isBMPoolType(t types.Type) bool {
-	st := structOf(t)
-	if st == nil {
-		return false
-	}
-	var hasShards, hasFreeLen bool
-	for i := 0; i < st.NumFields(); i++ {
-		switch st.Field(i).Name() {
-		case "shards":
-			hasShards = true
-		case "freeLen":
-			hasFreeLen = true
-		}
-	}
-	return hasShards && hasFreeLen
-}
+// isFreeListPoolType recognizes internal/core's basePool shape: any struct
+// with a freeMu sync.Mutex.
+func (p *pass) isFreeListPoolType(t types.Type) bool { return hasMutexField(t, "freeMu") }
 
 // isWALManagerType recognizes internal/wal's Manager shape: any struct with
 // a flushMu sync.Mutex.
-func (p *pass) isWALManagerType(t types.Type) bool {
+func (p *pass) isWALManagerType(t types.Type) bool { return hasMutexField(t, "flushMu") }
+
+// hasMutexField reports whether t (possibly a pointer) is a struct with a
+// sync.Mutex field of the given name.
+func hasMutexField(t types.Type, name string) bool {
 	st := structOf(t)
 	if st == nil {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if f.Name() == "flushMu" && isSyncMutex(f.Type()) {
+		if f.Name() == name && isSyncMutex(f.Type()) {
 			return true
 		}
 	}

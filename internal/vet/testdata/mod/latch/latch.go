@@ -186,51 +186,33 @@ func FlushAdmitsOnlyShards(m *walManager, d *descriptor) {
 	m.unlockFlush()
 }
 
-// bmShard mirrors internal/core's poolShard shape (mu + freeN free-list
-// depth): its mutex is the buffer-pool shard leaf.
-type bmShard struct {
-	mu    sync.Mutex
-	freeN int32
-}
-
-// bmPool mirrors internal/core's basePool shape (shards + freeLen).
+// bmPool mirrors internal/core's basePool shape (freeMu + free stack): its
+// free-list mutex is a strict leaf.
 type bmPool struct {
-	shards  []*bmShard
-	freeLen int64
+	freeMu sync.Mutex
+	free   []int32
 }
 
-func (p *bmPool) lockShard(sh *bmShard) { sh.mu.Lock() }
+func (p *bmPool) lockFree() { p.freeMu.Lock() }
 
-func (p *bmPool) unlockShard(sh *bmShard) { sh.mu.Unlock() }
+func (p *bmPool) unlockFree() { p.freeMu.Unlock() }
 
-// PoolShardUnderShard holds two pool shard mutexes at once; work-stealing
-// must drop the dry shard before probing the next.
-func PoolShardUnderShard(p *bmPool, a, b *bmShard) {
-	p.lockShard(a)
-	p.lockShard(b) // want latchorder
-	p.unlockShard(b)
-	p.unlockShard(a)
-}
-
-// LatchUnderPoolShard acquires a tier latch under a pool shard mutex (raw
-// field form; pool shards are strict leaves).
-func LatchUnderPoolShard(sh *bmShard, d *descriptor) {
-	sh.mu.Lock()
+// LatchUnderFreeList acquires a tier latch under a pool's free-list mutex
+// (raw field form; the free-list mutex is a strict leaf).
+func LatchUnderFreeList(p *bmPool, d *descriptor) {
+	p.freeMu.Lock()
 	d.latchD.Lock() // want latchorder
 	d.latchD.Unlock()
-	sh.mu.Unlock()
+	p.freeMu.Unlock()
 }
 
-// CleanSharded is the legal direction: shard mutexes taken (and dropped)
-// under tier latches, one at a time, stealing by releasing the dry shard
-// before probing its neighbor.
-func CleanSharded(p *bmPool, a, b *bmShard, d *descriptor) {
+// CleanFreeList is the legal direction: the free-list mutex taken (and
+// dropped) under tier latches.
+func CleanFreeList(p *bmPool, d *descriptor) {
 	d.latchD.Lock()
 	d.latchN.Lock()
-	p.lockShard(a)
-	p.unlockShard(a)
-	p.lockShard(b)
-	p.unlockShard(b)
+	p.lockFree()
+	p.unlockFree()
 	d.latchN.Unlock()
 	d.latchD.Unlock()
 }

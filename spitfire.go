@@ -67,8 +67,8 @@ type (
 	// MemCharger prices DRAM-buffer traffic (used by memory-mode setups).
 	MemCharger = core.MemCharger
 	// CleanerConfig tunes the background page cleaner (watermarks, batch
-	// size). New and Recover enable the cleaner by default;
-	// set CleanerConfig.Disable for paper-fidelity simulated-time runs.
+	// size). New and Recover always run the cleaner; the paper's inline
+	// eviction is what the experiment harness runs (cmd/spitfire-bench).
 	CleanerConfig = core.CleanerConfig
 )
 
@@ -82,62 +82,20 @@ const (
 	TierNVM  = core.TierNVM
 )
 
-// New creates a buffer manager. Unlike core.New, the facade applies the
-// production posture: the background page cleaner is enabled by default
-// (set Config.Cleaner.Disable to keep the paper's inline-eviction behavior)
-// and the buffer pools are sharded RecommendedShards() ways (set
-// Config.Shards = 1 explicitly for single-shard determinism-sensitive
-// runs). Call BufferManager.Close to stop the cleaner goroutines when done.
+// New creates a buffer manager with the background page cleaner running: it
+// sets Config.Cleaner.Enable, which the experiment harness leaves off for
+// the paper's inline eviction. Call BufferManager.Close to stop the cleaner
+// goroutines when done.
 func New(cfg Config) (*BufferManager, error) {
-	defaultCleanerOn(&cfg)
-	defaultShards(&cfg)
+	cfg.Cleaner.Enable = true
 	return core.New(cfg)
 }
 
-// Recover rebuilds a buffer manager over a surviving NVM arena (§5.2). The
-// cleaner and shard defaults match New; the cleaner starts only after the
-// arena scan.
+// Recover rebuilds a buffer manager over a surviving NVM arena (§5.2) with
+// the cleaner on, as New does; the cleaner starts only after the arena scan.
 func Recover(cfg Config) (*BufferManager, error) {
-	defaultCleanerOn(&cfg)
-	defaultShards(&cfg)
+	cfg.Cleaner.Enable = true
 	return core.Recover(cfg)
-}
-
-// defaultCleanerOn applies the facade's cleaner-on default: enabled unless
-// the caller explicitly disabled (or already enabled) it.
-func defaultCleanerOn(cfg *Config) {
-	if !cfg.Cleaner.Enable && !cfg.Cleaner.Disable {
-		cfg.Cleaner.Enable = true
-	}
-}
-
-// defaultShards applies the facade's sharded-pool default: unset (zero)
-// means RecommendedShards(). core itself keeps zero meaning single-shard so
-// core-level tests and the experiment harness stay deterministic unless
-// they opt in.
-func defaultShards(cfg *Config) {
-	if cfg.Shards == 0 {
-		cfg.Shards = RecommendedShards()
-	}
-}
-
-// RecommendedShards is the shard count the facade applies to concurrency-
-// critical structures sized by worker parallelism: buffer-pool CLOCK hands
-// and free lists (Config.Shards) and WAL append shards (WALOptions.Shards).
-// It is GOMAXPROCS clamped to [1, 64] — one shard per schedulable core
-// keeps each worker's allocations, releases and CLOCK sweeps on its own
-// shard's cache lines, while more shards than cores would only spread
-// frames thinner and raise the cross-shard steal rate. Pools additionally
-// clamp so every shard holds at least two frames.
-func RecommendedShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
 }
 
 // NewCtx creates a worker context with a fresh virtual clock.
@@ -322,13 +280,16 @@ var (
 func OpenDB(opts DBOptions) (*DB, error) { return engine.Open(opts) }
 
 // RecommendedWALShards is the WALOptions.Shards value for multi-worker
-// commit paths. It follows RecommendedShards() — one worker-affine append
-// shard per schedulable core (commit throughput scaled with the shard
+// commit paths: GOMAXPROCS clamped to [1, wal.MaxShards], one worker-affine
+// append shard per schedulable core (commit throughput scaled with the shard
 // count up to GOMAXPROCS when the sharded log landed — CHANGES.md, PR 5 —
-// while per-shard regions stay large enough that group-commit flushes
-// remain batched; bench/'s wal.append_ns times the append today). The WAL's own default (Shards = 1) remains the right choice
-// for single-worker and determinism-sensitive runs.
-func RecommendedWALShards() int { return RecommendedShards() }
+// while per-shard regions stay large enough that group-commit flushes remain
+// batched; bench/'s wal.append_ns times the append today). The WAL's own
+// default (Shards = 1) remains the right choice for single-worker and
+// determinism-sensitive runs.
+func RecommendedWALShards() int {
+	return min(max(runtime.GOMAXPROCS(0), 1), wal.MaxShards)
+}
 
 // NewWAL creates a write-ahead log manager.
 func NewWAL(opts WALOptions) (*WAL, error) { return wal.New(opts) }
