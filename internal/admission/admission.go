@@ -21,13 +21,16 @@ type node struct {
 }
 
 // Queue is a fixed-capacity FIFO of page identifiers with O(1) membership
-// tests and removal. It is safe for concurrent use.
+// tests and removal. It is safe for concurrent use. It allocates at most
+// capacity nodes over its life: an entry that leaves the queue leaves its
+// node for the next denial, so a warm queue's Admit allocates nothing.
 type Queue struct {
 	mu       sync.Mutex
 	capacity int
 	byPID    map[uint64]*node
 	head     *node // oldest
 	tail     *node // newest
+	spare    *node // nodes of entries that left, linked through next
 }
 
 // New creates a queue that remembers up to capacity denied pages.
@@ -61,17 +64,20 @@ func (q *Queue) Admit(pid uint64) bool {
 	defer q.mu.Unlock()
 
 	if n, ok := q.byPID[pid]; ok {
-		q.remove(n)
-		delete(q.byPID, pid)
+		q.drop(n)
 		return true
 	}
 
 	if len(q.byPID) >= q.capacity {
-		oldest := q.head
-		q.remove(oldest)
-		delete(q.byPID, oldest.pid)
+		q.drop(q.head)
 	}
-	n := &node{pid: pid}
+	n := q.spare
+	if n != nil {
+		q.spare, n.next = n.next, nil
+	} else {
+		n = new(node)
+	}
+	n.pid = pid
 	q.pushTail(n)
 	q.byPID[pid] = n
 	return false
@@ -89,10 +95,17 @@ func (q *Queue) Contains(pid uint64) bool {
 func (q *Queue) Forget(pid uint64) {
 	q.mu.Lock()
 	if n, ok := q.byPID[pid]; ok {
-		q.remove(n)
-		delete(q.byPID, pid)
+		q.drop(n)
 	}
 	q.mu.Unlock()
+}
+
+// drop takes queued node n out of the queue and keeps it for reuse. Caller
+// holds q.mu.
+func (q *Queue) drop(n *node) {
+	q.remove(n)
+	delete(q.byPID, n.pid)
+	n.next, q.spare = q.spare, n
 }
 
 // remove unlinks n from the list. Caller holds q.mu.

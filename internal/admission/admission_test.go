@@ -3,6 +3,8 @@ package admission
 import (
 	"sync"
 	"testing"
+
+	"github.com/spitfire-db/spitfire/internal/testutil"
 )
 
 func TestSecondChanceAdmission(t *testing.T) {
@@ -103,5 +105,98 @@ func TestConcurrentAdmit(t *testing.T) {
 	wg.Wait()
 	if q.Len() > 128 {
 		t.Fatalf("queue overflowed capacity: %d", q.Len())
+	}
+}
+
+// fifoModel is the reference the queue must agree with: a slice in arrival
+// order, searched linearly.
+type fifoModel struct {
+	capacity int
+	pids     []uint64
+}
+
+func (m *fifoModel) find(pid uint64) int {
+	for i, p := range m.pids {
+		if p == pid {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *fifoModel) admit(pid uint64) bool {
+	if i := m.find(pid); i >= 0 {
+		m.pids = append(m.pids[:i], m.pids[i+1:]...)
+		return true
+	}
+	if len(m.pids) >= m.capacity {
+		m.pids = m.pids[1:]
+	}
+	m.pids = append(m.pids, pid)
+	return false
+}
+
+func (m *fifoModel) forget(pid uint64) {
+	if i := m.find(pid); i >= 0 {
+		m.pids = append(m.pids[:i], m.pids[i+1:]...)
+	}
+}
+
+// TestAdmitMatchesModel drives the queue and the reference model with one
+// random sequence of admissions and forgets, over few enough pages that
+// admissions, denials, full-queue evictions and removals from the middle all
+// happen often, and requires the two to agree at every step.
+func TestAdmitMatchesModel(t *testing.T) {
+	const capacity, pages, steps = 16, 40, 20000
+	q := New(capacity)
+	m := &fifoModel{capacity: capacity}
+	rng := uint64(0x9E3779B97F4A7C15)
+	admits := 0
+	for i := 0; i < steps; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		pid := (rng >> 33) % pages
+		if (rng>>20)%8 == 0 {
+			q.Forget(pid)
+			m.forget(pid)
+		} else {
+			got, want := q.Admit(pid), m.admit(pid)
+			if got != want {
+				t.Fatalf("step %d: Admit(%d) = %v, model says %v", i, pid, got, want)
+			}
+			if got {
+				admits++
+			}
+		}
+		if q.Len() != len(m.pids) {
+			t.Fatalf("step %d: Len = %d, model holds %d", i, q.Len(), len(m.pids))
+		}
+		if q.Contains(pid) != (m.find(pid) >= 0) {
+			t.Fatalf("step %d: Contains(%d) disagrees with the model", i, pid)
+		}
+	}
+	if admits == 0 || admits == steps {
+		t.Fatalf("%d admissions in %d steps: the sequence did not exercise both outcomes", admits, steps)
+	}
+}
+
+// TestFullQueueAdmitAllocatesNothing: once a queue has been full, every
+// denial reuses the node of the entry it pushes out or of one that left, so
+// a long admit/deny sequence allocates nothing at all.
+func TestFullQueueAdmitAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const capacity = 512
+	q := New(capacity)
+	rng := uint64(1)
+	run := func() {
+		for i := 0; i < 100000; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			q.Admit((rng >> 33) % (4 * capacity))
+		}
+	}
+	run() // fill the queue and exercise every way out of it
+	if n := testing.AllocsPerRun(1, run); n != 0 {
+		t.Fatalf("100000 admissions on a full queue allocated %.0f objects, want 0", n)
 	}
 }

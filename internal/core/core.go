@@ -74,9 +74,14 @@ const (
 )
 
 // Ctx carries per-worker state through buffer-manager operations: the
-// worker's virtual clock (all device costs are charged to it) and its
-// private PRNG (all Bernoulli policy trials draw from it). A Ctx must not be
-// shared between goroutines.
+// worker's virtual clock (all device costs are charged to it), its private
+// PRNG (all Bernoulli policy trials draw from it) and the handles it has
+// issued. A Ctx must not be shared between goroutines.
+//
+// A Ctx owns the handles fetched through it: Release puts a handle back on
+// its Ctx's stack and the Ctx's next fetch reissues it, so a worker's steady
+// state allocates nothing. A handle must therefore be released on the
+// goroutine that uses its Ctx, like every other call on that Ctx.
 type Ctx struct {
 	Clock *vclock.Clock
 	RNG   *zipf.Rand
@@ -105,7 +110,21 @@ type Ctx struct {
 	// hook a network front-end uses to cut request deadlines into the
 	// buffer-manager call path. The disabled fast path is one nil check.
 	interrupt func() error
+
+	// handles holds the released handles, reissued last-in first-out. Every
+	// fetch and release writes it, so it sits after the fields above, which
+	// only this worker uses, and 56 bytes before the end of the Ctx:
+	// harnesses build their workers' Ctxs back to back, and a neighbour's
+	// Clock and RNG must not share its line (TestCtxLayout).
+	handles  [ctxHandles]*Handle
+	nHandles int
+	_        [56]byte
 }
+
+// ctxHandles bounds the released handles a Ctx keeps. A worker holds a few
+// pages at a time; a handle released beyond the bound is left to the
+// garbage collector.
+const ctxHandles = 8
 
 // NewCtx creates a worker context with a fresh clock and the given RNG seed.
 func NewCtx(seed uint64) *Ctx {
@@ -141,6 +160,20 @@ func (ctx *Ctx) TupleBuf(n int) []byte {
 		ctx.tuple = make([]byte, n)
 	}
 	return ctx.tuple[:n]
+}
+
+// handle issues a handle pinning frame f of page d in the given tier: the
+// handle this Ctx released last, or a new one when it holds none.
+func (ctx *Ctx) handle(bm *BufferManager, d *descriptor, tier Tier, f int32, how uint8) *Handle {
+	var h *Handle
+	if n := ctx.nHandles; n > 0 {
+		h = ctx.handles[n-1]
+		ctx.nHandles = n - 1
+	} else {
+		h = &Handle{ctx: ctx}
+	}
+	h.bm, h.d, h.tier, h.frame, h.how, h.released = bm, d, tier, f, how, false
+	return h
 }
 
 func (ctx *Ctx) buf() []byte {

@@ -195,7 +195,7 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 			if fg.isDirty(u) {
 				off := u * fg.unit
 				p.charge.ChargeRead(ctx.Clock, p.frameOffset(v)+int64(off), fg.unit)
-				if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, off, frame[off:off+fg.unit]); werr != nil {
+				if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, off, frame[off:off+fg.unit]); werr != nil {
 					break
 				}
 			}
@@ -205,6 +205,7 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		}
 		fg.unlock()
 		if werr != nil {
+			bm.noteNVMErr(werr)
 			return false, werr
 		}
 		nm.dirty.Store(true)
@@ -393,7 +394,7 @@ func (bm *BufferManager) writeBackMini(ctx *Ctx, d *descriptor, v int32, fg *fgS
 		}
 		u := int(fg.slots[s])
 		bm.dram.charge.ChargeRead(ctx.Clock, int64(int(v)*mp.slotSize+s*fg.unit), fg.unit)
-		if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
+		if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
 			break
 		}
 	}
@@ -402,6 +403,7 @@ func (bm *BufferManager) writeBackMini(ctx *Ctx, d *descriptor, v int32, fg *fgS
 	}
 	fg.unlock()
 	if werr != nil {
+		bm.noteNVMErr(werr)
 		return false, werr
 	}
 	nm.dirty.Store(true)

@@ -83,7 +83,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 			if bm.dram.pinPage(f, pid) {
 				bm.dram.ref(f)
 				bm.count(ctx.Clock, cHitDRAM)
-				return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howHitDRAM}, nil
+				return ctx.handle(bm, d, TierDRAM, f, howHitDRAM), nil
 			}
 			backoff(attempt) // frozen mid-eviction, or the slot moved on; look again
 			continue
@@ -94,7 +94,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 			if mp.pinPage(f, pid) {
 				mp.ref(f)
 				bm.count(ctx.Clock, cHitMini)
-				return &Handle{bm: bm, d: d, tier: TierMini, frame: f, how: howHitMini}, nil
+				return ctx.handle(bm, d, TierMini, f, howHitMini), nil
 			}
 			backoff(attempt)
 			continue
@@ -122,7 +122,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 					if bm.nvm.meta[f].clAdmit.Load() {
 						bm.count(ctx.Clock, cHitNVMCleanerAdmitted)
 					}
-					return &Handle{bm: bm, d: d, tier: TierNVM, frame: f, how: howHitNVM}, nil
+					return ctx.handle(bm, d, TierNVM, f, howHitNVM), nil
 				}
 				backoff(attempt)
 				continue
@@ -223,7 +223,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 	}
 	p.attach(d, f, false, fg)
 	bm.count(ctx.Clock, cMigNVMToDRAM)
-	return &Handle{bm: bm, d: d, tier: tier, frame: f, how: howMigrated}, nil
+	return ctx.handle(bm, d, tier, f, howMigrated), nil
 }
 
 // fetchMiss brings page d in from SSD. With probability Nr it installs the
@@ -267,7 +267,7 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 	bm.dram.attach(d, f, false, nil)
 	bm.count(ctx.Clock, cSSDToDRAM)
-	return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f, how: howMissDRAM}, nil
+	return ctx.handle(bm, d, TierDRAM, f, howMissDRAM), nil
 }
 
 // fetchMissNVM is fetchMiss's SSD→NVM route (path ❼). It returns (nil, nil)
@@ -298,7 +298,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 	}
 	bm.nvm.attach(d, nf, false, nil)
 	bm.count(ctx.Clock, cSSDToNVM)
-	return &Handle{bm: bm, d: d, tier: TierNVM, frame: nf, how: howMissNVM}, nil
+	return ctx.handle(bm, d, TierNVM, nf, howMissNVM), nil
 }
 
 // NewPage allocates a fresh, zeroed page and returns it pinned. Placement
@@ -337,7 +337,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 		}
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 		bm.dram.attach(d, f, true, nil)
-		return &Handle{bm: bm, d: d, tier: TierDRAM, frame: f}, nil
+		return ctx.handle(bm, d, TierDRAM, f, howNone), nil
 	}
 
 	d.lockN()
@@ -355,7 +355,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 		return nil, fmt.Errorf("core: materialize page %d: %w", pid, err)
 	}
 	bm.nvm.attach(d, nf, true, nil)
-	return &Handle{bm: bm, d: d, tier: TierNVM, frame: nf}, nil
+	return ctx.handle(bm, d, TierNVM, nf, howNone), nil
 }
 
 // MaterializePage returns a pinned handle to page pid, creating a zeroed

@@ -92,7 +92,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 				continue
 			}
 			u := int(fg.slots[s])
-			if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
+			if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
 				break
 			}
 		}
@@ -101,6 +101,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 		}
 		fg.unlock()
 		if werr != nil {
+			bm.noteNVMErr(werr)
 			return false, werr
 		}
 		nm.dirty.Store(true)
@@ -127,7 +128,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 			for u := 0; u < fg.unitsPerPage(); u++ {
 				if fg.isDirty(u) {
 					off := u * fg.unit
-					if werr = bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, off, frame[off:off+fg.unit]); werr != nil {
+					if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, off, frame[off:off+fg.unit]); werr != nil {
 						break
 					}
 				}
@@ -137,6 +138,7 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 			}
 			fg.unlock()
 			if werr != nil {
+				bm.noteNVMErr(werr)
 				return false, werr
 			}
 		} else {

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
+)
 
 // Tier identifies where a pinned page copy resides.
 type Tier int
@@ -42,15 +47,23 @@ const (
 
 // Handle is a pinned reference to a page copy. All data access goes through
 // ReadAt/WriteAt, which charge the correct device and maintain fine-grained
-// residency. A handle is owned by the worker that fetched it and must be
-// Released exactly once.
+// residency.
+//
+// A handle belongs to the Ctx it was fetched through and must be Released
+// exactly once, on that Ctx's goroutine. Release returns it to the Ctx, whose
+// next fetch reissues it, so neither the handle nor any pointer to it may be
+// used afterwards. A second Release before the reissue panics; so does one
+// that would drive the frame's pin count below zero. The lockcheck build
+// never reissues a handle, so there every stale Release panics.
 type Handle struct {
-	bm       *BufferManager
-	d        *descriptor
+	ctx      *Ctx
+	bm       *BufferManager // nil once released
+	d        *descriptor    // nil once released
 	tier     Tier
 	frame    int32
 	how      uint8
 	released bool
+	_        [24]byte // one handle per cache line: its owner writes it on every fetch and release
 }
 
 // PageID returns the logical page this handle pins.
@@ -60,7 +73,10 @@ func (h *Handle) PageID() PageID { return h.d.pid }
 // promotion inside WriteAt/ReadAt may upgrade TierMini to TierDRAM.
 func (h *Handle) Tier() Tier { return h.tier }
 
-// Release unpins the page. The handle must not be used afterwards.
+// Release unpins the page and returns the handle to its Ctx. The handle must
+// not be used afterwards. A released handle keeps no reference to the
+// manager or the page, so a Ctx that outlives its manager does not keep the
+// manager's buffers reachable.
 func (h *Handle) Release() {
 	if h.released {
 		panic("core: handle released twice")
@@ -74,11 +90,16 @@ func (h *Handle) Release() {
 	case TierNVM:
 		h.bm.nvm.meta[h.frame].unpin()
 	}
+	h.bm, h.d = nil, nil
+	if c := h.ctx; !lockcheck.Enabled && c.nHandles < ctxHandles {
+		c.handles[c.nHandles] = h
+		c.nHandles++
+	}
 }
 
 func (h *Handle) checkRange(off, n int) error {
 	if h.released {
-		return fmt.Errorf("core: page %d: access through released handle", h.d.pid)
+		return errors.New("core: access through released handle")
 	}
 	if off < 0 || n < 0 || off+n > PageSize {
 		return fmt.Errorf("core: page %d: access [%d, %d) out of page bounds", h.d.pid, off, off+n)
@@ -157,7 +178,8 @@ func (h *Handle) nvmBacking() int32 { return h.d.nvmFrame.Load() }
 // pipelined loads, which is why HyMem's 64 B granularity costs only modest
 // extra bandwidth on Optane rather than a per-line latency each (§6.5,
 // Figure 11). forWrite skips units the caller will fully overwrite.
-// Caller holds fg.mu.
+// Caller holds fg.mu, and passes an error to noteNVMErr once it has
+// unlocked it.
 func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, forWrite bool) error {
 	p := h.bm.dram
 	// Gather the units that need an NVM fill before touching the arena, so
@@ -195,7 +217,6 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 		_, rerr := dev.ReadErr(ctx.Clock, len(need)*mediaPer)
 		return rerr
 	})
-	h.bm.noteNVMErr(err)
 	if err != nil {
 		return fmt.Errorf("core: page %d: load %d fine-grained units: %w", h.d.pid, len(need), err)
 	}
@@ -218,6 +239,7 @@ func (h *Handle) fgRead(ctx *Ctx, fg *fgState, off int, buf []byte) error {
 	fg.lock()
 	if err := h.fgLoadUnits(ctx, fg, first, last, off, len(buf), false); err != nil {
 		fg.unlock()
+		h.bm.noteNVMErr(err)
 		return err
 	}
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(buf))
@@ -235,6 +257,7 @@ func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 	fg.lock()
 	if err := h.fgLoadUnits(ctx, fg, first, last, off, len(data), true); err != nil {
 		fg.unlock()
+		h.bm.noteNVMErr(err)
 		return err
 	}
 	p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
@@ -283,9 +306,10 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 		fg.slots[s] = int32(u)
 		fg.slotCount++
 		dst := mp.data(h.frame)[s*fg.unit : (s+1)*fg.unit]
-		if err := h.bm.nvmReadPayload(ctx.Clock, nf, u*fg.unit, dst); err != nil {
+		if err := h.bm.nvmRead(ctx.Clock, nf, u*fg.unit, dst); err != nil {
 			fg.slotCount-- // roll the half-filled slot back
 			fg.unlock()
+			h.bm.noteNVMErr(err)
 			return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 		}
 		h.bm.dram.charge.ChargeWrite(ctx.Clock, int64(int(h.frame)*mp.slotSize+s*fg.unit), fg.unit)
@@ -318,13 +342,15 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 				return fmt.Errorf("core: page %d: mini page lost its NVM backing", h.d.pid)
 			}
 			if buf != nil {
-				if err := h.bm.nvmReadPayload(ctx.Clock, nf, lo, buf[lo-off:hi-off]); err != nil {
+				if err := h.bm.nvmRead(ctx.Clock, nf, lo, buf[lo-off:hi-off]); err != nil {
 					fg.unlock()
+					h.bm.noteNVMErr(err)
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 			} else {
-				if err := h.bm.nvmWritePayload(ctx.Clock, nf, lo, data[lo-off:hi-off]); err != nil {
+				if err := h.bm.nvmWrite(ctx.Clock, nf, lo, data[lo-off:hi-off]); err != nil {
 					fg.unlock()
+					h.bm.noteNVMErr(err)
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 				h.bm.nvm.meta[nf].dirty.Store(true)

@@ -58,10 +58,11 @@ func (d *descriptor) unlockN() {
 }
 
 // lock acquires a frame group's mutex. fg.mu guards the residency/dirty
-// bitmaps and mini-page slot directory; the only latch that may be taken
-// while it is held is descriptor.mu (safe because mu is a strict leaf). The
-// fine-grained load path takes nothing under it: it reads the NVM slot
-// atomically (nvmBacking).
+// bitmaps and mini-page slot directory, and is a strict leaf: nothing is
+// taken while it is held. The fine-grained load path reads the NVM slot
+// atomically (nvmBacking), and NVM I/O under it leaves degrading a failed
+// tier, which takes every descriptor's mu, until fg.mu is released
+// (nvmRead/nvmWrite, noteNVMErr).
 func (fg *fgState) lock() {
 	lockcheck.Acquire(fg, lockcheck.RankFg)
 	fg.mu.Lock()

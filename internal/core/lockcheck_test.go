@@ -85,3 +85,42 @@ func TestLockcheckAllowsDiscipline(t *testing.T) {
 	a.unlockS()
 	a.unlockD()
 }
+
+// TestStaleReleasePanics: a handle released, and then released again after
+// its Ctx has fetched another page, must panic rather than drop the new
+// fetch's pin. The lockcheck build never reissues a released handle, so the
+// stale pointer still reads as released.
+func TestStaleReleasePanics(t *testing.T) {
+	bm := hotBM(t, 2)
+	ctx := NewCtx(3)
+	old, err := bm.FetchPage(ctx, 0, ReadIntent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Release()
+	h, err := bm.FetchPage(ctx, 1, ReadIntent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a stale Release after the Ctx fetched again did not panic")
+			}
+		}()
+		old.Release()
+	}()
+}
+
+// TestLockcheckPanicsUnderFg proves a frame group's fg.mu is a strict leaf:
+// not even descriptor.mu may be taken under it.
+func TestLockcheckPanicsUnderFg(t *testing.T) {
+	d, fg := &descriptor{}, newFullFG(256)
+	fg.lock()
+	defer fg.unlock()
+	msg := mustPanic(t, func() { d.lockMu() })
+	if !strings.Contains(msg, "frame-group lock is a strict leaf") {
+		t.Fatalf("panic message missing strict-leaf explanation: %q", msg)
+	}
+}

@@ -222,6 +222,7 @@ func benchSetup(b *testing.B, o *obs.Obs) (*BufferManager, *Ctx) {
 // fetch, which differs from it by exactly one pointer nil check.
 func BenchmarkFetchDisabled(b *testing.B) {
 	bm, ctx := benchSetup(b, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := bm.FetchPage(ctx, uint64(i%8), ReadIntent)
@@ -237,6 +238,7 @@ func BenchmarkFetchDisabled(b *testing.B) {
 func BenchmarkFetchTraced(b *testing.B) {
 	o := obs.New(obs.Config{})
 	bm, ctx := benchSetup(b, o)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := bm.FetchPage(ctx, uint64(i%8), ReadIntent)

@@ -32,7 +32,11 @@ type frameMeta struct {
 	dirty   atomic.Bool
 	fg      atomic.Pointer[fgState] // fine-grained residency; DRAM full frames only
 	clAdmit atomic.Bool             // NVM frames: page was admitted by the background cleaner
-	_       [36]byte
+	// hdr stages an NVM frame's header for writeHeader, which only the
+	// frame's exclusive owner calls (the frame is frozen), so the one copy
+	// per frame needs no lock and the header no allocation.
+	hdr [16]byte
+	_   [20]byte
 }
 
 // tryPin attempts to pin the frame; it fails if the frame is frozen.
@@ -48,8 +52,14 @@ func (f *frameMeta) tryPin() bool {
 	}
 }
 
-// unpin drops one pin.
-func (f *frameMeta) unpin() { f.pins.Add(-1) }
+// unpin drops one pin. A count that goes negative means a pin was dropped
+// twice — a handle released twice, or through a copy — and would read as
+// frozen, so it panics in every build.
+func (f *frameMeta) unpin() {
+	if f.pins.Add(-1) < 0 {
+		panic("core: frame unpinned more times than it was pinned")
+	}
+}
 
 // markDirty records a modification by a pinner. It tests before it sets so
 // that rewriting an already dirty page leaves the frame's line shared; that
@@ -389,16 +399,18 @@ func headerSum(hdr []byte) uint32 {
 // writeHeader installs (and persists) frame i's self-identifying header. The
 // 16-byte header is [magic u32][crc u32][pid u64]; a fault can tear it, which
 // the checksum converts into "invalid frame" rather than silent corruption.
+// The caller owns frame i exclusively; the header is composed in the frame's
+// metadata.
 func (p *nvmPool) writeHeader(c *vclock.Clock, i int32, pid PageID, valid bool) error {
-	var hdr [16]byte
+	hdr := p.meta[i].hdr[:]
 	magic := uint32(0)
 	if valid {
 		magic = nvmFrameMagic
 	}
 	binary.LittleEndian.PutUint32(hdr[0:4], magic)
 	binary.LittleEndian.PutUint64(hdr[8:16], pid)
-	binary.LittleEndian.PutUint32(hdr[4:8], headerSum(hdr[:]))
-	if err := p.pm.WriteErr(c, p.headerOffset(i), hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[4:8], headerSum(hdr))
+	if err := p.pm.WriteErr(c, p.headerOffset(i), hdr); err != nil {
 		return fmt.Errorf("core: nvm frame %d header: %w", i, err)
 	}
 	if err := p.pm.PersistErr(c, p.headerOffset(i), len(hdr)); err != nil {

@@ -25,17 +25,28 @@ func (bm *BufferManager) retryIO(c *vclock.Clock, op func() error) error {
 
 // nvmReadPayload / nvmWritePayload / nvmWriteHeader are the retrying,
 // degradation-aware forms of the nvmPool primitives. All NVM I/O on the
-// migration paths goes through them.
+// migration paths goes through them, except under a frame group's fg.mu:
+// that lock is a strict leaf and degrading the tier takes descriptor.mu, so
+// code holding it uses the retrying forms nvmRead/nvmWrite and passes their
+// error to noteNVMErr once it has unlocked.
 func (bm *BufferManager) nvmReadPayload(c *vclock.Clock, f int32, off int, buf []byte) error {
-	err := bm.retryIO(c, func() error { return bm.nvm.readPayload(c, f, off, buf) })
+	err := bm.nvmRead(c, f, off, buf)
 	bm.noteNVMErr(err)
 	return err
 }
 
 func (bm *BufferManager) nvmWritePayload(c *vclock.Clock, f int32, off int, data []byte) error {
-	err := bm.retryIO(c, func() error { return bm.nvm.writePayload(c, f, off, data) })
+	err := bm.nvmWrite(c, f, off, data)
 	bm.noteNVMErr(err)
 	return err
+}
+
+func (bm *BufferManager) nvmRead(c *vclock.Clock, f int32, off int, buf []byte) error {
+	return bm.retryIO(c, func() error { return bm.nvm.readPayload(c, f, off, buf) })
+}
+
+func (bm *BufferManager) nvmWrite(c *vclock.Clock, f int32, off int, data []byte) error {
+	return bm.retryIO(c, func() error { return bm.nvm.writePayload(c, f, off, data) })
 }
 
 func (bm *BufferManager) nvmWriteHeader(c *vclock.Clock, f int32, pid PageID, valid bool) error {

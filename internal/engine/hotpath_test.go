@@ -37,9 +37,10 @@ func kvSlotsPerPage(kv *KV) uint64 { return uint64(kv.Table().slots) }
 
 // TestKVAllocationBudgets pins what one transaction may allocate on a warmed
 // KV with a WAL, so tuple images cannot quietly become garbage again. What
-// is left: the Txn, the page handle, the value returned by Get or the scan's
-// row buffer, and — for a put — the before-image with its version-store
-// entry, which outlive the call by design. Each budget is one above that.
+// is left: the Txn, the value returned by Get or the scan's row buffer, and
+// — for a put — the before-image with its version-store entry, which outlive
+// the call by design. (Page handles come back to the worker's Ctx.) Each
+// budget is one above that.
 func TestKVAllocationBudgets(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -57,14 +58,14 @@ func TestKVAllocationBudgets(t *testing.T) {
 		budget float64
 		op     func(txn *Txn) error
 	}{
-		{"get", 4, func(txn *Txn) error {
+		{"get", 3, func(txn *Txn) error {
 			_, err := kv.Get(ctx, txn, next())
 			return err
 		}},
-		{"put", 5, func(txn *Txn) error {
+		{"put", 4, func(txn *Txn) error {
 			return kv.Put(ctx, txn, next(), val)
 		}},
-		{"scan16", 4, func(txn *Txn) error {
+		{"scan16", 3, func(txn *Txn) error {
 			return kv.Scan(ctx, txn, next(), 16, func(uint64, []byte) bool { return true })
 		}},
 	}

@@ -21,9 +21,8 @@
 //  3. Blocking acquisition (Acquire) of a tier latch is illegal while a
 //     tier latch of a different descriptor is held; TryLock acquisitions
 //     (Acquired) of second descriptors are the sanctioned escape hatch.
-//  4. RankFg (a frame group's fg.mu) may be taken under tier latches; the
-//     only acquisition allowed while it is held is RankMu (legal because mu
-//     is a strict leaf).
+//  4. RankFg (a frame group's fg.mu) is a strict leaf: it may be taken
+//     under tier latches, but nothing may be acquired while it is held.
 //  5. RankWALShard (a WAL shard's append mutex) is a leaf on the append
 //     path. The one exception is the combining flusher, which drains every
 //     shard while holding RankWALFlush: shard→shard acquisitions are legal
@@ -139,11 +138,8 @@ func check(obj any, rank int, blocking bool) {
 		case h.rank == RankFreeList:
 			fail(h, "lockcheck: acquiring %s(%p) while pool.freeMu(%p) is held — a pool's free-list mutex is a strict leaf",
 				RankName(rank), obj, h.obj)
-		case h.rank == RankFg && rank == RankMu:
-			// descriptor.mu under fg.mu. Legal because mu is a strict leaf —
-			// nothing is ever acquired under it, so fg.mu → mu cannot cycle.
 		case h.rank == RankFg:
-			fail(h, "lockcheck: acquiring %s(%p) while fg.mu(%p) is held — only descriptor.mu may be taken under a frame-group lock",
+			fail(h, "lockcheck: acquiring %s(%p) while fg.mu(%p) is held — a frame-group lock is a strict leaf",
 				RankName(rank), obj, h.obj)
 		case h.rank == RankWALShard && rank == RankWALShard && flushHeld:
 			// The combining flusher drains every shard in index order while

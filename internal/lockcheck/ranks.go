@@ -1,9 +1,8 @@
 package lockcheck
 
 // Latch ranks, low acquired first among the tier latches (RankD < RankN <
-// RankS). RankMu is a strict leaf; RankFg admits only RankMu under it; the
-// WAL ranks form their own two-level order (flushMu → shard mu); RankFreeList
-// is a strict leaf. This file carries no build tag: the checked build, the
+// RankS). RankMu, RankFg and RankFreeList are strict leaves; the WAL ranks
+// form their own two-level order (flushMu → shard mu). This file carries no build tag: the checked build, the
 // no-op stub and the static latchorder analyzer (internal/vet) all read the
 // ranks and their names from here.
 const (

@@ -7,32 +7,32 @@ import (
 	"testing"
 )
 
-// TestWaitGraphRecordsCrossGoroutineWait drives the one legal cross-rank
-// blocking acquisition — descriptor.mu under fg.mu (rule 4) — while another
-// goroutine holds the mu, and checks the wait edge shows up in the report.
+// TestWaitGraphRecordsCrossGoroutineWait drives a legal cross-rank blocking
+// acquisition — a descriptor's mu under its own latchD, the order of every
+// slot write — while another goroutine holds the mu, and checks the wait
+// edge shows up in the report.
 func TestWaitGraphRecordsCrossGoroutineWait(t *testing.T) {
 	EnableWaitGraph()
 	defer DisableWaitGraph()
 
-	muObj := new(int)
-	fgObj := new(int)
+	d := new(int)
 	heldc := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
-		Acquired(muObj, RankMu)
+		Acquired(d, RankMu)
 		close(heldc)
 		<-donec
-		Release(muObj, RankMu)
+		Release(d, RankMu)
 	}()
 	<-heldc
 
-	// This goroutine holds fg.mu and blocks wanting the mu the other
-	// goroutine holds: a fg.mu → mu wait edge. (The real shim would now
+	// This goroutine holds latchD and blocks wanting the mu the other
+	// goroutine holds: a latchD → mu wait edge. (The real shim would now
 	// call mutex.Lock; the recording happens at Acquire time.)
-	Acquired(fgObj, RankFg)
-	Acquire(muObj, RankMu)
-	Release(muObj, RankMu)
-	Release(fgObj, RankFg)
+	Acquired(d, RankD)
+	Acquire(d, RankMu)
+	Release(d, RankMu)
+	Release(d, RankD)
 	close(donec)
 
 	report := WaitGraphReport()
@@ -41,12 +41,12 @@ func TestWaitGraphRecordsCrossGoroutineWait(t *testing.T) {
 		if strings.HasPrefix(line, "CYCLE:") {
 			t.Fatalf("unexpected cycle in report: %q", line)
 		}
-		if strings.Contains(line, "fg.mu → mu") {
+		if strings.Contains(line, "latchD → mu") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("report missing fg.mu → mu wait edge: %q", report)
+		t.Fatalf("report missing latchD → mu wait edge: %q", report)
 	}
 }
 
@@ -58,13 +58,13 @@ func TestWaitGraphIgnoresUncontendedAndBareWaits(t *testing.T) {
 	defer DisableWaitGraph()
 
 	muObj := new(int)
-	fgObj := new(int)
+	dObj := new(int)
 
-	// Uncontended: nothing holds muObj, so fg.mu → mu is not a wait.
-	Acquired(fgObj, RankFg)
+	// Uncontended: nothing holds muObj, so latchD → mu is not a wait.
+	Acquired(dObj, RankD)
 	Acquire(muObj, RankMu)
 	Release(muObj, RankMu)
-	Release(fgObj, RankFg)
+	Release(dObj, RankD)
 
 	// Bare: another goroutine holds muObj but this one holds nothing.
 	heldc := make(chan struct{})
@@ -95,7 +95,7 @@ func TestWaitGraphCycleDetection(t *testing.T) {
 	recordWaitEdge(RankD, RankN)
 	recordWaitEdge(RankN, RankS)
 	recordWaitEdge(RankS, RankD)
-	recordWaitEdge(RankFg, RankMu) // acyclic bystander
+	recordWaitEdge(RankN, RankFg) // acyclic bystander
 
 	report := WaitGraphReport()
 	var cycles []string
@@ -132,7 +132,7 @@ func TestWaitGraphDisabledRecordsNothing(t *testing.T) {
 	DisableWaitGraph()
 
 	muObj := new(int)
-	fgObj := new(int)
+	dObj := new(int)
 	heldc := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
@@ -142,10 +142,10 @@ func TestWaitGraphDisabledRecordsNothing(t *testing.T) {
 		Release(muObj, RankMu)
 	}()
 	<-heldc
-	Acquired(fgObj, RankFg)
+	Acquired(dObj, RankD)
 	Acquire(muObj, RankMu)
 	Release(muObj, RankMu)
-	Release(fgObj, RankFg)
+	Release(dObj, RankD)
 	close(donec)
 
 	if report := WaitGraphReport(); len(report) != 0 {

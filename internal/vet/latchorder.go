@@ -21,9 +21,8 @@ import (
 //  3. A thread already holding a tier latch may touch a second descriptor's
 //     tier latches only via TryLock — a blocking Lock on a second
 //     descriptor is a lock-cycle waiting to happen.
-//  4. A frame group's fg.mu may be taken under tier latches, but the only
-//     acquisition allowed while it is held is descriptor.mu (legal
-//     because mu is a strict leaf).
+//  4. A frame group's fg.mu is a strict leaf: taking it under tier latches
+//     is the normal order, but nothing may be acquired while it is held.
 //  5. A WAL shard's append mutex is a leaf on the append path; shard→shard
 //     acquisitions are legal only while the WAL's flushMu is held (the
 //     combining flusher draining shards in index order).
@@ -292,15 +291,14 @@ func (w *latchWalker) apply(op latchOp, pos token.Pos) {
 		}
 	}
 
-	// Rule 4 (frame groups): only descriptor.mu may be acquired under fg.mu.
-	if op.rank != lockcheck.RankMu {
-		for heldBase, rs := range w.held {
-			if rs[lockcheck.RankFg] {
-				w.pass.report(pos, "latchorder",
-					"acquiring %s.%s while %s (a frame-group lock) is held (only descriptor.mu may be taken under fg.mu)",
-					base, lockcheck.RankName(op.rank), heldBase)
-				break
-			}
+	// Rule 4 (frame groups): a frame-group lock is a strict leaf — nothing
+	// may be acquired while one is held.
+	for heldBase, rs := range w.held {
+		if rs[lockcheck.RankFg] {
+			w.pass.report(pos, "latchorder",
+				"acquiring %s.%s while %s (a frame-group lock) is held (fg.mu is a strict leaf)",
+				base, lockcheck.RankName(op.rank), heldBase)
+			break
 		}
 	}
 

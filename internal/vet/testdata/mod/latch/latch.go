@@ -154,11 +154,14 @@ func (m *walManager) tryLockFlush() bool { return m.flushMu.TryLock() }
 
 func (m *walManager) unlockFlush() { m.flushMu.Unlock() }
 
-// FgNotLeaf acquires a tier latch under a frame-group lock.
+// FgNotLeaf acquires a tier latch, and then descriptor.mu, under a
+// frame-group lock: fg.mu is a strict leaf, so both are reported.
 func FgNotLeaf(d *descriptor, fg *fgroup) {
 	fg.lock()
 	d.latchD.Lock() // want latchorder
 	d.latchD.Unlock()
+	d.mu.Lock() // want latchorder
+	d.mu.Unlock()
 	fg.unlock()
 }
 
@@ -217,16 +220,16 @@ func CleanFreeList(p *bmPool, d *descriptor) {
 	d.latchD.Unlock()
 }
 
-// CleanExtended follows the extended discipline: fg.mu under a tier latch
-// with only descriptor.mu beneath it, the shard mutex as an append-path
-// leaf, the combining flusher's flushMu → shard order (shim and raw forms),
-// and a TryLock skip-out on flushMu.
+// CleanExtended follows the extended discipline: fg.mu as a leaf under a
+// tier latch, descriptor.mu taken after it is released, the shard mutex as
+// an append-path leaf, the combining flusher's flushMu → shard order (shim
+// and raw forms), and a TryLock skip-out on flushMu.
 func CleanExtended(d *descriptor, fg *fgroup, m *walManager, a, b *walShard) {
 	d.latchS.Lock()
 	fg.lock()
-	d.mu.Lock() // the one legal acquisition under fg.mu
-	d.mu.Unlock()
 	fg.unlock()
+	d.mu.Lock()
+	d.mu.Unlock()
 	d.latchS.Unlock()
 
 	m.lockShard(a)
