@@ -61,6 +61,14 @@ func TestServerFixtureFamilies(t *testing.T) {
 		// Version-store size and the WAL posture.
 		"spitfire_mvto_versions_retained",
 		"spitfire_wal_shards",
+		// The log since the last checkpoint, and the checkpoints that
+		// bound it: how many, how many gave up, how long each held
+		// requests back.
+		"spitfire_wal_log_bytes",
+		"spitfire_checkpoints_total",
+		"spitfire_checkpoint_give_ups_total",
+		`spitfire_checkpoint_pause_wall_ns{quantile="0.99"}`,
+		"spitfire_checkpoint_pause_wall_ns_count",
 		// Request latency summaries.
 		`spitfire_req_get_ns{quantile="0.99"}`,
 		"spitfire_req_put_ns_count",

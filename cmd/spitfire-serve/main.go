@@ -20,6 +20,14 @@
 // readiness flips immediately, the listener stays up for -drain-grace so
 // load balancers notice, then in-flight requests finish and the engine
 // checkpoints before exit 0.
+//
+// The server also checkpoints while it runs, so its log never outgrows the
+// DRAM buffer: once the log written since the last checkpoint passes
+// -dram-mb (or the 4 MiB NVM log buffer, if that is larger), the request
+// that crossed the mark checkpoints before it answers. Requests that arrive
+// meanwhile wait for that one checkpoint — spitfire_checkpoint_pause_wall_ns
+// on /metrics — and none is refused for it; spitfire_wal_log_bytes is the
+// log since the last checkpoint.
 package main
 
 import (

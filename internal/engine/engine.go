@@ -225,8 +225,13 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 // every dirty DRAM page down to durable media (NVM copies stay in place —
 // NVM is persistent), force the log, write a checkpoint record, and
 // truncate the log file. It must run quiescently (no concurrent
-// transactions); it returns the number of pages it could not flush, which
-// is non-zero only if that requirement was violated. Being quiescent, it
+// transactions). It returns the number of dirty pages it could not flush
+// because another thread held them latched, and then truncates nothing.
+// With no transaction open that thread is the buffer manager's background
+// cleaner mid-eviction, which lets go within a batch, so a caller re-runs
+// Checkpoint until it returns zero: the server's one retry helper is
+// server.(*Server).checkpoint, and a caller that stops the cleaners first
+// (BufferManager.Close) sees zero on the first try. Being quiescent, it
 // also empties the MVTO version store.
 func (db *DB) Checkpoint(ctx *core.Ctx) (skipped int, err error) {
 	db.tm.GC()

@@ -31,6 +31,11 @@
 //  7. RankFreeList (a buffer pool's free-list mutex) is a strict leaf: it
 //     may be taken under tier latches (allocation runs under latchD or
 //     latchN) but nothing may be acquired while it is held.
+//  8. RankTxnGate (the server's transaction gate, an RWMutex a transaction
+//     holds shared and a checkpoint exclusive) is a root: it may be taken
+//     only while nothing is held — in particular not a second time, since
+//     a nested read lock queues behind a waiting checkpoint that waits for
+//     the outer one.
 package lockcheck
 
 import (
@@ -123,6 +128,11 @@ func check(obj any, rank int, blocking bool) {
 	s := shardFor(g)
 	defer s.mu.Unlock()
 	stack := s.byGoro[g]
+	if rank == RankTxnGate && len(stack) > 0 {
+		h := &stack[len(stack)-1]
+		fail(h, "lockcheck: acquiring %s(%p) while %s(%p) is held — the transaction gate is a root, taken before anything else",
+			RankName(rank), obj, RankName(h.rank), h.obj)
+	}
 	flushHeld := false
 	for i := range stack {
 		if stack[i].rank == RankWALFlush {

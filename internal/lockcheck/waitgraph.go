@@ -160,7 +160,7 @@ func WaitGraphReport() []string {
 
 // rankCycles finds the elementary cycles of the (tiny) rank digraph by DFS
 // from every node, canonicalized to start at their smallest rank and
-// deduplicated. The graph has at most 8 nodes, so brute force is fine.
+// deduplicated. The graph has at most 9 nodes, so brute force is fine.
 func rankCycles(adj map[int][]int) [][]int {
 	var cycles [][]int
 	seen := map[string]bool{}

@@ -30,10 +30,14 @@ func promName(s string) string {
 // writeHistogram renders one latency histogram as a Prometheus summary:
 // quantile-labelled gauges plus _sum/_count, which is the natural fit for
 // metrics.Histogram's percentile API (bucket bounds are powers of two and
-// would make poor le= boundaries).
+// would make poor le= boundaries). A name ending in _wall holds host time.
 func writeHistogram(w io.Writer, name string, h *metrics.Histogram) {
 	fq := "spitfire_" + name + "_ns"
-	fmt.Fprintf(w, "# HELP %s Simulated latency of %s in nanoseconds.\n", fq, name)
+	what := "Simulated latency"
+	if strings.HasSuffix(name, "_wall") {
+		what = "Wall-clock duration"
+	}
+	fmt.Fprintf(w, "# HELP %s %s of %s in nanoseconds.\n", fq, what, name)
 	fmt.Fprintf(w, "# TYPE %s summary\n", fq)
 	// Quantile labels are spelled out: 99.9/100 in float64 would render as
 	// 0.9990000000000001.

@@ -134,13 +134,13 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, write bool) (admi
 	s.cnt.accepted.Add(1)
 	s.noteFreeFrac(s.bm.Pressure().MinFreeFrac())
 	if hold := s.opts.TestHoldPerRequest; hold > 0 {
-		time.Sleep(hold) //vet:allow determinism TestHoldPerRequest is a host-side test knob, not simulated time
+		wallSleep(hold)
 	}
 	return admitted{
 		ctx:     ctx,
 		cancel:  cancel,
 		release: release,
-		start:   time.Now(), //vet:allow determinism begin stamps wall-clock request latency for the obs histograms
+		start:   wallNow(),
 	}, true
 }
 
@@ -150,9 +150,16 @@ func (s *Server) finish(a admitted, h *metrics.Histogram) {
 	a.cancel()
 	s.cnt.completed.Add(1)
 	if h != nil {
-		h.Observe(time.Since(a.start).Nanoseconds()) //vet:allow determinism finish records wall-clock request latency
+		h.Observe(wallNow().Sub(a.start).Nanoseconds())
 	}
 }
+
+// wallNow and wallSleep are the server's only uses of the host clock: it
+// serves real sockets, so its request latencies, checkpoint pauses and
+// waits are wall-clock quantities, never simulated time.
+func wallNow() time.Time { return time.Now() } //vet:allow determinism request latencies and checkpoint pauses are wall-clock
+
+func wallSleep(d time.Duration) { time.Sleep(d) } //vet:allow determinism TestHoldPerRequest and the checkpoint's wait for the cleaner are host-side waits
 
 // writeErr maps engine/context errors onto the API's status contract:
 // 404 missing key, 409 conflict after retries, 503 deadline, 500 bug.

@@ -26,7 +26,9 @@ type counters struct {
 	shedEnters        atomic.Int64
 	degradedTrips     atomic.Int64
 	checkpoints       atomic.Int64
-	checkpointSkipped atomic.Int64
+	checkpointGiveUps atomic.Int64
+	drainCheckpoints  atomic.Int64
+	drainSkipped      atomic.Int64
 	minFreeFrac       atomic.Uint64 // math.Float64bits
 }
 
@@ -47,8 +49,14 @@ type Stats struct {
 	TxnRetries        int64 `json:"txn_retries"`
 	ShedEnters        int64 `json:"shed_enters"`
 	DegradedTrips     int64 `json:"degraded_trips"`
+	// Checkpoints counts every checkpoint that truncated the log, periodic
+	// and drain alike; CheckpointGiveUps those that failed or still found
+	// pages latched after their retries. DrainCheckpoints (0 or 1) and
+	// DrainSkipped are the drain's own result.
 	Checkpoints       int64 `json:"checkpoints"`
-	CheckpointSkipped int64 `json:"checkpoint_skipped"`
+	CheckpointGiveUps int64 `json:"checkpoint_give_ups"`
+	DrainCheckpoints  int64 `json:"drain_checkpoints"`
+	DrainSkipped      int64 `json:"drain_skipped"`
 
 	Inflight int64 `json:"inflight"`
 	Queued   int64 `json:"queued"`
@@ -83,7 +91,9 @@ func (s *Server) Stats() Stats {
 		ShedEnters:        s.cnt.shedEnters.Load(),
 		DegradedTrips:     s.cnt.degradedTrips.Load(),
 		Checkpoints:       s.cnt.checkpoints.Load(),
-		CheckpointSkipped: s.cnt.checkpointSkipped.Load(),
+		CheckpointGiveUps: s.cnt.checkpointGiveUps.Load(),
+		DrainCheckpoints:  s.cnt.drainCheckpoints.Load(),
+		DrainSkipped:      s.cnt.drainSkipped.Load(),
 		Inflight:          inflight,
 		Queued:            queued,
 		Clients:           clients,
@@ -114,6 +124,7 @@ func (s *Server) ObsCounters() []obs.Sample {
 		{Name: "shed_enters", Value: st.ShedEnters},
 		{Name: "degraded_trips", Value: st.DegradedTrips},
 		{Name: "checkpoints", Value: st.Checkpoints},
+		{Name: "checkpoint_give_ups", Value: st.CheckpointGiveUps},
 	}
 	out = append(out, s.bm.ObsCounters()...)
 	if w := s.db.WAL(); w != nil {
@@ -128,9 +139,10 @@ func (s *Server) ObsCounters() []obs.Sample {
 }
 
 // ObsGauges implements obs.Source: instantaneous admission occupancy,
-// robustness state (0/1 flags), buffer-pool headroom, and the size of the
+// robustness state (0/1 flags), buffer-pool headroom, the size of the
 // MVTO version store — which only grows while some transaction stays open,
-// so a stuck one shows from outside.
+// so a stuck one shows from outside — and the log since the last
+// truncation, which the next request past the bound checkpoints away.
 func (s *Server) ObsGauges() []obs.Sample {
 	st := s.Stats()
 	p := s.bm.Pressure()
@@ -156,7 +168,10 @@ func (s *Server) ObsGauges() []obs.Sample {
 		{Name: "mvto_versions_retained", Value: int64(s.db.VersionsRetained())},
 	}
 	if w := s.db.WAL(); w != nil {
-		out = append(out, obs.Sample{Name: "wal_shards", Value: int64(w.Shards())})
+		out = append(out,
+			obs.Sample{Name: "wal_shards", Value: int64(w.Shards())},
+			obs.Sample{Name: "wal_log_bytes", Value: w.LogBytes()},
+		)
 	}
 	return out
 }

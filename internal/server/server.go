@@ -19,6 +19,16 @@
 //     inside their deadlines, stops the cleaners, checkpoints the engine,
 //     and closes the listener — so SIGTERM never drops an accepted request.
 //
+// The server also keeps its log bounded while it runs. A request whose
+// transaction leaves more log in the store than the DRAM buffer holds
+// (floored at the WAL's NVM buffer) checkpoints before it answers. A
+// checkpoint writes back at most the DRAM buffer's dirty pages, so at that
+// bound its write-back never exceeds the log it retires. Transactions hold
+// the transaction gate shared and a checkpoint holds it exclusive, so a
+// request that arrives during a checkpoint waits for it — one checkpoint's
+// pause, exported as spitfire_checkpoint_pause_wall_ns — and is never
+// refused for it. Drain's checkpoint is the same function.
+//
 // The package uses wall-clock time throughout: it serves real sockets, so
 // its deadlines and latency histograms are host-side quantities, unlike the
 // simulated-time core it fronts.
@@ -37,6 +47,7 @@ import (
 
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/engine"
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
 )
@@ -143,9 +154,19 @@ type Server struct {
 	ctxPool sync.Pool
 	ctxSeq  atomic.Uint64
 
+	// txnGate is held shared by every transaction (retries included) and
+	// exclusive by a checkpoint, which DB.Checkpoint requires to run with
+	// no transaction open. logBound is the log size, in bytes shipped to
+	// the store, past which a request checkpoints (0 without a WAL);
+	// checkpointing lets one request at a time do it.
+	txnGate       sync.RWMutex
+	logBound      int64
+	checkpointing atomic.Bool
+
 	cnt   counters
 	hists struct {
 		get, put, del, scan, txn *metrics.Histogram
+		checkpointPause          *metrics.Histogram
 	}
 
 	ln      net.Listener
@@ -174,12 +195,16 @@ func New(opts Options) (*Server, error) {
 	s.ctxPool.New = func() any {
 		return core.NewCtx(s.opts.Seed + s.ctxSeq.Add(1))
 	}
+	if w := s.db.WAL(); w != nil {
+		s.logBound = max(int64(s.bm.DRAMFrames())*core.PageSize, w.BufferBytes())
+	}
 	if o := opts.Obs; o != nil {
 		s.hists.get = o.NamedHist("req_get")
 		s.hists.put = o.NamedHist("req_put")
 		s.hists.del = o.NamedHist("req_delete")
 		s.hists.scan = o.NamedHist("req_scan")
 		s.hists.txn = o.NamedHist("req_txn")
+		s.hists.checkpointPause = o.NamedHist("checkpoint_pause_wall")
 		o.SetSource(s)
 	}
 	s.handler = s.routes()
@@ -243,7 +268,19 @@ func (s *Server) Drain() error {
 	}
 	s.stopMonitor()
 	s.bm.Close()
-	if cerr := s.checkpoint(); err == nil {
+	cc := s.ctxPool.Get().(*core.Ctx)
+	defer s.ctxPool.Put(cc)
+	skipped, cerr := s.checkpoint(cc)
+	s.cnt.drainSkipped.Store(int64(skipped))
+	switch {
+	case cerr != nil:
+		cerr = fmt.Errorf("server: drain checkpoint: %w", cerr)
+	case skipped > 0:
+		cerr = fmt.Errorf("server: drain checkpoint skipped %d dirty pages (engine not quiescent)", skipped)
+	default:
+		s.cnt.drainCheckpoints.Add(1)
+	}
+	if err == nil {
 		err = cerr
 	}
 	return err
@@ -268,21 +305,85 @@ func (s *Server) stopMonitor() {
 	s.monWG.Wait()
 }
 
-// checkpoint flushes dirty DRAM and truncates the log once the server is
-// quiescent (Drain guarantees no in-flight transactions remain).
-func (s *Server) checkpoint() error {
-	cc := s.ctxPool.Get().(*core.Ctx)
-	defer s.ctxPool.Put(cc)
-	skipped, err := s.db.Checkpoint(cc)
-	s.cnt.checkpointSkipped.Store(int64(skipped))
-	s.cnt.checkpoints.Add(1)
-	if err != nil {
-		return fmt.Errorf("server: drain checkpoint: %w", err)
+// checkpointTries and checkpointRetryWait bound how long a checkpoint waits
+// out the cleaner: a page it holds latched mid-evict is skipped by the
+// flush and free again once that eviction ends.
+const (
+	checkpointTries     = 200
+	checkpointRetryWait = 100 * time.Microsecond
+)
+
+// checkpoint is the server's one checkpoint path, periodic and drain alike.
+// It holds the transaction gate exclusive, so no transaction is open while
+// DB.Checkpoint flushes dirty DRAM and truncates the log, and retries while
+// the flush skips pages the cleaner holds latched. It returns the pages
+// still skipped after the last try; the log is truncated only when that is
+// zero and err is nil.
+func (s *Server) checkpoint(cc *core.Ctx) (skipped int, err error) {
+	s.lockTxnsExclusive()
+	start := wallNow()
+	for try := 1; ; try++ {
+		skipped, err = s.db.Checkpoint(cc)
+		if err != nil || skipped == 0 || try == checkpointTries {
+			break
+		}
+		wallSleep(checkpointRetryWait)
 	}
-	if skipped > 0 {
-		return fmt.Errorf("server: drain checkpoint skipped %d dirty pages (engine not quiescent)", skipped)
+	pause := wallNow().Sub(start)
+	s.unlockTxnsExclusive()
+	if h := s.hists.checkpointPause; h != nil {
+		h.Observe(pause.Nanoseconds())
 	}
-	return nil
+	if err == nil && skipped == 0 {
+		s.cnt.checkpoints.Add(1)
+	} else {
+		s.cnt.checkpointGiveUps.Add(1)
+	}
+	return skipped, err
+}
+
+// maybeCheckpoint checkpoints once the log shipped to the store since the
+// last truncation has outgrown logBound. The caller must not be inside a
+// transaction. One request checkpoints at a time; the others go on. A
+// read-only server refuses writes, so its log cannot grow and it leaves the
+// failed NVM tier alone.
+func (s *Server) maybeCheckpoint(cc *core.Ctx) {
+	if s.logBound == 0 || s.db.WAL().LogBytes() <= s.logBound || s.readOnly.Load() {
+		return
+	}
+	if !s.checkpointing.CompareAndSwap(false, true) {
+		return
+	}
+	defer s.checkpointing.Store(false)
+	if s.db.WAL().LogBytes() > s.logBound { // not already done by the checkpoint that just ended
+		// The request has already succeeded. A checkpoint that gives up is
+		// counted, leaves the log as it was, and the next request past the
+		// bound tries again.
+		_, _ = s.checkpoint(cc)
+	}
+}
+
+// The transaction gate's lock shims route through lockcheck, which holds
+// it to be a root: taken with nothing else held, never twice.
+
+func (s *Server) lockTxnsShared() {
+	lockcheck.Acquire(&s.txnGate, lockcheck.RankTxnGate)
+	s.txnGate.RLock()
+}
+
+func (s *Server) unlockTxnsShared() {
+	s.txnGate.RUnlock()
+	lockcheck.Release(&s.txnGate, lockcheck.RankTxnGate)
+}
+
+func (s *Server) lockTxnsExclusive() {
+	lockcheck.Acquire(&s.txnGate, lockcheck.RankTxnGate)
+	s.txnGate.Lock()
+}
+
+func (s *Server) unlockTxnsExclusive() {
+	s.txnGate.Unlock()
+	lockcheck.Release(&s.txnGate, lockcheck.RankTxnGate)
 }
 
 // monitorLoop samples buffer-manager pressure on a wall-clock ticker and
@@ -343,14 +444,25 @@ func (s *Server) noteFreeFrac(frac float64) {
 // conflict surfaces to the client as 409.
 const txnRetries = 3
 
-// runTxn checks a core.Ctx out of the pool, installs the request deadline
-// as its interrupt hook, and runs fn inside a transaction, retrying MVTO
-// conflicts. The hook is cleared before any abort: abort restores
-// before-images through the same Ctx, and cutting that short would leave
-// torn tuples behind (see core.Ctx.SetInterrupt).
+// runTxn checks a core.Ctx out of the pool, runs fn inside a transaction
+// (see doTxn), and then checkpoints if that left the log past its bound —
+// after the gate is released, so the checkpointer never waits on itself.
 func (s *Server) runTxn(reqCtx context.Context, fn func(cc *core.Ctx, txn *engine.Txn) error) error {
 	cc := s.ctxPool.Get().(*core.Ctx)
 	defer s.ctxPool.Put(cc)
+	err := s.doTxn(reqCtx, cc, fn)
+	s.maybeCheckpoint(cc)
+	return err
+}
+
+// doTxn holds the transaction gate shared, installs the request deadline as
+// cc's interrupt hook, and runs fn inside a transaction, retrying MVTO
+// conflicts. The hook is cleared before any abort: abort restores
+// before-images through the same Ctx, and cutting that short would leave
+// torn tuples behind (see core.Ctx.SetInterrupt).
+func (s *Server) doTxn(reqCtx context.Context, cc *core.Ctx, fn func(cc *core.Ctx, txn *engine.Txn) error) error {
+	s.lockTxnsShared()
+	defer s.unlockTxnsShared()
 	var err error
 	for attempt := 0; attempt <= txnRetries; attempt++ {
 		cc.SetInterrupt(reqCtx.Err)

@@ -477,8 +477,8 @@ func TestDrainGraceful(t *testing.T) {
 	if !st.Draining {
 		t.Fatal("stats do not show draining")
 	}
-	if st.Checkpoints != 1 || st.CheckpointSkipped != 0 {
-		t.Fatalf("drain checkpoint: ran=%d skipped=%d, want 1/0", st.Checkpoints, st.CheckpointSkipped)
+	if st.DrainCheckpoints != 1 || st.DrainSkipped != 0 {
+		t.Fatalf("drain checkpoint: ran=%d skipped=%d, want 1/0", st.DrainCheckpoints, st.DrainSkipped)
 	}
 	if st.Completed != inflight {
 		t.Fatalf("completed = %d, want %d", st.Completed, inflight)
@@ -517,8 +517,8 @@ func TestDrainWithLiveCleaner(t *testing.T) {
 		if err := s.Drain(); err != nil {
 			t.Fatalf("iteration %d: Drain: %v", i, err)
 		}
-		if st := s.Stats(); st.Checkpoints != 1 || st.CheckpointSkipped != 0 {
-			t.Fatalf("iteration %d: drain checkpoint ran=%d skipped=%d, want 1/0", i, st.Checkpoints, st.CheckpointSkipped)
+		if st := s.Stats(); st.DrainCheckpoints != 1 || st.DrainSkipped != 0 {
+			t.Fatalf("iteration %d: drain checkpoint ran=%d skipped=%d, want 1/0", i, st.DrainCheckpoints, st.DrainSkipped)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/lockcheck"
 )
 
@@ -17,7 +18,8 @@ import (
 // latch waits form no rank cycle. This is the dynamic complement of the
 // per-acquisition discipline rules: the rules panic on any single
 // acquisition that could close a cycle, and this test checks the aggregate
-// wait-for graph of a real server workload stays acyclic too. It only does
+// wait-for graph of a real server workload stays acyclic too — with a
+// checkpointer taking the transaction gate exclusive throughout. It only does
 // anything under `go test -race -tags lockcheck ./internal/server/`; in the
 // default build the stub checker records nothing and the test skips.
 func TestWaitGraphUnderLoad(t *testing.T) {
@@ -25,7 +27,7 @@ func TestWaitGraphUnderLoad(t *testing.T) {
 		t.Skip("needs -tags lockcheck")
 	}
 	db, kv, _ := newTestEngine(t, false)
-	_, ts := newTestServer(t, Options{
+	s, ts := newTestServer(t, Options{
 		DB: db, KV: kv,
 		MaxInflight:     16,
 		DefaultDeadline: 10 * time.Second,
@@ -36,6 +38,23 @@ func TestWaitGraphUnderLoad(t *testing.T) {
 
 	const workers = 8
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	ckptDone := make(chan struct{})
+	go func() {
+		defer close(ckptDone)
+		cc := core.NewCtx(99)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if skipped, err := s.checkpoint(cc); err != nil || skipped != 0 {
+				t.Errorf("checkpoint under load: skipped %d, err %v", skipped, err)
+				return
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -59,6 +78,8 @@ func TestWaitGraphUnderLoad(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-ckptDone
 
 	report := lockcheck.WaitGraphReport()
 	for _, line := range report {

@@ -315,6 +315,9 @@ type Manager struct {
 	_       [56]byte
 
 	flushes atomic.Int64
+	// logBytes counts the bytes shipped to the store since the last
+	// Truncate: the log a recovery would have to read back.
+	logBytes atomic.Int64
 
 	obs     *obs.Obs
 	hAppend *metrics.Histogram
@@ -641,6 +644,7 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	if _, err := device.Retry(c, func() error { return m.store.Append(c, data) }); err != nil {
 		return 0, fmt.Errorf("wal: flush: %w", err)
 	}
+	m.logBytes.Add(n)
 	old := sh.bufOff
 	sh.bufOff = sh.base + bufHeaderSize
 	if err := m.persistShardOffset(c, sh); err != nil {
@@ -675,8 +679,18 @@ func (m *Manager) Truncate(c *vclock.Clock) error {
 	if _, err := device.Retry(c, func() error { return m.store.Truncate(c) }); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
+	m.logBytes.Store(0)
 	return nil
 }
+
+// LogBytes reports the bytes shipped to the store since the last Truncate.
+// A failed flush that left a partial batch in the store counts nothing, so
+// this can under-read the store by that torn prefix.
+func (m *Manager) LogBytes() int64 { return m.logBytes.Load() }
+
+// BufferBytes reports the size of the NVM log buffer, the most one
+// combined flush can ship.
+func (m *Manager) BufferBytes() int64 { return m.pm.Size() }
 
 // Stats reports append/flush/commit counts, summing the per-shard counters.
 func (m *Manager) Stats() (appends, flushes, commits int64) {

@@ -81,6 +81,9 @@ func TestThresholdFlushMovesRecordsToSSD(t *testing.T) {
 	if store.Len() == 0 {
 		t.Fatal("threshold never flushed the buffer to SSD")
 	}
+	if got := m.LogBytes(); got != int64(store.Len()) {
+		t.Fatalf("LogBytes = %d, store holds %d", got, store.Len())
+	}
 	if _, flushes, _ := m.Stats(); flushes == 0 {
 		t.Fatal("no flushes counted")
 	}
@@ -273,14 +276,14 @@ func TestTruncate(t *testing.T) {
 	if err := m.Flush(c); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() == 0 {
-		t.Fatal("flush wrote nothing")
+	if store.Len() == 0 || m.LogBytes() != int64(store.Len()) {
+		t.Fatalf("after flush: store holds %d bytes, LogBytes = %d", store.Len(), m.LogBytes())
 	}
 	if err := m.Truncate(c); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 0 {
-		t.Fatal("truncate left data")
+	if store.Len() != 0 || m.LogBytes() != 0 {
+		t.Fatalf("after truncate: store holds %d bytes, LogBytes = %d", store.Len(), m.LogBytes())
 	}
 	raw, _ := store.ReadAll(c)
 	if len(raw) != 0 {
