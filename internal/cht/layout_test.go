@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// TestChainsStayShort loads a map the size of mvto's per-tuple table on the
-// kv-txn workload and checks that the hash is actually spread over the
+// TestChainsStayShort loads a map of 100 k keys, a table far larger than
+// core's page tables, and checks that the hash is actually spread over the
 // buckets: no chain far past loadFactor, and nearly every bucket of a grown
 // stripe in use. With stripe and bucket taken from the same hash bits a
 // stripe's entries all land in one chain and both checks fail.
@@ -56,8 +56,8 @@ func TestStripeIsWholeCacheLines(t *testing.T) {
 	}
 }
 
-// BenchmarkGet reads maps of the three sizes the repo's workloads build (the
-// bm-hot and bm-churn page tables, mvto's tuple table on kv-txn). The ns/op
+// BenchmarkGet reads maps the size of the bm-hot and bm-churn page tables
+// and one of 100 k keys, a table large enough to miss in cache. The ns/op
 // figures should stay within 2x of each other: chains are equally short at
 // every size, so only cache misses on the larger tables separate them.
 func BenchmarkGet(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/spitfire-db/spitfire/internal/core"
+	"github.com/spitfire-db/spitfire/internal/mvto"
 )
 
 // Page layout (within the 16 KB buffer-managed page):
@@ -47,10 +48,11 @@ func slotOffset(tupleSize, s int) int {
 	return pageHeaderSize + s*slotSize(tupleSize)
 }
 
-// RID identifies a tuple: page id in the high bits, slot in the low 12.
+// RID identifies a tuple: page id in the high bits, slot in the low
+// ridSlotBits. mvto finds a tuple's entry by this split, so it owns it.
 type RID = uint64
 
-const ridSlotBits = 12
+const ridSlotBits = mvto.SlotBits
 
 // makeRID packs a page id and slot.
 func makeRID(pid core.PageID, slot int) RID {

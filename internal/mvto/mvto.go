@@ -39,8 +39,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"github.com/spitfire-db/spitfire/internal/cht"
 )
 
 // ErrConflict aborts a transaction that lost a timestamp-ordering race.
@@ -112,7 +110,8 @@ type version struct {
 	prev *version // next-older version
 }
 
-// tupleMeta is the version-store entry for one tuple.
+// tupleMeta is the version-store entry for one tuple, at a fixed place in
+// the manager's directory.
 type tupleMeta struct {
 	mu      sync.Mutex
 	readTS  uint64 // max timestamp that has read this tuple
@@ -167,7 +166,6 @@ func (sh *activeShard) retire(w retiredWrite) {
 type Manager struct {
 	nextTS atomic.Uint64
 	active [activeShards]activeShard
-	meta   *cht.Map[uint64, *tupleMeta]
 
 	aborts  atomic.Int64
 	commits atomic.Int64
@@ -178,11 +176,13 @@ type Manager struct {
 	retained  atomic.Int64
 	reclaimAt atomic.Int64
 	reclaimMu sync.Mutex
+
+	meta directory
 }
 
 // NewManager creates a transaction manager.
 func NewManager() *Manager {
-	m := &Manager{meta: cht.New[uint64, *tupleMeta](cht.Uint64Hash)}
+	m := new(Manager)
 	m.nextTS.Store(1)
 	m.reclaimAt.Store(reclaimBatch)
 	return m
@@ -242,10 +242,7 @@ func (m *Manager) finish(txn *Txn, state TxnState, retire []*tupleMeta) {
 	sh.mu.Unlock()
 }
 
-func (m *Manager) metaFor(rid uint64) *tupleMeta {
-	e, _ := m.meta.GetOrInsert(rid, func() *tupleMeta { return &tupleMeta{} })
-	return e
-}
+func (m *Manager) metaFor(rid uint64) *tupleMeta { return m.meta.get(rid) }
 
 // Read performs a visibility-checked read of tuple rid. pageWTS must read
 // the tuple's in-place write timestamp; serve must perform the read —
