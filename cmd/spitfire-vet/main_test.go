@@ -14,10 +14,10 @@ func TestMain(m *testing.M) { cmdtest.Main(m, main) }
 // file:line: [check-id] findings, an unknown check exits 2.
 func TestFixtureModuleSmoke(t *testing.T) {
 	const mod = "../../internal/vet/testdata/mod"
-	if out, exit := cmdtest.Run(t, "-dir", mod, "./devio"); exit != 0 || out != "" {
+	if out, exit := cmdtest.Run(t, "-dir", mod, "./internal/device"); exit != 0 || out != "" {
 		t.Fatalf("clean package exited %d:\n%s", exit, out)
 	}
-	out, exit := cmdtest.Run(t, "-dir", mod, "-checks", "latchorder", "./latch")
+	out, exit := cmdtest.Run(t, "-dir", mod, "-checks", "latchorder", "./internal/latch")
 	if exit != 1 || !strings.Contains(out, "latch.go:") || !strings.Contains(out, "[latchorder]") {
 		t.Fatalf("latch fixtures exited %d:\n%s", exit, out)
 	}

@@ -21,16 +21,16 @@ type node struct {
 }
 
 // Queue is a fixed-capacity FIFO of page identifiers with O(1) membership
-// tests and removal. It is safe for concurrent use. It allocates at most
-// capacity nodes over its life: an entry that leaves the queue leaves its
-// node for the next denial, so a warm queue's Admit allocates nothing.
+// tests and removal. It is safe for concurrent use. New allocates its
+// capacity nodes at once: an entry that leaves the queue leaves its node for
+// the next denial, so Admit allocates nothing.
 type Queue struct {
 	mu       sync.Mutex
 	capacity int
 	byPID    map[uint64]*node
 	head     *node // oldest
 	tail     *node // newest
-	spare    *node // nodes of entries that left, linked through next
+	spare    *node // nodes no entry holds, linked through next
 }
 
 // New creates a queue that remembers up to capacity denied pages.
@@ -38,9 +38,14 @@ func New(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
+	nodes := make([]node, capacity)
+	for i := range nodes[1:] {
+		nodes[i].next = &nodes[i+1]
+	}
 	return &Queue{
 		capacity: capacity,
 		byPID:    make(map[uint64]*node, capacity),
+		spare:    &nodes[0],
 	}
 }
 
@@ -71,12 +76,8 @@ func (q *Queue) Admit(pid uint64) bool {
 	if len(q.byPID) >= q.capacity {
 		q.drop(q.head)
 	}
-	n := q.spare
-	if n != nil {
-		q.spare, n.next = n.next, nil
-	} else {
-		n = new(node)
-	}
+	n := q.spare // never nil: the queue holds fewer than capacity entries here
+	q.spare, n.next = n.next, nil
 	n.pid = pid
 	q.pushTail(n)
 	q.byPID[pid] = n

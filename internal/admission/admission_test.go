@@ -179,14 +179,18 @@ func TestAdmitMatchesModel(t *testing.T) {
 	}
 }
 
-// TestFullQueueAdmitAllocatesNothing: once a queue has been full, every
-// denial reuses the node of the entry it pushes out or of one that left, so
-// a long admit/deny sequence allocates nothing at all.
+// TestFullQueueAdmitAllocatesNothing: New makes every node the queue will
+// use, so neither the first denial on an empty queue nor a long admit/deny
+// sequence on a full one allocates.
 func TestFullQueueAdmitAllocatesNothing(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const capacity = 512
+	empty := []*Queue{New(capacity), New(capacity)} // AllocsPerRun's warm-up takes one
+	if n := testing.AllocsPerRun(1, func() { empty[0].Admit(1); empty = empty[1:] }); n != 0 {
+		t.Fatalf("the first admission on an empty queue allocated %.0f objects, want 0", n)
+	}
 	q := New(capacity)
 	rng := uint64(1)
 	run := func() {

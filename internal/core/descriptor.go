@@ -14,17 +14,12 @@ const noFrame = int32(-1)
 // the page live and carries one latch per storage tier for thread-safe
 // migration.
 //
-// Locking rules (see DESIGN.md):
-//
-//  1. Tier latches of one descriptor are acquired in the fixed order
-//     latchD → latchN → latchS (skipping is allowed, reordering is not).
-//  2. mu is a leaf lock: no I/O and no other lock acquisition under it.
-//     The frame slots are written under mu and read atomically. load takes
-//     mu for a consistent snapshot of all three; a reader that did not take
-//     mu must pin the frame it read and validate that frame's pid before
-//     trusting it (fetchPage's hit protocol, DESIGN.md §5).
-//  3. A thread holding latches of one descriptor may touch a *second*
-//     descriptor (the eviction victim's) only via TryLock.
+// Its latches and mu are taken only through the shims in latches.go, in
+// the order lockcheck.Violation states. The frame slots are written under
+// mu and read atomically. load takes mu for a consistent snapshot of all
+// three; a reader that did not take mu must pin the frame it read and
+// validate that frame's pid before trusting it (fetchPage's hit protocol,
+// DESIGN.md §5).
 type descriptor struct {
 	pid PageID
 

@@ -7,9 +7,9 @@ import "github.com/spitfire-db/spitfire/internal/lockcheck"
 // sees the full acquisition order. Without the tag the lockcheck calls are
 // inlined no-ops and the shims compile down to the bare mutex operations.
 //
-// The discipline they witness is the one documented on descriptor:
-// latchD → latchN → latchS on one descriptor (skipping allowed), mu a
-// strict leaf, and second descriptors only via TryLock.
+// The rules they are held to are lockcheck.Violation's, at run time and in
+// spitfire-vet's latchorder check, which reads each shim's rank from its
+// lockcheck call.
 
 func (d *descriptor) lockMu() {
 	lockcheck.Acquire(d, lockcheck.RankMu)

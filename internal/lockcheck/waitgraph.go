@@ -103,7 +103,7 @@ func noteWait(obj any, rank int, g uint64, stack []held) {
 		return
 	}
 	for i := range stack {
-		wgraph.edges[[2]int{stack[i].rank, rank}]++
+		wgraph.edges[[2]int{stack[i].Rank, rank}]++
 	}
 }
 

@@ -3,6 +3,7 @@ package vet
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // wallClockFuncs are the package-level time functions that read or wait on
@@ -34,11 +35,11 @@ var globalRandFuncs = map[string]bool{
 }
 
 // checkDeterminism flags wall-clock and global-RNG use inside the simulated
-// packages (cfg.DeterminismScope): reproducible sweeps (§6) require every
+// packages (simScope): reproducible sweeps (§6) require every
 // latency to come from internal/vclock and every coin flip from a seeded
 // per-worker RNG.
 func checkDeterminism(p *pass) {
-	if !pathContains(p.unit.path, p.cfg.DeterminismScope) {
+	if !strings.Contains(p.unit.path, simScope) {
 		return
 	}
 	for _, f := range p.unit.files {

@@ -6,7 +6,7 @@ import (
 )
 
 // checkDroppedErr flags call sites that discard an error result from the
-// fault-injected layers (cfg.ErrPackages): a bare call statement, a
+// fault-injected layers (errPackages): a bare call statement, a
 // blank-assigned error, or a go/defer of an error-returning call. Those
 // errors carry the typed fault classification (device.ErrTransient & co.)
 // that PR 2's retry/degradation hardening depends on; dropping one silently
@@ -31,7 +31,7 @@ func checkDroppedErr(p *pass) {
 				if !ok {
 					return true
 				}
-				fn := p.errSourceCallee(call)
+				fn := p.calleeIn(call, errPackages)
 				if fn == nil {
 					return true
 				}
@@ -52,10 +52,10 @@ func checkDroppedErr(p *pass) {
 	}
 }
 
-// flagIfDropsErr reports call if its callee comes from an ErrPackages
+// flagIfDropsErr reports call if its callee comes from an errPackages
 // package and returns an error that the statement form cannot consume.
 func (p *pass) flagIfDropsErr(call *ast.CallExpr, how string) {
-	fn := p.errSourceCallee(call)
+	fn := p.calleeIn(call, errPackages)
 	if fn == nil {
 		return
 	}
@@ -67,28 +67,6 @@ func (p *pass) flagIfDropsErr(call *ast.CallExpr, how string) {
 			return
 		}
 	}
-}
-
-// errSourceCallee resolves call's static callee and returns it only when it
-// is a function (or method) defined in one of cfg.ErrPackages.
-func (p *pass) errSourceCallee(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = p.unit.info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.unit.info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	if !pathMatches(fn.Pkg().Path(), p.cfg.ErrPackages) {
-		return nil
-	}
-	return fn
 }
 
 func isErrorType(t types.Type) bool {

@@ -1,6 +1,6 @@
-// Package devio is a vet fixture standing in for the fault-injected device
+// Package device is a vet fixture standing in for the fault-injected device
 // layer: its error results must never be discarded.
-package devio
+package device
 
 import "errors"
 

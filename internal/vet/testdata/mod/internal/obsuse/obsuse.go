@@ -1,12 +1,15 @@
-// Package obsuse is a vet fixture: consumers of fix/obs with and without
-// the nil-check fast path.
+// Package obsuse is a vet fixture: consumers of fix/internal/obs with and
+// without the nil-check fast path.
 package obsuse
 
-import "fix/obs"
+import (
+	"fix/internal/metrics"
+	"fix/internal/obs"
+)
 
 type manager struct {
 	obs  *obs.Obs
-	hist *obs.Histogram
+	hist *metrics.Histogram
 }
 
 // Unguarded emits without a nil check.

@@ -8,10 +8,11 @@
 //   - droppederr: no discarded error results from the fault-injected I/O
 //     layers (internal/device, internal/wal, internal/core) — the failure
 //     mode the retry/degradation hardening exists to prevent.
-//   - latchorder: descriptor tier latches acquired in the fixed order
-//     latchD → latchN → latchS, mu used strictly as a leaf lock (no latch
-//     acquisition and no device/vclock call while it is held), and no
-//     blocking acquisition of a second descriptor's tier latch.
+//   - latchorder: every latch taken through a lockcheck shim obeys
+//     lockcheck.Violation — the rules the -tags lockcheck runtime checker
+//     enforces — with each shim's rank read from its lockcheck call; no
+//     shim's mutex is locked anywhere but in a shim, and no device/vclock
+//     call happens while a descriptor's mu is held.
 //   - obsguard: calls into the observability layer (*obs.Obs, *obs.Ring,
 //     *metrics.Histogram) dominated by a nil check, protecting the ~92 ns
 //     disabled fast path.
@@ -19,10 +20,12 @@
 //     package, so suppression justifications rot visibly when the code
 //     they cite is renamed or removed.
 //
-// The implementation uses only the standard library (go/parser, go/ast,
-// go/types and the stdlib source importer) — no golang.org/x/tools — per
-// the repo's stdlib-only rule. Findings are keyed "file:line: [check-id]"
-// and can be suppressed inline with
+// latchorder and obsguard share one flow walker (flow.go) that follows
+// each function body branch by branch. The implementation uses only the
+// standard library (go/parser, go/ast, go/types and the stdlib source
+// importer) — no golang.org/x/tools — per the repo's stdlib-only rule.
+// Findings are keyed "file:line: [check-id]" and can be suppressed inline
+// with
 //
 //	//vet:allow <check-id> <reason>
 //
@@ -60,8 +63,30 @@ func (f Finding) String() string {
 // AllChecks lists the check identifiers in their documented order.
 var AllChecks = []string{"determinism", "droppederr", "latchorder", "obsguard", "allowlive"}
 
+// What each check covers, by import path: a suffix match for packages and
+// types, a substring match for scopes, so a module that mirrors this one's
+// layout (the fixture module's fix/internal/device, …) is covered alike.
+const (
+	// simScope holds the simulated packages, where determinism and
+	// obsguard apply.
+	simScope = "/internal/"
+	// lockcheckPackage's Acquire, Acquired and Release make a function
+	// that calls them a latch shim.
+	lockcheckPackage = "internal/lockcheck"
+)
+
+var (
+	// errPackages' error results must never be discarded.
+	errPackages = []string{"internal/device", "internal/wal", "internal/core"}
+	// obsTypes' method calls must be nil-guarded.
+	obsTypes = []string{"internal/obs.Obs", "internal/obs.Ring", "internal/metrics.Histogram"}
+	// ioPackages are the device I/O and simulated-clock surface that
+	// latchorder keeps out from under mu.
+	ioPackages = []string{"internal/device", "internal/ssd", "internal/pmem", "internal/vclock", "internal/wal"}
+)
+
 // Config configures a vet run. The zero value (plus Dir) analyzes every
-// non-test package under Dir with all four checks and the defaults below.
+// non-test package under Dir with every check.
 type Config struct {
 	// Dir is the module root (or, for fixture runs, a bare package
 	// directory with no go.mod). Defaults to ".".
@@ -78,32 +103,6 @@ type Config struct {
 	// legitimately use wall-clock deadlines and discard cleanup errors).
 	IncludeTests bool
 
-	// DeterminismScope limits the determinism check to packages whose
-	// import path contains one of these substrings.
-	// Default: {"/internal/"}.
-	DeterminismScope []string
-
-	// ErrPackages lists import-path suffixes whose functions' error
-	// results must never be discarded.
-	// Default: {"internal/device", "internal/wal", "internal/core"}.
-	ErrPackages []string
-
-	// ObsTypes lists the "package/path.Type" names whose method calls must
-	// be nil-guarded. Default: internal/obs.Obs, internal/obs.Ring,
-	// internal/metrics.Histogram.
-	ObsTypes []string
-
-	// ObsScope limits the obsguard check to packages whose import path
-	// contains one of these substrings (the packages defining ObsTypes are
-	// always exempt). Default: {"/internal/"}.
-	ObsScope []string
-
-	// IOPackages lists import-path suffixes considered device-I/O or
-	// simulated-clock surface for latchorder's mu-is-a-leaf rule.
-	// Default: {"internal/device", "internal/ssd", "internal/pmem",
-	// "internal/vclock", "internal/wal"}.
-	IOPackages []string
-
 	// Warn receives non-fatal loader diagnostics (type-check hiccups in
 	// packages the source importer could not fully resolve). Nil discards.
 	Warn func(format string, args ...any)
@@ -119,28 +118,6 @@ func (cfg *Config) withDefaults() *Config {
 	}
 	if len(c.Checks) == 0 {
 		c.Checks = AllChecks
-	}
-	if len(c.DeterminismScope) == 0 {
-		c.DeterminismScope = []string{"/internal/"}
-	}
-	if len(c.ErrPackages) == 0 {
-		c.ErrPackages = []string{"internal/device", "internal/wal", "internal/core"}
-	}
-	if len(c.ObsTypes) == 0 {
-		c.ObsTypes = []string{
-			"github.com/spitfire-db/spitfire/internal/obs.Obs",
-			"github.com/spitfire-db/spitfire/internal/obs.Ring",
-			"github.com/spitfire-db/spitfire/internal/metrics.Histogram",
-		}
-	}
-	if len(c.ObsScope) == 0 {
-		c.ObsScope = []string{"/internal/"}
-	}
-	if len(c.IOPackages) == 0 {
-		c.IOPackages = []string{
-			"internal/device", "internal/ssd", "internal/pmem",
-			"internal/vclock", "internal/wal",
-		}
 	}
 	if c.Warn == nil {
 		c.Warn = func(string, ...any) {}
@@ -165,6 +142,7 @@ type pkgUnit struct {
 	pkg     *types.Package
 	info    *types.Info
 	imports []string // module-internal imports
+	dep     bool     // loaded only to type-check an importer
 }
 
 // pass is the per-package context handed to each check.
@@ -187,7 +165,12 @@ func Run(cfg Config) ([]Finding, error) {
 	}
 
 	var findings []Finding
+	var analyzed []*pkgUnit
 	for _, u := range units {
+		if u.dep {
+			continue
+		}
+		analyzed = append(analyzed, u)
 		p := &pass{
 			cfg:  c,
 			fset: fset,
@@ -217,7 +200,7 @@ func Run(cfg Config) ([]Finding, error) {
 		}
 	}
 
-	findings = applyAllows(fset, units, findings)
+	findings = applyAllows(fset, analyzed, findings)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -247,7 +230,8 @@ func modulePath(dir string) string {
 	return ""
 }
 
-// load parses and type-checks the selected packages in dependency order.
+// load parses and type-checks the selected packages, and the module
+// packages they import, in dependency order.
 func load(cfg *Config, fset *token.FileSet) ([]*pkgUnit, error) {
 	modPath := modulePath(cfg.Dir)
 
@@ -256,18 +240,34 @@ func load(cfg *Config, fset *token.FileSet) ([]*pkgUnit, error) {
 		return nil, err
 	}
 
+	// The module packages the selected ones import are loaded too, so that
+	// calls into them resolve (a shim's lockcheck call, a device function's
+	// error result), but they are not analyzed.
+	selected := len(dirs)
+	queued := map[string]bool{}
+	for _, dir := range dirs {
+		queued[dir] = true
+	}
 	var units []*pkgUnit
 	byPath := map[string]*pkgUnit{}
-	for _, dir := range dirs {
-		u, err := parseDir(cfg, fset, dir, modPath)
+	for i := 0; i < len(dirs); i++ {
+		u, err := parseDir(cfg, fset, dirs[i], modPath, cfg.IncludeTests && i < selected)
 		if err != nil {
 			return nil, err
 		}
 		if u == nil {
 			continue // no buildable files
 		}
+		u.dep = i >= selected
 		units = append(units, u)
 		byPath[u.path] = u
+		for _, imp := range u.imports {
+			dir := filepath.Join(cfg.Dir, strings.TrimPrefix(imp, modPath))
+			if !queued[dir] {
+				queued[dir] = true
+				dirs = append(dirs, dir)
+			}
+		}
 	}
 
 	order, err := topoSort(units, byPath)
@@ -374,9 +374,10 @@ func walkPackages(root string, add func(string)) error {
 	})
 }
 
-// parseDir parses the buildable, non-test files of one directory into a
-// pkgUnit, or nil when nothing survives filtering.
-func parseDir(cfg *Config, fset *token.FileSet, dir, modPath string) (*pkgUnit, error) {
+// parseDir parses the buildable files of one directory, _test.go files
+// only when tests is set, into a pkgUnit, or nil when nothing survives
+// filtering.
+func parseDir(cfg *Config, fset *token.FileSet, dir, modPath string, tests bool) (*pkgUnit, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -388,7 +389,7 @@ func parseDir(cfg *Config, fset *token.FileSet, dir, modPath string) (*pkgUnit, 
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if !cfg.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		if !tests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		full := filepath.Join(dir, name)
@@ -510,17 +511,7 @@ func topoSort(units []*pkgUnit, byPath map[string]*pkgUnit) ([]*pkgUnit, error) 
 // suffixes (each matched at a path-segment boundary).
 func pathMatches(path string, suffixes []string) bool {
 	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) || strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// pathContains reports whether the import path contains any substring.
-func pathContains(path string, subs []string) bool {
-	for _, s := range subs {
-		if strings.Contains(path, s) {
+		if path == s || strings.HasSuffix(path, "/"+s) {
 			return true
 		}
 	}

@@ -2,28 +2,28 @@ package vet_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/vet"
 )
 
 // fixtureConfig points the analyzers at the fixture module, whose packages
-// play the roles of the real tree (fix/devio = internal/device, fix/obs =
-// internal/obs, …).
+// sit where the real tree's do (fix/internal/device, fix/internal/obs, …),
+// so the default scopes cover them.
 func fixtureConfig(t *testing.T) vet.Config {
 	t.Helper()
 	return vet.Config{
-		Dir:              filepath.Join("testdata", "mod"),
-		DeterminismScope: []string{"fix/determ"},
-		ErrPackages:      []string{"fix/devio"},
-		IOPackages:       []string{"fix/devio"},
-		ObsTypes:         []string{"fix/obs.Obs", "fix/obs.Histogram"},
-		ObsScope:         []string{"fix/obsuse"},
+		Dir: filepath.Join("testdata", "mod"),
 		Warn: func(format string, args ...any) {
 			t.Logf(format, args...)
 		},
@@ -110,6 +110,56 @@ func knownCheck(id string) bool {
 		}
 	}
 	return false
+}
+
+// TestFixtureRanksAreReal pins the fixture's lockcheck ranks to the real
+// ones, so the fixture exercises the rules on the ranks the tree uses.
+func TestFixtureRanksAreReal(t *testing.T) {
+	fixture := rankConsts(t, filepath.Join("testdata", "mod", "internal", "lockcheck", "lockcheck.go"))
+	real := rankConsts(t, filepath.Join("..", "lockcheck", "ranks.go"))
+	if real["RankTxnGate"] != lockcheck.RankTxnGate {
+		t.Fatalf("parsed RankTxnGate = %d, compiled %d", real["RankTxnGate"], lockcheck.RankTxnGate)
+	}
+	if !maps.Equal(fixture, real) {
+		t.Fatalf("fixture ranks %v, real ranks %v", fixture, real)
+	}
+}
+
+// rankConsts returns the integer constants named Rank* declared in a file.
+func rankConsts(t *testing.T, path string) map[string]int {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := map[string]int{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "Rank") {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok {
+					t.Fatalf("%s: %s is not an integer literal", path, name.Name)
+				}
+				n, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", path, name.Name, err)
+				}
+				ranks[name.Name] = n
+			}
+		}
+	}
+	if len(ranks) == 0 {
+		t.Fatalf("%s declares no Rank constants", path)
+	}
+	return ranks
 }
 
 // TestCheckSubset proves -checks style filtering: with only droppederr
