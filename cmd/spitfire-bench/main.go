@@ -13,9 +13,12 @@
 // -quick shrinks database/buffer sizes by 4x (preserving every capacity
 // ratio) and reduces operation counts, for fast sanity runs.
 //
-// Beyond the paper, extra-wear sweeps the wear-aware tuner and
-// extra-cleaner sweeps the background page cleaner's watermark/batch
-// settings (see DESIGN.md §5-bis).
+// Beyond the paper, extra-wear sweeps the wear-aware tuner and extra-admit
+// compares probabilistic NVM admission with HyMem's admission queue.
+//
+// Simulated results repeat exactly for a given seed: stdout of
+// `spitfire-bench -quick all` is checked in as quick_results.txt. The
+// wall-clock time of each experiment goes to stderr.
 package main
 
 import (
@@ -171,7 +174,7 @@ func runOne(e harness.Experiment, opts harness.Opts, csvDir string) {
 			f.Close()
 		}
 	}
-	fmt.Printf("    (%s in %.1fs wall clock)\n\n", e.Name, time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "    (%s in %.1fs wall clock)\n", e.Name, time.Since(start).Seconds())
 }
 
 // runTorture drives the crash-recovery torture harness (and, with -degraded,

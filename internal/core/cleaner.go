@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/spitfire-db/spitfire/internal/obs"
@@ -11,13 +10,14 @@ import (
 // replenishment subsystem (DESIGN.md §5-bis).
 //
 // A per-pool cleaner goroutine (one for DRAM, one for NVM) keeps each pool's
-// free list stocked between a low and a high free-frame watermark: it
-// pre-selects CLOCK victims in batches, migrates dirty victims down-tier off
-// the critical path, and pushes the frozen, clean frames onto the free list.
-// A buffer miss then allocates with a near-lock-free free-list pop instead
-// of an inline evict-and-write-back. Device latency and bandwidth for
-// cleaner traffic are charged to the cleaner's own virtual clock, so the
-// shared-bandwidth device model still sees every byte it moves.
+// free list stocked between a low and a high free-frame watermark (1/8 and
+// 1/4 of the pool, see watermarks): it pre-selects CLOCK victims in batches
+// of cleanerBatch, migrates dirty victims down-tier off the critical path,
+// and pushes the frozen, clean frames onto the free list. A buffer miss then
+// allocates with a near-lock-free free-list pop instead of an inline
+// evict-and-write-back. Device latency and bandwidth for cleaner traffic are
+// charged to the cleaner's own virtual clock, so the shared-bandwidth device
+// model still sees every byte it moves.
 //
 // The zero value leaves the cleaner DISABLED: core-level users (tests, the
 // experiment harness) stay deterministic in simulated time and keep the
@@ -25,52 +25,20 @@ import (
 type CleanerConfig struct {
 	// Enable starts the cleaner goroutines.
 	Enable bool
-
-	// LowWater and HighWater are free-frame watermarks in frames. The
-	// cleaner starts replenishing when a pool's free list drops below
-	// LowWater and works until it reaches HighWater. Zero values default to
-	// 1/8 and 1/4 of the pool (minimums 1 and 2), clamped to the pool size.
-	LowWater, HighWater int
-
-	// BatchSize bounds how many frames the cleaner reclaims between
-	// watermark re-checks (default 8).
-	BatchSize int
 }
 
-// validate rejects explicitly inconsistent watermarks.
-func (c CleanerConfig) validate() error {
-	if c.Enable && c.LowWater > 0 && c.HighWater > 0 && c.HighWater <= c.LowWater {
-		return fmt.Errorf("core: cleaner HighWater %d must exceed LowWater %d", c.HighWater, c.LowWater)
-	}
-	return nil
-}
+// cleanerBatch bounds how many frames the cleaner reclaims between
+// watermark re-checks.
+const cleanerBatch = 8
 
-// watermarks resolves the configured watermarks against a pool's size.
-func (c CleanerConfig) watermarks(nFrames int) (low, high int) {
-	low = c.LowWater
-	if low <= 0 {
-		low = nFrames / 8
-	}
-	if low < 1 {
-		low = 1
-	}
-	high = c.HighWater
-	if high <= 0 {
-		high = nFrames / 4
-	}
-	if high <= low {
-		high = low + 1
-	}
-	if high > nFrames {
-		high = nFrames
-	}
-	if low >= high {
-		low = high - 1
-	}
-	if low < 1 {
-		low = 1
-	}
-	return low, high
+// watermarks are a pool's free-frame watermarks: the cleaner starts
+// replenishing when the free list drops below low and works until it reaches
+// high. They are 1/8 and 1/4 of the pool (minimums 1 and 2), clamped to the
+// pool size.
+func watermarks(nFrames int) (low, high int) {
+	low = max(nFrames/8, 1)
+	high = min(max(nFrames/4, low+1), nFrames)
+	return max(min(low, high-1), 1), high
 }
 
 // cleaner is one pool's background page cleaner.
@@ -78,7 +46,6 @@ type cleaner struct {
 	pool *basePool
 
 	low, high int
-	batch     int
 
 	// ctx is the cleaner's private worker context: all device costs of
 	// pre-cleaning are charged to this clock, which shares every device's
@@ -100,29 +67,24 @@ type cleaner struct {
 // only). Recovery calls it after the arena scan so the cleaners never race
 // the free-list rebuild.
 func (bm *BufferManager) startCleaners() {
-	cc := bm.cfg.Cleaner
-	if !cc.Enable {
+	if !bm.cfg.Cleaner.Enable {
 		return
 	}
 	// NVM first: the DRAM cleaner's write-backs allocate NVM frames and so
 	// read bm.nvm.cleaner, which must be set before that goroutine starts.
 	if bm.nvm != nil {
-		bm.nvm.cleaner = newCleaner(&bm.nvm.basePool, cc, 0x4E7EC1EA)
+		bm.nvm.cleaner = newCleaner(&bm.nvm.basePool, 0x4E7EC1EA)
 	}
 	if bm.dram != nil {
-		bm.dram.cleaner = newCleaner(&bm.dram.basePool, cc, 0xD7A3C1EA)
+		bm.dram.cleaner = newCleaner(&bm.dram.basePool, 0xD7A3C1EA)
 	}
 }
 
-func newCleaner(pool *basePool, cc CleanerConfig, seed uint64) *cleaner {
-	low, high := cc.watermarks(pool.nFrames)
-	batch := cc.BatchSize
-	if batch <= 0 {
-		batch = 8
-	}
+func newCleaner(pool *basePool, seed uint64) *cleaner {
+	low, high := watermarks(pool.nFrames)
 	c := &cleaner{
 		pool: pool,
-		low:  low, high: high, batch: batch,
+		low:  low, high: high,
 		ctx:  NewCtx(seed),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -197,8 +159,8 @@ func (c *cleaner) replenish() {
 			bStart = c.ctx.Clock.Now()
 		}
 		produced := 0
-		attempts := c.batch*2 + p.nFrames
-		for produced < c.batch && attempts > 0 && p.freeCount() < c.high {
+		attempts := cleanerBatch*2 + p.nFrames
+		for produced < cleanerBatch && attempts > 0 && p.freeCount() < c.high {
 			attempts--
 			v, evicted, err := p.reclaim(c.ctx)
 			if err != nil || v == noFrame {

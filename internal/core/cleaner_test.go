@@ -49,12 +49,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestCleanerWatermarkReplenish drives the free list to empty and checks the
 // watermark protocol: the cleaner refills to the high watermark, then idles
-// above it.
+// above it. Twenty frames put the marks at 2 and 5.
 func TestCleanerWatermarkReplenish(t *testing.T) {
-	const frames = 8
-	bm := cleanerBM(t, frames, 0, CleanerConfig{
-		Enable: true, LowWater: 2, HighWater: 5,
-	})
+	const frames = 20
+	bm := cleanerBM(t, frames, 0, CleanerConfig{Enable: true})
+	if c := bm.dram.cleaner; c.low != 2 || c.high != 5 {
+		t.Fatalf("watermarks of %d frames = %d..%d, want 2..5", frames, c.low, c.high)
+	}
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < 64; pid++ {
@@ -98,12 +99,14 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 // TestCleanerStallsWhenAllPinned pins every frame and checks the cleaner
 // records a stall instead of spinning or evicting pinned pages. A stalled
 // cleaner parks until an allocation kicks it: after the pins drain, one miss
-// is enough for the pool to be replenished.
+// is enough for the pool to be replenished. Two frames put the marks at
+// frames-1 and frames, so every allocation kicks the cleaner.
 func TestCleanerStallsWhenAllPinned(t *testing.T) {
-	const frames = 8
-	bm := cleanerBM(t, frames, 0, CleanerConfig{
-		Enable: true, LowWater: frames - 1, HighWater: frames,
-	})
+	const frames = 2
+	bm := cleanerBM(t, frames, 0, CleanerConfig{Enable: true})
+	if c := bm.dram.cleaner; c.low != frames-1 || c.high != frames {
+		t.Fatalf("watermarks of %d frames = %d..%d, want %d..%d", frames, c.low, c.high, frames-1, frames)
+	}
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid <= frames; pid++ {
@@ -323,29 +326,6 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 			t.Fatalf("NVM frame %d still pinned (%d)", i, p)
 		}
 	}
-}
-
-// TestCleanerConfigValidate rejects inverted watermarks and accepts the
-// defaults.
-func TestCleanerConfigValidate(t *testing.T) {
-	_, err := New(Config{
-		DRAMBytes: 4 * PageSize,
-		Policy:    policy.SpitfireLazy,
-		Cleaner:   CleanerConfig{Enable: true, LowWater: 6, HighWater: 3},
-	})
-	if err == nil {
-		t.Fatal("inverted watermarks validated")
-	}
-	bm, err := New(Config{
-		DRAMBytes: 4 * PageSize,
-		Policy:    policy.SpitfireLazy,
-		Cleaner:   CleanerConfig{Enable: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm.Close()
-	bm.Close() // idempotent
 }
 
 // TestCleanerFeedsAdmissionQueue checks the coin-mode cleaner bias: a

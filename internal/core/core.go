@@ -314,10 +314,6 @@ func New(cfg Config) (*BufferManager, error) {
 	if cfg.SSD == nil {
 		cfg.SSD = ssd.NewMem(nil)
 	}
-	if err := cfg.Cleaner.validate(); err != nil {
-		return nil, err
-	}
-
 	bm := &BufferManager{cfg: cfg, disk: cfg.SSD}
 	bm.table = cht.New[PageID, *descriptor](cht.Uint64Hash)
 	if cfg.Obs != nil {

@@ -36,13 +36,14 @@ func TestReleaseFreezeInvariant(t *testing.T) {
 
 // TestShardedPoolConcurrent hammers one free list per pool with more workers
 // than the DRAM pool has spare frames: cleaner refills race foreground
-// eviction and every allocator contends on the same freeMu. Run with -race;
+// eviction and every allocator contends on the same freeMu. The pool sizes
+// put both pools' watermarks at 2 and 4 free frames. Run with -race;
 // correctness is "no data race, no lost frames, no leaked pins, free
 // accounting intact".
 func TestShardedPoolConcurrent(t *testing.T) {
 	const (
 		dramFrames = 16
-		nvmFrames  = 32
+		nvmFrames  = 19
 		pages      = 128
 		workers    = 8
 		opsPer     = 400
@@ -51,7 +52,7 @@ func TestShardedPoolConcurrent(t *testing.T) {
 		DRAMBytes: dramFrames * PageSize,
 		NVMBytes:  nvmFrames * nvmFrameSlot,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   CleanerConfig{Enable: true, LowWater: 2, HighWater: 4},
+		Cleaner:   CleanerConfig{Enable: true},
 	})
 	defer bm.Close()
 	seed(t, bm, pages)

@@ -35,17 +35,30 @@ func Cost(h Hierarchy) float64 {
 		h.SSDGB*device.SSDParams.PricePerGB
 }
 
-// Grid is the candidate grid of Figure 14: DRAM {0,4,8,16,32} GB ×
-// NVM {0,40,80,160} GB on top of a 200 GB SSD, excluding the empty
-// (0 DRAM, 0 NVM) corner which has no buffer at all.
+// GridAxes returns the DRAM and NVM sizes (GB) of Figure 14's grid: every
+// DRAM size × every NVM size.
+func GridAxes() (dramGB, nvmGB []float64) {
+	return []float64{0, 4, 8, 16, 32}, []float64{0, 40, 80, 160}
+}
+
+// GridCell is the hierarchy at one point of Figure 14's grid, over its
+// 200 GB SSD.
+func GridCell(dramGB, nvmGB float64) Hierarchy {
+	return Hierarchy{DRAMGB: dramGB, NVMGB: nvmGB, SSDGB: 200}
+}
+
+// Grid is the candidate grid of Figure 14 in row-major (DRAM, then NVM)
+// order, excluding the empty (0 DRAM, 0 NVM) corner which has no buffer at
+// all.
 func Grid() []Hierarchy {
 	var out []Hierarchy
-	for _, d := range []float64{0, 4, 8, 16, 32} {
-		for _, n := range []float64{0, 40, 80, 160} {
+	drams, nvms := GridAxes()
+	for _, d := range drams {
+		for _, n := range nvms {
 			if d == 0 && n == 0 {
 				continue
 			}
-			out = append(out, Hierarchy{DRAMGB: d, NVMGB: n, SSDGB: 200})
+			out = append(out, GridCell(d, n))
 		}
 	}
 	return out

@@ -33,17 +33,17 @@ type Options struct {
 	// WAL enables write-ahead logging when non-nil. Pure buffer-manager
 	// benchmarks may run without it.
 	WAL *wal.Manager
-	// ComputeCost is the simulated CPU time (ns) charged per tuple
-	// operation on top of device costs. Defaults to 200 ns.
-	ComputeCost int64
 }
+
+// computeCost is the simulated CPU time (ns) charged per tuple operation on
+// top of device costs.
+const computeCost = 200
 
 // DB is an open database.
 type DB struct {
-	bm          *core.BufferManager
-	wal         *wal.Manager
-	tm          *mvto.Manager
-	computeCost int64
+	bm  *core.BufferManager
+	wal *wal.Manager
+	tm  *mvto.Manager
 
 	mu     sync.RWMutex
 	tables map[uint32]*Table
@@ -54,15 +54,11 @@ func Open(opt Options) (*DB, error) {
 	if opt.BM == nil {
 		return nil, errors.New("engine: a buffer manager is required")
 	}
-	if opt.ComputeCost == 0 {
-		opt.ComputeCost = 200
-	}
 	return &DB{
-		bm:          opt.BM,
-		wal:         opt.WAL,
-		tm:          mvto.NewManager(),
-		computeCost: opt.ComputeCost,
-		tables:      make(map[uint32]*Table),
+		bm:     opt.BM,
+		wal:    opt.WAL,
+		tm:     mvto.NewManager(),
+		tables: make(map[uint32]*Table),
 	}, nil
 }
 
@@ -81,7 +77,7 @@ func (db *DB) VersionsRetained() int { return db.tm.Retained() }
 
 // chargeCompute accounts the per-operation CPU cost.
 func (db *DB) chargeCompute(ctx *core.Ctx) {
-	ctx.Clock.Advance(db.computeCost)
+	ctx.Clock.Advance(computeCost)
 }
 
 // CreateTable registers a table of fixed-size tuples. IDs must be unique.

@@ -30,8 +30,6 @@ type RecoverOptions struct {
 	// log replay and rebuild scan — the place to re-attach secondary
 	// indexes so the scan repopulates them.
 	Prepare func(db *DB) error
-	// ComputeCost as in Options.
-	ComputeCost int64
 }
 
 // applier adapts the engine to wal.Applier for the redo/undo passes.
@@ -98,7 +96,7 @@ func (a *applier) ApplyUndo(c *vclock.Clock, rec *wal.Record) error {
 //     which is exactly why step 1 must precede this scan).
 //  4. A closing checkpoint flushes the undo results out of volatile DRAM.
 func Recover(ctx *core.Ctx, opt RecoverOptions) (*DB, *wal.RecoveredLog, error) {
-	db, err := Open(Options{BM: opt.BM, ComputeCost: opt.ComputeCost})
+	db, err := Open(Options{BM: opt.BM})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,7 +9,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/core"
@@ -87,25 +86,6 @@ type EnvConfig struct {
 	DBBytes  int64
 	Theta    float64 // YCSB skew (default 0.3)
 
-	// WAL and checkpointing. WALBuffer defaults to 1 MB; CheckpointEvery
-	// flushes dirty DRAM pages after that many commits (default 20000,
-	// negative disables). DisableWAL turns logging off entirely (pure
-	// buffer-manager experiments). WALShards splits the NVM log buffer into
-	// worker-affine append shards with group commit (default 1, the
-	// single-buffer layout, so paper-shape experiments stay deterministic).
-	WALBuffer       int64
-	WALShards       int
-	CheckpointEvery int64
-	DisableWAL      bool
-
-	// ComputeCost per tuple operation in simulated ns (default 200).
-	ComputeCost int64
-
-	// Cleaner configures the background page cleaner. Paper-shape
-	// experiments leave it zero (disabled) so simulated-time results stay
-	// deterministic; the extra-cleaner sweep turns it on explicitly.
-	Cleaner core.CleanerConfig
-
 	// Obs attaches the observability layer to every subsystem the Env
 	// assembles (buffer manager, devices, WAL) and installs the Env as the
 	// live counter/gauge source. Nil falls back to the package default set
@@ -131,16 +111,27 @@ type Env struct {
 	ycsbW *ycsb.Workload
 	tpccW *tpcc.Workload
 
-	commits  atomic.Int64 // for checkpoint pacing
-	nextCkpt atomic.Int64
-	ckptMu   sync.Mutex
+	// commits paces checkpoints (nextCkpt is the count that triggers the
+	// next one). It is atomic because the obs source reads it from the
+	// /metrics goroutine.
+	commits  atomic.Int64
+	nextCkpt int64
 
 	// vbase is the simulated-time frontier: the maximum virtual completion
 	// time any previous run's workers reached. New workers start their
 	// clocks here so they never measure time that belongs to earlier
-	// intervals (device bandwidth horizons are global and monotonic).
+	// intervals (device bandwidth horizons are global and monotonic). The
+	// obs gauges and the tuner hook read it from other goroutines.
 	vbase atomic.Int64
 }
+
+// The WAL and checkpoint setup every Env runs: a 1 MB log buffer (NVM when
+// the hierarchy has NVM, DRAM otherwise) with one append shard, and a
+// dirty-DRAM flush every checkpointEvery commits (§5.2).
+const (
+	walBuffer       = 1 * MB
+	checkpointEvery = 20000
+)
 
 // NewEnv builds the hierarchy and loads the workload.
 func NewEnv(cfg EnvConfig) (*Env, error) {
@@ -149,12 +140,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 	if cfg.Theta == 0 {
 		cfg.Theta = ycsb.DefaultTheta
-	}
-	if cfg.WALBuffer == 0 {
-		cfg.WALBuffer = 1 * MB
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 20000
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = DefaultObs()
@@ -172,7 +157,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		LoadingUnit: cfg.LoadingUnit,
 		MiniPages:   cfg.MiniPages,
 		SSD:         disk,
-		Cleaner:     cfg.Cleaner,
 	}
 	if cfg.NVMBytes > 0 {
 		e.nvmDev = device.New(device.NVMParams)
@@ -198,29 +182,26 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 	e.BM = bm
 
-	var w *wal.Manager
-	if !cfg.DisableWAL {
-		walOpts := wal.Options{Store: wal.NewMemLog(e.ssdDev), Obs: cfg.Obs, Shards: cfg.WALShards}
-		if cfg.NVMBytes > 0 {
-			// NVM-equipped hierarchies keep the log buffer on NVM: a
-			// persisted append *is* the commit (§5.2).
-			e.walPM = pmem.New(pmem.Options{Size: cfg.WALBuffer, Device: e.nvmDev})
-		} else {
-			// Pure DRAM-SSD systems have no persistent buffer: they batch
-			// log records in DRAM and group-commit to SSD (§3.2). Model
-			// the buffer at DRAM cost and flush in small batches so the
-			// SSD carries the commit traffic.
-			dramLogDev := device.New(device.DRAMParams)
-			e.walPM = pmem.New(pmem.Options{Size: cfg.WALBuffer, Device: dramLogDev})
-			walOpts.FlushThreshold = 64 * 1024
-		}
-		walOpts.Buffer = e.walPM
-		w, err = wal.New(walOpts)
-		if err != nil {
-			return nil, err
-		}
+	walOpts := wal.Options{Store: wal.NewMemLog(e.ssdDev), Obs: cfg.Obs}
+	if cfg.NVMBytes > 0 {
+		// NVM-equipped hierarchies keep the log buffer on NVM: a persisted
+		// append *is* the commit (§5.2).
+		e.walPM = pmem.New(pmem.Options{Size: walBuffer, Device: e.nvmDev})
+	} else {
+		// Pure DRAM-SSD systems have no persistent buffer: they batch log
+		// records in DRAM and group-commit to SSD (§3.2). Model the buffer
+		// at DRAM cost and flush in small batches so the SSD carries the
+		// commit traffic.
+		dramLogDev := device.New(device.DRAMParams)
+		e.walPM = pmem.New(pmem.Options{Size: walBuffer, Device: dramLogDev})
+		walOpts.FlushThreshold = 64 * 1024
 	}
-	db, err := engine.Open(engine.Options{BM: bm, WAL: w, ComputeCost: cfg.ComputeCost})
+	walOpts.Buffer = e.walPM
+	w, err := wal.New(walOpts)
+	if err != nil {
+		return nil, err
+	}
+	db, err := engine.Open(engine.Options{BM: bm, WAL: w})
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +217,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.nextCkpt.Store(cfg.CheckpointEvery)
+	e.nextCkpt = checkpointEvery
 	if cfg.Obs != nil {
 		cfg.Obs.SetSource(e)
 	}
@@ -252,11 +233,6 @@ func (a memChargerAdapter) ChargeWrite(c *vclock.Clock, off int64, n int) { a.d.
 
 // SetPolicy swaps the migration policy between measured points.
 func (e *Env) SetPolicy(p policy.Policy) error { return e.BM.SetPolicy(p) }
-
-// Close stops the environment's background goroutines (the page cleaners,
-// when enabled). Experiments that enable the cleaner must call it so one
-// point's cleaner never bleeds into the next.
-func (e *Env) Close() { e.BM.Close() }
 
 // deviceSnapshot captures traffic counters for delta measurements.
 type deviceSnapshot struct {
@@ -295,8 +271,8 @@ type PointResult struct {
 	LatencyP99Ns  int64
 }
 
-// Run executes opsPerWorker transactions on each of `workers` goroutines
-// and measures virtual-time throughput. Call Warmup first for steady-state
+// Run executes opsPerWorker transactions for each of `workers` simulated
+// workers and measures virtual-time throughput. Call Warmup first for steady-state
 // numbers. The run is marked as the "measure" phase on the obs layer, so
 // /snapshot.json can report its histogram window separately from warmup.
 func (e *Env) Run(workers, opsPerWorker int, seed uint64) (PointResult, error) {
@@ -361,86 +337,89 @@ func (e *Env) WarmupOps(workers, requested int) int {
 	return per
 }
 
+// simWorker is one simulated worker of a run: its context, its next
+// transaction, and how many it has left.
+type simWorker struct {
+	ctx    *core.Ctx
+	op     func() (bool, error)
+	counts func() (committed, aborted int64)
+	start  int64
+	left   int
+}
+
+// run drives the workers on the calling goroutine, one transaction at a
+// time: the next to run is always the worker whose virtual clock is
+// earliest, the lower id breaking ties. The device queues therefore see
+// requests in simulated-time order, and a run repeats exactly for the same
+// environment and seed. Real goroutines are kept for the tests whose subject
+// is the interleaving (torture, -race, lockcheck).
 func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointResult, error) {
 	if workers < 1 {
 		return PointResult{}, errors.New("harness: need at least one worker")
 	}
 	before := e.snapshot()
 
-	type workerResult struct {
-		committed, aborted int64
-		elapsed            int64
-		err                error
-	}
-	results := make([]workerResult, workers)
 	var lat *metrics.Histogram
 	if measured {
 		lat = metrics.NewHistogram()
 	}
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			r := &results[wi]
-			wseed := seed + uint64(wi)*0x9E37
-			var ctx *core.Ctx
-			var op func() (bool, error)
-			switch e.cfg.Workload {
-			case TPCC:
-				wk := e.tpccW.NewWorker(wseed)
-				ctx = wk.Ctx()
-				op = wk.Op
-				defer func() { r.committed, r.aborted = wk.Committed, wk.Aborted }()
-			default:
-				wk := e.ycsbW.NewWorker(wseed)
-				ctx = wk.Ctx()
-				mix := e.cfg.Workload.mix()
-				op = func() (bool, error) { return wk.Op(mix) }
-				defer func() { r.committed, r.aborted = wk.Committed, wk.Aborted }()
-			}
-			// Start at the global virtual-time frontier so this interval
-			// does not absorb earlier intervals' device-queue horizons.
-			ctx.Clock.AdvanceTo(e.vbase.Load())
-			start := ctx.Clock.Now()
-			for i := 0; i < opsPerWorker; i++ {
-				opStart := ctx.Clock.Now()
-				ok, err := op()
-				if err != nil {
-					r.err = err
-					return
-				}
-				if lat != nil {
-					lat.Observe(ctx.Clock.Now() - opStart)
-				}
-				if ok {
-					if err := e.maybeCheckpoint(ctx); err != nil {
-						r.err = err
-						return
-					}
-				}
-			}
-			r.elapsed = ctx.Clock.Now() - start
-			for {
-				cur := e.vbase.Load()
-				now := ctx.Clock.Now()
-				if now <= cur || e.vbase.CompareAndSwap(cur, now) {
-					break
-				}
-			}
-		}(wi)
+	ws := make([]simWorker, workers)
+	for wi := range ws {
+		w := &ws[wi]
+		wseed := seed + uint64(wi)*0x9E37
+		switch e.cfg.Workload {
+		case TPCC:
+			wk := e.tpccW.NewWorker(wseed)
+			w.ctx, w.op = wk.Ctx(), wk.Op
+			w.counts = func() (int64, int64) { return wk.Committed, wk.Aborted }
+		default:
+			wk := e.ycsbW.NewWorker(wseed)
+			mix := e.cfg.Workload.mix()
+			w.ctx, w.op = wk.Ctx(), func() (bool, error) { return wk.Op(mix) }
+			w.counts = func() (int64, int64) { return wk.Committed, wk.Aborted }
+		}
+		// Start at the virtual-time frontier so this interval does not
+		// absorb earlier intervals' device-queue horizons.
+		w.ctx.Clock.AdvanceTo(e.vbase.Load())
+		w.start, w.left = w.ctx.Clock.Now(), opsPerWorker
 	}
-	wg.Wait()
+	for {
+		var w *simWorker
+		for i := range ws {
+			if ws[i].left > 0 && (w == nil || ws[i].ctx.Clock.Now() < w.ctx.Clock.Now()) {
+				w = &ws[i]
+			}
+		}
+		if w == nil {
+			break
+		}
+		w.left--
+		opStart := w.ctx.Clock.Now()
+		ok, err := w.op()
+		if err != nil {
+			return PointResult{}, err
+		}
+		if lat != nil {
+			lat.Observe(w.ctx.Clock.Now() - opStart)
+		}
+		if ok {
+			if err := e.maybeCheckpoint(w.ctx); err != nil {
+				return PointResult{}, err
+			}
+		}
+	}
 
 	var out PointResult
 	var sumElapsed int64
-	for i := range results {
-		if results[i].err != nil {
-			return out, results[i].err
+	for i := range ws {
+		committed, aborted := ws[i].counts()
+		out.Committed += committed
+		out.Aborted += aborted
+		now := ws[i].ctx.Clock.Now()
+		sumElapsed += now - ws[i].start
+		if now > e.vbase.Load() {
+			e.vbase.Store(now)
 		}
-		out.Committed += results[i].committed
-		out.Aborted += results[i].aborted
-		sumElapsed += results[i].elapsed
 	}
 	if !measured {
 		return out, nil
@@ -448,8 +427,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 	after := e.snapshot()
 	// Mean worker elapsed, not max: with fixed ops per worker, the max is
 	// set by the unluckiest straggler (who, on real hardware, would simply
-	// have completed fewer ops in the shared window) and carries large
-	// scheduling-induced variance at small op counts.
+	// have completed fewer ops in the shared window).
 	out.ElapsedSec = float64(sumElapsed) / float64(workers) / 1e9
 	if out.ElapsedSec > 0 {
 		out.Throughput = float64(out.Committed) / out.ElapsedSec
@@ -469,35 +447,21 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 }
 
 // maybeCheckpoint runs the paper's background dirty-page flushing: after
-// every CheckpointEvery commits, one worker flushes dirty DRAM pages so the
-// log can be truncated and recovery stays bounded (§5.2). NVM-resident
-// pages are never flushed. The flushing worker pays the simulated cost,
-// which is how the "performance bumps ... caused by dirty page flushes"
-// (§6.4) arise.
+// every checkpointEvery commits, the worker that committed last flushes
+// dirty DRAM pages so the log can be truncated and recovery stays bounded
+// (§5.2). NVM-resident pages are never flushed. The flushing worker pays the
+// simulated cost, which is how the "performance bumps ... caused by dirty
+// page flushes" (§6.4) arise.
 func (e *Env) maybeCheckpoint(ctx *core.Ctx) error {
-	every := e.cfg.CheckpointEvery
-	if every <= 0 || e.cfg.DisableWAL {
+	if e.commits.Add(1) < e.nextCkpt {
 		return nil
 	}
-	n := e.commits.Add(1)
-	if n < e.nextCkpt.Load() {
-		return nil
-	}
-	if !e.ckptMu.TryLock() {
-		return nil // another worker is already checkpointing
-	}
-	defer e.ckptMu.Unlock()
-	if n < e.nextCkpt.Load() {
-		return nil
-	}
-	e.nextCkpt.Add(every)
+	e.nextCkpt += checkpointEvery
 	if _, err := e.BM.FlushDirtyDRAM(ctx); err != nil {
 		return fmt.Errorf("checkpoint flush: %w", err)
 	}
-	if e.DB.WAL() != nil {
-		if err := e.DB.WAL().Flush(ctx.Clock); err != nil {
-			return fmt.Errorf("checkpoint wal flush: %w", err)
-		}
+	if err := e.DB.WAL().Flush(ctx.Clock); err != nil {
+		return fmt.Errorf("checkpoint wal flush: %w", err)
 	}
 	return nil
 }

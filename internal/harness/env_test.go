@@ -188,3 +188,79 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiWorkerRunRepeats checks that a multi-worker run is as repeatable
+// as a single-worker one: the workers take turns in virtual-time order on one
+// goroutine, so the same environment and seeds give the same PointResult,
+// down to latency percentiles and buffer-manager counters. Each point is
+// built twice and both builds must equal the pinned result.
+func TestMultiWorkerRunRepeats(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		cfg              EnvConfig
+		workers, warm, n int
+		want             PointResult
+	}{
+		{
+			name: "YCSB-WH, 8 workers",
+			cfg: EnvConfig{
+				DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy,
+				Workload: YCSBWH, DBBytes: 6 * MB,
+			},
+			workers: 8, warm: 300, n: 500,
+			want: PointResult{
+				Committed:       4000,
+				ElapsedSec:      0.0158397495,
+				Throughput:      252529.2461222319,
+				NVMBytesWritten: 15807232, NVMBytesRead: 11785472,
+				SSDBytesWritten: 8110080, SSDBytesRead: 32768,
+				Inclusivity: 0.08527131782945736,
+				Stats: core.Stats{
+					HitDRAM: 2006, HitNVM: 3956, MissSSD: 402,
+					NVMToDRAM: 36, SSDToDRAM: 318, SSDToNVM: 84, DRAMToNVM: 211,
+					EvictDRAM: 226, ForegroundEvicts: 226,
+				},
+				LatencyMeanNs: 31679.499, LatencyP50Ns: 32767, LatencyP99Ns: 301029,
+			},
+		},
+		{
+			name: "TPC-C, 4 workers",
+			cfg: EnvConfig{
+				DRAMBytes: 1 * MB, NVMBytes: 4 * MB, Policy: policy.SpitfireLazy,
+				Workload: TPCC, DBBytes: 2 * MB,
+			},
+			workers: 4, warm: 100, n: 200,
+			want: PointResult{
+				Committed:       800,
+				ElapsedSec:      0.0401007715,
+				Throughput:      19949.74086720501,
+				NVMBytesWritten: 13825024, NVMBytesRead: 15468288,
+				SSDBytesWritten: 5947392, SSDBytesRead: 147456,
+				Inclusivity: 0.3624161073825503,
+				Stats: core.Stats{
+					HitDRAM: 44818, HitNVM: 18842, MissSSD: 126,
+					NVMToDRAM: 189, SSDToDRAM: 98, SSDToNVM: 28, DRAMToNVM: 180,
+					EvictDRAM: 223, ForegroundEvicts: 223,
+				},
+				LatencyMeanNs: 200503.8575, LatencyP50Ns: 262143, LatencyP99Ns: 852357,
+			},
+		},
+	} {
+		for i := 0; i < 2; i++ {
+			e, err := NewEnv(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Warmup(c.workers, c.warm, 5); err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Run(c.workers, c.n, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("%s, build %d:\n got %#v\nwant %#v", c.name, i, got, c.want)
+			}
+		}
+	}
+}

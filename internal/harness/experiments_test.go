@@ -11,7 +11,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "fig5", "table2", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"extra-wear", "extra-cleaner", "extra-admit"}
+		"extra-wear", "extra-admit"}
 	exps := Experiments()
 	if len(exps) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want))

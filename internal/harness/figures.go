@@ -60,16 +60,12 @@ func hymemRig(o Opts, wl WorkloadKind, pol policy.Policy, fine, mini bool, warm,
 	return p.on(wl, 20).drive(8, o.ops(warm), o.ops(ops))
 }
 
-// The §6.6 design grid: every DRAM × NVM size over a 200 GB SSD and a 100 GB
-// database with skew 0.5, Spitfire-Lazy on whatever tiers exist. A 0 is an
-// absent tier, so the grid's edges are the two-tier candidates.
-var (
-	gridDRAM = []float64{0, 4, 8, 16, 32}
-	gridNVM  = []float64{0, 40, 80, 160}
-)
-
-func gridPoint(wl WorkloadKind, dram, nvm float64) point {
-	return point{dram: dram, nvm: nvm, theta: 0.5, pol: policy.SpitfireLazy}.on(wl, 100)
+// gridPoint is one candidate of the §6.6 design grid (design.Grid): its
+// DRAM and NVM over a 100 GB database with skew 0.5, Spitfire-Lazy on
+// whatever tiers exist. A 0 is an absent tier, so the grid's edges are the
+// two-tier candidates.
+func gridPoint(wl WorkloadKind, h design.Hierarchy) point {
+	return point{dram: h.DRAMGB, nvm: h.NVMGB, theta: 0.5, pol: policy.SpitfireLazy}.on(wl, 100)
 }
 
 // table3 names the three migration policies of the paper's Table 3.
@@ -323,55 +319,53 @@ func fig13(o Opts) []spec {
 }
 
 // fig14 is the storage-system design grid search of §6.6, eight workers per
-// candidate. Cells report throughput/cost (ops/s/$).
+// candidate. Cells report throughput/cost (ops/s/$); design.Search ranks the
+// candidates and design.Best names the winner.
 func fig14(o Opts) []spec {
-	hierarchy := func(dram, nvm float64) design.Hierarchy {
-		return design.Hierarchy{DRAMGB: dram, NVMGB: nvm, SSDGB: 200}
-	}
+	drams, nvms := design.GridAxes()
 	// gridRows renders the grid, one row per DRAM size.
-	gridRows := func(cell func(dram, nvm float64) string) (rows [][]string) {
-		for _, d := range gridDRAM {
+	gridRows := func(cell func(design.Hierarchy) string) (rows [][]string) {
+		for _, d := range drams {
 			cells := []string{fmt.Sprintf("%g", d)}
-			for _, n := range gridNVM {
-				cells = append(cells, cell(d, n))
+			for _, n := range nvms {
+				cells = append(cells, cell(design.GridCell(d, n)))
 			}
 			rows = append(rows, cells)
 		}
 		return rows
 	}
-	header := headerOf([]string{"DRAM\\NVM"}, gridNVM)
+	header := headerOf([]string{"DRAM\\NVM"}, nvms)
 	specs := one("fig14a", "Storage system cost ($, Table 1 prices, 200 GB SSD)", header,
-		fixed(gridRows(func(d, n float64) string { return fmt.Sprintf("%.0f", design.Cost(hierarchy(d, n))) })...))
+		fixed(gridRows(func(h design.Hierarchy) string { return fmt.Sprintf("%.0f", design.Cost(h)) })...))
+	grid := design.Grid()
 	for _, wl := range []WorkloadKind{YCSBRO, YCSBBA, YCSBWH} {
-		// One point per candidate in row-major order; no tiers at all is
-		// not a candidate.
 		var ps []point
-		for _, d := range gridDRAM {
-			for _, n := range gridNVM {
-				if d > 0 || n > 0 {
-					ps = append(ps, gridPoint(wl, d, n).drive(8, o.ops(2000), o.ops(4000)))
-				}
-			}
+		for _, h := range grid {
+			ps = append(ps, gridPoint(wl, h).drive(8, o.ops(2000), o.ops(4000)))
 		}
 		specs = append(specs, spec{
 			id:     "fig14-" + wl.String(),
 			title:  fmt.Sprintf("Throughput/cost (ops/s/$) heat map, %s", wl),
 			header: header,
 			groups: []group{{ps, func(rs []result) [][]string {
-				var best design.Hierarchy
-				bestPP := 0.0
-				rows := gridRows(func(d, n float64) string {
-					if d == 0 && n == 0 {
-						return "-"
-					}
-					pp := rs[0].Throughput / design.Cost(hierarchy(d, n))
-					rs = rs[1:]
-					if pp > bestPP {
-						best, bestPP = hierarchy(d, n), pp
+				measured := make(map[design.Hierarchy]float64, len(grid))
+				for i, h := range grid {
+					measured[h] = rs[i].Throughput
+				}
+				ranked := design.Search(grid, func(h design.Hierarchy) float64 { return measured[h] })
+				perfPrice := make(map[design.Hierarchy]float64, len(ranked))
+				for _, r := range ranked {
+					perfPrice[r.Hierarchy] = r.PerfPrice
+				}
+				rows := gridRows(func(h design.Hierarchy) string {
+					pp, ok := perfPrice[h]
+					if !ok {
+						return "-" // the bufferless corner is no candidate
 					}
 					return fmt.Sprintf("%.0f", pp)
 				})
-				return append(rows, []string{"best", best.String(), fmt.Sprintf("%.0f ops/s/$", bestPP), "", ""})
+				best, _ := design.Best(ranked, 0)
+				return append(rows, []string{"best", best.Hierarchy.String(), fmt.Sprintf("%.0f ops/s/$", best.PerfPrice), "", ""})
 			}}},
 		})
 	}

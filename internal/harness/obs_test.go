@@ -16,7 +16,6 @@ func TestObsCountersCoverCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	have := map[string]bool{}
 	for _, s := range e.ObsCounters() {
 		have[s.Name] = true

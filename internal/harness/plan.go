@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/spitfire-db/spitfire/internal/anneal"
-	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
@@ -131,9 +130,8 @@ type point struct {
 	unit int
 	mini bool
 
-	wl      WorkloadKind
-	theta   float64            // YCSB skew; 0 takes the default 0.3
-	cleaner core.CleanerConfig // zero (off) on every paper-shape point
+	wl    WorkloadKind
+	theta float64 // YCSB skew; 0 takes the default 0.3
 
 	workers int
 	warm    int     // per-worker warm-up floor, raised until the buffers fill (Env.WarmupOps)
@@ -194,20 +192,18 @@ func (o Opts) env(p point) EnvConfig {
 		Workload:       p.wl,
 		DBBytes:        o.sz(p.db),
 		Theta:          p.theta,
-		Cleaner:        p.cleaner,
 	}
 }
 
 // measure builds the point's environment, warms it until the buffers are
 // full (unless the point is cold) and runs its interval, or its tuning
-// epochs. The seeds are those full_results.txt was recorded with: a warmed
-// interval runs on seed+7, a cold one on the seed, epoch ep on seed+ep·stride.
+// epochs. A warmed interval runs on seed+7, a cold one on the seed, epoch ep
+// on seed+ep·stride.
 func (o Opts) measure(p point) (result, error) {
 	e, err := NewEnv(o.env(p))
 	if err != nil {
 		return result{}, err
 	}
-	defer e.Close() // a point's cleaner must not bleed into the next
 	seed := o.seed()
 	if !p.cold {
 		if err := e.Warmup(p.workers, e.WarmupOps(p.workers, p.warm), seed); err != nil {
@@ -361,8 +357,7 @@ func Experiments() []Experiment {
 		{"fig14", "Storage-system design grid search (§6.6)", fig14},
 		{"fig15", "Database-size sweep over five configurations (§6.7)", fig15},
 		{"extra-wear", "Wear-aware adaptive tuning, λ sweep (extension beyond the paper)", extraWear},
-		{"extra-cleaner", "Background cleaner watermark/batch sweep (extension beyond the paper)", extraCleaner},
-		{"extra-admit", "NVM admission: HyMem queue vs cleaner-fed queue (extension beyond the paper)", extraAdmit},
+		{"extra-admit", "NVM admission: probabilistic Nw vs HyMem's queue (extension beyond the paper)", extraAdmit},
 	}
 }
 

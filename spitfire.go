@@ -66,9 +66,10 @@ type (
 	Stats = core.Stats
 	// MemCharger prices DRAM-buffer traffic (used by memory-mode setups).
 	MemCharger = core.MemCharger
-	// CleanerConfig tunes the background page cleaner (watermarks, batch
-	// size). New and Recover always run the cleaner; the paper's inline
-	// eviction is what the experiment harness runs (cmd/spitfire-bench).
+	// CleanerConfig switches the background page cleaner on. New and
+	// Recover always run it, keeping each pool's free list between 1/8 and
+	// 1/4 of its frames; the paper's inline eviction is what the experiment
+	// harness runs (cmd/spitfire-bench).
 	CleanerConfig = core.CleanerConfig
 )
 
