@@ -88,9 +88,6 @@ func main() {
 	case "torture":
 		runTorture(args[1:], *seed)
 		return
-	case "serveload":
-		runServeLoad(args[1:], *seed)
-		return
 	}
 
 	for _, name := range args {
@@ -232,42 +229,11 @@ func runTorture(args []string, seed uint64) {
 	}
 }
 
-// runServeLoad drives a running spitfire-serve over its socket and reports
-// the response-class tally. It is the operator-facing wrapper around
-// harness.DriveLoad — the same driver the blackbox suite and the CI smoke
-// use to prove overload turns into clean 429/503 refusals.
-func runServeLoad(args []string, seed uint64) {
-	fs := flag.NewFlagSet("serveload", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:7070", "base URL of the running spitfire-serve")
-	clients := fs.Int("clients", 8, "concurrent client goroutines")
-	ops := fs.Int("ops", 1000, "total requests")
-	keys := fs.Int("keys", 1024, "key-space size")
-	readFrac := fs.Float64("read-frac", 0.8, "fraction of GETs (rest are PUTs)")
-	valueSize := fs.Int("value-size", 32, "PUT payload bytes")
-	deadlineMS := fs.Int("deadline-ms", 0, "attach this deadline_ms to every request (0: server default)")
-	_ = fs.Parse(args)
-
-	start := time.Now()
-	res := harness.DriveLoad(harness.LoadOpts{
-		BaseURL: *url, Clients: *clients, Ops: *ops, Keys: *keys,
-		ReadFrac: *readFrac, ValueSize: *valueSize,
-		DeadlineMS: *deadlineMS, Seed: seed,
-	})
-	fmt.Printf("serveload: %s\n", res)
-	fmt.Printf("serveload: %.0f req/s over %.1fs wall clock\n",
-		float64(res.Ops)/time.Since(start).Seconds(), time.Since(start).Seconds())
-	if res.Other5xx > 0 || res.NetErrors > 0 {
-		fmt.Fprintf(os.Stderr, "serveload: FAILED: %d uncontrolled 5xx, %d transport errors\n",
-			res.Other5xx, res.NetErrors)
-		os.Exit(1)
-	}
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `spitfire-bench regenerates the paper's tables and figures.
 
 usage:
-  spitfire-bench [-quick] [-seed N] [-csv DIR] [-obs ADDR] [-trace FILE] list | all | verify | torture | serveload | <experiment>...
+  spitfire-bench [-quick] [-seed N] [-csv DIR] [-obs ADDR] [-trace FILE] list | all | verify | torture | <experiment>...
 
 -obs ADDR serves live observability over HTTP while experiments run:
 /metrics (Prometheus text), /snapshot.json (interval deltas), /trace.json
@@ -280,10 +246,6 @@ and exits non-zero if any fails.
 torture runs the crash-recovery torture harness: randomized workloads killed
 at injected crash points, recovered, and checked for lost or torn writes
 (flags: -cycles -workers -keys -ops -transient -shards -degraded -v).
-
-serveload drives a running spitfire-serve over its socket and tallies the
-response classes; it exits non-zero on any uncontrolled 5xx or transport
-error (flags: -url -clients -ops -keys -read-frac -value-size -deadline-ms).
 
 experiments:
 `)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/spitfire-db/spitfire/internal/core"
+	"github.com/spitfire-db/spitfire/internal/design"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/policy"
 	"github.com/spitfire-db/spitfire/internal/tracereplay"
@@ -51,11 +52,12 @@ func main() {
 	}
 }
 
-// compare replays one trace across equi-cost hierarchies and ranks them —
-// the §5.3 design question answered for a recorded workload.
+// compare replays one trace across equi-cost hierarchies and prints them
+// best-first in design.Search order — the §5.3 design question answered for
+// a recorded workload.
 func compare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	budget := fs.Float64("budget", 64, "memory budget in MB-equivalents of DRAM dollars (DRAM $10/GB : NVM $4.5/GB)")
+	budget := fs.Float64("budget", 64, "memory budget: the price of this many MB of DRAM, split between DRAM and NVM at Table 1's prices")
 	workers := fs.Int("workers", 4, "concurrent workers")
 	tupleSize := fs.Int("tuple", 1000, "tuple payload size in bytes")
 	fs.Parse(args)
@@ -74,56 +76,57 @@ func compare(args []string) {
 		fatal(err)
 	}
 
-	// Candidate splits of the dollar budget between DRAM and NVM
-	// (NVM buys 10/4.5 = 2.2x the capacity per dollar).
-	const nvmPerDramDollar = 10.0 / 4.5
-	type cand struct {
-		name      string
-		dram, nvm float64 // MB
-		pol       policy.Policy
+	// Candidate splits of the dollar budget between DRAM and NVM at Table 1's
+	// prices; sizes are MB, so one "GB" of a design.Hierarchy is one MB here.
+	dollars := design.Cost(design.Hierarchy{DRAMGB: *budget})
+	var cands []design.Hierarchy
+	for _, frac := range []float64{1, 0.75, 0.5, 0.25, 0} { // share of the budget spent on DRAM
+		d := design.Hierarchy{DRAMGB: *budget * frac}
+		d.NVMGB = (dollars - design.Cost(d)) / design.Cost(design.Hierarchy{NVMGB: 1})
+		cands = append(cands, d)
 	}
-	var cands []cand
-	for _, split := range []struct {
-		name string
-		frac float64 // fraction of budget spent on DRAM
-	}{{"all-DRAM", 1}, {"3/4 DRAM", 0.75}, {"half-half", 0.5}, {"1/4 DRAM", 0.25}, {"all-NVM", 0}} {
-		d := *budget * split.frac
-		n := (*budget - d) * nvmPerDramDollar
+
+	// A hierarchy's throughput is that of its better policy; a single-tier
+	// hierarchy has no migrations between buffers, so lazy alone stands in.
+	type run struct {
+		pol string
+		res tracereplay.Result
+	}
+	best := map[design.Hierarchy]run{}
+	ranked := design.Search(cands, func(h design.Hierarchy) float64 {
 		for _, pc := range []struct {
 			name string
 			p    policy.Policy
 		}{{"lazy", policy.SpitfireLazy}, {"eager", policy.SpitfireEager}} {
-			if d == 0 || n == 0 {
-				// Single-tier candidates need no policy variants.
-				if pc.name == "eager" {
-					continue
-				}
+			if pc.name == "eager" && (h.DRAMGB == 0 || h.NVMGB == 0) {
+				continue
 			}
-			cands = append(cands, cand{
-				name: fmt.Sprintf("%s/%s", split.name, pc.name),
-				dram: d, nvm: n, pol: pc.p,
+			bm, err := core.New(core.Config{
+				DRAMBytes: int64(h.DRAMGB * mb),
+				NVMBytes:  int64(h.NVMGB * mb),
+				Policy:    pc.p,
 			})
+			if err != nil {
+				continue // degenerate split
+			}
+			res, err := tracereplay.Replay(tracereplay.Config{
+				BM: bm, Workers: *workers, TupleSize: *tupleSize,
+			}, ops)
+			if err != nil {
+				fatal(err)
+			}
+			if res.Throughput > best[h].res.Throughput {
+				best[h] = run{pc.name, res}
+			}
 		}
-	}
+		return best[h].res.Throughput
+	})
 
-	fmt.Printf("%-22s %10s %10s %10s %10s\n", "hierarchy", "DRAM MB", "NVM MB", "kops/s", "p99 us")
-	for _, c := range cands {
-		bm, err := core.New(core.Config{
-			DRAMBytes: int64(c.dram * mb),
-			NVMBytes:  int64(c.nvm * mb),
-			Policy:    c.pol,
-		})
-		if err != nil {
-			continue // degenerate split
-		}
-		res, err := tracereplay.Replay(tracereplay.Config{
-			BM: bm, Workers: *workers, TupleSize: *tupleSize,
-		}, ops)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-22s %10.1f %10.1f %10.1f %10.1f\n",
-			c.name, c.dram, c.nvm, res.Throughput/1000, float64(res.LatencyP99Ns)/1000)
+	fmt.Printf("%10s %10s %8s %10s %10s\n", "DRAM MB", "NVM MB", "policy", "kops/s", "p99 us")
+	for _, r := range ranked {
+		b := best[r.Hierarchy]
+		fmt.Printf("%10.1f %10.1f %8s %10.1f %10.1f\n", r.Hierarchy.DRAMGB, r.Hierarchy.NVMGB,
+			b.pol, b.res.Throughput/1000, float64(b.res.LatencyP99Ns)/1000)
 	}
 }
 
@@ -257,8 +260,8 @@ func usage() {
 
 usage:
   spitfire-trace gen     [-ops N] [-keys N] [-theta F] [-writes PCT] [-seed N]
-  spitfire-trace replay  [-dram MB] [-nvm MB] [-policy P] [-workers N] [-obs ADDR] [-traceout FILE] [trace-file]
-  spitfire-trace compare [-budget MB] [-workers N] [trace-file]
+  spitfire-trace replay  [-dram MB] [-nvm MB] [-policy P] [-workers N] [-tuple BYTES] [-obs ADDR] [-traceout FILE] [trace-file]
+  spitfire-trace compare [-budget MB] [-workers N] [-tuple BYTES] [trace-file]
   spitfire-trace diff    [-all] before-snapshot.json after-snapshot.json
 `)
 }

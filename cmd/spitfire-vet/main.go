@@ -1,5 +1,5 @@
 // Command spitfire-vet runs the repo's stdlib-only invariant analyzers
-// (DESIGN.md §5-quinquies) over one or more package patterns:
+// (DESIGN.md §6d) over one or more package patterns:
 //
 //	go run ./cmd/spitfire-vet ./...
 //	go run ./cmd/spitfire-vet -checks latchorder,obsguard ./internal/core

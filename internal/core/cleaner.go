@@ -6,27 +6,6 @@ import (
 	"github.com/spitfire-db/spitfire/internal/obs"
 )
 
-// CleanerConfig configures the background page-cleaning / free-list
-// replenishment subsystem (DESIGN.md §5-bis).
-//
-// A per-pool cleaner goroutine (one for DRAM, one for NVM) keeps each pool's
-// free list stocked between a low and a high free-frame watermark (1/8 and
-// 1/4 of the pool, see watermarks): it pre-selects CLOCK victims in batches
-// of cleanerBatch, migrates dirty victims down-tier off the critical path,
-// and pushes the frozen, clean frames onto the free list. A buffer miss then
-// allocates with a near-lock-free free-list pop instead of an inline
-// evict-and-write-back. Device latency and bandwidth for cleaner traffic are
-// charged to the cleaner's own virtual clock, so the shared-bandwidth device
-// model still sees every byte it moves.
-//
-// The zero value leaves the cleaner DISABLED: core-level users (tests, the
-// experiment harness) stay deterministic in simulated time and keep the
-// paper's inline eviction. The spitfire facade's New and Recover set Enable.
-type CleanerConfig struct {
-	// Enable starts the cleaner goroutines.
-	Enable bool
-}
-
 // cleanerBatch bounds how many frames the cleaner reclaims between
 // watermark re-checks.
 const cleanerBatch = 8
@@ -41,7 +20,16 @@ func watermarks(nFrames int) (low, high int) {
 	return max(min(low, high-1), 1), high
 }
 
-// cleaner is one pool's background page cleaner.
+// cleaner is one pool's background page cleaner (Config.Cleaner). A
+// per-pool cleaner goroutine (one for DRAM, one for NVM) keeps each pool's
+// free list stocked between a low and a high free-frame watermark (1/8 and
+// 1/4 of the pool, see watermarks): it pre-selects CLOCK victims in batches
+// of cleanerBatch, migrates dirty victims down-tier off the critical path,
+// and pushes the frozen, clean frames onto the free list. A buffer miss then
+// allocates with a near-lock-free free-list pop instead of an inline
+// evict-and-write-back. Device latency and bandwidth for cleaner traffic are
+// charged to the cleaner's own virtual clock, so the shared-bandwidth device
+// model still sees every byte it moves.
 type cleaner struct {
 	pool *basePool
 
@@ -67,7 +55,7 @@ type cleaner struct {
 // only). Recovery calls it after the arena scan so the cleaners never race
 // the free-list rebuild.
 func (bm *BufferManager) startCleaners() {
-	if !bm.cfg.Cleaner.Enable {
+	if !bm.cfg.Cleaner {
 		return
 	}
 	// NVM first: the DRAM cleaner's write-backs allocate NVM frames and so

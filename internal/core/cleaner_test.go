@@ -11,12 +11,12 @@ import (
 )
 
 // cleanerBM builds a manager with the cleaner configured as given.
-func cleanerBM(t *testing.T, dramFrames, nvmFrames int, cc CleanerConfig) *BufferManager {
+func cleanerBM(t *testing.T, dramFrames, nvmFrames int, cleaner bool) *BufferManager {
 	t.Helper()
 	cfg := Config{
 		DRAMBytes: int64(dramFrames) * PageSize,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   cc,
+		Cleaner:   cleaner,
 	}
 	if nvmFrames > 0 {
 		cfg.NVMBytes = int64(nvmFrames) * nvmFrameSlot
@@ -52,7 +52,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // above it. Twenty frames put the marks at 2 and 5.
 func TestCleanerWatermarkReplenish(t *testing.T) {
 	const frames = 20
-	bm := cleanerBM(t, frames, 0, CleanerConfig{Enable: true})
+	bm := cleanerBM(t, frames, 0, true)
 	if c := bm.dram.cleaner; c.low != 2 || c.high != 5 {
 		t.Fatalf("watermarks of %d frames = %d..%d, want 2..5", frames, c.low, c.high)
 	}
@@ -103,7 +103,7 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 // frames-1 and frames, so every allocation kicks the cleaner.
 func TestCleanerStallsWhenAllPinned(t *testing.T) {
 	const frames = 2
-	bm := cleanerBM(t, frames, 0, CleanerConfig{Enable: true})
+	bm := cleanerBM(t, frames, 0, true)
 	if c := bm.dram.cleaner; c.low != frames-1 || c.high != frames {
 		t.Fatalf("watermarks of %d frames = %d..%d, want %d..%d", frames, c.low, c.high, frames-1, frames)
 	}
@@ -146,7 +146,7 @@ func TestCleanerStallsWhenAllPinned(t *testing.T) {
 // wakeups, and the next churny burst wakes them again.
 func TestCleanerIdleMakesNoWakeups(t *testing.T) {
 	const pages = 64
-	bm := cleanerBM(t, 8, 24, CleanerConfig{Enable: true})
+	bm := cleanerBM(t, 8, 24, true)
 	ctx := NewCtx(1)
 	seed(t, bm, pages)
 	churn := func() {
@@ -186,7 +186,7 @@ func TestCleanerIdleMakesNoWakeups(t *testing.T) {
 // succeeds — via inline eviction — when the cleaner is wedged (simulated by
 // stopping it), and that the fallback counter records the inline work.
 func TestForegroundFallbackWhenCleanerStalled(t *testing.T) {
-	bm := cleanerBM(t, 8, 0, CleanerConfig{Enable: true})
+	bm := cleanerBM(t, 8, 0, true)
 	bm.Close() // wedge the cleaner: kicks now go nowhere
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
@@ -217,7 +217,7 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 		pages   = 96
 		ops     = 1500
 	)
-	bm := cleanerBM(t, 8, 24, CleanerConfig{Enable: true})
+	bm := cleanerBM(t, 8, 24, true)
 	seedCtx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < pages; pid++ {

@@ -223,10 +223,11 @@ type Config struct {
 	// mini frames.
 	MiniPages bool
 
-	// Cleaner configures the background page cleaner (DESIGN.md §5-bis).
-	// The zero value disables it, keeping core-level simulated-time results
-	// deterministic; the spitfire facade enables it by default.
-	Cleaner CleanerConfig
+	// Cleaner starts the background page cleaner: one goroutine per pool
+	// keeps the pool's free list between 1/8 and 1/4 of its frames (DESIGN.md
+	// §6a). False keeps the paper's inline eviction and core-level
+	// simulated-time results deterministic; the spitfire facade sets it.
+	Cleaner bool
 
 	// SSD is the backing store. Defaults to a fresh in-memory store with
 	// Table 1 SSD parameters.

@@ -227,7 +227,7 @@ func TestCleanerAllFailSurfacesInForeground(t *testing.T) {
 	bm, ssdInj, _ := faultBM(t, Config{
 		DRAMBytes: frames * PageSize,
 		Policy:    policy.Policy{Dr: 1, Dw: 1},
-		Cleaner:   CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 	seed(t, bm, frames+1)
 
@@ -428,7 +428,7 @@ func TestCloseConcurrentAndIdempotent(t *testing.T) {
 		DRAMBytes: 4 * PageSize,
 		NVMBytes:  8 * nvmFrameSlot,
 		Policy:    policy.SpitfireEager,
-		Cleaner:   CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 	seed(t, bm, 2)
 

@@ -35,7 +35,7 @@ func TestChurnAllocationBudget(t *testing.T) {
 		DRAMBytes: 16 * PageSize,
 		NVMBytes:  32 * nvmFrameSlot,
 		Policy:    policy.Policy{Dr: 0.2, Dw: 0.2, Nr: 0.5, Nw: 1},
-		Cleaner:   CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 	defer bm.Close()
 	seed(t, bm, pages)

@@ -33,14 +33,13 @@ func TestOptimisticPinVsEvict(t *testing.T) {
 	if testing.Short() || testutil.RaceEnabled() {
 		opsEach = 4000 // the race detector is there for the accesses, not the odds
 	}
-	cleaner := CleanerConfig{Enable: true}
 	cfgs := map[string]Config{
 		"lazy": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireLazy,
-			Cleaner: cleaner},
+			Cleaner: true},
 		"mixed": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot,
-			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}, Cleaner: cleaner},
+			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}, Cleaner: true},
 		"mini": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireEager,
-			FineGrained: true, LoadingUnit: unit, MiniPages: true, Cleaner: cleaner},
+			FineGrained: true, LoadingUnit: unit, MiniPages: true, Cleaner: true},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

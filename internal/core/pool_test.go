@@ -52,7 +52,7 @@ func TestShardedPoolConcurrent(t *testing.T) {
 		DRAMBytes: dramFrames * PageSize,
 		NVMBytes:  nvmFrames * nvmFrameSlot,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 	defer bm.Close()
 	seed(t, bm, pages)

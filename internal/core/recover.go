@@ -22,8 +22,8 @@ func Recover(cfg Config) (*BufferManager, error) {
 	}
 	// Defer cleaner startup until after the scan: the cleaners must not race
 	// the free-list rebuild below.
-	enableCleaner := cfg.Cleaner.Enable
-	cfg.Cleaner.Enable = false
+	enableCleaner := cfg.Cleaner
+	cfg.Cleaner = false
 	bm, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func Recover(cfg Config) (*BufferManager, error) {
 		bm.nextPID.Store(maxPID)
 	}
 	if enableCleaner {
-		bm.cfg.Cleaner.Enable = true
+		bm.cfg.Cleaner = true
 		bm.startCleaners()
 	}
 	return bm, nil

@@ -170,9 +170,9 @@ func (bm *BufferManager) detachDeadNVM(d *descriptor) {
 // audit it (CheckConsistency), and then call this; the explicit call enables
 // the cleaner even when the construction-time config left it off.
 func (bm *BufferManager) StartCleaners() {
-	if bm.cfg.Cleaner.Enable {
+	if bm.cfg.Cleaner {
 		return
 	}
-	bm.cfg.Cleaner.Enable = true
+	bm.cfg.Cleaner = true
 	bm.startCleaners()
 }

@@ -30,7 +30,7 @@ const (
 	cFlushedNVMPages
 	cRecoveredNVMPages
 
-	// Background cleaner activity (DESIGN.md §5-bis).
+	// Background cleaner activity (DESIGN.md §6a).
 	cCleanerWakeups
 	cCleanerBatches
 	cCleanedDRAM
@@ -38,7 +38,7 @@ const (
 	cCleanerStalls
 	cFgEvicts
 
-	// Fault handling (DESIGN.md §5-ter).
+	// Fault handling (DESIGN.md §6b).
 	cIORetries
 	cIOGiveUps
 	cNVMDegraded
@@ -174,7 +174,7 @@ type Stats struct {
 	CleanerStalls      int64
 	ForegroundEvicts   int64
 
-	// Fault handling (DESIGN.md §5-ter). IORetries counts individual retried
+	// Fault handling (DESIGN.md §6b). IORetries counts individual retried
 	// device operations, IOGiveUps operations abandoned after the retry
 	// budget (or on a permanent/crash error). NVMDegraded is 1 once the NVM
 	// tier has permanently failed and the manager collapsed to two-tier

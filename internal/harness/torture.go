@@ -221,7 +221,7 @@ func (t *torture) boot() error {
 	t.walPM = pmem.New(pmem.Options{Size: 1 << 20, Device: t.walDev, TrackCrashes: true})
 
 	cfg := t.coreCfg()
-	cfg.Cleaner = core.CleanerConfig{Enable: true}
+	cfg.Cleaner = true
 	bm, err := core.New(cfg)
 	if err != nil {
 		return err
@@ -517,7 +517,7 @@ func Degraded(opts DegradedOpts) (*DegradedResult, error) {
 		Policy:    policy.SpitfireEager,
 		SSD:       disk,
 		PMem:      dataPM,
-		Cleaner:   core.CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 //go:build lockcheck
 
 // Package lockcheck is a build-tag-gated runtime checker for the descriptor
-// latch discipline (DESIGN.md §5-quinquies). Compiled with -tags lockcheck,
+// latch discipline (DESIGN.md §6d). Compiled with -tags lockcheck,
 // every latch acquisition routed through internal/core's shims is recorded
 // in a per-goroutine shadow stack; an acquisition that violates the
 // discipline panics immediately with both the current stack and the stack

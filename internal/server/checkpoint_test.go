@@ -183,7 +183,7 @@ func TestAckedWritesSurviveCheckpoints(t *testing.T) {
 	cfg := core.Config{
 		DRAMBytes: 8 * core.PageSize, NVMBytes: dataArena.Size(),
 		Policy: policy.SpitfireEager, PMem: dataArena, SSD: disk,
-		Cleaner: core.CleanerConfig{Enable: true},
+		Cleaner: true,
 	}
 	bm, err := core.New(cfg)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestAckedWritesSurviveCheckpoints(t *testing.T) {
 	bm.Close()
 	dataArena.Crash()
 	logArena.Crash()
-	cfg.Cleaner.Enable = false
+	cfg.Cleaner = false
 	bm2, err := core.Recover(cfg)
 	if err != nil {
 		t.Fatal(err)

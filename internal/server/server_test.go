@@ -53,7 +53,7 @@ func newCleanerEngine(t *testing.T) (*engine.DB, *engine.KV) {
 		DRAMBytes: 8 * core.PageSize,
 		NVMBytes:  32 * core.PageSize,
 		Policy:    policy.SpitfireEager,
-		Cleaner:   core.CleanerConfig{Enable: true},
+		Cleaner:   true,
 	})
 }
 

@@ -21,7 +21,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/engine"
@@ -147,67 +146,64 @@ func Replay(cfg Config, ops []Op) (Result, error) {
 		return Result{}, err
 	}
 
+	// Worker w takes ops w, w+Workers, ... . The workers share the device
+	// horizons, so they run on this goroutine and the one furthest behind in
+	// virtual time (lowest id on a tie) goes next: a replay repeats exactly.
+	type worker struct {
+		ctx   *core.Ctx
+		next  int // index in ops of the worker's next operation
+		start int64
+	}
+	ws := make([]worker, cfg.Workers)
+	for w := range ws {
+		ctx := core.NewCtx(uint64(w) + 0x7ACE0)
+		ws[w] = worker{ctx: ctx, next: w, start: ctx.Clock.Now()}
+	}
 	lat := metrics.NewHistogram()
-	type wres struct {
-		committed, aborted int64
-		elapsed            int64
-		err                error
-	}
-	results := make([]wres, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			wctx := core.NewCtx(uint64(w) + 0x7ACE0)
-			payload := make([]byte, cfg.TupleSize)
-			buf := make([]byte, cfg.TupleSize)
-			start := wctx.Clock.Now()
-			for i := w; i < len(ops); i += cfg.Workers {
-				op := ops[i]
-				opStart := wctx.Clock.Now()
-				txn := db.Begin()
-				var err error
-				if op.Write {
-					payload[0]++
-					err = tb.Update(wctx, txn, op.Key, payload)
-				} else {
-					err = tb.Read(wctx, txn, op.Key, buf)
-				}
-				if err != nil {
-					if aerr := txn.Abort(wctx); aerr != nil {
-						r.err = aerr
-						return
-					}
-					if errors.Is(err, engine.ErrConflict) {
-						r.aborted++
-						continue
-					}
-					r.err = err
-					return
-				}
-				if err := txn.Commit(wctx); err != nil {
-					r.err = err
-					return
-				}
-				r.committed++
-				lat.Observe(wctx.Clock.Now() - opStart)
-			}
-			r.elapsed = wctx.Clock.Now() - start
-		}(w)
-	}
-	wg.Wait()
-
+	payload := make([]byte, cfg.TupleSize)
+	buf := make([]byte, cfg.TupleSize)
 	var out Result
-	var sumElapsed int64
-	for i := range results {
-		if results[i].err != nil {
-			return out, results[i].err
+	for {
+		var w *worker
+		for i := range ws {
+			if ws[i].next < len(ops) && (w == nil || ws[i].ctx.Clock.Now() < w.ctx.Clock.Now()) {
+				w = &ws[i]
+			}
 		}
-		out.Committed += results[i].committed
-		out.Aborted += results[i].aborted
-		sumElapsed += results[i].elapsed
+		if w == nil {
+			break
+		}
+		op := ops[w.next]
+		w.next += cfg.Workers
+		opStart := w.ctx.Clock.Now()
+		txn := db.Begin()
+		var err error
+		if op.Write {
+			payload[0]++
+			err = tb.Update(w.ctx, txn, op.Key, payload)
+		} else {
+			err = tb.Read(w.ctx, txn, op.Key, buf)
+		}
+		if err != nil {
+			if aerr := txn.Abort(w.ctx); aerr != nil {
+				return out, aerr
+			}
+			if !errors.Is(err, engine.ErrConflict) {
+				return out, err
+			}
+			out.Aborted++
+			continue
+		}
+		if err := txn.Commit(w.ctx); err != nil {
+			return out, err
+		}
+		out.Committed++
+		lat.Observe(w.ctx.Clock.Now() - opStart)
+	}
+
+	var sumElapsed int64
+	for _, w := range ws {
+		sumElapsed += w.ctx.Clock.Now() - w.start
 	}
 	out.Ops = int64(len(ops))
 	out.ElapsedSec = float64(sumElapsed) / float64(cfg.Workers) / 1e9

@@ -105,6 +105,38 @@ func TestReplay(t *testing.T) {
 	}
 }
 
+// Replay runs in virtual time only, so one trace replayed twice on fresh,
+// equal hierarchies gives the same Result, counters included, at any worker
+// count.
+func TestReplayRepeats(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Generate(&buf, 4000, 1500, 0.5, 30, 5); err != nil {
+		t.Fatal(err)
+	}
+	ops, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() Result {
+		bm, err := core.New(core.Config{
+			DRAMBytes: 8 * core.PageSize,
+			NVMBytes:  48 * (core.PageSize + 64),
+			Policy:    policy.SpitfireLazy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Replay(Config{BM: bm, Workers: 4}, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("two replays of one trace differ:\n%+v\n%+v", a, b)
+	}
+}
+
 func TestReplayRequiresBM(t *testing.T) {
 	if _, err := Replay(Config{}, []Op{{false, 0}}); err == nil {
 		t.Fatal("nil buffer manager accepted")

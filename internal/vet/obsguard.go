@@ -9,7 +9,7 @@ import (
 // checkObsGuard flags method calls on the observability types (obsTypes:
 // *obs.Obs, *obs.Ring, *metrics.Histogram) that are not dominated by a nil
 // check. The disabled fast path costs one pointer nil-check per operation
-// (~92 ns on a DRAM hit, DESIGN.md §5-quater); an unguarded Observe/Emit on
+// (~92 ns on a DRAM hit, DESIGN.md §6c); an unguarded Observe/Emit on
 // a hot path would either pay clock reads with observability off or panic on
 // the nil histogram pointers a disabled manager carries.
 //

@@ -1,6 +1,6 @@
 // Package vet implements spitfire-vet, a static-analysis suite for the
 // invariants the Go compiler cannot see but this codebase's correctness
-// rests on (DESIGN.md §5-quinquies):
+// rests on (DESIGN.md §6d):
 //
 //   - determinism: no wall-clock or global-RNG use inside the simulation
 //     packages — simulated time (internal/vclock) and seeded per-worker RNGs

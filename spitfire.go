@@ -66,11 +66,6 @@ type (
 	Stats = core.Stats
 	// MemCharger prices DRAM-buffer traffic (used by memory-mode setups).
 	MemCharger = core.MemCharger
-	// CleanerConfig switches the background page cleaner on. New and
-	// Recover always run it, keeping each pool's free list between 1/8 and
-	// 1/4 of its frames; the paper's inline eviction is what the experiment
-	// harness runs (cmd/spitfire-bench).
-	CleanerConfig = core.CleanerConfig
 )
 
 // Fetch intents and tiers.
@@ -84,18 +79,18 @@ const (
 )
 
 // New creates a buffer manager with the background page cleaner running: it
-// sets Config.Cleaner.Enable, which the experiment harness leaves off for
+// sets Config.Cleaner, which the experiment harness leaves off for
 // the paper's inline eviction. Call BufferManager.Close to stop the cleaner
 // goroutines when done.
 func New(cfg Config) (*BufferManager, error) {
-	cfg.Cleaner.Enable = true
+	cfg.Cleaner = true
 	return core.New(cfg)
 }
 
 // Recover rebuilds a buffer manager over a surviving NVM arena (§5.2) with
 // the cleaner on, as New does; the cleaner starts only after the arena scan.
 func Recover(cfg Config) (*BufferManager, error) {
-	cfg.Cleaner.Enable = true
+	cfg.Cleaner = true
 	return core.Recover(cfg)
 }
 
@@ -162,7 +157,7 @@ func NewFileSSD(path string, dev *Device) (*ssd.FileStore, error) {
 	return ssd.NewFile(path, dev)
 }
 
-// Fault injection and robustness (DESIGN.md §5-ter).
+// Fault injection and robustness (DESIGN.md §6b).
 type (
 	// FaultConfig is the fault mix a device injector draws from: transient
 	// read/write errors, torn writes, latency stalls, and fail-after budgets.
@@ -201,7 +196,7 @@ func NewCrashSwitch() *CrashSwitch { return device.NewCrashSwitch() }
 // IsTorn extracts the torn fraction from an error chain.
 func IsTorn(err error) (frac float64, ok bool) { return device.IsTorn(err) }
 
-// Observability (DESIGN.md §5-quater): migration tracing, hot-path latency
+// Observability (DESIGN.md §6c): migration tracing, hot-path latency
 // histograms, and live metrics exposition.
 type (
 	// Obs is the root observability object. Create one with NewObs, pass it

@@ -25,7 +25,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/spitfire-db/spitfire/internal/harness"
+	"github.com/spitfire-db/spitfire/internal/obs"
 )
 
 var (
@@ -138,6 +138,75 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// load tallies one drive's responses by status code, plus transport errors
+// and the 429/503 refusals that carried a Retry-After hint.
+type load struct {
+	mu         sync.Mutex
+	codes      map[int]int
+	netErrs    int
+	retryAfter int
+}
+
+func (l *load) String() string {
+	return fmt.Sprintf("codes=%v neterr=%d retry_after=%d", l.codes, l.netErrs, l.retryAfter)
+}
+
+// uncontrolled counts the 5xx responses that are not a 503 refusal.
+func (l *load) uncontrolled() int {
+	n := 0
+	for code, c := range l.codes {
+		if code >= 500 && code != http.StatusServiceUnavailable {
+			n += c
+		}
+	}
+	return n
+}
+
+// drive sends ops requests at base from clients goroutines, each under its
+// own X-Client-ID. Client c's i-th request goes to key (c + i*clients) mod
+// keys; it is a PUT of valueSize bytes, or, when mixed, a GET on every
+// other request.
+func drive(base string, clients, ops, keys int, mixed bool, valueSize int) *load {
+	l := &load{codes: map[int]int{}}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			id := fmt.Sprintf("blackbox-%d", c)
+			val := strings.Repeat("v", valueSize)
+			for i := c; i < ops; i += clients {
+				url := fmt.Sprintf("%s/kv/put?key=%d", base, i%keys)
+				method, body := http.MethodPut, io.Reader(strings.NewReader(val))
+				if mixed && i/clients%2 == 1 {
+					url = fmt.Sprintf("%s/kv/get?key=%d", base, i%keys)
+					method, body = http.MethodGet, nil
+				}
+				req, _ := http.NewRequest(method, url, body)
+				req.Header.Set("X-Client-ID", id)
+				resp, err := http.DefaultClient.Do(req)
+				l.mu.Lock()
+				if err != nil {
+					l.netErrs++
+				} else {
+					l.codes[resp.StatusCode]++
+					if resp.Header.Get("Retry-After") != "" &&
+						(resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) {
+						l.retryAfter++
+					}
+				}
+				l.mu.Unlock()
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	return l
+}
+
 // TestOverloadSheds floods a deliberately tiny server and asserts every
 // refusal is a clean 429/503 with Retry-After — zero uncontrolled 5xx, zero
 // transport errors — and that the server still answers afterwards.
@@ -148,23 +217,21 @@ func TestOverloadSheds(t *testing.T) {
 		"-dram-mb", "4", "-nvm-mb", "8",
 		"-test-hold", "5ms") // slow the server down so overload actually piles up
 
-	res := harness.DriveLoad(harness.LoadOpts{
-		BaseURL: p.base, Clients: 16, Ops: 800, Keys: 64, ReadFrac: 0.5,
-	})
+	res := drive(p.base, 16, 800, 64, true, 32)
 	t.Logf("overload: %s", res)
-	if res.Other5xx != 0 {
-		t.Fatalf("%d uncontrolled 5xx under overload; stderr:\n%s", res.Other5xx, p.stderr.String())
+	if n := res.uncontrolled(); n != 0 {
+		t.Fatalf("%d uncontrolled 5xx under overload; stderr:\n%s", n, p.stderr.String())
 	}
-	if res.NetErrors != 0 {
-		t.Fatalf("%d transport errors under overload", res.NetErrors)
+	if res.netErrs != 0 {
+		t.Fatalf("%d transport errors under overload", res.netErrs)
 	}
-	if res.Rejected429 == 0 {
+	if res.codes[http.StatusTooManyRequests] == 0 {
 		t.Fatal("8x overload produced no 429s — admission control not engaging")
 	}
-	if res.RetryAfter == 0 {
+	if res.retryAfter == 0 {
 		t.Fatal("refusals carried no Retry-After hint")
 	}
-	if res.OK == 0 {
+	if res.codes[http.StatusNoContent] == 0 {
 		t.Fatal("no request completed under overload")
 	}
 
@@ -188,12 +255,8 @@ func TestSIGTERMDrain(t *testing.T) {
 	// connection errors after the listener closes are expected; what must
 	// not happen is an accepted request getting dropped — the server's own
 	// accepted/completed accounting below proves that.
-	loadDone := make(chan harness.LoadResult, 1)
-	go func() {
-		loadDone <- harness.DriveLoad(harness.LoadOpts{
-			BaseURL: p.base, Clients: 4, Ops: 2000, Keys: 64, ReadFrac: 0.5,
-		})
-	}()
+	loadDone := make(chan *load, 1)
+	go func() { loadDone <- drive(p.base, 4, 2000, 64, true, 32) }()
 	time.Sleep(100 * time.Millisecond) // let the load ramp
 
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -204,8 +267,8 @@ func TestSIGTERMDrain(t *testing.T) {
 	}
 	res := <-loadDone
 	t.Logf("drain load: %s", res)
-	if res.Other5xx != 0 {
-		t.Fatalf("%d uncontrolled 5xx during drain", res.Other5xx)
+	if n := res.uncontrolled(); n != 0 {
+		t.Fatalf("%d uncontrolled 5xx during drain", n)
 	}
 
 	stderr := p.stderr.String()
@@ -266,15 +329,37 @@ var minFreeFracRE = regexp.MustCompile(`"min_free_frac":([0-9.]+)`)
 // TestReadyAfterDataOutgrowsDRAM loads far more data than the buffers hold
 // and asserts readiness means ready: the cleaner keeps the free lists
 // stocked, so a warm, healthy server answers /readyz 200 — right after the
-// load and again after sitting idle — and still drains cleanly.
+// load and again after sitting idle — and still drains cleanly. The load
+// writes more log than the DRAM buffer (and the 4 MiB NVM log buffer) holds,
+// so the server has checkpointed itself, and its /metrics scrape lints clean.
 func TestReadyAfterDataOutgrowsDRAM(t *testing.T) {
 	p := startServe(t, "-dram-mb", "1", "-nvm-mb", "2", "-drain-grace", "50ms")
-	res := harness.DriveLoad(harness.LoadOpts{
-		BaseURL: p.base, Clients: 4, Ops: 30_000, Keys: 30_000, ReadFrac: 0.001, ValueSize: 200,
-	})
+	res := drive(p.base, 4, 30_000, 30_000, false, 200)
 	t.Logf("load: %s", res)
-	if res.OK < 29_000 || res.Other5xx != 0 || res.NetErrors != 0 {
+	if res.codes[http.StatusNoContent] < 29_000 || res.uncontrolled() != 0 || res.netErrs != 0 {
 		t.Fatalf("load did not go through cleanly: %s", res)
+	}
+
+	code, scrape := get(t, p.base+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	if err := obs.ValidatePrometheus(scrape); err != nil {
+		t.Fatalf("/metrics does not lint: %v", err)
+	}
+	// Each sample must be present; the checkpoint counters must have moved.
+	for name, min := range map[string]float64{
+		"spitfire_checkpoints_total": 1, "spitfire_checkpoint_pause_wall_ns_count": 1,
+		"spitfire_wal_log_bytes": 0, "spitfire_cleaner_wakeups_total": 0,
+		"spitfire_req_accepted_total": 0, "spitfire_inflight": 0,
+	} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(scrape)
+		if m == nil {
+			t.Fatalf("/metrics carries no %s sample", name)
+		}
+		if v, _ := strconv.ParseFloat(m[1], 64); v < min {
+			t.Fatalf("%s = %s after the load, want >= %g", name, m[1], min)
+		}
 	}
 
 	// Shedding that tripped while the load was still allocating clears at
