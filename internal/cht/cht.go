@@ -1,12 +1,13 @@
 // Package cht provides a concurrent hash table with lock-free reads.
 //
-// The paper uses Intel TBB's concurrent hash map for the DRAM-resident
-// mapping table from logical page identifiers to shared page descriptors
-// (§5.2); its scalability evaluation (§6) depends on that table never
-// serializing fetches. This package is the stdlib-only stand-in: keys are
-// sharded across 2^k stripes, each holding a chained hash table whose bucket
-// heads and chain links are atomic pointers. Get walks a bucket chain with
-// plain atomic loads and never takes a lock; Put/Delete/GetOrInsert
+// It was the buffer manager's stand-in for the paper's TBB concurrent hash
+// map (§5.2). Page ids are dense and never freed, so that table is now a
+// dense.Directory indexed by page id; this package stays only for the
+// benchmark rig's cht.get_ns probe, and goes with it.
+//
+// Keys are sharded across 2^k stripes, each holding a chained hash table
+// whose bucket heads and chain links are atomic pointers. Get walks a
+// bucket chain with plain atomic loads and never takes a lock; Put/Delete
 // serialize per stripe under the stripe mutex and publish every structural
 // change with atomic stores, so readers always observe a consistent chain.
 // All operations are linearizable per key.
@@ -23,8 +24,7 @@
 // inside it. (Taking both from the low bits would leave every entry of a
 // stripe agreeing on the bits its table indexes by, so one chain would hold
 // the whole stripe.) Chains therefore stay at about loadFactor nodes at any
-// map size. Range visits entries in an unspecified order that changes as
-// stripes grow; no caller may depend on it.
+// map size.
 package cht
 
 import (
@@ -223,29 +223,6 @@ func (m *Map[K, V]) Delete(k K) bool {
 	return false
 }
 
-// GetOrInsert returns the existing value for k, or stores and returns the
-// value produced by mk. mk is called at most once, under the stripe lock,
-// and only if the key is absent. loaded reports whether the value already
-// existed.
-func (m *Map[K, V]) GetOrInsert(k K, mk func() V) (v V, loaded bool) {
-	if v, ok := m.Get(k); ok {
-		return v, true
-	}
-	h := m.hash(k)
-	s := m.stripeFor(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tab.Load()
-	for n := t.bucket(h).Load(); n != nil; n = n.next.Load() {
-		if n.key == k {
-			return n.val, true
-		}
-	}
-	v = mk()
-	s.put(h, k, v)
-	return v, false
-}
-
 // Len returns the number of entries. It is a snapshot, not a fence.
 func (m *Map[K, V]) Len() int {
 	n := 0
@@ -255,21 +232,4 @@ func (m *Map[K, V]) Len() int {
 		m.stripes[i].mu.Unlock()
 	}
 	return n
-}
-
-// Range calls f for every entry until f returns false, in unspecified
-// order. Entries inserted or removed concurrently may or may not be observed;
-// each stripe is walked lock-free over the table snapshot current when the
-// stripe is reached.
-func (m *Map[K, V]) Range(f func(K, V) bool) {
-	for i := range m.stripes {
-		t := m.stripes[i].tab.Load()
-		for b := range t.buckets {
-			for n := t.buckets[b].Load(); n != nil; n = n.next.Load() {
-				if !f(n.key, n.val) {
-					return
-				}
-			}
-		}
-	}
 }

@@ -34,75 +34,6 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-func TestGetOrInsert(t *testing.T) {
-	m := newTestMap()
-	calls := 0
-	v, loaded := m.GetOrInsert(5, func() int { calls++; return 50 })
-	if loaded || v != 50 || calls != 1 {
-		t.Fatalf("first GetOrInsert: v=%d loaded=%v calls=%d", v, loaded, calls)
-	}
-	v, loaded = m.GetOrInsert(5, func() int { calls++; return 99 })
-	if !loaded || v != 50 || calls != 1 {
-		t.Fatalf("second GetOrInsert: v=%d loaded=%v calls=%d", v, loaded, calls)
-	}
-}
-
-func TestGetOrInsertConcurrentSingleWinner(t *testing.T) {
-	m := newTestMap()
-	const workers = 16
-	var mu sync.Mutex
-	calls := 0
-	var wg sync.WaitGroup
-	results := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v, _ := m.GetOrInsert(42, func() int {
-				mu.Lock()
-				calls++
-				id := calls
-				mu.Unlock()
-				return id
-			})
-			results[w] = v
-		}(w)
-	}
-	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("constructor called %d times, want 1", calls)
-	}
-	for w, v := range results {
-		if v != results[0] {
-			t.Fatalf("worker %d saw %d, worker 0 saw %d", w, v, results[0])
-		}
-	}
-}
-
-func TestRange(t *testing.T) {
-	m := newTestMap()
-	for i := uint64(0); i < 100; i++ {
-		m.Put(i, int(i))
-	}
-	seen := make(map[uint64]bool)
-	m.Range(func(k uint64, v int) bool {
-		if int(k) != v {
-			t.Errorf("Range saw %d -> %d", k, v)
-		}
-		seen[k] = true
-		return true
-	})
-	if len(seen) != 100 {
-		t.Fatalf("Range visited %d keys, want 100", len(seen))
-	}
-	// Early termination.
-	n := 0
-	m.Range(func(uint64, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range after false visited %d keys", n)
-	}
-}
-
 func TestBadShardCountPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

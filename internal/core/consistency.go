@@ -5,6 +5,7 @@ import "fmt"
 // CheckConsistency walks the mapping table and frame metadata and verifies
 // the structural invariants that migrations and recovery must preserve:
 //
+//   - every descriptor with a copy in some tier names its own page;
 //   - every frame a descriptor points at is in range and agrees on the page
 //     id in its frame metadata;
 //   - no frame is referenced by two descriptors;
@@ -28,6 +29,9 @@ func (bm *BufferManager) CheckConsistency() error {
 
 	bm.table.Range(func(pid PageID, d *descriptor) bool {
 		loc := d.load()
+		if (loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame) && d.pid != pid {
+			add("page %d: descriptor names page %d", pid, d.pid)
+		}
 		if f := loc.dramFrame; f != noFrame {
 			if bm.dram == nil || int(f) >= bm.dram.nFrames || f < 0 {
 				add("page %d: DRAM frame %d out of range", pid, f)

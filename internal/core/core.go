@@ -2,12 +2,12 @@
 // manager (§5 of the paper).
 //
 // A BufferManager keeps hot pages in a DRAM buffer, warm pages in an NVM
-// buffer, and cold pages on SSD. A DRAM-resident mapping table (a concurrent
-// hash table) maps each logical page to a *shared page descriptor* holding
-// the page's frame locations and three per-tier latches; migrations along a
-// data-flow path take only the latches of the two tiers involved, so (for
-// example) writing a page back from NVM to SSD never blocks operations on
-// the DRAM copy of the same page (§5.2).
+// buffer, and cold pages on SSD. A DRAM-resident mapping table (a directory
+// indexed by page id, internal/dense) maps each logical page to a *shared
+// page descriptor* holding the page's frame locations and three per-tier
+// latches; migrations along a data-flow path take only the latches of the
+// two tiers involved, so (for example) writing a page back from NVM to SSD
+// never blocks operations on the DRAM copy of the same page (§5.2).
 //
 // Where pages move is decided by the probabilistic migration policy
 // ⟨Dr, Dw, Nr, Nw⟩ of §3; what is evicted is decided per buffer by a CLOCK
@@ -25,7 +25,7 @@ import (
 	"fmt"
 
 	"github.com/spitfire-db/spitfire/internal/admission"
-	"github.com/spitfire-db/spitfire/internal/cht"
+	"github.com/spitfire-db/spitfire/internal/dense"
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
@@ -270,7 +270,7 @@ func (d DeviceCharger) ChargeWrite(c *vclock.Clock, _ int64, n int) { d.Dev.Writ
 type BufferManager struct {
 	cfg Config
 
-	table *cht.Map[PageID, *descriptor]
+	table dense.Directory[descriptor] // page id → descriptor
 	disk  ssd.Store
 
 	dram *dramPool // nil when the DRAM tier is disabled
@@ -316,7 +316,6 @@ func New(cfg Config) (*BufferManager, error) {
 		cfg.SSD = ssd.NewMem(nil)
 	}
 	bm := &BufferManager{cfg: cfg, disk: cfg.SSD}
-	bm.table = cht.New[PageID, *descriptor](cht.Uint64Hash)
 	if cfg.Obs != nil {
 		bm.obs = cfg.Obs
 		bm.hFetchDRAM = cfg.Obs.Hist(obs.HFetchDRAM)

@@ -9,10 +9,19 @@ import (
 // noFrame marks an empty frame slot in a descriptor.
 const noFrame = int32(-1)
 
+// frameSlot names a page's frame in one pool, or noFrame. It stores the
+// index plus one, so a zero descriptor has no copy in any tier.
+type frameSlot struct{ v atomic.Int32 }
+
+func (s *frameSlot) Load() int32   { return s.v.Load() - 1 }
+func (s *frameSlot) Store(f int32) { s.v.Store(f + 1) }
+
 // descriptor is the shared page descriptor of §5.1 (Figure 4): one exists
-// per logical page known to the mapping table. It records where copies of
-// the page live and carries one latch per storage tier for thread-safe
-// migration.
+// per page id, inline in the manager's directory (BufferManager.table), and
+// it never moves. It records where copies of the page live and carries one
+// latch per storage tier for thread-safe migration. A descriptor is 64
+// bytes, one cache line of its block: migrations write its latches, and a
+// neighbour's hits must not share that line.
 //
 // Its latches and mu are taken only through the shims in latches.go, in
 // the order lockcheck.Violation states. The frame slots are written under
@@ -21,24 +30,17 @@ const noFrame = int32(-1)
 // validate that frame's pid before trusting it (fetchPage's hit protocol,
 // DESIGN.md §5).
 type descriptor struct {
-	pid PageID
+	pid   PageID
+	named sync.Once // sets pid at the first descriptorFor
 
 	// latchD/latchN/latchS guard migrations into/out of the DRAM, NVM and
 	// SSD copies of this page, respectively.
 	latchD, latchN, latchS sync.Mutex
 
 	mu        sync.Mutex
-	dramFrame atomic.Int32 // full DRAM frame index, or noFrame
-	dramMini  atomic.Int32 // mini DRAM frame index, or noFrame
-	nvmFrame  atomic.Int32 // NVM frame index, or noFrame
-}
-
-func newDescriptor(pid PageID) *descriptor {
-	d := &descriptor{pid: pid}
-	d.dramFrame.Store(noFrame)
-	d.dramMini.Store(noFrame)
-	d.nvmFrame.Store(noFrame)
-	return d
+	dramFrame frameSlot // full DRAM frame index, or noFrame
+	dramMini  frameSlot // mini DRAM frame index, or noFrame
+	nvmFrame  frameSlot // NVM frame index, or noFrame
 }
 
 // location is a snapshot of the descriptor's frame slots.
@@ -55,9 +57,11 @@ func (d *descriptor) load() location {
 	return l
 }
 
-// descriptorFor returns (creating if needed) the shared descriptor of pid.
+// descriptorFor returns pid's shared descriptor: three atomic loads, no
+// hash. Its first caller names the descriptor; later ones write nothing.
 func (bm *BufferManager) descriptorFor(pid PageID) *descriptor {
-	d, _ := bm.table.GetOrInsert(pid, func() *descriptor { return newDescriptor(pid) })
+	d := bm.table.Get(pid)
+	d.named.Do(func() { d.pid = pid })
 	return d
 }
 

@@ -109,10 +109,8 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	if p.hEvict != nil {
 		evStart = ctx.Clock.Now()
 	}
-	d, ok := p.bm.table.Get(pid)
-	if ok {
-		ok = p.slot(d).Load() == v
-	}
+	d := p.bm.table.Get(pid)
+	ok := p.slot(d).Load() == v
 	var err error
 	if ok {
 		ok, err = p.unlink(ctx, d, v)

@@ -20,7 +20,9 @@ import (
 //     (bypassing NVM).
 //
 // The caller must Release the handle, and must not fetch a page while
-// already holding a pinned handle to that same page.
+// already holding a pinned handle to that same page. Page ids are dense
+// from zero (AllocatePageID, SeedPage): the mapping table is indexed by
+// them, and a pid at or past dense.Span (2^34) panics.
 //
 // With observability attached, the fetch's simulated duration is recorded in
 // the per-hit-tier latency histograms and a tracer event is emitted; with

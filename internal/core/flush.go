@@ -12,21 +12,14 @@ func (bm *BufferManager) FlushDirtyDRAM(ctx *Ctx) (skipped int, err error) {
 	if bm.dram == nil {
 		return 0, nil
 	}
-	var descs []*descriptor
 	bm.table.Range(func(_ PageID, d *descriptor) bool {
-		descs = append(descs, d)
-		return true
-	})
-	for _, d := range descs {
-		ok, ferr := bm.flushOne(ctx, d)
-		if ferr != nil {
-			return skipped, ferr
-		}
-		if !ok {
+		var ok bool
+		if ok, err = bm.flushOne(ctx, d); !ok && err == nil {
 			skipped++
 		}
-	}
-	return skipped, nil
+		return err == nil
+	})
+	return skipped, err
 }
 
 // flushOne flushes d's DRAM copy if dirty. It reports false if the page was
@@ -190,39 +183,29 @@ func (bm *BufferManager) FlushAll(ctx *Ctx) error {
 	if bm.nvm == nil {
 		return nil
 	}
-	var descs []*descriptor
+	var err error
 	bm.table.Range(func(_ PageID, d *descriptor) bool {
-		descs = append(descs, d)
-		return true
-	})
-	for _, d := range descs {
 		loc := d.load()
-		if loc.nvmFrame == noFrame {
-			continue
-		}
-		m := &bm.nvm.meta[loc.nvmFrame]
-		if !m.dirty.Load() {
-			continue
+		if loc.nvmFrame == noFrame || !bm.nvm.meta[loc.nvmFrame].dirty.Load() {
+			return true
 		}
 		d.lockN()
 		d.lockS()
 		loc = d.load()
 		if loc.nvmFrame != noFrame && bm.nvm.meta[loc.nvmFrame].dirty.Load() {
 			buf := ctx.buf()
-			err := bm.nvmReadPayload(ctx.Clock, loc.nvmFrame, 0, buf)
+			err = bm.nvmReadPayload(ctx.Clock, loc.nvmFrame, 0, buf)
 			if err == nil {
 				err = bm.diskWritePage(ctx.Clock, d.pid, buf)
 			}
-			if err != nil {
-				d.unlockS()
-				d.unlockN()
-				return err
+			if err == nil {
+				bm.nvm.meta[loc.nvmFrame].dirty.Store(false)
+				bm.count(ctx.Clock, cFlushedNVMPages)
 			}
-			bm.nvm.meta[loc.nvmFrame].dirty.Store(false)
-			bm.count(ctx.Clock, cFlushedNVMPages)
 		}
 		d.unlockS()
 		d.unlockN()
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }

@@ -40,10 +40,10 @@ func TestChurnAllocationBudget(t *testing.T) {
 	defer bm.Close()
 	seed(t, bm, pages)
 
-	// A new page's descriptor, mapping-table entry and SSD block are the
-	// page's data, not garbage, and the table and the disk keep them. Create
-	// the ones the batches below will use ahead of time, so what is counted
-	// is NewPage's own work.
+	// A new page's descriptor block and SSD block are the page's data, not
+	// garbage, and the table and the disk keep them. Create the ones the
+	// batches below will use ahead of time, so what is counted is NewPage's
+	// own work.
 	zero := make([]byte, PageSize)
 	loader := NewCtx(1)
 	first := bm.NextPageID()

@@ -108,7 +108,7 @@ type basePool struct {
 	// slot returns the descriptor field that names a page's frame in this
 	// pool. Slots are written under d.mu and read atomically; a reader that
 	// did not take d.mu must pin the frame and validate its pid (pinPage).
-	slot func(d *descriptor) *atomic.Int32
+	slot func(d *descriptor) *frameSlot
 
 	// unlink is the tier-specific half of an eviction: under the tier latch
 	// (TryLock — d is a second descriptor to the allocating thread) it makes
@@ -304,7 +304,7 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 	}
 	dp.init(nFrames, &bm.stats, dramStats)
 	dp.bm, dp.tier = bm, obs.TierDRAM
-	dp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramFrame }
+	dp.slot = func(d *descriptor) *frameSlot { return &d.dramFrame }
 	dp.unlink = bm.unlinkDRAM
 	if bm.obs != nil {
 		dp.hEvict = bm.obs.Hist(obs.HEvictDRAM)
@@ -322,7 +322,7 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 		}
 		mp.init(nMini, &bm.stats, miniStats)
 		mp.bm, mp.tier = bm, obs.TierMini
-		mp.slot = func(d *descriptor) *atomic.Int32 { return &d.dramMini }
+		mp.slot = func(d *descriptor) *frameSlot { return &d.dramMini }
 		mp.unlink = bm.unlinkMini
 		dp.mini = mp
 	}
@@ -369,7 +369,7 @@ func newNVMPool(bm *BufferManager, cfg Config) (*nvmPool, error) {
 	np := &nvmPool{pm: pm}
 	np.init(nFrames, &bm.stats, nvmStats)
 	np.bm, np.tier = bm, obs.TierNVM
-	np.slot = func(d *descriptor) *atomic.Int32 { return &d.nvmFrame }
+	np.slot = func(d *descriptor) *frameSlot { return &d.nvmFrame }
 	np.unlink = bm.unlinkNVM
 	if bm.obs != nil {
 		np.hEvict = bm.obs.Hist(obs.HEvictNVM)

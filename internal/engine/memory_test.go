@@ -124,9 +124,10 @@ func TestHeapFollowsData(t *testing.T) {
 
 // TestHeapObjectsPerKey counts what TestHeapFollowsData weighs: every
 // object a loaded key leaves on the heap is one more for each collection to
-// mark. Pages, index nodes and the version store's directory blocks are
-// shared by many keys, so a key's share stays far below one object (0.20
-// on the kv-txn shape); any per-key object would put it above one.
+// mark. Pages, index nodes and the directory blocks of the page table and
+// the version store are shared by many keys, so a key's share stays far
+// below one object (0.17 on the kv-txn shape); any per-key object would put
+// it above one.
 func TestHeapObjectsPerKey(t *testing.T) {
 	if testutil.RaceEnabled() {
 		t.Skip("heap readings are not meaningful under -race")

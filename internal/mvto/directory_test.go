@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"github.com/spitfire-db/spitfire/internal/dense"
 )
 
 // TestDirectoryLayout pins the sizes the directory is built from: a 32-byte
@@ -20,9 +22,9 @@ func TestDirectoryLayout(t *testing.T) {
 		got, want uintptr
 	}{
 		{"tupleMeta", unsafe.Sizeof(tupleMeta{}), 32},
-		{"metaBlock", unsafe.Sizeof(metaBlock{}), 2 << 10},
-		{"metaPage", unsafe.Sizeof(metaPage{}), 512},
-		{"metaChunk", unsafe.Sizeof(metaChunk{}), 8 << 10},
+		{"block", unsafe.Sizeof(dense.Block[tupleMeta]{}), 2 << 10},
+		{"leaf (one page's slots)", unsafe.Sizeof(dense.Leaf[tupleMeta]{}), 512},
+		{"chunk", unsafe.Sizeof(dense.Chunk[tupleMeta]{}), 8 << 10},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
@@ -39,10 +41,10 @@ func TestOneEntryPerRIDUnderConcurrentFirstTouch(t *testing.T) {
 	const slotMax = 1<<SlotBits - 1
 	rids := []uint64{
 		0,
-		5<<SlotBits | (1<<blockBits - 1), 5<<SlotBits | 1<<blockBits, // block boundary
+		5<<SlotBits | (1<<dense.BlockBits - 1), 5<<SlotBits | 1<<dense.BlockBits, // block boundary
 		5<<SlotBits | slotMax, 6 << SlotBits, // page boundary
-		(1<<chunkBits-1)<<SlotBits | slotMax, 1 << chunkBits << SlotBits, // chunk boundary
-		3<<chunkBits<<SlotBits | 7,
+		1<<dense.ChunkBits - 1, 1 << dense.ChunkBits, // chunk boundary
+		3<<dense.ChunkBits | 7,
 	}
 	const rounds, workers = 200, 8
 	for r := 0; r < rounds; r++ {
@@ -89,7 +91,7 @@ func TestOneEntryPerRIDUnderConcurrentFirstTouch(t *testing.T) {
 // rather than allocating anything.
 func TestStrayRIDStaysCheap(t *testing.T) {
 	m := NewManager()
-	last := uint64(densePages-1)<<SlotBits | 1<<SlotBits - 1
+	last := uint64(dense.Span - 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e := m.metaFor(last)
@@ -101,11 +103,11 @@ func TestStrayRIDStaysCheap(t *testing.T) {
 		t.Errorf("RID %#x has two entries", last)
 	}
 
-	for _, rid := range []uint64{densePages << SlotBits, ^uint64(0)} {
+	for _, rid := range []uint64{dense.Span, ^uint64(0)} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("RID %#x is past the directory's %d pages but did not panic", rid, densePages)
+					t.Errorf("RID %#x is past the directory's span but did not panic", rid)
 				}
 			}()
 			m.metaFor(rid)

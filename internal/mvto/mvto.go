@@ -39,6 +39,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/spitfire-db/spitfire/internal/dense"
 )
 
 // ErrConflict aborts a transaction that lost a timestamp-ordering race.
@@ -110,6 +112,14 @@ type version struct {
 	prev *version // next-older version
 }
 
+// SlotBits is the width of a RID's slot field: a RID is
+// pageID<<SlotBits | slot. The engine packs its RIDs this way. It is one
+// leaf of the directory that holds each tuple's entry, so a page's entries
+// share a leaf, and a RID on a page at or past dense.Span>>SlotBits (2^22
+// pages, 64 GiB of 16 KiB pages) panics: the engine draws page ids densely
+// from zero.
+const SlotBits = dense.LeafBits
+
 // tupleMeta is the version-store entry for one tuple, at a fixed place in
 // the manager's directory.
 type tupleMeta struct {
@@ -177,7 +187,7 @@ type Manager struct {
 	reclaimAt atomic.Int64
 	reclaimMu sync.Mutex
 
-	meta directory
+	meta dense.Directory[tupleMeta]
 }
 
 // NewManager creates a transaction manager.
@@ -242,7 +252,7 @@ func (m *Manager) finish(txn *Txn, state TxnState, retire []*tupleMeta) {
 	sh.mu.Unlock()
 }
 
-func (m *Manager) metaFor(rid uint64) *tupleMeta { return m.meta.get(rid) }
+func (m *Manager) metaFor(rid uint64) *tupleMeta { return m.meta.Get(rid) }
 
 // Read performs a visibility-checked read of tuple rid. pageWTS must read
 // the tuple's in-place write timestamp; serve must perform the read —

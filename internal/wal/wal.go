@@ -257,8 +257,7 @@ func shardRegions(size int64, n int) [][2]int64 {
 
 // walShard is one independent append region of the NVM log buffer. Its
 // fields are guarded by mu except base/limit (immutable) and the ring
-// (internally synchronized; it additionally relies on mu for its
-// single-producer guarantee).
+// (internally synchronized; mu makes its appenders its single producer).
 type walShard struct {
 	mu    sync.Mutex
 	base  int64 // region start: magic at base, extent word at base+8
@@ -274,9 +273,8 @@ type walShard struct {
 	appends int64
 	commits int64
 
-	// Observability: the ring is only touched under mu (for appends) or
-	// with every shard mutex held (for flush events on shard 0), so events
-	// serialize onto one track per shard.
+	// Observability: the ring is only emitted into under mu, so a shard's
+	// append events serialize onto one track.
 	ring *obs.Ring
 
 	// Pad shards out of each other's cache lines: they are allocated
@@ -319,9 +317,10 @@ type Manager struct {
 	// Truncate: the log a recovery would have to read back.
 	logBytes atomic.Int64
 
-	obs     *obs.Obs
-	hAppend *metrics.Histogram
-	hFlush  *metrics.Histogram
+	obs       *obs.Obs
+	flushRing *obs.Ring // flush events, emitted under flushMu
+	hAppend   *metrics.Histogram
+	hFlush    *metrics.Histogram
 }
 
 // New creates a WAL manager over an empty log buffer.
@@ -355,6 +354,7 @@ func New(opt Options) (*Manager, error) {
 	}
 	if opt.Obs != nil {
 		m.obs = opt.Obs
+		m.flushRing = opt.Obs.NewRing("wal-flush")
 		m.hAppend = opt.Obs.Hist(obs.HWALAppend)
 		m.hFlush = opt.Obs.Hist(obs.HWALFlush)
 	}
@@ -604,13 +604,12 @@ func (m *Manager) combinedFlush(c *vclock.Clock) error {
 	if m.obs != nil {
 		now := c.Now()
 		m.hFlush.Observe(now - start)
-		ring := m.shards[0].ring
-		ring.Emit(obs.Event{
+		m.flushRing.Emit(obs.Event{
 			TS: now, Dur: now - start,
 			Type: obs.EvWALFlush, From: obs.TierNVM, To: obs.TierSSD,
 			Page: obs.NoPage, Arg: total,
 		})
-		ring.Emit(obs.Event{
+		m.flushRing.Emit(obs.Event{
 			TS: now, Dur: now - start,
 			Type: obs.EvWALGroupCommit, From: obs.TierNVM, To: obs.TierSSD,
 			Page: obs.NoPage, Arg: int64(wm),
