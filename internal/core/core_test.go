@@ -451,31 +451,6 @@ func TestFlushDirtyDRAM(t *testing.T) {
 	}
 }
 
-func TestFlushAllCleansEverything(t *testing.T) {
-	bm := newBM(t, Config{Policy: policy.SpitfireEager})
-	seed(t, bm, 8)
-	ctx := NewCtx(16)
-	for pid := uint64(0); pid < 8; pid++ {
-		h, _ := bm.FetchPage(ctx, pid, WriteIntent)
-		if err := h.WriteAt(ctx, 0, []byte{0xDD}); err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
-	}
-	if err := bm.FlushAll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	for pid := uint64(0); pid < 8; pid++ {
-		if err := bm.Disk().ReadPage(ctx.Clock, pid, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != 0xDD {
-			t.Fatalf("page %d not flushed to SSD", pid)
-		}
-	}
-}
-
 // TestTheoreticalMigrationProbability reproduces the §3.5 analysis: after N
 // read requests, the probability that a page has been brought into DRAM is
 // approximately 1-(1-Dr)^N. We estimate it over many independent pages.

@@ -153,8 +153,8 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 }
 
 // writeBackDRAM makes frame v's contents durable-enough to drop: dirty data
-// is pushed to the NVM copy if one exists, otherwise admitted to NVM per Nw
-// (or HyMem's admission queue), otherwise written straight to SSD (§3.4).
+// is written down to the NVM copy if one exists, otherwise admitted to NVM per
+// Nw (or HyMem's admission queue), otherwise written straight to SSD (§3.4).
 // Caller holds d.latchD and the frozen frame.
 //
 // Fault handling: all NVM and SSD writes run under the retry policy. If an
@@ -164,58 +164,10 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 // DRAM copy while a stale NVM copy stays reachable (and durable) would let
 // recovery resurrect old data over a newer SSD image.
 func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
-	p := bm.dram
-	m := &p.meta[v]
-	fg := m.fg.Load()
-	dirty := m.dirty.Load()
 	loc := d.load()
 	nvmOK := bm.nvm != nil && !bm.nvmDown()
 
-	// Cache-line-grained page backed by an NVM copy: write only the dirty
-	// units back (the bandwidth saving of HyMem's layout, Figure 2a).
-	if fg != nil && loc.nvmFrame != noFrame {
-		if !dirty {
-			return true, nil
-		}
-		if !d.tryLockN() {
-			return false, nil
-		}
-		defer d.unlockN()
-		nm := &bm.nvm.meta[loc.nvmFrame]
-		if !nm.freezeWait(d.pid) {
-			return false, nil
-		}
-		defer nm.thaw()
-		fg.lock()
-		frame := p.frame(v)
-		var werr error
-		for u := 0; u < fg.unitsPerPage(); u++ {
-			if fg.isDirty(u) {
-				off := u * fg.unit
-				p.charge.ChargeRead(ctx.Clock, p.frameOffset(v)+int64(off), fg.unit)
-				if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, off, frame[off:off+fg.unit]); werr != nil {
-					break
-				}
-			}
-		}
-		if werr == nil {
-			fg.clearDirty()
-		}
-		fg.unlock()
-		if werr != nil {
-			bm.noteNVMErr(werr)
-			return false, werr
-		}
-		nm.dirty.Store(true)
-		bm.count(ctx.Clock, cDRAMToNVM)
-		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
-		return true, nil
-	}
-	// A fine-grained page without an NVM copy is fully resident by
-	// invariant (the NVM evictor refuses to orphan partial pages), so the
-	// whole-page paths below are safe for it.
-
-	if !dirty {
+	if !bm.dram.meta[v].dirty.Load() {
 		// Spitfire simply discards clean pages (§3.3: only modified pages
 		// are considered for NVM admission). HyMem's admission queue,
 		// however, sees *every* page evicted from DRAM — its NVM buffer is
@@ -236,38 +188,17 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		return true, nil
 	}
 
-	frame := p.frame(v)
-	if loc.nvmFrame != noFrame {
-		// Refresh the page's existing NVM copy so NVM never goes stale
-		// ahead of SSD write-back.
-		if !d.tryLockN() {
-			return false, nil
-		}
-		defer d.unlockN()
-		nm := &bm.nvm.meta[loc.nvmFrame]
-		if !nm.freezeWait(d.pid) {
-			return false, nil
-		}
-		defer nm.thaw()
-		p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-		if err := bm.nvmWritePayload(ctx.Clock, loc.nvmFrame, 0, frame); err != nil {
-			return false, err
-		}
-		nm.dirty.Store(true)
-		bm.count(ctx.Clock, cDRAMToNVM)
-		bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierNVM, Page: d.pid})
-		return true, nil
-	}
-
-	// NVM admission decision (§3.4). HyMem consults its admission queue;
-	// Spitfire flips a Bernoulli(Nw) coin. The background cleaner does
-	// neither blindly: it feeds the admission queue even in coin mode, so
-	// its off-critical-path write-backs pre-warm NVM with pages that have
-	// shown repeated eviction pressure, while a single cold sweep cannot
-	// flood the buffer the way always-admit did. (With Nw forced to zero —
-	// NVM disabled or degraded — the cleaner bias is off too.)
+	// NVM admission decision (§3.4) for a dirty page with no NVM copy.
+	// HyMem consults its admission queue; Spitfire flips a Bernoulli(Nw)
+	// coin. The background cleaner does neither blindly: it feeds the
+	// admission queue even in coin mode, so its off-critical-path
+	// write-backs pre-warm NVM with pages that have shown repeated eviction
+	// pressure, while a single cold sweep cannot flood the buffer the way
+	// always-admit did. (With Nw forced to zero — NVM disabled or degraded —
+	// the cleaner bias is off too.) A page that already has an NVM copy
+	// refreshes it instead, so NVM never goes stale ahead of SSD write-back.
 	admit := false
-	if nvmOK {
+	if nvmOK && loc.nvmFrame == noFrame {
 		pol := bm.pol.Load()
 		if pol.NwMode == policy.NwAdmissionQueue && bm.admQueue != nil {
 			admit = bm.admQueue.Admit(d.pid)
@@ -303,17 +234,102 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		}
 	}
 
-	if !d.tryLockS() {
-		return false, nil
-	}
-	defer d.unlockS()
-	p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-	if err := bm.diskWritePage(ctx.Clock, d.pid, frame); err != nil {
+	to, ok, err := bm.writeDown(ctx, d, v, false)
+	if !ok {
 		return false, err
 	}
-	bm.count(ctx.Clock, cDRAMToSSD)
-	bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: obs.TierSSD, Page: d.pid})
+	if to == obs.TierNVM {
+		bm.count(ctx.Clock, cDRAMToNVM)
+	} else {
+		bm.count(ctx.Clock, cDRAMToSSD)
+	}
+	bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: to, Page: d.pid})
 	return true, nil
+}
+
+// writeDown writes the dirty contents of page d's DRAM copy — full frame v,
+// or mini frame v when mini — down to durable media, for eviction and
+// checkpoint alike, and reports the tier it wrote to. With an NVM copy it
+// writes only the dirty units (a mini frame's dirty slots) of a
+// cache-line-grained copy, the whole page otherwise; with none it writes the
+// whole page to SSD. Every byte written is charged as a DRAM read. A copy
+// with no dirty unit writes nothing and leaves the NVM copy's dirty bit
+// alone. On success the DRAM copy is clean.
+//
+// Caller holds d.latchD and the frozen frame. (false, nil) reports
+// contention on latchN, latchS or the NVM frame, and refuses a mini page
+// with no NVM copy: its dirty slots have no page to land in. A non-nil
+// error is an unretryable I/O failure.
+func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) (obs.TierID, bool, error) {
+	p := bm.dram
+	m, src, base := &p.meta[v], p.frame(v), p.frameOffset(v)
+	if mini {
+		m, src, base = &p.mini.meta[v], p.mini.data(v), int64(v)*int64(p.mini.slotSize)
+	}
+	fg := m.fg.Load()
+	nf := d.load().nvmFrame
+	if nf == noFrame {
+		// A full frame without an NVM copy is fully resident by invariant
+		// (the NVM evictor refuses to orphan partial pages).
+		if mini || !d.tryLockS() {
+			return obs.TierNone, false, nil
+		}
+		defer d.unlockS()
+		p.charge.ChargeRead(ctx.Clock, base, PageSize)
+		if err := bm.diskWritePage(ctx.Clock, d.pid, src); err != nil {
+			return obs.TierNone, false, err
+		}
+		if fg != nil {
+			fg.lock()
+			fg.clearDirty()
+			fg.unlock()
+		}
+		m.dirty.Store(false)
+		return obs.TierSSD, true, nil
+	}
+
+	if !d.tryLockN() {
+		return obs.TierNone, false, nil
+	}
+	defer d.unlockN()
+	nm := &bm.nvm.meta[nf]
+	if !nm.freezeWait(d.pid) {
+		return obs.TierNone, false, nil
+	}
+	defer nm.thaw()
+	wrote := fg == nil
+	if fg == nil {
+		p.charge.ChargeRead(ctx.Clock, base, PageSize)
+		if err := bm.nvmWritePayload(ctx.Clock, nf, 0, src); err != nil {
+			return obs.TierNone, false, err
+		}
+	} else {
+		var werr error
+		fg.lock()
+		for i := 0; i < fg.entries() && werr == nil; i++ {
+			u, dirty := fg.dirtyEntry(i)
+			if !dirty {
+				continue
+			}
+			off := i * fg.unit
+			p.charge.ChargeRead(ctx.Clock, base+int64(off), fg.unit)
+			werr = bm.nvmWrite(ctx.Clock, nf, u*fg.unit, src[off:off+fg.unit])
+			wrote = true
+		}
+		if werr == nil {
+			fg.clearDirty()
+		}
+		fg.unlock()
+		if werr != nil {
+			bm.noteNVMErr(werr)
+			return obs.TierNone, false, werr
+		}
+	}
+	if wrote {
+		nm.dirty.Store(true)
+	}
+	m.dirty.Store(false)
+	return obs.TierNVM, true, nil
 }
 
 // admitNVM installs DRAM frame v's contents into frozen NVM frame nf as page
@@ -346,72 +362,23 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 }
 
 // unlinkMini is the mini pool's unlink: write the mini page's dirty slots
-// back to the page's NVM copy and detach it from d.
+// down to its NVM copy and detach it from d.
 func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	if !d.tryLockD() {
 		return false, nil
 	}
 	defer d.unlockD()
-	m := &bm.dram.mini.meta[v]
-	if fg := m.fg.Load(); m.dirty.Load() && fg != nil && fg.slotDirtyAny() {
-		if ok, err := bm.writeBackMini(ctx, d, v, fg); !ok {
+	if bm.dram.mini.meta[v].dirty.Load() {
+		if _, ok, err := bm.writeDown(ctx, d, v, true); !ok {
 			return false, err
 		}
+		bm.count(ctx.Clock, cDRAMToNVM)
 	}
 	d.lockMu()
 	d.dramMini.Store(noFrame)
 	d.unlockMu()
 	return true, nil
 }
-
-// writeBackMini writes mini frame v's dirty slots into page d's NVM copy.
-// Caller holds d.latchD and the frozen mini frame.
-func (bm *BufferManager) writeBackMini(ctx *Ctx, d *descriptor, v int32, fg *fgState) (bool, error) {
-	mp := bm.dram.mini
-	loc := d.load()
-	if loc.nvmFrame == noFrame {
-		// Invariant violation guard: never drop dirty mini slots with no
-		// backing copy.
-		return false, nil
-	}
-	if !d.tryLockN() {
-		return false, nil
-	}
-	defer d.unlockN()
-	nm := &bm.nvm.meta[loc.nvmFrame]
-	if !nm.freezeWait(d.pid) {
-		return false, nil
-	}
-	defer nm.thaw()
-	fg.lock()
-	data := mp.data(v)
-	var werr error
-	for s := 0; s < fg.slotCount; s++ {
-		if fg.slotDirty&(1<<uint(s)) == 0 {
-			continue
-		}
-		u := int(fg.slots[s])
-		bm.dram.charge.ChargeRead(ctx.Clock, int64(int(v)*mp.slotSize+s*fg.unit), fg.unit)
-		if werr = bm.nvmWrite(ctx.Clock, loc.nvmFrame, u*fg.unit, data[s*fg.unit:(s+1)*fg.unit]); werr != nil {
-			break
-		}
-	}
-	if werr == nil {
-		fg.clearDirty()
-	}
-	fg.unlock()
-	if werr != nil {
-		bm.noteNVMErr(werr)
-		return false, werr
-	}
-	nm.dirty.Store(true)
-	bm.count(ctx.Clock, cDRAMToNVM)
-	return true, nil
-}
-
-// slotDirtyAny reports whether any mini slot is dirty (lock-free peek; the
-// caller revalidates under fg.mu).
-func (fg *fgState) slotDirtyAny() bool { return fg.slotDirty != 0 }
 
 // unlinkNVM is the NVM pool's unlink: write the page in NVM frame v back to
 // SSD if dirty (path ❽), invalidate the frame's durable header and detach it

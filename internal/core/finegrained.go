@@ -96,6 +96,25 @@ func (fg *fgState) isDirty(u int) bool {
 	return fg.dirty[u>>6]&(1<<uint(u&63)) != 0
 }
 
+// entries is how many units the DRAM copy indexes: every unit of the page
+// in a full frame, the filled slots of a mini frame. Caller holds fg.mu.
+func (fg *fgState) entries() int {
+	if fg.mini {
+		return fg.slotCount
+	}
+	return fg.unitsPerPage()
+}
+
+// dirtyEntry reports which page unit entry i of the DRAM copy holds (unit i
+// of a full frame, slot i's unit of a mini frame) and whether it is dirty.
+// Caller holds fg.mu.
+func (fg *fgState) dirtyEntry(i int) (u int, dirty bool) {
+	if fg.mini {
+		return int(fg.slots[i]), fg.slotDirty&(1<<uint(i)) != 0
+	}
+	return i, fg.isDirty(i)
+}
+
 // clearDirty resets every dirty bit. Caller holds fg.mu.
 func (fg *fgState) clearDirty() {
 	for i := range fg.dirty {

@@ -27,7 +27,6 @@ const (
 	cFGUnitLoads
 	cMiniPromotions
 	cFlushedDRAMPages
-	cFlushedNVMPages
 	cRecoveredNVMPages
 
 	// Background cleaner activity (DESIGN.md §6a).
@@ -76,7 +75,7 @@ const statStripes = 8
 // alignment.
 type statBlock struct {
 	c [nStats]metrics.Counter
-	_ [72]byte
+	_ [80]byte
 }
 
 // bmStats is the manager's counters, one block per worker stripe: worker w
@@ -125,7 +124,6 @@ func counters(o *Stats) [nCounters]counterRow {
 		cFGUnitLoads:           {"fg_unit_loads", &o.FGUnitLoads},
 		cMiniPromotions:        {"mini_promotions", &o.MiniPromotions},
 		cFlushedDRAMPages:      {"flushed_dram_pages", &o.FlushedDRAMPages},
-		cFlushedNVMPages:       {"flushed_nvm_pages", &o.FlushedNVMPages},
 		cRecoveredNVMPages:     {"recovered_nvm_pages", &o.RecoveredNVMPages},
 		cCleanerWakeups:        {"cleaner_wakeups", &o.CleanerWakeups},
 		cCleanerBatches:        {"cleaner_batches", &o.CleanerBatches},
@@ -157,7 +155,6 @@ type Stats struct {
 	EvictDRAM, EvictMini, EvictNVM int64
 	FGUnitLoads, MiniPromotions    int64
 	FlushedDRAMPages               int64
-	FlushedNVMPages                int64
 	RecoveredNVMPages              int64
 
 	// Background cleaner activity. CleanerWakeups counts the allocator kicks
