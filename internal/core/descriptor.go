@@ -66,10 +66,11 @@ func (bm *BufferManager) descriptorFor(pid PageID) *descriptor {
 }
 
 // waitBudget bounds the spin-waits used when draining pins off a frame
-// before migrating or overwriting it. On exhaustion the caller falls back
-// to a non-blocking plan (skip the victim, or serve the access in place),
-// which keeps the manager deadlock-free even if a caller violates the
-// single-pin discipline.
+// before migrating or overwriting it, and a checkpoint's retries of a page
+// whose down-tier latch is busy. On exhaustion the caller falls back to a
+// non-blocking plan (skip the victim, or serve the access in place) or, in a
+// checkpoint, fails, which keeps the manager deadlock-free even if a caller
+// violates the single-pin discipline.
 const waitBudget = 1 << 14
 
 // backoff yields the processor inside spin loops.

@@ -122,7 +122,10 @@ func TestMaterializePageIdempotent(t *testing.T) {
 	}
 }
 
-func TestFlushSkipsPinnedPages(t *testing.T) {
+// TestFlushFailsOnPinnedPage: a pin held across a checkpoint breaks its
+// quiescence contract, so the flush reports the page instead of waiting on
+// it forever.
+func TestFlushFailsOnPinnedPage(t *testing.T) {
 	bm := newBM(t, Config{
 		DRAMBytes: 4 * PageSize,
 		NVMBytes:  8 * nvmFrameSlot,
@@ -137,17 +140,11 @@ func TestFlushSkipsPinnedPages(t *testing.T) {
 	if err := h.WriteAt(ctx, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	// Flush while the dirty page is pinned: it must be skipped, not
-	// deadlocked on.
-	skipped, err := bm.FlushDirtyDRAM(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 1 {
-		t.Fatalf("skipped = %d, want 1 (the pinned page)", skipped)
+	if err := bm.FlushDirtyDRAM(ctx); err == nil {
+		t.Fatal("flush of a pinned dirty page succeeded")
 	}
 	h.Release()
-	if skipped, _ := bm.FlushDirtyDRAM(ctx); skipped != 0 {
-		t.Fatalf("skipped = %d after release", skipped)
+	if err := bm.FlushDirtyDRAM(ctx); err != nil {
+		t.Fatalf("flush after release: %v", err)
 	}
 }

@@ -89,8 +89,8 @@ func TestWriteDownChargesWhatItWrites(t *testing.T) {
 				nvmDev, ssdDev := cfg.PMem.Device(), cfg.SSD.Device()
 				nvm0, ssd0, read0 := nvmDev.Stats().BytesWritten, ssdDev.Stats().BytesWritten, charger.read
 				if how == "checkpoint" {
-					if skipped, err := bm.FlushDirtyDRAM(ctx); err != nil || skipped != 0 {
-						t.Fatalf("checkpoint: skipped=%d err=%v", skipped, err)
+					if err := bm.FlushDirtyDRAM(ctx); err != nil {
+						t.Fatalf("checkpoint: %v", err)
 					}
 				} else {
 					evictDRAMCopy(t, bm, ctx, 0)

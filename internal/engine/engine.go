@@ -219,21 +219,19 @@ func (t *Txn) Abort(ctx *core.Ctx) error {
 
 // Checkpoint implements the paper's log-truncation protocol (§5.2): flush
 // every dirty DRAM page down to durable media (NVM copies stay in place —
-// NVM is persistent), force the log, write a checkpoint record, and
-// truncate the log file. It must run quiescently (no concurrent
-// transactions). It returns the number of dirty pages it could not flush
-// because another thread held them latched, and then truncates nothing.
-// With no transaction open that thread is the buffer manager's background
-// cleaner mid-eviction, which lets go within a batch, so a caller re-runs
-// Checkpoint until it returns zero: the server's one retry helper is
-// server.(*Server).checkpoint, and a caller that stops the cleaners first
-// (BufferManager.Close) sees zero on the first try. Being quiescent, it
-// also empties the MVTO version store.
+// NVM is persistent), force the log, truncate it, and append a checkpoint
+// record. It is the one checkpoint: the server, the experiment harness and
+// Recover all call it. It must run quiescently: no transaction open and no
+// page pinned (core.BufferManager.FlushDirtyDRAM). The background cleaner
+// may run; the flush waits out the pages it holds. Being quiescent, it also
+// empties the MVTO version store.
+//
+// skipped is always zero: the flush no longer skips a busy page. It is kept
+// only until bench/ stops reading it.
 func (db *DB) Checkpoint(ctx *core.Ctx) (skipped int, err error) {
 	db.tm.GC()
-	skipped, err = db.bm.FlushDirtyDRAM(ctx)
-	if err != nil || skipped > 0 {
-		return skipped, err
+	if err := db.bm.FlushDirtyDRAM(ctx); err != nil {
+		return 0, err
 	}
 	if db.wal == nil {
 		return 0, nil

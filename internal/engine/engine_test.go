@@ -445,7 +445,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 func TestRecoveryIdempotentReplay(t *testing.T) {
 	// Recover twice in a row (second crash immediately after recovery):
-	// state must be identical.
+	// state must be identical, and since recovery ends with a checkpoint the
+	// second pass replays nothing but that checkpoint's record.
 	dataArena := pmem.New(pmem.Options{Size: 16 * (core.PageSize + 64), TrackCrashes: true})
 	logArena := pmem.New(pmem.Options{Size: 1 << 17, TrackCrashes: true})
 	disk := ssd.NewMem(nil)
@@ -484,7 +485,7 @@ func TestRecoveryIdempotentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recover := func() *DB {
+	recover := func() (*DB, *wal.RecoveredLog) {
 		dataArena.Crash()
 		logArena.Crash()
 		bm2, err := core.Recover(core.Config{
@@ -495,7 +496,7 @@ func TestRecoveryIdempotentReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		rctx := NewRecoveryCtx()
-		db2, _, err := Recover(rctx, RecoverOptions{
+		db2, rl, err := Recover(rctx, RecoverOptions{
 			BM:     bm2,
 			WAL:    wal.Options{Buffer: logArena, Store: logStore},
 			Schema: []TableDef{{ID: 1, Name: "kv", TupleSize: testTupleSize}},
@@ -503,11 +504,14 @@ func TestRecoveryIdempotentReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return db2
+		return db2, rl
 	}
 
-	db2 := recover()
-	db3 := recover() // crash again right after recovery
+	db2, _ := recover()
+	db3, rl := recover() // crash again right after recovery
+	if len(rl.Records) != 1 || rl.Records[0].Type != wal.RecCheckpoint {
+		t.Fatalf("second recovery replayed %d records, want only the first recovery's checkpoint", len(rl.Records))
+	}
 
 	for _, d := range []*DB{db2, db3} {
 		rctx := NewRecoveryCtx()

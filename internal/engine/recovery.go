@@ -94,7 +94,9 @@ func (a *applier) ApplyUndo(c *vclock.Clock, rec *wal.Record) error {
 //  3. Page directories and in-memory indexes are rebuilt by scanning every
 //     page (NVM-resident pages may be newer than their SSD counterparts,
 //     which is exactly why step 1 must precede this scan).
-//  4. A closing checkpoint flushes the undo results out of volatile DRAM.
+//  4. A closing checkpoint (DB.Checkpoint) flushes the undo results out of
+//     volatile DRAM and truncates the replayed log, so a crash right after
+//     recovery replays only its checkpoint record.
 func Recover(ctx *core.Ctx, opt RecoverOptions) (*DB, *wal.RecoveredLog, error) {
 	db, err := Open(Options{BM: opt.BM})
 	if err != nil {
@@ -120,7 +122,7 @@ func Recover(ctx *core.Ctx, opt RecoverOptions) (*DB, *wal.RecoveredLog, error) 
 	if err := db.rebuildDirectories(ctx); err != nil {
 		return nil, nil, err
 	}
-	if _, err := db.bm.FlushDirtyDRAM(ctx); err != nil {
+	if _, err := db.Checkpoint(ctx); err != nil {
 		return nil, nil, err
 	}
 	return db, rl, nil

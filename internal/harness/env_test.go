@@ -41,6 +41,38 @@ func TestRunProducesThroughput(t *testing.T) {
 		res.Throughput, res.LatencyP50Ns, res.LatencyP99Ns, res.Inclusivity, res.NVMBytesWritten/1024, res.SSDBytesRead/1024)
 }
 
+// TestCheckpointTruncatesLog: past checkpointEvery commits the harness
+// checkpoint truncates the log, so the log holds no more than the commits
+// since the checkpoint shipped. The same number of commits from an empty log
+// ships lk; the checkpointed log may run ahead of that by at most one log
+// buffer, the most a shard holds unshipped.
+func TestCheckpointTruncatesLog(t *testing.T) {
+	e, err := NewEnv(EnvConfig{
+		DRAMBytes: 2 * MB,
+		NVMBytes:  8 * MB,
+		Policy:    policy.SpitfireLazy,
+		Workload:  YCSBWH,
+		DBBytes:   4 * MB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := e.DB.WAL()
+	const k = 2000
+	l0 := log.LogBytes()
+	if _, err := e.Run(1, k, 1); err != nil {
+		t.Fatal(err)
+	}
+	lk := log.LogBytes() - l0
+	if _, err := e.Run(1, checkpointEvery, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, bound := log.LogBytes(), lk+log.BufferBytes(); got > bound {
+		t.Fatalf("log holds %d bytes after %d commits; the %d since the checkpoint ship %d (bound %d)",
+			got, k+checkpointEvery, k, lk, bound)
+	}
+}
+
 func TestTPCCEnvRuns(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
 		DRAMBytes: 4 * MB,

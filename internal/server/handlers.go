@@ -159,7 +159,7 @@ func (s *Server) finish(a admitted, h *metrics.Histogram) {
 // waits are wall-clock quantities, never simulated time.
 func wallNow() time.Time { return time.Now() } //vet:allow determinism request latencies and checkpoint pauses are wall-clock
 
-func wallSleep(d time.Duration) { time.Sleep(d) } //vet:allow determinism TestHoldPerRequest and the checkpoint's wait for the cleaner are host-side waits
+func wallSleep(d time.Duration) { time.Sleep(d) } //vet:allow determinism TestHoldPerRequest's hold is a host-side wait
 
 // writeErr maps engine/context errors onto the API's status contract:
 // 404 missing key, 409 conflict after retries, 503 deadline, 500 bug.

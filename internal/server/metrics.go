@@ -28,7 +28,6 @@ type counters struct {
 	checkpoints       atomic.Int64
 	checkpointGiveUps atomic.Int64
 	drainCheckpoints  atomic.Int64
-	drainSkipped      atomic.Int64
 	minFreeFrac       atomic.Uint64 // math.Float64bits
 }
 
@@ -50,13 +49,11 @@ type Stats struct {
 	ShedEnters        int64 `json:"shed_enters"`
 	DegradedTrips     int64 `json:"degraded_trips"`
 	// Checkpoints counts every checkpoint that truncated the log, periodic
-	// and drain alike; CheckpointGiveUps those that failed or still found
-	// pages latched after their retries. DrainCheckpoints (0 or 1) and
-	// DrainSkipped are the drain's own result.
+	// and drain alike; CheckpointGiveUps those that failed.
+	// DrainCheckpoints (0 or 1) is the drain's own result.
 	Checkpoints       int64 `json:"checkpoints"`
 	CheckpointGiveUps int64 `json:"checkpoint_give_ups"`
 	DrainCheckpoints  int64 `json:"drain_checkpoints"`
-	DrainSkipped      int64 `json:"drain_skipped"`
 
 	Inflight int64 `json:"inflight"`
 	Queued   int64 `json:"queued"`
@@ -93,7 +90,6 @@ func (s *Server) Stats() Stats {
 		Checkpoints:       s.cnt.checkpoints.Load(),
 		CheckpointGiveUps: s.cnt.checkpointGiveUps.Load(),
 		DrainCheckpoints:  s.cnt.drainCheckpoints.Load(),
-		DrainSkipped:      s.cnt.drainSkipped.Load(),
 		Inflight:          inflight,
 		Queued:            queued,
 		Clients:           clients,

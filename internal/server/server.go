@@ -251,10 +251,9 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Drain performs the graceful shutdown sequence: flip to draining (new
 // requests get 503, /readyz goes not-ready), wait up to DrainTimeout for
 // in-flight requests to finish (their own deadlines cancel stragglers), stop
-// the monitor, stop the buffer manager's cleaners — a cleaner mid-evict holds
-// a page latch the checkpoint's flush would otherwise skip — and checkpoint
-// the quiesced engine. It is safe to call once; the error reports the first
-// step that failed.
+// the monitor, stop the buffer manager's cleaners and checkpoint the
+// quiesced engine. It is safe to call once; the error reports the first step
+// that failed.
 func (s *Server) Drain() error {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return nil
@@ -270,18 +269,11 @@ func (s *Server) Drain() error {
 	s.bm.Close()
 	cc := s.ctxPool.Get().(*core.Ctx)
 	defer s.ctxPool.Put(cc)
-	skipped, cerr := s.checkpoint(cc)
-	s.cnt.drainSkipped.Store(int64(skipped))
-	switch {
-	case cerr != nil:
-		cerr = fmt.Errorf("server: drain checkpoint: %w", cerr)
-	case skipped > 0:
-		cerr = fmt.Errorf("server: drain checkpoint skipped %d dirty pages (engine not quiescent)", skipped)
-	default:
+	cerr := s.checkpoint(cc)
+	if cerr == nil {
 		s.cnt.drainCheckpoints.Add(1)
-	}
-	if err == nil {
-		err = cerr
+	} else if err == nil {
+		err = fmt.Errorf("server: drain checkpoint: %w", cerr)
 	}
 	return err
 }
@@ -305,41 +297,24 @@ func (s *Server) stopMonitor() {
 	s.monWG.Wait()
 }
 
-// checkpointTries and checkpointRetryWait bound how long a checkpoint waits
-// out the cleaner: a page it holds latched mid-evict is skipped by the
-// flush and free again once that eviction ends.
-const (
-	checkpointTries     = 200
-	checkpointRetryWait = 100 * time.Microsecond
-)
-
 // checkpoint is the server's one checkpoint path, periodic and drain alike.
 // It holds the transaction gate exclusive, so no transaction is open while
-// DB.Checkpoint flushes dirty DRAM and truncates the log, and retries while
-// the flush skips pages the cleaner holds latched. It returns the pages
-// still skipped after the last try; the log is truncated only when that is
-// zero and err is nil.
-func (s *Server) checkpoint(cc *core.Ctx) (skipped int, err error) {
+// DB.Checkpoint flushes dirty DRAM and truncates the log.
+func (s *Server) checkpoint(cc *core.Ctx) error {
 	s.lockTxnsExclusive()
 	start := wallNow()
-	for try := 1; ; try++ {
-		skipped, err = s.db.Checkpoint(cc)
-		if err != nil || skipped == 0 || try == checkpointTries {
-			break
-		}
-		wallSleep(checkpointRetryWait)
-	}
+	_, err := s.db.Checkpoint(cc)
 	pause := wallNow().Sub(start)
 	s.unlockTxnsExclusive()
 	if h := s.hists.checkpointPause; h != nil {
 		h.Observe(pause.Nanoseconds())
 	}
-	if err == nil && skipped == 0 {
+	if err == nil {
 		s.cnt.checkpoints.Add(1)
 	} else {
 		s.cnt.checkpointGiveUps.Add(1)
 	}
-	return skipped, err
+	return err
 }
 
 // maybeCheckpoint checkpoints once the log shipped to the store since the
@@ -356,10 +331,9 @@ func (s *Server) maybeCheckpoint(cc *core.Ctx) {
 	}
 	defer s.checkpointing.Store(false)
 	if s.db.WAL().LogBytes() > s.logBound { // not already done by the checkpoint that just ended
-		// The request has already succeeded. A checkpoint that gives up is
-		// counted, leaves the log as it was, and the next request past the
-		// bound tries again.
-		_, _ = s.checkpoint(cc)
+		// The request has already succeeded. A checkpoint that fails is
+		// counted, and the next request past the bound tries again.
+		_ = s.checkpoint(cc)
 	}
 }
 

@@ -49,8 +49,8 @@ func TestWaitGraphUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if skipped, err := s.checkpoint(cc); err != nil || skipped != 0 {
-				t.Errorf("checkpoint under load: skipped %d, err %v", skipped, err)
+			if err := s.checkpoint(cc); err != nil {
+				t.Errorf("checkpoint under load: %v", err)
 				return
 			}
 		}

@@ -476,7 +476,7 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 		// Shard full: drain it via a combined flush. The shard lock drops
 		// first — flushMu → shard mu is the only legal order.
 		m.unlockShard(sh)
-		if err := m.groupFlush(c); err != nil {
+		if err := m.Flush(c); err != nil {
 			return 0, err
 		}
 		m.lockShard(sh)
@@ -547,18 +547,13 @@ func (m *Manager) maybeGroupFlush(c *vclock.Clock, lsn uint64) error {
 	return err
 }
 
-// groupFlush runs a combined flush unconditionally (overflow drains and the
-// public Flush need space freed or data on SSD regardless of the watermark).
-func (m *Manager) groupFlush(c *vclock.Clock) error {
+// Flush forces the NVM buffer's contents onto the SSD log, regardless of
+// the group-commit watermark: an overflow drain needs the space freed.
+func (m *Manager) Flush(c *vclock.Clock) error {
 	m.lockFlush()
 	err := m.combinedFlush(c)
 	m.unlockFlush()
 	return err
-}
-
-// Flush forces the NVM buffer's contents onto the SSD log.
-func (m *Manager) Flush(c *vclock.Clock) error {
-	return m.groupFlush(c)
 }
 
 // combinedFlush drains every shard's live bytes to the SSD log and resets
@@ -653,8 +648,11 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 	return n, nil
 }
 
-// Truncate flushes and then discards the SSD log. Call only after a
-// checkpoint has made all logged changes durable in place.
+// Truncate discards the whole log: the SSD log and whatever the NVM shard
+// buffers still hold, which it does not flush. Call it only when no record
+// in the log is needed for recovery: every logged change is durable in place
+// and no append runs concurrently. Its one caller, engine.DB.Checkpoint,
+// meets that by running quiescently after flushing dirty DRAM and the log.
 func (m *Manager) Truncate(c *vclock.Clock) error {
 	m.lockFlush()
 	defer m.unlockFlush()
