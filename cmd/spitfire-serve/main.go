@@ -21,6 +21,14 @@
 // load balancers notice, then in-flight requests finish and the engine
 // checkpoints before exit 0.
 //
+// The engine runs on the machine the experiment harness measures, described
+// by one Spec and assembled by spitfire.Build: the 4 MiB log buffer shares
+// the data arena's NVM device and the log file shares the page store's SSD,
+// the background cleaner runs, the WAL has one append shard per core, and
+// the engine reports into the served Obs, so its fetch, eviction, device
+// and cleaner histograms on /metrics are live. With -nvm-mb 0 the log
+// buffer is priced as DRAM and group-commits to SSD.
+//
 // The server also checkpoints while it runs, so its log never outgrows the
 // DRAM buffer: once the log written since the last checkpoint passes
 // -dram-mb (or the 4 MiB NVM log buffer, if that is larger), the request
@@ -73,25 +81,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The engine is assembled through the facade, so the server runs the
-	// posture the tests and benchmarks run: cleaner on, sharded WAL.
-	bm, err := spitfire.New(spitfire.Config{
-		DRAMBytes: int64(*dramMB) << 20,
-		NVMBytes:  int64(*nvmMB) << 20,
-		Policy:    p,
-	})
-	if err != nil {
-		fatal("buffer manager", err)
+	var o *spitfire.Obs
+	if *withObs {
+		o = spitfire.NewObs(spitfire.ObsConfig{})
 	}
-	w, err := spitfire.NewWAL(spitfire.WALOptions{
-		Buffer: spitfire.NewPMem(spitfire.PMemOptions{Size: 1 << 22}),
-		Store:  spitfire.NewMemLog(nil),
-		Shards: spitfire.RecommendedWALShards(),
-	})
-	if err != nil {
-		fatal("wal", err)
-	}
-	db, err := spitfire.OpenDB(spitfire.DBOptions{BM: bm, WAL: w})
+	db, err := spitfire.Build(servedSpec(*dramMB, *nvmMB, p, o)).Open()
 	if err != nil {
 		fatal("engine", err)
 	}
@@ -100,10 +94,6 @@ func main() {
 		fatal("kv", err)
 	}
 
-	var o *spitfire.Obs
-	if *withObs {
-		o = spitfire.NewObs(spitfire.ObsConfig{})
-	}
 	srv, err := server.New(server.Options{
 		DB: db, KV: kv, Obs: o,
 		MaxInflight:        *maxInflight,
@@ -142,6 +132,22 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "spitfire-serve: drained cleanly: %d accepted, %d completed, checkpoint ok\n",
 		st.Accepted, st.Completed)
+}
+
+// servedSpec describes the served machine: the hierarchy the experiment
+// harness measures (the data arena and the log buffer share one NVM device,
+// the page store and the log share one SSD), with the background cleaner
+// on, a 4 MiB log buffer and one append shard per core.
+func servedSpec(dramMB, nvmMB int, p spitfire.Policy, o *spitfire.Obs) spitfire.Spec {
+	return spitfire.Spec{
+		DRAMBytes: int64(dramMB) << 20,
+		NVMBytes:  int64(nvmMB) << 20,
+		Policy:    p,
+		Cleaner:   true,
+		WALBuffer: 4 << 20,
+		WALShards: spitfire.RecommendedWALShards(),
+		Obs:       o,
+	}
 }
 
 func fatal(what string, err error) {

@@ -35,12 +35,15 @@ func TestFlagParsingSmoke(t *testing.T) {
 var (
 	servingRE        = regexp.MustCompile(`serving on (http://[^/\s]+)/`)
 	cleanerBatchesRE = regexp.MustCompile(`(?m)^spitfire_cleaner_batches_total ([1-9]\d*)$`)
+	cleanerBatchNsRE = regexp.MustCompile(`(?m)^spitfire_cleaner_batch_ns_count ([1-9]\d*)$`)
+	fetchNVMNsRE     = regexp.MustCompile(`(?m)^spitfire_fetch_nvm_ns_count ([1-9]\d*)$`)
 	walShardsRE      = regexp.MustCompile(`(?m)^spitfire_wal_shards (\d+)$`)
 )
 
-// TestServesTheFacadePosture: the binary runs the stack the facade builds —
-// background cleaner on, WAL sharded as the facade recommends — so once a
-// load outgrows -dram-mb 1 the cleaner families on /metrics move and the
+// TestServesTheFacadePosture: the binary runs the stack its Spec describes —
+// background cleaner on, WAL sharded as the facade recommends, the engine
+// wired to the served Obs — so once a load outgrows -dram-mb 1 the cleaner
+// families and the engine's latency histograms on /metrics move, and the
 // shard gauge reads RecommendedWALShards. A server that drifted back to a
 // private assembly would read zero, or one, here.
 func TestServesTheFacadePosture(t *testing.T) {
@@ -97,8 +100,41 @@ func TestServesTheFacadePosture(t *testing.T) {
 	if !cleanerBatchesRE.Match(scrape) {
 		t.Fatal("spitfire_cleaner_batches_total is not > 0 after the load; the binary is not running the facade posture")
 	}
+	for name, re := range map[string]*regexp.Regexp{
+		"spitfire_cleaner_batch_ns_count": cleanerBatchNsRE,
+		"spitfire_fetch_nvm_ns_count":     fetchNVMNsRE,
+	} {
+		if !re.Match(scrape) {
+			t.Errorf("%s is not > 0 after the load; the engine does not report into the served Obs", name)
+		}
+	}
 	want := strconv.Itoa(spitfire.RecommendedWALShards())
 	if m := walShardsRE.FindSubmatch(scrape); m == nil || string(m[1]) != want {
 		t.Fatalf("spitfire_wal_shards = %q, want RecommendedWALShards() = %s", m, want)
+	}
+}
+
+// TestServedSpecSharesDevices: the served machine is the one the harness
+// measures. Its log buffer queues on the data arena's NVM device and its log
+// file on the page store's SSD, and the engine main opens runs on exactly
+// those media.
+func TestServedSpecSharesDevices(t *testing.T) {
+	m := spitfire.Build(servedSpec(1, 2, spitfire.SpitfireLazy, nil))
+	db, err := m.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.BM().Close()
+	if m.Log.Device() != m.Data.Device() {
+		t.Error("the WAL buffer and the data arena are on two NVM devices")
+	}
+	if m.Pages.Device() != m.LogFile.Device() {
+		t.Error("the page store and the log store are on two SSD devices")
+	}
+	if db.BM().PMem() != m.Data || db.BM().Disk() != m.Pages {
+		t.Error("the buffer manager does not run on the machine's arena and page store")
+	}
+	if got := db.WAL().BufferBytes(); got != m.Log.Size() || got != 4<<20 {
+		t.Errorf("WAL buffer is %d bytes, want the machine's 4 MiB log arena", got)
 	}
 }

@@ -9,6 +9,10 @@
 //	spitfire-trace replay -dram 8 -nvm 32 -policy eager -workers 8 trace.txt
 //	spitfire-trace diff before-snapshot.json after-snapshot.json
 //
+// A replay is the harness's Trace workload: it builds the machine the
+// harness measures (WAL and periodic checkpoints included) and steps the
+// workers in simulated-time order, so it repeats exactly.
+//
 // Sizes are in MB. Policies: lazy (Spitfire-Lazy), eager (Spitfire-Eager),
 // hymem (HyMem with the admission queue), or a custom tuple
 // "dr,dw,nr,nw" such as "0.01,0.01,0.2,1".
@@ -23,8 +27,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/design"
+	"github.com/spitfire-db/spitfire/internal/engine"
+	"github.com/spitfire-db/spitfire/internal/harness"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/policy"
 	"github.com/spitfire-db/spitfire/internal/tracereplay"
@@ -90,7 +95,7 @@ func compare(args []string) {
 	// hierarchy has no migrations between buffers, so lazy alone stands in.
 	type run struct {
 		pol string
-		res tracereplay.Result
+		res harness.PointResult
 	}
 	best := map[design.Hierarchy]run{}
 	ranked := design.Search(cands, func(h design.Hierarchy) float64 {
@@ -101,17 +106,11 @@ func compare(args []string) {
 			if pc.name == "eager" && (h.DRAMGB == 0 || h.NVMGB == 0) {
 				continue
 			}
-			bm, err := core.New(core.Config{
+			res, err := replayOn(engine.Spec{
 				DRAMBytes: int64(h.DRAMGB * mb),
 				NVMBytes:  int64(h.NVMGB * mb),
 				Policy:    pc.p,
-			})
-			if err != nil {
-				continue // degenerate split
-			}
-			res, err := tracereplay.Replay(tracereplay.Config{
-				BM: bm, Workers: *workers, TupleSize: *tupleSize,
-			}, ops)
+			}, ops, *workers, *tupleSize)
 			if err != nil {
 				fatal(err)
 			}
@@ -187,18 +186,12 @@ func replay(args []string) {
 			defer o.StartProgress(os.Stderr, 2*time.Second)()
 		}
 	}
-	bm, err := core.New(core.Config{
+	res, err := replayOn(engine.Spec{
 		DRAMBytes: int64(*dram * mb),
 		NVMBytes:  int64(*nvm * mb),
 		Policy:    p,
 		Obs:       o,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	res, err := tracereplay.Replay(tracereplay.Config{
-		BM: bm, Workers: *workers, TupleSize: *tupleSize,
-	}, ops)
+	}, ops, *workers, *tupleSize)
 	if err != nil {
 		fatal(err)
 	}
@@ -214,7 +207,7 @@ func replay(args []string) {
 		fmt.Fprintf(os.Stderr, "spitfire-trace: wrote Chrome trace to %s\n", *traceOut)
 	}
 
-	fmt.Printf("trace:        %d ops (%d committed, %d aborted)\n", res.Ops, res.Committed, res.Aborted)
+	fmt.Printf("trace:        %d ops (%d committed, %d aborted)\n", len(ops), res.Committed, res.Aborted)
 	fmt.Printf("hierarchy:    DRAM %.0f MB + NVM %.0f MB + SSD, policy %v\n", *dram, *nvm, p)
 	fmt.Printf("throughput:   %.1f kops per simulated second\n", res.Throughput/1000)
 	fmt.Printf("latency:      p50 <= %d ns, p99 <= %d ns (simulated)\n", res.LatencyP50Ns, res.LatencyP99Ns)
@@ -223,6 +216,16 @@ func replay(args []string) {
 	fmt.Printf("served from:  DRAM %d | NVM %d | SSD %d\n", s.HitDRAM+s.HitMini, s.HitNVM, s.MissSSD)
 	fmt.Printf("migrations:   NVM->DRAM %d | SSD->NVM %d | SSD->DRAM %d | DRAM->NVM %d | NVM->SSD %d\n",
 		s.NVMToDRAM, s.SSDToNVM, s.SSDToDRAM, s.DRAMToNVM, s.NVMToSSD)
+}
+
+// replayOn replays the whole trace once, split round-robin between the
+// workers, on a fresh machine built from spec.
+func replayOn(spec engine.Spec, ops []tracereplay.Op, workers, tupleSize int) (harness.PointResult, error) {
+	e, err := harness.NewEnv(harness.EnvConfig{Spec: spec, Workload: harness.Trace, Trace: ops, TraceTuple: tupleSize})
+	if err != nil {
+		return harness.PointResult{}, err
+	}
+	return e.Run(workers, len(ops), 0x7ACE0)
 }
 
 func parsePolicy(s string) (policy.Policy, error) {

@@ -31,6 +31,36 @@ func ExampleNew() {
 	// Output: three tiers
 }
 
+// ExampleBuild describes a machine, builds it and runs one transaction on
+// the database it opens; the log buffer shares the data arena's NVM device.
+func ExampleBuild() {
+	m := spitfire.Build(spitfire.Spec{
+		DRAMBytes: 4 * spitfire.PageSize,
+		NVMBytes:  16 * spitfire.PageSize,
+		Policy:    spitfire.SpitfireLazy,
+		Cleaner:   true,
+	})
+	db, err := m.Open()
+	if err != nil {
+		panic(err)
+	}
+	defer db.BM().Close()
+	tb, _ := db.CreateTable(1, "t", 64)
+	ctx := spitfire.NewCtx(1)
+	row := make([]byte, 64)
+	copy(row, "one row")
+	txn := db.Begin()
+	tb.Insert(ctx, txn, 1, row)
+	txn.Commit(ctx)
+
+	buf := make([]byte, 64)
+	txn = db.Begin()
+	tb.Read(ctx, txn, 1, buf)
+	txn.Commit(ctx)
+	fmt.Println(string(buf[:7]), m.Log.Device() == m.Data.Device())
+	// Output: one row true
+}
+
 // ExamplePolicy shows the paper's Table 3 presets and the policy tuple
 // notation.
 func ExamplePolicy() {

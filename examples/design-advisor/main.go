@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"github.com/spitfire-db/spitfire/internal/design"
-	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/ycsb"
 
 	spitfire "github.com/spitfire-db/spitfire"
@@ -21,19 +20,16 @@ const MB = 1 << 20
 // measure loads a fresh YCSB-BA database on the hierarchy and returns
 // steady-state throughput (ops per simulated second).
 func measure(h design.Hierarchy) float64 {
-	cfg := spitfire.Config{
+	db, err := spitfire.Build(spitfire.Spec{
 		DRAMBytes: int64(h.DRAMGB * MB), // paper-GB -> simulated MB
 		NVMBytes:  int64(h.NVMGB * MB),
 		Policy:    spitfire.SpitfireLazy,
-	}
-	bm, err := spitfire.New(cfg)
+		Cleaner:   true,
+	}).Open()
 	if err != nil {
 		return 0 // bufferless candidates are infeasible
 	}
-	db, err := engine.Open(engine.Options{BM: bm})
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer db.BM().Close()
 	w, err := ycsb.Setup(db, ycsb.RecordsForBytes(24*MB), 0.5)
 	if err != nil {
 		log.Fatal(err)

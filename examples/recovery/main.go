@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/spitfire-db/spitfire/internal/engine"
-
 	spitfire "github.com/spitfire-db/spitfire"
 )
 
@@ -30,32 +28,16 @@ func payload(v uint64) []byte {
 func value(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
 func main() {
-	// Crash-tracked NVM arenas: writes are volatile until clwb+sfence.
-	dataArena := spitfire.NewPMem(spitfire.PMemOptions{
-		Size: 64 * (spitfire.PageSize + 64), TrackCrashes: true,
+	// The machine's NVM arenas (data and log buffer) are crash-tracked:
+	// writes are volatile until clwb+sfence.
+	m := spitfire.Build(spitfire.Spec{
+		DRAMBytes:    8 * spitfire.PageSize,
+		NVMBytes:     64 * (spitfire.PageSize + 64),
+		Policy:       spitfire.SpitfireLazy,
+		Cleaner:      true,
+		TrackCrashes: true,
 	})
-	logArena := spitfire.NewPMem(spitfire.PMemOptions{
-		Size: 1 << 18, TrackCrashes: true,
-	})
-	disk := spitfire.NewMemSSD(nil)
-	logStore := spitfire.NewMemLog(nil)
-
-	cfg := spitfire.Config{
-		DRAMBytes: 8 * spitfire.PageSize,
-		NVMBytes:  dataArena.Size(),
-		Policy:    spitfire.SpitfireLazy,
-		PMem:      dataArena,
-		SSD:       disk,
-	}
-	bm, err := spitfire.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wal, err := spitfire.NewWAL(spitfire.WALOptions{Buffer: logArena, Store: logStore})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := spitfire.OpenDB(spitfire.DBOptions{BM: bm, WAL: wal})
+	db, err := m.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,33 +72,18 @@ func main() {
 	fmt.Println("in flight:  uncommitted withdrawal of 999 from account 3")
 
 	// CRASH. Unpersisted stores in both arenas are lost.
-	dataArena.Crash()
-	logArena.Crash()
+	m.Crash()
 	fmt.Println("\n*** power failure ***")
 
 	// Recovery: rebuild the buffer manager from the surviving arena, then
 	// complete the log and run analysis/redo/undo.
-	bm2, err := spitfire.Recover(spitfire.Config{
-		DRAMBytes: cfg.DRAMBytes,
-		NVMBytes:  cfg.NVMBytes,
-		Policy:    cfg.Policy,
-		PMem:      dataArena,
-		SSD:       disk,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rctx := engine.NewRecoveryCtx()
-	db2, rl, err := spitfire.RecoverDB(rctx, spitfire.RecoverOptions{
-		BM:     bm2,
-		WAL:    spitfire.WALOptions{Buffer: logArena, Store: logStore},
-		Schema: []spitfire.TableDef{{ID: tableID, Name: "accounts", TupleSize: tupleSize}},
-	})
+	rctx := spitfire.NewCtx(2)
+	db2, rl, err := m.Recover(rctx, []spitfire.TableDef{{ID: tableID, Name: "accounts", TupleSize: tupleSize}}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered: %d NVM pages rescanned, %d committed txns, %d losers rolled back\n\n",
-		bm2.Stats().RecoveredNVMPages, len(rl.Committed), len(rl.Losers))
+		db2.BM().Stats().RecoveredNVMPages, len(rl.Committed), len(rl.Losers))
 
 	check := db2.Begin()
 	total := uint64(0)

@@ -9,7 +9,6 @@ import (
 	"log"
 	"sync"
 
-	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/tpcc"
 
 	spitfire "github.com/spitfire-db/spitfire"
@@ -17,15 +16,13 @@ import (
 
 const MB = 1 << 20
 
-func run(name string, cfg spitfire.Config) {
-	bm, err := spitfire.New(cfg)
+func run(name string, spec spitfire.Spec) {
+	spec.Cleaner = true
+	db, err := spitfire.Build(spec).Open()
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := engine.Open(engine.Options{BM: bm})
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer db.BM().Close()
 	warehouses := tpcc.DefaultScale.WarehousesForBytes(8 * MB)
 	w, err := tpcc.Setup(db, warehouses, tpcc.DefaultScale)
 	if err != nil {
@@ -72,11 +69,11 @@ func run(name string, cfg spitfire.Config) {
 func main() {
 	fmt.Println("TPC-C on two equi-cost hierarchies (throughput in simulated time):")
 	// ~ $: 4 MB DRAM  ==  1 MB DRAM + 6.7 MB NVM (Table 1 prices).
-	run("DRAM-SSD (4 MB DRAM)", spitfire.Config{
+	run("DRAM-SSD (4 MB DRAM)", spitfire.Spec{
 		DRAMBytes: 4 * MB,
 		Policy:    spitfire.Policy{Dr: 1, Dw: 1},
 	})
-	run("three-tier lazy (1+6.7 MB)", spitfire.Config{
+	run("three-tier lazy (1+6.7 MB)", spitfire.Spec{
 		DRAMBytes: 1 * MB,
 		NVMBytes:  6700 * 1024,
 		Policy:    spitfire.SpitfireLazy,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/ycsb"
 
 	spitfire "github.com/spitfire-db/spitfire"
@@ -17,18 +16,17 @@ import (
 func main() {
 	const MB = 1 << 20
 
-	bm, err := spitfire.New(spitfire.Config{
+	db, err := spitfire.Build(spitfire.Spec{
 		DRAMBytes: 2 * MB,
 		NVMBytes:  10 * MB,
 		Policy:    spitfire.SpitfireEager, // deliberately start eager
-	})
+		Cleaner:   true,
+	}).Open()
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := engine.Open(engine.Options{BM: bm})
-	if err != nil {
-		log.Fatal(err)
-	}
+	bm := db.BM()
+	defer bm.Close()
 	w, err := ycsb.Setup(db, ycsb.RecordsForBytes(16*MB), ycsb.DefaultTheta)
 	if err != nil {
 		log.Fatal(err)

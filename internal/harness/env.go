@@ -1,6 +1,6 @@
 // Package harness builds and drives the experiments of the paper's
-// evaluation (§6): it assembles a storage hierarchy (simulated devices,
-// buffer manager, WAL, engine), loads a workload at the reproduction's
+// evaluation (§6): it builds the machine an engine.Spec describes (simulated
+// devices, buffer manager, WAL, engine), loads a workload at the reproduction's
 // 1 GB → 1 MB scale, and measures throughput in operations per *simulated*
 // second. Every table, figure and claim is a list of points measured by
 // Opts.measure; see plan.go and figures.go.
@@ -12,17 +12,11 @@ import (
 	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/core"
-	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/engine"
-	"github.com/spitfire-db/spitfire/internal/memmode"
 	"github.com/spitfire-db/spitfire/internal/metrics"
-	"github.com/spitfire-db/spitfire/internal/obs"
-	"github.com/spitfire-db/spitfire/internal/pmem"
 	"github.com/spitfire-db/spitfire/internal/policy"
-	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/tpcc"
-	"github.com/spitfire-db/spitfire/internal/vclock"
-	"github.com/spitfire-db/spitfire/internal/wal"
+	"github.com/spitfire-db/spitfire/internal/tracereplay"
 	"github.com/spitfire-db/spitfire/internal/ycsb"
 )
 
@@ -37,6 +31,7 @@ const (
 	YCSBBA
 	YCSBWH
 	TPCC
+	Trace // replays EnvConfig.Trace
 )
 
 // String names the workload.
@@ -50,6 +45,8 @@ func (k WorkloadKind) String() string {
 		return "YCSB-WH"
 	case TPCC:
 		return "TPC-C"
+	case Trace:
+		return "trace"
 	}
 	return fmt.Sprintf("WorkloadKind(%d)", int(k))
 }
@@ -65,51 +62,38 @@ func (k WorkloadKind) mix() ycsb.Mix {
 	}
 }
 
-// EnvConfig describes one experimental setup.
+// EnvConfig describes one experimental setup: the machine and the workload
+// loaded on it.
 type EnvConfig struct {
-	// Buffer capacities (either may be zero to disable the tier).
-	DRAMBytes, NVMBytes int64
-	Policy              policy.Policy
-
-	// HyMem optimizations.
-	FineGrained bool
-	LoadingUnit int
-	MiniPages   bool
-
-	// MemoryModeDRAM > 0 prices the DRAM buffer as Optane memory mode: a
-	// hardware DRAM cache of this size in front of NVM (§6.2). The buffer
-	// *capacity* stays DRAMBytes.
-	MemoryModeDRAM int64
+	// Spec is the hierarchy. Its Obs, when nil, falls back to the package
+	// default set with SetDefaultObs (used by the cmd binaries so experiment
+	// code needs no plumbing); when both are nil, observability is off and
+	// the hot paths take their nil-check fast path. A non-nil Obs also
+	// installs the Env as its live counter/gauge source.
+	engine.Spec
 
 	// Workload and database size.
 	Workload WorkloadKind
 	DBBytes  int64
 	Theta    float64 // YCSB skew (default 0.3)
 
-	// Obs attaches the observability layer to every subsystem the Env
-	// assembles (buffer manager, devices, WAL) and installs the Env as the
-	// live counter/gauge source. Nil falls back to the package default set
-	// with SetDefaultObs (used by the cmd binaries so experiment code needs
-	// no plumbing); when both are nil, observability is off and the hot
-	// paths take their nil-check fast path.
-	Obs *obs.Obs
+	// Trace is the operation list a Trace workload replays, over tuples of
+	// TraceTuple bytes (default 1000, YCSB-sized).
+	Trace      []tracereplay.Op
+	TraceTuple int
 }
 
 // Env is a loaded experimental environment.
 type Env struct {
 	cfg EnvConfig
-
-	nvmDev *device.Device // shared by data arena and WAL buffer (may be nil)
-	ssdDev *device.Device // shared by page store and log file
-	dataPM *pmem.PMem
-	walPM  *pmem.PMem
-	mem    *memmode.Device
+	m   *engine.Machine
 
 	BM *core.BufferManager
 	DB *engine.DB
 
-	ycsbW *ycsb.Workload
-	tpccW *tpcc.Workload
+	ycsbW  *ycsb.Workload
+	tpccW  *tpcc.Workload
+	traceW *traceWorkload
 
 	// commits paces checkpoints (nextCkpt is the count that triggers the
 	// next one). It is atomic because the obs source reads it from the
@@ -125,17 +109,12 @@ type Env struct {
 	vbase atomic.Int64
 }
 
-// The WAL and checkpoint setup every Env runs: a 1 MB log buffer (NVM when
-// the hierarchy has NVM, DRAM otherwise) with one append shard, and a
-// checkpoint every checkpointEvery commits (§5.2).
-const (
-	walBuffer       = 1 * MB
-	checkpointEvery = 20000
-)
+// checkpointEvery paces the checkpoint every Env runs (§5.2).
+const checkpointEvery = 20000
 
 // NewEnv builds the hierarchy and loads the workload.
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	if cfg.DBBytes <= 0 {
+	if cfg.DBBytes <= 0 && cfg.Workload != Trace {
 		return nil, errors.New("harness: DBBytes must be positive")
 	}
 	if cfg.Theta == 0 {
@@ -145,72 +124,19 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		cfg.Obs = DefaultObs()
 	}
 
-	e := &Env{cfg: cfg}
-	e.ssdDev = device.New(device.SSDParams)
-	disk := ssd.NewMem(e.ssdDev)
-
-	bmCfg := core.Config{
-		DRAMBytes:   cfg.DRAMBytes,
-		NVMBytes:    cfg.NVMBytes,
-		Policy:      cfg.Policy,
-		FineGrained: cfg.FineGrained,
-		LoadingUnit: cfg.LoadingUnit,
-		MiniPages:   cfg.MiniPages,
-		SSD:         disk,
-	}
-	if cfg.NVMBytes > 0 {
-		e.nvmDev = device.New(device.NVMParams)
-	}
-	if cfg.NVMBytes > 0 {
-		e.dataPM = pmem.New(pmem.Options{Size: cfg.NVMBytes, Device: e.nvmDev})
-		bmCfg.PMem = e.dataPM
-	}
-	if cfg.MemoryModeDRAM > 0 {
-		e.mem = memmode.New(memmode.Options{DRAMBytes: cfg.MemoryModeDRAM})
-		bmCfg.DRAMCharger = memChargerAdapter{e.mem}
-	}
-	if o := cfg.Obs; o != nil {
-		bmCfg.Obs = o
-		e.ssdDev.SetLatencyHistograms(o.Hist(obs.HDevSSDRead), o.Hist(obs.HDevSSDWrite))
-		if e.nvmDev != nil {
-			e.nvmDev.SetLatencyHistograms(o.Hist(obs.HDevNVMRead), o.Hist(obs.HDevNVMWrite))
-		}
-	}
-	bm, err := core.New(bmCfg)
+	e := &Env{cfg: cfg, m: engine.Build(cfg.Spec)}
+	db, err := e.m.Open()
 	if err != nil {
 		return nil, err
 	}
-	e.BM = bm
-
-	walOpts := wal.Options{Store: wal.NewMemLog(e.ssdDev), Obs: cfg.Obs}
-	if cfg.NVMBytes > 0 {
-		// NVM-equipped hierarchies keep the log buffer on NVM: a persisted
-		// append *is* the commit (§5.2).
-		e.walPM = pmem.New(pmem.Options{Size: walBuffer, Device: e.nvmDev})
-	} else {
-		// Pure DRAM-SSD systems have no persistent buffer: they batch log
-		// records in DRAM and group-commit to SSD (§3.2). Model the buffer
-		// at DRAM cost and flush in small batches so the SSD carries the
-		// commit traffic.
-		dramLogDev := device.New(device.DRAMParams)
-		e.walPM = pmem.New(pmem.Options{Size: walBuffer, Device: dramLogDev})
-		walOpts.FlushThreshold = 64 * 1024
-	}
-	walOpts.Buffer = e.walPM
-	w, err := wal.New(walOpts)
-	if err != nil {
-		return nil, err
-	}
-	db, err := engine.Open(engine.Options{BM: bm, WAL: w})
-	if err != nil {
-		return nil, err
-	}
-	e.DB = db
+	e.DB, e.BM = db, db.BM()
 
 	switch cfg.Workload {
 	case TPCC:
 		warehouses := tpcc.DefaultScale.WarehousesForBytes(cfg.DBBytes)
 		e.tpccW, err = tpcc.Setup(db, warehouses, tpcc.DefaultScale)
+	case Trace:
+		e.traceW, err = setupTrace(db, cfg.Trace, cfg.TraceTuple)
 	default:
 		e.ycsbW, err = ycsb.Setup(db, ycsb.RecordsForBytes(cfg.DBBytes), cfg.Theta)
 	}
@@ -224,13 +150,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	return e, nil
 }
 
-// memChargerAdapter prices DRAM-buffer traffic through the memory-mode
-// model.
-type memChargerAdapter struct{ d *memmode.Device }
-
-func (a memChargerAdapter) ChargeRead(c *vclock.Clock, off int64, n int)  { a.d.Read(c, off, n) }
-func (a memChargerAdapter) ChargeWrite(c *vclock.Clock, off int64, n int) { a.d.Write(c, off, n) }
-
 // SetPolicy swaps the migration policy between measured points.
 func (e *Env) SetPolicy(p policy.Policy) error { return e.BM.SetPolicy(p) }
 
@@ -242,11 +161,11 @@ type deviceSnapshot struct {
 
 func (e *Env) snapshot() deviceSnapshot {
 	var s deviceSnapshot
-	if e.nvmDev != nil {
-		st := e.nvmDev.Stats()
+	if e.m.Data != nil {
+		st := e.m.Data.Device().Stats()
 		s.nvmWrites, s.nvmReads = st.BytesWritten, st.BytesRead
 	}
-	st := e.ssdDev.Stats()
+	st := e.m.Pages.Device().Stats()
 	s.ssdWrites, s.ssdReads = st.BytesWritten, st.BytesRead
 	return s
 }
@@ -366,12 +285,18 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 	ws := make([]simWorker, workers)
 	for wi := range ws {
 		w := &ws[wi]
+		w.left = opsPerWorker
 		wseed := seed + uint64(wi)*0x9E37
 		switch e.cfg.Workload {
 		case TPCC:
 			wk := e.tpccW.NewWorker(wseed)
 			w.ctx, w.op = wk.Ctx(), wk.Op
 			w.counts = func() (int64, int64) { return wk.Committed, wk.Aborted }
+		case Trace:
+			wk := e.traceW.newWorker(wi, workers, wseed)
+			w.ctx, w.op = wk.ctx, wk.op
+			w.counts = func() (int64, int64) { return wk.committed, wk.aborted }
+			w.left = min(w.left, wk.share()) // a worker stops at the end of its share
 		default:
 			wk := e.ycsbW.NewWorker(wseed)
 			mix := e.cfg.Workload.mix()
@@ -381,7 +306,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		// Start at the virtual-time frontier so this interval does not
 		// absorb earlier intervals' device-queue horizons.
 		w.ctx.Clock.AdvanceTo(e.vbase.Load())
-		w.start, w.left = w.ctx.Clock.Now(), opsPerWorker
+		w.start = w.ctx.Clock.Now()
 	}
 	for {
 		var w *simWorker

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"github.com/spitfire-db/spitfire/internal/core"
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
 func TestRunProducesThroughput(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes: 4 * MB,
-		NVMBytes:  16 * MB,
-		Policy:    policy.SpitfireLazy,
-		Workload:  YCSBBA,
-		DBBytes:   8 * MB,
+		Spec:     engine.Spec{DRAMBytes: 4 * MB, NVMBytes: 16 * MB, Policy: policy.SpitfireLazy},
+		Workload: YCSBBA,
+		DBBytes:  8 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +47,9 @@ func TestRunProducesThroughput(t *testing.T) {
 // buffer, the most a shard holds unshipped.
 func TestCheckpointTruncatesLog(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes: 2 * MB,
-		NVMBytes:  8 * MB,
-		Policy:    policy.SpitfireLazy,
-		Workload:  YCSBWH,
-		DBBytes:   4 * MB,
+		Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy},
+		Workload: YCSBWH,
+		DBBytes:  4 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +72,9 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 
 func TestTPCCEnvRuns(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes: 4 * MB,
-		NVMBytes:  16 * MB,
-		Policy:    policy.SpitfireLazy,
-		Workload:  TPCC,
-		DBBytes:   2 * MB,
+		Spec:     engine.Spec{DRAMBytes: 4 * MB, NVMBytes: 16 * MB, Policy: policy.SpitfireLazy},
+		Workload: TPCC,
+		DBBytes:  2 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +95,9 @@ func TestTPCCEnvRuns(t *testing.T) {
 func TestLazyBeatsEagerOnUncachedReads(t *testing.T) {
 	run := func(d float64) float64 {
 		e, err := NewEnv(EnvConfig{
-			DRAMBytes: 2 * MB,
-			NVMBytes:  16 * MB,
-			Policy:    policy.Policy{Dr: d, Dw: d, Nr: 1, Nw: 1},
-			Workload:  YCSBRO,
-			DBBytes:   12 * MB,
+			Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 16 * MB, Policy: policy.Policy{Dr: d, Dw: d, Nr: 1, Nw: 1}},
+			Workload: YCSBRO,
+			DBBytes:  12 * MB,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,11 +120,9 @@ func TestLazyBeatsEagerOnUncachedReads(t *testing.T) {
 
 func TestMemoryModeEnv(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes:      8 * MB,
-		MemoryModeDRAM: 2 * MB,
-		Policy:         policy.Policy{Dr: 1, Dw: 1},
-		Workload:       YCSBRO,
-		DBBytes:        6 * MB,
+		Spec:     engine.Spec{DRAMBytes: 8 * MB, MemoryModeDRAM: 2 * MB, Policy: policy.Policy{Dr: 1, Dw: 1}},
+		Workload: YCSBRO,
+		DBBytes:  6 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +145,11 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := NewEnv(EnvConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	e, err := NewEnv(EnvConfig{DRAMBytes: 2 * MB, Policy: policy.Policy{Dr: 1, Dw: 1}, Workload: YCSBRO, DBBytes: MB})
+	e, err := NewEnv(EnvConfig{
+		Spec:     engine.Spec{DRAMBytes: 2 * MB, Policy: policy.Policy{Dr: 1, Dw: 1}},
+		Workload: YCSBRO,
+		DBBytes:  MB,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +166,9 @@ func TestInvalidConfigs(t *testing.T) {
 func TestSingleWorkerDeterminism(t *testing.T) {
 	run := func() PointResult {
 		e, err := NewEnv(EnvConfig{
-			DRAMBytes: 2 * MB,
-			NVMBytes:  8 * MB,
-			Policy:    policy.SpitfireLazy,
-			Workload:  YCSBBA,
-			DBBytes:   6 * MB,
+			Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy},
+			Workload: YCSBBA,
+			DBBytes:  6 * MB,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -236,8 +229,9 @@ func TestMultiWorkerRunRepeats(t *testing.T) {
 		{
 			name: "YCSB-WH, 8 workers",
 			cfg: EnvConfig{
-				DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy,
-				Workload: YCSBWH, DBBytes: 6 * MB,
+				Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy},
+				Workload: YCSBWH,
+				DBBytes:  6 * MB,
 			},
 			workers: 8, warm: 300, n: 500,
 			want: PointResult{
@@ -258,8 +252,9 @@ func TestMultiWorkerRunRepeats(t *testing.T) {
 		{
 			name: "TPC-C, 4 workers",
 			cfg: EnvConfig{
-				DRAMBytes: 1 * MB, NVMBytes: 4 * MB, Policy: policy.SpitfireLazy,
-				Workload: TPCC, DBBytes: 2 * MB,
+				Spec:     engine.Spec{DRAMBytes: 1 * MB, NVMBytes: 4 * MB, Policy: policy.SpitfireLazy},
+				Workload: TPCC,
+				DBBytes:  2 * MB,
 			},
 			workers: 4, warm: 100, n: 200,
 			want: PointResult{

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
@@ -86,11 +87,9 @@ func TestInclusivityMonotoneInD(t *testing.T) {
 func TestNVMWritesDropWithLazyN(t *testing.T) {
 	vol := func(n float64) int64 {
 		e, err := NewEnv(EnvConfig{
-			DRAMBytes: 2 * MB,
-			NVMBytes:  8 * MB,
-			Policy:    policy.Policy{Dr: 1, Dw: 1, Nr: n, Nw: n},
-			Workload:  YCSBRO,
-			DBBytes:   16 * MB,
+			Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.Policy{Dr: 1, Dw: 1, Nr: n, Nw: n}},
+			Workload: YCSBRO,
+			DBBytes:  16 * MB,
 		})
 		if err != nil {
 			t.Fatal(err)

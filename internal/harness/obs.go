@@ -56,29 +56,22 @@ func (e *Env) PolicyStepHook() func(anneal.EpochStep) {
 // harness's commit, device-byte and WAL totals.
 func (e *Env) ObsCounters() []obs.Sample {
 	out := append(e.BM.ObsCounters(), obs.Sample{Name: "commits", Value: e.commits.Load()})
-	if e.nvmDev != nil {
-		st := e.nvmDev.Stats()
+	if e.m.Data != nil {
+		st := e.m.Data.Device().Stats()
 		out = append(out,
 			obs.Sample{Name: "nvm_bytes_read", Value: st.BytesRead},
 			obs.Sample{Name: "nvm_bytes_written", Value: st.BytesWritten},
 		)
 	}
-	if e.ssdDev != nil {
-		st := e.ssdDev.Stats()
-		out = append(out,
-			obs.Sample{Name: "ssd_bytes_read", Value: st.BytesRead},
-			obs.Sample{Name: "ssd_bytes_written", Value: st.BytesWritten},
-		)
-	}
-	if w := e.DB.WAL(); w != nil {
-		appends, flushes, commits := w.Stats()
-		out = append(out,
-			obs.Sample{Name: "wal_appends", Value: appends},
-			obs.Sample{Name: "wal_flushes", Value: flushes},
-			obs.Sample{Name: "wal_commits", Value: commits},
-		)
-	}
-	return out
+	st := e.m.Pages.Device().Stats()
+	appends, flushes, commits := e.DB.WAL().Stats()
+	return append(out,
+		obs.Sample{Name: "ssd_bytes_read", Value: st.BytesRead},
+		obs.Sample{Name: "ssd_bytes_written", Value: st.BytesWritten},
+		obs.Sample{Name: "wal_appends", Value: appends},
+		obs.Sample{Name: "wal_flushes", Value: flushes},
+		obs.Sample{Name: "wal_commits", Value: commits},
+	)
 }
 
 // ObsGauges implements obs.Source: instantaneous buffer-pool occupancy and

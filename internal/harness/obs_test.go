@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
@@ -10,8 +11,9 @@ import (
 // counter, so a counter added to core's table shows up here unasked.
 func TestObsCountersCoverCore(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes: 2 * MB, NVMBytes: 4 * MB,
-		Policy: policy.SpitfireLazy, Workload: YCSBRO, DBBytes: MB,
+		Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 4 * MB, Policy: policy.SpitfireLazy},
+		Workload: YCSBRO,
+		DBBytes:  MB,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
@@ -72,9 +73,9 @@ func TestTableFprintAlignment(t *testing.T) {
 
 func TestWarmupOpsSizing(t *testing.T) {
 	e, err := NewEnv(EnvConfig{
-		DRAMBytes: 2 * MB, NVMBytes: 8 * MB,
-		Policy:   policyFor(t),
-		Workload: YCSBRO, DBBytes: 4 * MB,
+		Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policyFor(t)},
+		Workload: YCSBRO,
+		DBBytes:  4 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +95,9 @@ func TestWarmupOpsSizing(t *testing.T) {
 	}
 	// A lazy Nr scales the warm-up so the NVM buffer can actually fill.
 	lazyEnv, err := NewEnv(EnvConfig{
-		DRAMBytes: 2 * MB, NVMBytes: 8 * MB,
-		Policy:   policy.Policy{Dr: 1, Dw: 1, Nr: 0.05, Nw: 0.05},
-		Workload: YCSBRO, DBBytes: 4 * MB,
+		Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.Policy{Dr: 1, Dw: 1, Nr: 0.05, Nw: 0.05}},
+		Workload: YCSBRO,
+		DBBytes:  4 * MB,
 	})
 	if err != nil {
 		t.Fatal(err)

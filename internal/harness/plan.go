@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/spitfire-db/spitfire/internal/anneal"
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
@@ -182,16 +183,18 @@ func (r PointResult) nvmWriteRate() float64 {
 // env scales a point to the EnvConfig that measure builds.
 func (o Opts) env(p point) EnvConfig {
 	return EnvConfig{
-		DRAMBytes:      o.sz(p.dram),
-		NVMBytes:       o.sz(p.nvm),
-		MemoryModeDRAM: o.sz(p.memMode),
-		Policy:         p.pol,
-		FineGrained:    p.fine,
-		LoadingUnit:    p.unit,
-		MiniPages:      p.mini,
-		Workload:       p.wl,
-		DBBytes:        o.sz(p.db),
-		Theta:          p.theta,
+		Spec: engine.Spec{
+			DRAMBytes:      o.sz(p.dram),
+			NVMBytes:       o.sz(p.nvm),
+			MemoryModeDRAM: o.sz(p.memMode),
+			Policy:         p.pol,
+			FineGrained:    p.fine,
+			LoadingUnit:    p.unit,
+			MiniPages:      p.mini,
+		},
+		Workload: p.wl,
+		DBBytes:  o.sz(p.db),
+		Theta:    p.theta,
 	}
 }
 

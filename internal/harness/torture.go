@@ -10,9 +10,7 @@ import (
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/engine"
-	"github.com/spitfire-db/spitfire/internal/pmem"
 	"github.com/spitfire-db/spitfire/internal/policy"
-	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/wal"
 	"github.com/spitfire-db/spitfire/internal/ycsb"
 	"github.com/spitfire-db/spitfire/internal/zipf"
@@ -102,18 +100,13 @@ type torture struct {
 	opts TortureOpts
 	rng  *zipf.Rand
 
-	// Simulated machine: one crash switch shared by every device.
-	crash   *device.CrashSwitch
-	ssdDev  *device.Device
-	nvmDev  *device.Device // data arena
-	walDev  *device.Device // WAL buffer (separate DIMM from the data arena)
-	ssdInj  *device.Injector
-	nvmInj  *device.Injector
-	walInj  *device.Injector
-	disk    *ssd.MemStore
-	dataPM  *pmem.PMem
-	walPM   *pmem.PMem
-	logFile *wal.MemLog
+	// Simulated machine, its log buffer on a DIMM of its own, and one crash
+	// switch shared by the injectors of its SSD, data DIMM and log DIMM.
+	m      *engine.Machine
+	crash  *device.CrashSwitch
+	ssdInj *device.Injector
+	nvmInj *device.Injector
+	walInj *device.Injector
 
 	db *engine.DB
 
@@ -170,67 +163,39 @@ func (t *torture) logf(format string, args ...any) {
 	}
 }
 
-// geometry returns the buffer capacities: the database (~70 pages at 512 B
-// tuples over 2048 keys) outgrows NVM, which outgrows DRAM, so every cycle
-// migrates pages across all three tiers.
-func (t *torture) geometry() (dramBytes, nvmBytes int64) {
+// spec is the torture machine. Its buffer capacities make the database (~70
+// pages at 512 B tuples over 2048 keys) outgrow NVM, which outgrows DRAM, so
+// every cycle migrates pages across all three tiers.
+func (t *torture) spec() engine.Spec {
 	pages := int64(t.opts.Keys)*tortureTupleSize/core.PageSize + 1
-	nvmFrames := pages * 2 / 3
-	if nvmFrames < 4 {
-		nvmFrames = 4
-	}
-	dramFrames := pages / 3
-	if dramFrames < 2 {
-		dramFrames = 2
-	}
-	return dramFrames * core.PageSize, nvmFrames * core.NVMFrameSlot
-}
-
-func (t *torture) coreCfg() core.Config {
-	dramBytes, nvmBytes := t.geometry()
-	return core.Config{
-		DRAMBytes:   dramBytes,
-		NVMBytes:    nvmBytes,
-		Policy:      policy.SpitfireEager,
-		SSD:         t.disk,
-		PMem:        t.dataPM,
-		FineGrained: t.opts.FineGrained,
+	return engine.Spec{
+		DRAMBytes:    max(pages/3, 2) * core.PageSize,
+		NVMBytes:     max(pages*2/3, 4) * core.NVMFrameSlot,
+		Policy:       policy.SpitfireEager,
+		FineGrained:  t.opts.FineGrained,
+		Cleaner:      true,
+		WALShards:    t.opts.Shards,
+		LogDIMM:      true,
+		TrackCrashes: true,
 	}
 }
 
-// boot builds the simulated machine and loads the initial database.
+// boot builds the simulated machine, arms its injectors before any device
+// traffic, and loads the initial database.
 func (t *torture) boot() error {
+	t.m = engine.Build(t.spec())
 	t.crash = device.NewCrashSwitch()
-	t.ssdDev = device.New(device.SSDParams)
-	t.nvmDev = device.New(device.NVMParams)
-	t.walDev = device.New(device.NVMParams)
 	t.ssdInj = device.NewInjector(device.FaultConfig{Seed: t.opts.Seed ^ 0x55D})
 	t.nvmInj = device.NewInjector(t.nvmFaultCfg(t.opts.Seed ^ 0x4E4))
 	t.walInj = device.NewInjector(device.FaultConfig{Seed: t.opts.Seed ^ 0x3A1})
 	for _, in := range []*device.Injector{t.ssdInj, t.nvmInj, t.walInj} {
 		in.AttachCrash(t.crash)
 	}
-	t.ssdDev.SetFaults(t.ssdInj)
-	t.nvmDev.SetFaults(t.nvmInj)
-	t.walDev.SetFaults(t.walInj)
+	t.m.Pages.Device().SetFaults(t.ssdInj)
+	t.m.Data.Device().SetFaults(t.nvmInj)
+	t.m.Log.Device().SetFaults(t.walInj)
 
-	t.disk = ssd.NewMem(t.ssdDev)
-	t.logFile = wal.NewMemLog(t.ssdDev)
-	_, nvmBytes := t.geometry()
-	t.dataPM = pmem.New(pmem.Options{Size: nvmBytes, Device: t.nvmDev, TrackCrashes: true})
-	t.walPM = pmem.New(pmem.Options{Size: 1 << 20, Device: t.walDev, TrackCrashes: true})
-
-	cfg := t.coreCfg()
-	cfg.Cleaner = true
-	bm, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-	w, err := wal.New(wal.Options{Buffer: t.walPM, Store: t.logFile, Shards: t.opts.Shards})
-	if err != nil {
-		return err
-	}
-	db, err := engine.Open(engine.Options{BM: bm, WAL: w})
+	db, err := t.m.Open()
 	if err != nil {
 		return err
 	}
@@ -334,9 +299,7 @@ func (t *torture) cycle(c int) error {
 	// Power loss: stop the background cleaners, roll every unpersisted store
 	// back, and discard all volatile state (the old BM, engine, and WAL
 	// manager are never touched again).
-	t.db.BM().Close()
-	t.dataPM.Crash()
-	t.walPM.Crash()
+	t.m.Crash()
 
 	// Reboot fault-free: clear the trip, reseed the injectors. Recovery,
 	// verification and the checkpoint all run on a healthy machine.
@@ -346,22 +309,14 @@ func (t *torture) cycle(c int) error {
 	t.walInj.Rearm(device.FaultConfig{Seed: o.Seed ^ uint64(c)<<8 ^ 0x3A1})
 
 	// Recover: NVM arena scan, log completion + redo/undo, directory rebuild.
-	cfg := t.coreCfg() // cleaners stay off until the audit passes
-	bm, err := core.Recover(cfg)
-	if err != nil {
-		return fmt.Errorf("cycle %d: buffer-manager recovery: %w", c, err)
-	}
+	// The cleaners stay off until the audit passes.
 	rctx := engine.NewRecoveryCtx()
-	db, rl, err := engine.Recover(rctx, engine.RecoverOptions{
-		BM:     bm,
-		WAL:    wal.Options{Buffer: t.walPM, Store: t.logFile, Shards: t.opts.Shards},
-		Schema: []engine.TableDef{{ID: tortureTableID, Name: "torture", TupleSize: tortureTupleSize}},
-	})
+	db, rl, err := t.m.Recover(rctx, []engine.TableDef{{ID: tortureTableID, Name: "torture", TupleSize: tortureTupleSize}}, nil)
 	if err != nil {
-		bm.Close()
-		return fmt.Errorf("cycle %d: engine recovery: %w", c, err)
+		return fmt.Errorf("cycle %d: recovery: %w", c, err)
 	}
 	t.db = db
+	bm := db.BM()
 	st := rl.Stats
 	t.res.Recovery.BufferRecords += st.BufferRecords
 	t.res.Recovery.FileRecords += st.FileRecords
@@ -500,34 +455,20 @@ type DegradedResult struct {
 func Degraded(opts DegradedOpts) (*DegradedResult, error) {
 	o := opts.withDefaults()
 
-	ssdDev := device.New(device.SSDParams)
-	disk := ssd.NewMem(ssdDev)
-	nvmDev := device.New(device.NVMParams)
-	inj := device.NewInjector(device.FaultConfig{Seed: o.Seed, FailAfterWrites: o.FailAfterWrites})
-	nvmDev.SetFaults(inj)
-	dataPM := pmem.New(pmem.Options{Size: o.DBBytes / 2, Device: nvmDev})
-	walPM := pmem.New(pmem.Options{Size: 1 << 20, Device: device.New(device.NVMParams)})
-
-	bm, err := core.New(core.Config{
+	m := engine.Build(engine.Spec{
 		DRAMBytes: o.DBBytes / 8,
 		NVMBytes:  o.DBBytes / 2,
 		Policy:    policy.SpitfireEager,
-		SSD:       disk,
-		PMem:      dataPM,
 		Cleaner:   true,
+		LogDIMM:   true,
 	})
+	m.Data.Device().SetFaults(device.NewInjector(device.FaultConfig{Seed: o.Seed, FailAfterWrites: o.FailAfterWrites}))
+	db, err := m.Open()
 	if err != nil {
 		return nil, err
 	}
+	bm := db.BM()
 	defer bm.Close()
-	w, err := wal.New(wal.Options{Buffer: walPM, Store: wal.NewMemLog(ssdDev)})
-	if err != nil {
-		return nil, err
-	}
-	db, err := engine.Open(engine.Options{BM: bm, WAL: w})
-	if err != nil {
-		return nil, err
-	}
 	wl, err := ycsb.Setup(db, ycsb.RecordsForBytes(o.DBBytes), ycsb.DefaultTheta)
 	if err != nil {
 		return nil, err

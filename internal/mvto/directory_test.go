@@ -90,16 +90,24 @@ func TestOneEntryPerRIDUnderConcurrentFirstTouch(t *testing.T) {
 // block; a RID on a page past it breaks the dense-page contract and panics
 // rather than allocating anything.
 func TestStrayRIDStaysCheap(t *testing.T) {
-	m := NewManager()
 	last := uint64(dense.Span - 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	e := m.metaFor(last)
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+	// The heap counters are process-wide, so take the least of a few first
+	// touches on fresh managers: what another goroutine allocates meanwhile
+	// only adds.
+	var m *Manager
+	grew := ^uint64(0)
+	for range 3 {
+		m = NewManager()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.metaFor(last)
+		runtime.ReadMemStats(&after)
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	if grew > 16<<10 {
 		t.Errorf("first touch of RID %#x allocated %d bytes, want at most 16 KiB", last, grew)
 	}
-	if m.metaFor(last) != e {
+	if e := m.metaFor(last); m.metaFor(last) != e {
 		t.Errorf("RID %#x has two entries", last)
 	}
 

@@ -72,8 +72,8 @@ func TestServerLogStaysBounded(t *testing.T) {
 	}
 	t.Cleanup(bm.Close)
 	w, err := spitfire.NewWAL(spitfire.WALOptions{
-		Buffer: spitfire.NewPMem(spitfire.PMemOptions{Size: 256 << 10}),
-		Store:  spitfire.NewMemLog(nil),
+		Buffer: pmem.New(pmem.Options{Size: 256 << 10}),
+		Store:  wal.NewMemLog(nil),
 		Shards: spitfire.RecommendedWALShards(),
 	})
 	if err != nil {

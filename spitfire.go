@@ -8,17 +8,25 @@
 // logging and recovery; MVTO transactions; a latch-free-read B+Tree; and
 // the YCSB and TPC-C workloads.
 //
-// The quickest way in:
+// The quickest way in: describe the machine, build it, open a database.
 //
-//	bm, err := spitfire.New(spitfire.Config{
+//	m := spitfire.Build(spitfire.Spec{
 //		DRAMBytes: 64 << 20,
 //		NVMBytes:  256 << 20,
 //		Policy:    spitfire.SpitfireLazy,
+//		Cleaner:   true,
 //	})
+//	db, _ := m.Open()
+//	tb, _ := db.CreateTable(1, "t", 64)
 //	ctx := spitfire.NewCtx(1)
-//	pid, h, _ := bm.NewPage(ctx)
-//	h.WriteAt(ctx, 0, []byte("hello"))
-//	h.Release()
+//	txn := db.Begin()
+//	tb.Insert(ctx, txn, 1, make([]byte, 64))
+//	txn.Commit(ctx)
+//
+// Build gives the data arena and the log buffer one NVM device, and the page
+// store and the log one SSD, as the paper's machine does (§5.2); the
+// experiment harness, the server and the examples all assemble through it.
+// New alone builds a buffer manager with no database over it.
 //
 // Time in this package is *simulated*: device accesses charge calibrated
 // nanosecond costs (Table 1 of the paper) to per-worker virtual clocks, so
@@ -87,12 +95,18 @@ func New(cfg Config) (*BufferManager, error) {
 	return core.New(cfg)
 }
 
-// Recover rebuilds a buffer manager over a surviving NVM arena (§5.2) with
-// the cleaner on, as New does; the cleaner starts only after the arena scan.
-func Recover(cfg Config) (*BufferManager, error) {
-	cfg.Cleaner = true
-	return core.Recover(cfg)
-}
+// Assembly: one description of a machine and the one constructor.
+type (
+	// Spec describes a machine: buffer sizes, policy, cleaner, log buffer.
+	Spec = engine.Spec
+	// Machine is what survives a crash: devices, NVM arenas, page store and
+	// log file. Open and Recover assemble a DB over it; Crash rolls its
+	// arenas back.
+	Machine = engine.Machine
+)
+
+// Build creates the devices and media a Spec describes.
+func Build(spec Spec) *Machine { return engine.Build(spec) }
 
 // NewCtx creates a worker context with a fresh virtual clock.
 func NewCtx(seed uint64) *Ctx { return core.NewCtx(seed) }
@@ -122,12 +136,8 @@ const (
 type (
 	// Device simulates one storage device's latency/bandwidth/price.
 	Device = device.Device
-	// DeviceParams are a device's characteristics.
-	DeviceParams = device.Params
 	// PMem is a simulated persistent-memory arena (clwb/sfence semantics).
 	PMem = pmem.PMem
-	// PMemOptions configures a PMem arena.
-	PMemOptions = pmem.Options
 	// SSDStore is the page-granular block device interface.
 	SSDStore = ssd.Store
 	// Clock is a per-worker virtual clock (simulated nanoseconds).
@@ -135,27 +145,6 @@ type (
 	// Rand is the worker-local PRNG used for policy trials and workloads.
 	Rand = zipf.Rand
 )
-
-// Calibrated device parameter presets.
-var (
-	DRAMParams = device.DRAMParams
-	NVMParams  = device.NVMParams
-	SSDParams  = device.SSDParams
-)
-
-// NewDevice creates a simulated device.
-func NewDevice(p DeviceParams) *Device { return device.New(p) }
-
-// NewPMem creates a persistent-memory arena.
-func NewPMem(opts PMemOptions) *PMem { return pmem.New(opts) }
-
-// NewMemSSD creates an in-memory SSD (nil device = Table 1 SSD parameters).
-func NewMemSSD(dev *Device) *ssd.MemStore { return ssd.NewMem(dev) }
-
-// NewFileSSD creates a file-backed SSD.
-func NewFileSSD(path string, dev *Device) (*ssd.FileStore, error) {
-	return ssd.NewFile(path, dev)
-}
 
 // Fault injection and robustness (DESIGN.md §6b).
 type (
@@ -200,8 +189,8 @@ func IsTorn(err error) (frac float64, ok bool) { return device.IsTorn(err) }
 // histograms, and live metrics exposition.
 type (
 	// Obs is the root observability object. Create one with NewObs, pass it
-	// in Config.Obs (and WALOptions.Obs), and every hot path reports into
-	// it; a nil Obs keeps the zero-overhead fast path.
+	// in Spec.Obs (or Config.Obs), and every hot path reports into it; a
+	// nil Obs keeps the zero-overhead fast path.
 	Obs = obs.Obs
 	// ObsConfig sizes the observability layer (tracer ring capacity, ring
 	// cap).
@@ -260,8 +249,6 @@ type (
 	LogRecord = wal.Record
 	// TableDef declares a table schema for recovery.
 	TableDef = engine.TableDef
-	// RecoverOptions configures full database recovery.
-	RecoverOptions = engine.RecoverOptions
 )
 
 // Engine errors.
@@ -289,17 +276,3 @@ func RecommendedWALShards() int {
 
 // NewWAL creates a write-ahead log manager.
 func NewWAL(opts WALOptions) (*WAL, error) { return wal.New(opts) }
-
-// NewMemLog creates an in-memory SSD log store.
-func NewMemLog(dev *Device) *wal.MemLog { return wal.NewMemLog(dev) }
-
-// NewFileLog creates a file-backed SSD log store.
-func NewFileLog(path string, dev *Device) (*wal.FileLog, error) {
-	return wal.NewFileLog(path, dev)
-}
-
-// RecoverDB recovers a database after a crash: pass a buffer manager
-// already rebuilt with Recover, the surviving WAL options, and the schema.
-func RecoverDB(ctx *Ctx, opts RecoverOptions) (*DB, *wal.RecoveredLog, error) {
-	return engine.Recover(ctx, opts)
-}

@@ -61,25 +61,16 @@ func TestPublicPolicyPresets(t *testing.T) {
 }
 
 func TestPublicEngineTransaction(t *testing.T) {
-	bm, err := spitfire.New(spitfire.Config{
+	db, err := spitfire.Build(spitfire.Spec{
 		DRAMBytes: 8 * spitfire.PageSize,
 		NVMBytes:  16 * spitfire.PageSize,
 		Policy:    spitfire.SpitfireLazy,
-	})
+		Cleaner:   true,
+	}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := spitfire.NewWAL(spitfire.WALOptions{
-		Buffer: spitfire.NewPMem(spitfire.PMemOptions{Size: 1 << 17}),
-		Store:  spitfire.NewMemLog(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := spitfire.OpenDB(spitfire.DBOptions{BM: bm, WAL: w})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(db.BM().Close)
 	tb, err := db.CreateTable(1, "t", 128)
 	if err != nil {
 		t.Fatal(err)
@@ -128,48 +119,43 @@ func TestPublicTunerRoundTrip(t *testing.T) {
 	_ = tn.ObserveWear(cost, 1e6, 1e8)
 }
 
+// TestPublicDeviceAndPMem: a machine's NVM arena keeps what was persisted
+// across Crash and loses the rest, and its device counts the traffic.
 func TestPublicDeviceAndPMem(t *testing.T) {
-	dev := spitfire.NewDevice(spitfire.NVMParams)
-	pm := spitfire.NewPMem(spitfire.PMemOptions{Size: 4096, Device: dev, TrackCrashes: true})
+	m := spitfire.Build(spitfire.Spec{
+		NVMBytes:     16 * (spitfire.PageSize + 64),
+		Policy:       spitfire.SpitfireLazy,
+		TrackCrashes: true,
+	})
+	pm := m.Data
 	ctx := spitfire.NewCtx(4)
 	pm.Write(ctx.Clock, 0, []byte("persist me"))
 	pm.Persist(ctx.Clock, 0, 10)
 	pm.Write(ctx.Clock, 128, []byte("lose me"))
-	pm.Crash()
+	m.Crash()
 	got := make([]byte, 10)
 	pm.Read(ctx.Clock, 0, got)
 	if string(got) != "persist me" {
 		t.Fatalf("persisted data lost: %q", got)
 	}
-	if dev.Stats().WriteOps == 0 {
+	pm.Read(ctx.Clock, 128, got[:7])
+	if string(got[:7]) == "lose me" {
+		t.Fatal("an unpersisted store survived the crash")
+	}
+	if pm.Device().Stats().WriteOps == 0 {
 		t.Fatal("device saw no traffic")
 	}
 }
 
 func TestPublicCrashRecovery(t *testing.T) {
-	data := spitfire.NewPMem(spitfire.PMemOptions{
-		Size: 16 * (spitfire.PageSize + 64), TrackCrashes: true,
+	m := spitfire.Build(spitfire.Spec{
+		DRAMBytes:    4 * spitfire.PageSize,
+		NVMBytes:     16 * (spitfire.PageSize + 64),
+		Policy:       spitfire.SpitfireLazy,
+		Cleaner:      true,
+		TrackCrashes: true,
 	})
-	logs := spitfire.NewPMem(spitfire.PMemOptions{Size: 1 << 17, TrackCrashes: true})
-	disk := spitfire.NewMemSSD(nil)
-	store := spitfire.NewMemLog(nil)
-
-	cfg := spitfire.Config{
-		DRAMBytes: 4 * spitfire.PageSize,
-		NVMBytes:  data.Size(),
-		Policy:    spitfire.SpitfireLazy,
-		PMem:      data,
-		SSD:       disk,
-	}
-	bm, err := spitfire.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := spitfire.NewWAL(spitfire.WALOptions{Buffer: logs, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := spitfire.OpenDB(spitfire.DBOptions{BM: bm, WAL: w})
+	db, err := m.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,29 +177,16 @@ func TestPublicCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stop background cleaners before simulating the crash: a crash kills
-	// the whole process, and a cleaner left running would keep mutating the
-	// arena the recovered manager scans.
-	bm.Close()
-	data.Crash()
-	logs.Crash()
-
-	bm2, err := spitfire.Recover(spitfire.Config{
-		DRAMBytes: cfg.DRAMBytes, NVMBytes: cfg.NVMBytes,
-		Policy: cfg.Policy, PMem: data, SSD: disk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The crash stops the background cleaners before it rolls the arenas
+	// back: a crash kills the whole process, and a cleaner left running
+	// would keep mutating the arena the recovered manager scans.
+	m.Crash()
 	rctx := spitfire.NewCtx(6)
-	db2, rl, err := spitfire.RecoverDB(rctx, spitfire.RecoverOptions{
-		BM:     bm2,
-		WAL:    spitfire.WALOptions{Buffer: logs, Store: store},
-		Schema: []spitfire.TableDef{{ID: 7, Name: "t", TupleSize: 64}},
-	})
+	db2, rl, err := m.Recover(rctx, []spitfire.TableDef{{ID: 7, Name: "t", TupleSize: 64}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(db2.BM().Close)
 	if len(rl.Committed) != 1 {
 		t.Fatalf("recovered %d committed txns, want 1", len(rl.Committed))
 	}
@@ -227,32 +200,5 @@ func TestPublicCrashRecovery(t *testing.T) {
 	}
 	if err := check.Commit(rctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublicFileBackedStores(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := spitfire.NewFileSSD(dir+"/pages.db", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	fl, err := spitfire.NewFileLog(dir+"/wal.log", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	ctx := spitfire.NewCtx(7)
-	page := make([]byte, spitfire.PageSize)
-	page[0] = 0x77
-	if err := fs.WritePage(ctx.Clock, 0, page); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Append(ctx.Clock, []byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := fl.ReadAll(ctx.Clock)
-	if err != nil || string(raw) != "rec" {
-		t.Fatalf("file log round trip: %q, %v", raw, err)
 	}
 }
