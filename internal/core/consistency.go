@@ -11,7 +11,10 @@ import "fmt"
 //   - no frame is referenced by two descriptors;
 //   - attached frames are not frozen (pins >= 0);
 //   - every attached NVM frame has a valid, checksummed header naming the
-//     same page (the durable self-identification recovery depends on).
+//     same page (the durable self-identification recovery depends on);
+//   - a lent DRAM frame (frameMeta.lent) is clean and whole, its page has
+//     no NVM copy, and a frame that holds no page is not lent — the
+//     invariant that keeps SSD from rewriting a page while it is lent.
 //
 // The caller must be quiescent (no concurrent fetches, cleaners stopped).
 // It returns nil, or an error describing the first few violations found.
@@ -45,6 +48,11 @@ func (bm *BufferManager) CheckConsistency() error {
 				}
 				if bm.dram.meta[f].pins.Load() < 0 {
 					add("page %d: attached DRAM frame %d is frozen", pid, f)
+				}
+				if m := &bm.dram.meta[f]; m.lent.Load() != nil &&
+					(m.dirty.Load() || m.fg.Load() != nil || loc.nvmFrame != noFrame) {
+					add("page %d: lent DRAM frame %d is dirty %v, fine-grained %v, with NVM frame %d",
+						pid, f, m.dirty.Load(), m.fg.Load() != nil, loc.nvmFrame)
 				}
 			}
 		}
@@ -82,6 +90,14 @@ func (bm *BufferManager) CheckConsistency() error {
 		}
 		return true
 	})
+
+	if bm.dram != nil {
+		for f := range bm.dram.meta {
+			if m := &bm.dram.meta[f]; m.pid.Load() == InvalidPageID && m.lent.Load() != nil {
+				add("DRAM frame %d holds no page but is still lent", f)
+			}
+		}
+	}
 
 	if len(violations) > 0 {
 		return fmt.Errorf("core: consistency check failed: %d violation(s): %v",

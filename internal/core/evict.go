@@ -122,6 +122,7 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	m.pid.Store(InvalidPageID)
 	m.dirty.Store(false)
 	m.fg.Store(nil)
+	m.lent.Store(nil)
 	m.clAdmit.Store(false)
 	p.unref(v)
 	p.count(ctx.Clock.Worker(), p.st.evicts)

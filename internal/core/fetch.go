@@ -7,6 +7,7 @@ import (
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
 // FetchPage returns a pinned handle to page pid, applying the data-migration
@@ -138,7 +139,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 		}
 
 		// Miss on both buffers: fetch from SSD.
-		h, err := bm.fetchMiss(ctx, d, pol)
+		h, err := bm.fetchMiss(ctx, d, pol, intent)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +213,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 		return nil, nil // DRAM churn; serve from NVM this time
 	}
 	if fg == nil {
-		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.frame(f)); err != nil {
+		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.own(f)); err != nil {
 			p.release(f)
 			if errors.Is(err, device.ErrPermanent) && !errors.Is(err, device.ErrCrashed) {
 				// nvmReadPayload already degraded the tier; the caller's retry
@@ -231,12 +232,13 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 // fetchMiss brings page d in from SSD. With probability Nr it installs the
 // page in the NVM buffer (path ❼ of Figure 3); otherwise it bypasses NVM
 // and loads straight into DRAM (path ❾, §3.3). It returns (nil, nil) if a
-// concurrent fetch installed the page first.
+// concurrent fetch installed the page first. A read-intent load into DRAM
+// borrows the store's page rather than copying it (loadFrame).
 //
 // If the NVM route fails with an I/O error and a DRAM tier exists, the fetch
 // falls back to the DRAM route: a dying NVM buffer degrades service rather
 // than failing reads the SSD can still satisfy.
-func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) (*Handle, error) {
+func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy, intent Intent) (*Handle, error) {
 	toNVM := bm.nvm != nil && !bm.nvmDown() && (bm.dram == nil || ctx.bernoulli(pol.Nr))
 
 	if toNVM {
@@ -262,7 +264,7 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	if err != nil {
 		return nil, err
 	}
-	if err := bm.diskReadPage(ctx.Clock, d.pid, bm.dram.frame(f)); err != nil {
+	if err := bm.loadFrame(ctx.Clock, d.pid, f, intent); err != nil {
 		bm.dram.release(f)
 		return nil, fmt.Errorf("core: fetch page %d: %w", d.pid, err)
 	}
@@ -270,6 +272,30 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	bm.dram.attach(d, f, false, nil)
 	bm.count(ctx.Clock, cSSDToDRAM)
 	return ctx.handle(bm, d, TierDRAM, f, howMissDRAM), nil
+}
+
+// loadFrame reads page pid from SSD into frozen DRAM frame f. For a read
+// intent it asks the store to lend the page instead, and a store that can
+// keeps the copy: the frame reads the store's bytes until a writer takes
+// them over (dramPool.own). Both charge the same device read, and the caller
+// charges the frame's DRAM write either way, so simulated time does not
+// depend on which it was. Lending is safe because nothing writes the page to
+// SSD while it is lent: the frame is clean and the page has no NVM copy (the
+// caller found none, and none appears while a DRAM copy exists), and SSD is
+// written only from a dirty copy or by SeedPage, which refuses a buffered
+// page.
+func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32, intent Intent) error {
+	if intent == ReadIntent {
+		page, ok, err := bm.diskLendPage(c, pid)
+		if err != nil {
+			return err
+		}
+		if ok {
+			bm.dram.meta[f].lent.Store((*[PageSize]byte)(page))
+			return nil
+		}
+	}
+	return bm.diskReadPage(c, pid, bm.dram.own(f))
 }
 
 // fetchMissNVM is fetchMiss's SSD→NVM route (path ❼). It returns (nil, nil)
@@ -333,7 +359,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr := bm.dram.frame(f)
+		fr := bm.dram.own(f)
 		for i := range fr {
 			fr[i] = 0
 		}
@@ -378,8 +404,22 @@ func (bm *BufferManager) MaterializePage(ctx *Ctx, pid PageID) (*Handle, error) 
 
 // SeedPage writes a page directly to SSD, bypassing the buffers. Loaders
 // use it to build fixtures; it also bumps the page-id allocator past pid.
+//
+// The page must have no buffered copy: a write under one would leave that
+// copy stale, and would rewrite the bytes of a DRAM frame the store lent the
+// page to. Such a page is refused with an error and SSD is left alone.
 func (bm *BufferManager) SeedPage(ctx *Ctx, pid PageID, data []byte) error {
-	if err := bm.diskWritePage(ctx.Clock, pid, data); err != nil {
+	d := bm.descriptorFor(pid)
+	d.lockS() // a miss loads under latchS: it reads the page before or after this write
+	loc := d.load()
+	var err error
+	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
+		err = fmt.Errorf("core: seed page %d: the page is buffered", pid)
+	} else {
+		err = bm.diskWritePage(ctx.Clock, pid, data)
+	}
+	d.unlockS()
+	if err != nil {
 		return err
 	}
 	for {

@@ -152,7 +152,7 @@ func (h *Handle) WriteAt(ctx *Ctx, off int, data []byte) error {
 			return h.fgWrite(ctx, fg, off, data)
 		}
 		p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
-		copy(p.frame(h.frame)[off:off+len(data)], data)
+		copy(p.own(h.frame)[off:off+len(data)], data)
 		p.meta[h.frame].markDirty()
 		return nil
 	case TierMini:
@@ -223,7 +223,7 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 	for _, u := range need {
 		uo := u * fg.unit
 		src := h.bm.nvm.pm.Bytes(h.bm.nvm.payloadOffset(nf)+int64(uo), fg.unit)
-		copy(p.frame(h.frame)[uo:uo+fg.unit], src)
+		copy(p.own(h.frame)[uo:uo+fg.unit], src)
 		fg.setResident(u)
 		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
@@ -261,7 +261,7 @@ func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 		return err
 	}
 	p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
-	copy(p.frame(h.frame)[off:off+len(data)], data)
+	copy(p.own(h.frame)[off:off+len(data)], data)
 	for u := first; u <= last; u++ {
 		fg.setDirty(u)
 	}
@@ -403,7 +403,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	}
 
 	newFG := newFullFG(fg.unit)
-	full := h.bm.dram.frame(f)
+	full := h.bm.dram.own(f)
 	fg.lock()
 	src := mp.data(h.frame)
 	for s := 0; s < fg.slotCount; s++ {

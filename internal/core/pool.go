@@ -26,17 +26,25 @@ import (
 // pid changes only while the frame is frozen (the one exception is a dead NVM
 // tier's detach), so a fetcher that pins the frame and then reads its own
 // page id there knows the frame holds that page until it unpins.
+//
+// lent is set on a DRAM full frame whose page an SSD store lent it on a read
+// miss (ssd.Store.Lend): the frame's bytes are then the store's, and the
+// arena slice is unused until the first writer copies them in (dramPool.own,
+// which takes the owning flag to do it once). A lent frame is clean, whole
+// (fg nil) and its page has no NVM copy; CheckConsistency asserts it.
 type frameMeta struct {
 	pid     atomic.Uint64
 	pins    atomic.Int32
 	dirty   atomic.Bool
-	fg      atomic.Pointer[fgState] // fine-grained residency; DRAM full frames only
-	clAdmit atomic.Bool             // NVM frames: page was admitted by the background cleaner
+	clAdmit atomic.Bool                    // NVM frames: page was admitted by the background cleaner
+	owning  atomic.Bool                    // DRAM full frames: a writer is copying the lent page in
+	fg      atomic.Pointer[fgState]        // fine-grained residency; DRAM full frames only
+	lent    atomic.Pointer[[PageSize]byte] // DRAM full frames: the store's page, or nil
 	// hdr stages an NVM frame's header for writeHeader, which only the
 	// frame's exclusive owner calls (the frame is frozen), so the one copy
 	// per frame needs no lock and the header no allocation.
 	hdr [16]byte
-	_   [20]byte
+	_   [8]byte
 }
 
 // tryPin attempts to pin the frame; it fails if the frame is frozen.
@@ -256,6 +264,7 @@ func (p *basePool) release(f int32) {
 	p.meta[f].pid.Store(InvalidPageID)
 	p.meta[f].dirty.Store(false)
 	p.meta[f].fg.Store(nil)
+	p.meta[f].lent.Store(nil)
 	p.meta[f].clAdmit.Store(false)
 	if lockcheck.Enabled && p.meta[f].pins.Load() != -1 {
 		panic(fmt.Sprintf("core: frame %d pushed to free list with pins=%d, want -1 (frozen)",
@@ -329,8 +338,42 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 	return dp, nil
 }
 
-// frame returns the full-frame payload slice.
+// frame is the read view of full frame i: the page an SSD store lent it, or
+// its arena slice. Writers go through own instead.
 func (p *dramPool) frame(i int32) []byte {
+	if l := p.meta[i].lent.Load(); l != nil {
+		return l[:]
+	}
+	return p.arenaFrame(i)
+}
+
+// own returns full frame i's arena slice for writing; every write of a full
+// frame's bytes goes through it. A lent frame is copied into the arena once,
+// by the first writer, while later writers wait on the owning flag; readers
+// meanwhile keep reading the lent page, which nothing writes while it is
+// lent. The caller pins frame i, or holds it frozen: a frozen frame is never
+// lent, because evict and release clear the pointer, and one that is
+// reports a bug.
+func (p *dramPool) own(i int32) []byte {
+	m := &p.meta[i]
+	if m.lent.Load() != nil {
+		if m.pins.Load() < 0 {
+			panic(fmt.Sprintf("core: frozen DRAM frame %d is still lent", i))
+		}
+		for j := 0; !m.owning.CompareAndSwap(false, true); j++ {
+			backoff(j)
+		}
+		if l := m.lent.Load(); l != nil {
+			copy(p.arenaFrame(i), l[:])
+			m.lent.Store(nil)
+		}
+		m.owning.Store(false)
+	}
+	return p.arenaFrame(i)
+}
+
+// arenaFrame is full frame i's slice of the arena, lent or not.
+func (p *dramPool) arenaFrame(i int32) []byte {
 	off := int64(i) * PageSize
 	return p.arena[off : off+PageSize : off+PageSize]
 }

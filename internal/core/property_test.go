@@ -330,6 +330,69 @@ func TestSeedPageAdvancesAllocator(t *testing.T) {
 	}
 }
 
+// TestSeedPageRefusesBufferedPage: SeedPage writes SSD only under a page
+// with no buffered copy. Over a DRAM or an NVM copy it returns an error and
+// leaves SSD and the copy as they were; a fresh page, or one whose copy has
+// been evicted, is written.
+func TestSeedPageRefusesBufferedPage(t *testing.T) {
+	for name, pol := range map[string]policy.Policy{
+		"dram": {Dr: 1, Dw: 1, Nr: 0, Nw: 0},
+		"nvm":  {Dr: 0, Dw: 0, Nr: 1, Nw: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bm := newBM(t, Config{DRAMBytes: PageSize, NVMBytes: nvmFrameSlot, Policy: pol})
+			defer bm.Close()
+			ctx := NewCtx(3)
+			old, fresh := make([]byte, PageSize), make([]byte, PageSize)
+			marker(old, 0, 1)
+			marker(fresh, 0, 2)
+			if err := bm.SeedPage(ctx, 0, old); err != nil {
+				t.Fatalf("seeding a fresh page: %v", err)
+			}
+			h, err := bm.FetchPage(ctx, 0, ReadIntent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+			if err := bm.SeedPage(ctx, 0, fresh); err == nil {
+				t.Fatal("SeedPage wrote SSD under a buffered page")
+			}
+			got := make([]byte, PageSize)
+			if err := bm.Disk().ReadPage(ctx.Clock, 0, got); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("a refused seed changed SSD (err %v)", err)
+			}
+			h, err = bm.FetchPage(ctx, 0, ReadIntent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.ReadAt(ctx, 0, got); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("a refused seed changed the buffered copy (err %v)", err)
+			}
+			h.Release()
+
+			// Page 1 takes the only frame of the tier page 0 sat in: page 0
+			// is unbuffered again and may be seeded.
+			if err := bm.SeedPage(ctx, 1, old); err != nil {
+				t.Fatal(err)
+			}
+			if h, err = bm.FetchPage(ctx, 1, ReadIntent); err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+			if err := bm.SeedPage(ctx, 0, fresh); err != nil {
+				t.Fatalf("seeding an evicted page: %v", err)
+			}
+			if h, err = bm.FetchPage(ctx, 0, ReadIntent); err != nil {
+				t.Fatal(err)
+			}
+			defer h.Release()
+			if err := h.ReadAt(ctx, 0, got); err != nil || !bytes.Equal(got, fresh) {
+				t.Fatalf("the re-seeded page reads back wrong (err %v)", err)
+			}
+		})
+	}
+}
+
 // Ensure the device-sharing contract holds: a manager built over an
 // explicit pmem arena charges that arena's device.
 func TestExplicitArenaCharged(t *testing.T) {

@@ -72,6 +72,17 @@ func (bm *BufferManager) diskReadPage(c *vclock.Clock, pid PageID, buf []byte) e
 	return bm.retryIO(c, func() error { return bm.disk.ReadPage(c, pid, buf) })
 }
 
+// diskLendPage asks the store to lend page pid (ssd.Store.Lend), under the
+// same retry policy.
+func (bm *BufferManager) diskLendPage(c *vclock.Clock, pid PageID) (page []byte, ok bool, err error) {
+	err = bm.retryIO(c, func() error {
+		var lerr error
+		page, ok, lerr = bm.disk.Lend(c, pid)
+		return lerr
+	})
+	return page, ok, err
+}
+
 func (bm *BufferManager) diskWritePage(c *vclock.Clock, pid PageID, data []byte) error {
 	return bm.retryIO(c, func() error { return bm.disk.WritePage(c, pid, data) })
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestKV(t *testing.T) (*DB, *KV) {
@@ -133,6 +135,13 @@ func TestKVScan(t *testing.T) {
 // TestKVConcurrentUpserts: concurrent first-writes of the same keys must
 // never produce duplicate-key failures — losers see ErrConflict (retryable)
 // or win cleanly. Every key holds exactly one committed value at the end.
+//
+// A conflict lasts as long as the winner's transaction stays open
+// (TestKVWaiterOutlastsOpenWriter), and with more goroutines than CPUs the
+// winner can lose its CPU mid-transaction for longer than a thousand
+// back-to-back retries take (about 1-3 ms), so the retry loop backs off the
+// way a client does (conflictBackoff). A thousand backed-off attempts span
+// about 0.2 s, which a transaction that never commits still exhausts.
 func TestKVConcurrentUpserts(t *testing.T) {
 	db, kv := newTestKV(t)
 	const workers, keys = 8, 16
@@ -168,6 +177,7 @@ func TestKVConcurrentUpserts(t *testing.T) {
 						errs <- fmt.Errorf("worker %d key %d: livelock", w, k)
 						return
 					}
+					conflictBackoff(attempt)
 				}
 			}
 		}(w)
@@ -189,6 +199,56 @@ func TestKVConcurrentUpserts(t *testing.T) {
 		if len(v) < 2 || v[0] != 'w' {
 			t.Fatalf("get %d = %q, want one worker's value", k, v)
 		}
+	}
+}
+
+// conflictBackoff is what a client does between conflict retries: yield,
+// and once that has not helped a few times (the winner's thread is off the
+// CPU, not merely unscheduled) sleep a little longer each time.
+func conflictBackoff(try int) {
+	if try < 4 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(time.Duration(min(try, 20)) * 10 * time.Microsecond)
+}
+
+// TestKVWaiterOutlastsOpenWriter holds one writer open while a waiter
+// retries the same upsert many times: every attempt conflicts, however many
+// there are, and the first attempt after the writer commits succeeds. So
+// the number of retries an upsert needs measures how long the winner stays
+// open, not engine progress.
+func TestKVWaiterOutlastsOpenWriter(t *testing.T) {
+	db, kv := newTestKV(t)
+	writer, waiter := newCtx(1), newCtx(2)
+	open := db.Begin()
+	if err := kv.Put(writer, open, 5, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 5000; attempt++ {
+		txn := db.Begin()
+		err := kv.Put(waiter, txn, 5, []byte("second"))
+		if aerr := txn.Abort(waiter); aerr != nil {
+			t.Fatal(aerr)
+		}
+		if !errors.Is(err, ErrConflict) {
+			t.Fatalf("attempt %d against an open writer: %v, want ErrConflict", attempt, err)
+		}
+	}
+	if err := open.Commit(writer); err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin()
+	if err := kv.Put(waiter, txn, 5, []byte("second")); err != nil {
+		t.Fatalf("upsert after the writer committed: %v", err)
+	}
+	if err := txn.Commit(waiter); err != nil {
+		t.Fatal(err)
+	}
+	txn = db.Begin()
+	defer txn.Commit(waiter)
+	if v, err := kv.Get(waiter, txn, 5); err != nil || string(v) != "second" {
+		t.Fatalf("get = %q, %v; want the waiter's value", v, err)
 	}
 }
 

@@ -31,6 +31,14 @@ type Store interface {
 	// MaxPageID returns the largest page id ever written (ok=false when
 	// the device is empty). Recovery uses it to bound page scans.
 	MaxPageID() (pid uint64, ok bool)
+	// Lend charges a read of page pid exactly as ReadPage does and, when
+	// the store keeps its pages in memory, returns the page's own backing
+	// array instead of a copy (ok=false and no charge from a store that
+	// cannot lend; read into a buffer with ReadPage instead). The lent page
+	// is read-only. Its backing array is stable for the page's life, but a
+	// WritePage of pid rewrites it in place, so the borrower must drop it
+	// before the page is written again.
+	Lend(c *vclock.Clock, pid uint64) (page []byte, ok bool, err error)
 	// Device returns the cost model in use.
 	Device() *device.Device
 }
@@ -38,14 +46,20 @@ type Store interface {
 // shardCount spreads the page map across locks; must be a power of two.
 const shardCount = 64
 
+// shard is one lock of the page map. Every read and write of a page writes
+// its shard's mutex, so shards are padded by distance: 56 bytes from one
+// mutex to the next keep two shards off each other's cache lines at any
+// 8-byte alignment.
 type shard struct {
 	mu    sync.RWMutex
 	pages map[uint64][]byte
+	_     [48]byte
 }
 
 // MemStore is an in-memory Store.
 type MemStore struct {
 	dev    *device.Device
+	_      [56]byte // dev is read by every page I/O; shard 0's mutex is written by it
 	shards [shardCount]shard
 }
 
@@ -88,6 +102,22 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 		return fmt.Errorf("ssd: read page %d: %w", pid, err)
 	}
 	return nil
+}
+
+// Lend implements Store: it returns the page's backing array, which
+// WritePage only ever rewrites in place.
+func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
+	sh := s.shard(pid)
+	sh.mu.RLock()
+	p, ok := sh.pages[pid]
+	sh.mu.RUnlock()
+	if !ok {
+		return nil, false, fmt.Errorf("ssd: page %d does not exist", pid)
+	}
+	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
+		return nil, false, fmt.Errorf("ssd: read page %d: %w", pid, err)
+	}
+	return p[:PageSize:PageSize], true, nil
 }
 
 // WritePage implements Store. Page writes are modeled failure-atomic: real
@@ -193,6 +223,9 @@ func (s *FileStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 	}
 	return nil
 }
+
+// Lend implements Store: a file's pages are not in memory to lend.
+func (s *FileStore) Lend(*vclock.Clock, uint64) ([]byte, bool, error) { return nil, false, nil }
 
 // WritePage implements Store. As with MemStore, page writes are
 // failure-atomic: injected faults fail the write without touching the file.
