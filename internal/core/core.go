@@ -86,7 +86,10 @@ type Ctx struct {
 	Clock *vclock.Clock
 	RNG   *zipf.Rand
 
-	scratch []byte // lazily allocated page-size staging buffer
+	// scratch is a page-size staging buffer, allocated on first use: only
+	// an SSD miss installed in NVM from a store that declines to lend
+	// (readPage) needs it.
+	scratch []byte
 	tuple   []byte // TupleBuf's storage
 
 	// ring is the worker's migration-tracer ring, lazily attached on first

@@ -382,10 +382,10 @@ func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, err
 }
 
 // unlinkNVM is the NVM pool's unlink: write the page in NVM frame v back to
-// SSD if dirty (path ❽), invalidate the frame's durable header and detach it
-// from d. Pages whose DRAM copy is only partially resident (cache-line-
-// grained or mini) are skipped: evicting their backing store would orphan
-// them.
+// SSD if dirty (path ❽, one host copy: the store reads the arena in place),
+// invalidate the frame's durable header and detach it from d. Pages whose
+// DRAM copy is only partially resident (cache-line-grained or mini) are
+// skipped: evicting their backing store would orphan them.
 func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	if !d.tryLockN() {
 		return false, nil
@@ -406,10 +406,11 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		if !d.tryLockS() {
 			return false, nil
 		}
-		buf := ctx.buf()
-		err := bm.nvmReadPayload(ctx.Clock, v, 0, buf)
+		// The store copies straight out of the NVM arena: frame v is frozen
+		// and we hold latchN, so nothing writes it while the view is in use.
+		page, err := bm.nvmViewPayload(ctx.Clock, v)
 		if err == nil {
-			err = bm.diskWritePage(ctx.Clock, d.pid, buf)
+			err = bm.diskWritePage(ctx.Clock, d.pid, page)
 		}
 		d.unlockS()
 		if err != nil {

@@ -298,10 +298,24 @@ func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32, intent 
 	return bm.diskReadPage(c, pid, bm.dram.own(f))
 }
 
+// readPage returns page pid read from SSD: the page the store lends, or a
+// copy in ctx's scratch page from a store that declines to lend. Either way
+// it is read-only and valid while the caller holds the page's latchS, under
+// which every SSD write of the page runs (writeDown, unlinkNVM, SeedPage).
+func (bm *BufferManager) readPage(ctx *Ctx, pid PageID) ([]byte, error) {
+	page, ok, err := bm.diskLendPage(ctx.Clock, pid)
+	if err != nil || ok {
+		return page, err
+	}
+	buf := ctx.buf()
+	return buf, bm.diskReadPage(ctx.Clock, pid, buf)
+}
+
 // fetchMissNVM is fetchMiss's SSD→NVM route (path ❼). It returns (nil, nil)
 // on an install race and a typed error on I/O failure; the payload is written
 // and persisted before the self-identifying header, so a crash mid-install
-// leaves an invalid frame, never a valid header over torn data.
+// leaves an invalid frame, never a valid header over torn data. The install
+// copies from the page the store lends (readPage), once.
 func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) {
 	d.lockN()
 	d.lockS()
@@ -315,12 +329,12 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 	if err != nil {
 		return nil, err
 	}
-	buf := ctx.buf()
-	if err := bm.diskReadPage(ctx.Clock, d.pid, buf); err != nil {
+	page, err := bm.readPage(ctx, d.pid)
+	if err != nil {
 		bm.nvm.release(nf)
 		return nil, err
 	}
-	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, buf); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page); err != nil {
 		bm.nvm.release(nf)
 		return nil, err
 	}
@@ -344,6 +358,10 @@ func (bm *BufferManager) NewPage(ctx *Ctx) (PageID, *Handle, error) {
 	}
 	return pid, h, nil
 }
+
+// zeroPage is the image of a new page, which materialize's NVM route
+// installs. Nothing writes it.
+var zeroPage [PageSize]byte
 
 // materialize creates a zeroed, dirty, pinned frame for pid, which must not
 // be resident anywhere.
@@ -374,11 +392,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := ctx.buf()
-	for i := range buf {
-		buf[i] = 0
-	}
-	if err := bm.installNVMPage(ctx.Clock, nf, pid, buf); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, pid, zeroPage[:]); err != nil {
 		bm.nvm.release(nf)
 		return nil, fmt.Errorf("core: materialize page %d: %w", pid, err)
 	}

@@ -1,0 +1,320 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"github.com/spitfire-db/spitfire/internal/device"
+	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/ssd"
+	"github.com/spitfire-db/spitfire/internal/vclock"
+)
+
+// countingStore counts the calls the manager makes into an SSD store and
+// keeps the first byte of the last page it was handed to write. With decline
+// set it refuses to lend, as a FileStore does. Single-goroutine tests only.
+type countingStore struct {
+	ssd.Store
+	decline              bool
+	lends, reads, writes int
+	wrote                *byte
+}
+
+func (s *countingStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
+	s.lends++
+	if s.decline {
+		return nil, false, nil
+	}
+	return s.Store.Lend(c, pid)
+}
+
+func (s *countingStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
+	s.reads++
+	return s.Store.ReadPage(c, pid, buf)
+}
+
+func (s *countingStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
+	s.writes++
+	s.wrote = &buf[0]
+	return s.Store.WritePage(c, pid, buf)
+}
+
+// toNVM sends every miss and every new page to NVM and never migrates up.
+var toNVM = policy.Policy{Dr: 0, Dw: 0, Nr: 1, Nw: 0}
+
+// evictNVMCopy evicts page pid's NVM copy the way the victim search does,
+// and frees the frame if the eviction succeeded.
+func evictNVMCopy(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) (bool, error) {
+	t.Helper()
+	v := bm.descriptorFor(pid).nvmFrame.Load()
+	if v == noFrame {
+		t.Fatalf("page %d has no NVM copy", pid)
+	}
+	if !bm.nvm.meta[v].tryFreeze() {
+		t.Fatal("NVM copy is pinned")
+	}
+	ok, err := bm.nvm.evict(ctx, v)
+	if ok {
+		bm.nvm.release(v)
+	}
+	return ok, err
+}
+
+// dirtyInNVM fetches page pid, which must miss into NVM (path ❼), and
+// overwrites it with marker version 1.
+func dirtyInNVM(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) {
+	t.Helper()
+	h, err := bm.FetchPage(ctx, pid, WriteIntent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Tier() != TierNVM {
+		t.Fatalf("setup: page %d served from %v, want NVM", pid, h.Tier())
+	}
+	data := make([]byte, PageSize)
+	marker(data, pid, 1)
+	if err := h.WriteAt(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneHostCopyPerNVMSSDMove pins the host copies of the two moves between
+// NVM and SSD as counts. An SSD miss installed in NVM (❼) borrows the
+// store's page and copies it once, into the arena: one Lend, no ReadPage. A
+// dirty NVM page written back (❽) hands the store the arena's own bytes. A
+// store that declines to lend still serves ❼ through ReadPage and the
+// Ctx's scratch page, which nothing else allocates: a new page placed in
+// NVM is installed from the shared zero page.
+func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
+	for _, decline := range []bool{false, true} {
+		name := "lending store"
+		if decline {
+			name = "declining store"
+		}
+		t.Run(name, func(t *testing.T) {
+			store := &countingStore{Store: ssd.NewMem(nil), decline: decline}
+			bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM, SSD: store})
+			defer bm.Close()
+			seed(t, bm, 1)
+			*store = countingStore{Store: store.Store, decline: decline}
+			ctx := NewCtx(41)
+
+			// A new page in NVM: no staging page, and the zero page stays zero.
+			pid, h, err := bm.NewPage(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Tier() != TierNVM {
+				t.Fatalf("new page placed in %v, want NVM", h.Tier())
+			}
+			got := make([]byte, PageSize)
+			if err := h.ReadAt(ctx, 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.WriteAt(ctx, 0, []byte{0xFF}); err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+			if !bytes.Equal(got, zeroPage[:]) || zeroPage[0] != 0 {
+				t.Fatalf("new page %d did not read as zeros, or a write reached the shared zero page", pid)
+			}
+			if ctx.scratch != nil {
+				t.Fatal("placing a new page in NVM allocated the staging page")
+			}
+
+			// ❼: one lend, and a ReadPage only from a store that declines.
+			dirtyInNVM(t, bm, ctx, 0)
+			wantReads := 0
+			if decline {
+				wantReads = 1
+			}
+			if store.lends != 1 || store.reads != wantReads {
+				t.Fatalf("SSD→NVM miss made %d Lend and %d ReadPage calls, want 1 and %d",
+					store.lends, store.reads, wantReads)
+			}
+			if (ctx.scratch != nil) != decline {
+				t.Fatalf("staging page allocated = %v; want it only for a store that declines to lend", ctx.scratch != nil)
+			}
+
+			// ❽: the store is handed the NVM arena's bytes.
+			v := bm.descriptorFor(0).nvmFrame.Load()
+			arena := &bm.nvm.pm.Bytes(bm.nvm.payloadOffset(v), PageSize)[0]
+			if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
+				t.Fatalf("evict NVM copy: %v", err)
+			}
+			if store.writes != 1 || store.wrote != arena {
+				t.Fatalf("NVM→SSD write-back made %d WritePage calls; aliases the NVM frame: %v",
+					store.writes, store.wrote == arena)
+			}
+			if st := bm.Stats(); st.SSDToNVM != 1 || st.NVMToSSD != 1 {
+				t.Fatalf("moves counted: ssd→nvm %d, nvm→ssd %d; want 1 and 1", st.SSDToNVM, st.NVMToSSD)
+			}
+			want := make([]byte, PageSize)
+			marker(want, 0, 1)
+			if err := store.Store.ReadPage(ctx.Clock, 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the written-back page lost its update")
+			}
+		})
+	}
+}
+
+// movesSnapshot is what the fault cases compare before and after a move:
+// the manager's retry counters and both devices' traffic.
+type movesSnapshot struct {
+	retries, giveUps int64
+	nvm, ssd         device.Stats
+}
+
+func snapMoves(bm *BufferManager) movesSnapshot {
+	st := bm.Stats()
+	return movesSnapshot{st.IORetries, st.IOGiveUps, bm.nvm.pm.Device().Stats(), bm.Disk().Device().Stats()}
+}
+
+// TestNVMSSDMoveFaults: device faults on the two NVM↔SSD moves are retried,
+// charged, counted and handled exactly as on the copying paths the moves
+// replaced — a failed read charges nothing and a retried one is charged
+// once, a permanent NVM fault degrades the tier, a failed lend gives the NVM
+// frame back, and a write-back that cannot reach SSD keeps the NVM copy.
+func TestNVMSSDMoveFaults(t *testing.T) {
+	t.Run("transient NVM read on write-back is retried", func(t *testing.T) {
+		bm, _, nvmInj := faultBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM})
+		seed(t, bm, 1)
+		ctx := NewCtx(42)
+		dirtyInNVM(t, bm, ctx, 0)
+		nvmInj.Rearm(device.FaultConfig{Seed: 11, ReadErrProb: 0.5})
+		before := snapMoves(bm)
+		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
+			t.Fatalf("write-back under transient NVM read faults: %v", err)
+		}
+		after, faults := snapMoves(bm), nvmInj.Stats()
+		if faults.ReadErrors == 0 {
+			t.Fatal("no NVM read faulted: the case exercised nothing")
+		}
+		if got := after.retries - before.retries; got != faults.ReadErrors {
+			t.Errorf("%d retries counted for %d injected read faults", got, faults.ReadErrors)
+		}
+		if after.giveUps != before.giveUps {
+			t.Error("a write-back that succeeded on retry counted a give-up")
+		}
+		if got := after.nvm.ReadOps - before.nvm.ReadOps; got != 1 || after.nvm.BytesRead-before.nvm.BytesRead != PageSize {
+			t.Errorf("NVM charged %d reads of %d bytes, want one page", got, after.nvm.BytesRead-before.nvm.BytesRead)
+		}
+		if got := after.ssd.WriteOps - before.ssd.WriteOps; got != 1 {
+			t.Errorf("SSD charged %d writes, want 1", got)
+		}
+		if bm.NVMDegraded() {
+			t.Error("transient faults degraded the tier")
+		}
+	})
+
+	t.Run("permanent NVM read on write-back degrades the tier", func(t *testing.T) {
+		bm, _, nvmInj := faultBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM})
+		seed(t, bm, 1)
+		ctx := NewCtx(43)
+		dirtyInNVM(t, bm, ctx, 0)
+		nvmInj.FailNow()
+		before := snapMoves(bm)
+		ok, err := evictNVMCopy(t, bm, ctx, 0)
+		if ok || !errors.Is(err, device.ErrPermanent) {
+			t.Fatalf("write-back from a failed NVM = %v, %v; want an ErrPermanent failure", ok, err)
+		}
+		after := snapMoves(bm)
+		if after.retries != before.retries || after.giveUps-before.giveUps != 1 {
+			t.Errorf("counted %d retries and %d give-ups, want 0 and 1",
+				after.retries-before.retries, after.giveUps-before.giveUps)
+		}
+		if after.nvm.ReadOps != before.nvm.ReadOps || after.ssd.WriteOps != before.ssd.WriteOps {
+			t.Error("a failed NVM read charged the read or wrote SSD")
+		}
+		if !bm.NVMDegraded() {
+			t.Fatal("a permanent NVM fault on write-back did not degrade the tier")
+		}
+		if st := bm.Stats(); st.NVMOrphanedPages != 1 {
+			t.Errorf("orphaned pages = %d, want 1 (the dirty page lived only in NVM)", st.NVMOrphanedPages)
+		}
+	})
+
+	t.Run("SSD read fault on a lend releases the NVM frame", func(t *testing.T) {
+		bm, ssdInj, _ := faultBM(t, Config{NVMBytes: 4 * nvmFrameSlot, Policy: toNVM})
+		seed(t, bm, 1)
+		ssdInj.Rearm(device.FaultConfig{Seed: 6, ReadErrProb: 1})
+		ctx := NewCtx(44)
+		before := snapMoves(bm)
+		if _, err := bm.FetchPage(ctx, 0, ReadIntent); !errors.Is(err, device.ErrTransient) {
+			t.Fatalf("miss with a failing SSD = %v, want ErrTransient", err)
+		}
+		after, faults := snapMoves(bm), ssdInj.Stats()
+		if got := after.retries - before.retries; got != faults.ReadErrors-1 || after.giveUps-before.giveUps != 1 {
+			t.Errorf("counted %d retries and %d give-ups for %d faulted reads, want %d and 1",
+				got, after.giveUps-before.giveUps, faults.ReadErrors, faults.ReadErrors-1)
+		}
+		if after.ssd.ReadOps != before.ssd.ReadOps || after.nvm != before.nvm {
+			t.Error("a failed lend charged the SSD read or touched NVM")
+		}
+		if n := bm.nvm.freeCount(); n != bm.nvm.nFrames {
+			t.Fatalf("%d of %d NVM frames free after the failed miss", n, bm.nvm.nFrames)
+		}
+		if bm.descriptorFor(0).nvmFrame.Load() != noFrame {
+			t.Fatal("a failed miss left an NVM copy attached")
+		}
+		ssdInj.Rearm(device.FaultConfig{Seed: 6})
+		h, err := bm.FetchPage(ctx, 0, ReadIntent)
+		if err != nil {
+			t.Fatalf("miss after the fault cleared: %v", err)
+		}
+		h.Release()
+		if err := bm.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("torn SSD write keeps the dirty NVM copy", func(t *testing.T) {
+		bm, ssdInj, _ := faultBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM})
+		seed(t, bm, 1)
+		ctx := NewCtx(45)
+		dirtyInNVM(t, bm, ctx, 0)
+		v := bm.descriptorFor(0).nvmFrame.Load()
+		ssdInj.Rearm(device.FaultConfig{Seed: 7, TornWriteProb: 1})
+		before := snapMoves(bm)
+		ok, err := evictNVMCopy(t, bm, ctx, 0)
+		if ok || !errors.Is(err, device.ErrTorn) {
+			t.Fatalf("write-back onto a tearing SSD = %v, %v; want an ErrTorn failure", ok, err)
+		}
+		after, faults := snapMoves(bm), ssdInj.Stats()
+		if got := after.retries - before.retries; got != faults.TornWrites-1 || after.giveUps-before.giveUps != 1 {
+			t.Errorf("counted %d retries and %d give-ups for %d torn writes, want %d and 1",
+				got, after.giveUps-before.giveUps, faults.TornWrites, faults.TornWrites-1)
+		}
+		if got := after.ssd.WriteOps - before.ssd.WriteOps; got != faults.TornWrites {
+			t.Errorf("SSD charged %d writes for %d torn ones (a tear still moves the bytes)", got, faults.TornWrites)
+		}
+		if got := after.nvm.ReadOps - before.nvm.ReadOps; got != 1 {
+			t.Errorf("NVM charged %d reads, want the one page read", got)
+		}
+		if bm.descriptorFor(0).nvmFrame.Load() != v || !bm.nvm.meta[v].dirty.Load() {
+			t.Fatal("a failed write-back detached or cleaned the NVM copy")
+		}
+		if err := bm.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		ssdInj.Rearm(device.FaultConfig{Seed: 7})
+		h, err := bm.FetchPage(ctx, 0, ReadIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := make([]byte, PageSize), make([]byte, PageSize)
+		marker(want, 0, 1)
+		if err := h.ReadAt(ctx, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if !bytes.Equal(got, want) {
+			t.Fatal("the NVM copy lost its update")
+		}
+	})
+}

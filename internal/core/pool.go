@@ -498,3 +498,14 @@ func (p *nvmPool) readPayload(c *vclock.Clock, i int32, off int, buf []byte) err
 	}
 	return nil
 }
+
+// viewPayload is readPayload without the copy: it charges the same read and
+// returns frame i's whole payload in place (pmem.ReadView). The caller keeps
+// the frame from being written while it uses the view.
+func (p *nvmPool) viewPayload(c *vclock.Clock, i int32) ([]byte, error) {
+	v, err := p.pm.ReadView(c, p.payloadOffset(i), PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("core: nvm frame %d read: %w", i, err)
+	}
+	return v, nil
+}

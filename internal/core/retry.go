@@ -35,6 +35,18 @@ func (bm *BufferManager) nvmReadPayload(c *vclock.Clock, f int32, off int, buf [
 	return err
 }
 
+// nvmViewPayload is nvmReadPayload of frame f's whole payload without the
+// copy (nvmPool.viewPayload).
+func (bm *BufferManager) nvmViewPayload(c *vclock.Clock, f int32) (view []byte, err error) {
+	err = bm.retryIO(c, func() error {
+		var verr error
+		view, verr = bm.nvm.viewPayload(c, f)
+		return verr
+	})
+	bm.noteNVMErr(err)
+	return view, err
+}
+
 func (bm *BufferManager) nvmWritePayload(c *vclock.Clock, f int32, off int, data []byte) error {
 	err := bm.nvmWrite(c, f, off, data)
 	bm.noteNVMErr(err)

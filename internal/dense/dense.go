@@ -1,7 +1,7 @@
 // Package dense maps ids drawn densely from zero to fixed entries, with no
 // hashing: the id itself says where its entry lives. The buffer manager
-// keys its page descriptors this way by page id, and the version store its
-// tuples' entries by RID.
+// keys its page descriptors this way by page id, the in-memory SSD store its
+// pages, and the version store its tuples' entries by RID.
 //
 // A Directory has four levels, indexed by the id's bits from the top: the
 // root names a chunk (12 bits), a chunk names a leaf (10 bits), a leaf names

@@ -106,12 +106,25 @@ func (p *PMem) Write(c *vclock.Clock, off int64, data []byte) {
 // ReadErr is the checked variant of Read: it consults the device's fault
 // injector (if attached) and fails without copying when the read faults.
 func (p *PMem) ReadErr(c *vclock.Clock, off int64, buf []byte) error {
-	p.check(off, len(buf))
-	if _, err := p.dev.ReadErr(c, len(buf)); err != nil {
+	v, err := p.ReadView(c, off, len(buf))
+	if err != nil {
 		return err
 	}
-	copy(buf, p.data[off:off+int64(len(buf))])
+	copy(buf, v)
 	return nil
+}
+
+// ReadView is ReadErr without the copy: it makes the bounds check, device
+// charge and fault-injector call, then returns the arena's own n bytes at
+// off. The view is read-only, and it holds the range's contents only until
+// the range is next written (or rolled back by Crash); the caller keeps
+// writers off the range while it uses the view.
+func (p *PMem) ReadView(c *vclock.Clock, off int64, n int) ([]byte, error) {
+	p.check(off, n)
+	if _, err := p.dev.ReadErr(c, n); err != nil {
+		return nil, err
+	}
+	return p.data[off : off+int64(n) : off+int64(n)], nil
 }
 
 // WriteErr is the checked variant of Write. On a torn write, the fault's

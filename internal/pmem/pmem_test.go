@@ -2,9 +2,11 @@ package pmem
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
@@ -104,6 +106,35 @@ func TestBytesAlias(t *testing.T) {
 	}
 	if len(b) != 3 || cap(b) != 3 {
 		t.Fatalf("Bytes view not capacity-clamped: len=%d cap=%d", len(b), cap(b))
+	}
+}
+
+// TestReadViewChargesLikeReadErr: ReadView charges the read ReadErr charges,
+// through the same fault injector, and returns the arena's own bytes.
+func TestReadViewChargesLikeReadErr(t *testing.T) {
+	view, copied := New(Options{Size: 4096}), New(Options{Size: 4096})
+	vc, cc := vclock.New(), vclock.New()
+	view.Write(vc, 256, []byte{7, 8, 9})
+	copied.Write(cc, 256, []byte{7, 8, 9})
+	buf := make([]byte, 512)
+	if err := copied.ReadErr(cc, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	v, err := view.ReadView(vc, 0, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v, buf) || &v[0] != &view.Bytes(0, 512)[0] || cap(v) != 512 {
+		t.Fatal("ReadView did not return the arena's own, capacity-clamped bytes")
+	}
+	if vc.Now() != cc.Now() || view.Device().Stats() != copied.Device().Stats() {
+		t.Fatalf("ReadView charged %d ns %+v, ReadErr %d ns %+v",
+			vc.Now(), view.Device().Stats(), cc.Now(), copied.Device().Stats())
+	}
+
+	view.Device().SetFaults(device.NewInjector(device.FaultConfig{ReadErrProb: 1}))
+	if v, err := view.ReadView(vc, 0, 512); v != nil || !errors.Is(err, device.ErrTransient) {
+		t.Fatalf("ReadView under a faulty device = %v, %v; want nil, ErrTransient", v != nil, err)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
+	"github.com/spitfire-db/spitfire/internal/dense"
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
@@ -19,7 +21,8 @@ import (
 // PageSize is the database page size, matching the paper's 16 KB pages.
 const PageSize = 16384
 
-// Store is a page-granular block device.
+// Store is a page-granular block device. The caller serialises access to
+// any one page; distinct pages may be used concurrently.
 type Store interface {
 	// ReadPage copies page pid into buf (len(buf) == PageSize).
 	// It returns an error if the page was never written.
@@ -43,24 +46,14 @@ type Store interface {
 	Device() *device.Device
 }
 
-// shardCount spreads the page map across locks; must be a power of two.
-const shardCount = 64
-
-// shard is one lock of the page map. Every read and write of a page writes
-// its shard's mutex, so shards are padded by distance: 56 bytes from one
-// mutex to the next keep two shards off each other's cache lines at any
-// 8-byte alignment.
-type shard struct {
-	mu    sync.RWMutex
-	pages map[uint64][]byte
-	_     [48]byte
-}
-
-// MemStore is an in-memory Store.
+// MemStore is an in-memory Store: a dense directory of page arrays indexed
+// by page id, so finding a page takes three atomic loads and no lock. A
+// page's array is allocated by its first write and never moves.
 type MemStore struct {
-	dev    *device.Device
-	_      [56]byte // dev is read by every page I/O; shard 0's mutex is written by it
-	shards [shardCount]shard
+	dev   *device.Device
+	pages dense.Directory[atomic.Pointer[[PageSize]byte]]
+	n     atomic.Int64  // pages stored
+	max   atomic.Uint64 // largest page id stored, plus one; 0 when empty
 }
 
 // NewMem creates an in-memory SSD. If dev is nil a fresh device with
@@ -69,15 +62,16 @@ func NewMem(dev *device.Device) *MemStore {
 	if dev == nil {
 		dev = device.New(device.SSDParams)
 	}
-	s := &MemStore{dev: dev}
-	for i := range s.shards {
-		s.shards[i].pages = make(map[uint64][]byte)
-	}
-	return s
+	return &MemStore{dev: dev}
 }
 
-func (s *MemStore) shard(pid uint64) *shard {
-	return &s.shards[pid&(shardCount-1)]
+// page returns page pid's array, or nil if the page was never written. An
+// id past the directory's span was never written.
+func (s *MemStore) page(pid uint64) *[PageSize]byte {
+	if pid >= dense.Span {
+		return nil
+	}
+	return s.pages.Get(pid).Load()
 }
 
 // Device returns the cost model in use.
@@ -88,98 +82,70 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("ssd: read buffer is %d bytes, want %d", len(buf), PageSize)
 	}
-	sh := s.shard(pid)
-	sh.mu.RLock()
-	p, ok := sh.pages[pid]
-	if ok {
-		copy(buf, p)
+	p, _, err := s.Lend(c, pid)
+	if err != nil {
+		return err
 	}
-	sh.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("ssd: page %d does not exist", pid)
-	}
-	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
-		return fmt.Errorf("ssd: read page %d: %w", pid, err)
-	}
+	copy(buf, p)
 	return nil
 }
 
 // Lend implements Store: it returns the page's backing array, which
 // WritePage only ever rewrites in place.
 func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
-	sh := s.shard(pid)
-	sh.mu.RLock()
-	p, ok := sh.pages[pid]
-	sh.mu.RUnlock()
-	if !ok {
+	p := s.page(pid)
+	if p == nil {
 		return nil, false, fmt.Errorf("ssd: page %d does not exist", pid)
 	}
 	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
 		return nil, false, fmt.Errorf("ssd: read page %d: %w", pid, err)
 	}
-	return p[:PageSize:PageSize], true, nil
+	return p[:], true, nil
 }
 
 // WritePage implements Store. Page writes are modeled failure-atomic: real
 // SSDs complete or discard a sector-aligned page program from their
 // power-loss-protected buffer, so an injected torn write surfaces as an
 // error without corrupting the previous page image (torn-write *data*
-// effects belong to the byte-addressable NVM tier and the log).
+// effects belong to the byte-addressable NVM tier and the log). A page's
+// first write publishes its array only once the bytes are in.
 func (s *MemStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("ssd: write buffer is %d bytes, want %d", len(buf), PageSize)
 	}
+	if pid >= dense.Span {
+		return fmt.Errorf("ssd: page %d is past the store's span of %d pages", pid, uint64(dense.Span))
+	}
 	if _, err := s.dev.WriteErr(c, PageSize); err != nil {
 		return fmt.Errorf("ssd: write page %d: %w", pid, err)
 	}
-	sh := s.shard(pid)
-	sh.mu.Lock()
-	p, ok := sh.pages[pid]
-	if !ok {
-		p = make([]byte, PageSize)
-		sh.pages[pid] = p
+	e := s.pages.Get(pid)
+	if p := e.Load(); p != nil {
+		copy(p[:], buf)
+		return nil
 	}
-	copy(p, buf)
-	sh.mu.Unlock()
+	p := new([PageSize]byte)
+	copy(p[:], buf)
+	for m := s.max.Load(); m <= pid && !s.max.CompareAndSwap(m, pid+1); {
+		m = s.max.Load()
+	}
+	e.Store(p)
+	s.n.Add(1)
 	return nil
 }
 
 // Contains implements Store.
-func (s *MemStore) Contains(pid uint64) bool {
-	sh := s.shard(pid)
-	sh.mu.RLock()
-	_, ok := sh.pages[pid]
-	sh.mu.RUnlock()
-	return ok
-}
+func (s *MemStore) Contains(pid uint64) bool { return s.page(pid) != nil }
 
-// MaxPageID implements Store.
+// MaxPageID implements Store. A page Contains reports is never past it: a
+// first write raises the maximum before it publishes the page.
 func (s *MemStore) MaxPageID() (uint64, bool) {
-	var max uint64
-	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for pid := range sh.pages {
-			if !found || pid > max {
-				max, found = pid, true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return max, found
+	m := s.max.Load()
+	return m - 1, m > 0
 }
 
 // Len reports the number of pages stored.
-func (s *MemStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].pages)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
-}
+func (s *MemStore) Len() int { return int(s.n.Load()) }
 
 // FileStore is a Store backed by a file; page pid lives at offset
 // pid*PageSize. Pages are considered present once written in this or any

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/vclock"
@@ -243,17 +242,110 @@ func TestFileStoreDoesNotLend(t *testing.T) {
 	}
 }
 
-// TestShardLayout pins the MemStore's padding: every page I/O writes its
-// shard's mutex, so two mutexes, and the device pointer every I/O reads
-// and shard 0's mutex, are at least 56 bytes apart (off each other's cache
-// lines at any 8-byte alignment).
-func TestShardLayout(t *testing.T) {
-	var sh shard
-	if gap := unsafe.Sizeof(sh) - unsafe.Sizeof(sh.mu); unsafe.Offsetof(sh.mu) != 0 || gap < 56 {
-		t.Errorf("a shard's mutex is followed by %d bytes before the next shard's: want >= 56", gap)
+// TestMemStoreFirstWritesRace writes distinct pages of one directory block
+// for the first time from several goroutines while others poll Contains,
+// MaxPageID and Len. A page Contains reports is never past MaxPageID, and
+// neither count goes down; afterwards every page reads back, Len is exact
+// and MaxPageID is the largest id written. Run it under -race.
+func TestMemStoreFirstWritesRace(t *testing.T) {
+	const (
+		writers = 4
+		each    = 16 // writers*each pages, all in one 64-entry block
+		base    = 128
+	)
+	s := NewMem(nil)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			lastLen, lastMax := 0, uint64(0)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				pid := uint64(base + (i*7+r)%(writers*each))
+				had := s.Contains(pid)
+				max, ok := s.MaxPageID()
+				n := s.Len()
+				if had && (!ok || max < pid) {
+					t.Errorf("page %d is stored but MaxPageID = %d, %v", pid, max, ok)
+				}
+				if n < lastLen || (ok && max < lastMax) {
+					t.Errorf("Len went %d -> %d, MaxPageID %d -> %d", lastLen, n, lastMax, max)
+				}
+				if ok {
+					lastMax = max
+				}
+				lastLen = n
+				if t.Failed() {
+					return
+				}
+			}
+		}(r)
 	}
-	var s MemStore
-	if lead := unsafe.Offsetof(s.shards) - (unsafe.Offsetof(s.dev) + unsafe.Sizeof(s.dev)); lead < 56 {
-		t.Errorf("shard 0 starts %d bytes after the device pointer: want >= 56", lead)
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func(w int) {
+			defer ww.Done()
+			c := vclock.New()
+			for i := 0; i < each; i++ {
+				pid := uint64(base + i*writers + w)
+				if err := s.WritePage(c, pid, page(byte(pid))); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	ww.Wait()
+	close(done)
+	wg.Wait()
+
+	if got := s.Len(); got != writers*each {
+		t.Fatalf("Len = %d, want %d", got, writers*each)
+	}
+	if max, ok := s.MaxPageID(); !ok || max != base+writers*each-1 {
+		t.Fatalf("MaxPageID = %d, %v; want %d", max, ok, base+writers*each-1)
+	}
+	buf := make([]byte, PageSize)
+	c := vclock.New()
+	for pid := uint64(base); pid < base+writers*each; pid++ {
+		if err := s.ReadPage(c, pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, page(byte(pid))) {
+			t.Fatalf("page %d reads back wrong", pid)
+		}
+	}
+}
+
+// TestMemStoreStrayID: an id past the directory's span was never written.
+// Contains says so, and reads, lends and writes fail with an error and
+// charge nothing; none of them panics.
+func TestMemStoreStrayID(t *testing.T) {
+	s := NewMem(nil)
+	c := vclock.New()
+	const stray = ^uint64(0)
+	if s.Contains(stray) {
+		t.Fatal("Contains(stray id) = true")
+	}
+	if err := s.ReadPage(c, stray, make([]byte, PageSize)); err == nil {
+		t.Fatal("ReadPage of a stray id succeeded")
+	}
+	if _, ok, err := s.Lend(c, stray); err == nil || ok {
+		t.Fatalf("Lend of a stray id = ok %v, err %v; want an error", ok, err)
+	}
+	if err := s.WritePage(c, stray, page(1)); err == nil {
+		t.Fatal("WritePage of a stray id succeeded")
+	}
+	if _, ok := s.MaxPageID(); ok || s.Len() != 0 {
+		t.Fatal("a stray id left the store non-empty")
+	}
+	if st := s.Device().Stats(); st.ReadOps != 0 || st.WriteOps != 0 || c.Now() != 0 {
+		t.Fatalf("stray ids charged %+v, %d ns", st, c.Now())
 	}
 }
