@@ -76,6 +76,16 @@ func TestServerFixtureFamilies(t *testing.T) {
 		"spitfire_hit_dram_total",
 		"spitfire_wal_commits_total",
 		"spitfire_cleaner_wakeups_total",
+		// The engine's device traffic and pool occupancy: the server
+		// exports the same engine source as the harness.
+		"spitfire_nvm_bytes_read_total",
+		"spitfire_nvm_bytes_written_total",
+		"spitfire_ssd_bytes_read_total",
+		"spitfire_ssd_bytes_written_total",
+		"spitfire_dram_used_frames",
+		"spitfire_dram_dirty_frames",
+		"spitfire_nvm_used_frames",
+		"spitfire_nvm_dirty_frames",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("server_metrics.txt missing %q", want)

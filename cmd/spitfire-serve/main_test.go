@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -11,6 +12,10 @@ import (
 
 	"github.com/spitfire-db/spitfire"
 	"github.com/spitfire-db/spitfire/internal/cmdtest"
+	"github.com/spitfire-db/spitfire/internal/engine"
+	"github.com/spitfire-db/spitfire/internal/harness"
+	"github.com/spitfire-db/spitfire/internal/obs"
+	"github.com/spitfire-db/spitfire/internal/server"
 )
 
 func TestMain(m *testing.M) { cmdtest.Main(m, main) }
@@ -136,5 +141,75 @@ func TestServedSpecSharesDevices(t *testing.T) {
 	}
 	if got := db.WAL().BufferBytes(); got != m.Log.Size() || got != 4<<20 {
 		t.Errorf("WAL buffer is %d bytes, want the machine's 4 MiB log arena", got)
+	}
+}
+
+// TestServerAndHarnessExportOneEngine: the served binary reports the engine
+// the harness measures. Built from one Spec, a harness Env and a server
+// export the same engine samples, counters and gauges alike; each source is
+// its DB's samples, without duplicates, plus only its own rows.
+func TestServerAndHarnessExportOneEngine(t *testing.T) {
+	spec := servedSpec(2, 8, spitfire.SpitfireLazy, nil)
+	env, err := harness.NewEnv(harness.EnvConfig{Spec: spec, Workload: harness.YCSBRO, DBBytes: harness.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.BM.Close()
+	db, err := spitfire.Build(spec).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.BM().Close()
+	kv, err := engine.OpenKV(db, 1, "kv", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Options{DB: db, KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	names := func(source string, samples []obs.Sample) map[string]bool {
+		out := map[string]bool{}
+		for _, s := range samples {
+			if out[s.Name] {
+				t.Errorf("%s exports %q twice", source, s.Name)
+			}
+			out[s.Name] = true
+		}
+		return out
+	}
+	for _, c := range []struct {
+		kind           string
+		envSrc, envDB  []obs.Sample
+		srvSrc, srvDB  []obs.Sample
+		envOwn, srvOwn int
+	}{
+		{"counters", env.ObsCounters(), env.DB.ObsCounters(), srv.ObsCounters(), db.ObsCounters(), 1, 16},
+		{"gauges", env.ObsGauges(), env.DB.ObsGauges(), srv.ObsGauges(), db.ObsGauges(), 1, 6},
+	} {
+		envDB, srvDB := names("harness DB "+c.kind, c.envDB), names("server DB "+c.kind, c.srvDB)
+		if !reflect.DeepEqual(envDB, srvDB) {
+			t.Errorf("engine %s differ:\nharness %v\nserver  %v", c.kind, envDB, srvDB)
+		}
+		for _, s := range []struct {
+			source string
+			all    map[string]bool
+			db     map[string]bool
+			own    int
+		}{
+			{"harness " + c.kind, names("harness "+c.kind, c.envSrc), envDB, c.envOwn},
+			{"server " + c.kind, names("server "+c.kind, c.srvSrc), srvDB, c.srvOwn},
+		} {
+			for n := range s.db {
+				if !s.all[n] {
+					t.Errorf("%s lack the engine's %q", s.source, n)
+				}
+			}
+			if own := len(s.all) - len(s.db); own != s.own {
+				t.Errorf("%s add %d rows of their own to the engine's, want %d", s.source, own, s.own)
+			}
+		}
 	}
 }

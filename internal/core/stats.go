@@ -239,53 +239,70 @@ func (bm *BufferManager) ObsCounters() []obs.Sample {
 	return out
 }
 
-// PoolGauges is a point-in-time occupancy snapshot of the buffer pools,
-// exposed to the observability layer as gauges: per-tier capacity, free-list
-// depth, occupied frames, and dirty frames.
-type PoolGauges struct {
-	DRAMFrames, DRAMFree, DRAMUsed, DRAMDirty int
-	MiniFrames, MiniFree, MiniUsed, MiniDirty int
-	NVMFrames, NVMFree, NVMUsed, NVMDirty     int
-}
-
-// poolGauges scans a pool's frame metadata. The scan is racy by design —
-// gauges are monitoring data, not invariants — but every load is atomic.
-func poolGauges(p *basePool) (free, used, dirty int) {
-	free = p.freeCount()
-	for i := range p.meta {
-		if p.meta[i].pid.Load() == InvalidPageID {
-			continue
-		}
-		used++
-		if p.meta[i].dirty.Load() {
-			dirty++
-		}
-	}
-	return free, used, dirty
-}
-
-// PoolGauges snapshots buffer-pool occupancy for live exposition.
-func (bm *BufferManager) PoolGauges() PoolGauges {
-	var g PoolGauges
+// ObsGauges returns the pools' occupancy as named gauges, the buffer
+// manager's share of an obs.Source next to ObsCounters. Capacity and
+// free-list depth read as Pressure reports them, so a failed NVM tier counts
+// no frames. The mini_* rows exist only when DRAM has mini frames.
+func (bm *BufferManager) ObsGauges() []obs.Sample {
+	p := bm.Pressure()
+	var dram, mini, nvm *basePool
 	if bm.dram != nil {
-		g.DRAMFrames = bm.dram.nFrames
-		g.DRAMFree, g.DRAMUsed, g.DRAMDirty = poolGauges(&bm.dram.basePool)
+		dram = &bm.dram.basePool
 		if bm.dram.mini != nil {
-			g.MiniFrames = bm.dram.mini.nFrames
-			g.MiniFree, g.MiniUsed, g.MiniDirty = poolGauges(&bm.dram.mini.basePool)
+			mini = &bm.dram.mini.basePool
 		}
 	}
-	if bm.nvm != nil {
-		g.NVMFrames = bm.nvm.nFrames
-		g.NVMFree, g.NVMUsed, g.NVMDirty = poolGauges(&bm.nvm.basePool)
+	if bm.nvm != nil && !p.Degraded {
+		nvm = &bm.nvm.basePool
 	}
-	return g
+	var degraded int64
+	if p.Degraded {
+		degraded = 1
+	}
+	out := []obs.Sample{
+		{Name: "dram_frames", Value: int64(p.DRAMFrames)},
+		{Name: "dram_free_frames", Value: int64(p.DRAMFree)},
+		{Name: "nvm_frames", Value: int64(p.NVMFrames)},
+		{Name: "nvm_free_frames", Value: int64(p.NVMFree)},
+		{Name: "min_free_millifrac", Value: int64(p.MinFreeFrac() * 1000)},
+		{Name: "nvm_degraded", Value: degraded},
+	}
+	out = occupancy(out, "dram", dram)
+	out = occupancy(out, "nvm", nvm)
+	if mini != nil {
+		out = append(out,
+			obs.Sample{Name: "mini_frames", Value: int64(mini.nFrames)},
+			obs.Sample{Name: "mini_free_frames", Value: int64(mini.freeCount())})
+		out = occupancy(out, "mini", mini)
+	}
+	return out
+}
+
+// occupancy appends a pool's <tier>_used_frames and <tier>_dirty_frames (0
+// for a nil pool). The scan of the frame metadata is racy by design — gauges
+// are monitoring data, not invariants — but every load is atomic.
+func occupancy(out []obs.Sample, tier string, p *basePool) []obs.Sample {
+	var used, dirty int64
+	if p != nil {
+		for i := range p.meta {
+			if p.meta[i].pid.Load() == InvalidPageID {
+				continue
+			}
+			used++
+			if p.meta[i].dirty.Load() {
+				dirty++
+			}
+		}
+	}
+	return append(out,
+		obs.Sample{Name: tier + "_used_frames", Value: used},
+		obs.Sample{Name: tier + "_dirty_frames", Value: dirty})
 }
 
 // Pressure is the buffer manager's load-shedding signal set, sampled by
 // admission-control front-ends (internal/server) so they can refuse work
 // *before* the manager saturates: free-list depth per tier and the
-// permanent-degradation flag. Unlike PoolGauges it never scans frame
+// permanent-degradation flag. Unlike ObsGauges it never scans frame
 // metadata — every read is one atomic load — so it is cheap enough to sample
 // on a tight monitoring loop.
 type Pressure struct {

@@ -240,7 +240,7 @@ func TestGCRunsAutomatically(t *testing.T) {
 			if err := txn.Commit(ctx); err != nil {
 				t.Fatal(err)
 			}
-			peak = max(peak, db.VersionsRetained())
+			peak = max(peak, db.tm.Retained())
 		}
 		return peak
 	}
@@ -261,7 +261,7 @@ func TestGCRunsAutomatically(t *testing.T) {
 		t.Fatalf("the reader's snapshot changed under it (err %v)", err)
 	}
 	reader.Commit(ctx)
-	if peak := rewrite(); db.VersionsRetained() > updates/4 {
-		t.Fatalf("%d versions still retained (peak %d) %d updates after the reader finished", db.VersionsRetained(), peak, updates)
+	if peak := rewrite(); db.tm.Retained() > updates/4 {
+		t.Fatalf("%d versions still retained (peak %d) %d updates after the reader finished", db.tm.Retained(), peak, updates)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"github.com/spitfire-db/spitfire/internal/core"
 	"github.com/spitfire-db/spitfire/internal/mvto"
+	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/wal"
 )
 
@@ -71,9 +72,44 @@ func (db *DB) WAL() *wal.Manager { return db.wal }
 // TxnStats reports transaction commit/abort counts.
 func (db *DB) TxnStats() (commits, aborts int64) { return db.tm.Stats() }
 
-// VersionsRetained reports how many before-images of committed writes the
-// MVTO version store is holding for transactions that may still read them.
-func (db *DB) VersionsRetained() int { return db.tm.Retained() }
+// ObsCounters returns the engine's monotonic totals as named samples: the
+// buffer manager's counter table, the WAL's totals and the bytes the NVM
+// data device and the SSD device moved. Each owner of an obs.Source (the
+// harness's Env, the server) appends its own rows to these.
+func (db *DB) ObsCounters() []obs.Sample {
+	out := db.bm.ObsCounters()
+	if db.wal != nil {
+		appends, flushes, commits := db.wal.Stats()
+		out = append(out,
+			obs.Sample{Name: "wal_appends", Value: appends},
+			obs.Sample{Name: "wal_flushes", Value: flushes},
+			obs.Sample{Name: "wal_commits", Value: commits})
+	}
+	if pm := db.bm.PMem(); pm != nil {
+		st := pm.Device().Stats()
+		out = append(out,
+			obs.Sample{Name: "nvm_bytes_read", Value: st.BytesRead},
+			obs.Sample{Name: "nvm_bytes_written", Value: st.BytesWritten})
+	}
+	st := db.bm.Disk().Device().Stats()
+	return append(out,
+		obs.Sample{Name: "ssd_bytes_read", Value: st.BytesRead},
+		obs.Sample{Name: "ssd_bytes_written", Value: st.BytesWritten})
+}
+
+// ObsGauges returns the engine's instantaneous readings as named samples:
+// the buffer pools' occupancy, the MVTO version store's size (it only grows
+// while some transaction stays open, so a stuck one shows from outside), and
+// the WAL's shard count and log since the last truncation.
+func (db *DB) ObsGauges() []obs.Sample {
+	out := append(db.bm.ObsGauges(), obs.Sample{Name: "mvto_versions_retained", Value: int64(db.tm.Retained())})
+	if db.wal != nil {
+		out = append(out,
+			obs.Sample{Name: "wal_shards", Value: int64(db.wal.Shards())},
+			obs.Sample{Name: "wal_log_bytes", Value: db.wal.LogBytes()})
+	}
+	return out
+}
 
 // chargeCompute accounts the per-operation CPU cost.
 func (db *DB) chargeCompute(ctx *core.Ctx) {

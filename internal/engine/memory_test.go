@@ -62,7 +62,7 @@ func quiescentHeap(t *testing.T, db *DB, ctx *core.Ctx) runtime.MemStats {
 	if skipped, err := db.Checkpoint(ctx); err != nil || skipped != 0 {
 		t.Fatalf("checkpoint: skipped %d, err %v", skipped, err)
 	}
-	if n := db.VersionsRetained(); n != 0 {
+	if n := db.tm.Retained(); n != 0 {
 		t.Fatalf("%d versions retained after a quiescent checkpoint", n)
 	}
 	var ms runtime.MemStats

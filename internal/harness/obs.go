@@ -52,51 +52,14 @@ func (e *Env) PolicyStepHook() func(anneal.EpochStep) {
 	}
 }
 
-// ObsCounters implements obs.Source: every buffer-manager counter plus the
-// harness's commit, device-byte and WAL totals.
+// ObsCounters implements obs.Source: the engine's counters plus the
+// harness's commits.
 func (e *Env) ObsCounters() []obs.Sample {
-	out := append(e.BM.ObsCounters(), obs.Sample{Name: "commits", Value: e.commits.Load()})
-	if e.m.Data != nil {
-		st := e.m.Data.Device().Stats()
-		out = append(out,
-			obs.Sample{Name: "nvm_bytes_read", Value: st.BytesRead},
-			obs.Sample{Name: "nvm_bytes_written", Value: st.BytesWritten},
-		)
-	}
-	st := e.m.Pages.Device().Stats()
-	appends, flushes, commits := e.DB.WAL().Stats()
-	return append(out,
-		obs.Sample{Name: "ssd_bytes_read", Value: st.BytesRead},
-		obs.Sample{Name: "ssd_bytes_written", Value: st.BytesWritten},
-		obs.Sample{Name: "wal_appends", Value: appends},
-		obs.Sample{Name: "wal_flushes", Value: flushes},
-		obs.Sample{Name: "wal_commits", Value: commits},
-	)
+	return append(e.DB.ObsCounters(), obs.Sample{Name: "commits", Value: e.commits.Load()})
 }
 
-// ObsGauges implements obs.Source: instantaneous buffer-pool occupancy and
-// the simulated-time frontier.
+// ObsGauges implements obs.Source: the engine's gauges plus the
+// simulated-time frontier.
 func (e *Env) ObsGauges() []obs.Sample {
-	g := e.BM.PoolGauges()
-	out := []obs.Sample{
-		{Name: "dram_frames", Value: int64(g.DRAMFrames)},
-		{Name: "dram_free_frames", Value: int64(g.DRAMFree)},
-		{Name: "dram_used_frames", Value: int64(g.DRAMUsed)},
-		{Name: "dram_dirty_frames", Value: int64(g.DRAMDirty)},
-		{Name: "nvm_frames", Value: int64(g.NVMFrames)},
-		{Name: "nvm_free_frames", Value: int64(g.NVMFree)},
-		{Name: "nvm_used_frames", Value: int64(g.NVMUsed)},
-		{Name: "nvm_dirty_frames", Value: int64(g.NVMDirty)},
-		{Name: "virtual_time_ns", Value: e.vbase.Load()},
-		{Name: "nvm_degraded", Value: e.BM.Stats().NVMDegraded},
-	}
-	if g.MiniFrames > 0 {
-		out = append(out,
-			obs.Sample{Name: "mini_frames", Value: int64(g.MiniFrames)},
-			obs.Sample{Name: "mini_free_frames", Value: int64(g.MiniFree)},
-			obs.Sample{Name: "mini_used_frames", Value: int64(g.MiniUsed)},
-			obs.Sample{Name: "mini_dirty_frames", Value: int64(g.MiniDirty)},
-		)
-	}
-	return out
+	return append(e.DB.ObsGauges(), obs.Sample{Name: "virtual_time_ns", Value: e.vbase.Load()})
 }

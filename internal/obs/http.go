@@ -363,22 +363,11 @@ func (o *Obs) StartProgress(w io.Writer, interval time.Duration) (stop func()) {
 				parts = append(parts, fmt.Sprintf("%s/s=%.0f", r.name, r.per))
 			}
 			prev = cur
-			fmt.Fprintf(w, "[obs] %s\n", joinSpace(parts))
+			fmt.Fprintf(w, "[obs] %s\n", strings.Join(parts, " "))
 		}
 	}()
 	return func() {
 		close(done)
 		wg.Wait()
 	}
-}
-
-func joinSpace(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
 }

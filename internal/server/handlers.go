@@ -105,12 +105,12 @@ type admitted struct {
 // success the caller must defer s.finish.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, write bool) (admitted, bool) {
 	if s.draining.Load() {
-		s.cnt.rejectedDraining.Add(1)
+		s.cnt[cRejectedDraining].Add(1)
 		s.refuse(w, http.StatusServiceUnavailable, "draining", true)
 		return admitted{}, false
 	}
 	if write && s.readOnly.Load() {
-		s.cnt.rejectedReadOnly.Add(1)
+		s.cnt[cRejectedReadOnly].Add(1)
 		s.refuse(w, http.StatusServiceUnavailable, "read-only: NVM tier permanently failed", false)
 		return admitted{}, false
 	}
@@ -120,18 +120,18 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, write bool) (admi
 		cancel()
 		switch {
 		case errors.Is(err, ErrQueueFull):
-			s.cnt.rejectedQueueFull.Add(1)
+			s.cnt[cRejectedQueueFull].Add(1)
 			s.refuse(w, http.StatusTooManyRequests, err.Error(), true)
 		case errors.Is(err, ErrShedding):
-			s.cnt.shed.Add(1)
+			s.cnt[cShed].Add(1)
 			s.refuse(w, http.StatusServiceUnavailable, err.Error(), true)
 		default: // ErrExpired
-			s.cnt.queueExpired.Add(1)
+			s.cnt[cQueueExpired].Add(1)
 			s.refuse(w, http.StatusServiceUnavailable, err.Error(), true)
 		}
 		return admitted{}, false
 	}
-	s.cnt.accepted.Add(1)
+	s.cnt[cAccepted].Add(1)
 	s.noteFreeFrac(s.bm.Pressure().MinFreeFrac())
 	if hold := s.opts.TestHoldPerRequest; hold > 0 {
 		wallSleep(hold)
@@ -148,7 +148,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, write bool) (admi
 func (s *Server) finish(a admitted, h *metrics.Histogram) {
 	a.release()
 	a.cancel()
-	s.cnt.completed.Add(1)
+	s.cnt[cCompleted].Add(1)
 	if h != nil {
 		h.Observe(wallNow().Sub(a.start).Nanoseconds())
 	}
@@ -166,16 +166,16 @@ func wallSleep(d time.Duration) { time.Sleep(d) } //vet:allow determinism TestHo
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrNotFound):
-		s.cnt.notFound.Add(1)
+		s.cnt[cNotFound].Add(1)
 		http.Error(w, "key not found", http.StatusNotFound)
 	case errors.Is(err, engine.ErrConflict):
-		s.cnt.conflicts.Add(1)
+		s.cnt[cConflicts].Add(1)
 		s.refuse(w, http.StatusConflict, "write conflict; retry", true)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.cnt.deadlineExceeded.Add(1)
+		s.cnt[cDeadlineExceeded].Add(1)
 		s.refuse(w, http.StatusServiceUnavailable, "deadline exceeded", true)
 	default:
-		s.cnt.errors.Add(1)
+		s.cnt[cErrors].Add(1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -458,6 +458,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(s.Stats()); err != nil {
-		s.cnt.errors.Add(1)
+		s.cnt[cErrors].Add(1)
 	}
 }

@@ -2,33 +2,67 @@ package server
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/obs"
 )
 
-// counters are the server's monotonic totals (plus the min-free-frac
-// low-water mark). They surface three ways: Stats for tests and
-// /stats.json, ObsCounters/ObsGauges for /metrics and /snapshot.json.
-type counters struct {
-	accepted          atomic.Int64
-	completed         atomic.Int64
-	rejectedQueueFull atomic.Int64
-	rejectedDraining  atomic.Int64
-	rejectedReadOnly  atomic.Int64
-	shed              atomic.Int64
-	queueExpired      atomic.Int64
-	deadlineExceeded  atomic.Int64
-	conflicts         atomic.Int64
-	notFound          atomic.Int64
-	errors            atomic.Int64
-	txnRetries        atomic.Int64
-	shedEnters        atomic.Int64
-	degradedTrips     atomic.Int64
-	checkpoints       atomic.Int64
-	checkpointGiveUps atomic.Int64
-	drainCheckpoints  atomic.Int64
-	minFreeFrac       atomic.Uint64 // math.Float64bits
+// counter names one of the server's monotonic totals: its index in
+// Server.cnt and its row in the counters table.
+type counter uint8
+
+const (
+	cAccepted counter = iota
+	cCompleted
+	cRejectedQueueFull
+	cRejectedDraining
+	cRejectedReadOnly
+	cShed
+	cQueueExpired
+	cDeadlineExceeded
+	cConflicts
+	cNotFound
+	cErrors
+	cTxnRetries
+	cShedEnters
+	cDegradedTrips
+	cCheckpoints
+	cCheckpointGiveUps
+	cDrainCheckpoints
+	nCounters
+)
+
+// counterRow is one row of the counter table.
+type counterRow struct {
+	name string // obs sample name; the /metrics family is spitfire_<name>_total
+	snap *int64 // the counter's field in a Stats snapshot
+}
+
+// counters is the one table of server counters — row i describes counter
+// i — bound to a snapshot o: Stats and ObsCounters are loops over it, so a
+// new counter is its id above, its Stats field and a row here.
+// DrainCheckpoints is the drain's own result, read from /stats.json after
+// the listener has closed, so it has no sample name: checkpoints already
+// counts the drain's checkpoint on /metrics.
+func counters(o *Stats) [nCounters]counterRow {
+	return [...]counterRow{
+		cAccepted:          {"req_accepted", &o.Accepted},
+		cCompleted:         {"req_completed", &o.Completed},
+		cRejectedQueueFull: {"req_rejected_queue_full", &o.RejectedQueueFull},
+		cRejectedDraining:  {"req_rejected_draining", &o.RejectedDraining},
+		cRejectedReadOnly:  {"req_rejected_read_only", &o.RejectedReadOnly},
+		cShed:              {"req_shed", &o.Shed},
+		cQueueExpired:      {"req_queue_expired", &o.QueueExpired},
+		cDeadlineExceeded:  {"req_deadline_exceeded", &o.DeadlineExceeded},
+		cConflicts:         {"req_conflicts", &o.Conflicts},
+		cNotFound:          {"req_not_found", &o.NotFound},
+		cErrors:            {"req_errors", &o.Errors},
+		cTxnRetries:        {"txn_retries", &o.TxnRetries},
+		cShedEnters:        {"shed_enters", &o.ShedEnters},
+		cDegradedTrips:     {"degraded_trips", &o.DegradedTrips},
+		cCheckpoints:       {"checkpoints", &o.Checkpoints},
+		cCheckpointGiveUps: {"checkpoint_give_ups", &o.CheckpointGiveUps},
+		cDrainCheckpoints:  {"", &o.DrainCheckpoints},
+	}
 }
 
 // Stats is a point-in-time snapshot of the server's request accounting and
@@ -72,76 +106,38 @@ type Stats struct {
 // Stats snapshots the server's counters and state.
 func (s *Server) Stats() Stats {
 	inflight, queued, clients := s.adm.gauges()
-	return Stats{
-		Accepted:          s.cnt.accepted.Load(),
-		Completed:         s.cnt.completed.Load(),
-		RejectedQueueFull: s.cnt.rejectedQueueFull.Load(),
-		RejectedDraining:  s.cnt.rejectedDraining.Load(),
-		RejectedReadOnly:  s.cnt.rejectedReadOnly.Load(),
-		Shed:              s.cnt.shed.Load(),
-		QueueExpired:      s.cnt.queueExpired.Load(),
-		DeadlineExceeded:  s.cnt.deadlineExceeded.Load(),
-		Conflicts:         s.cnt.conflicts.Load(),
-		NotFound:          s.cnt.notFound.Load(),
-		Errors:            s.cnt.errors.Load(),
-		TxnRetries:        s.cnt.txnRetries.Load(),
-		ShedEnters:        s.cnt.shedEnters.Load(),
-		DegradedTrips:     s.cnt.degradedTrips.Load(),
-		Checkpoints:       s.cnt.checkpoints.Load(),
-		CheckpointGiveUps: s.cnt.checkpointGiveUps.Load(),
-		DrainCheckpoints:  s.cnt.drainCheckpoints.Load(),
-		Inflight:          inflight,
-		Queued:            queued,
-		Clients:           clients,
-		Draining:          s.draining.Load(),
-		ReadOnly:          s.readOnly.Load(),
-		Shedding:          s.shedding.Load(),
-		MinFreeFracSeen:   math.Float64frombits(s.cnt.minFreeFrac.Load()),
+	st := Stats{
+		Inflight:        inflight,
+		Queued:          queued,
+		Clients:         clients,
+		Draining:        s.draining.Load(),
+		ReadOnly:        s.readOnly.Load(),
+		Shedding:        s.shedding.Load(),
+		MinFreeFracSeen: math.Float64frombits(s.minFreeFrac.Load()),
 	}
+	for i, r := range counters(&st) {
+		*r.snap = s.cnt[i].Load()
+	}
+	return st
 }
 
-// ObsCounters implements obs.Source: the request/admission families plus
-// every buffer-manager counter and, when logging is enabled, WAL totals.
+// ObsCounters implements obs.Source: the server's named counters, then the
+// engine's.
 func (s *Server) ObsCounters() []obs.Sample {
 	st := s.Stats()
-	out := []obs.Sample{
-		{Name: "req_accepted", Value: st.Accepted},
-		{Name: "req_completed", Value: st.Completed},
-		{Name: "req_rejected_queue_full", Value: st.RejectedQueueFull},
-		{Name: "req_rejected_draining", Value: st.RejectedDraining},
-		{Name: "req_rejected_read_only", Value: st.RejectedReadOnly},
-		{Name: "req_shed", Value: st.Shed},
-		{Name: "req_queue_expired", Value: st.QueueExpired},
-		{Name: "req_deadline_exceeded", Value: st.DeadlineExceeded},
-		{Name: "req_conflicts", Value: st.Conflicts},
-		{Name: "req_not_found", Value: st.NotFound},
-		{Name: "req_errors", Value: st.Errors},
-		{Name: "txn_retries", Value: st.TxnRetries},
-		{Name: "shed_enters", Value: st.ShedEnters},
-		{Name: "degraded_trips", Value: st.DegradedTrips},
-		{Name: "checkpoints", Value: st.Checkpoints},
-		{Name: "checkpoint_give_ups", Value: st.CheckpointGiveUps},
+	var out []obs.Sample
+	for _, r := range counters(&st) {
+		if r.name != "" {
+			out = append(out, obs.Sample{Name: r.name, Value: *r.snap})
+		}
 	}
-	out = append(out, s.bm.ObsCounters()...)
-	if w := s.db.WAL(); w != nil {
-		appends, flushes, commits := w.Stats()
-		out = append(out,
-			obs.Sample{Name: "wal_appends", Value: appends},
-			obs.Sample{Name: "wal_flushes", Value: flushes},
-			obs.Sample{Name: "wal_commits", Value: commits},
-		)
-	}
-	return out
+	return append(out, s.db.ObsCounters()...)
 }
 
-// ObsGauges implements obs.Source: instantaneous admission occupancy,
-// robustness state (0/1 flags), buffer-pool headroom, the size of the
-// MVTO version store — which only grows while some transaction stays open,
-// so a stuck one shows from outside — and the log since the last
-// truncation, which the next request past the bound checkpoints away.
+// ObsGauges implements obs.Source: admission occupancy and the robustness
+// flags (0/1), then the engine's gauges.
 func (s *Server) ObsGauges() []obs.Sample {
 	st := s.Stats()
-	p := s.bm.Pressure()
 	b2i := func(b bool) int64 {
 		if b {
 			return 1
@@ -155,19 +151,6 @@ func (s *Server) ObsGauges() []obs.Sample {
 		{Name: "draining", Value: b2i(st.Draining)},
 		{Name: "read_only", Value: b2i(st.ReadOnly)},
 		{Name: "shedding", Value: b2i(st.Shedding)},
-		{Name: "dram_frames", Value: int64(p.DRAMFrames)},
-		{Name: "dram_free_frames", Value: int64(p.DRAMFree)},
-		{Name: "nvm_frames", Value: int64(p.NVMFrames)},
-		{Name: "nvm_free_frames", Value: int64(p.NVMFree)},
-		{Name: "min_free_millifrac", Value: int64(p.MinFreeFrac() * 1000)},
-		{Name: "nvm_degraded", Value: b2i(p.Degraded)},
-		{Name: "mvto_versions_retained", Value: int64(s.db.VersionsRetained())},
 	}
-	if w := s.db.WAL(); w != nil {
-		out = append(out,
-			obs.Sample{Name: "wal_shards", Value: int64(w.Shards())},
-			obs.Sample{Name: "wal_log_bytes", Value: w.LogBytes()},
-		)
-	}
-	return out
+	return append(out, s.db.ObsGauges()...)
 }

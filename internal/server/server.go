@@ -163,8 +163,9 @@ type Server struct {
 	logBound      int64
 	checkpointing atomic.Bool
 
-	cnt   counters
-	hists struct {
+	cnt         [nCounters]atomic.Int64 // indexed by the counters table's ids
+	minFreeFrac atomic.Uint64           // lowest free fraction sampled (math.Float64bits)
+	hists       struct {
 		get, put, del, scan, txn *metrics.Histogram
 		checkpointPause          *metrics.Histogram
 	}
@@ -191,7 +192,7 @@ func New(opts Options) (*Server, error) {
 		adm:     newAdmitter(opts.MaxInflight, opts.QueueDepth, opts.PerClientInflight, opts.PerClientQueue),
 		monStop: make(chan struct{}),
 	}
-	s.cnt.minFreeFrac.Store(math.Float64bits(1))
+	s.minFreeFrac.Store(math.Float64bits(1))
 	s.ctxPool.New = func() any {
 		return core.NewCtx(s.opts.Seed + s.ctxSeq.Add(1))
 	}
@@ -228,7 +229,7 @@ func (s *Server) Start(addr string) error {
 	s.srv = &http.Server{Handler: s.handler}
 	go func() {
 		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.cnt.errors.Add(1)
+			s.cnt[cErrors].Add(1)
 		}
 	}()
 	return nil
@@ -271,7 +272,7 @@ func (s *Server) Drain() error {
 	defer s.ctxPool.Put(cc)
 	cerr := s.checkpoint(cc)
 	if cerr == nil {
-		s.cnt.drainCheckpoints.Add(1)
+		s.cnt[cDrainCheckpoints].Add(1)
 	} else if err == nil {
 		err = fmt.Errorf("server: drain checkpoint: %w", cerr)
 	}
@@ -310,9 +311,9 @@ func (s *Server) checkpoint(cc *core.Ctx) error {
 		h.Observe(pause.Nanoseconds())
 	}
 	if err == nil {
-		s.cnt.checkpoints.Add(1)
+		s.cnt[cCheckpoints].Add(1)
 	} else {
-		s.cnt.checkpointGiveUps.Add(1)
+		s.cnt[cCheckpointGiveUps].Add(1)
 	}
 	return err
 }
@@ -389,11 +390,11 @@ func (s *Server) pollPressure() {
 	frac := p.MinFreeFrac()
 	s.noteFreeFrac(frac)
 	if p.Degraded && s.readOnly.CompareAndSwap(false, true) {
-		s.cnt.degradedTrips.Add(1)
+		s.cnt[cDegradedTrips].Add(1)
 	}
 	if frac < s.opts.ShedFreeFrac {
 		if s.shedding.CompareAndSwap(false, true) {
-			s.cnt.shedEnters.Add(1)
+			s.cnt[cShedEnters].Add(1)
 		}
 	} else if frac >= 2*s.opts.ShedFreeFrac {
 		s.shedding.CompareAndSwap(true, false)
@@ -404,11 +405,11 @@ func (s *Server) pollPressure() {
 // overload tests assert the pool never ran dry through Stats).
 func (s *Server) noteFreeFrac(frac float64) {
 	for {
-		old := s.cnt.minFreeFrac.Load()
+		old := s.minFreeFrac.Load()
 		if math.Float64frombits(old) <= frac {
 			return
 		}
-		if s.cnt.minFreeFrac.CompareAndSwap(old, math.Float64bits(frac)) {
+		if s.minFreeFrac.CompareAndSwap(old, math.Float64bits(frac)) {
 			return
 		}
 	}
@@ -455,7 +456,7 @@ func (s *Server) doTxn(reqCtx context.Context, cc *core.Ctx, fn func(cc *core.Ct
 		if !errors.Is(err, engine.ErrConflict) {
 			return err
 		}
-		s.cnt.txnRetries.Add(1)
+		s.cnt[cTxnRetries].Add(1)
 	}
 	return err
 }

@@ -347,11 +347,13 @@ func TestReadyAfterDataOutgrowsDRAM(t *testing.T) {
 	if err := obs.ValidatePrometheus(scrape); err != nil {
 		t.Fatalf("/metrics does not lint: %v", err)
 	}
-	// Each sample must be present; the checkpoint counters must have moved.
+	// Each sample must be present; the checkpoint counters and the bytes
+	// written to both data devices must have moved.
 	for name, min := range map[string]float64{
 		"spitfire_checkpoints_total": 1, "spitfire_checkpoint_pause_wall_ns_count": 1,
 		"spitfire_wal_log_bytes": 0, "spitfire_cleaner_wakeups_total": 0,
 		"spitfire_req_accepted_total": 0, "spitfire_inflight": 0,
+		"spitfire_ssd_bytes_written_total": 1, "spitfire_nvm_bytes_written_total": 1,
 	} {
 		m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(scrape)
 		if m == nil {
