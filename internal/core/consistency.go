@@ -12,9 +12,10 @@ import "fmt"
 //   - attached frames are not frozen (pins >= 0);
 //   - every attached NVM frame has a valid, checksummed header naming the
 //     same page (the durable self-identification recovery depends on);
-//   - a lent DRAM frame (frameMeta.lent) is clean and whole, its page has
-//     no NVM copy, and a frame that holds no page is not lent — the
-//     invariant that keeps SSD from rewriting a page while it is lent.
+//   - a lent DRAM frame (frameMeta.lent) is whole, its page has no NVM
+//     copy, and a frame that holds no page is not lent — the invariant that
+//     keeps anything but the frame's own write-back from rewriting a page
+//     while it is lent.
 //
 // The caller must be quiescent (no concurrent fetches, cleaners stopped).
 // It returns nil, or an error describing the first few violations found.
@@ -50,9 +51,9 @@ func (bm *BufferManager) CheckConsistency() error {
 					add("page %d: attached DRAM frame %d is frozen", pid, f)
 				}
 				if m := &bm.dram.meta[f]; m.lent.Load() != nil &&
-					(m.dirty.Load() || m.fg.Load() != nil || loc.nvmFrame != noFrame) {
-					add("page %d: lent DRAM frame %d is dirty %v, fine-grained %v, with NVM frame %d",
-						pid, f, m.dirty.Load(), m.fg.Load() != nil, loc.nvmFrame)
+					(m.fg.Load() != nil || loc.nvmFrame != noFrame) {
+					add("page %d: lent DRAM frame %d is fine-grained %v, with NVM frame %d",
+						pid, f, m.fg.Load() != nil, loc.nvmFrame)
 				}
 			}
 		}

@@ -121,6 +121,7 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	}
 	m.pid.Store(InvalidPageID)
 	m.dirty.Store(false)
+	m.diff.Store(0)
 	m.fg.Store(nil)
 	m.lent.Store(nil)
 	m.clAdmit.Store(false)
@@ -263,7 +264,10 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 // error is an unretryable I/O failure.
 func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) (obs.TierID, bool, error) {
 	p := bm.dram
-	m, src, base := &p.meta[v], p.frame(v), p.frameOffset(v)
+	// A lent frame's arena holds only the units its mask names. Only its
+	// SSD write-back reads it, and a store that lends reads just those units;
+	// a frame with an NVM copy is never lent.
+	m, src, base := &p.meta[v], p.arenaFrame(v), p.frameOffset(v)
 	if mini {
 		m, src, base = &p.mini.meta[v], p.mini.data(v), int64(v)*int64(p.mini.slotSize)
 	}
@@ -277,13 +281,15 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 		}
 		defer d.unlockS()
 		p.charge.ChargeRead(ctx.Clock, base, PageSize)
-		if err := bm.diskWritePage(ctx.Clock, d.pid, src); err != nil {
+		if err := bm.diskWritePage(ctx.Clock, d.pid, src, m.diff.Load()); err != nil {
 			return obs.TierNone, false, err
 		}
 		if fg != nil {
 			fg.lock()
 			fg.clearDirty()
 			fg.unlock()
+		} else {
+			m.diff.Store(0) // SSD now holds the whole copy; a fine-grained one keeps every bit
 		}
 		m.dirty.Store(false)
 		return obs.TierSSD, true, nil
@@ -328,26 +334,34 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 	}
 	if wrote {
 		nm.dirty.Store(true)
+		nm.diff.Or(m.diff.Load())
 	}
 	m.dirty.Store(false)
 	return obs.TierNVM, true, nil
 }
 
 // admitNVM installs DRAM frame v's contents into frozen NVM frame nf as page
-// d's NVM copy and publishes it (path ❹). Caller holds d.latchN and both
-// frames. It reports false if the install failed (the error is already
-// retried, counted and noted against the tier): nf is back on the free list
-// and d is untouched, since admission is an optimization the caller can skip.
+// d's NVM copy and publishes it (path ❹). A lent frame's page is composed in
+// the NVM frame from the lent page and the units the arena holds. Caller
+// holds d.latchN and both frames. It reports false if the install failed (the
+// error is already retried, counted and noted against the tier): nf is back
+// on the free list and d is untouched, since admission is an optimization the
+// caller can skip.
 func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bool) bool {
 	p := bm.dram
+	page, over, units := p.arenaFrame(v), []byte(nil), uint64(0)
+	if l := p.meta[v].lent.Load(); l != nil {
+		page, over, units = l[:], page, p.meta[v].diff.Load()
+	}
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, p.frame(v)); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, over, units); err != nil {
 		bm.nvm.release(nf)
 		return false
 	}
 	nm := &bm.nvm.meta[nf]
 	nm.pid.Store(d.pid)
 	nm.dirty.Store(dirty)
+	nm.diff.Store(p.meta[v].diff.Load())
 	nm.clAdmit.Store(ctx.cleaner)
 	if ctx.cleaner {
 		bm.count(ctx.Clock, cCleanerAdmittedNVM)
@@ -406,11 +420,12 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		if !d.tryLockS() {
 			return false, nil
 		}
-		// The store copies straight out of the NVM arena: frame v is frozen
-		// and we hold latchN, so nothing writes it while the view is in use.
+		// The store copies straight out of the NVM arena, and only the units
+		// the frame's mask names: frame v is frozen and we hold latchN, so
+		// nothing writes it while the view is in use.
 		page, err := bm.nvmViewPayload(ctx.Clock, v)
 		if err == nil {
-			err = bm.diskWritePage(ctx.Clock, d.pid, page)
+			err = bm.diskWritePage(ctx.Clock, d.pid, page, bm.nvm.meta[v].diff.Load())
 		}
 		d.unlockS()
 		if err != nil {

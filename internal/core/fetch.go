@@ -7,6 +7,7 @@ import (
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
@@ -139,7 +140,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 		}
 
 		// Miss on both buffers: fetch from SSD.
-		h, err := bm.fetchMiss(ctx, d, pol, intent)
+		h, err := bm.fetchMiss(ctx, d, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +214,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 		return nil, nil // DRAM churn; serve from NVM this time
 	}
 	if fg == nil {
-		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.own(f)); err != nil {
+		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.arenaFrame(f)); err != nil {
 			p.release(f)
 			if errors.Is(err, device.ErrPermanent) && !errors.Is(err, device.ErrCrashed) {
 				// nvmReadPayload already degraded the tier; the caller's retry
@@ -224,7 +225,11 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 		}
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
 	}
-	p.attach(d, f, false, fg)
+	diff := ssd.AllUnits
+	if fg == nil {
+		diff = bm.nvm.meta[nf].diff.Load()
+	}
+	p.attach(d, f, false, diff, fg)
 	bm.count(ctx.Clock, cMigNVMToDRAM)
 	return ctx.handle(bm, d, tier, f, howMigrated), nil
 }
@@ -232,13 +237,13 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 // fetchMiss brings page d in from SSD. With probability Nr it installs the
 // page in the NVM buffer (path ❼ of Figure 3); otherwise it bypasses NVM
 // and loads straight into DRAM (path ❾, §3.3). It returns (nil, nil) if a
-// concurrent fetch installed the page first. A read-intent load into DRAM
-// borrows the store's page rather than copying it (loadFrame).
+// concurrent fetch installed the page first. A load into DRAM borrows the
+// store's page rather than copying it (loadFrame).
 //
 // If the NVM route fails with an I/O error and a DRAM tier exists, the fetch
 // falls back to the DRAM route: a dying NVM buffer degrades service rather
 // than failing reads the SSD can still satisfy.
-func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy, intent Intent) (*Handle, error) {
+func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) (*Handle, error) {
 	toNVM := bm.nvm != nil && !bm.nvmDown() && (bm.dram == nil || ctx.bernoulli(pol.Nr))
 
 	if toNVM {
@@ -264,38 +269,37 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy, 
 	if err != nil {
 		return nil, err
 	}
-	if err := bm.loadFrame(ctx.Clock, d.pid, f, intent); err != nil {
+	if err := bm.loadFrame(ctx.Clock, d.pid, f); err != nil {
 		bm.dram.release(f)
 		return nil, fmt.Errorf("core: fetch page %d: %w", d.pid, err)
 	}
 	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-	bm.dram.attach(d, f, false, nil)
+	bm.dram.attach(d, f, false, 0, nil)
 	bm.count(ctx.Clock, cSSDToDRAM)
 	return ctx.handle(bm, d, TierDRAM, f, howMissDRAM), nil
 }
 
-// loadFrame reads page pid from SSD into frozen DRAM frame f. For a read
-// intent it asks the store to lend the page instead, and a store that can
-// keeps the copy: the frame reads the store's bytes until a writer takes
-// them over (dramPool.own). Both charge the same device read, and the caller
-// charges the frame's DRAM write either way, so simulated time does not
-// depend on which it was. Lending is safe because nothing writes the page to
-// SSD while it is lent: the frame is clean and the page has no NVM copy (the
-// caller found none, and none appears while a DRAM copy exists), and SSD is
-// written only from a dirty copy or by SeedPage, which refuses a buffered
-// page.
-func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32, intent Intent) error {
-	if intent == ReadIntent {
-		page, ok, err := bm.diskLendPage(c, pid)
-		if err != nil {
-			return err
-		}
-		if ok {
-			bm.dram.meta[f].lent.Store((*[PageSize]byte)(page))
-			return nil
-		}
+// loadFrame loads page pid from SSD into frozen DRAM frame f. It asks the
+// store to lend the page, and a store that can keeps the copy: the frame
+// reads the store's bytes, and writers take over only the units they touch
+// (dramPool.ownUnits). A store that declines is read into the arena. Both
+// charge the same device read, and the caller charges the frame's DRAM write
+// either way, so simulated time does not depend on which it was. Lending is
+// safe because only the frame writes the page to SSD while it is lent: the
+// page has no NVM copy (the caller found none, and none appears while a DRAM
+// copy exists), SeedPage refuses a buffered page, and the frame's own
+// write-back (writeDown, on the frozen frame) copies the units it took over
+// into the lent page, which then holds the frame's whole image.
+func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32) error {
+	page, ok, err := bm.diskLendPage(c, pid)
+	if err != nil {
+		return err
 	}
-	return bm.diskReadPage(c, pid, bm.dram.own(f))
+	if ok {
+		bm.dram.meta[f].lent.Store((*[PageSize]byte)(page))
+		return nil
+	}
+	return bm.diskReadPage(c, pid, bm.dram.arenaFrame(f))
 }
 
 // readPage returns page pid read from SSD: the page the store lends, or a
@@ -334,11 +338,11 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 		bm.nvm.release(nf)
 		return nil, err
 	}
-	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, nil, 0); err != nil {
 		bm.nvm.release(nf)
 		return nil, err
 	}
-	bm.nvm.attach(d, nf, false, nil)
+	bm.nvm.attach(d, nf, false, 0, nil)
 	bm.count(ctx.Clock, cSSDToNVM)
 	return ctx.handle(bm, d, TierNVM, nf, howMissNVM), nil
 }
@@ -377,12 +381,12 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr := bm.dram.own(f)
+		fr := bm.dram.arenaFrame(f)
 		for i := range fr {
 			fr[i] = 0
 		}
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-		bm.dram.attach(d, f, true, nil)
+		bm.dram.attach(d, f, true, ssd.AllUnits, nil)
 		return ctx.handle(bm, d, TierDRAM, f, howNone), nil
 	}
 
@@ -392,11 +396,11 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bm.installNVMPage(ctx.Clock, nf, pid, zeroPage[:]); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, pid, zeroPage[:], nil, 0); err != nil {
 		bm.nvm.release(nf)
 		return nil, fmt.Errorf("core: materialize page %d: %w", pid, err)
 	}
-	bm.nvm.attach(d, nf, true, nil)
+	bm.nvm.attach(d, nf, true, ssd.AllUnits, nil)
 	return ctx.handle(bm, d, TierNVM, nf, howNone), nil
 }
 
@@ -430,7 +434,7 @@ func (bm *BufferManager) SeedPage(ctx *Ctx, pid PageID, data []byte) error {
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		err = fmt.Errorf("core: seed page %d: the page is buffered", pid)
 	} else {
-		err = bm.diskWritePage(ctx.Clock, pid, data)
+		err = bm.diskWritePage(ctx.Clock, pid, data, ssd.AllUnits)
 	}
 	d.unlockS()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/spitfire-db/spitfire/internal/lockcheck"
+	"github.com/spitfire-db/spitfire/internal/ssd"
 )
 
 // Tier identifies where a pinned page copy resides.
@@ -122,7 +123,7 @@ func (h *Handle) ReadAt(ctx *Ctx, off int, buf []byte) error {
 			return h.fgRead(ctx, fg, off, buf)
 		}
 		p.charge.ChargeRead(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(buf))
-		copy(buf, p.frame(h.frame)[off:off+len(buf)])
+		p.read(h.frame, off, buf)
 		return nil
 	case TierMini:
 		return h.miniAccess(ctx, off, buf, nil)
@@ -152,8 +153,9 @@ func (h *Handle) WriteAt(ctx *Ctx, off int, data []byte) error {
 			return h.fgWrite(ctx, fg, off, data)
 		}
 		p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
-		copy(p.own(h.frame)[off:off+len(data)], data)
+		copy(p.ownUnits(h.frame, off, len(data))[off:off+len(data)], data)
 		p.meta[h.frame].markDirty()
+		p.meta[h.frame].markDiff(unitMask(off, len(data)))
 		return nil
 	case TierMini:
 		return h.miniAccess(ctx, off, nil, data)
@@ -162,6 +164,7 @@ func (h *Handle) WriteAt(ctx *Ctx, off int, data []byte) error {
 			return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 		}
 		h.bm.nvm.meta[h.frame].markDirty()
+		h.bm.nvm.meta[h.frame].markDiff(unitMask(off, len(data)))
 		return nil
 	}
 	return fmt.Errorf("core: unknown tier %v", h.tier)
@@ -223,7 +226,7 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 	for _, u := range need {
 		uo := u * fg.unit
 		src := h.bm.nvm.pm.Bytes(h.bm.nvm.payloadOffset(nf)+int64(uo), fg.unit)
-		copy(p.own(h.frame)[uo:uo+fg.unit], src)
+		copy(p.arenaFrame(h.frame)[uo:uo+fg.unit], src)
 		fg.setResident(u)
 		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
@@ -243,7 +246,7 @@ func (h *Handle) fgRead(ctx *Ctx, fg *fgState, off int, buf []byte) error {
 		return err
 	}
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(buf))
-	copy(buf, p.frame(h.frame)[off:off+len(buf)])
+	copy(buf, p.arenaFrame(h.frame)[off:off+len(buf)])
 	fg.unlock()
 	return nil
 }
@@ -261,7 +264,7 @@ func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 		return err
 	}
 	p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
-	copy(p.own(h.frame)[off:off+len(data)], data)
+	copy(p.arenaFrame(h.frame)[off:off+len(data)], data)
 	for u := first; u <= last; u++ {
 		fg.setDirty(u)
 	}
@@ -354,6 +357,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 				h.bm.nvm.meta[nf].dirty.Store(true)
+				h.bm.nvm.meta[nf].markDiff(ssd.AllUnits)
 			}
 			continue
 		}
@@ -403,7 +407,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	}
 
 	newFG := newFullFG(fg.unit)
-	full := h.bm.dram.own(f)
+	full := h.bm.dram.arenaFrame(f)
 	fg.lock()
 	src := mp.data(h.frame)
 	for s := 0; s < fg.slotCount; s++ {
@@ -421,6 +425,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	dirty := m.dirty.Load()
 	h.bm.dram.meta[f].pid.Store(h.d.pid)
 	h.bm.dram.meta[f].dirty.Store(dirty)
+	h.bm.dram.meta[f].diff.Store(ssd.AllUnits)
 	h.bm.dram.meta[f].fg.Store(newFG)
 
 	// Full-frame slot first, mini slot second: a lock-free reader that finds

@@ -1,33 +1,36 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/testutil"
 	"github.com/spitfire-db/spitfire/internal/zipf"
 )
 
 // TestLentFramesUnderWriters is the model test of lent DRAM frames
-// (frameMeta.lent, dramPool.own): pinned readers and writers share frames
-// whose bytes an SSD store lent on a read miss, while evictions, the cleaner
-// and re-fetches recycle the frames under them. Every read must see the
-// page's newest bytes, and afterwards every page's durable image — its NVM
-// copy, or else its SSD page — must hold every write.
+// (frameMeta.lent, dramPool.ownUnits and read): pinned readers and writers
+// share frames whose bytes an SSD store lent on a miss, while evictions, the
+// cleaner and re-fetches recycle the frames under them. Every read must see
+// the page's newest bytes, and afterwards every page's durable image — its
+// NVM copy, or else its SSD page — must hold every write.
 //
 // The model is TestOptimisticPinVsEvict's: every unit of page pid starts
 // with pid, and worker w keeps a counter behind the stamp of unit w that only
-// it writes, so writers own distinct units. Most fetches are read-intent, so
-// most misses lend, and a third of all accesses write, mostly through
-// read-intent handles: the first of them copies the lent page in while other
-// workers read and write the same frame. A writer that wrote the arena
-// without copying the page in would tear the stamps; one that left the page
-// lent would lose its write; an eviction that left a frame lent trips own's
-// check when a write-intent miss refills the frame. Run it with -cpu 1,2,4,
-// under -race and -race -tags lockcheck.
+// it writes, so writers own distinct units. Every miss into DRAM lends, and
+// a third of all accesses write 8 bytes inside the writer's unit, so each
+// write takes one unit of a lent frame over while other workers read other
+// units from the lent page and write their own. A writer that took a unit
+// over without copying it in would tear its stamp; a reader that ignored the
+// frame's mask would miss a write; an admission or write-back that dropped
+// the taken-over units would lose them. Run it with -cpu 1,2,4, under -race
+// and -race -tags lockcheck.
 func TestLentFramesUnderWriters(t *testing.T) {
 	const (
 		pages   = 24 // the DRAM buffers below hold 4 frames
@@ -151,4 +154,108 @@ func TestLentFramesUnderWriters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLentFrameTakesWritesByUnit: a miss into DRAM borrows the store's page
+// whatever the intent, and a write takes over only the units it touches. The
+// frame reads the lent page with those units on top; a checkpoint copies
+// just them into the store's page, which the frame keeps; an admission to
+// NVM composes the page in the NVM frame at the charges of an install from
+// a frame that owns its whole page (a store that declines to lend).
+func TestLentFrameTakesWritesByUnit(t *testing.T) {
+	seeded := func() []byte {
+		p := make([]byte, PageSize)
+		marker(p, 0, 0)
+		return p
+	}
+	write := func(t *testing.T, bm *BufferManager, ctx *Ctx, off int, data []byte) *Handle {
+		t.Helper()
+		h, err := bm.FetchPage(ctx, 0, WriteIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.WriteAt(ctx, off, data); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	t.Run("checkpoint", func(t *testing.T) {
+		store := &countingStore{Store: ssd.NewMem(nil)}
+		bm := newBM(t, Config{DRAMBytes: 4 * PageSize, Policy: policy.Policy{Dr: 1, Dw: 1}, SSD: store})
+		defer bm.Close()
+		seed(t, bm, 1)
+		*store = countingStore{Store: store.Store}
+		ctx := NewCtx(51)
+		want := seeded()
+		h := write(t, bm, ctx, 5*ssd.UnitSize+10, []byte{1, 2, 3})
+		m := &bm.dram.meta[h.frame]
+		if store.lends != 1 || store.reads != 0 || m.lent.Load() == nil || m.diff.Load() != 1<<5 {
+			t.Fatalf("write-intent miss: %d lends, %d reads, lent %v, mask %#x; want 1, 0, true, unit 5",
+				store.lends, store.reads, m.lent.Load() != nil, m.diff.Load())
+		}
+		lent := m.lent.Load()[:]
+		if !bytes.Equal(lent, want) {
+			t.Fatal("a write reached the lent page")
+		}
+		copy(want[5*ssd.UnitSize+10:], []byte{1, 2, 3})
+		got := make([]byte, PageSize)
+		if err := h.ReadAt(ctx, 0, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("the lent frame reads back wrong (err %v)", err)
+		}
+		h.Release()
+		if err := bm.FlushDirtyDRAM(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if store.writes != 1 || store.units != 1<<5 || !bytes.Equal(lent, want) {
+			t.Fatalf("checkpoint: %d writes of units %#x; the store's page holds the write: %v",
+				store.writes, store.units, bytes.Equal(lent, want))
+		}
+		if m.lent.Load() == nil || m.diff.Load() != 0 || m.dirty.Load() {
+			t.Fatal("after its checkpoint the frame should stay lent, clean, with an empty mask")
+		}
+		if err := bm.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("admission", func(t *testing.T) {
+		admit := func(decline bool) ([]byte, device.Stats) {
+			store := &countingStore{Store: ssd.NewMem(nil), decline: decline}
+			bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot,
+				Policy: policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}, SSD: store})
+			defer bm.Close()
+			seed(t, bm, 1)
+			ctx := NewCtx(52)
+			h := write(t, bm, ctx, 9*ssd.UnitSize, bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+			v := h.frame
+			if lent := bm.dram.meta[v].lent.Load() != nil; lent == decline {
+				t.Fatalf("frame lent = %v with a store that declines = %v", lent, decline)
+			}
+			h.Release()
+			before := bm.nvm.pm.Device().Stats()
+			evictCopy(t, &bm.dram.basePool, ctx, v)
+			nf := bm.descriptorFor(0).nvmFrame.Load()
+			if nf == noFrame {
+				t.Fatal("the dirty page was not admitted to NVM")
+			}
+			after := bm.nvm.pm.Device().Stats()
+			after.ReadOps -= before.ReadOps
+			after.WriteOps -= before.WriteOps
+			after.BytesRead -= before.BytesRead
+			after.BytesWritten -= before.BytesWritten
+			return append([]byte(nil), bm.nvm.pm.Bytes(bm.nvm.payloadOffset(nf), PageSize)...), after
+		}
+		lentPage, lentCharges := admit(false)
+		ownedPage, ownedCharges := admit(true)
+		want := seeded()
+		copy(want[9*ssd.UnitSize:], bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+		if !bytes.Equal(lentPage, want) || !bytes.Equal(ownedPage, want) {
+			t.Fatalf("the NVM copy is wrong: composed from a lent frame %v, from an owned one %v",
+				bytes.Equal(lentPage, want), bytes.Equal(ownedPage, want))
+		}
+		if lentCharges != ownedCharges {
+			t.Fatalf("admitting a lent frame charged NVM %+v, an owned one %+v", lentCharges, ownedCharges)
+		}
+	})
 }

@@ -12,13 +12,15 @@ import (
 )
 
 // countingStore counts the calls the manager makes into an SSD store and
-// keeps the first byte of the last page it was handed to write. With decline
-// set it refuses to lend, as a FileStore does. Single-goroutine tests only.
+// keeps the first byte of the last page it was handed to write and that
+// write's unit mask. With decline set it refuses to lend, as a FileStore
+// does. Single-goroutine tests only.
 type countingStore struct {
 	ssd.Store
 	decline              bool
 	lends, reads, writes int
 	wrote                *byte
+	units                uint64
 }
 
 func (s *countingStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
@@ -35,9 +37,13 @@ func (s *countingStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error 
 }
 
 func (s *countingStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
+	return s.WriteUnits(c, pid, buf, ssd.AllUnits)
+}
+
+func (s *countingStore) WriteUnits(c *vclock.Clock, pid uint64, buf []byte, units uint64) error {
 	s.writes++
-	s.wrote = &buf[0]
-	return s.Store.WritePage(c, pid, buf)
+	s.wrote, s.units = &buf[0], units
+	return s.Store.WriteUnits(c, pid, buf, units)
 }
 
 // toNVM sends every miss and every new page to NVM and never migrates up.
@@ -145,7 +151,7 @@ func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
 				t.Fatalf("evict NVM copy: %v", err)
 			}
 			if store.writes != 1 || store.wrote != arena {
-				t.Fatalf("NVM→SSD write-back made %d WritePage calls; aliases the NVM frame: %v",
+				t.Fatalf("NVM→SSD write-back made %d store writes; aliases the NVM frame: %v",
 					store.writes, store.wrote == arena)
 			}
 			if st := bm.Stats(); st.SSDToNVM != 1 || st.NVMToSSD != 1 {
@@ -161,6 +167,146 @@ func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
 			}
 		})
 	}
+}
+
+// evictCopy evicts the page in frame v of pool p the way the victim search
+// does, and frees the frame.
+func evictCopy(t *testing.T, p *basePool, ctx *Ctx, v int32) {
+	t.Helper()
+	if !p.meta[v].tryFreeze() {
+		t.Fatalf("%v frame %d is pinned", p.tier, v)
+	}
+	if ok, err := p.evict(ctx, v); !ok {
+		t.Fatalf("evict %v frame %d: %v", p.tier, v, err)
+	}
+	p.release(v)
+}
+
+// writeUnit5 overwrites unit 5 of page pid, bytes [1280, 1536), with b.
+func writeUnit5(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID, b byte) {
+	t.Helper()
+	h, err := bm.FetchPage(ctx, pid, WriteIntent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if err := h.WriteAt(ctx, 5*ssd.UnitSize, bytes.Repeat([]byte{b}, ssd.UnitSize)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteBackHandsStoreChangedUnits pins the write-back mask each path
+// hands the SSD store. One 256-B write at unit 5 of a page loaded from SSD
+// reaches the store as that unit alone, whether the NVM copy is written back
+// (❽), or a DRAM-only copy is, by eviction or by a checkpoint; a checkpoint
+// leaves the copy's mask empty, so the next one hands only what changed
+// since. A new page and an NVM frame found by Recover hand every unit.
+func TestWriteBackHandsStoreChangedUnits(t *testing.T) {
+	dramOnly := policy.Policy{Dr: 1, Dw: 1}
+	expect := func(t *testing.T, store *countingStore, writes int, units uint64) {
+		t.Helper()
+		if store.writes != writes || store.units != units {
+			t.Fatalf("the store saw %d writes, the last with units %#x; want %d and %#x",
+				store.writes, store.units, writes, units)
+		}
+	}
+	newStore := func(t *testing.T, cfg Config) (*BufferManager, *countingStore) {
+		store := &countingStore{Store: ssd.NewMem(nil)}
+		cfg.SSD = store
+		bm := newBM(t, cfg)
+		t.Cleanup(bm.Close)
+		seed(t, bm, 1)
+		*store = countingStore{Store: store.Store}
+		return bm, store
+	}
+
+	t.Run("NVM to SSD", func(t *testing.T) {
+		bm, store := newStore(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM})
+		ctx := NewCtx(46)
+		writeUnit5(t, bm, ctx, 0, 0xEE)
+		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
+			t.Fatal(err)
+		}
+		expect(t, store, 1, 1<<5)
+	})
+
+	t.Run("DRAM to SSD on eviction", func(t *testing.T) {
+		bm, store := newStore(t, Config{DRAMBytes: 4 * PageSize, Policy: dramOnly})
+		ctx := NewCtx(47)
+		writeUnit5(t, bm, ctx, 0, 0xEE)
+		evictCopy(t, &bm.dram.basePool, ctx, bm.descriptorFor(0).dramFrame.Load())
+		expect(t, store, 1, 1<<5)
+	})
+
+	t.Run("DRAM to SSD on checkpoint", func(t *testing.T) {
+		bm, store := newStore(t, Config{DRAMBytes: 4 * PageSize, Policy: dramOnly})
+		ctx := NewCtx(48)
+		writeUnit5(t, bm, ctx, 0, 0xEE)
+		if err := bm.FlushDirtyDRAM(ctx); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, store, 1, 1<<5)
+		h, err := bm.FetchPage(ctx, 0, WriteIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.WriteAt(ctx, 7*ssd.UnitSize+10, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if err := bm.FlushDirtyDRAM(ctx); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, store, 2, 1<<7)
+	})
+
+	t.Run("new page", func(t *testing.T) {
+		for name, pol := range map[string]policy.Policy{"DRAM": dramOnly, "NVM": toNVM} {
+			t.Run(name, func(t *testing.T) {
+				bm, store := newStore(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: pol})
+				ctx := NewCtx(49)
+				pid, h, err := bm.NewPage(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Tier().String() != name {
+					t.Fatalf("new page placed in %v, want %s", h.Tier(), name)
+				}
+				h.Release()
+				writeUnit5(t, bm, ctx, pid, 0xEE)
+				if name == "DRAM" {
+					evictCopy(t, &bm.dram.basePool, ctx, bm.descriptorFor(pid).dramFrame.Load())
+				} else if ok, err := evictNVMCopy(t, bm, ctx, pid); !ok {
+					t.Fatal(err)
+				}
+				expect(t, store, 1, ssd.AllUnits)
+			})
+		}
+	})
+
+	t.Run("recovered NVM frame", func(t *testing.T) {
+		cfg, _, _ := crashConfig(4)
+		cfg.Policy = toNVM
+		bm, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed(t, bm, 1)
+		ctx := NewCtx(50)
+		writeUnit5(t, bm, ctx, 0, 0xEE)
+		bm.Close()
+		store := &countingStore{Store: cfg.SSD}
+		cfg.SSD = store
+		bm, err = Recover(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bm.Close()
+		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
+			t.Fatal(err)
+		}
+		expect(t, store, 1, ssd.AllUnits)
+	})
 }
 
 // movesSnapshot is what the fault cases compare before and after a move:

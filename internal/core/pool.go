@@ -12,6 +12,7 @@ import (
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/pmem"
+	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
@@ -27,24 +28,39 @@ import (
 // tier's detach), so a fetcher that pins the frame and then reads its own
 // page id there knows the frame holds that page until it unpins.
 //
-// lent is set on a DRAM full frame whose page an SSD store lent it on a read
-// miss (ssd.Store.Lend): the frame's bytes are then the store's, and the
-// arena slice is unused until the first writer copies them in (dramPool.own,
-// which takes the owning flag to do it once). A lent frame is clean, whole
-// (fg nil) and its page has no NVM copy; CheckConsistency asserts it.
+// lent is set on a DRAM full frame whose page an SSD store lent it on a miss
+// (ssd.Store.Lend) and stays set until the frame is evicted or released. The
+// frame's bytes are the store's page, except the units its write-back mask
+// (diff) names, which writers took over into the arena (dramPool.ownUnits,
+// under the owning flag) and which are the only units of the arena in use. A
+// lent frame is whole (fg nil) and its page has no NVM copy;
+// CheckConsistency asserts it.
+//
+// diff is a DRAM full frame's or an NVM frame's write-back mask: bit u set
+// means unit u of the copy (ssd.UnitSize bytes at u*ssd.UnitSize) may differ
+// from the page's SSD image, so a write-back to SSD hands the store only
+// those units (ssd.Store.WriteUnits). It may over-report, never under-report;
+// on a lent frame it is exact: the units the arena holds.
+// A copy loaded from SSD starts at 0 and a whole DRAM copy written to SSD
+// returns to 0; writers OR in the units they touch (markDiff); a copy made
+// from another copy inherits its mask (❻, ❹), and a DRAM copy written down
+// to NVM ORs its mask into the NVM copy's. Fine-grained and mini copies, their
+// NVM write-throughs, new pages and recovered NVM frames carry every bit.
+// attach stores the initial mask before it publishes the slot; every other
+// read or reset happens on a frozen frame.
 type frameMeta struct {
 	pid     atomic.Uint64
 	pins    atomic.Int32
 	dirty   atomic.Bool
 	clAdmit atomic.Bool                    // NVM frames: page was admitted by the background cleaner
-	owning  atomic.Bool                    // DRAM full frames: a writer is copying the lent page in
+	owning  atomic.Bool                    // DRAM full frames: a writer is copying lent units in
 	fg      atomic.Pointer[fgState]        // fine-grained residency; DRAM full frames only
 	lent    atomic.Pointer[[PageSize]byte] // DRAM full frames: the store's page, or nil
 	// hdr stages an NVM frame's header for writeHeader, which only the
 	// frame's exclusive owner calls (the frame is frozen), so the one copy
 	// per frame needs no lock and the header no allocation.
-	hdr [16]byte
-	_   [8]byte
+	hdr  [16]byte
+	diff atomic.Uint64
 }
 
 // tryPin attempts to pin the frame; it fails if the frame is frozen.
@@ -77,6 +93,22 @@ func (f *frameMeta) markDirty() {
 	if !f.dirty.Load() {
 		f.dirty.Store(true)
 	}
+}
+
+// markDiff records that the units in mask may now differ from the page's SSD
+// image. Like markDirty it tests before it sets, so a rewrite of the same
+// units leaves the frame's line shared.
+func (f *frameMeta) markDiff(mask uint64) {
+	if f.diff.Load()&mask != mask {
+		f.diff.Or(mask)
+	}
+}
+
+// unitMask is the write-back mask of the units that bytes [off, off+n) of a
+// page touch (n > 0).
+func unitMask(off, n int) uint64 {
+	first, last := off/ssd.UnitSize, (off+n-1)/ssd.UnitSize
+	return ssd.AllUnits >> (63 - last) &^ (1<<first - 1)
 }
 
 // tryFreeze attempts to take exclusive ownership of an unpinned frame.
@@ -240,14 +272,15 @@ func (p *basePool) pinPage(f int32, pid PageID) bool {
 }
 
 // attach publishes frozen frame f — already holding page d's bytes — as d's
-// copy in this pool, pinned once for the caller (the inverse of evict). fg is
-// the frame's fine-grained residency state, nil for a whole page. Caller holds
-// the pool's tier latch on d. The order is what pinPage relies on: tag the
-// frame, publish the slot, thaw last.
-func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
+// copy in this pool, pinned once for the caller (the inverse of evict). diff
+// is the copy's initial write-back mask and fg its fine-grained residency
+// state, nil for a whole page. Caller holds the pool's tier latch on d. The
+// order is what pinPage relies on: tag the frame, publish the slot, thaw last.
+func (p *basePool) attach(d *descriptor, f int32, dirty bool, diff uint64, fg *fgState) {
 	m := &p.meta[f]
 	m.pid.Store(d.pid)
 	m.dirty.Store(dirty)
+	m.diff.Store(diff)
 	m.fg.Store(fg)
 	m.clAdmit.Store(false)
 	d.lockMu()
@@ -263,6 +296,7 @@ func (p *basePool) attach(d *descriptor, f int32, dirty bool, fg *fgState) {
 func (p *basePool) release(f int32) {
 	p.meta[f].pid.Store(InvalidPageID)
 	p.meta[f].dirty.Store(false)
+	p.meta[f].diff.Store(0)
 	p.meta[f].fg.Store(nil)
 	p.meta[f].lent.Store(nil)
 	p.meta[f].clAdmit.Store(false)
@@ -338,38 +372,70 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 	return dp, nil
 }
 
-// frame is the read view of full frame i: the page an SSD store lent it, or
-// its arena slice. Writers go through own instead.
-func (p *dramPool) frame(i int32) []byte {
-	if l := p.meta[i].lent.Load(); l != nil {
-		return l[:]
+// read copies bytes [off, off+len(buf)) of full frame i into buf. A lent
+// frame's units come from the arena where its write-back mask names them and
+// from the lent page elsewhere (ownUnits says when a bit is set).
+func (p *dramPool) read(i int32, off int, buf []byte) {
+	m := &p.meta[i]
+	l := m.lent.Load()
+	if l == nil {
+		copy(buf, p.arenaFrame(i)[off:])
+		return
 	}
-	return p.arenaFrame(i)
+	diff, mask := m.diff.Load(), unitMask(off, len(buf))
+	arena := p.arenaFrame(i)
+	switch diff & mask {
+	case 0:
+		copy(buf, l[off:])
+		return
+	case mask:
+		copy(buf, arena[off:])
+		return
+	}
+	for n := 0; n < len(buf); {
+		u := (off + n) / ssd.UnitSize
+		src := l[:]
+		if diff&(1<<u) != 0 {
+			src = arena
+		}
+		n += copy(buf[n:], src[off+n:min((u+1)*ssd.UnitSize, off+len(buf))])
+	}
 }
 
-// own returns full frame i's arena slice for writing; every write of a full
-// frame's bytes goes through it. A lent frame is copied into the arena once,
-// by the first writer, while later writers wait on the owning flag; readers
-// meanwhile keep reading the lent page, which nothing writes while it is
-// lent. The caller pins frame i, or holds it frozen: a frozen frame is never
-// lent, because evict and release clear the pointer, and one that is
-// reports a bug.
-func (p *dramPool) own(i int32) []byte {
+// ownUnits returns full frame i's arena slice for a write of bytes
+// [off, off+n); every write of a pinned full frame goes through it. On a
+// lent frame it first takes the units the write touches over, under the
+// owning flag so that two writers of one unit copy it once: it copies in
+// from the lent page each unit the write covers only in part, then sets the
+// units' bits in the write-back mask. From then on the arena holds every
+// byte of those units except the ones the caller is about to write, which no
+// other pinner may read meanwhile. Readers of other units keep reading the
+// lent page, which nothing writes while the frame is pinned.
+func (p *dramPool) ownUnits(i int32, off, n int) []byte {
 	m := &p.meta[i]
-	if m.lent.Load() != nil {
-		if m.pins.Load() < 0 {
-			panic(fmt.Sprintf("core: frozen DRAM frame %d is still lent", i))
-		}
-		for j := 0; !m.owning.CompareAndSwap(false, true); j++ {
-			backoff(j)
-		}
-		if l := m.lent.Load(); l != nil {
-			copy(p.arenaFrame(i), l[:])
-			m.lent.Store(nil)
-		}
-		m.owning.Store(false)
+	mask := unitMask(off, n)
+	if m.lent.Load() == nil || m.diff.Load()&mask == mask {
+		return p.arenaFrame(i)
 	}
-	return p.arenaFrame(i)
+	for j := 0; !m.owning.CompareAndSwap(false, true); j++ {
+		backoff(j)
+	}
+	arena, l := p.arenaFrame(i), m.lent.Load()
+	if need := mask &^ m.diff.Load(); need != 0 {
+		// Only the first and last units can be partly covered.
+		first, last := off/ssd.UnitSize, (off+n-1)/ssd.UnitSize
+		partial := uint64(0)
+		if off%ssd.UnitSize != 0 {
+			partial |= 1 << first
+		}
+		if (off+n)%ssd.UnitSize != 0 {
+			partial |= 1 << last
+		}
+		ssd.CopyUnits(arena, l[:], need&partial)
+		m.diff.Or(need)
+	}
+	m.owning.Store(false)
+	return arena
 }
 
 // arenaFrame is full frame i's slice of the arena, lent or not.
@@ -486,6 +552,23 @@ func (p *nvmPool) writePayload(c *vclock.Clock, i int32, off int, data []byte) e
 		return fmt.Errorf("core: nvm frame %d write: %w", i, err)
 	}
 	if err := p.pm.PersistErr(c, base, len(data)); err != nil {
+		return fmt.Errorf("core: nvm frame %d persist: %w", i, err)
+	}
+	return nil
+}
+
+// writePage is writePayload of a whole page whose units named in units come
+// from over instead of data. It charges and persists the one page write; the
+// overlay lands in the range that write just covered, before the persist.
+func (p *nvmPool) writePage(c *vclock.Clock, i int32, data, over []byte, units uint64) error {
+	base := p.payloadOffset(i)
+	if err := p.pm.WriteErr(c, base, data); err != nil {
+		return fmt.Errorf("core: nvm frame %d write: %w", i, err)
+	}
+	if units != 0 {
+		ssd.CopyUnits(p.pm.Bytes(base, PageSize), over, units)
+	}
+	if err := p.pm.PersistErr(c, base, PageSize); err != nil {
 		return fmt.Errorf("core: nvm frame %d persist: %w", i, err)
 	}
 	return nil

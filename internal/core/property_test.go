@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,7 +18,10 @@ import (
 // TestQuickShadowStore is the buffer manager's black-box property test:
 // any single-threaded sequence of reads and writes over any policy must
 // behave exactly like a flat byte array, regardless of which tier serves
-// each access or how often pages migrate and evict.
+// each access or how often pages migrate, evict or survive a restart. After
+// every operation each buffered copy's write-back mask must cover every unit
+// in which the copy differs from SSD (checkDiffMasks), and once every copy
+// is evicted SSD must hold the array.
 func TestQuickShadowStore(t *testing.T) {
 	type op struct {
 		Page  uint8 // mod pages
@@ -27,6 +31,9 @@ func TestQuickShadowStore(t *testing.T) {
 		Fill  byte
 		// PolicySwitch rotates through preset policies mid-sequence.
 		PolicySwitch bool
+		// Restart (one op in 16) checkpoints, drops the manager and
+		// recovers a new one on the surviving NVM arena and SSD.
+		Restart uint8
 	}
 	policies := []policy.Policy{
 		policy.SpitfireLazy,
@@ -37,11 +44,13 @@ func TestQuickShadowStore(t *testing.T) {
 	}
 	const pages = 12
 
-	f := func(ops []op, fineGrained bool) bool {
+	run := func(t *testing.T, ops []op, fineGrained bool, polIdx int) bool {
 		cfg := Config{
 			DRAMBytes: 3 * PageSize,
 			NVMBytes:  5 * nvmFrameSlot,
-			Policy:    policies[0],
+			Policy:    policies[polIdx],
+			PMem:      pmem.New(pmem.Options{Size: 5 * nvmFrameSlot}),
+			SSD:       ssd.NewMem(nil),
 		}
 		if fineGrained {
 			cfg.FineGrained = true
@@ -51,6 +60,7 @@ func TestQuickShadowStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer func() { bm.Close() }()
 		ctx := NewCtx(77)
 		shadow := make([][]byte, pages)
 		zero := make([]byte, PageSize)
@@ -60,11 +70,22 @@ func TestQuickShadowStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		polIdx := 0
 		scratch := make([]byte, 256)
 		for _, o := range ops {
 			if o.PolicySwitch {
 				polIdx = (polIdx + 1) % len(policies)
+				if err := bm.SetPolicy(policies[polIdx]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if o.Restart < 16 {
+				if err := bm.FlushDirtyDRAM(ctx); err != nil {
+					t.Fatal(err)
+				}
+				bm.Close()
+				if bm, err = Recover(cfg); err != nil {
+					t.Fatal(err)
+				}
 				if err := bm.SetPolicy(policies[polIdx]); err != nil {
 					t.Fatal(err)
 				}
@@ -100,8 +121,13 @@ func TestQuickShadowStore(t *testing.T) {
 				}
 				h.Release()
 				if !bytes.Equal(got, shadow[pid][off:off+n]) {
+					t.Logf("page %d [%d, %d) reads back wrong", pid, off, off+n)
 					return false
 				}
+			}
+			if err := checkDiffMasks(bm); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		// Final sweep: every page must match its shadow in full.
@@ -116,17 +142,102 @@ func TestQuickShadowStore(t *testing.T) {
 			}
 			h.Release()
 			if !bytes.Equal(full, shadow[pid]) {
+				t.Logf("page %d reads back wrong", pid)
+				return false
+			}
+		}
+		// Drain both buffers: SSD must now hold every page's shadow.
+		drainToSSD(t, bm, ctx)
+		for pid := range shadow {
+			if err := bm.disk.ReadPage(ctx.Clock, uint64(pid), full); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(full, shadow[pid]) {
+				t.Logf("page %d on SSD differs from its shadow after the drain", pid)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for _, fineGrained := range []bool{false, true} {
+		for polIdx, pol := range policies {
+			t.Run(fmt.Sprintf("fine-grained=%v/%v", fineGrained, pol), func(t *testing.T) {
+				f := func(ops []op) bool { return run(t, ops, fineGrained, polIdx) }
+				if err := quick.Check(f, &quick.Config{MaxCount: 16}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
-// faultStore injects write failures into an inner SSD store.
+// checkDiffMasks checks the write-back mask of every buffered copy at a
+// quiescent point: in each DRAM full frame and NVM frame, every unit whose
+// bit is clear equals the page's SSD image, which it reads through Lend on a
+// throwaway clock. Fine-grained frames must carry every bit.
+func checkDiffMasks(bm *BufferManager) error {
+	check := func(tier string, m *frameMeta, page []byte) error {
+		pid, diff := m.pid.Load(), m.diff.Load()
+		img, ok, err := bm.disk.Lend(vclock.New(), pid)
+		if err != nil || !ok {
+			if diff != ssd.AllUnits {
+				return fmt.Errorf("page %d: %s copy of a page SSD cannot lend (%v) has mask %#x", pid, tier, err, diff)
+			}
+			return nil
+		}
+		for u := 0; u < 64; u++ {
+			lo, hi := u*ssd.UnitSize, (u+1)*ssd.UnitSize
+			if diff&(1<<u) == 0 && !bytes.Equal(page[lo:hi], img[lo:hi]) {
+				return fmt.Errorf("page %d: %s copy differs from SSD in unit %d, which its mask %#x leaves clear", pid, tier, u, diff)
+			}
+		}
+		return nil
+	}
+	for i := range bm.dram.meta {
+		m := &bm.dram.meta[i]
+		if m.pid.Load() == InvalidPageID {
+			continue
+		}
+		if m.fg.Load() != nil {
+			if diff := m.diff.Load(); diff != ssd.AllUnits {
+				return fmt.Errorf("page %d: fine-grained DRAM copy has mask %#x, want every bit", m.pid.Load(), diff)
+			}
+			continue
+		}
+		page := make([]byte, PageSize)
+		bm.dram.read(int32(i), 0, page)
+		if err := check("DRAM", m, page); err != nil {
+			return err
+		}
+	}
+	for i := range bm.nvm.meta {
+		m := &bm.nvm.meta[i]
+		if m.pid.Load() == InvalidPageID {
+			continue
+		}
+		if err := check("NVM", m, bm.nvm.pm.Bytes(bm.nvm.payloadOffset(int32(i)), PageSize)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drainToSSD evicts every buffered copy, DRAM before NVM, so each page's
+// newest image ends on SSD. The caller is single-threaded and holds no pin.
+func drainToSSD(t *testing.T, bm *BufferManager, ctx *Ctx) {
+	t.Helper()
+	pools := []*basePool{&bm.dram.basePool, &bm.nvm.basePool}
+	for _, p := range pools {
+		for i := range p.meta {
+			if p.meta[i].pid.Load() != InvalidPageID {
+				evictCopy(t, p, ctx, int32(i))
+			}
+		}
+	}
+}
+
+// faultStore injects write failures into an inner SSD store. It wraps both
+// write methods: the manager writes back through WriteUnits.
 type faultStore struct {
 	ssd.Store
 	failWrites bool
@@ -139,6 +250,13 @@ func (f *faultStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
 		return errInjected
 	}
 	return f.Store.WritePage(c, pid, buf)
+}
+
+func (f *faultStore) WriteUnits(c *vclock.Clock, pid uint64, buf []byte, units uint64) error {
+	if f.failWrites {
+		return errInjected
+	}
+	return f.Store.WriteUnits(c, pid, buf, units)
 }
 
 func TestSSDWriteFailureDoesNotLosePages(t *testing.T) {

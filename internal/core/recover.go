@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"github.com/spitfire-db/spitfire/internal/ssd"
 )
 
 // Recover builds a buffer manager on top of a surviving NVM arena after a
@@ -68,7 +70,8 @@ func Recover(cfg Config) (*BufferManager, error) {
 		}
 		seen[pid] = f
 		np.meta[f].pid.Store(pid)
-		np.meta[f].dirty.Store(true) // conservatively newer than SSD
+		np.meta[f].dirty.Store(true)        // conservatively newer than SSD,
+		np.meta[f].diff.Store(ssd.AllUnits) // in any unit
 		np.meta[f].pins.Store(0)
 		d := bm.descriptorFor(pid)
 		d.lockMu()

@@ -5,6 +5,7 @@ import (
 
 	"github.com/spitfire-db/spitfire/internal/device"
 	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
@@ -71,15 +72,19 @@ func (bm *BufferManager) nvmWriteHeader(c *vclock.Clock, f int32, pid PageID, va
 // self-identifying header, in that order: the header (whose checksum covers
 // the frame id) only becomes valid after the payload is durably in place, so
 // a crash between the two steps leaves an invalid frame that recovery simply
-// frees — never a valid-looking frame over a half-written payload.
-func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, data []byte) error {
-	if err := bm.nvmWritePayload(c, nf, 0, data); err != nil {
+// frees — never a valid-looking frame over a half-written payload. The page
+// is data with the units named in units taken from over (nvmPool.writePage).
+func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, data, over []byte, units uint64) error {
+	err := bm.retryIO(c, func() error { return bm.nvm.writePage(c, nf, data, over, units) })
+	bm.noteNVMErr(err)
+	if err != nil {
 		return err
 	}
 	return bm.nvmWriteHeader(c, nf, pid, true)
 }
 
-// diskReadPage / diskWritePage wrap SSD page I/O with the retry policy.
+// diskReadPage wraps an SSD page read with the retry policy; so do the
+// lend and the write below.
 func (bm *BufferManager) diskReadPage(c *vclock.Clock, pid PageID, buf []byte) error {
 	return bm.retryIO(c, func() error { return bm.disk.ReadPage(c, pid, buf) })
 }
@@ -95,8 +100,10 @@ func (bm *BufferManager) diskLendPage(c *vclock.Clock, pid PageID) (page []byte,
 	return page, ok, err
 }
 
-func (bm *BufferManager) diskWritePage(c *vclock.Clock, pid PageID, data []byte) error {
-	return bm.retryIO(c, func() error { return bm.disk.WritePage(c, pid, data) })
+// diskWritePage writes page pid to SSD, copying only the units in the
+// write-back mask units (ssd.Store.WriteUnits).
+func (bm *BufferManager) diskWritePage(c *vclock.Clock, pid PageID, data []byte, units uint64) error {
+	return bm.retryIO(c, func() error { return bm.disk.WriteUnits(c, pid, data, units) })
 }
 
 // isIOErr distinguishes typed device faults from structural failures such as
@@ -180,6 +187,7 @@ func (bm *BufferManager) detachDeadNVM(d *descriptor) {
 			// The DRAM copy shadows the page in full; conservatively dirty it
 			// so the content reaches SSD even if the NVM copy was the newer.
 			bm.dram.meta[df].dirty.Store(true)
+			bm.dram.meta[df].markDiff(ssd.AllUnits)
 			salvaged = true
 		}
 	}

@@ -102,10 +102,11 @@ type Env struct {
 	nextCkpt int64
 
 	// vbase is the simulated-time frontier: the maximum virtual completion
-	// time any previous run's workers reached. New workers start their
-	// clocks here so they never measure time that belongs to earlier
-	// intervals (device bandwidth horizons are global and monotonic). The
-	// obs gauges and the tuner hook read it from other goroutines.
+	// time any run's workers reached, raised after every operation. New
+	// workers start their clocks at the frontier as their run begins, so
+	// they never measure time that belongs to earlier intervals (device
+	// bandwidth horizons are global and monotonic). The obs gauges and the
+	// tuner hook read it from other goroutines.
 	vbase atomic.Int64
 }
 
@@ -324,9 +325,11 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		if err != nil {
 			return PointResult{}, err
 		}
+		now := w.ctx.Clock.Now()
 		if lat != nil {
-			lat.Observe(w.ctx.Clock.Now() - opStart)
+			lat.Observe(now - opStart)
 		}
+		e.advanceFrontier(now) // the live virtual_time_ns gauge follows the run
 		if ok {
 			if err := e.maybeCheckpoint(w.ctx); err != nil {
 				return PointResult{}, err
@@ -342,9 +345,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		out.Aborted += aborted
 		now := ws[i].ctx.Clock.Now()
 		sumElapsed += now - ws[i].start
-		if now > e.vbase.Load() {
-			e.vbase.Store(now)
-		}
+		e.advanceFrontier(now)
 	}
 	if !measured {
 		return out, nil
@@ -369,6 +370,14 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		out.LatencyP99Ns = lat.Percentile(99)
 	}
 	return out, nil
+}
+
+// advanceFrontier raises vbase to now. Only the goroutine that runs the
+// Env's intervals writes vbase, so the load and store need no CAS.
+func (e *Env) advanceFrontier(now int64) {
+	if now > e.vbase.Load() {
+		e.vbase.Store(now)
+	}
 }
 
 // maybeCheckpoint runs the paper's checkpoint (§5.2) every checkpointEvery

@@ -9,6 +9,7 @@ package ssd
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,12 @@ import (
 // PageSize is the database page size, matching the paper's 16 KB pages.
 const PageSize = 16384
 
+// UnitSize is the granularity of a WriteUnits mask: a page's 64 units.
+const UnitSize = PageSize / 64
+
+// AllUnits is the WriteUnits mask of every unit of a page.
+const AllUnits = ^uint64(0)
+
 // Store is a page-granular block device. The caller serialises access to
 // any one page; distinct pages may be used concurrently.
 type Store interface {
@@ -29,6 +36,15 @@ type Store interface {
 	ReadPage(c *vclock.Clock, pid uint64, buf []byte) error
 	// WritePage durably stores buf as page pid.
 	WritePage(c *vclock.Clock, pid uint64, buf []byte) error
+	// WriteUnits durably stores the units of buf whose bits are set in units
+	// (bit u covers bytes [u*UnitSize, (u+1)*UnitSize)) as page pid's, and
+	// all of buf if the store does not hold the page yet. It charges exactly
+	// what WritePage charges, before any byte moves, so a failed write leaves
+	// the old image. A store that lends pages reads only the units named, so
+	// the rest of buf may be stale; one that does not lend may write all of
+	// buf, so its callers hand it the whole image. WritePage is WriteUnits
+	// with AllUnits.
+	WriteUnits(c *vclock.Clock, pid uint64, buf []byte, units uint64) error
 	// Contains reports whether the page exists on the device.
 	Contains(pid uint64) bool
 	// MaxPageID returns the largest page id ever written (ok=false when
@@ -38,12 +54,23 @@ type Store interface {
 	// the store keeps its pages in memory, returns the page's own backing
 	// array instead of a copy (ok=false and no charge from a store that
 	// cannot lend; read into a buffer with ReadPage instead). The lent page
-	// is read-only. Its backing array is stable for the page's life, but a
-	// WritePage of pid rewrites it in place, so the borrower must drop it
-	// before the page is written again.
+	// is read-only to the borrower. Its backing array is stable for the
+	// page's life, and a write of pid rewrites it in place, so a borrower
+	// that keeps it sees the new image.
 	Lend(c *vclock.Clock, pid uint64) (page []byte, ok bool, err error)
 	// Device returns the cost model in use.
 	Device() *device.Device
+}
+
+// CopyUnits copies the units of src named in units into dst (both whole
+// pages), one copy per run of consecutive units.
+func CopyUnits(dst, src []byte, units uint64) {
+	for units != 0 {
+		lo := bits.TrailingZeros64(units)
+		hi := lo + bits.TrailingZeros64(^(units >> lo))
+		copy(dst[lo*UnitSize:hi*UnitSize], src[lo*UnitSize:hi*UnitSize])
+		units &= AllUnits << hi // a shift by 64 clears them all
+	}
 }
 
 // MemStore is an in-memory Store: a dense directory of page arrays indexed
@@ -90,8 +117,8 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 	return nil
 }
 
-// Lend implements Store: it returns the page's backing array, which
-// WritePage only ever rewrites in place.
+// Lend implements Store: it returns the page's backing array, which a write
+// only ever rewrites in place.
 func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
 	p := s.page(pid)
 	if p == nil {
@@ -103,13 +130,19 @@ func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
 	return p[:], true, nil
 }
 
-// WritePage implements Store. Page writes are modeled failure-atomic: real
+// WritePage implements Store.
+func (s *MemStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
+	return s.WriteUnits(c, pid, buf, AllUnits)
+}
+
+// WriteUnits implements Store. Page writes are modeled failure-atomic: real
 // SSDs complete or discard a sector-aligned page program from their
 // power-loss-protected buffer, so an injected torn write surfaces as an
 // error without corrupting the previous page image (torn-write *data*
 // effects belong to the byte-addressable NVM tier and the log). A page's
-// first write publishes its array only once the bytes are in.
-func (s *MemStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
+// first write copies all of buf and publishes the array only once the bytes
+// are in; a later one copies each run of set bits into the array in place.
+func (s *MemStore) WriteUnits(c *vclock.Clock, pid uint64, buf []byte, units uint64) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("ssd: write buffer is %d bytes, want %d", len(buf), PageSize)
 	}
@@ -121,7 +154,7 @@ func (s *MemStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
 	}
 	e := s.pages.Get(pid)
 	if p := e.Load(); p != nil {
-		copy(p[:], buf)
+		CopyUnits(p[:], buf, units)
 		return nil
 	}
 	p := new([PageSize]byte)
@@ -206,6 +239,11 @@ func (s *FileStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
 		return fmt.Errorf("ssd: write page %d: %w", pid, err)
 	}
 	return nil
+}
+
+// WriteUnits implements Store: a file's pages are written whole.
+func (s *FileStore) WriteUnits(c *vclock.Clock, pid uint64, buf []byte, _ uint64) error {
+	return s.WritePage(c, pid, buf)
 }
 
 // Contains implements Store.

@@ -349,3 +349,82 @@ func TestMemStoreStrayID(t *testing.T) {
 		t.Fatalf("stray ids charged %+v, %d ns", st, c.Now())
 	}
 }
+
+// TestWriteUnits: WriteUnits charges exactly what WritePage charges, on
+// both stores, and an injected failure leaves the old image. A MemStore
+// copies only the units named (a page it does not hold yet whole); a
+// FileStore writes the whole page.
+func TestWriteUnits(t *testing.T) {
+	stores := map[string]func(t *testing.T) Store{
+		"mem": func(*testing.T) Store { return NewMem(nil) },
+		"file": func(t *testing.T) Store {
+			s, err := NewFile(filepath.Join(t.TempDir(), "ssd.img"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		},
+	}
+	// buf is page(0x22) except in units 5 and 62..63, which hold 0x33.
+	buf := page(0x22)
+	const units = 1<<5 | 3<<62
+	for _, u := range []int{5, 62, 63} {
+		copy(buf[u*UnitSize:(u+1)*UnitSize], page(0x33))
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			s, twin := open(t), open(t)
+			c, tc := vclock.New(), vclock.New()
+			if err := s.WriteUnits(c, 9, page(0x11), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.WritePage(tc, 9, page(0x11)); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, PageSize)
+			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, page(0x11)) {
+				t.Fatalf("a first write with no units named did not store the whole page (err %v)", err)
+			}
+			if err := twin.ReadPage(tc, 9, got); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := s.WriteUnits(c, 9, buf, units); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.WritePage(tc, 9, buf); err != nil {
+				t.Fatal(err)
+			}
+			if c.Now() != tc.Now() {
+				t.Fatalf("WriteUnits took %d ns, WritePage %d ns", c.Now(), tc.Now())
+			}
+			if got, want := s.Device().Stats(), twin.Device().Stats(); got != want {
+				t.Fatalf("WriteUnits counted %+v, WritePage %+v", got, want)
+			}
+			want := page(0x11)
+			if name == "file" {
+				want = buf
+			}
+			for _, u := range []int{5, 62, 63} {
+				copy(want[u*UnitSize:(u+1)*UnitSize], page(0x33))
+			}
+			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("WriteUnits stored the wrong image (err %v)", err)
+			}
+
+			s.Device().SetFaults(device.NewInjector(device.FaultConfig{WriteErrProb: 1}))
+			before := c.Now()
+			if err := s.WriteUnits(c, 9, page(0x44), AllUnits); !errors.Is(err, device.ErrTransient) {
+				t.Fatalf("WriteUnits under a faulty device = %v; want ErrTransient", err)
+			}
+			if c.Now() != before {
+				t.Fatal("a failed write charged the clock")
+			}
+			s.Device().SetFaults(nil)
+			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("a failed write changed the image (err %v)", err)
+			}
+		})
+	}
+}
