@@ -86,11 +86,7 @@ type Ctx struct {
 	Clock *vclock.Clock
 	RNG   *zipf.Rand
 
-	// scratch is a page-size staging buffer, allocated on first use: only
-	// an SSD miss installed in NVM from a store that declines to lend
-	// (readPage) needs it.
-	scratch []byte
-	tuple   []byte // TupleBuf's storage
+	tuple []byte // TupleBuf's storage
 
 	// ring is the worker's migration-tracer ring, lazily attached on first
 	// instrumented operation against a manager with observability enabled.
@@ -154,10 +150,10 @@ func (ctx *Ctx) interrupted() error {
 }
 
 // TupleBuf returns the worker's n-byte staging buffer, in which the layer
-// above composes a tuple image before handing it to WriteAt and the log. It
-// is separate from the page staging buffer migrations use, so an image in it
-// survives any buffer-manager call; it holds whatever its last user left and
-// is valid until the next TupleBuf call on this Ctx.
+// above composes a tuple image before handing it to WriteAt and the log. No
+// buffer-manager call uses it, so an image in it survives any of them; it
+// holds whatever its last user left and is valid until the next TupleBuf
+// call on this Ctx.
 func (ctx *Ctx) TupleBuf(n int) []byte {
 	if cap(ctx.tuple) < n {
 		ctx.tuple = make([]byte, n)
@@ -177,13 +173,6 @@ func (ctx *Ctx) handle(bm *BufferManager, d *descriptor, tier Tier, f int32, how
 	}
 	h.bm, h.d, h.tier, h.frame, h.how, h.released = bm, d, tier, f, how, false
 	return h
-}
-
-func (ctx *Ctx) buf() []byte {
-	if ctx.scratch == nil {
-		ctx.scratch = make([]byte, PageSize)
-	}
-	return ctx.scratch
 }
 
 // bernoulli draws a policy trial. p <= 0 is always false and p >= 1 always

@@ -265,8 +265,8 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) (obs.TierID, bool, error) {
 	p := bm.dram
 	// A lent frame's arena holds only the units its mask names. Only its
-	// SSD write-back reads it, and a store that lends reads just those units;
-	// a frame with an NVM copy is never lent.
+	// SSD write-back reads it, and the store reads just those units; a frame
+	// with an NVM copy is never lent.
 	m, src, base := &p.meta[v], p.arenaFrame(v), p.frameOffset(v)
 	if mini {
 		m, src, base = &p.mini.meta[v], p.mini.data(v), int64(v)*int64(p.mini.slotSize)

@@ -279,47 +279,32 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 	return ctx.handle(bm, d, TierDRAM, f, howMissDRAM), nil
 }
 
-// loadFrame loads page pid from SSD into frozen DRAM frame f. It asks the
-// store to lend the page, and a store that can keeps the copy: the frame
-// reads the store's bytes, and writers take over only the units they touch
-// (dramPool.ownUnits). A store that declines is read into the arena. Both
-// charge the same device read, and the caller charges the frame's DRAM write
-// either way, so simulated time does not depend on which it was. Lending is
-// safe because only the frame writes the page to SSD while it is lent: the
-// page has no NVM copy (the caller found none, and none appears while a DRAM
-// copy exists), SeedPage refuses a buffered page, and the frame's own
-// write-back (writeDown, on the frozen frame) copies the units it took over
-// into the lent page, which then holds the frame's whole image.
+// loadFrame loads page pid from SSD into frozen DRAM frame f, which the
+// caller holds under the page's latchS. The frame keeps the page the store
+// lends: it reads the store's bytes, and writers take over only the units
+// they touch (dramPool.ownUnits). The lend charges the device read and the
+// caller charges the frame's DRAM write. Lending is safe because only the
+// frame writes the page to SSD while it is lent: the page has no NVM copy
+// (the caller found none, and none appears while a DRAM copy exists),
+// SeedPage refuses a buffered page, and the frame's own write-back
+// (writeDown, on the frozen frame) copies the units it took over into the
+// lent page, which then holds the frame's whole image.
 func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32) error {
-	page, ok, err := bm.diskLendPage(c, pid)
+	page, err := bm.diskLendPage(c, pid)
 	if err != nil {
 		return err
 	}
-	if ok {
-		bm.dram.meta[f].lent.Store((*[PageSize]byte)(page))
-		return nil
-	}
-	return bm.diskReadPage(c, pid, bm.dram.arenaFrame(f))
-}
-
-// readPage returns page pid read from SSD: the page the store lends, or a
-// copy in ctx's scratch page from a store that declines to lend. Either way
-// it is read-only and valid while the caller holds the page's latchS, under
-// which every SSD write of the page runs (writeDown, unlinkNVM, SeedPage).
-func (bm *BufferManager) readPage(ctx *Ctx, pid PageID) ([]byte, error) {
-	page, ok, err := bm.diskLendPage(ctx.Clock, pid)
-	if err != nil || ok {
-		return page, err
-	}
-	buf := ctx.buf()
-	return buf, bm.diskReadPage(ctx.Clock, pid, buf)
+	bm.dram.meta[f].lent.Store((*[PageSize]byte)(page))
+	return nil
 }
 
 // fetchMissNVM is fetchMiss's SSD→NVM route (path ❼). It returns (nil, nil)
 // on an install race and a typed error on I/O failure; the payload is written
 // and persisted before the self-identifying header, so a crash mid-install
 // leaves an invalid frame, never a valid header over torn data. The install
-// copies from the page the store lends (readPage), once.
+// copies from the page the store lends, once; the lent page is read-only and
+// stays valid while the page's latchS is held, under which every SSD write
+// of the page runs (writeDown, unlinkNVM, SeedPage).
 func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) {
 	d.lockN()
 	d.lockS()
@@ -333,7 +318,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 	if err != nil {
 		return nil, err
 	}
-	page, err := bm.readPage(ctx, d.pid)
+	page, err := bm.diskLendPage(ctx.Clock, d.pid)
 	if err != nil {
 		bm.nvm.release(nf)
 		return nil, err

@@ -161,7 +161,7 @@ func TestLentFramesUnderWriters(t *testing.T) {
 // frame reads the lent page with those units on top; a checkpoint copies
 // just them into the store's page, which the frame keeps; an admission to
 // NVM composes the page in the NVM frame at the charges of an install from
-// a frame that owns its whole page (a store that declines to lend).
+// a frame that owns its whole page (a new page written whole).
 func TestLentFrameTakesWritesByUnit(t *testing.T) {
 	seeded := func() []byte {
 		p := make([]byte, PageSize)
@@ -220,22 +220,16 @@ func TestLentFrameTakesWritesByUnit(t *testing.T) {
 	})
 
 	t.Run("admission", func(t *testing.T) {
-		admit := func(decline bool) ([]byte, device.Stats) {
-			store := &countingStore{Store: ssd.NewMem(nil), decline: decline}
-			bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot,
-				Policy: policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}, SSD: store})
-			defer bm.Close()
-			seed(t, bm, 1)
-			ctx := NewCtx(52)
-			h := write(t, bm, ctx, 9*ssd.UnitSize, bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+		want := seeded()
+		copy(want[9*ssd.UnitSize:], bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+		// admit evicts page pid's DRAM frame h into NVM and returns the NVM
+		// copy's bytes and the NVM charges of the admission.
+		admit := func(bm *BufferManager, ctx *Ctx, pid PageID, h *Handle) ([]byte, device.Stats) {
 			v := h.frame
-			if lent := bm.dram.meta[v].lent.Load() != nil; lent == decline {
-				t.Fatalf("frame lent = %v with a store that declines = %v", lent, decline)
-			}
 			h.Release()
 			before := bm.nvm.pm.Device().Stats()
 			evictCopy(t, &bm.dram.basePool, ctx, v)
-			nf := bm.descriptorFor(0).nvmFrame.Load()
+			nf := bm.descriptorFor(pid).nvmFrame.Load()
 			if nf == noFrame {
 				t.Fatal("the dirty page was not admitted to NVM")
 			}
@@ -246,10 +240,32 @@ func TestLentFrameTakesWritesByUnit(t *testing.T) {
 			after.BytesWritten -= before.BytesWritten
 			return append([]byte(nil), bm.nvm.pm.Bytes(bm.nvm.payloadOffset(nf), PageSize)...), after
 		}
-		lentPage, lentCharges := admit(false)
-		ownedPage, ownedCharges := admit(true)
-		want := seeded()
-		copy(want[9*ssd.UnitSize:], bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+		cfg := Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}}
+
+		bm := newBM(t, cfg)
+		defer bm.Close()
+		seed(t, bm, 1)
+		ctx := NewCtx(52)
+		h := write(t, bm, ctx, 9*ssd.UnitSize, bytes.Repeat([]byte{0xEE}, ssd.UnitSize))
+		if bm.dram.meta[h.frame].lent.Load() == nil {
+			t.Fatal("a miss into DRAM did not lend the frame its page")
+		}
+		lentPage, lentCharges := admit(bm, ctx, 0, h)
+
+		owner := newBM(t, cfg)
+		defer owner.Close()
+		pid, h, err := owner.NewPage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Tier() != TierDRAM || owner.dram.meta[h.frame].lent.Load() != nil {
+			t.Fatalf("new page placed in %v, lent %v; want an owned DRAM frame", h.Tier(), owner.dram.meta[h.frame].lent.Load() != nil)
+		}
+		if err := h.WriteAt(ctx, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		ownedPage, ownedCharges := admit(owner, ctx, pid, h)
+
 		if !bytes.Equal(lentPage, want) || !bytes.Equal(ownedPage, want) {
 			t.Fatalf("the NVM copy is wrong: composed from a lent frame %v, from an owned one %v",
 				bytes.Equal(lentPage, want), bytes.Equal(ownedPage, want))

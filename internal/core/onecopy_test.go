@@ -13,21 +13,16 @@ import (
 
 // countingStore counts the calls the manager makes into an SSD store and
 // keeps the first byte of the last page it was handed to write and that
-// write's unit mask. With decline set it refuses to lend, as a FileStore
-// does. Single-goroutine tests only.
+// write's unit mask. Single-goroutine tests only.
 type countingStore struct {
 	ssd.Store
-	decline              bool
 	lends, reads, writes int
 	wrote                *byte
 	units                uint64
 }
 
-func (s *countingStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
+func (s *countingStore) Lend(c *vclock.Clock, pid uint64) ([]byte, error) {
 	s.lends++
-	if s.decline {
-		return nil, false, nil
-	}
 	return s.Store.Lend(c, pid)
 }
 
@@ -90,83 +85,150 @@ func dirtyInNVM(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) {
 // NVM and SSD as counts. An SSD miss installed in NVM (❼) borrows the
 // store's page and copies it once, into the arena: one Lend, no ReadPage. A
 // dirty NVM page written back (❽) hands the store the arena's own bytes. A
-// store that declines to lend still serves ❼ through ReadPage and the
-// Ctx's scratch page, which nothing else allocates: a new page placed in
-// NVM is installed from the shared zero page.
+// new page placed in NVM is installed from the shared zero page, which
+// nothing writes.
 func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
-	for _, decline := range []bool{false, true} {
-		name := "lending store"
-		if decline {
-			name = "declining store"
-		}
-		t.Run(name, func(t *testing.T) {
-			store := &countingStore{Store: ssd.NewMem(nil), decline: decline}
-			bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM, SSD: store})
-			defer bm.Close()
-			seed(t, bm, 1)
-			*store = countingStore{Store: store.Store, decline: decline}
-			ctx := NewCtx(41)
+	t.Run("lending store", func(t *testing.T) {
+		store := &countingStore{Store: ssd.NewMem(nil)}
+		bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM, SSD: store})
+		defer bm.Close()
+		seed(t, bm, 1)
+		*store = countingStore{Store: store.Store}
+		ctx := NewCtx(41)
 
-			// A new page in NVM: no staging page, and the zero page stays zero.
-			pid, h, err := bm.NewPage(ctx)
+		// A new page in NVM: the zero page stays zero.
+		pid, h, err := bm.NewPage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Tier() != TierNVM {
+			t.Fatalf("new page placed in %v, want NVM", h.Tier())
+		}
+		got := make([]byte, PageSize)
+		if err := h.ReadAt(ctx, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.WriteAt(ctx, 0, []byte{0xFF}); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if !bytes.Equal(got, zeroPage[:]) || zeroPage[0] != 0 {
+			t.Fatalf("new page %d did not read as zeros, or a write reached the shared zero page", pid)
+		}
+
+		// ❼: one lend, no ReadPage.
+		dirtyInNVM(t, bm, ctx, 0)
+		if store.lends != 1 || store.reads != 0 {
+			t.Fatalf("SSD→NVM miss made %d Lend and %d ReadPage calls, want 1 and 0", store.lends, store.reads)
+		}
+
+		// ❽: the store is handed the NVM arena's bytes.
+		v := bm.descriptorFor(0).nvmFrame.Load()
+		arena := &bm.nvm.pm.Bytes(bm.nvm.payloadOffset(v), PageSize)[0]
+		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
+			t.Fatalf("evict NVM copy: %v", err)
+		}
+		if store.writes != 1 || store.wrote != arena {
+			t.Fatalf("NVM→SSD write-back made %d store writes; aliases the NVM frame: %v",
+				store.writes, store.wrote == arena)
+		}
+		if st := bm.Stats(); st.SSDToNVM != 1 || st.NVMToSSD != 1 {
+			t.Fatalf("moves counted: ssd→nvm %d, nvm→ssd %d; want 1 and 1", st.SSDToNVM, st.NVMToSSD)
+		}
+		want := make([]byte, PageSize)
+		marker(want, 0, 1)
+		if err := store.Store.ReadPage(ctx.Clock, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("the written-back page lost its update")
+		}
+	})
+}
+
+// TestManagerOnlyLends pins lending as the one way the manager reads the
+// SSD store: each route that reads a page from SSD borrows it with Lend and
+// never calls ReadPage. The routes are a miss into NVM (❼), a miss into DRAM
+// (❾) with either intent, MaterializePage of a page already on SSD, a
+// checkpoint, and a fetch after Recover.
+func TestManagerOnlyLends(t *testing.T) {
+	intoDRAM := policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}
+	fetch := func(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID, intent Intent, tier Tier) {
+		t.Helper()
+		h, err := bm.FetchPage(ctx, pid, intent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		if h.Tier() != tier {
+			t.Fatalf("page %d served from %v, want %v", pid, h.Tier(), tier)
+		}
+	}
+	cases := []struct {
+		name string
+		pol  policy.Policy
+		run  func(t *testing.T, bm *BufferManager, ctx *Ctx)
+	}{
+		{"SSD to NVM", toNVM, func(t *testing.T, bm *BufferManager, ctx *Ctx) {
+			fetch(t, bm, ctx, 0, ReadIntent, TierNVM)
+		}},
+		{"SSD to DRAM, read intent", intoDRAM, func(t *testing.T, bm *BufferManager, ctx *Ctx) {
+			fetch(t, bm, ctx, 0, ReadIntent, TierDRAM)
+		}},
+		{"SSD to DRAM, write intent", intoDRAM, func(t *testing.T, bm *BufferManager, ctx *Ctx) {
+			fetch(t, bm, ctx, 0, WriteIntent, TierDRAM)
+		}},
+		{"materialize a page on SSD", intoDRAM, func(t *testing.T, bm *BufferManager, ctx *Ctx) {
+			h, err := bm.MaterializePage(ctx, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.Tier() != TierNVM {
-				t.Fatalf("new page placed in %v, want NVM", h.Tier())
-			}
-			got := make([]byte, PageSize)
-			if err := h.ReadAt(ctx, 0, got); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.WriteAt(ctx, 0, []byte{0xFF}); err != nil {
-				t.Fatal(err)
-			}
 			h.Release()
-			if !bytes.Equal(got, zeroPage[:]) || zeroPage[0] != 0 {
-				t.Fatalf("new page %d did not read as zeros, or a write reached the shared zero page", pid)
-			}
-			if ctx.scratch != nil {
-				t.Fatal("placing a new page in NVM allocated the staging page")
-			}
-
-			// ❼: one lend, and a ReadPage only from a store that declines.
-			dirtyInNVM(t, bm, ctx, 0)
-			wantReads := 0
-			if decline {
-				wantReads = 1
-			}
-			if store.lends != 1 || store.reads != wantReads {
-				t.Fatalf("SSD→NVM miss made %d Lend and %d ReadPage calls, want 1 and %d",
-					store.lends, store.reads, wantReads)
-			}
-			if (ctx.scratch != nil) != decline {
-				t.Fatalf("staging page allocated = %v; want it only for a store that declines to lend", ctx.scratch != nil)
-			}
-
-			// ❽: the store is handed the NVM arena's bytes.
-			v := bm.descriptorFor(0).nvmFrame.Load()
-			arena := &bm.nvm.pm.Bytes(bm.nvm.payloadOffset(v), PageSize)[0]
-			if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
-				t.Fatalf("evict NVM copy: %v", err)
-			}
-			if store.writes != 1 || store.wrote != arena {
-				t.Fatalf("NVM→SSD write-back made %d store writes; aliases the NVM frame: %v",
-					store.writes, store.wrote == arena)
-			}
-			if st := bm.Stats(); st.SSDToNVM != 1 || st.NVMToSSD != 1 {
-				t.Fatalf("moves counted: ssd→nvm %d, nvm→ssd %d; want 1 and 1", st.SSDToNVM, st.NVMToSSD)
-			}
-			want := make([]byte, PageSize)
-			marker(want, 0, 1)
-			if err := store.Store.ReadPage(ctx.Clock, 0, got); err != nil {
+		}},
+		{"checkpoint", policy.Policy{Dr: 1, Dw: 1}, func(t *testing.T, bm *BufferManager, ctx *Ctx) {
+			writeUnit5(t, bm, ctx, 0, 0xEE)
+			if err := bm.FlushDirtyDRAM(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("the written-back page lost its update")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &countingStore{Store: ssd.NewMem(nil)}
+			bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: tc.pol, SSD: store})
+			defer bm.Close()
+			seed(t, bm, 1)
+			*store = countingStore{Store: store.Store}
+			tc.run(t, bm, NewCtx(53))
+			if store.lends != 1 || store.reads != 0 {
+				t.Fatalf("%d Lend and %d ReadPage calls, want 1 and 0", store.lends, store.reads)
 			}
 		})
 	}
+
+	t.Run("fetch after Recover", func(t *testing.T) {
+		cfg, _, _ := crashConfig(4)
+		cfg.Policy = toNVM
+		bm, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed(t, bm, 2)
+		ctx := NewCtx(54)
+		dirtyInNVM(t, bm, ctx, 0)
+		bm.Close()
+		store := &countingStore{Store: cfg.SSD}
+		cfg.SSD = store
+		if bm, err = Recover(cfg); err != nil {
+			t.Fatal(err)
+		}
+		defer bm.Close()
+		fetch(t, bm, ctx, 0, ReadIntent, TierNVM) // recovered from NVM
+		fetch(t, bm, ctx, 1, ReadIntent, TierNVM) // a miss
+		if store.lends != 1 || store.reads != 0 {
+			t.Fatalf("Recover and two fetches made %d Lend and %d ReadPage calls, want 1 and 0", store.lends, store.reads)
+		}
+	})
 }
 
 // evictCopy evicts the page in frame v of pool p the way the victim search

@@ -83,21 +83,15 @@ func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, d
 	return bm.nvmWriteHeader(c, nf, pid, true)
 }
 
-// diskReadPage wraps an SSD page read with the retry policy; so do the
-// lend and the write below.
-func (bm *BufferManager) diskReadPage(c *vclock.Clock, pid PageID, buf []byte) error {
-	return bm.retryIO(c, func() error { return bm.disk.ReadPage(c, pid, buf) })
-}
-
-// diskLendPage asks the store to lend page pid (ssd.Store.Lend), under the
-// same retry policy.
-func (bm *BufferManager) diskLendPage(c *vclock.Clock, pid PageID) (page []byte, ok bool, err error) {
+// diskLendPage borrows page pid from the store (ssd.Store.Lend) under the
+// retry policy; so does the write below.
+func (bm *BufferManager) diskLendPage(c *vclock.Clock, pid PageID) (page []byte, err error) {
 	err = bm.retryIO(c, func() error {
 		var lerr error
-		page, ok, lerr = bm.disk.Lend(c, pid)
+		page, lerr = bm.disk.Lend(c, pid)
 		return lerr
 	})
-	return page, ok, err
+	return page, err
 }
 
 // diskWritePage writes page pid to SSD, copying only the units in the

@@ -1,17 +1,14 @@
 // Package ssd simulates the block-addressable tier of the hierarchy: an
 // Optane DC SSD that transfers whole 16 KB pages (Table 1 of the paper).
 //
-// Two implementations are provided. MemStore keeps pages in memory and is
-// what the experiments use (the device model supplies the SSD's cost; the
-// host's RAM merely stores the bytes). FileStore is backed by a real file
-// so the recovery example can survive process restarts.
+// MemStore keeps pages in memory (the device model supplies the SSD's cost;
+// the host's RAM merely stores the bytes) and lends them to the buffer
+// manager instead of copying them out.
 package ssd
 
 import (
 	"fmt"
 	"math/bits"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/dense"
@@ -29,7 +26,8 @@ const UnitSize = PageSize / 64
 const AllUnits = ^uint64(0)
 
 // Store is a page-granular block device. The caller serialises access to
-// any one page; distinct pages may be used concurrently.
+// any one page; distinct pages may be used concurrently. The buffer manager
+// reads pages only through Lend and writes them only through WriteUnits.
 type Store interface {
 	// ReadPage copies page pid into buf (len(buf) == PageSize).
 	// It returns an error if the page was never written.
@@ -40,24 +38,20 @@ type Store interface {
 	// (bit u covers bytes [u*UnitSize, (u+1)*UnitSize)) as page pid's, and
 	// all of buf if the store does not hold the page yet. It charges exactly
 	// what WritePage charges, before any byte moves, so a failed write leaves
-	// the old image. A store that lends pages reads only the units named, so
-	// the rest of buf may be stale; one that does not lend may write all of
-	// buf, so its callers hand it the whole image. WritePage is WriteUnits
-	// with AllUnits.
+	// the old image. Only the units named are read, so the rest of buf may
+	// be stale. WritePage is WriteUnits with AllUnits.
 	WriteUnits(c *vclock.Clock, pid uint64, buf []byte, units uint64) error
 	// Contains reports whether the page exists on the device.
 	Contains(pid uint64) bool
 	// MaxPageID returns the largest page id ever written (ok=false when
 	// the device is empty). Recovery uses it to bound page scans.
 	MaxPageID() (pid uint64, ok bool)
-	// Lend charges a read of page pid exactly as ReadPage does and, when
-	// the store keeps its pages in memory, returns the page's own backing
-	// array instead of a copy (ok=false and no charge from a store that
-	// cannot lend; read into a buffer with ReadPage instead). The lent page
-	// is read-only to the borrower. Its backing array is stable for the
-	// page's life, and a write of pid rewrites it in place, so a borrower
-	// that keeps it sees the new image.
-	Lend(c *vclock.Clock, pid uint64) (page []byte, ok bool, err error)
+	// Lend charges a read of page pid exactly as ReadPage does and returns
+	// the page's own backing array instead of a copy. The lent page is
+	// read-only to the borrower. Its backing array is stable for the page's
+	// life, and a write of pid rewrites it in place, so a borrower that
+	// keeps it sees the new image.
+	Lend(c *vclock.Clock, pid uint64) ([]byte, error)
 	// Device returns the cost model in use.
 	Device() *device.Device
 }
@@ -109,7 +103,7 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("ssd: read buffer is %d bytes, want %d", len(buf), PageSize)
 	}
-	p, _, err := s.Lend(c, pid)
+	p, err := s.Lend(c, pid)
 	if err != nil {
 		return err
 	}
@@ -119,15 +113,15 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 
 // Lend implements Store: it returns the page's backing array, which a write
 // only ever rewrites in place.
-func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, bool, error) {
+func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, error) {
 	p := s.page(pid)
 	if p == nil {
-		return nil, false, fmt.Errorf("ssd: page %d does not exist", pid)
+		return nil, fmt.Errorf("ssd: page %d does not exist", pid)
 	}
 	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
-		return nil, false, fmt.Errorf("ssd: read page %d: %w", pid, err)
+		return nil, fmt.Errorf("ssd: read page %d: %w", pid, err)
 	}
-	return p[:], true, nil
+	return p[:], nil
 }
 
 // WritePage implements Store.
@@ -179,93 +173,3 @@ func (s *MemStore) MaxPageID() (uint64, bool) {
 
 // Len reports the number of pages stored.
 func (s *MemStore) Len() int { return int(s.n.Load()) }
-
-// FileStore is a Store backed by a file; page pid lives at offset
-// pid*PageSize. Pages are considered present once written in this or any
-// previous process (tracked via a header-free existence bitmap persisted as
-// written ranges — for simplicity, any read within the file's extent
-// succeeds).
-type FileStore struct {
-	dev *device.Device
-	mu  sync.Mutex
-	f   *os.File
-}
-
-// NewFile opens (creating if necessary) a file-backed SSD at path.
-func NewFile(path string, dev *device.Device) (*FileStore, error) {
-	if dev == nil {
-		dev = device.New(device.SSDParams)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ssd: open %s: %w", path, err)
-	}
-	return &FileStore{dev: dev, f: f}, nil
-}
-
-// Device returns the cost model in use.
-func (s *FileStore) Device() *device.Device { return s.dev }
-
-// ReadPage implements Store.
-func (s *FileStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("ssd: read buffer is %d bytes, want %d", len(buf), PageSize)
-	}
-	if !s.Contains(pid) {
-		return fmt.Errorf("ssd: page %d does not exist", pid)
-	}
-	if _, err := s.f.ReadAt(buf, int64(pid)*PageSize); err != nil {
-		return fmt.Errorf("ssd: read page %d: %w", pid, err)
-	}
-	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
-		return fmt.Errorf("ssd: read page %d: %w", pid, err)
-	}
-	return nil
-}
-
-// Lend implements Store: a file's pages are not in memory to lend.
-func (s *FileStore) Lend(*vclock.Clock, uint64) ([]byte, bool, error) { return nil, false, nil }
-
-// WritePage implements Store. As with MemStore, page writes are
-// failure-atomic: injected faults fail the write without touching the file.
-func (s *FileStore) WritePage(c *vclock.Clock, pid uint64, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("ssd: write buffer is %d bytes, want %d", len(buf), PageSize)
-	}
-	if _, err := s.dev.WriteErr(c, PageSize); err != nil {
-		return fmt.Errorf("ssd: write page %d: %w", pid, err)
-	}
-	if _, err := s.f.WriteAt(buf, int64(pid)*PageSize); err != nil {
-		return fmt.Errorf("ssd: write page %d: %w", pid, err)
-	}
-	return nil
-}
-
-// WriteUnits implements Store: a file's pages are written whole.
-func (s *FileStore) WriteUnits(c *vclock.Clock, pid uint64, buf []byte, _ uint64) error {
-	return s.WritePage(c, pid, buf)
-}
-
-// Contains implements Store.
-func (s *FileStore) Contains(pid uint64) bool {
-	st, err := s.f.Stat()
-	if err != nil {
-		return false
-	}
-	return int64(pid+1)*PageSize <= st.Size()
-}
-
-// MaxPageID implements Store.
-func (s *FileStore) MaxPageID() (uint64, bool) {
-	st, err := s.f.Stat()
-	if err != nil || st.Size() < PageSize {
-		return 0, false
-	}
-	return uint64(st.Size()/PageSize) - 1, true
-}
-
-// Sync flushes the file to stable storage.
-func (s *FileStore) Sync() error { return s.f.Sync() }
-
-// Close closes the underlying file.
-func (s *FileStore) Close() error { return s.f.Close() }

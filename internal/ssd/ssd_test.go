@@ -3,7 +3,6 @@ package ssd
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -68,46 +67,6 @@ func testStore(t *testing.T, s Store) {
 
 func TestMemStore(t *testing.T) { testStore(t, NewMem(nil)) }
 
-func TestFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ssd.db")
-	s, err := NewFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	testStore(t, s)
-}
-
-func TestFileStoreSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ssd.db")
-	c := vclock.New()
-	s, err := NewFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := page(0x5A)
-	if err := s.WritePage(c, 3, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, err := NewFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	buf := make([]byte, PageSize)
-	if err := s2.ReadPage(c, 3, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("page lost across reopen")
-	}
-}
-
 func TestMemStoreConcurrent(t *testing.T) {
 	s := NewMem(nil)
 	const workers = 8
@@ -171,8 +130,8 @@ func TestChargesDevice(t *testing.T) {
 func TestMemStoreLend(t *testing.T) {
 	s := NewMem(nil)
 	c := vclock.New()
-	if _, ok, err := s.Lend(c, 5); err == nil || ok {
-		t.Fatalf("Lend of a missing page = ok %v, err %v; want an error", ok, err)
+	if _, err := s.Lend(c, 5); err == nil {
+		t.Fatal("Lend of a missing page succeeded")
 	}
 	if st := s.Device().Stats(); st.ReadOps != 0 || c.Now() != 0 {
 		t.Fatalf("Lend of a missing page charged %d reads, %d ns", st.ReadOps, c.Now())
@@ -190,9 +149,9 @@ func TestMemStoreLend(t *testing.T) {
 	if err := twin.ReadPage(tc, 5, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	lent, ok, err := s.Lend(c, 5)
-	if err != nil || !ok {
-		t.Fatalf("Lend = ok %v, err %v", ok, err)
+	lent, err := s.Lend(c, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(lent, page(0x11)) || len(lent) != PageSize || cap(lent) != PageSize {
 		t.Fatalf("lent page has len %d cap %d and the wrong bytes", len(lent), cap(lent))
@@ -207,7 +166,7 @@ func TestMemStoreLend(t *testing.T) {
 	if err := s.WritePage(c, 5, page(0x22)); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := s.Lend(c, 5)
+	again, err := s.Lend(c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,29 +175,8 @@ func TestMemStoreLend(t *testing.T) {
 	}
 
 	s.Device().SetFaults(device.NewInjector(device.FaultConfig{ReadErrProb: 1}))
-	if _, ok, err := s.Lend(c, 5); ok || !errors.Is(err, device.ErrTransient) {
-		t.Fatalf("Lend under a faulty device = ok %v, err %v; want ErrTransient", ok, err)
-	}
-}
-
-// TestFileStoreDoesNotLend: a file's pages are not in memory, so Lend
-// declines without charging, and the caller reads with ReadPage.
-func TestFileStoreDoesNotLend(t *testing.T) {
-	s, err := NewFile(filepath.Join(t.TempDir(), "ssd.img"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := vclock.New()
-	if err := s.WritePage(c, 0, page(1)); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Now()
-	if p, ok, err := s.Lend(c, 0); p != nil || ok || err != nil {
-		t.Fatalf("FileStore.Lend = %v, %v, %v; want nil, false, nil", p != nil, ok, err)
-	}
-	if c.Now() != before || s.Device().Stats().ReadOps != 0 {
-		t.Fatal("a declined Lend charged the device")
+	if _, err := s.Lend(c, 5); !errors.Is(err, device.ErrTransient) {
+		t.Fatalf("Lend under a faulty device = %v; want ErrTransient", err)
 	}
 }
 
@@ -336,8 +274,8 @@ func TestMemStoreStrayID(t *testing.T) {
 	if err := s.ReadPage(c, stray, make([]byte, PageSize)); err == nil {
 		t.Fatal("ReadPage of a stray id succeeded")
 	}
-	if _, ok, err := s.Lend(c, stray); err == nil || ok {
-		t.Fatalf("Lend of a stray id = ok %v, err %v; want an error", ok, err)
+	if _, err := s.Lend(c, stray); err == nil {
+		t.Fatal("Lend of a stray id succeeded")
 	}
 	if err := s.WritePage(c, stray, page(1)); err == nil {
 		t.Fatal("WritePage of a stray id succeeded")
@@ -350,81 +288,64 @@ func TestMemStoreStrayID(t *testing.T) {
 	}
 }
 
-// TestWriteUnits: WriteUnits charges exactly what WritePage charges, on
-// both stores, and an injected failure leaves the old image. A MemStore
-// copies only the units named (a page it does not hold yet whole); a
-// FileStore writes the whole page.
+// TestWriteUnits: WriteUnits charges exactly what WritePage charges, copies
+// only the units named (a page the store does not hold yet whole), and an
+// injected failure leaves the old image.
 func TestWriteUnits(t *testing.T) {
-	stores := map[string]func(t *testing.T) Store{
-		"mem": func(*testing.T) Store { return NewMem(nil) },
-		"file": func(t *testing.T) Store {
-			s, err := NewFile(filepath.Join(t.TempDir(), "ssd.img"), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
-		},
-	}
 	// buf is page(0x22) except in units 5 and 62..63, which hold 0x33.
 	buf := page(0x22)
 	const units = 1<<5 | 3<<62
 	for _, u := range []int{5, 62, 63} {
 		copy(buf[u*UnitSize:(u+1)*UnitSize], page(0x33))
 	}
-	for name, open := range stores {
-		t.Run(name, func(t *testing.T) {
-			s, twin := open(t), open(t)
-			c, tc := vclock.New(), vclock.New()
-			if err := s.WriteUnits(c, 9, page(0x11), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := twin.WritePage(tc, 9, page(0x11)); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, PageSize)
-			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, page(0x11)) {
-				t.Fatalf("a first write with no units named did not store the whole page (err %v)", err)
-			}
-			if err := twin.ReadPage(tc, 9, got); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("mem", func(t *testing.T) {
+		s, twin := NewMem(nil), NewMem(nil)
+		c, tc := vclock.New(), vclock.New()
+		if err := s.WriteUnits(c, 9, page(0x11), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.WritePage(tc, 9, page(0x11)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, PageSize)
+		if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, page(0x11)) {
+			t.Fatalf("a first write with no units named did not store the whole page (err %v)", err)
+		}
+		if err := twin.ReadPage(tc, 9, got); err != nil {
+			t.Fatal(err)
+		}
 
-			if err := s.WriteUnits(c, 9, buf, units); err != nil {
-				t.Fatal(err)
-			}
-			if err := twin.WritePage(tc, 9, buf); err != nil {
-				t.Fatal(err)
-			}
-			if c.Now() != tc.Now() {
-				t.Fatalf("WriteUnits took %d ns, WritePage %d ns", c.Now(), tc.Now())
-			}
-			if got, want := s.Device().Stats(), twin.Device().Stats(); got != want {
-				t.Fatalf("WriteUnits counted %+v, WritePage %+v", got, want)
-			}
-			want := page(0x11)
-			if name == "file" {
-				want = buf
-			}
-			for _, u := range []int{5, 62, 63} {
-				copy(want[u*UnitSize:(u+1)*UnitSize], page(0x33))
-			}
-			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("WriteUnits stored the wrong image (err %v)", err)
-			}
+		if err := s.WriteUnits(c, 9, buf, units); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.WritePage(tc, 9, buf); err != nil {
+			t.Fatal(err)
+		}
+		if c.Now() != tc.Now() {
+			t.Fatalf("WriteUnits took %d ns, WritePage %d ns", c.Now(), tc.Now())
+		}
+		if got, want := s.Device().Stats(), twin.Device().Stats(); got != want {
+			t.Fatalf("WriteUnits counted %+v, WritePage %+v", got, want)
+		}
+		want := page(0x11)
+		for _, u := range []int{5, 62, 63} {
+			copy(want[u*UnitSize:(u+1)*UnitSize], page(0x33))
+		}
+		if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("WriteUnits stored the wrong image (err %v)", err)
+		}
 
-			s.Device().SetFaults(device.NewInjector(device.FaultConfig{WriteErrProb: 1}))
-			before := c.Now()
-			if err := s.WriteUnits(c, 9, page(0x44), AllUnits); !errors.Is(err, device.ErrTransient) {
-				t.Fatalf("WriteUnits under a faulty device = %v; want ErrTransient", err)
-			}
-			if c.Now() != before {
-				t.Fatal("a failed write charged the clock")
-			}
-			s.Device().SetFaults(nil)
-			if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("a failed write changed the image (err %v)", err)
-			}
-		})
-	}
+		s.Device().SetFaults(device.NewInjector(device.FaultConfig{WriteErrProb: 1}))
+		before := c.Now()
+		if err := s.WriteUnits(c, 9, page(0x44), AllUnits); !errors.Is(err, device.ErrTransient) {
+			t.Fatalf("WriteUnits under a faulty device = %v; want ErrTransient", err)
+		}
+		if c.Now() != before {
+			t.Fatal("a failed write charged the clock")
+		}
+		s.Device().SetFaults(nil)
+		if err := s.ReadPage(c, 9, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("a failed write changed the image (err %v)", err)
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"fmt"
-	"os"
 	"sync"
 
 	"github.com/spitfire-db/spitfire/internal/device"
@@ -19,8 +17,7 @@ import (
 // buffers.
 const memLogChunk = 4 << 20
 
-// MemLog is an in-memory LogStore charged against an SSD device model. The
-// experiments use it; the recovery example uses FileLog.
+// MemLog is an in-memory LogStore charged against an SSD device model.
 //
 // The log is a list of fixed-size chunks: Append copies into the last one
 // and never moves a byte already logged. Truncate keeps the chunks it just
@@ -136,64 +133,3 @@ func (l *MemLog) Len() int {
 	defer l.mu.Unlock()
 	return l.size
 }
-
-// FileLog is a file-backed LogStore for examples that survive process
-// restarts.
-type FileLog struct {
-	dev *device.Device
-	mu  sync.Mutex
-	f   *os.File
-}
-
-// NewFileLog opens (creating if necessary) a log file at path.
-func NewFileLog(path string, dev *device.Device) (*FileLog, error) {
-	if dev == nil {
-		dev = device.New(device.SSDParams)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open log %s: %w", path, err)
-	}
-	return &FileLog{dev: dev, f: f}, nil
-}
-
-// Append implements LogStore.
-func (l *FileLog) Append(c *vclock.Clock, data []byte) error {
-	l.dev.Write(c, len(data))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Seek(0, 2); err != nil {
-		return err
-	}
-	if _, err := l.f.Write(data); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// ReadAll implements LogStore.
-func (l *FileLog) ReadAll(c *vclock.Clock) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, err := l.f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, st.Size())
-	if _, err := l.f.ReadAt(out, 0); err != nil && st.Size() > 0 {
-		return nil, err
-	}
-	l.dev.Read(c, len(out))
-	return out, nil
-}
-
-// Truncate implements LogStore.
-func (l *FileLog) Truncate(c *vclock.Clock) error {
-	l.dev.Write(c, 1)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Truncate(0)
-}
-
-// Close closes the underlying file.
-func (l *FileLog) Close() error { return l.f.Close() }

@@ -135,39 +135,3 @@ func TestMemLogCopyBudget(t *testing.T) {
 		t.Fatalf("after a 1 MiB interval the log still holds %d chunks, want at most 2", got)
 	}
 }
-
-// TestFileLogRoundTrip: appends reach the file, survive reopening it, and
-// Truncate empties it.
-func TestFileLogRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/wal.log"
-	c := vclock.New()
-	l, err := NewFileLog(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []string{"rec", "ord"} {
-		if err := l.Append(c, []byte(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = NewFileLog(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if raw, err := l.ReadAll(c); err != nil || string(raw) != "record" {
-		t.Fatalf("reopened file log holds %q (%v), want %q", raw, err, "record")
-	}
-	if err := l.Truncate(c); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err := l.ReadAll(c); err != nil || len(raw) != 0 {
-		t.Fatalf("truncated file log holds %q (%v)", raw, err)
-	}
-	if c.Now() == 0 {
-		t.Fatal("file log charged no device time")
-	}
-}
