@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/spitfire-db/spitfire/internal/ssd"
+)
 
 // CheckConsistency walks the mapping table and frame metadata and verifies
 // the structural invariants that migrations and recovery must preserve:
@@ -15,7 +19,10 @@ import "fmt"
 //   - a lent DRAM frame (frameMeta.lent) is whole, its page has no NVM
 //     copy, and a frame that holds no page is not lent — the invariant that
 //     keeps anything but the frame's own write-back from rewriting a page
-//     while it is lent.
+//     while it is lent;
+//   - a lent NVM frame's page is one the SSD store holds, its lent page is
+//     the store's array for it, and its mask word equals its write-back
+//     mask; an NVM frame that owns its page has the word ssd.AllUnits.
 //
 // The caller must be quiescent (no concurrent fetches, cleaners stopped).
 // It returns nil, or an error describing the first few violations found.
@@ -87,15 +94,36 @@ func (bm *BufferManager) CheckConsistency() error {
 				} else if hdrPID != pid {
 					add("page %d: NVM frame %d header names page %d", pid, f, hdrPID)
 				}
+				m, word := &bm.nvm.meta[f], bm.nvm.readWord(f)
+				if l := m.lent.Load(); l == nil {
+					if word != ssd.AllUnits {
+						add("page %d: NVM frame %d owns its page but its mask word is %#x", pid, f, word)
+					}
+				} else {
+					if page, err := bm.disk.Relend(pid); err != nil || &page[0] != &l[0] {
+						add("page %d: NVM frame %d is lent a page that is not the store's (%v)", pid, f, err)
+					}
+					if diff := m.diff.Load(); word != diff {
+						add("page %d: lent NVM frame %d has mask word %#x, write-back mask %#x", pid, f, word, diff)
+					}
+				}
 			}
 		}
 		return true
 	})
 
+	// A dead NVM tier's detached frames (detachDeadNVM) keep what they held.
+	var pools []*basePool
 	if bm.dram != nil {
-		for f := range bm.dram.meta {
-			if m := &bm.dram.meta[f]; m.pid.Load() == InvalidPageID && m.lent.Load() != nil {
-				add("DRAM frame %d holds no page but is still lent", f)
+		pools = append(pools, &bm.dram.basePool)
+	}
+	if bm.nvm != nil && !bm.nvmDown() {
+		pools = append(pools, &bm.nvm.basePool)
+	}
+	for _, p := range pools {
+		for f := range p.meta {
+			if m := &p.meta[f]; m.pid.Load() == InvalidPageID && m.lent.Load() != nil {
+				add("%v frame %d holds no page but is still lent", p.tier, f)
 			}
 		}
 	}

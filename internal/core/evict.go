@@ -304,13 +304,16 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 		return obs.TierNone, false, nil
 	}
 	defer nm.thaw()
-	wrote := fg == nil
+	// A whole copy hands the NVM copy its mask; a cache-line-grained one
+	// marks the units it writes.
+	wrote, units := fg == nil, m.diff.Load()
 	if fg == nil {
 		p.charge.ChargeRead(ctx.Clock, base, PageSize)
 		if err := bm.nvmWritePayload(ctx.Clock, nf, 0, src); err != nil {
 			return obs.TierNone, false, err
 		}
 	} else {
+		units = 0
 		var werr error
 		fg.lock()
 		for i := 0; i < fg.entries() && werr == nil; i++ {
@@ -321,7 +324,7 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 			off := i * fg.unit
 			p.charge.ChargeRead(ctx.Clock, base+int64(off), fg.unit)
 			werr = bm.nvmWrite(ctx.Clock, nf, u*fg.unit, src[off:off+fg.unit])
-			wrote = true
+			wrote, units = true, units|unitMask(u*fg.unit, fg.unit)
 		}
 		if werr == nil {
 			fg.clearDirty()
@@ -334,34 +337,32 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 	}
 	if wrote {
 		nm.dirty.Store(true)
-		nm.diff.Or(m.diff.Load())
+		nm.diff.Or(units)
 	}
 	m.dirty.Store(false)
 	return obs.TierNVM, true, nil
 }
 
 // admitNVM installs DRAM frame v's contents into frozen NVM frame nf as page
-// d's NVM copy and publishes it (path ❹). A lent frame's page is composed in
-// the NVM frame from the lent page and the units the arena holds. Caller
-// holds d.latchN and both frames. It reports false if the install failed (the
-// error is already retried, counted and noted against the tier): nf is back
-// on the free list and d is untouched, since admission is an optimization the
-// caller can skip.
+// d's NVM copy and publishes it (path ❹). The NVM frame of a lent DRAM frame
+// borrows the same lent page and stores only the units the DRAM frame's mask
+// names, the ones its arena holds; the admission is charged as a whole
+// page's either way. Caller holds d.latchN and both frames. It reports false
+// if the install failed (the error is already retried, counted and noted
+// against the tier): nf is back on the free list and d is untouched, since
+// admission is an optimization the caller can skip.
 func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bool) bool {
 	p := bm.dram
-	page, over, units := p.arenaFrame(v), []byte(nil), uint64(0)
-	if l := p.meta[v].lent.Load(); l != nil {
-		page, over, units = l[:], page, p.meta[v].diff.Load()
-	}
+	m := &p.meta[v]
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
-	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, over, units); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, p.arenaFrame(v), m.lent.Load(), m.diff.Load()); err != nil {
 		bm.nvm.release(nf)
 		return false
 	}
 	nm := &bm.nvm.meta[nf]
 	nm.pid.Store(d.pid)
 	nm.dirty.Store(dirty)
-	nm.diff.Store(p.meta[v].diff.Load())
+	nm.diff.Store(m.diff.Load())
 	nm.clAdmit.Store(ctx.cleaner)
 	if ctx.cleaner {
 		bm.count(ctx.Clock, cCleanerAdmittedNVM)
@@ -421,8 +422,10 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 			return false, nil
 		}
 		// The store copies straight out of the NVM arena, and only the units
-		// the frame's mask names: frame v is frozen and we hold latchN, so
-		// nothing writes it while the view is in use.
+		// the frame's mask names — on a lent frame, the only units the arena
+		// holds, which the store copies into the lent page in place. Frame v
+		// is frozen and we hold latchN, so nothing writes it while the view
+		// is in use.
 		page, err := bm.nvmViewPayload(ctx.Clock, v)
 		if err == nil {
 			err = bm.diskWritePage(ctx.Clock, d.pid, page, bm.nvm.meta[v].diff.Load())

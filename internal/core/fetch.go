@@ -299,12 +299,16 @@ func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32) error {
 }
 
 // fetchMissNVM is fetchMiss's SSD→NVM route (path ❼). It returns (nil, nil)
-// on an install race and a typed error on I/O failure; the payload is written
+// on an install race and a typed error on I/O failure; the payload is charged
 // and persisted before the self-identifying header, so a crash mid-install
 // leaves an invalid frame, never a valid header over torn data. The install
-// copies from the page the store lends, once; the lent page is read-only and
-// stays valid while the page's latchS is held, under which every SSD write
-// of the page runs (writeDown, unlinkNVM, SeedPage).
+// copies no byte: the frame keeps the page the store lends, with an empty
+// mask (installNVMPage), and writers take units over (nvmPool.own). As with
+// a lent DRAM frame (loadFrame), only the frame itself writes the page to
+// SSD while it is lent: the page has no DRAM copy that writes to SSD while
+// an NVM copy exists (writeDown writes down to it), SeedPage refuses a
+// buffered page, and the frame's own write-back (unlinkNVM, ❽) copies the
+// units it took over into the lent page in place.
 func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) {
 	d.lockN()
 	d.lockS()
@@ -323,7 +327,7 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 		bm.nvm.release(nf)
 		return nil, err
 	}
-	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, nil, 0); err != nil {
+	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, (*[PageSize]byte)(page), 0); err != nil {
 		bm.nvm.release(nf)
 		return nil, err
 	}

@@ -225,8 +225,7 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 	}
 	for _, u := range need {
 		uo := u * fg.unit
-		src := h.bm.nvm.pm.Bytes(h.bm.nvm.payloadOffset(nf)+int64(uo), fg.unit)
-		copy(p.arenaFrame(h.frame)[uo:uo+fg.unit], src)
+		h.bm.nvm.copyOut(nf, uo, p.arenaFrame(h.frame)[uo:uo+fg.unit])
 		fg.setResident(u)
 		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
@@ -357,7 +356,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 				h.bm.nvm.meta[nf].dirty.Store(true)
-				h.bm.nvm.meta[nf].markDiff(ssd.AllUnits)
+				h.bm.nvm.meta[nf].markDiff(unitMask(lo, hi-lo))
 			}
 			continue
 		}

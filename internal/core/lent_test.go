@@ -14,16 +14,17 @@ import (
 	"github.com/spitfire-db/spitfire/internal/zipf"
 )
 
-// TestLentFramesUnderWriters is the model test of lent DRAM frames
-// (frameMeta.lent, dramPool.ownUnits and read): pinned readers and writers
-// share frames whose bytes an SSD store lent on a miss, while evictions, the
-// cleaner and re-fetches recycle the frames under them. Every read must see
-// the page's newest bytes, and afterwards every page's durable image — its
-// NVM copy, or else its SSD page — must hold every write.
+// TestLentFramesUnderWriters is the model test of lent frames
+// (frameMeta.lent; dramPool.ownUnits and read, nvmPool.own and readPayload):
+// pinned readers and writers share DRAM and NVM frames whose bytes an SSD
+// store lent on a miss or an admission, while evictions, the cleaner and
+// re-fetches recycle the frames under them. Every read must see the page's
+// newest bytes, and afterwards every page's durable image — its NVM copy, or
+// else its SSD page — must hold every write.
 //
 // The model is TestOptimisticPinVsEvict's: every unit of page pid starts
 // with pid, and worker w keeps a counter behind the stamp of unit w that only
-// it writes, so writers own distinct units. Every miss into DRAM lends, and
+// it writes, so writers own distinct units. Every miss lends, and
 // a third of all accesses write 8 bytes inside the writer's unit, so each
 // write takes one unit of a lent frame over while other workers read other
 // units from the lent page and write their own. A writer that took a unit
@@ -63,7 +64,7 @@ func TestLentFramesUnderWriters(t *testing.T) {
 			}
 
 			var counts [workers][pages]uint64
-			var lentWrites atomic.Int64 // writes that found their frame lent
+			var lentWrites [TierNVM + 1]atomic.Int64 // writes that found their frame lent, by tier
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -99,8 +100,9 @@ func TestLentFramesUnderWriters(t *testing.T) {
 								w, pid, w, stamp, got, pid, counts[w][pid])
 						}
 						if rng.Uint64n(3) == 0 {
-							if h.Tier() == TierDRAM && bm.dram.meta[h.frame].lent.Load() != nil {
-								lentWrites.Add(1)
+							if h.Tier() == TierDRAM && bm.dram.meta[h.frame].lent.Load() != nil ||
+								h.Tier() == TierNVM && bm.nvm.meta[h.frame].lent.Load() != nil {
+								lentWrites[h.Tier()].Add(1)
 							}
 							counts[w][pid]++
 							binary.LittleEndian.PutUint64(buf[8:], counts[w][pid])
@@ -120,8 +122,9 @@ func TestLentFramesUnderWriters(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			if lentWrites.Load() == 0 {
-				t.Fatal("no write found its frame lent: the test exercised nothing")
+			if lentWrites[TierDRAM].Load() == 0 || cfg.NVMBytes > 0 && lentWrites[TierNVM].Load() == 0 {
+				t.Fatalf("writes that found their frame lent: %d in DRAM, %d in NVM; the test exercised too little",
+					lentWrites[TierDRAM].Load(), lentWrites[TierNVM].Load())
 			}
 			checkNoLeakedPins(t, bm)
 			if err := bm.CheckConsistency(); err != nil {
@@ -137,7 +140,7 @@ func TestLentFramesUnderWriters(t *testing.T) {
 			img := make([]byte, PageSize)
 			for pid := uint64(0); pid < pages; pid++ {
 				if nf := bm.descriptorFor(pid).nvmFrame.Load(); nf != noFrame {
-					copy(img, bm.nvm.pm.Bytes(bm.nvm.payloadOffset(nf), PageSize))
+					bm.nvm.copyOut(nf, 0, img)
 				} else if err := bm.Disk().ReadPage(ctx.Clock, pid, img); err != nil {
 					t.Fatal(err)
 				}
@@ -160,8 +163,9 @@ func TestLentFramesUnderWriters(t *testing.T) {
 // whatever the intent, and a write takes over only the units it touches. The
 // frame reads the lent page with those units on top; a checkpoint copies
 // just them into the store's page, which the frame keeps; an admission to
-// NVM composes the page in the NVM frame at the charges of an install from
-// a frame that owns its whole page (a new page written whole).
+// NVM hands the NVM frame the same lent page with those units on top, at the
+// charges of an install from a frame that owns its whole page (a new page
+// written whole).
 func TestLentFrameTakesWritesByUnit(t *testing.T) {
 	seeded := func() []byte {
 		p := make([]byte, PageSize)
@@ -238,7 +242,9 @@ func TestLentFrameTakesWritesByUnit(t *testing.T) {
 			after.WriteOps -= before.WriteOps
 			after.BytesRead -= before.BytesRead
 			after.BytesWritten -= before.BytesWritten
-			return append([]byte(nil), bm.nvm.pm.Bytes(bm.nvm.payloadOffset(nf), PageSize)...), after
+			img := make([]byte, PageSize)
+			bm.nvm.copyOut(nf, 0, img)
+			return img, after
 		}
 		cfg := Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}}
 

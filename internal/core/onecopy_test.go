@@ -81,18 +81,46 @@ func dirtyInNVM(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) {
 	}
 }
 
-// TestOneHostCopyPerNVMSSDMove pins the host copies of the two moves between
-// NVM and SSD as counts. An SSD miss installed in NVM (❼) borrows the
-// store's page and copies it once, into the arena: one Lend, no ReadPage. A
-// dirty NVM page written back (❽) hands the store the arena's own bytes. A
-// new page placed in NVM is installed from the shared zero page, which
-// nothing writes.
+// sentinel fills every NVM frame's payload with b, behind the simulated
+// device's back, so a test can see which bytes a move copied.
+func sentinel(bm *BufferManager, b byte) {
+	for f := 0; f < bm.nvm.nFrames; f++ {
+		p := bm.nvm.pm.Bytes(bm.nvm.payloadOffset(int32(f)), PageSize)
+		for i := range p {
+			p[i] = b
+		}
+	}
+}
+
+// copiedUnits is the mask of the units of NVM frame nf's payload that no
+// longer hold only the sentinel b.
+func copiedUnits(bm *BufferManager, nf int32, b byte) uint64 {
+	p := bm.nvm.pm.Bytes(bm.nvm.payloadOffset(nf), PageSize)
+	units := uint64(0)
+	for i := range p {
+		if p[i] != b {
+			units |= 1 << (i / ssd.UnitSize)
+		}
+	}
+	return units
+}
+
+// TestOneHostCopyPerNVMSSDMove pins the host copies of the moves between
+// NVM and SSD, on payloads filled with a sentinel. An SSD miss installed in
+// NVM (❼) borrows the store's page and copies none of it: one Lend, no
+// ReadPage, every payload byte still the sentinel, and the frame reads as
+// the store's page. A lent DRAM frame admitted to NVM (❹) copies exactly the
+// units its mask names and hands the NVM frame the same lent page. A dirty
+// NVM page written back (❽) hands the store the arena's own bytes. A new
+// page placed in NVM is installed from the shared zero page, which nothing
+// writes.
 func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
 	t.Run("lending store", func(t *testing.T) {
+		const sent = 0x5A
 		store := &countingStore{Store: ssd.NewMem(nil)}
 		bm := newBM(t, Config{DRAMBytes: 4 * PageSize, NVMBytes: 4 * nvmFrameSlot, Policy: toNVM, SSD: store})
 		defer bm.Close()
-		seed(t, bm, 1)
+		seed(t, bm, 2)
 		*store = countingStore{Store: store.Store}
 		ctx := NewCtx(41)
 
@@ -116,14 +144,34 @@ func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
 			t.Fatalf("new page %d did not read as zeros, or a write reached the shared zero page", pid)
 		}
 
-		// ❼: one lend, no ReadPage.
-		dirtyInNVM(t, bm, ctx, 0)
+		// ❼: one lend, no ReadPage, no byte copied.
+		sentinel(bm, sent)
+		h, err = bm.FetchPage(ctx, 0, ReadIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Tier() != TierNVM {
+			t.Fatalf("page 0 served from %v, want NVM", h.Tier())
+		}
+		if err := h.ReadAt(ctx, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		v := h.frame
+		h.Release()
+		want := make([]byte, PageSize)
+		marker(want, 0, 0)
 		if store.lends != 1 || store.reads != 0 {
 			t.Fatalf("SSD→NVM miss made %d Lend and %d ReadPage calls, want 1 and 0", store.lends, store.reads)
 		}
+		if units := copiedUnits(bm, v, sent); units != 0 {
+			t.Fatalf("SSD→NVM miss copied units %#x into the NVM frame, want none", units)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("the NVM frame does not read as the store's page")
+		}
 
 		// ❽: the store is handed the NVM arena's bytes.
-		v := bm.descriptorFor(0).nvmFrame.Load()
+		dirtyInNVM(t, bm, ctx, 0)
 		arena := &bm.nvm.pm.Bytes(bm.nvm.payloadOffset(v), PageSize)[0]
 		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
 			t.Fatalf("evict NVM copy: %v", err)
@@ -135,13 +183,63 @@ func TestOneHostCopyPerNVMSSDMove(t *testing.T) {
 		if st := bm.Stats(); st.SSDToNVM != 1 || st.NVMToSSD != 1 {
 			t.Fatalf("moves counted: ssd→nvm %d, nvm→ssd %d; want 1 and 1", st.SSDToNVM, st.NVMToSSD)
 		}
-		want := make([]byte, PageSize)
 		marker(want, 0, 1)
 		if err := store.Store.ReadPage(ctx.Clock, 0, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatal("the written-back page lost its update")
+		}
+
+		// ❹ of a lent DRAM frame: only its mask's units are copied.
+		if err := bm.SetPolicy(policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1}); err != nil {
+			t.Fatal(err)
+		}
+		h, err = bm.FetchPage(ctx, 1, WriteIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Tier() != TierDRAM || bm.dram.meta[h.frame].lent.Load() == nil {
+			t.Fatalf("page 1 served from %v, want a lent DRAM frame", h.Tier())
+		}
+		marker(want, 1, 0)
+		for _, w := range []struct{ off, n int }{{9 * ssd.UnitSize, ssd.UnitSize}, {20*ssd.UnitSize + 7, 3}} {
+			data := bytes.Repeat([]byte{0xEE}, w.n)
+			if err := h.WriteAt(ctx, w.off, data); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[w.off:], data)
+		}
+		lent, v := bm.dram.meta[h.frame].lent.Load(), h.frame
+		h.Release()
+		sentinel(bm, sent)
+		evictCopy(t, &bm.dram.basePool, ctx, v)
+		nf := bm.descriptorFor(1).nvmFrame.Load()
+		if nf == noFrame {
+			t.Fatal("the dirty lent page was not admitted to NVM")
+		}
+		const mask = 1<<9 | 1<<20
+		if units := copiedUnits(bm, nf, sent); units != mask {
+			t.Fatalf("admitting a lent DRAM frame copied units %#x, want its mask %#x", units, uint64(mask))
+		}
+		m := &bm.nvm.meta[nf]
+		if m.lent.Load() != lent || m.diff.Load() != mask || bm.nvm.readWord(nf) != mask {
+			t.Fatalf("the admitted NVM frame: same lent page %v, mask %#x, word %#x; want true and %#x",
+				m.lent.Load() == lent, m.diff.Load(), bm.nvm.readWord(nf), uint64(mask))
+		}
+		h, err = bm.FetchPage(ctx, 1, ReadIntent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ReadAt(ctx, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if !bytes.Equal(got, want) {
+			t.Fatal("the admitted page reads back wrong")
+		}
+		if err := bm.CheckConsistency(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -262,7 +360,9 @@ func writeUnit5(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID, b byte) {
 // reaches the store as that unit alone, whether the NVM copy is written back
 // (❽), or a DRAM-only copy is, by eviction or by a checkpoint; a checkpoint
 // leaves the copy's mask empty, so the next one hands only what changed
-// since. A new page and an NVM frame found by Recover hand every unit.
+// since. A new page hands every unit. An NVM frame found by Recover hands
+// the units of its mask word: those a lent frame took over, or every unit
+// of a frame that owns its page.
 func TestWriteBackHandsStoreChangedUnits(t *testing.T) {
 	dramOnly := policy.Policy{Dr: 1, Dw: 1}
 	expect := func(t *testing.T, store *countingStore, writes int, units uint64) {
@@ -356,6 +456,11 @@ func TestWriteBackHandsStoreChangedUnits(t *testing.T) {
 		seed(t, bm, 1)
 		ctx := NewCtx(50)
 		writeUnit5(t, bm, ctx, 0, 0xEE)
+		pid, h, err := bm.NewPage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
 		bm.Close()
 		store := &countingStore{Store: cfg.SSD}
 		cfg.SSD = store
@@ -367,7 +472,11 @@ func TestWriteBackHandsStoreChangedUnits(t *testing.T) {
 		if ok, err := evictNVMCopy(t, bm, ctx, 0); !ok {
 			t.Fatal(err)
 		}
-		expect(t, store, 1, ssd.AllUnits)
+		expect(t, store, 1, 1<<5)
+		if ok, err := evictNVMCopy(t, bm, ctx, pid); !ok {
+			t.Fatal(err)
+		}
+		expect(t, store, 2, ssd.AllUnits)
 	})
 }
 

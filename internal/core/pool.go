@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -28,13 +29,18 @@ import (
 // tier's detach), so a fetcher that pins the frame and then reads its own
 // page id there knows the frame holds that page until it unpins.
 //
-// lent is set on a DRAM full frame whose page an SSD store lent it on a miss
-// (ssd.Store.Lend) and stays set until the frame is evicted or released. The
-// frame's bytes are the store's page, except the units its write-back mask
-// (diff) names, which writers took over into the arena (dramPool.ownUnits,
-// under the owning flag) and which are the only units of the arena in use. A
-// lent frame is whole (fg nil) and its page has no NVM copy;
-// CheckConsistency asserts it.
+// lent is set on a DRAM full frame or an NVM frame whose page an SSD store
+// lent it (ssd.Store.Lend): a DRAM frame's on a miss (❾), an NVM frame's on
+// a miss (❼) or on the admission of a lent DRAM frame (❹). It stays set
+// until the frame is evicted or released. The frame's bytes are the store's
+// page, except the units its write-back mask (diff) names, which writers
+// took over into the arena (dramPool.ownUnits, nvmPool.own, under the owning
+// flag) and which are the only units of the arena in use. A lent DRAM frame
+// is whole (fg nil) and its page has no NVM copy; CheckConsistency asserts
+// it. A lent NVM frame keeps its mask durable too, in the word at bytes
+// [16:24) of its header slot (nvmPool.storeWord), so that recovery can lend
+// the frame its page again (Recover); an NVM frame that owns its page keeps
+// ssd.AllUnits there.
 //
 // diff is a DRAM full frame's or an NVM frame's write-back mask: bit u set
 // means unit u of the copy (ssd.UnitSize bytes at u*ssd.UnitSize) may differ
@@ -42,20 +48,22 @@ import (
 // those units (ssd.Store.WriteUnits). It may over-report, never under-report;
 // on a lent frame it is exact: the units the arena holds.
 // A copy loaded from SSD starts at 0 and a whole DRAM copy written to SSD
-// returns to 0; writers OR in the units they touch (markDiff); a copy made
-// from another copy inherits its mask (❻, ❹), and a DRAM copy written down
-// to NVM ORs its mask into the NVM copy's. Fine-grained and mini copies, their
-// NVM write-throughs, new pages and recovered NVM frames carry every bit.
+// returns to 0; writers OR in the units they touch (markDiff, or the
+// takeover of a lent frame); a copy made from another copy inherits its mask
+// (❻, ❹), and a whole DRAM copy written down to NVM ORs its mask into the
+// NVM copy's. Fine-grained and mini copies, new pages and recovered NVM
+// frames that own their page carry every bit; the NVM write-throughs of
+// fine-grained and mini copies mark the units they write.
 // attach stores the initial mask before it publishes the slot; every other
-// read or reset happens on a frozen frame.
+// read or reset happens on a frozen frame, or under owning on a lent frame.
 type frameMeta struct {
 	pid     atomic.Uint64
 	pins    atomic.Int32
 	dirty   atomic.Bool
 	clAdmit atomic.Bool                    // NVM frames: page was admitted by the background cleaner
-	owning  atomic.Bool                    // DRAM full frames: a writer is copying lent units in
+	owning  atomic.Bool                    // lent frames: a writer is taking units over
 	fg      atomic.Pointer[fgState]        // fine-grained residency; DRAM full frames only
-	lent    atomic.Pointer[[PageSize]byte] // DRAM full frames: the store's page, or nil
+	lent    atomic.Pointer[[PageSize]byte] // DRAM full and NVM frames: the store's page, or nil
 	// hdr stages an NVM frame's header for writeHeader, which only the
 	// frame's exclusive owner calls (the frame is frozen), so the one copy
 	// per frame needs no lock and the header no allocation.
@@ -377,13 +385,18 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 // from the lent page elsewhere (ownUnits says when a bit is set).
 func (p *dramPool) read(i int32, off int, buf []byte) {
 	m := &p.meta[i]
-	l := m.lent.Load()
+	readLent(buf, p.arenaFrame(i), m.lent.Load(), m.diff.Load(), off)
+}
+
+// readLent copies bytes [off, off+len(buf)) of a frame's page into buf: from
+// arena, the frame's whole slice of its pool, where diff names the unit or
+// the frame is not lent (l nil), and from the lent page l elsewhere.
+func readLent(buf, arena []byte, l *[PageSize]byte, diff uint64, off int) {
 	if l == nil {
-		copy(buf, p.arenaFrame(i)[off:])
+		copy(buf, arena[off:])
 		return
 	}
-	diff, mask := m.diff.Load(), unitMask(off, len(buf))
-	arena := p.arenaFrame(i)
+	mask := unitMask(off, len(buf))
 	switch diff & mask {
 	case 0:
 		copy(buf, l[off:])
@@ -417,9 +430,7 @@ func (p *dramPool) ownUnits(i int32, off, n int) []byte {
 	if m.lent.Load() == nil || m.diff.Load()&mask == mask {
 		return p.arenaFrame(i)
 	}
-	for j := 0; !m.owning.CompareAndSwap(false, true); j++ {
-		backoff(j)
-	}
+	m.lockOwning()
 	arena, l := p.arenaFrame(i), m.lent.Load()
 	if need := mask &^ m.diff.Load(); need != 0 {
 		// Only the first and last units can be partly covered.
@@ -436,6 +447,15 @@ func (p *dramPool) ownUnits(i int32, off, n int) []byte {
 	}
 	m.owning.Store(false)
 	return arena
+}
+
+// lockOwning spins until the caller holds the frame's owning flag, which
+// serialises the takeovers of a lent frame's units. Its holder takes no
+// latch or lock; it releases the flag with owning.Store(false).
+func (f *frameMeta) lockOwning() {
+	for j := 0; !f.owning.CompareAndSwap(false, true); j++ {
+		backoff(j)
+	}
 }
 
 // arenaFrame is full frame i's slice of the arena, lent or not.
@@ -494,6 +514,39 @@ func (p *nvmPool) payloadOffset(i int32) int64 {
 // headerOffset is the arena offset of frame i's header.
 func (p *nvmPool) headerOffset(i int32) int64 { return int64(i) * nvmFrameSlot }
 
+// wordOffset is the arena offset of frame i's mask word, bytes [16:24) of
+// its header slot, outside the header's checksum.
+func (p *nvmPool) wordOffset(i int32) int64 { return p.headerOffset(i) + 16 }
+
+// hostStored runs after each takeover copy or mask word lands in the arena
+// (pmem.PMem.HostStore): a no-op that a test replaces to crash the machine
+// between two of them.
+var hostStored = func() {}
+
+// storeWord durably records in frame i's mask word which units of the page
+// the arena holds: ssd.AllUnits for a frame that owns its page, its exact
+// write-back mask for a frame the SSD store lent its page. The word moves no
+// page bytes and says only where the host keeps bytes the simulated NVM
+// already holds, so it is an uncharged host store (pmem.HostStore), durable
+// at once. It is set before the bytes it names are needed: an install
+// stores it after the payload and before the header, so a valid header
+// always sits over a current word, and a takeover (own) after copying the
+// units in and before the charged write of them.
+func (p *nvmPool) storeWord(i int32, units uint64) error {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], units)
+	if err := p.pm.HostStore(p.wordOffset(i), w[:]); err != nil {
+		return fmt.Errorf("core: nvm frame %d mask word: %w", i, err)
+	}
+	hostStored()
+	return nil
+}
+
+// readWord decodes frame i's mask word without charging a device.
+func (p *nvmPool) readWord(i int32) uint64 {
+	return binary.LittleEndian.Uint64(p.pm.Bytes(p.wordOffset(i), 8))
+}
+
 // nvmHeaderTable is the CRC polynomial for the frame-header checksum.
 var nvmHeaderTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -545,8 +598,12 @@ func (p *nvmPool) readHeader(i int32) (pid PageID, valid bool) {
 // writePayload stores (and persists) page data into frame i at the given
 // offset within the page. A torn write leaves a prefix on media; callers
 // retry the full write (the payload only becomes reachable once the header
-// is installed after it, so a half-written payload is never served).
+// is installed after it, so a half-written payload is never served). On a
+// lent frame it first takes the units the write touches over (own).
 func (p *nvmPool) writePayload(c *vclock.Clock, i int32, off int, data []byte) error {
+	if err := p.own(i, unitMask(off, len(data))); err != nil {
+		return err
+	}
 	base := p.payloadOffset(i) + int64(off)
 	if err := p.pm.WriteErr(c, base, data); err != nil {
 		return fmt.Errorf("core: nvm frame %d write: %w", i, err)
@@ -557,16 +614,50 @@ func (p *nvmPool) writePayload(c *vclock.Clock, i int32, off int, data []byte) e
 	return nil
 }
 
-// writePage is writePayload of a whole page whose units named in units come
-// from over instead of data. It charges and persists the one page write; the
-// overlay lands in the range that write just covered, before the persist.
-func (p *nvmPool) writePage(c *vclock.Clock, i int32, data, over []byte, units uint64) error {
-	base := p.payloadOffset(i)
-	if err := p.pm.WriteErr(c, base, data); err != nil {
-		return fmt.Errorf("core: nvm frame %d write: %w", i, err)
+// own takes the units in mask of lent frame i over into the arena before a
+// write of them; it does nothing on a frame that owns its page or already
+// holds the units. Under the owning flag it copies in from the lent page
+// every unit of mask the frame's write-back mask lacks — whole units too: a
+// crash between here and the write must find the units' old bytes in the
+// arena — then records them in the frame's mask word and only then in its
+// write-back mask, from which readers learn to read them from the arena.
+// The copies and the word are durable host stores (pmem.HostStore), so the
+// simulated clock does not move. An error means the machine crashed.
+func (p *nvmPool) own(i int32, mask uint64) error {
+	m := &p.meta[i]
+	l := m.lent.Load()
+	if l == nil || m.diff.Load()&mask == mask {
+		return nil
 	}
-	if units != 0 {
-		ssd.CopyUnits(p.pm.Bytes(base, PageSize), over, units)
+	m.lockOwning()
+	defer m.owning.Store(false)
+	diff := m.diff.Load()
+	need := mask &^ diff
+	base := p.payloadOffset(i)
+	for units := need; units != 0; {
+		lo := bits.TrailingZeros64(units)
+		hi := lo + bits.TrailingZeros64(^(units >> lo))
+		units &= ssd.AllUnits << hi // a shift by 64 clears them all
+		if err := p.pm.HostStore(base+int64(lo*ssd.UnitSize), l[lo*ssd.UnitSize:hi*ssd.UnitSize]); err != nil {
+			return fmt.Errorf("core: nvm frame %d takeover: %w", i, err)
+		}
+		hostStored()
+	}
+	if err := p.storeWord(i, diff|need); err != nil {
+		return err
+	}
+	m.diff.Or(need)
+	return nil
+}
+
+// writePage stores (and persists) a whole page in frame i: the units of data
+// named in units, charged as a write of all of data (pmem.WriteUnits). A
+// frame that owns its page stores every unit; a frame lent the store's page
+// stores only the units its write-back mask names.
+func (p *nvmPool) writePage(c *vclock.Clock, i int32, data []byte, units uint64) error {
+	base := p.payloadOffset(i)
+	if err := p.pm.WriteUnits(c, base, data, units); err != nil {
+		return fmt.Errorf("core: nvm frame %d write: %w", i, err)
 	}
 	if err := p.pm.PersistErr(c, base, PageSize); err != nil {
 		return fmt.Errorf("core: nvm frame %d persist: %w", i, err)
@@ -574,17 +665,29 @@ func (p *nvmPool) writePage(c *vclock.Clock, i int32, data, over []byte, units u
 	return nil
 }
 
-// readPayload loads page data from frame i at the given in-page offset.
+// readPayload loads page data from frame i at the given in-page offset: a
+// charged read of the range, then the bytes from the arena or, on a lent
+// frame, from the lent page where the frame's mask does not name the unit.
 func (p *nvmPool) readPayload(c *vclock.Clock, i int32, off int, buf []byte) error {
-	if err := p.pm.ReadErr(c, p.payloadOffset(i)+int64(off), buf); err != nil {
+	if _, err := p.pm.ReadView(c, p.payloadOffset(i)+int64(off), len(buf)); err != nil {
 		return fmt.Errorf("core: nvm frame %d read: %w", i, err)
 	}
+	p.copyOut(i, off, buf)
 	return nil
 }
 
-// viewPayload is readPayload without the copy: it charges the same read and
-// returns frame i's whole payload in place (pmem.ReadView). The caller keeps
-// the frame from being written while it uses the view.
+// copyOut copies bytes [off, off+len(buf)) of frame i's page into buf
+// without charging a device (readLent over the frame's payload).
+func (p *nvmPool) copyOut(i int32, off int, buf []byte) {
+	m := &p.meta[i]
+	readLent(buf, p.pm.Bytes(p.payloadOffset(i), PageSize), m.lent.Load(), m.diff.Load(), off)
+}
+
+// viewPayload charges the read of frame i's whole payload that readPayload
+// would and returns the payload in place (pmem.ReadView) instead of a copy.
+// On a lent frame only the units its mask names are the page's; the rest is
+// in the lent page. The caller keeps the frame from being written while it
+// uses the view.
 func (p *nvmPool) viewPayload(c *vclock.Clock, i int32) ([]byte, error) {
 	v, err := p.pm.ReadView(c, p.payloadOffset(i), PageSize)
 	if err != nil {

@@ -31,8 +31,9 @@ func TestQuickShadowStore(t *testing.T) {
 		Fill  byte
 		// PolicySwitch rotates through preset policies mid-sequence.
 		PolicySwitch bool
-		// Restart (one op in 16) checkpoints, drops the manager and
-		// recovers a new one on the surviving NVM arena and SSD.
+		// Restart (one op in 16) checkpoints, drops the manager, loses
+		// power (pmem.Crash) and recovers a new one on the surviving NVM
+		// arena and SSD.
 		Restart uint8
 	}
 	policies := []policy.Policy{
@@ -49,7 +50,7 @@ func TestQuickShadowStore(t *testing.T) {
 			DRAMBytes: 3 * PageSize,
 			NVMBytes:  5 * nvmFrameSlot,
 			Policy:    policies[polIdx],
-			PMem:      pmem.New(pmem.Options{Size: 5 * nvmFrameSlot}),
+			PMem:      pmem.New(pmem.Options{Size: 5 * nvmFrameSlot, TrackCrashes: true}),
 			SSD:       ssd.NewMem(nil),
 		}
 		if fineGrained {
@@ -83,6 +84,7 @@ func TestQuickShadowStore(t *testing.T) {
 					t.Fatal(err)
 				}
 				bm.Close()
+				cfg.PMem.Crash()
 				if bm, err = Recover(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -126,6 +128,10 @@ func TestQuickShadowStore(t *testing.T) {
 				}
 			}
 			if err := checkDiffMasks(bm); err != nil {
+				t.Log(err)
+				return false
+			}
+			if err := bm.CheckConsistency(); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -174,16 +180,23 @@ func TestQuickShadowStore(t *testing.T) {
 // checkDiffMasks checks the write-back mask of every buffered copy at a
 // quiescent point: in each DRAM full frame and NVM frame, every unit whose
 // bit is clear equals the page's SSD image, which it reads through Lend on a
-// throwaway clock. Fine-grained frames must carry every bit.
+// throwaway clock. Fine-grained frames must carry every bit. A lent frame
+// must be lent the store's own array for its page, and a lent NVM frame's
+// mask word must equal its mask, which names exactly the units its arena
+// holds.
 func checkDiffMasks(bm *BufferManager) error {
 	check := func(tier string, m *frameMeta, page []byte) error {
 		pid, diff := m.pid.Load(), m.diff.Load()
 		img, err := bm.disk.Lend(vclock.New(), pid)
 		if err != nil {
-			if diff != ssd.AllUnits {
-				return fmt.Errorf("page %d: %s copy of a page SSD cannot lend (%v) has mask %#x", pid, tier, err, diff)
+			if diff != ssd.AllUnits || m.lent.Load() != nil {
+				return fmt.Errorf("page %d: %s copy of a page SSD cannot lend (%v) has mask %#x, lent %v",
+					pid, tier, err, diff, m.lent.Load() != nil)
 			}
 			return nil
+		}
+		if l := m.lent.Load(); l != nil && &l[0] != &img[0] {
+			return fmt.Errorf("page %d: lent %s copy holds a page that is not the store's", pid, tier)
 		}
 		for u := 0; u < 64; u++ {
 			lo, hi := u*ssd.UnitSize, (u+1)*ssd.UnitSize
@@ -215,7 +228,14 @@ func checkDiffMasks(bm *BufferManager) error {
 		if m.pid.Load() == InvalidPageID {
 			continue
 		}
-		if err := check("NVM", m, bm.nvm.pm.Bytes(bm.nvm.payloadOffset(int32(i)), PageSize)); err != nil {
+		word := bm.nvm.readWord(int32(i))
+		if m.lent.Load() != nil && word != m.diff.Load() || m.lent.Load() == nil && word != ssd.AllUnits {
+			return fmt.Errorf("page %d: NVM copy (lent %v) has mask word %#x, mask %#x",
+				m.pid.Load(), m.lent.Load() != nil, word, m.diff.Load())
+		}
+		page := make([]byte, PageSize)
+		bm.nvm.copyOut(int32(i), 0, page)
+		if err := check("NVM", m, page); err != nil {
 			return err
 		}
 	}

@@ -16,8 +16,12 @@ import (
 // manager's job, layered on top of the recovered buffer manager.)
 //
 // cfg must carry the surviving PMem arena and the same geometry the crashed
-// manager used. Recovered pages are conservatively marked dirty relative to
-// SSD so they are written back when evicted.
+// manager used, and the same SSD store. Recovered pages are conservatively
+// marked dirty relative to SSD so they are written back when evicted. A
+// frame whose mask word (nvmPool.storeWord) is not ssd.AllUnits borrowed its
+// page from the store before the crash: it comes back lent the same page
+// (ssd.Store.Relend, which reads nothing) with the word as its write-back
+// mask, so its write-back hands the store just those units.
 func Recover(cfg Config) (*BufferManager, error) {
 	if cfg.PMem == nil {
 		return nil, errors.New("core: Recover requires the surviving PMem arena")
@@ -68,10 +72,21 @@ func Recover(cfg Config) (*BufferManager, error) {
 			np.release(f) // still frozen and untagged, as New built it
 			continue
 		}
+		// Conservatively newer than SSD in every unit the arena holds: all of
+		// them, or those a lent frame's mask word names.
+		diff := np.readWord(f)
+		if diff != ssd.AllUnits {
+			page, err := bm.disk.Relend(pid)
+			if err != nil {
+				bm.Close()
+				return nil, fmt.Errorf("core: recover: NVM frame %d was lent page %d: %w", f, pid, err)
+			}
+			np.meta[f].lent.Store((*[PageSize]byte)(page))
+		}
 		seen[pid] = f
 		np.meta[f].pid.Store(pid)
-		np.meta[f].dirty.Store(true)        // conservatively newer than SSD,
-		np.meta[f].diff.Store(ssd.AllUnits) // in any unit
+		np.meta[f].dirty.Store(true)
+		np.meta[f].diff.Store(diff)
 		np.meta[f].pins.Store(0)
 		d := bm.descriptorFor(pid)
 		d.lockMu()

@@ -68,18 +68,30 @@ func (bm *BufferManager) nvmWriteHeader(c *vclock.Clock, f int32, pid PageID, va
 	return err
 }
 
-// installNVMPage writes a full page into frozen NVM frame nf and then its
-// self-identifying header, in that order: the header (whose checksum covers
-// the frame id) only becomes valid after the payload is durably in place, so
-// a crash between the two steps leaves an invalid frame that recovery simply
-// frees — never a valid-looking frame over a half-written payload. The page
-// is data with the units named in units taken from over (nvmPool.writePage).
-func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, data, over []byte, units uint64) error {
-	err := bm.retryIO(c, func() error { return bm.nvm.writePage(c, nf, data, over, units) })
+// installNVMPage installs page pid in frozen NVM frame nf: its payload, then
+// the frame's mask word, then its self-identifying header, in that order.
+// The header (whose checksum covers the frame id) only becomes valid after
+// the payload and the word are durably in place, so a crash between the
+// steps leaves an invalid frame that recovery simply frees — never a
+// valid-looking frame over a half-written payload or a stale word. With lent
+// nil the frame owns the page and stores all of data. Otherwise the frame
+// keeps lent, the page the SSD store lends, and stores only the units of
+// data named in units, which must be the page's only units that differ from
+// lent; either way the payload write is charged as a whole page's
+// (nvmPool.writePage).
+func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, data []byte, lent *[PageSize]byte, units uint64) error {
+	if lent == nil {
+		units = ssd.AllUnits
+	}
+	err := bm.retryIO(c, func() error { return bm.nvm.writePage(c, nf, data, units) })
+	if err == nil {
+		err = bm.nvm.storeWord(nf, units)
+	}
 	bm.noteNVMErr(err)
 	if err != nil {
 		return err
 	}
+	bm.nvm.meta[nf].lent.Store(lent)
 	return bm.nvmWriteHeader(c, nf, pid, true)
 }
 

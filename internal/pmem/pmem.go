@@ -11,6 +11,10 @@
 //   - Write is *not* durable by itself: stores land in the simulated CPU
 //     cache. Persist(off, n) models clwb of the covered cache lines followed
 //     by an sfence; only then is the range durable.
+//   - WriteUnits charges and persists like a write of a whole range but
+//     stores only the units a mask names; HostStore stores bytes the medium
+//     already holds, uncharged and durable at once. Together they let the
+//     buffer manager install a page the SSD store lends without copying it.
 //   - Crash() models power loss: every store that was never persisted is
 //     rolled back to its last persisted contents. Recovery tests restart a
 //     buffer manager on top of the surviving arena.
@@ -22,6 +26,7 @@ package pmem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/spitfire-db/spitfire/internal/device"
@@ -135,33 +140,100 @@ func (p *PMem) ReadView(c *vclock.Clock, off int64, n int) ([]byte, error) {
 // validity marker.
 func (p *PMem) WriteErr(c *vclock.Clock, off int64, data []byte) error {
 	p.check(off, len(data))
-	if _, err := p.dev.WriteErr(c, len(data)); err != nil {
-		if frac, torn := device.IsTorn(err); torn {
-			n := int(frac * float64(len(data)))
-			if n > len(data) {
-				n = len(data)
-			}
-			// Aligned stores of at most 8 bytes are torn-atomic (x86-64
-			// guarantees 8-byte store atomicity on pmem): model "nothing
-			// landed" rather than a garbled word. The WAL's extent word
-			// relies on this.
-			if len(data) <= 8 && off%8 == 0 {
-				n = 0
-			}
-			if n > 0 {
-				if p.trackCrashes {
-					p.saveShadow(off, n)
-				}
-				copy(p.data[off:off+int64(n)], data[:n])
-				p.dropShadows(off, n)
-			}
-		}
-		return err
+	n, err := p.writeCharge(c, len(data))
+	// Aligned stores of at most 8 bytes are torn-atomic (x86-64 guarantees
+	// 8-byte store atomicity on pmem): model "nothing landed" rather than a
+	// garbled word. The WAL's extent word relies on this.
+	if len(data) <= 8 && off%8 == 0 && err != nil {
+		n = 0
 	}
-	if p.trackCrashes {
+	p.store(off, data[:n], err != nil)
+	return err
+}
+
+// WriteUnits is WriteErr of the units of data named in units only: bit u
+// covers bytes [u*k, (u+1)*k) of data and of the range at off, where
+// k = len(data)/64. It charges, consults the fault injector and persists a
+// torn prefix exactly as WriteErr(c, off, data) does, but it stores only the
+// named units (of a torn write, the part of them inside the prefix); the
+// range's other bytes keep what they held. len(data) must be a multiple of
+// 64. The buffer manager installs a page the SSD store lends with it: the
+// install is charged in full while the host copies only the units the
+// arena must hold.
+func (p *PMem) WriteUnits(c *vclock.Clock, off int64, data []byte, units uint64) error {
+	p.check(off, len(data))
+	if len(data)%64 != 0 {
+		panic(fmt.Sprintf("pmem: WriteUnits of %d bytes, not a multiple of 64 units", len(data)))
+	}
+	n, err := p.writeCharge(c, len(data))
+	k := len(data) / 64
+	for units != 0 {
+		lo := bits.TrailingZeros64(units)
+		hi := lo + bits.TrailingZeros64(^(units >> lo))
+		units &= ^uint64(0) << hi // a shift by 64 clears them all
+		if end := min(hi*k, n); lo*k < end {
+			p.store(off+int64(lo*k), data[lo*k:end], err != nil)
+		}
+	}
+	return err
+}
+
+// writeCharge charges a write of n bytes through the fault injector and
+// reports how many of them reach the arena: all on success, the torn
+// prefix on a torn write, none on any other failure.
+func (p *PMem) writeCharge(c *vclock.Clock, n int) (int, error) {
+	_, err := p.dev.WriteErr(c, n)
+	if err == nil {
+		return n, nil
+	}
+	frac, torn := device.IsTorn(err)
+	if !torn {
+		return 0, err
+	}
+	return min(int(frac*float64(n)), n), err
+}
+
+// store copies data to off. A store that is not durable keeps the covered
+// lines' pre-images for Crash; a durable one (a torn prefix, which power
+// loss itself flushes) leaves none.
+func (p *PMem) store(off int64, data []byte, durable bool) {
+	if len(data) == 0 {
+		return
+	}
+	if p.trackCrashes && !durable {
 		p.saveShadow(off, len(data))
 	}
 	copy(p.data[off:off+int64(len(data))], data)
+	if durable {
+		p.dropShadows(off, len(data))
+	}
+}
+
+// HostStore puts data at off as bytes the medium already holds: the caller
+// has charged the device for them, or they record only where the host keeps
+// bytes the device holds. It charges nothing and is durable at once — Crash
+// does not roll it back. A pending pre-image of a line it covers takes its
+// bytes too, so the line's other unpersisted stores still roll back. Once
+// the device's fault injector has crashed, HostStore stores nothing and
+// fails with device.ErrCrashed: nothing lands after the power is gone.
+func (p *PMem) HostStore(off int64, data []byte) error {
+	p.check(off, len(data))
+	if in := p.dev.Faults(); in != nil && in.Crashed() {
+		return fmt.Errorf("%s host store: %w", p.dev.Kind(), device.ErrCrashed)
+	}
+	copy(p.data[off:off+int64(len(data))], data)
+	if !p.trackCrashes || len(data) == 0 {
+		return nil
+	}
+	end := off + int64(len(data))
+	p.mu.Lock()
+	for line := off / CacheLineSize; line*CacheLineSize < end; line++ {
+		if img, ok := p.shadow[line]; ok {
+			lo, hi := max(off, line*CacheLineSize), min(end, (line+1)*CacheLineSize)
+			copy(img[lo-line*CacheLineSize:hi-line*CacheLineSize], data[lo-off:hi-off])
+		}
+	}
+	p.mu.Unlock()
 	return nil
 }
 

@@ -3,7 +3,9 @@
 //
 // MemStore keeps pages in memory (the device model supplies the SSD's cost;
 // the host's RAM merely stores the bytes) and lends them to the buffer
-// manager instead of copying them out.
+// manager instead of copying them out. DRAM and NVM frames alike keep the
+// page they borrow; an NVM frame keeps it across a crash, and recovery takes
+// it back with Relend.
 package ssd
 
 import (
@@ -52,6 +54,12 @@ type Store interface {
 	// life, and a write of pid rewrites it in place, so a borrower that
 	// keeps it sees the new image.
 	Lend(c *vclock.Clock, pid uint64) ([]byte, error)
+	// Relend returns the array Lend lends for page pid without charging or
+	// faulting a read. It is for a borrower that held the page across a
+	// restart: recovery hands an NVM frame back the page it borrowed before
+	// the crash. A store that persists its pages across restarts must lend
+	// the same bytes for a page after a restart as before it.
+	Relend(pid uint64) ([]byte, error)
 	// Device returns the cost model in use.
 	Device() *device.Device
 }
@@ -114,12 +122,21 @@ func (s *MemStore) ReadPage(c *vclock.Clock, pid uint64, buf []byte) error {
 // Lend implements Store: it returns the page's backing array, which a write
 // only ever rewrites in place.
 func (s *MemStore) Lend(c *vclock.Clock, pid uint64) ([]byte, error) {
-	p := s.page(pid)
-	if p == nil {
-		return nil, fmt.Errorf("ssd: page %d does not exist", pid)
+	p, err := s.Relend(pid)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := s.dev.ReadErr(c, PageSize); err != nil {
 		return nil, fmt.Errorf("ssd: read page %d: %w", pid, err)
+	}
+	return p, nil
+}
+
+// Relend implements Store.
+func (s *MemStore) Relend(pid uint64) ([]byte, error) {
+	p := s.page(pid)
+	if p == nil {
+		return nil, fmt.Errorf("ssd: page %d does not exist", pid)
 	}
 	return p[:], nil
 }

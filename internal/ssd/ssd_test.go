@@ -126,7 +126,8 @@ func TestChargesDevice(t *testing.T) {
 
 // TestMemStoreLend pins Lend's contract: it charges exactly what ReadPage
 // charges, through the same fault injector, and lends the page's own backing
-// array, which a later WritePage rewrites in place.
+// array, which a later WritePage rewrites in place. Relend returns the same
+// array and charges nothing.
 func TestMemStoreLend(t *testing.T) {
 	s := NewMem(nil)
 	c := vclock.New()
@@ -177,6 +178,18 @@ func TestMemStoreLend(t *testing.T) {
 	s.Device().SetFaults(device.NewInjector(device.FaultConfig{ReadErrProb: 1}))
 	if _, err := s.Lend(c, 5); !errors.Is(err, device.ErrTransient) {
 		t.Fatalf("Lend under a faulty device = %v; want ErrTransient", err)
+	}
+
+	// Relend hands back the same array, charging and faulting nothing.
+	st, now := s.Device().Stats(), c.Now()
+	if re, err := s.Relend(5); err != nil || &re[0] != &lent[0] || len(re) != PageSize || cap(re) != PageSize {
+		t.Fatalf("Relend = %v; want the lent array", err)
+	}
+	if _, err := s.Relend(6); err == nil {
+		t.Fatal("Relend of a missing page succeeded")
+	}
+	if s.Device().Stats() != st || c.Now() != now {
+		t.Fatal("Relend charged the device")
 	}
 }
 
