@@ -162,7 +162,7 @@ func (c *cleaner) replenish() {
 			if evicted {
 				p.count(c.ctx.Clock.Worker(), p.st.cleaned)
 			}
-			p.release(v)
+			p.release(c.ctx.holder(), v)
 			produced++
 		}
 		if produced == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/ssd"
 )
 
@@ -38,8 +39,9 @@ func (bm *BufferManager) CheckConsistency() error {
 	miniOwner := map[int32]PageID{}
 	nvmOwner := map[int32]PageID{}
 
+	var h lockcheck.Holder // no worker's: it takes one mu at a time
 	bm.table.Range(func(pid PageID, d *descriptor) bool {
-		loc := d.load()
+		loc := d.load(&h)
 		if (loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame) && d.pid != pid {
 			add("page %d: descriptor names page %d", pid, d.pid)
 		}

@@ -27,6 +27,7 @@ import (
 	"github.com/spitfire-db/spitfire/internal/admission"
 	"github.com/spitfire-db/spitfire/internal/dense"
 	"github.com/spitfire-db/spitfire/internal/device"
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/pmem"
@@ -174,6 +175,10 @@ func (ctx *Ctx) handle(bm *BufferManager, d *descriptor, tier Tier, f int32, how
 	h.bm, h.d, h.tier, h.frame, h.how, h.released = bm, d, tier, f, how, false
 	return h
 }
+
+// holder is the worker's identity for the latch-order checker: every latch
+// taken on the worker's behalf is recorded against it (latches.go).
+func (ctx *Ctx) holder() *lockcheck.Holder { return ctx.Clock.Holder() }
 
 // bernoulli draws a policy trial. p <= 0 is always false and p >= 1 always
 // true, so the degenerate eager/disabled policies are exact.

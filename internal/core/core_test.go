@@ -470,16 +470,17 @@ func TestFlushWaitsOutBusyPage(t *testing.T) {
 	d := bm.descriptorFor(0)
 	held := make(chan struct{})
 	go func() {
-		d.lockD()
+		evictor := NewCtx(17).holder()
+		d.lockD(evictor)
 		close(held)
 		time.Sleep(5 * time.Millisecond)
-		d.unlockD()
+		d.unlockD(evictor)
 	}()
 	<-held
 	if err := bm.FlushDirtyDRAM(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if v := d.load().dramFrame; v == noFrame || bm.dram.meta[v].dirty.Load() {
+	if v := d.load(ctx.holder()).dramFrame; v == noFrame || bm.dram.meta[v].dirty.Load() {
 		t.Fatalf("page not resident and clean after the flush (frame %d)", v)
 	}
 	if st := bm.Stats(); st.FlushedDRAMPages != 1 {

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 )
 
 // noFrame marks an empty frame slot in a descriptor.
@@ -50,10 +52,10 @@ type location struct {
 
 // load snapshots the frame slots under mu, so the three agree with each other
 // (slot writers hold mu across a multi-slot change such as a mini promotion).
-func (d *descriptor) load() location {
-	d.lockMu()
+func (d *descriptor) load(h *lockcheck.Holder) location {
+	d.lockMu(h)
 	l := location{d.dramFrame.Load(), d.dramMini.Load(), d.nvmFrame.Load()}
-	d.unlockMu()
+	d.unlockMu(h)
 	return l
 }
 

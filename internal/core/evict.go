@@ -43,7 +43,7 @@ func allocExpired(i int, start *time.Time) bool {
 // search against a failing device.
 func (p *basePool) alloc(ctx *Ctx) (int32, error) {
 	cl := p.cleaner
-	if f, ok := p.takeFree(); ok {
+	if f, ok := p.takeFree(ctx.holder()); ok {
 		if cl != nil && p.freeCount() < cl.low {
 			cl.wake()
 		}
@@ -54,7 +54,7 @@ func (p *basePool) alloc(ctx *Ctx) (int32, error) {
 	}
 	var searchStart time.Time
 	for i := 0; !allocExpired(i, &searchStart); i++ {
-		if f, ok := p.takeFree(); ok {
+		if f, ok := p.takeFree(ctx.holder()); ok {
 			return f, nil
 		}
 		v, evicted, err := p.reclaim(ctx)
@@ -141,16 +141,16 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 // unlinkDRAM is the DRAM pool's unlink: write frame v's page down-tier and
 // detach it from d.
 func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
-	if !d.tryLockD() {
+	if !d.tryLockD(ctx.holder()) {
 		return false, nil
 	}
-	defer d.unlockD()
+	defer d.unlockD(ctx.holder())
 	if ok, err := bm.writeBackDRAM(ctx, d, v); !ok {
 		return false, err
 	}
-	d.lockMu()
+	d.lockMu(ctx.holder())
 	d.dramFrame.Store(noFrame)
-	d.unlockMu()
+	d.unlockMu(ctx.holder())
 	return true, nil
 }
 
@@ -166,7 +166,7 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 // DRAM copy while a stale NVM copy stays reachable (and durable) would let
 // recovery resurrect old data over a newer SSD image.
 func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	nvmOK := bm.nvm != nil && !bm.nvmDown()
 
 	if !bm.dram.meta[v].dirty.Load() {
@@ -180,13 +180,13 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 			!nvmOK || loc.nvmFrame != noFrame || !bm.admQueue.Admit(d.pid) {
 			return true, nil
 		}
-		if !d.tryLockN() {
+		if !d.tryLockN(ctx.holder()) {
 			return true, nil // clean: safe to just drop instead
 		}
 		if nf, err := bm.nvm.alloc(ctx); err == nil {
 			bm.admitNVM(ctx, d, v, nf, false) // on failure just drop: the page is clean
 		}
-		d.unlockN()
+		d.unlockN(ctx.holder())
 		return true, nil
 	}
 
@@ -197,8 +197,12 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 	// write-backs pre-warm NVM with pages that have shown repeated eviction
 	// pressure, while a single cold sweep cannot flood the buffer the way
 	// always-admit did. (With Nw forced to zero — NVM disabled or degraded —
-	// the cleaner bias is off too.) A page that already has an NVM copy
-	// refreshes it instead, so NVM never goes stale ahead of SSD write-back.
+	// the cleaner bias is off too.) The bias stays although it makes NVM
+	// traffic depend on which evictor ran: with the cleaner flipping the
+	// coin at Nw = 1, traced kv-txn moved 4.6x the DRAM→NVM pages and wrote
+	// 1.8x the NVM bytes per op, and missed more (DESIGN.md §6a). A page
+	// that already has an NVM copy refreshes it instead, so NVM never goes
+	// stale ahead of SSD write-back.
 	admit := false
 	if nvmOK && loc.nvmFrame == noFrame {
 		pol := bm.pol.Load()
@@ -211,13 +215,13 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 		}
 	}
 	if admit {
-		if !d.tryLockN() {
+		if !d.tryLockN(ctx.holder()) {
 			return false, nil
 		}
 		nf, err := bm.nvm.alloc(ctx)
 		if err == nil {
 			admitted := bm.admitNVM(ctx, d, v, nf, true)
-			d.unlockN()
+			d.unlockN(ctx.holder())
 			if admitted {
 				return true, nil
 			}
@@ -225,13 +229,13 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 			// fall back to writing it straight to SSD below.
 		} else {
 			// NVM itself is unevictable right now; fall through to SSD.
-			d.unlockN()
+			d.unlockN(ctx.holder())
 			if errors.Is(err, device.ErrCrashed) {
 				return false, err
 			}
 			if isIOErr(err) {
 				// note and keep going: SSD can still take the page
-				bm.noteNVMErr(err)
+				bm.noteNVMErr(ctx.holder(), err)
 			}
 		}
 	}
@@ -272,22 +276,22 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 		m, src, base = &p.mini.meta[v], p.mini.data(v), int64(v)*int64(p.mini.slotSize)
 	}
 	fg := m.fg.Load()
-	nf := d.load().nvmFrame
+	nf := d.load(ctx.holder()).nvmFrame
 	if nf == noFrame {
 		// A full frame without an NVM copy is fully resident by invariant
 		// (the NVM evictor refuses to orphan partial pages).
-		if mini || !d.tryLockS() {
+		if mini || !d.tryLockS(ctx.holder()) {
 			return obs.TierNone, false, nil
 		}
-		defer d.unlockS()
+		defer d.unlockS(ctx.holder())
 		p.charge.ChargeRead(ctx.Clock, base, PageSize)
 		if err := bm.diskWritePage(ctx.Clock, d.pid, src, m.diff.Load()); err != nil {
 			return obs.TierNone, false, err
 		}
 		if fg != nil {
-			fg.lock()
+			fg.lock(ctx.holder())
 			fg.clearDirty()
-			fg.unlock()
+			fg.unlock(ctx.holder())
 		} else {
 			m.diff.Store(0) // SSD now holds the whole copy; a fine-grained one keeps every bit
 		}
@@ -295,10 +299,10 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 		return obs.TierSSD, true, nil
 	}
 
-	if !d.tryLockN() {
+	if !d.tryLockN(ctx.holder()) {
 		return obs.TierNone, false, nil
 	}
-	defer d.unlockN()
+	defer d.unlockN(ctx.holder())
 	nm := &bm.nvm.meta[nf]
 	if !nm.freezeWait(d.pid) {
 		return obs.TierNone, false, nil
@@ -315,7 +319,7 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 	} else {
 		units = 0
 		var werr error
-		fg.lock()
+		fg.lock(ctx.holder())
 		for i := 0; i < fg.entries() && werr == nil; i++ {
 			u, dirty := fg.dirtyEntry(i)
 			if !dirty {
@@ -329,9 +333,9 @@ func (bm *BufferManager) writeDown(ctx *Ctx, d *descriptor, v int32, mini bool) 
 		if werr == nil {
 			fg.clearDirty()
 		}
-		fg.unlock()
+		fg.unlock(ctx.holder())
 		if werr != nil {
-			bm.noteNVMErr(werr)
+			bm.noteNVMErr(ctx.holder(), werr)
 			return obs.TierNone, false, werr
 		}
 	}
@@ -356,7 +360,7 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 	m := &p.meta[v]
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(v), PageSize)
 	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, p.arenaFrame(v), m.lent.Load(), m.diff.Load()); err != nil {
-		bm.nvm.release(nf)
+		bm.nvm.release(ctx.holder(), nf)
 		return false
 	}
 	nm := &bm.nvm.meta[nf]
@@ -367,9 +371,9 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 	if ctx.cleaner {
 		bm.count(ctx.Clock, cCleanerAdmittedNVM)
 	}
-	d.lockMu()
+	d.lockMu(ctx.holder())
 	d.nvmFrame.Store(nf)
-	d.unlockMu()
+	d.unlockMu(ctx.holder())
 	nm.thaw()
 	bm.nvm.ref(nf)
 	bm.count(ctx.Clock, cDRAMToNVM)
@@ -380,19 +384,19 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 // unlinkMini is the mini pool's unlink: write the mini page's dirty slots
 // down to its NVM copy and detach it from d.
 func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, error) {
-	if !d.tryLockD() {
+	if !d.tryLockD(ctx.holder()) {
 		return false, nil
 	}
-	defer d.unlockD()
+	defer d.unlockD(ctx.holder())
 	if bm.dram.mini.meta[v].dirty.Load() {
 		if _, ok, err := bm.writeDown(ctx, d, v, true); !ok {
 			return false, err
 		}
 		bm.count(ctx.Clock, cDRAMToNVM)
 	}
-	d.lockMu()
+	d.lockMu(ctx.holder())
 	d.dramMini.Store(noFrame)
-	d.unlockMu()
+	d.unlockMu(ctx.holder())
 	return true, nil
 }
 
@@ -402,13 +406,13 @@ func (bm *BufferManager) unlinkMini(ctx *Ctx, d *descriptor, v int32) (bool, err
 // DRAM copy is only partially resident (cache-line-grained or mini) are
 // skipped: evicting their backing store would orphan them.
 func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
-	if !d.tryLockN() {
+	if !d.tryLockN(ctx.holder()) {
 		return false, nil
 	}
-	defer d.unlockN()
+	defer d.unlockN(ctx.holder())
 	// Re-check DRAM dependencies under latchN (migrations up require it,
 	// so no new fine-grained page can appear once we hold it).
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	if loc.dramMini != noFrame {
 		return false, nil
 	}
@@ -418,7 +422,7 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		}
 	}
 	if bm.nvm.meta[v].dirty.Load() {
-		if !d.tryLockS() {
+		if !d.tryLockS(ctx.holder()) {
 			return false, nil
 		}
 		// The store copies straight out of the NVM arena, and only the units
@@ -430,7 +434,7 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 		if err == nil {
 			err = bm.diskWritePage(ctx.Clock, d.pid, page, bm.nvm.meta[v].diff.Load())
 		}
-		d.unlockS()
+		d.unlockS(ctx.holder())
 		if err != nil {
 			return false, err
 		}
@@ -444,8 +448,8 @@ func (bm *BufferManager) unlinkNVM(ctx *Ctx, d *descriptor, v int32) (bool, erro
 	if err := bm.nvmWriteHeader(ctx.Clock, v, InvalidPageID, false); err != nil {
 		return false, err
 	}
-	d.lockMu()
+	d.lockMu(ctx.holder())
 	d.nvmFrame.Store(noFrame)
-	d.unlockMu()
+	d.unlockMu(ctx.holder())
 	return true, nil
 }

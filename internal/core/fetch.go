@@ -108,7 +108,7 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 			if bm.nvmDown() {
 				// The tier died; this descriptor raced the degradation walk.
 				// Detach its dead copy inline and retry as a miss/DRAM hit.
-				bm.detachDeadNVM(d)
+				bm.detachDeadNVM(ctx.holder(), d)
 				continue
 			}
 			migrate := false
@@ -182,12 +182,12 @@ func (bm *BufferManager) pinNVMCopy(d *descriptor, f int32) bool {
 // (nil, nil) if the descriptor changed underneath and the caller should
 // retry.
 func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
-	d.lockD()
-	d.lockN()
-	defer d.unlockN()
-	defer d.unlockD()
+	d.lockD(ctx.holder())
+	d.lockN(ctx.holder())
+	defer d.unlockN(ctx.holder())
+	defer d.unlockD(ctx.holder())
 
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame == noFrame {
 		return nil, nil
 	}
@@ -215,7 +215,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 	}
 	if fg == nil {
 		if err := bm.nvmReadPayload(ctx.Clock, nf, 0, bm.dram.arenaFrame(f)); err != nil {
-			p.release(f)
+			p.release(ctx.holder(), f)
 			if errors.Is(err, device.ErrPermanent) && !errors.Is(err, device.ErrCrashed) {
 				// nvmReadPayload already degraded the tier; the caller's retry
 				// loop detaches the dead copy and falls back to the SSD route.
@@ -229,7 +229,7 @@ func (bm *BufferManager) migrateUp(ctx *Ctx, d *descriptor) (*Handle, error) {
 	if fg == nil {
 		diff = bm.nvm.meta[nf].diff.Load()
 	}
-	p.attach(d, f, false, diff, fg)
+	p.attach(ctx.holder(), d, f, false, diff, fg)
 	bm.count(ctx.Clock, cMigNVMToDRAM)
 	return ctx.handle(bm, d, tier, f, howMigrated), nil
 }
@@ -257,11 +257,11 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 		// NVM route failed; fall through to the DRAM route below.
 	}
 
-	d.lockD()
-	d.lockS()
-	defer d.unlockS()
-	defer d.unlockD()
-	loc := d.load()
+	d.lockD(ctx.holder())
+	d.lockS(ctx.holder())
+	defer d.unlockS(ctx.holder())
+	defer d.unlockD(ctx.holder())
+	loc := d.load(ctx.holder())
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		return nil, nil
 	}
@@ -270,11 +270,11 @@ func (bm *BufferManager) fetchMiss(ctx *Ctx, d *descriptor, pol *policy.Policy) 
 		return nil, err
 	}
 	if err := bm.loadFrame(ctx.Clock, d.pid, f); err != nil {
-		bm.dram.release(f)
+		bm.dram.release(ctx.holder(), f)
 		return nil, fmt.Errorf("core: fetch page %d: %w", d.pid, err)
 	}
 	bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-	bm.dram.attach(d, f, false, 0, nil)
+	bm.dram.attach(ctx.holder(), d, f, false, 0, nil)
 	bm.count(ctx.Clock, cSSDToDRAM)
 	return ctx.handle(bm, d, TierDRAM, f, howMissDRAM), nil
 }
@@ -310,11 +310,11 @@ func (bm *BufferManager) loadFrame(c *vclock.Clock, pid PageID, f int32) error {
 // buffered page, and the frame's own write-back (unlinkNVM, ❽) copies the
 // units it took over into the lent page in place.
 func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) {
-	d.lockN()
-	d.lockS()
-	defer d.unlockS()
-	defer d.unlockN()
-	loc := d.load()
+	d.lockN(ctx.holder())
+	d.lockS(ctx.holder())
+	defer d.unlockS(ctx.holder())
+	defer d.unlockN(ctx.holder())
+	loc := d.load(ctx.holder())
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		return nil, nil
 	}
@@ -324,14 +324,14 @@ func (bm *BufferManager) fetchMissNVM(ctx *Ctx, d *descriptor) (*Handle, error) 
 	}
 	page, err := bm.diskLendPage(ctx.Clock, d.pid)
 	if err != nil {
-		bm.nvm.release(nf)
+		bm.nvm.release(ctx.holder(), nf)
 		return nil, err
 	}
 	if err := bm.installNVMPage(ctx.Clock, nf, d.pid, page, (*[PageSize]byte)(page), 0); err != nil {
-		bm.nvm.release(nf)
+		bm.nvm.release(ctx.holder(), nf)
 		return nil, err
 	}
-	bm.nvm.attach(d, nf, false, 0, nil)
+	bm.nvm.attach(ctx.holder(), d, nf, false, 0, nil)
 	bm.count(ctx.Clock, cSSDToNVM)
 	return ctx.handle(bm, d, TierNVM, nf, howMissNVM), nil
 }
@@ -364,8 +364,8 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 	toDRAM := bm.dram != nil && (bm.nvm == nil || bm.nvmDown() || ctx.bernoulli(pol.Dw))
 
 	if toDRAM {
-		d.lockD()
-		defer d.unlockD()
+		d.lockD(ctx.holder())
+		defer d.unlockD(ctx.holder())
 		f, err := bm.dram.alloc(ctx)
 		if err != nil {
 			return nil, err
@@ -375,21 +375,21 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 			fr[i] = 0
 		}
 		bm.dram.charge.ChargeWrite(ctx.Clock, bm.dram.frameOffset(f), PageSize)
-		bm.dram.attach(d, f, true, ssd.AllUnits, nil)
+		bm.dram.attach(ctx.holder(), d, f, true, ssd.AllUnits, nil)
 		return ctx.handle(bm, d, TierDRAM, f, howNone), nil
 	}
 
-	d.lockN()
-	defer d.unlockN()
+	d.lockN(ctx.holder())
+	defer d.unlockN(ctx.holder())
 	nf, err := bm.nvm.alloc(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if err := bm.installNVMPage(ctx.Clock, nf, pid, zeroPage[:], nil, 0); err != nil {
-		bm.nvm.release(nf)
+		bm.nvm.release(ctx.holder(), nf)
 		return nil, fmt.Errorf("core: materialize page %d: %w", pid, err)
 	}
-	bm.nvm.attach(d, nf, true, ssd.AllUnits, nil)
+	bm.nvm.attach(ctx.holder(), d, nf, true, ssd.AllUnits, nil)
 	return ctx.handle(bm, d, TierNVM, nf, howNone), nil
 }
 
@@ -398,7 +398,7 @@ func (bm *BufferManager) materialize(ctx *Ctx, pid PageID) (*Handle, error) {
 // uses it to re-create pages whose only record is in the log.
 func (bm *BufferManager) MaterializePage(ctx *Ctx, pid PageID) (*Handle, error) {
 	d := bm.descriptorFor(pid)
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame ||
 		bm.disk.Contains(pid) {
 		return bm.FetchPage(ctx, pid, WriteIntent)
@@ -417,15 +417,15 @@ func (bm *BufferManager) MaterializePage(ctx *Ctx, pid PageID) (*Handle, error) 
 // page to. Such a page is refused with an error and SSD is left alone.
 func (bm *BufferManager) SeedPage(ctx *Ctx, pid PageID, data []byte) error {
 	d := bm.descriptorFor(pid)
-	d.lockS() // a miss loads under latchS: it reads the page before or after this write
-	loc := d.load()
+	d.lockS(ctx.holder()) // a miss loads under latchS: it reads the page before or after this write
+	loc := d.load(ctx.holder())
 	var err error
 	if loc.dramFrame != noFrame || loc.dramMini != noFrame || loc.nvmFrame != noFrame {
 		err = fmt.Errorf("core: seed page %d: the page is buffered", pid)
 	} else {
 		err = bm.diskWritePage(ctx.Clock, pid, data, ssd.AllUnits)
 	}
-	d.unlockS()
+	d.unlockS(ctx.holder())
 	if err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func TestFineGrainedWriteBack(t *testing.T) {
 	// read the NVM copy's payload directly: the checkpoint must have written
 	// the dirty unit into it.
 	d := bm.descriptorFor(0)
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	if loc.nvmFrame == noFrame {
 		t.Fatal("page lost its NVM copy")
 	}

@@ -37,7 +37,7 @@ func (bm *BufferManager) FlushDirtyDRAM(ctx *Ctx) (err error) {
 // reports false if the page moved or a down-tier latch was busy, and should
 // be retried.
 func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
-	loc := d.load()
+	loc := d.load(ctx.holder())
 	v, mini := loc.dramFrame, false
 	if v == noFrame {
 		v, mini = loc.dramMini, true
@@ -52,11 +52,11 @@ func (bm *BufferManager) flushOne(ctx *Ctx, d *descriptor) (bool, error) {
 	if !m.dirty.Load() {
 		return true, nil
 	}
-	d.lockD()
-	defer d.unlockD()
+	d.lockD(ctx.holder())
+	defer d.unlockD(ctx.holder())
 	// Re-verify under the latch: an eviction that held it may have moved
 	// the page.
-	loc = d.load()
+	loc = d.load(ctx.holder())
 	if !mini && loc.dramFrame != v || mini && loc.dramMini != v {
 		return false, nil
 	}

@@ -238,15 +238,15 @@ func (h *Handle) fgLoadUnits(ctx *Ctx, fg *fgState, first, last, off, n int, for
 func (h *Handle) fgRead(ctx *Ctx, fg *fgState, off int, buf []byte) error {
 	p := h.bm.dram
 	first, last := unitRange(fg.unit, off, len(buf))
-	fg.lock()
+	fg.lock(ctx.holder())
 	if err := h.fgLoadUnits(ctx, fg, first, last, off, len(buf), false); err != nil {
-		fg.unlock()
-		h.bm.noteNVMErr(err)
+		fg.unlock(ctx.holder())
+		h.bm.noteNVMErr(ctx.holder(), err)
 		return err
 	}
 	p.charge.ChargeRead(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(buf))
 	copy(buf, p.arenaFrame(h.frame)[off:off+len(buf)])
-	fg.unlock()
+	fg.unlock(ctx.holder())
 	return nil
 }
 
@@ -256,10 +256,10 @@ func (h *Handle) fgRead(ctx *Ctx, fg *fgState, off int, buf []byte) error {
 func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 	p := h.bm.dram
 	first, last := unitRange(fg.unit, off, len(data))
-	fg.lock()
+	fg.lock(ctx.holder())
 	if err := h.fgLoadUnits(ctx, fg, first, last, off, len(data), true); err != nil {
-		fg.unlock()
-		h.bm.noteNVMErr(err)
+		fg.unlock(ctx.holder())
+		h.bm.noteNVMErr(ctx.holder(), err)
 		return err
 	}
 	p.charge.ChargeWrite(ctx.Clock, p.frameOffset(h.frame)+int64(off), len(data))
@@ -267,7 +267,7 @@ func (h *Handle) fgWrite(ctx *Ctx, fg *fgState, off int, data []byte) error {
 	for u := first; u <= last; u++ {
 		fg.setDirty(u)
 	}
-	fg.unlock()
+	fg.unlock(ctx.holder())
 	p.meta[h.frame].markDirty()
 	return nil
 }
@@ -288,7 +288,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 	n := len(buf) + len(data) // exactly one of buf/data is non-nil
 	first, last := unitRange(fg.unit, off, n)
 
-	fg.lock()
+	fg.lock(ctx.holder())
 	// Give every touched unit a slot while capacity lasts.
 	overflow := false
 	for u := first; u <= last; u++ {
@@ -301,7 +301,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 		}
 		nf := h.nvmBacking()
 		if nf == noFrame {
-			fg.unlock()
+			fg.unlock(ctx.holder())
 			return fmt.Errorf("core: page %d: mini page lost its NVM backing", h.d.pid)
 		}
 		s := fg.slotCount
@@ -310,15 +310,15 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 		dst := mp.data(h.frame)[s*fg.unit : (s+1)*fg.unit]
 		if err := h.bm.nvmRead(ctx.Clock, nf, u*fg.unit, dst); err != nil {
 			fg.slotCount-- // roll the half-filled slot back
-			fg.unlock()
-			h.bm.noteNVMErr(err)
+			fg.unlock(ctx.holder())
+			h.bm.noteNVMErr(ctx.holder(), err)
 			return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 		}
 		h.bm.dram.charge.ChargeWrite(ctx.Clock, int64(int(h.frame)*mp.slotSize+s*fg.unit), fg.unit)
 		h.bm.count(ctx.Clock, cFGUnitLoads)
 	}
 	if overflow {
-		fg.unlock()
+		fg.unlock(ctx.holder())
 		if h.promoteMini(ctx) {
 			// Re-dispatch on the upgraded (full-frame) handle.
 			if buf != nil {
@@ -326,7 +326,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 			}
 			return h.WriteAt(ctx, off, data)
 		}
-		fg.lock() // promotion contended; serve mixed below
+		fg.lock(ctx.holder()) // promotion contended; serve mixed below
 	}
 
 	// Serve the access unit by unit: slotted units from the mini frame,
@@ -340,19 +340,19 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 		if s == noSlot {
 			nf := h.nvmBacking()
 			if nf == noFrame {
-				fg.unlock()
+				fg.unlock(ctx.holder())
 				return fmt.Errorf("core: page %d: mini page lost its NVM backing", h.d.pid)
 			}
 			if buf != nil {
 				if err := h.bm.nvmRead(ctx.Clock, nf, lo, buf[lo-off:hi-off]); err != nil {
-					fg.unlock()
-					h.bm.noteNVMErr(err)
+					fg.unlock(ctx.holder())
+					h.bm.noteNVMErr(ctx.holder(), err)
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 			} else {
 				if err := h.bm.nvmWrite(ctx.Clock, nf, lo, data[lo-off:hi-off]); err != nil {
-					fg.unlock()
-					h.bm.noteNVMErr(err)
+					fg.unlock(ctx.holder())
+					h.bm.noteNVMErr(ctx.holder(), err)
 					return fmt.Errorf("core: page %d: %w", h.d.pid, err)
 				}
 				h.bm.nvm.meta[nf].dirty.Store(true)
@@ -371,7 +371,7 @@ func (h *Handle) miniAccess(ctx *Ctx, off int, buf, data []byte) error {
 			dirtied = true
 		}
 	}
-	fg.unlock()
+	fg.unlock(ctx.holder())
 	if dirtied {
 		mp.meta[h.frame].markDirty()
 	}
@@ -407,7 +407,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 
 	newFG := newFullFG(fg.unit)
 	full := h.bm.dram.arenaFrame(f)
-	fg.lock()
+	fg.lock(ctx.holder())
 	src := mp.data(h.frame)
 	for s := 0; s < fg.slotCount; s++ {
 		u := int(fg.slots[s])
@@ -419,7 +419,7 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 		}
 	}
 	h.bm.dram.charge.ChargeWrite(ctx.Clock, h.bm.dram.frameOffset(f), fg.slotCount*fg.unit)
-	fg.unlock()
+	fg.unlock(ctx.holder())
 
 	dirty := m.dirty.Load()
 	h.bm.dram.meta[f].pid.Store(h.d.pid)
@@ -431,14 +431,14 @@ func (h *Handle) promoteMini(ctx *Ctx) bool {
 	// the mini slot empty then finds the full frame (fetchPage's NVM hit
 	// re-check reads them in that order).
 	old := h.frame
-	h.d.lockMu()
+	h.d.lockMu(ctx.holder())
 	h.d.dramFrame.Store(f)
 	h.d.dramMini.Store(noFrame)
-	h.d.unlockMu()
+	h.d.unlockMu(ctx.holder())
 
 	h.bm.dram.meta[f].pins.Store(1) // transfer our pin to the full frame
 	h.bm.dram.ref(f)
-	mp.release(old)
+	mp.release(ctx.holder(), old)
 	h.tier = TierDRAM
 	h.frame = f
 	h.bm.count(ctx.Clock, cMiniPromotions)

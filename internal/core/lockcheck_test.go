@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 )
 
 // mustPanic runs f and returns the lockcheck panic message, failing the
@@ -29,10 +31,11 @@ func mustPanic(t *testing.T, f func()) string {
 // TestLockcheckPanicsOnInversion proves the runtime checker catches a
 // deliberately inverted latchS → latchN acquisition before it can block.
 func TestLockcheckPanicsOnInversion(t *testing.T) {
+	var h lockcheck.Holder
 	d := &descriptor{}
-	d.lockS()
-	defer d.unlockS()
-	msg := mustPanic(t, func() { d.lockN() })
+	d.lockS(&h)
+	defer d.unlockS(&h)
+	msg := mustPanic(t, func() { d.lockN(&h) })
 	if !strings.Contains(msg, "tier order is latchD → latchN → latchS") {
 		t.Fatalf("panic message missing tier-order explanation: %q", msg)
 	}
@@ -43,10 +46,11 @@ func TestLockcheckPanicsOnInversion(t *testing.T) {
 
 // TestLockcheckPanicsUnderMu proves mu is enforced as a leaf lock.
 func TestLockcheckPanicsUnderMu(t *testing.T) {
+	var h lockcheck.Holder
 	d := &descriptor{}
-	d.lockMu()
-	defer d.unlockMu()
-	msg := mustPanic(t, func() { d.lockD() })
+	d.lockMu(&h)
+	defer d.unlockMu(&h)
+	msg := mustPanic(t, func() { d.lockD(&h) })
 	if !strings.Contains(msg, "mu is a leaf lock") {
 		t.Fatalf("panic message missing leaf-lock explanation: %q", msg)
 	}
@@ -55,35 +59,37 @@ func TestLockcheckPanicsUnderMu(t *testing.T) {
 // TestLockcheckPanicsOnSecondDescriptorBlocking proves a blocking tier Lock
 // on a second descriptor panics while a TryLock is accepted.
 func TestLockcheckPanicsOnSecondDescriptorBlocking(t *testing.T) {
+	var h lockcheck.Holder
 	a, b := &descriptor{}, &descriptor{}
-	a.lockD()
-	defer a.unlockD()
-	msg := mustPanic(t, func() { b.lockD() })
+	a.lockD(&h)
+	defer a.unlockD(&h)
+	msg := mustPanic(t, func() { b.lockD(&h) })
 	if !strings.Contains(msg, "second descriptors only via TryLock") {
 		t.Fatalf("panic message missing TryLock guidance: %q", msg)
 	}
-	if !b.tryLockD() {
+	if !b.tryLockD(&h) {
 		t.Fatal("uncontended TryLock on second descriptor failed")
 	}
-	b.unlockD()
+	b.unlockD(&h)
 }
 
 // TestLockcheckAllowsDiscipline runs the full legal sequence — tiers in
 // order with skips, mu as a leaf under a tier latch, TryLock on a second
 // descriptor — and expects no panic.
 func TestLockcheckAllowsDiscipline(t *testing.T) {
+	var h lockcheck.Holder
 	a, b := &descriptor{}, &descriptor{}
-	a.lockD()
-	a.lockS() // skipping latchN is legal
-	a.lockMu()
-	a.unlockMu()
-	if b.tryLockN() {
-		b.unlockN()
+	a.lockD(&h)
+	a.lockS(&h) // skipping latchN is legal
+	a.lockMu(&h)
+	a.unlockMu(&h)
+	if b.tryLockN(&h) {
+		b.unlockN(&h)
 	}
-	b.lockMu() // blocking mu on a second descriptor is legal (leaf)
-	b.unlockMu()
-	a.unlockS()
-	a.unlockD()
+	b.lockMu(&h) // blocking mu on a second descriptor is legal (leaf)
+	b.unlockMu(&h)
+	a.unlockS(&h)
+	a.unlockD(&h)
 }
 
 // TestStaleReleasePanics: a handle released, and then released again after
@@ -116,10 +122,11 @@ func TestStaleReleasePanics(t *testing.T) {
 // TestLockcheckPanicsUnderFg proves a frame group's fg.mu is a strict leaf:
 // not even descriptor.mu may be taken under it.
 func TestLockcheckPanicsUnderFg(t *testing.T) {
+	var h lockcheck.Holder
 	d, fg := &descriptor{}, newFullFG(256)
-	fg.lock()
-	defer fg.unlock()
-	msg := mustPanic(t, func() { d.lockMu() })
+	fg.lock(&h)
+	defer fg.unlock(&h)
+	msg := mustPanic(t, func() { d.lockMu(&h) })
 	if !strings.Contains(msg, "frame-group lock is a strict leaf") {
 		t.Fatalf("panic message missing strict-leaf explanation: %q", msg)
 	}

@@ -12,11 +12,7 @@ func (bm *BufferManager) obsRing(ctx *Ctx) *obs.Ring {
 	if !ctx.ringInit {
 		ctx.ringInit = true
 		if bm.obs != nil {
-			label := "worker"
-			if ctx.cleaner {
-				label = "cleaner"
-			}
-			ctx.ring = bm.obs.NewRing(label)
+			ctx.ring = bm.obs.NewRing("worker") // newCleaner names its own
 		}
 	}
 	return ctx.ring

@@ -57,7 +57,7 @@ func evictNVMCopy(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) (bool, 
 	}
 	ok, err := bm.nvm.evict(ctx, v)
 	if ok {
-		bm.nvm.release(v)
+		bm.nvm.release(ctx.holder(), v)
 	}
 	return ok, err
 }
@@ -339,7 +339,7 @@ func evictCopy(t *testing.T, p *basePool, ctx *Ctx, v int32) {
 	if ok, err := p.evict(ctx, v); !ok {
 		t.Fatalf("evict %v frame %d: %v", p.tier, v, err)
 	}
-	p.release(v)
+	p.release(ctx.holder(), v)
 }
 
 // writeUnit5 overwrites unit 5 of page pid, bytes [1280, 1536), with b.

@@ -223,14 +223,14 @@ func (p *basePool) init(nFrames int, stats *bmStats, st tierStats) {
 
 // lockFree and unlockFree route freeMu through the lockcheck shims so the
 // -tags lockcheck build sees RankFreeList as a leaf.
-func (p *basePool) lockFree() {
-	lockcheck.Acquire(&p.freeMu, lockcheck.RankFreeList)
+func (p *basePool) lockFree(h *lockcheck.Holder) {
+	lockcheck.Acquire(h, &p.freeMu, lockcheck.RankFreeList)
 	p.freeMu.Lock()
 }
 
-func (p *basePool) unlockFree() {
+func (p *basePool) unlockFree(h *lockcheck.Holder) {
 	p.freeMu.Unlock()
-	lockcheck.Release(&p.freeMu, lockcheck.RankFreeList)
+	lockcheck.Release(h, &p.freeMu, lockcheck.RankFreeList)
 }
 
 // freeCount is the free-list depth (watermarks and gauges only; it can be
@@ -238,20 +238,20 @@ func (p *basePool) unlockFree() {
 func (p *basePool) freeCount() int { return int(p.freeLen.Load()) }
 
 // takeFree pops a frame from the free list. The frame is frozen.
-func (p *basePool) takeFree() (int32, bool) {
+func (p *basePool) takeFree(h *lockcheck.Holder) (int32, bool) {
 	if p.freeLen.Load() == 0 {
 		return noFrame, false // empty at a glance; don't lock
 	}
-	p.lockFree()
+	p.lockFree(h)
 	n := len(p.free)
 	if n == 0 {
-		p.unlockFree()
+		p.unlockFree(h)
 		return noFrame, false
 	}
 	f := p.free[n-1]
 	p.free = p.free[:n-1]
 	p.freeLen.Store(int64(n - 1))
-	p.unlockFree()
+	p.unlockFree(h)
 	return f, true
 }
 
@@ -284,16 +284,16 @@ func (p *basePool) pinPage(f int32, pid PageID) bool {
 // is the copy's initial write-back mask and fg its fine-grained residency
 // state, nil for a whole page. Caller holds the pool's tier latch on d. The
 // order is what pinPage relies on: tag the frame, publish the slot, thaw last.
-func (p *basePool) attach(d *descriptor, f int32, dirty bool, diff uint64, fg *fgState) {
+func (p *basePool) attach(h *lockcheck.Holder, d *descriptor, f int32, dirty bool, diff uint64, fg *fgState) {
 	m := &p.meta[f]
 	m.pid.Store(d.pid)
 	m.dirty.Store(dirty)
 	m.diff.Store(diff)
 	m.fg.Store(fg)
 	m.clAdmit.Store(false)
-	d.lockMu()
+	d.lockMu(h)
 	p.slot(d).Store(f)
-	d.unlockMu()
+	d.unlockMu(h)
 	m.pins.Store(1)
 	p.ref(f)
 }
@@ -301,7 +301,7 @@ func (p *basePool) attach(d *descriptor, f int32, dirty bool, diff uint64, fg *f
 // release returns a frozen frame to the free list. The freeze invariant is
 // asserted in debug builds: a frame entering the free list with pins != -1
 // would be handed to the next allocator thawed.
-func (p *basePool) release(f int32) {
+func (p *basePool) release(h *lockcheck.Holder, f int32) {
 	p.meta[f].pid.Store(InvalidPageID)
 	p.meta[f].dirty.Store(false)
 	p.meta[f].diff.Store(0)
@@ -313,10 +313,10 @@ func (p *basePool) release(f int32) {
 			f, p.meta[f].pins.Load()))
 	}
 	p.unref(f)
-	p.lockFree()
+	p.lockFree(h)
 	p.free = append(p.free, f)
 	p.freeLen.Store(int64(len(p.free)))
-	p.unlockFree()
+	p.unlockFree(h)
 }
 
 // dramPool is the DRAM buffer: a plain arena priced by a MemCharger.

@@ -21,7 +21,8 @@ func TestReleaseFreezeInvariant(t *testing.T) {
 	}
 	var p basePool
 	p.init(4, new(bmStats), dramStats)
-	f, ok := p.takeFree()
+	var h lockcheck.Holder
+	f, ok := p.takeFree(&h)
 	if !ok {
 		t.Fatal("takeFree failed")
 	}
@@ -31,7 +32,7 @@ func TestReleaseFreezeInvariant(t *testing.T) {
 			t.Fatal("release of a pinned frame did not panic")
 		}
 	}()
-	p.release(f)
+	p.release(&h, f)
 }
 
 // TestShardedPoolConcurrent hammers one free list per pool with more workers
@@ -107,10 +108,11 @@ func TestShardedPoolConcurrent(t *testing.T) {
 	checkNoLeakedPins(t, bm)
 
 	// Quiesced free accounting: the atomic depth must equal the stack.
+	var h lockcheck.Holder
 	for _, p := range []*basePool{&bm.dram.basePool, &bm.nvm.basePool} {
-		p.lockFree()
+		p.lockFree(&h)
 		n := len(p.free)
-		p.unlockFree()
+		p.unlockFree(&h)
 		if got := p.freeCount(); got != n {
 			t.Fatalf("%s: freeCount() = %d but the free stack holds %d", p.tier, got, n)
 		}

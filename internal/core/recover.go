@@ -44,7 +44,7 @@ func Recover(cfg Config) (*BufferManager, error) {
 	// Drain the free list so we can re-seed it with only the frames that are
 	// actually free.
 	for {
-		if _, ok := np.takeFree(); !ok {
+		if _, ok := np.takeFree(ctx.holder()); !ok {
 			break
 		}
 	}
@@ -69,7 +69,7 @@ func Recover(cfg Config) (*BufferManager, error) {
 			valid = false
 		}
 		if !valid {
-			np.release(f) // still frozen and untagged, as New built it
+			np.release(ctx.holder(), f) // still frozen and untagged, as New built it
 			continue
 		}
 		// Conservatively newer than SSD in every unit the arena holds: all of
@@ -89,9 +89,9 @@ func Recover(cfg Config) (*BufferManager, error) {
 		np.meta[f].diff.Store(diff)
 		np.meta[f].pins.Store(0)
 		d := bm.descriptorFor(pid)
-		d.lockMu()
+		d.lockMu(ctx.holder())
 		d.nvmFrame.Store(f)
-		d.unlockMu()
+		d.unlockMu(ctx.holder())
 		bm.count(ctx.Clock, cRecoveredNVMPages)
 		if pid >= maxPID {
 			maxPID = pid + 1

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/spitfire-db/spitfire/internal/device"
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/policy"
 	"github.com/spitfire-db/spitfire/internal/ssd"
 	"github.com/spitfire-db/spitfire/internal/vclock"
@@ -32,7 +33,7 @@ func (bm *BufferManager) retryIO(c *vclock.Clock, op func() error) error {
 // error to noteNVMErr once it has unlocked.
 func (bm *BufferManager) nvmReadPayload(c *vclock.Clock, f int32, off int, buf []byte) error {
 	err := bm.nvmRead(c, f, off, buf)
-	bm.noteNVMErr(err)
+	bm.noteNVMErr(c.Holder(), err)
 	return err
 }
 
@@ -44,13 +45,13 @@ func (bm *BufferManager) nvmViewPayload(c *vclock.Clock, f int32) (view []byte, 
 		view, verr = bm.nvm.viewPayload(c, f)
 		return verr
 	})
-	bm.noteNVMErr(err)
+	bm.noteNVMErr(c.Holder(), err)
 	return view, err
 }
 
 func (bm *BufferManager) nvmWritePayload(c *vclock.Clock, f int32, off int, data []byte) error {
 	err := bm.nvmWrite(c, f, off, data)
-	bm.noteNVMErr(err)
+	bm.noteNVMErr(c.Holder(), err)
 	return err
 }
 
@@ -64,7 +65,7 @@ func (bm *BufferManager) nvmWrite(c *vclock.Clock, f int32, off int, data []byte
 
 func (bm *BufferManager) nvmWriteHeader(c *vclock.Clock, f int32, pid PageID, valid bool) error {
 	err := bm.retryIO(c, func() error { return bm.nvm.writeHeader(c, f, pid, valid) })
-	bm.noteNVMErr(err)
+	bm.noteNVMErr(c.Holder(), err)
 	return err
 }
 
@@ -87,7 +88,7 @@ func (bm *BufferManager) installNVMPage(c *vclock.Clock, nf int32, pid PageID, d
 	if err == nil {
 		err = bm.nvm.storeWord(nf, units)
 	}
-	bm.noteNVMErr(err)
+	bm.noteNVMErr(c.Holder(), err)
 	if err != nil {
 		return err
 	}
@@ -132,9 +133,9 @@ func (bm *BufferManager) NVMDegraded() bool { return bm.nvmDown() }
 // noteNVMErr inspects the outcome of an NVM operation and collapses the
 // hierarchy to two tiers on permanent failure. Transient errors (already
 // retried) and crashes (the whole machine is going down) do not degrade.
-func (bm *BufferManager) noteNVMErr(err error) {
+func (bm *BufferManager) noteNVMErr(h *lockcheck.Holder, err error) {
 	if err != nil && errors.Is(err, device.ErrPermanent) {
-		bm.degradeNVM()
+		bm.degradeNVM(h)
 	}
 }
 
@@ -150,7 +151,7 @@ func (bm *BufferManager) noteNVMErr(err error) {
 //     the typed-error analogue of losing a device.
 //
 // Exactly one caller performs the transition; later calls are no-ops.
-func (bm *BufferManager) degradeNVM() {
+func (bm *BufferManager) degradeNVM(h *lockcheck.Holder) {
 	if bm.nvm == nil || !bm.nvm.failed.CompareAndSwap(false, true) {
 		return
 	}
@@ -162,7 +163,7 @@ func (bm *BufferManager) degradeNVM() {
 	bm.pol.Store(&p)
 
 	bm.table.Range(func(_ PageID, d *descriptor) bool {
-		bm.detachDeadNVM(d)
+		bm.detachDeadNVM(h, d)
 		return true
 	})
 }
@@ -171,16 +172,16 @@ func (bm *BufferManager) degradeNVM() {
 // through the DRAM copy when possible. Safe to call on descriptors without
 // an NVM copy. FetchPage also calls it inline for descriptors that raced the
 // degradation walk.
-func (bm *BufferManager) detachDeadNVM(d *descriptor) {
-	d.lockMu()
+func (bm *BufferManager) detachDeadNVM(h *lockcheck.Holder, d *descriptor) {
+	d.lockMu(h)
 	nf := d.nvmFrame.Load()
 	if nf == noFrame {
-		d.unlockMu()
+		d.unlockMu(h)
 		return
 	}
 	d.nvmFrame.Store(noFrame)
 	df := d.dramFrame.Load()
-	d.unlockMu()
+	d.unlockMu(h)
 
 	wasDirty := bm.nvm.meta[nf].dirty.Load()
 	bm.nvm.meta[nf].pid.Store(InvalidPageID)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
 	"github.com/spitfire-db/spitfire/internal/vclock"
@@ -360,8 +361,9 @@ func (bm *BufferManager) Pressure() Pressure {
 // combined buffer capacity (Table 2).
 func (bm *BufferManager) Inclusivity() float64 {
 	both, either := 0, 0
+	var h lockcheck.Holder // no worker's: it takes one mu at a time
 	bm.table.Range(func(_ PageID, d *descriptor) bool {
-		l := d.load()
+		l := d.load(&h)
 		inDRAM := l.dramFrame != noFrame || l.dramMini != noFrame
 		inNVM := l.nvmFrame != noFrame
 		if inDRAM || inNVM {
@@ -381,8 +383,9 @@ func (bm *BufferManager) Inclusivity() float64 {
 // ResidentPages reports how many distinct pages currently sit in each
 // buffer (diagnostics for the capacity experiments).
 func (bm *BufferManager) ResidentPages() (dram, nvm int) {
+	var h lockcheck.Holder // no worker's: it takes one mu at a time
 	bm.table.Range(func(_ PageID, d *descriptor) bool {
-		l := d.load()
+		l := d.load(&h)
 		if l.dramFrame != noFrame || l.dramMini != noFrame {
 			dram++
 		}

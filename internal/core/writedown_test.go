@@ -19,7 +19,7 @@ func (r *readBytesCharger) ChargeWrite(*vclock.Clock, int64, int)      {}
 // victim search does, and frees the frame.
 func evictDRAMCopy(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) {
 	t.Helper()
-	loc := bm.descriptorFor(pid).load()
+	loc := bm.descriptorFor(pid).load(ctx.holder())
 	p, v := &bm.dram.basePool, loc.dramFrame
 	if v == noFrame {
 		p, v = &bm.dram.mini.basePool, loc.dramMini
@@ -30,7 +30,7 @@ func evictDRAMCopy(t *testing.T, bm *BufferManager, ctx *Ctx, pid PageID) {
 	if ok, err := p.evict(ctx, v); !ok {
 		t.Fatalf("evict: %v", err)
 	}
-	p.release(v)
+	p.release(ctx.holder(), v)
 }
 
 // TestWriteDownChargesWhatItWrites dirties three units of a page's DRAM copy

@@ -44,7 +44,7 @@ func RankName(r int) string {
 	return "rank?"
 }
 
-// Held is one latch a thread holds: the object it protects and its rank.
+// Held is one latch a holder holds: the object it protects and its rank.
 // The runtime checker's objects are pointers; the static analyzer's are
 // canonical expression strings.
 type Held struct {
@@ -83,11 +83,12 @@ type Held struct {
 //     a nested read lock queues behind a waiting checkpoint that waits for
 //     the outer one.
 func Violation(held []Held, obj any, rank int, blocking bool) (conflict int, msg string) {
-	want := latchString(obj, rank)
+	// Messages are formatted only on the paths that return one: every
+	// legal acquisition of the checked build passes through here.
 	if rank == RankTxnGate && len(held) > 0 {
 		i := len(held) - 1
 		return i, fmt.Sprintf("acquiring %s while %s is held — the transaction gate is a root, taken before anything else",
-			want, latchString(held[i].Obj, held[i].Rank))
+			latchString(obj, rank), latchString(held[i].Obj, held[i].Rank))
 	}
 	flushHeld := false
 	for _, h := range held {
@@ -108,13 +109,13 @@ func Violation(held []Held, obj any, rank int, blocking bool) (conflict int, msg
 			why = "only shard mutexes may be taken under flushMu"
 		case h.Obj == obj && h.Rank <= RankS && h.Rank >= rank:
 			return i, fmt.Sprintf("acquiring %s while holding %s of the same descriptor — tier order is latchD → latchN → latchS",
-				want, RankName(h.Rank))
+				latchString(obj, rank), RankName(h.Rank))
 		case h.Obj != obj && blocking && rank <= RankS && h.Rank <= RankS:
 			return i, fmt.Sprintf("blocking Lock of %s while holding %s of another descriptor — second descriptors only via TryLock",
-				want, latchString(h.Obj, h.Rank))
+				latchString(obj, rank), latchString(h.Obj, h.Rank))
 		}
 		if why != "" {
-			return i, fmt.Sprintf("acquiring %s while %s is held — %s", want, latchString(h.Obj, h.Rank), why)
+			return i, fmt.Sprintf("acquiring %s while %s is held — %s", latchString(obj, rank), latchString(h.Obj, h.Rank), why)
 		}
 	}
 	return -1, ""

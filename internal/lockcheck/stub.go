@@ -7,14 +7,18 @@ package lockcheck
 // Enabled reports whether the checker is compiled in.
 const Enabled = false
 
+// Holder is zero-size without the lockcheck build tag. A struct that embeds
+// one must not end with it: a final zero-size field is padded.
+type Holder struct{}
+
 // Acquire is a no-op without the lockcheck build tag.
-func Acquire(obj any, rank int) {}
+func Acquire(h *Holder, obj any, rank int) {}
 
 // Acquired is a no-op without the lockcheck build tag.
-func Acquired(obj any, rank int) {}
+func Acquired(h *Holder, obj any, rank int) {}
 
 // Release is a no-op without the lockcheck build tag.
-func Release(obj any, rank int) {}
+func Release(h *Holder, obj any, rank int) {}
 
 // EnableWaitGraph is a no-op without the lockcheck build tag.
 func EnableWaitGraph() {}

@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Waitgraph mode augments the panic-on-violation discipline checker with a
 // post-run report: while enabled, every *blocking* acquisition that finds
-// its target latch held by another goroutine records wait-for edges from
-// each rank the waiter already holds to the rank it wants. After the run,
+// its target latch held by another holder records wait-for edges from each
+// rank the waiter already holds to the rank it wants. After the run,
 // WaitGraphReport summarizes the observed edges and searches the rank
 // digraph for cycles — the shape a deadlock would have had. The discipline
 // rules make rank cycles panic before they can hang, so a clean run reports
@@ -19,26 +20,28 @@ import (
 // under a real workload (and to catch a future rule relaxation that opens a
 // cycle the per-acquisition rules no longer reject).
 var wgraph struct {
-	mu      sync.Mutex
-	enabled bool
-	// holders maps a latch object to the goroutines that have recorded
-	// (and not yet released) an acquisition of it. Counted, because a
-	// goroutine may legally stack reacquisitions of distinct ranks on one
-	// object but Release matches by (obj, rank) pairs.
-	holders map[any]map[uint64]int
+	// on is read before mu, so an acquisition while recording is off
+	// takes no lock.
+	on atomic.Bool
+	mu sync.Mutex
+	// holders maps a latch object to the holders that have recorded (and
+	// not yet released) an acquisition of it. Counted, because a holder
+	// may legally stack acquisitions of distinct ranks on one object but
+	// Release matches by (obj, rank) pairs.
+	holders map[any]map[*Holder]int
 	// edges counts observed wait-for pairs: [heldRank, wantedRank] → n.
 	edges map[[2]int]int64
 }
 
 // EnableWaitGraph resets and starts wait-for recording. Call it before the
-// workload under test; recording costs one global mutex per blocking
+// workload under test; while it runs, recording costs one global mutex per
 // acquisition, which is acceptable in a -tags lockcheck debug build.
 func EnableWaitGraph() {
 	wgraph.mu.Lock()
 	defer wgraph.mu.Unlock()
-	wgraph.enabled = true
-	wgraph.holders = map[any]map[uint64]int{}
+	wgraph.holders = map[any]map[*Holder]int{}
 	wgraph.edges = map[[2]int]int64{}
+	wgraph.on.Store(true)
 }
 
 // DisableWaitGraph stops recording (the accumulated edges remain until the
@@ -46,55 +49,55 @@ func EnableWaitGraph() {
 func DisableWaitGraph() {
 	wgraph.mu.Lock()
 	defer wgraph.mu.Unlock()
-	wgraph.enabled = false
+	wgraph.on.Store(false)
 }
 
-// noteAcquired records g as a holder of obj.
-func noteAcquired(obj any, g uint64) {
-	wgraph.mu.Lock()
-	defer wgraph.mu.Unlock()
-	if !wgraph.enabled {
+// noteAcquired records h as a holder of obj.
+func noteAcquired(h *Holder, obj any) {
+	if !wgraph.on.Load() {
 		return
 	}
+	wgraph.mu.Lock()
+	defer wgraph.mu.Unlock()
 	m := wgraph.holders[obj]
 	if m == nil {
-		m = map[uint64]int{}
+		m = map[*Holder]int{}
 		wgraph.holders[obj] = m
 	}
-	m[g]++
+	m[h]++
 }
 
-// noteReleased drops one holder count of obj by g.
-func noteReleased(obj any, g uint64) {
-	wgraph.mu.Lock()
-	defer wgraph.mu.Unlock()
-	if !wgraph.enabled {
+// noteReleased drops one holder count of obj by h.
+func noteReleased(h *Holder, obj any) {
+	if !wgraph.on.Load() {
 		return
 	}
+	wgraph.mu.Lock()
+	defer wgraph.mu.Unlock()
 	m := wgraph.holders[obj]
 	if m == nil {
 		return
 	}
-	if m[g]--; m[g] <= 0 {
-		delete(m, g)
+	if m[h]--; m[h] <= 0 {
+		delete(m, h)
 	}
 	if len(m) == 0 {
 		delete(wgraph.holders, obj)
 	}
 }
 
-// noteWait records wait-for edges for goroutine g blocking on (obj, rank)
-// while holding the ranks in stack. Edges are only recorded when some
-// *other* goroutine currently holds obj — that is what makes it a wait.
-func noteWait(obj any, rank int, g uint64, stack []held) {
-	wgraph.mu.Lock()
-	defer wgraph.mu.Unlock()
-	if !wgraph.enabled || len(stack) == 0 {
+// noteWait records wait-for edges for h blocking on (obj, rank) while
+// holding the latches on its stack. Edges are only recorded when some
+// *other* holder currently holds obj — that is what makes it a wait.
+func noteWait(h *Holder, obj any, rank int) {
+	if len(h.held) == 0 || !wgraph.on.Load() {
 		return
 	}
+	wgraph.mu.Lock()
+	defer wgraph.mu.Unlock()
 	heldByOther := false
-	for hg := range wgraph.holders[obj] {
-		if hg != g {
+	for other := range wgraph.holders[obj] {
+		if other != h {
 			heldByOther = true
 			break
 		}
@@ -102,8 +105,8 @@ func noteWait(obj any, rank int, g uint64, stack []held) {
 	if !heldByOther {
 		return
 	}
-	for i := range stack {
-		wgraph.edges[[2]int{stack[i].Rank, rank}]++
+	for _, l := range h.held {
+		wgraph.edges[[2]int{l.Rank, rank}]++
 	}
 }
 
@@ -122,7 +125,7 @@ func recordWaitEdge(from, to int) {
 // WaitGraphReport returns a deterministic summary of the recorded wait-for
 // graph: one "wait: <held> → <wanted> (n)" line per observed edge in rank
 // order, followed by one "CYCLE: a → b → ... → a" line per elementary cycle
-// in the rank digraph. An empty slice means no cross-goroutine latch waits
+// in the rank digraph. An empty slice means no cross-holder latch waits
 // were observed at all.
 func WaitGraphReport() []string {
 	wgraph.mu.Lock()

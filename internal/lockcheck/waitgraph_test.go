@@ -15,24 +15,25 @@ func TestWaitGraphRecordsCrossGoroutineWait(t *testing.T) {
 	EnableWaitGraph()
 	defer DisableWaitGraph()
 
+	var h, other Holder
 	d := new(int)
 	heldc := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
-		Acquired(d, RankMu)
+		Acquired(&other, d, RankMu)
 		close(heldc)
 		<-donec
-		Release(d, RankMu)
+		Release(&other, d, RankMu)
 	}()
 	<-heldc
 
-	// This goroutine holds latchD and blocks wanting the mu the other
-	// goroutine holds: a latchD → mu wait edge. (The real shim would now
-	// call mutex.Lock; the recording happens at Acquire time.)
-	Acquired(d, RankD)
-	Acquire(d, RankMu)
-	Release(d, RankMu)
-	Release(d, RankD)
+	// h holds latchD and blocks wanting the mu the other holder holds: a
+	// latchD → mu wait edge. (The real shim would now call mutex.Lock;
+	// the recording happens at Acquire time.)
+	Acquired(&h, d, RankD)
+	Acquire(&h, d, RankMu)
+	Release(&h, d, RankMu)
+	Release(&h, d, RankD)
 	close(donec)
 
 	report := WaitGraphReport()
@@ -52,32 +53,33 @@ func TestWaitGraphRecordsCrossGoroutineWait(t *testing.T) {
 
 // TestWaitGraphIgnoresUncontendedAndBareWaits checks the two non-edges: a
 // blocking acquisition of an unheld latch, and a blocking acquisition by a
-// goroutine that holds nothing (it cannot be part of a deadlock cycle).
+// holder that holds nothing (it cannot be part of a deadlock cycle).
 func TestWaitGraphIgnoresUncontendedAndBareWaits(t *testing.T) {
 	EnableWaitGraph()
 	defer DisableWaitGraph()
 
+	var h, other Holder
 	muObj := new(int)
 	dObj := new(int)
 
 	// Uncontended: nothing holds muObj, so latchD → mu is not a wait.
-	Acquired(dObj, RankD)
-	Acquire(muObj, RankMu)
-	Release(muObj, RankMu)
-	Release(dObj, RankD)
+	Acquired(&h, dObj, RankD)
+	Acquire(&h, muObj, RankMu)
+	Release(&h, muObj, RankMu)
+	Release(&h, dObj, RankD)
 
-	// Bare: another goroutine holds muObj but this one holds nothing.
+	// Bare: another holder holds muObj but h holds nothing.
 	heldc := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
-		Acquired(muObj, RankMu)
+		Acquired(&other, muObj, RankMu)
 		close(heldc)
 		<-donec
-		Release(muObj, RankMu)
+		Release(&other, muObj, RankMu)
 	}()
 	<-heldc
-	Acquire(muObj, RankMu)
-	Release(muObj, RankMu)
+	Acquire(&h, muObj, RankMu)
+	Release(&h, muObj, RankMu)
 	close(donec)
 
 	if report := WaitGraphReport(); len(report) != 0 {
@@ -131,21 +133,22 @@ func TestWaitGraphDisabledRecordsNothing(t *testing.T) {
 	EnableWaitGraph()
 	DisableWaitGraph()
 
+	var h, other Holder
 	muObj := new(int)
 	dObj := new(int)
 	heldc := make(chan struct{})
 	donec := make(chan struct{})
 	go func() {
-		Acquired(muObj, RankMu)
+		Acquired(&other, muObj, RankMu)
 		close(heldc)
 		<-donec
-		Release(muObj, RankMu)
+		Release(&other, muObj, RankMu)
 	}()
 	<-heldc
-	Acquired(dObj, RankD)
-	Acquire(muObj, RankMu)
-	Release(muObj, RankMu)
-	Release(dObj, RankD)
+	Acquired(&h, dObj, RankD)
+	Acquire(&h, muObj, RankMu)
+	Release(&h, muObj, RankMu)
+	Release(&h, dObj, RankD)
 	close(donec)
 
 	if report := WaitGraphReport(); len(report) != 0 {

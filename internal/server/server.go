@@ -302,11 +302,11 @@ func (s *Server) stopMonitor() {
 // It holds the transaction gate exclusive, so no transaction is open while
 // DB.Checkpoint flushes dirty DRAM and truncates the log.
 func (s *Server) checkpoint(cc *core.Ctx) error {
-	s.lockTxnsExclusive()
+	s.lockTxnsExclusive(cc.Clock.Holder())
 	start := wallNow()
 	_, err := s.db.Checkpoint(cc)
 	pause := wallNow().Sub(start)
-	s.unlockTxnsExclusive()
+	s.unlockTxnsExclusive(cc.Clock.Holder())
 	if h := s.hists.checkpointPause; h != nil {
 		h.Observe(pause.Nanoseconds())
 	}
@@ -339,26 +339,27 @@ func (s *Server) maybeCheckpoint(cc *core.Ctx) {
 }
 
 // The transaction gate's lock shims route through lockcheck, which holds
-// it to be a root: taken with nothing else held, never twice.
+// it to be a root: taken with nothing else held by the request's Ctx,
+// never twice.
 
-func (s *Server) lockTxnsShared() {
-	lockcheck.Acquire(&s.txnGate, lockcheck.RankTxnGate)
+func (s *Server) lockTxnsShared(h *lockcheck.Holder) {
+	lockcheck.Acquire(h, &s.txnGate, lockcheck.RankTxnGate)
 	s.txnGate.RLock()
 }
 
-func (s *Server) unlockTxnsShared() {
+func (s *Server) unlockTxnsShared(h *lockcheck.Holder) {
 	s.txnGate.RUnlock()
-	lockcheck.Release(&s.txnGate, lockcheck.RankTxnGate)
+	lockcheck.Release(h, &s.txnGate, lockcheck.RankTxnGate)
 }
 
-func (s *Server) lockTxnsExclusive() {
-	lockcheck.Acquire(&s.txnGate, lockcheck.RankTxnGate)
+func (s *Server) lockTxnsExclusive(h *lockcheck.Holder) {
+	lockcheck.Acquire(h, &s.txnGate, lockcheck.RankTxnGate)
 	s.txnGate.Lock()
 }
 
-func (s *Server) unlockTxnsExclusive() {
+func (s *Server) unlockTxnsExclusive(h *lockcheck.Holder) {
 	s.txnGate.Unlock()
-	lockcheck.Release(&s.txnGate, lockcheck.RankTxnGate)
+	lockcheck.Release(h, &s.txnGate, lockcheck.RankTxnGate)
 }
 
 // monitorLoop samples buffer-manager pressure on a wall-clock ticker and
@@ -436,8 +437,8 @@ func (s *Server) runTxn(reqCtx context.Context, fn func(cc *core.Ctx, txn *engin
 // before-images through the same Ctx, and cutting that short would leave
 // torn tuples behind (see core.Ctx.SetInterrupt).
 func (s *Server) doTxn(reqCtx context.Context, cc *core.Ctx, fn func(cc *core.Ctx, txn *engine.Txn) error) error {
-	s.lockTxnsShared()
-	defer s.unlockTxnsShared()
+	s.lockTxnsShared(cc.Clock.Holder())
+	defer s.unlockTxnsShared(cc.Clock.Holder())
 	var err error
 	for attempt := 0; attempt <= txnRetries; attempt++ {
 		cc.SetInterrupt(reqCtx.Err)

@@ -9,7 +9,12 @@
 // deterministic and independent of the host's core count.
 package vclock
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
+)
 
 // Clock is a virtual clock owned by a single worker goroutine. It is not
 // safe for concurrent use; each worker must have its own.
@@ -20,10 +25,16 @@ import "sync/atomic"
 // from each other on every operation. Padded to 64 bytes a clock is a
 // pointer-free object of the allocator's 64-byte class, which places it on a
 // line of its own (TestClockIsOneCacheLine).
+//
+// The clock also carries its worker's latch holder, which is zero-size
+// unless built with -tags lockcheck; the padding shrinks by the holder's
+// size, and neither is the final field, so the clock stays 64 bytes in both
+// builds.
 type Clock struct {
-	now    int64 // simulated nanoseconds since the start of the run
-	worker int   // creation sequence number, fixed for the clock's life
-	_      [48]byte
+	now     int64 // simulated nanoseconds since the start of the run
+	latches lockcheck.Holder
+	_       [48 - unsafe.Sizeof(lockcheck.Holder{})]byte
+	worker  int // creation sequence number, fixed for the clock's life
 }
 
 // workers numbers clocks in creation order.
@@ -43,6 +54,11 @@ func At(ns int64) *Clock {
 // for life, and nothing has to remember the assignment — so short-lived
 // clocks (a server's per-request contexts) leave no state behind.
 func (c *Clock) Worker() int { return c.worker }
+
+// Holder returns the worker's identity for the latch-order checker
+// (internal/lockcheck): every latch a worker takes is recorded against the
+// holder of the clock its work is charged to.
+func (c *Clock) Holder() *lockcheck.Holder { return &c.latches }
 
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() int64 { return c.now }

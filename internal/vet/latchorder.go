@@ -16,10 +16,12 @@ import (
 //
 // A latch is taken by calling a shim: a function of the analysed package
 // that hands lockcheck.Acquire (a blocking lock), Acquired (a TryLock that
-// succeeded) or Release a constant rank and an object rooted at its
-// receiver or at one of its parameters. At a call site the expression in
-// that position names the latch: d.lockN() takes d's latchN, m.lockShard(sh)
-// takes sh's shard mutex, s.lockTxnsShared() takes s's transaction gate.
+// succeeded) or Release a holder, an object rooted at its receiver or at
+// one of its parameters, and a constant rank. At a call site the expression
+// in the object's position names the latch: d.lockN(h) takes d's latchN,
+// m.lockShard(h, sh) takes sh's shard mutex, s.lockTxnsShared(h) takes s's
+// transaction gate. The holder is the runtime checker's identity; one
+// function body is one holder here.
 // Two more findings keep the shims honest: locking a mutex field a shim
 // guards anywhere but in a shim (the runtime checker would never see it),
 // and a call into the device, clock or WAL packages while a descriptor's mu
@@ -73,8 +75,8 @@ func findShims(p *pass) (map[types.Object]shim, map[types.Object]string) {
 }
 
 // shimOf reports whether fd is a shim: its first call to lockcheck's
-// Acquire, Acquired or Release passes a constant rank and an object rooted
-// at fd's receiver or at one of its parameters.
+// Acquire, Acquired or Release passes an object rooted at fd's receiver or
+// at one of its parameters, and a constant rank.
 func (p *pass) shimOf(fd *ast.FuncDecl) (shim, bool) {
 	roots := []types.Object{nil} // the receiver, then the parameters
 	if fd.Recv != nil && len(fd.Recv.List[0].Names) == 1 {
@@ -102,10 +104,10 @@ func (p *pass) shimOf(fd *ast.FuncDecl) (shim, bool) {
 		}
 		return call == nil
 	})
-	if call == nil || len(call.Args) != 2 {
+	if call == nil || len(call.Args) != 3 {
 		return shim{}, false
 	}
-	rank, root := p.unit.info.Types[call.Args[1]].Value, rootIdent(call.Args[0])
+	rank, root := p.unit.info.Types[call.Args[2]].Value, rootIdent(call.Args[1])
 	if rank == nil || rank.Kind() != constant.Int || root == nil {
 		return shim{}, false
 	}

@@ -1,6 +1,6 @@
 // Package lockcheck is a vet fixture mirroring internal/lockcheck: the same
-// ranks (vet_test.go pins them to the real ones) and the no-op calls the
-// shims route through.
+// ranks (vet_test.go pins them to the real ones), the holder, and the no-op
+// calls the shims route through.
 package lockcheck
 
 const (
@@ -15,8 +15,10 @@ const (
 	RankTxnGate  = 9
 )
 
-func Acquire(obj any, rank int) {}
+type Holder struct{}
 
-func Acquired(obj any, rank int) {}
+func Acquire(h *Holder, obj any, rank int) {}
 
-func Release(obj any, rank int) {}
+func Acquired(h *Holder, obj any, rank int) {}
+
+func Release(h *Holder, obj any, rank int) {}

@@ -47,7 +47,7 @@ func FuzzRecoverShards(f *testing.F) {
 				}
 			case 7: // tear a shard tail: garbage covered by the extent word
 				sh := m.shards[int(b>>3)%nShards]
-				m.lockShard(sh)
+				m.lockShard(c.Holder(), sh)
 				garbage := make([]byte, 8+60)
 				garbage[0] = 60
 				garbage[8] = b // vary the garbage so corpus entries differ
@@ -60,7 +60,7 @@ func FuzzRecoverShards(f *testing.F) {
 					pm.Persist(c, sh.base+8, len(word))
 					damaged = true
 				}
-				m.unlockShard(sh)
+				m.unlockShard(c.Holder(), sh)
 			case 5: // torn store.Append: a partial batch mid-file
 				if err := store.Append(c, make([]byte, 1+int(b>>3))); err != nil {
 					t.Fatalf("store append: %v", err)

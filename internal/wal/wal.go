@@ -389,34 +389,35 @@ func (m *Manager) shardFor(c *vclock.Clock) *walShard {
 
 // Lock shims: WAL mutex acquisitions route through these so the
 // -tags lockcheck runtime checker sees the flushMu → shard-mu order (and
-// that appenders treat the shard mutex as a leaf).
+// that appenders treat the shard mutex as a leaf). Each records the mutex
+// against the holder of the clock the work is charged to.
 
-func (m *Manager) lockShard(sh *walShard) {
-	lockcheck.Acquire(sh, lockcheck.RankWALShard)
+func (m *Manager) lockShard(h *lockcheck.Holder, sh *walShard) {
+	lockcheck.Acquire(h, sh, lockcheck.RankWALShard)
 	sh.mu.Lock()
 }
 
-func (m *Manager) unlockShard(sh *walShard) {
+func (m *Manager) unlockShard(h *lockcheck.Holder, sh *walShard) {
 	sh.mu.Unlock()
-	lockcheck.Release(sh, lockcheck.RankWALShard)
+	lockcheck.Release(h, sh, lockcheck.RankWALShard)
 }
 
-func (m *Manager) lockFlush() {
-	lockcheck.Acquire(m, lockcheck.RankWALFlush)
+func (m *Manager) lockFlush(h *lockcheck.Holder) {
+	lockcheck.Acquire(h, m, lockcheck.RankWALFlush)
 	m.flushMu.Lock()
 }
 
-func (m *Manager) tryLockFlush() bool {
+func (m *Manager) tryLockFlush(h *lockcheck.Holder) bool {
 	if !m.flushMu.TryLock() {
 		return false
 	}
-	lockcheck.Acquired(m, lockcheck.RankWALFlush)
+	lockcheck.Acquired(h, m, lockcheck.RankWALFlush)
 	return true
 }
 
-func (m *Manager) unlockFlush() {
+func (m *Manager) unlockFlush(h *lockcheck.Holder) {
 	m.flushMu.Unlock()
-	lockcheck.Release(m, lockcheck.RankWALFlush)
+	lockcheck.Release(h, m, lockcheck.RankWALFlush)
 }
 
 // NextLSN returns the LSN the next appended record will receive.
@@ -453,7 +454,7 @@ func (m *Manager) persistShardOffset(c *vclock.Clock, sh *walShard) error {
 // which charges the same total I/O).
 func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 	sh := m.shardFor(c)
-	m.lockShard(sh)
+	m.lockShard(c.Holder(), sh)
 	var start int64
 	if m.obs != nil {
 		start = c.Now()
@@ -470,16 +471,16 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 			break
 		}
 		if sh.bufOff == sh.base+bufHeaderSize {
-			m.unlockShard(sh)
+			m.unlockShard(c.Holder(), sh)
 			return 0, fmt.Errorf("wal: record of %d bytes exceeds the log buffer", len(frame))
 		}
 		// Shard full: drain it via a combined flush. The shard lock drops
 		// first — flushMu → shard mu is the only legal order.
-		m.unlockShard(sh)
+		m.unlockShard(c.Holder(), sh)
 		if err := m.Flush(c); err != nil {
 			return 0, err
 		}
-		m.lockShard(sh)
+		m.lockShard(c.Holder(), sh)
 	}
 	off := sh.bufOff
 	// Record bytes persist before the extent word advances past them: a
@@ -492,13 +493,13 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 		}
 		return m.pm.PersistErr(c, off, len(frame))
 	}); err != nil {
-		m.unlockShard(sh)
+		m.unlockShard(c.Holder(), sh)
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	sh.bufOff = off + int64(len(frame))
 	if err := m.persistShardOffset(c, sh); err != nil {
 		sh.bufOff = off // record never became visible
-		m.unlockShard(sh)
+		m.unlockShard(c.Holder(), sh)
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	needFlush := sh.bufOff-(sh.base+bufHeaderSize) >= m.threshold
@@ -515,7 +516,7 @@ func (m *Manager) Append(c *vclock.Clock, rec *Record) (uint64, error) {
 	if rec.Type == RecCommit {
 		sh.commits++
 	}
-	m.unlockShard(sh)
+	m.unlockShard(c.Holder(), sh)
 	var err error
 	if needFlush {
 		err = m.maybeGroupFlush(c, rec.LSN)
@@ -535,24 +536,24 @@ func (m *Manager) maybeGroupFlush(c *vclock.Clock, lsn uint64) error {
 	if m.durableLSN.Load() >= lsn {
 		return nil
 	}
-	if !m.tryLockFlush() {
+	if !m.tryLockFlush(c.Holder()) {
 		return nil
 	}
 	if m.durableLSN.Load() >= lsn {
-		m.unlockFlush()
+		m.unlockFlush(c.Holder())
 		return nil
 	}
 	err := m.combinedFlush(c)
-	m.unlockFlush()
+	m.unlockFlush(c.Holder())
 	return err
 }
 
 // Flush forces the NVM buffer's contents onto the SSD log, regardless of
 // the group-commit watermark: an overflow drain needs the space freed.
 func (m *Manager) Flush(c *vclock.Clock) error {
-	m.lockFlush()
+	m.lockFlush(c.Holder())
 	err := m.combinedFlush(c)
-	m.unlockFlush()
+	m.unlockFlush(c.Holder())
 	return err
 }
 
@@ -619,8 +620,8 @@ func (m *Manager) combinedFlush(c *vclock.Clock) error {
 // file and in the buffer; recovery dedups by LSN, and the next flush
 // retries the reset.
 func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
-	m.lockShard(sh)
-	defer m.unlockShard(sh)
+	m.lockShard(c.Holder(), sh)
+	defer m.unlockShard(c.Holder(), sh)
 	n := sh.bufOff - (sh.base + bufHeaderSize)
 	if n <= 0 {
 		return 0, nil
@@ -654,14 +655,14 @@ func (m *Manager) drainShard(c *vclock.Clock, sh *walShard) (int64, error) {
 // and no append runs concurrently. Its one caller, engine.DB.Checkpoint,
 // meets that by running quiescently after flushing dirty DRAM and the log.
 func (m *Manager) Truncate(c *vclock.Clock) error {
-	m.lockFlush()
-	defer m.unlockFlush()
+	m.lockFlush(c.Holder())
+	defer m.unlockFlush(c.Holder())
 	for _, sh := range m.shards {
-		m.lockShard(sh)
+		m.lockShard(c.Holder(), sh)
 	}
 	defer func() {
 		for i := len(m.shards) - 1; i >= 0; i-- {
-			m.unlockShard(m.shards[i])
+			m.unlockShard(c.Holder(), m.shards[i])
 		}
 	}()
 	for _, sh := range m.shards {
@@ -691,11 +692,12 @@ func (m *Manager) BufferBytes() int64 { return m.pm.Size() }
 
 // Stats reports append/flush/commit counts, summing the per-shard counters.
 func (m *Manager) Stats() (appends, flushes, commits int64) {
+	var h lockcheck.Holder // no appender's: it takes one shard at a time
 	for _, sh := range m.shards {
-		m.lockShard(sh)
+		m.lockShard(&h, sh)
 		appends += sh.appends
 		commits += sh.commits
-		m.unlockShard(sh)
+		m.unlockShard(&h, sh)
 	}
 	return appends, m.flushes.Load(), commits
 }

@@ -8,6 +8,9 @@
 // it compiles the binary and binds ports:
 //
 //	go test -tags blackbox ./tests/blackbox/
+//
+// With -tags blackbox,lockcheck the binary is built with the latch-order
+// checker too, so the server's own goroutines run under it.
 package blackbox
 
 import (
@@ -25,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/obs"
 )
 
@@ -34,7 +38,8 @@ var (
 	buildErr  error
 )
 
-// serveBinary builds cmd/spitfire-serve once per test run.
+// serveBinary builds cmd/spitfire-serve once per test run, with the
+// latch-order checker when this test binary has it.
 func serveBinary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -44,8 +49,12 @@ func serveBinary(t *testing.T) string {
 			return
 		}
 		binPath = filepath.Join(dir, "spitfire-serve")
-		out, err := exec.Command("go", "build", "-o", binPath,
-			"github.com/spitfire-db/spitfire/cmd/spitfire-serve").CombinedOutput()
+		args := []string{"build", "-o", binPath}
+		if lockcheck.Enabled {
+			args = append(args, "-tags", "lockcheck")
+		}
+		args = append(args, "github.com/spitfire-db/spitfire/cmd/spitfire-serve")
+		out, err := exec.Command("go", args...).CombinedOutput()
 		if err != nil {
 			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
 		}
