@@ -1,12 +1,19 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/spitfire-db/spitfire/internal/engine"
 	"github.com/spitfire-db/spitfire/internal/obs"
+	"github.com/spitfire-db/spitfire/internal/policy"
+	"github.com/spitfire-db/spitfire/internal/server"
 )
 
 // TestFixturesLintClean runs the linter over every checked-in exposition
@@ -91,4 +98,71 @@ func TestServerFixtureFamilies(t *testing.T) {
 			t.Errorf("server_metrics.txt missing %q", want)
 		}
 	}
+}
+
+// TestServerFixtureIsLive builds the served stack in process (the cleaner
+// on, as spitfire-serve runs it) and requires its /metrics to expose exactly
+// the fixture's metric families. A family that leaves or joins the endpoint
+// then fails here until testdata/server_metrics.txt is scraped again.
+func TestServerFixtureIsLive(t *testing.T) {
+	o := obs.New(obs.Config{})
+	db, err := engine.Build(engine.Spec{
+		DRAMBytes: 1 << 20,
+		NVMBytes:  2 << 20,
+		Policy:    policy.SpitfireLazy,
+		Cleaner:   true,
+		Obs:       o,
+	}).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.BM().Close)
+	kv, err := engine.OpenKV(db, 1, "kv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Options{DB: db, KV: kv, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile("testdata/server_metrics.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := families(string(live)), families(string(fixture))
+	for _, f := range got {
+		if !slices.Contains(want, f) {
+			t.Errorf("/metrics exposes %s, which server_metrics.txt lacks", f)
+		}
+	}
+	for _, f := range want {
+		if !slices.Contains(got, f) {
+			t.Errorf("server_metrics.txt has %s, which /metrics no longer exposes", f)
+		}
+	}
+}
+
+// families returns the metric family names an exposition declares, one per
+// "# TYPE" line.
+func families(payload string) []string {
+	var names []string
+	for _, line := range strings.Split(payload, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	return names
 }

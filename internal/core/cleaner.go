@@ -78,10 +78,6 @@ func newCleaner(pool *basePool, seed uint64) *cleaner {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	// Mark the context so write-back admission can apply the cleaner bias
-	// (route dirty DRAM pages through the NVM admission queue instead of
-	// the Nw coin, so only pages with repeated eviction pressure land).
-	c.ctx.cleaner = true
 	if o := pool.bm.obs; o != nil {
 		c.ctx.ring = o.NewRing("cleaner-" + pool.tier.String())
 		c.ctx.ringInit = true

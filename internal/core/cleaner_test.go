@@ -328,49 +328,85 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 	}
 }
 
-// TestCleanerFeedsAdmissionQueue checks the coin-mode cleaner bias: a
-// cleaner-context write-back consults the NVM admission queue instead of
-// flipping the Nw coin, so its pages land on NVM only after a second
-// eviction within the queue's horizon. With Nw = 1 a foreground eviction
-// would admit every page on the first try — zero first-pass admissions is
-// the proof the queue, not the coin, is deciding.
-func TestCleanerFeedsAdmissionQueue(t *testing.T) {
-	// Nr = 0 keeps the read path off NVM so evicted pages have no NVM copy
-	// to refresh and must face the §3.4 admission decision; Nw = 1 in coin
-	// mode would then admit every foreground eviction unconditionally.
-	bm := newBM(t, Config{
-		DRAMBytes: 2 * PageSize,
-		NVMBytes:  16 * nvmFrameSlot,
-		Policy:    policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1},
-	})
-	ctx := NewCtx(29)
-	ctx.cleaner = true // evictions below run with the cleaner's bias
-	seed(t, bm, 8)
+// TestCleanerAdmitsByTheForegroundRule evicts the same dirty pages from a
+// foreground Ctx and from a DRAM cleaner's own Ctx, seeded alike, in two
+// managers built alike, and requires the same NVM admission decision for
+// every page: who evicts must not change where a page goes. Coin mode
+// (Nw = 0.5) must draw a mix of both outcomes; queue mode denies each page
+// its first eviction and admits its second.
+func TestCleanerAdmitsByTheForegroundRule(t *testing.T) {
+	const pages = 16
+	// decisions builds a manager with its cleaners stopped, dirties each
+	// page and evicts its DRAM frame on the foreground's or the DRAM
+	// cleaner's Ctx, rounds times, and reports per eviction whether the
+	// page entered NVM. Nr = 0 keeps the read path off NVM, so a page has
+	// no NVM copy until an eviction admits it.
+	decisions := func(pol policy.Policy, rounds int, onCleaner bool) []bool {
+		bm := newBM(t, Config{
+			DRAMBytes: 2 * pages * PageSize,
+			NVMBytes:  4 * pages * nvmFrameSlot,
+			Policy:    pol,
+			Cleaner:   true,
+		})
+		t.Cleanup(bm.Close)
+		cl := bm.dram.cleaner
+		cl.close()
+		bm.nvm.cleaner.close()
+		ctx := cl.ctx
+		if !onCleaner {
+			ctx = NewCtx(0)
+			*ctx.RNG = *cl.ctx.RNG
+		}
+		seed(t, bm, pages)
+		setup := NewCtx(7)
+		var got []bool
+		for r := 0; r < rounds; r++ {
+			for pid := uint64(0); pid < pages; pid++ {
+				h, err := bm.FetchPage(setup, pid, WriteIntent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.WriteAt(setup, 0, []byte{byte(r)}); err != nil {
+					t.Fatal(err)
+				}
+				h.Release()
+				d := bm.table.Get(pid)
+				f := d.dramFrame.Load()
+				if !bm.dram.meta[f].tryFreeze() {
+					t.Fatalf("page %d: DRAM frame %d is pinned", pid, f)
+				}
+				if ok, err := bm.dram.evict(ctx, f); !ok || err != nil {
+					t.Fatalf("page %d: evict = %v, %v", pid, ok, err)
+				}
+				bm.dram.release(ctx.holder(), f)
+				got = append(got, d.nvmFrame.Load() != noFrame)
+			}
+		}
+		return got
+	}
 
-	dirtyAll := func() {
-		for pid := uint64(0); pid < 8; pid++ {
-			h, err := bm.FetchPage(ctx, pid, WriteIntent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := h.WriteAt(ctx, 0, []byte{byte(pid)}); err != nil {
-				t.Fatal(err)
-			}
-			h.Release()
+	coin := policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 0.5}
+	fg, cl := decisions(coin, 1, false), decisions(coin, 1, true)
+	admitted := 0
+	for i := range fg {
+		if fg[i] != cl[i] {
+			t.Fatalf("coin mode: page %d admitted = %v from the foreground, %v from the cleaner", i, fg[i], cl[i])
+		}
+		if fg[i] {
+			admitted++
 		}
 	}
-	dirtyAll()
-	st := bm.Stats()
-	if st.DRAMToNVM != 0 || st.CleanerAdmittedNVM != 0 {
-		t.Fatalf("first-eviction cleaner admissions = %d (counted %d), want 0 (queue denies)",
-			st.DRAMToNVM, st.CleanerAdmittedNVM)
+	if admitted == 0 || admitted == pages {
+		t.Fatalf("coin mode: %d of %d pages admitted at Nw = 0.5, want a mix", admitted, pages)
 	}
-	dirtyAll()
-	st = bm.Stats()
-	if st.CleanerAdmittedNVM == 0 {
-		t.Fatal("second-eviction cleaner admissions = 0, want > 0 (queue admits)")
-	}
-	if st.CleanerAdmittedNVM > st.DRAMToNVM {
-		t.Fatalf("CleanerAdmittedNVM = %d exceeds DRAMToNVM = %d", st.CleanerAdmittedNVM, st.DRAMToNVM)
+
+	queue := policy.Policy{Dr: 1, Dw: 1, Nr: 0, Nw: 1, NwMode: policy.NwAdmissionQueue}
+	fg, cl = decisions(queue, 2, false), decisions(queue, 2, true)
+	for i := range fg {
+		want := i >= pages // denied on its first eviction, admitted on its second
+		if fg[i] != want || cl[i] != want {
+			t.Fatalf("queue mode: eviction %d admitted = %v from the foreground, %v from the cleaner, want %v",
+				i, fg[i], cl[i], want)
+		}
 	}
 }

@@ -96,14 +96,6 @@ type Ctx struct {
 	ring     *obs.Ring
 	ringInit bool
 
-	// cleaner marks the context as belonging to a background cleaner
-	// goroutine. Write-back admission treats cleaner evictions specially:
-	// instead of flipping the Nw coin, dirty pages the cleaner pushes out
-	// of DRAM consult the NVM admission queue, so the off-critical-path
-	// write-back pre-seeds NVM with pages showing re-eviction pressure
-	// without letting one cold sweep flood the buffer.
-	cleaner bool
-
 	// interrupt, when non-nil, is polled at the top of page-granular entry
 	// points (FetchPage, NewPage, MaterializePage). A non-nil return aborts
 	// the operation with that error before any device cost is charged — the
@@ -274,7 +266,7 @@ type BufferManager struct {
 	nvm  *nvmPool  // nil when the NVM tier is disabled
 
 	pol      atomic.Pointer[policy.Policy]
-	admQueue *admission.Queue // nil only when the NVM tier is disabled
+	admQueue *admission.Queue // read in NwAdmissionQueue mode only; nil when the NVM tier is disabled
 
 	closeOnce sync.Once
 
@@ -341,11 +333,9 @@ func New(cfg Config) (*BufferManager, error) {
 			return nil, err
 		}
 		bm.nvm = np
-		// Always built when the NVM tier exists: NwAdmissionQueue mode uses
-		// it for every admission, and in coin mode the background cleaner
-		// feeds it so off-critical-path write-backs only admit pages with
-		// demonstrated re-eviction pressure instead of bypassing the Nw coin.
-		// Half the NVM buffer's page count is the size §6.5 found to work well.
+		// Only NwAdmissionQueue mode reads it (admits), but SetPolicy can
+		// switch modes at any time, so it is built with the NVM tier. Half
+		// the NVM buffer's page count is the size §6.5 found to work well.
 		bm.admQueue = admission.New(np.nFrames / 2)
 	}
 	bm.startCleaners()

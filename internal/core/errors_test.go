@@ -29,8 +29,8 @@ func TestNVMOnlyRejectsTinyArena(t *testing.T) {
 }
 
 func TestAdmissionQueueBuiltWithNVMTier(t *testing.T) {
-	// The queue exists from construction whenever the NVM tier does: coin
-	// mode needs it for cleaner write-backs, queue mode for every admission.
+	// The queue exists from construction whenever the NVM tier does: queue
+	// mode reads it for every admission, and SetPolicy may switch to it.
 	bm := newBM(t, Config{Policy: policy.SpitfireEager})
 	if bm.admQueue == nil {
 		t.Fatal("NVM-backed manager built without an admission queue")

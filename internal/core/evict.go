@@ -124,7 +124,6 @@ func (p *basePool) evict(ctx *Ctx, v int32) (bool, error) {
 	m.diff.Store(0)
 	m.fg.Store(nil)
 	m.lent.Store(nil)
-	m.clAdmit.Store(false)
 	p.unref(v)
 	p.count(ctx.Clock.Worker(), p.st.evicts)
 	if p.hEvict != nil {
@@ -154,10 +153,11 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 	return true, nil
 }
 
-// writeBackDRAM makes frame v's contents durable-enough to drop: dirty data
-// is written down to the NVM copy if one exists, otherwise admitted to NVM per
-// Nw (or HyMem's admission queue), otherwise written straight to SSD (§3.4).
-// Caller holds d.latchD and the frozen frame.
+// writeBackDRAM makes frame v's contents durable-enough to drop. A page with
+// no NVM copy is first offered to NVM (admits); one that enters is installed
+// there, dirty or clean as it was in DRAM. Otherwise a clean page is simply
+// dropped, and a dirty one is written down: to its NVM copy if it has one,
+// else straight to SSD (§3.4). Caller holds d.latchD and the frozen frame.
 //
 // Fault handling: all NVM and SSD writes run under the retry policy. If an
 // NVM *admission* fails, the page falls back to SSD — admission is an
@@ -167,77 +167,29 @@ func (bm *BufferManager) unlinkDRAM(ctx *Ctx, d *descriptor, v int32) (bool, err
 // recovery resurrect old data over a newer SSD image.
 func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, error) {
 	loc := d.load(ctx.holder())
-	nvmOK := bm.nvm != nil && !bm.nvmDown()
-
-	if !bm.dram.meta[v].dirty.Load() {
-		// Spitfire simply discards clean pages (§3.3: only modified pages
-		// are considered for NVM admission). HyMem's admission queue,
-		// however, sees *every* page evicted from DRAM — its NVM buffer is
-		// a second-level cache — so in queue mode a clean page that earns
-		// admission is installed on NVM (clean: SSD already has it).
-		pol := bm.pol.Load()
-		if pol.NwMode != policy.NwAdmissionQueue || bm.admQueue == nil ||
-			!nvmOK || loc.nvmFrame != noFrame || !bm.admQueue.Admit(d.pid) {
-			return true, nil
-		}
+	dirty := bm.dram.meta[v].dirty.Load()
+	if bm.nvm != nil && !bm.nvmDown() && loc.nvmFrame == noFrame && bm.admits(ctx, d.pid, dirty) {
 		if !d.tryLockN(ctx.holder()) {
-			return true, nil // clean: safe to just drop instead
-		}
-		if nf, err := bm.nvm.alloc(ctx); err == nil {
-			bm.admitNVM(ctx, d, v, nf, false) // on failure just drop: the page is clean
-		}
-		d.unlockN(ctx.holder())
-		return true, nil
-	}
-
-	// NVM admission decision (§3.4) for a dirty page with no NVM copy.
-	// HyMem consults its admission queue; Spitfire flips a Bernoulli(Nw)
-	// coin. The background cleaner does neither blindly: it feeds the
-	// admission queue even in coin mode, so its off-critical-path
-	// write-backs pre-warm NVM with pages that have shown repeated eviction
-	// pressure, while a single cold sweep cannot flood the buffer the way
-	// always-admit did. (With Nw forced to zero — NVM disabled or degraded —
-	// the cleaner bias is off too.) The bias stays although it makes NVM
-	// traffic depend on which evictor ran: with the cleaner flipping the
-	// coin at Nw = 1, traced kv-txn moved 4.6x the DRAM→NVM pages and wrote
-	// 1.8x the NVM bytes per op, and missed more (DESIGN.md §6a). A page
-	// that already has an NVM copy refreshes it instead, so NVM never goes
-	// stale ahead of SSD write-back.
-	admit := false
-	if nvmOK && loc.nvmFrame == noFrame {
-		pol := bm.pol.Load()
-		if pol.NwMode == policy.NwAdmissionQueue && bm.admQueue != nil {
-			admit = bm.admQueue.Admit(d.pid)
-		} else if ctx.cleaner {
-			admit = pol.Nw > 0 && bm.admQueue != nil && bm.admQueue.Admit(d.pid)
-		} else {
-			admit = ctx.bernoulli(pol.Nw)
-		}
-	}
-	if admit {
-		if !d.tryLockN(ctx.holder()) {
-			return false, nil
+			return !dirty, nil // a clean page is safe to just drop instead
 		}
 		nf, err := bm.nvm.alloc(ctx)
-		if err == nil {
-			admitted := bm.admitNVM(ctx, d, v, nf, true)
-			d.unlockN(ctx.holder())
-			if admitted {
-				return true, nil
-			}
-			// Admission failed mid-install; the page has no NVM copy yet, so
-			// fall back to writing it straight to SSD below.
-		} else {
-			// NVM itself is unevictable right now; fall through to SSD.
-			d.unlockN(ctx.holder())
-			if errors.Is(err, device.ErrCrashed) {
-				return false, err
-			}
-			if isIOErr(err) {
-				// note and keep going: SSD can still take the page
-				bm.noteNVMErr(ctx.holder(), err)
-			}
+		admitted := err == nil && bm.admitNVM(ctx, d, v, nf, dirty)
+		d.unlockN(ctx.holder())
+		if admitted || !dirty {
+			return true, nil // a clean page that found no NVM frame is dropped: SSD has it
 		}
+		// The install failed, or NVM is unevictable right now: the page has
+		// no NVM copy yet, so write it straight to SSD below.
+		if errors.Is(err, device.ErrCrashed) {
+			return false, err
+		}
+		if isIOErr(err) {
+			// note and keep going: SSD can still take the page
+			bm.noteNVMErr(ctx.holder(), err)
+		}
+	}
+	if !dirty {
+		return true, nil
 	}
 
 	to, ok, err := bm.writeDown(ctx, d, v, false)
@@ -251,6 +203,21 @@ func (bm *BufferManager) writeBackDRAM(ctx *Ctx, d *descriptor, v int32) (bool, 
 	}
 	bm.emit(ctx, obs.Event{Type: obs.EvWriteBack, From: obs.TierDRAM, To: to, Page: d.pid})
 	return true, nil
+}
+
+// admits is the NVM admission rule for a page evicted from DRAM with no NVM
+// copy, whichever evictor — a foreground worker or a background cleaner —
+// took it, drawing on that evictor's own Ctx. HyMem's admission queue sees
+// every such page, clean or dirty: its NVM buffer is a second-level cache,
+// and a clean page it admits is installed clean (SSD already has it).
+// Otherwise only a modified page is considered (§3.3) and it enters by one
+// Bernoulli(Nw) trial (§3.4).
+func (bm *BufferManager) admits(ctx *Ctx, pid PageID, dirty bool) bool {
+	pol := bm.pol.Load()
+	if pol.NwMode == policy.NwAdmissionQueue {
+		return bm.admQueue.Admit(pid)
+	}
+	return dirty && ctx.bernoulli(pol.Nw)
 }
 
 // writeDown writes the dirty contents of page d's DRAM copy — full frame v,
@@ -367,10 +334,6 @@ func (bm *BufferManager) admitNVM(ctx *Ctx, d *descriptor, v, nf int32, dirty bo
 	nm.pid.Store(d.pid)
 	nm.dirty.Store(dirty)
 	nm.diff.Store(m.diff.Load())
-	nm.clAdmit.Store(ctx.cleaner)
-	if ctx.cleaner {
-		bm.count(ctx.Clock, cCleanerAdmittedNVM)
-	}
 	d.lockMu(ctx.holder())
 	d.nvmFrame.Store(nf)
 	d.unlockMu(ctx.holder())

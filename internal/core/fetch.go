@@ -123,9 +123,6 @@ func (bm *BufferManager) fetchPage(ctx *Ctx, pid PageID, intent Intent) (*Handle
 				if bm.pinNVMCopy(d, f) {
 					bm.nvm.ref(f)
 					bm.count(ctx.Clock, cHitNVM)
-					if bm.nvm.meta[f].clAdmit.Load() {
-						bm.count(ctx.Clock, cHitNVMCleanerAdmitted)
-					}
 					return ctx.handle(bm, d, TierNVM, f, howHitNVM), nil
 				}
 				backoff(attempt)

@@ -7,7 +7,9 @@ import "github.com/spitfire-db/spitfire/internal/lockcheck"
 // sees the full acquisition order. Each takes the holder the latch is
 // recorded against: the worker's, ctx.Clock.Holder(). Without the tag the
 // holder is zero-size, the lockcheck calls are inlined no-ops and the shims
-// compile down to the bare mutex operations.
+// compile down to the bare mutex operations. An unlock shim calls Release
+// only if lockcheck.Enabled: an empty call still counts against the
+// inlining budget, and a mutex's Unlock leaves too little of it.
 //
 // The rules they are held to are lockcheck.Violation's, at run time and in
 // spitfire-vet's latchorder check, which reads each shim's rank from its
@@ -20,7 +22,9 @@ func (d *descriptor) lockMu(h *lockcheck.Holder) {
 
 func (d *descriptor) unlockMu(h *lockcheck.Holder) {
 	d.mu.Unlock()
-	lockcheck.Release(h, d, lockcheck.RankMu)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, d, lockcheck.RankMu)
+	}
 }
 
 func (d *descriptor) lockD(h *lockcheck.Holder) {
@@ -38,7 +42,9 @@ func (d *descriptor) tryLockD(h *lockcheck.Holder) bool {
 
 func (d *descriptor) unlockD(h *lockcheck.Holder) {
 	d.latchD.Unlock()
-	lockcheck.Release(h, d, lockcheck.RankD)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, d, lockcheck.RankD)
+	}
 }
 
 func (d *descriptor) lockN(h *lockcheck.Holder) {
@@ -56,7 +62,9 @@ func (d *descriptor) tryLockN(h *lockcheck.Holder) bool {
 
 func (d *descriptor) unlockN(h *lockcheck.Holder) {
 	d.latchN.Unlock()
-	lockcheck.Release(h, d, lockcheck.RankN)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, d, lockcheck.RankN)
+	}
 }
 
 // lock acquires a frame group's mutex. fg.mu guards the residency/dirty
@@ -72,7 +80,9 @@ func (fg *fgState) lock(h *lockcheck.Holder) {
 
 func (fg *fgState) unlock(h *lockcheck.Holder) {
 	fg.mu.Unlock()
-	lockcheck.Release(h, fg, lockcheck.RankFg)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, fg, lockcheck.RankFg)
+	}
 }
 
 func (d *descriptor) lockS(h *lockcheck.Holder) {
@@ -90,5 +100,7 @@ func (d *descriptor) tryLockS(h *lockcheck.Holder) bool {
 
 func (d *descriptor) unlockS(h *lockcheck.Holder) {
 	d.latchS.Unlock()
-	lockcheck.Release(h, d, lockcheck.RankS)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, d, lockcheck.RankS)
+	}
 }

@@ -57,13 +57,12 @@ import (
 // attach stores the initial mask before it publishes the slot; every other
 // read or reset happens on a frozen frame, or under owning on a lent frame.
 type frameMeta struct {
-	pid     atomic.Uint64
-	pins    atomic.Int32
-	dirty   atomic.Bool
-	clAdmit atomic.Bool                    // NVM frames: page was admitted by the background cleaner
-	owning  atomic.Bool                    // lent frames: a writer is taking units over
-	fg      atomic.Pointer[fgState]        // fine-grained residency; DRAM full frames only
-	lent    atomic.Pointer[[PageSize]byte] // DRAM full and NVM frames: the store's page, or nil
+	pid    atomic.Uint64
+	pins   atomic.Int32
+	dirty  atomic.Bool
+	owning atomic.Bool                    // lent frames: a writer is taking units over
+	fg     atomic.Pointer[fgState]        // fine-grained residency; DRAM full frames only
+	lent   atomic.Pointer[[PageSize]byte] // DRAM full and NVM frames: the store's page, or nil
 	// hdr stages an NVM frame's header for writeHeader, which only the
 	// frame's exclusive owner calls (the frame is frozen), so the one copy
 	// per frame needs no lock and the header no allocation.
@@ -230,7 +229,9 @@ func (p *basePool) lockFree(h *lockcheck.Holder) {
 
 func (p *basePool) unlockFree(h *lockcheck.Holder) {
 	p.freeMu.Unlock()
-	lockcheck.Release(h, &p.freeMu, lockcheck.RankFreeList)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, &p.freeMu, lockcheck.RankFreeList)
+	}
 }
 
 // freeCount is the free-list depth (watermarks and gauges only; it can be
@@ -290,7 +291,6 @@ func (p *basePool) attach(h *lockcheck.Holder, d *descriptor, f int32, dirty boo
 	m.dirty.Store(dirty)
 	m.diff.Store(diff)
 	m.fg.Store(fg)
-	m.clAdmit.Store(false)
 	d.lockMu(h)
 	p.slot(d).Store(f)
 	d.unlockMu(h)
@@ -307,7 +307,6 @@ func (p *basePool) release(h *lockcheck.Holder, f int32) {
 	p.meta[f].diff.Store(0)
 	p.meta[f].fg.Store(nil)
 	p.meta[f].lent.Store(nil)
-	p.meta[f].clAdmit.Store(false)
 	if lockcheck.Enabled && p.meta[f].pins.Load() != -1 {
 		panic(fmt.Sprintf("core: frame %d pushed to free list with pins=%d, want -1 (frozen)",
 			f, p.meta[f].pins.Load()))

@@ -186,7 +186,6 @@ func (bm *BufferManager) detachDeadNVM(h *lockcheck.Holder, d *descriptor) {
 	wasDirty := bm.nvm.meta[nf].dirty.Load()
 	bm.nvm.meta[nf].pid.Store(InvalidPageID)
 	bm.nvm.meta[nf].dirty.Store(false)
-	bm.nvm.meta[nf].clAdmit.Store(false)
 
 	salvaged := false
 	if df != noFrame && bm.dram != nil {

@@ -43,8 +43,6 @@ const (
 	cIOGiveUps
 	cNVMDegraded
 	cNVMOrphanedPages
-	cCleanerAdmittedNVM
-	cHitNVMCleanerAdmitted
 
 	nCounters // rows in the counters table
 )
@@ -73,10 +71,11 @@ const statStripes = 8
 // statBlock is one worker stripe's counters. The trailing padding makes a
 // block a whole number of cache lines and keeps one block's counters at least
 // 56 bytes from the next's, so two blocks never share a line at any 8-byte
-// alignment.
+// alignment. It is sized from the 8-byte counters' count, so adding or
+// deleting a counter keeps the layout.
 type statBlock struct {
 	c [nStats]metrics.Counter
-	_ [80]byte
+	_ [56 + (64-(int(nStats)*8+56)%64)%64]byte
 }
 
 // bmStats is the manager's counters, one block per worker stripe: worker w
@@ -109,35 +108,33 @@ type counterRow struct {
 // it set.
 func counters(o *Stats) [nCounters]counterRow {
 	return [...]counterRow{
-		cHitDRAM:               {"hit_dram", &o.HitDRAM},
-		cHitMini:               {"hit_mini", &o.HitMini},
-		cHitNVM:                {"hit_nvm", &o.HitNVM},
-		cMissSSD:               {"miss_ssd", &o.MissSSD},
-		cMigNVMToDRAM:          {"mig_nvm_to_dram", &o.NVMToDRAM},
-		cSSDToDRAM:             {"mig_ssd_to_dram", &o.SSDToDRAM},
-		cSSDToNVM:              {"mig_ssd_to_nvm", &o.SSDToNVM},
-		cDRAMToNVM:             {"mig_dram_to_nvm", &o.DRAMToNVM},
-		cDRAMToSSD:             {"mig_dram_to_ssd", &o.DRAMToSSD},
-		cNVMToSSD:              {"mig_nvm_to_ssd", &o.NVMToSSD},
-		cEvictDRAM:             {"evict_dram", &o.EvictDRAM},
-		cEvictMini:             {"evict_mini", &o.EvictMini},
-		cEvictNVM:              {"evict_nvm", &o.EvictNVM},
-		cFGUnitLoads:           {"fg_unit_loads", &o.FGUnitLoads},
-		cMiniPromotions:        {"mini_promotions", &o.MiniPromotions},
-		cFlushedDRAMPages:      {"flushed_dram_pages", &o.FlushedDRAMPages},
-		cRecoveredNVMPages:     {"recovered_nvm_pages", &o.RecoveredNVMPages},
-		cCleanerWakeups:        {"cleaner_wakeups", &o.CleanerWakeups},
-		cCleanerBatches:        {"cleaner_batches", &o.CleanerBatches},
-		cCleanedDRAM:           {"cleaner_cleaned_dram", &o.CleanerCleanedDRAM},
-		cCleanedNVM:            {"cleaner_cleaned_nvm", &o.CleanerCleanedNVM},
-		cCleanerStalls:         {"cleaner_stalls", &o.CleanerStalls},
-		cFgEvicts:              {"foreground_evicts", &o.ForegroundEvicts},
-		cIORetries:             {"io_retries", &o.IORetries},
-		cIOGiveUps:             {"io_give_ups", &o.IOGiveUps},
-		cNVMDegraded:           {"", &o.NVMDegraded},
-		cNVMOrphanedPages:      {"nvm_orphaned_pages", &o.NVMOrphanedPages},
-		cCleanerAdmittedNVM:    {"cleaner_admitted_nvm", &o.CleanerAdmittedNVM},
-		cHitNVMCleanerAdmitted: {"hit_nvm_cleaner_admitted", &o.HitNVMCleanerAdmitted},
+		cHitDRAM:           {"hit_dram", &o.HitDRAM},
+		cHitMini:           {"hit_mini", &o.HitMini},
+		cHitNVM:            {"hit_nvm", &o.HitNVM},
+		cMissSSD:           {"miss_ssd", &o.MissSSD},
+		cMigNVMToDRAM:      {"mig_nvm_to_dram", &o.NVMToDRAM},
+		cSSDToDRAM:         {"mig_ssd_to_dram", &o.SSDToDRAM},
+		cSSDToNVM:          {"mig_ssd_to_nvm", &o.SSDToNVM},
+		cDRAMToNVM:         {"mig_dram_to_nvm", &o.DRAMToNVM},
+		cDRAMToSSD:         {"mig_dram_to_ssd", &o.DRAMToSSD},
+		cNVMToSSD:          {"mig_nvm_to_ssd", &o.NVMToSSD},
+		cEvictDRAM:         {"evict_dram", &o.EvictDRAM},
+		cEvictMini:         {"evict_mini", &o.EvictMini},
+		cEvictNVM:          {"evict_nvm", &o.EvictNVM},
+		cFGUnitLoads:       {"fg_unit_loads", &o.FGUnitLoads},
+		cMiniPromotions:    {"mini_promotions", &o.MiniPromotions},
+		cFlushedDRAMPages:  {"flushed_dram_pages", &o.FlushedDRAMPages},
+		cRecoveredNVMPages: {"recovered_nvm_pages", &o.RecoveredNVMPages},
+		cCleanerWakeups:    {"cleaner_wakeups", &o.CleanerWakeups},
+		cCleanerBatches:    {"cleaner_batches", &o.CleanerBatches},
+		cCleanedDRAM:       {"cleaner_cleaned_dram", &o.CleanerCleanedDRAM},
+		cCleanedNVM:        {"cleaner_cleaned_nvm", &o.CleanerCleanedNVM},
+		cCleanerStalls:     {"cleaner_stalls", &o.CleanerStalls},
+		cFgEvicts:          {"foreground_evicts", &o.ForegroundEvicts},
+		cIORetries:         {"io_retries", &o.IORetries},
+		cIOGiveUps:         {"io_give_ups", &o.IOGiveUps},
+		cNVMDegraded:       {"", &o.NVMDegraded},
+		cNVMOrphanedPages:  {"nvm_orphaned_pages", &o.NVMOrphanedPages},
 	}
 }
 
@@ -164,7 +161,9 @@ type Stats struct {
 	// ForegroundEvicts counts allocations that had to evict inline (the
 	// fallback path — with the cleaner keeping up this stays near zero);
 	// CleanerStalls counts replenish passes that made no progress because
-	// every victim was pinned or under migration.
+	// every victim was pinned or under migration. A cleaner's evictions
+	// admit pages to NVM by the foreground's rule, so they count in the
+	// migration rows above like any other (DRAMToNVM, DRAMToSSD).
 	CleanerWakeups     int64
 	CleanerBatches     int64
 	CleanerCleanedDRAM int64
@@ -182,16 +181,6 @@ type Stats struct {
 	IOGiveUps        int64
 	NVMDegraded      int64
 	NVMOrphanedPages int64
-
-	// Cleaner admission bias: CleanerAdmittedNVM counts NVM installs made by
-	// the background cleaner, which feeds the NVM admission queue instead of
-	// flipping the Nw coin; HitNVMCleanerAdmitted is the subset of HitNVM
-	// served from such frames. Comparing the two hit rates
-	// (HitNVMCleanerAdmitted/CleanerAdmittedNVM vs HitNVM/SSDToNVM+
-	// DRAMToNVM) shows whether queue-gated cleaner admission picks useful
-	// pages.
-	CleanerAdmittedNVM    int64
-	HitNVMCleanerAdmitted int64
 
 	// Always zero: each pool has one free list, so there is nothing to steal
 	// from. Kept only until bench/ stops reading them.

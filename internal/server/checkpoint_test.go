@@ -480,7 +480,7 @@ func TestScanRacesPendingCheckpoint(t *testing.T) {
 	// A checkpoint holds the gate for hold, longer than the scan's deadline.
 	const hold, deadline = 300 * time.Millisecond, 50 * time.Millisecond
 	gate := core.NewCtx(9).Clock.Holder()
-	s.lockTxnsExclusive(gate)
+	s.txnGate.lockExclusive(gate)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var code int
@@ -493,7 +493,7 @@ func TestScanRacesPendingCheckpoint(t *testing.T) {
 	}()
 	waitFor(t, "the scan to be admitted", func() bool { return s.Stats().Accepted > s.Stats().Completed })
 	time.Sleep(hold)
-	s.unlockTxnsExclusive(gate)
+	s.txnGate.unlockExclusive(gate)
 	watchdog("scan behind a held gate", &wg)
 	if code != http.StatusOK && code != http.StatusServiceUnavailable {
 		t.Fatalf("scan behind a checkpoint = %d, want 200 or a 503 deadline", code)
@@ -512,7 +512,7 @@ func TestScanRacesPendingCheckpoint(t *testing.T) {
 func TestCheckpointWaitsForOpenTransactions(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	txn := core.NewCtx(8).Clock.Holder()
-	s.lockTxnsShared(txn) // an open transaction
+	s.txnGate.lockShared(txn) // an open transaction
 	done := make(chan error, 1)
 	go func() {
 		done <- s.checkpoint(core.NewCtx(7))
@@ -522,7 +522,7 @@ func TestCheckpointWaitsForOpenTransactions(t *testing.T) {
 		t.Fatalf("checkpoint finished (err %v) while a transaction was open", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-	s.unlockTxnsShared(txn)
+	s.txnGate.unlockShared(txn)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -399,7 +399,9 @@ func (m *Manager) lockShard(h *lockcheck.Holder, sh *walShard) {
 
 func (m *Manager) unlockShard(h *lockcheck.Holder, sh *walShard) {
 	sh.mu.Unlock()
-	lockcheck.Release(h, sh, lockcheck.RankWALShard)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, sh, lockcheck.RankWALShard)
+	}
 }
 
 func (m *Manager) lockFlush(h *lockcheck.Holder) {
@@ -417,7 +419,9 @@ func (m *Manager) tryLockFlush(h *lockcheck.Holder) bool {
 
 func (m *Manager) unlockFlush(h *lockcheck.Holder) {
 	m.flushMu.Unlock()
-	lockcheck.Release(h, m, lockcheck.RankWALFlush)
+	if lockcheck.Enabled {
+		lockcheck.Release(h, m, lockcheck.RankWALFlush)
+	}
 }
 
 // NextLSN returns the LSN the next appended record will receive.
