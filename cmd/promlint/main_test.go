@@ -110,12 +110,12 @@ func TestServerFixtureIsLive(t *testing.T) {
 		DRAMBytes: 1 << 20,
 		NVMBytes:  2 << 20,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   true,
 		Obs:       o,
 	}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.BM().StartCleaners()
 	t.Cleanup(db.BM().Close)
 	kv, err := engine.OpenKV(db, 1, "kv", 64)
 	if err != nil {

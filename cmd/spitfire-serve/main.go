@@ -24,10 +24,10 @@
 // The engine runs on the machine the experiment harness measures, described
 // by one Spec and assembled by spitfire.Build: the 4 MiB log buffer shares
 // the data arena's NVM device and the log file shares the page store's SSD,
-// the background cleaner runs, the WAL has one append shard per core, and
-// the engine reports into the served Obs, so its fetch, eviction, device
-// and cleaner histograms on /metrics are live. With -nvm-mb 0 the log
-// buffer is priced as DRAM and group-commits to SSD.
+// the page cleaners run on goroutines of their own, the WAL has one append
+// shard per core, and the engine reports into the served Obs, so its fetch,
+// eviction, device and cleaner histograms on /metrics are live. With
+// -nvm-mb 0 the log buffer is priced as DRAM and group-commits to SSD.
 //
 // The server also checkpoints while it runs, so its log never outgrows the
 // DRAM buffer: once the log written since the last checkpoint passes
@@ -89,6 +89,7 @@ func main() {
 	if err != nil {
 		fatal("engine", err)
 	}
+	db.BM().StartCleaners()
 	kv, err := engine.OpenKV(db, 1, "kv", *maxVal)
 	if err != nil {
 		fatal("kv", err)
@@ -136,14 +137,14 @@ func main() {
 
 // servedSpec describes the served machine: the hierarchy the experiment
 // harness measures (the data arena and the log buffer share one NVM device,
-// the page store and the log share one SSD), with the background cleaner
-// on, a 4 MiB log buffer and one append shard per core.
+// the page store and the log share one SSD), with a 4 MiB log buffer and one
+// append shard per core. Its cleaners are the harness's too: main runs them
+// on goroutines (StartCleaners) where the harness steps them.
 func servedSpec(dramMB, nvmMB int, p spitfire.Policy, o *spitfire.Obs) spitfire.Spec {
 	return spitfire.Spec{
 		DRAMBytes: int64(dramMB) << 20,
 		NVMBytes:  int64(nvmMB) << 20,
 		Policy:    p,
-		Cleaner:   true,
 		WALBuffer: 4 << 20,
 		WALShards: spitfire.RecommendedWALShards(),
 		Obs:       o,

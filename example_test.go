@@ -38,12 +38,12 @@ func ExampleBuild() {
 		DRAMBytes: 4 * spitfire.PageSize,
 		NVMBytes:  16 * spitfire.PageSize,
 		Policy:    spitfire.SpitfireLazy,
-		Cleaner:   true,
 	})
 	db, err := m.Open()
 	if err != nil {
 		panic(err)
 	}
+	db.BM().StartCleaners()
 	defer db.BM().Close()
 	tb, _ := db.CreateTable(1, "t", 64)
 	ctx := spitfire.NewCtx(1)

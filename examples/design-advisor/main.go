@@ -24,11 +24,11 @@ func measure(h design.Hierarchy) float64 {
 		DRAMBytes: int64(h.DRAMGB * MB), // paper-GB -> simulated MB
 		NVMBytes:  int64(h.NVMGB * MB),
 		Policy:    spitfire.SpitfireLazy,
-		Cleaner:   true,
 	}).Open()
 	if err != nil {
 		return 0 // bufferless candidates are infeasible
 	}
+	db.BM().StartCleaners()
 	defer db.BM().Close()
 	w, err := ycsb.Setup(db, ycsb.RecordsForBytes(24*MB), 0.5)
 	if err != nil {

@@ -34,13 +34,13 @@ func main() {
 		DRAMBytes:    8 * spitfire.PageSize,
 		NVMBytes:     64 * (spitfire.PageSize + 64),
 		Policy:       spitfire.SpitfireLazy,
-		Cleaner:      true,
 		TrackCrashes: true,
 	})
 	db, err := m.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
+	db.BM().StartCleaners()
 	tb, err := db.CreateTable(tableID, "accounts", tupleSize)
 	if err != nil {
 		log.Fatal(err)

@@ -17,11 +17,11 @@ import (
 const MB = 1 << 20
 
 func run(name string, spec spitfire.Spec) {
-	spec.Cleaner = true
 	db, err := spitfire.Build(spec).Open()
 	if err != nil {
 		log.Fatal(err)
 	}
+	db.BM().StartCleaners()
 	defer db.BM().Close()
 	warehouses := tpcc.DefaultScale.WarehousesForBytes(8 * MB)
 	w, err := tpcc.Setup(db, warehouses, tpcc.DefaultScale)

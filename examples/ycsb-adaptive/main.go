@@ -20,12 +20,12 @@ func main() {
 		DRAMBytes: 2 * MB,
 		NVMBytes:  10 * MB,
 		Policy:    spitfire.SpitfireEager, // deliberately start eager
-		Cleaner:   true,
 	}).Open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	bm := db.BM()
+	bm.StartCleaners()
 	defer bm.Close()
 	w, err := ycsb.Setup(db, ycsb.RecordsForBytes(16*MB), ycsb.DefaultTheta)
 	if err != nil {

@@ -10,21 +10,15 @@ import (
 	"github.com/spitfire-db/spitfire/internal/policy"
 )
 
-// cleanerBM builds a manager with the cleaner configured as given.
-func cleanerBM(t *testing.T, dramFrames, nvmFrames int, cleaner bool) *BufferManager {
+// cleanerBM builds a manager with its cleaners running on goroutines.
+func cleanerBM(t *testing.T, dramFrames, nvmFrames int) *BufferManager {
 	t.Helper()
-	cfg := Config{
+	bm := newBM(t, Config{
 		DRAMBytes: int64(dramFrames) * PageSize,
+		NVMBytes:  int64(nvmFrames) * nvmFrameSlot,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   cleaner,
-	}
-	if nvmFrames > 0 {
-		cfg.NVMBytes = int64(nvmFrames) * nvmFrameSlot
-	}
-	bm, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	bm.StartCleaners()
 	t.Cleanup(bm.Close)
 	return bm
 }
@@ -49,12 +43,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestCleanerWatermarkReplenish drives the free list to empty and checks the
 // watermark protocol: the cleaner refills to the high watermark, then idles
-// above it. Twenty frames put the marks at 2 and 5.
+// above it. Twenty frames put the marks at 2 and 3.
 func TestCleanerWatermarkReplenish(t *testing.T) {
 	const frames = 20
-	bm := cleanerBM(t, frames, 0, true)
-	if c := bm.dram.cleaner; c.low != 2 || c.high != 5 {
-		t.Fatalf("watermarks of %d frames = %d..%d, want 2..5", frames, c.low, c.high)
+	bm := cleanerBM(t, frames, 0)
+	if c := bm.dram.cleaner; c.low != 2 || c.high != 3 {
+		t.Fatalf("watermarks of %d frames = %d..%d, want 2..3", frames, c.low, c.high)
 	}
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
@@ -78,7 +72,7 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 	// makes the refill-to-high assertion deterministic.
 	bm.dram.cleaner.wake()
 	waitFor(t, "free list to reach the high watermark", func() bool {
-		return bm.dram.freeCount() >= 5
+		return bm.dram.freeCount() >= 3
 	})
 	// Above the high watermark the cleaner must idle: batch and cleaned
 	// counters stop moving.
@@ -88,8 +82,8 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 	if st2.CleanerBatches != st.CleanerBatches || st2.CleanerCleanedDRAM != st.CleanerCleanedDRAM {
 		t.Fatalf("cleaner kept working above the high watermark: %+v -> %+v", st, st2)
 	}
-	if got := bm.dram.freeCount(); got < 5 || got > frames {
-		t.Fatalf("free list holds %d frames, want within [5, %d]", got, frames)
+	if got := bm.dram.freeCount(); got < 3 || got > frames {
+		t.Fatalf("free list holds %d frames, want within [3, %d]", got, frames)
 	}
 	if st2.CleanerCleanedDRAM == 0 {
 		t.Fatal("cleaner never pre-cleaned a frame")
@@ -103,7 +97,7 @@ func TestCleanerWatermarkReplenish(t *testing.T) {
 // frames-1 and frames, so every allocation kicks the cleaner.
 func TestCleanerStallsWhenAllPinned(t *testing.T) {
 	const frames = 2
-	bm := cleanerBM(t, frames, 0, true)
+	bm := cleanerBM(t, frames, 0)
 	if c := bm.dram.cleaner; c.low != frames-1 || c.high != frames {
 		t.Fatalf("watermarks of %d frames = %d..%d, want %d..%d", frames, c.low, c.high, frames-1, frames)
 	}
@@ -146,7 +140,7 @@ func TestCleanerStallsWhenAllPinned(t *testing.T) {
 // wakeups, and the next churny burst wakes them again.
 func TestCleanerIdleMakesNoWakeups(t *testing.T) {
 	const pages = 64
-	bm := cleanerBM(t, 8, 24, true)
+	bm := cleanerBM(t, 8, 24)
 	ctx := NewCtx(1)
 	seed(t, bm, pages)
 	churn := func() {
@@ -183,11 +177,11 @@ func TestCleanerIdleMakesNoWakeups(t *testing.T) {
 }
 
 // TestForegroundFallbackWhenCleanerStalled checks that allocation still
-// succeeds — via inline eviction — when the cleaner is wedged (simulated by
-// stopping it), and that the fallback counter records the inline work.
+// succeeds — via inline eviction — when the cleaner never runs (its
+// goroutine was not started, so kicks go nowhere), and that the fallback
+// counter records the inline work.
 func TestForegroundFallbackWhenCleanerStalled(t *testing.T) {
-	bm := cleanerBM(t, 8, 0, true)
-	bm.Close() // wedge the cleaner: kicks now go nowhere
+	bm := newBM(t, Config{DRAMBytes: 8 * PageSize, Policy: policy.SpitfireLazy})
 	ctx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < 64; pid++ {
@@ -217,7 +211,7 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 		pages   = 96
 		ops     = 1500
 	)
-	bm := cleanerBM(t, 8, 24, true)
+	bm := cleanerBM(t, 8, 24)
 	seedCtx := NewCtx(1)
 	page := make([]byte, PageSize)
 	for pid := PageID(0); pid < pages; pid++ {
@@ -336,7 +330,7 @@ func TestCleanerInvariantsConcurrent(t *testing.T) {
 // its first eviction and admits its second.
 func TestCleanerAdmitsByTheForegroundRule(t *testing.T) {
 	const pages = 16
-	// decisions builds a manager with its cleaners stopped, dirties each
+	// decisions builds a manager (whose cleaners do not run), dirties each
 	// page and evicts its DRAM frame on the foreground's or the DRAM
 	// cleaner's Ctx, rounds times, and reports per eviction whether the
 	// page entered NVM. Nr = 0 keeps the read path off NVM, so a page has
@@ -346,12 +340,8 @@ func TestCleanerAdmitsByTheForegroundRule(t *testing.T) {
 			DRAMBytes: 2 * pages * PageSize,
 			NVMBytes:  4 * pages * nvmFrameSlot,
 			Policy:    pol,
-			Cleaner:   true,
 		})
-		t.Cleanup(bm.Close)
 		cl := bm.dram.cleaner
-		cl.close()
-		bm.nvm.cleaner.close()
 		ctx := cl.ctx
 		if !onCleaner {
 			ctx = NewCtx(0)
@@ -409,4 +399,121 @@ func TestCleanerAdmitsByTheForegroundRule(t *testing.T) {
 				i, fg[i], cl[i], want)
 		}
 	}
+}
+
+// closeWithin requires bm.Close to return within a few seconds.
+func closeWithin(t *testing.T, bm *BufferManager) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		bm.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+}
+
+// TestStartCleanersStartsOnce: two concurrent StartCleaners calls start one
+// goroutine per pool. One kick to each pool wakes each once, and Close,
+// which waits for the goroutines, returns; a second goroutine per pool
+// would close its cleaner's done channel twice and panic.
+func TestStartCleanersStartsOnce(t *testing.T) {
+	bm := newBM(t, Config{Policy: policy.SpitfireLazy})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bm.StartCleaners()
+		}()
+	}
+	wg.Wait()
+	for _, c := range bm.cleaners {
+		c.wake()
+	}
+	waitFor(t, "a wakeup in each pool", func() bool { return bm.Stats().CleanerWakeups >= 2 })
+	time.Sleep(10 * time.Millisecond)
+	if n := bm.Stats().CleanerWakeups; n != 2 {
+		t.Fatalf("one kick to each of two pools counted %d wakeups, want 2", n)
+	}
+	closeWithin(t, bm)
+}
+
+// TestCloseWithoutStartedCleaners: Close returns on a manager whose cleaners
+// never started, as the harness's never do, and a StartCleaners after Close
+// starts nothing.
+func TestCloseWithoutStartedCleaners(t *testing.T) {
+	bm := newBM(t, Config{Policy: policy.SpitfireLazy})
+	closeWithin(t, bm)
+	bm.StartCleaners()
+	for _, c := range bm.cleaners {
+		c.wake()
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := bm.Stats().CleanerWakeups; n != 0 {
+		t.Fatalf("StartCleaners after Close counted %d wakeups, want 0", n)
+	}
+}
+
+// TestStepCleanersPanicsOnceStarted: stepping a manager whose cleaners run
+// on goroutines would run each cleaner's batches on two goroutines at once.
+func TestStepCleanersPanicsOnceStarted(t *testing.T) {
+	bm := newBM(t, Config{Policy: policy.SpitfireLazy})
+	bm.StepCleaners(0, 0) // never started: steps
+	bm.StartCleaners()
+	defer bm.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StepCleaners after StartCleaners did not panic")
+		}
+	}()
+	bm.StepCleaners(0, 0)
+}
+
+// TestRecoveredCleanersWaitForStart: a recovered manager's cleaners stay
+// parked, however many kicks its allocations send, until StartCleaners.
+func TestRecoveredCleanersWaitForStart(t *testing.T) {
+	const pages = 32
+	cfg, pm, _ := crashConfig(8)
+	bm, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, bm, pages)
+	ctx := NewCtx(1)
+	churn := func(bm *BufferManager) {
+		for pid := PageID(0); pid < 2*pages; pid++ {
+			// A miss installs the page in NVM and the second fetch takes it
+			// on to DRAM, so both pools allocate.
+			h, err := bm.FetchPage(ctx, pid/2, WriteIntent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		}
+	}
+	churn(bm)
+	bm.Close()
+	pm.Crash()
+
+	bm2, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bm2.Close()
+	churn(bm2)
+	time.Sleep(20 * time.Millisecond)
+	if st := bm2.Stats(); st.CleanerWakeups != 0 || st.CleanerBatches != 0 {
+		t.Fatalf("recovered cleaners ran before StartCleaners: %d wakeups, %d batches", st.CleanerWakeups, st.CleanerBatches)
+	}
+	if len(bm2.dram.cleaner.kick) == 0 || len(bm2.nvm.cleaner.kick) == 0 {
+		t.Fatal("the churn sent no kick to one of the cleaners; the test proves nothing")
+	}
+	bm2.StartCleaners()
+	waitFor(t, "the pending kicks to wake both cleaners", func() bool {
+		return bm2.Stats().CleanerWakeups >= 2
+	})
 }

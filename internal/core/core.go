@@ -212,12 +212,6 @@ type Config struct {
 	// mini frames.
 	MiniPages bool
 
-	// Cleaner starts the background page cleaner: one goroutine per pool
-	// keeps the pool's free list between 1/8 and 1/4 of its frames (DESIGN.md
-	// §6a). False keeps the paper's inline eviction and core-level
-	// simulated-time results deterministic; the spitfire facade sets it.
-	Cleaner bool
-
 	// SSD is the backing store. Defaults to a fresh in-memory store with
 	// Table 1 SSD parameters.
 	SSD ssd.Store
@@ -268,6 +262,12 @@ type BufferManager struct {
 	pol      atomic.Pointer[policy.Policy]
 	admQueue *admission.Queue // read in NwAdmissionQueue mode only; nil when the NVM tier is disabled
 
+	// cleaners are the DRAM and NVM pools' page cleaners, NVM first
+	// (cleaner.go). New builds them; StartCleaners runs them on goroutines,
+	// StepCleaners on the caller's. started is set by the first
+	// StartCleaners: the cleaners then belong to their goroutines.
+	cleaners  []*cleaner
+	started   atomic.Bool
 	closeOnce sync.Once
 
 	nextPID atomic.Uint64
@@ -338,7 +338,7 @@ func New(cfg Config) (*BufferManager, error) {
 		// the NVM buffer's page count is the size §6.5 found to work well.
 		bm.admQueue = admission.New(np.nFrames / 2)
 	}
-	bm.startCleaners()
+	bm.newCleaners()
 	return bm, nil
 }
 

@@ -36,8 +36,8 @@ func allocExpired(i int, start *time.Time) bool {
 }
 
 // alloc returns a frozen, clean frame, evicting a victim if the free list is
-// empty. With the background cleaner enabled the common case is a free-list
-// pop; the inline eviction loop below is the fallback when the cleaner cannot
+// empty. With the pool's cleaner running the common case is a free-list pop;
+// the inline eviction loop below is the fallback when the cleaner cannot
 // keep up. An I/O error from a victim's write-back surfaces immediately
 // (retries already ran inside the eviction) rather than spinning the victim
 // search against a failing device.

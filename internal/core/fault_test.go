@@ -227,8 +227,8 @@ func TestCleanerAllFailSurfacesInForeground(t *testing.T) {
 	bm, ssdInj, _ := faultBM(t, Config{
 		DRAMBytes: frames * PageSize,
 		Policy:    policy.Policy{Dr: 1, Dw: 1},
-		Cleaner:   true,
 	})
+	bm.StartCleaners()
 	seed(t, bm, frames+1)
 
 	// Fail all write-backs from here on — before dirtying, so the cleaner
@@ -428,8 +428,8 @@ func TestCloseConcurrentAndIdempotent(t *testing.T) {
 		DRAMBytes: 4 * PageSize,
 		NVMBytes:  8 * nvmFrameSlot,
 		Policy:    policy.SpitfireEager,
-		Cleaner:   true,
 	})
+	bm.StartCleaners()
 	seed(t, bm, 2)
 
 	var wg sync.WaitGroup

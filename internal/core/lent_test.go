@@ -44,13 +44,14 @@ func TestLentFramesUnderWriters(t *testing.T) {
 		opsEach = 3000
 	}
 	cfgs := map[string]Config{
-		"dram": {DRAMBytes: 4 * PageSize, Policy: policy.SpitfireLazy, Cleaner: true},
+		"dram": {DRAMBytes: 4 * PageSize, Policy: policy.SpitfireLazy},
 		"three-tier": {DRAMBytes: 4 * PageSize, NVMBytes: 6 * nvmFrameSlot,
-			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.2, Nw: 0.5}, Cleaner: true},
+			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.2, Nw: 0.5}},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			bm := newBM(t, cfg)
+			bm.StartCleaners()
 			defer bm.Close()
 			loader := NewCtx(1)
 			page := make([]byte, PageSize)

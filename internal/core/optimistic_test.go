@@ -34,16 +34,16 @@ func TestOptimisticPinVsEvict(t *testing.T) {
 		opsEach = 4000 // the race detector is there for the accesses, not the odds
 	}
 	cfgs := map[string]Config{
-		"lazy": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireLazy,
-			Cleaner: true},
+		"lazy": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireLazy},
 		"mixed": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot,
-			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}, Cleaner: true},
+			Policy: policy.Policy{Dr: 0.5, Dw: 0.5, Nr: 0.5, Nw: 0.5}},
 		"mini": {DRAMBytes: 6 * PageSize, NVMBytes: 8 * nvmFrameSlot, Policy: policy.SpitfireEager,
-			FineGrained: true, LoadingUnit: unit, MiniPages: true, Cleaner: true},
+			FineGrained: true, LoadingUnit: unit, MiniPages: true},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			bm := newBM(t, cfg)
+			bm.StartCleaners()
 			defer bm.Close()
 			loader := NewCtx(1)
 			page := make([]byte, PageSize)

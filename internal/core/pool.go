@@ -168,7 +168,7 @@ type basePool struct {
 	st     tierStats          // which of the counters are this pool's
 	hEvict *metrics.Histogram // eviction latency; nil when untraced (and for mini frames)
 
-	cleaner *cleaner // nil unless the background cleaner runs for this pool
+	cleaner *cleaner // nil for the mini frames, which are reclaimed inline only
 
 	// failed latches when the pool's device fails permanently: nothing
 	// allocates from the pool again (NVM only; see degradeNVM).

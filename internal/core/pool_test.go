@@ -53,8 +53,8 @@ func TestShardedPoolConcurrent(t *testing.T) {
 		DRAMBytes: dramFrames * PageSize,
 		NVMBytes:  nvmFrames * nvmFrameSlot,
 		Policy:    policy.SpitfireLazy,
-		Cleaner:   true,
 	})
+	bm.StartCleaners()
 	defer bm.Close()
 	seed(t, bm, pages)
 

@@ -21,15 +21,13 @@ import (
 // frame whose mask word (nvmPool.storeWord) is not ssd.AllUnits borrowed its
 // page from the store before the crash: it comes back lent the same page
 // (ssd.Store.Relend, which reads nothing) with the word as its write-back
-// mask, so its write-back hands the store just those units.
+// mask, so its write-back hands the store just those units. Like New, it
+// starts no cleaner goroutine: the caller audits the quiescent manager, then
+// calls StartCleaners.
 func Recover(cfg Config) (*BufferManager, error) {
 	if cfg.PMem == nil {
 		return nil, errors.New("core: Recover requires the surviving PMem arena")
 	}
-	// Defer cleaner startup until after the scan: the cleaners must not race
-	// the free-list rebuild below.
-	enableCleaner := cfg.Cleaner
-	cfg.Cleaner = false
 	bm, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -99,10 +97,6 @@ func Recover(cfg Config) (*BufferManager, error) {
 	}
 	if bm.nextPID.Load() < maxPID {
 		bm.nextPID.Store(maxPID)
-	}
-	if enableCleaner {
-		bm.cfg.Cleaner = true
-		bm.startCleaners()
 	}
 	return bm, nil
 }

@@ -201,15 +201,3 @@ func (bm *BufferManager) detachDeadNVM(h *lockcheck.Holder, d *descriptor) {
 		bm.stats.at(0).c[cNVMOrphanedPages].Inc()
 	}
 }
-
-// StartCleaners launches the background cleaner goroutines if they are not
-// already running. Recovery flows construct the manager with cleaners off,
-// audit it (CheckConsistency), and then call this; the explicit call enables
-// the cleaner even when the construction-time config left it off.
-func (bm *BufferManager) StartCleaners() {
-	if bm.cfg.Cleaner {
-		return
-	}
-	bm.cfg.Cleaner = true
-	bm.startCleaners()
-}

@@ -31,10 +31,6 @@ type Spec struct {
 	// capacity stays DRAMBytes.
 	MemoryModeDRAM int64
 
-	// Cleaner runs the background page cleaner (core.Config.Cleaner). Off
-	// keeps the paper's inline eviction.
-	Cleaner bool
-
 	// WALBuffer sizes the log buffer (default 1 MiB) and WALShards splits it
 	// into worker-affine append regions (wal.Options.Shards).
 	WALBuffer int64
@@ -117,7 +113,9 @@ func Build(spec Spec) *Machine {
 	return m
 }
 
-// Open assembles a fresh engine on the machine: buffer manager, WAL, DB.
+// Open assembles a fresh engine on the machine: buffer manager, WAL, DB. It
+// starts no cleaner goroutine: a live process calls BM().StartCleaners, and
+// the experiment harness steps the cleaners on its own goroutine.
 func (m *Machine) Open() (*DB, error) {
 	bm, err := core.New(m.bufferConfig())
 	if err != nil {
@@ -134,12 +132,11 @@ func (m *Machine) Open() (*DB, error) {
 
 // Recover assembles an engine over what survived a crash: the buffer
 // manager rescans the NVM arena (core.Recover), then Recover replays the log
-// and rebuilds the tables in schema. The cleaner stays stopped so the caller
-// can audit a quiescent manager; BM().StartCleaners starts it.
+// and rebuilds the tables in schema. Like Open, it starts no cleaner
+// goroutine: a live process calls BM().StartCleaners, after auditing the
+// quiescent manager.
 func (m *Machine) Recover(ctx *core.Ctx, schema []TableDef, prepare func(*DB) error) (*DB, *wal.RecoveredLog, error) {
-	cfg := m.bufferConfig()
-	cfg.Cleaner = false
-	bm, err := core.Recover(cfg)
+	bm, err := core.Recover(m.bufferConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,7 +168,6 @@ func (m *Machine) bufferConfig() core.Config {
 		FineGrained: m.spec.FineGrained,
 		LoadingUnit: m.spec.LoadingUnit,
 		MiniPages:   m.spec.MiniPages,
-		Cleaner:     m.spec.Cleaner,
 		SSD:         m.Pages,
 		PMem:        m.Data,
 		Obs:         m.spec.Obs,

@@ -16,7 +16,6 @@ func machineSpec(logDIMM bool) Spec {
 		DRAMBytes:    4 * core.PageSize,
 		NVMBytes:     16 * core.NVMFrameSlot,
 		Policy:       policy.SpitfireLazy,
-		Cleaner:      true,
 		LogDIMM:      logDIMM,
 		TrackCrashes: true,
 	}
@@ -41,6 +40,7 @@ func TestMachineRecoversCommittedRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			db.BM().StartCleaners()
 			if db.BM().PMem() != m.Data || db.BM().Disk() != m.Pages || db.WAL().BufferBytes() != m.Log.Size() {
 				t.Fatal("the opened engine does not run on the machine's media")
 			}
@@ -104,6 +104,7 @@ func TestLogDIMMOutlivesDataDIMM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.BM().StartCleaners()
 		m.Data.Device().SetFaults(device.NewInjector(device.FaultConfig{Seed: 1, FailAfterWrites: 1}))
 		ctx := core.NewCtx(2)
 		var appendErr error

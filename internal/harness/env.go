@@ -267,9 +267,13 @@ type simWorker struct {
 	left   int
 }
 
-// run drives the workers on the calling goroutine, one transaction at a
-// time: the next to run is always the worker whose virtual clock is
-// earliest, the lower id breaking ties. The device queues therefore see
+// run drives the workers and the buffer manager's cleaners on the calling
+// goroutine, one transaction or cleaner batch at a time: the next to run is
+// always the worker whose virtual clock is earliest, the lower id breaking
+// ties, and before it every awake cleaner whose clock is not later
+// (BufferManager.StepCleaners). The cleaners the previous transaction
+// kicked wake at its end; kicks left from before the run wake them at its
+// start. The device queues therefore see
 // requests in simulated-time order, and a run repeats exactly for the same
 // environment and seed. Real goroutines are kept for the tests whose subject
 // is the interleaving (torture, -race, lockcheck).
@@ -309,6 +313,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		w.ctx.Clock.AdvanceTo(e.vbase.Load())
 		w.start = w.ctx.Clock.Now()
 	}
+	end := e.vbase.Load() // the end of the last transaction run, the run's start at first
 	for {
 		var w *simWorker
 		for i := range ws {
@@ -319,6 +324,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 		if w == nil {
 			break
 		}
+		e.BM.StepCleaners(end, w.ctx.Clock.Now())
 		w.left--
 		opStart := w.ctx.Clock.Now()
 		ok, err := w.op()
@@ -335,6 +341,7 @@ func (e *Env) run(workers, opsPerWorker int, seed uint64, measured bool) (PointR
 				return PointResult{}, err
 			}
 		}
+		end = w.ctx.Clock.Now()
 	}
 
 	var out PointResult

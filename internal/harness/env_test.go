@@ -184,14 +184,15 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 	}
 	want := PointResult{
 		Committed:       2500,
-		ElapsedSec:      0.007736629,
-		Throughput:      323138.1522882899,
-		NVMBytesWritten: 5867520,
+		ElapsedSec:      0.007837262,
+		Throughput:      318988.9530297699,
+		NVMBytesWritten: 5919488,
 		SSDBytesRead:    507904,
 		Stats: core.Stats{
-			HitDRAM: 1357, HitNVM: 2154, MissSSD: 476,
-			NVMToDRAM: 13, SSDToDRAM: 368, SSDToNVM: 108, DRAMToNVM: 161,
-			EvictDRAM: 253, ForegroundEvicts: 253,
+			HitDRAM: 1089, HitNVM: 2412, MissSSD: 488,
+			NVMToDRAM: 11, SSDToDRAM: 371, SSDToNVM: 117, DRAMToNVM: 171,
+			EvictDRAM:      275,
+			CleanerWakeups: 30, CleanerBatches: 60, CleanerCleanedDRAM: 275,
 		},
 	}
 	for i := 0; i < 2; i++ {
@@ -214,11 +215,37 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// ycsbWH8 is an 8-worker YCSB-WH point over a lazy hierarchy.
+var ycsbWH8 = EnvConfig{
+	Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy},
+	Workload: YCSBWH,
+	DBBytes:  6 * MB,
+}
+
+// runPoint builds cfg, warms it on seed 5 and measures n operations per
+// worker on seed 6.
+func runPoint(t *testing.T, cfg EnvConfig, workers, warm, n int) PointResult {
+	t.Helper()
+	e, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Warmup(workers, warm, 5); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Run(workers, n, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestMultiWorkerRunRepeats checks that a multi-worker run is as repeatable
-// as a single-worker one: the workers take turns in virtual-time order on one
-// goroutine, so the same environment and seeds give the same PointResult,
-// down to latency percentiles and buffer-manager counters. Each point is
-// built twice and both builds must equal the pinned result.
+// as a single-worker one: the workers and the cleaners take turns in
+// virtual-time order on one goroutine, so the same environment and seeds
+// give the same PointResult, down to latency percentiles and buffer-manager
+// counters. Each point is built twice and both builds must equal the pinned
+// result.
 func TestMultiWorkerRunRepeats(t *testing.T) {
 	for _, c := range []struct {
 		name             string
@@ -227,26 +254,22 @@ func TestMultiWorkerRunRepeats(t *testing.T) {
 		want             PointResult
 	}{
 		{
-			name: "YCSB-WH, 8 workers",
-			cfg: EnvConfig{
-				Spec:     engine.Spec{DRAMBytes: 2 * MB, NVMBytes: 8 * MB, Policy: policy.SpitfireLazy},
-				Workload: YCSBWH,
-				DBBytes:  6 * MB,
-			},
+			name: "YCSB-WH, 8 workers", cfg: ycsbWH8,
 			workers: 8, warm: 300, n: 500,
 			want: PointResult{
 				Committed:       4000,
-				ElapsedSec:      0.0158397495,
-				Throughput:      252529.2461222319,
-				NVMBytesWritten: 15807232, NVMBytesRead: 11785472,
-				SSDBytesWritten: 8110080, SSDBytesRead: 32768,
+				ElapsedSec:      0.016007896625,
+				Throughput:      249876.6760995372,
+				NVMBytesWritten: 15949824, NVMBytesRead: 12066816,
+				SSDBytesWritten: 8110080, SSDBytesRead: 16384,
 				Inclusivity: 0.08527131782945736,
 				Stats: core.Stats{
-					HitDRAM: 2006, HitNVM: 3956, MissSSD: 402,
-					NVMToDRAM: 36, SSDToDRAM: 318, SSDToNVM: 84, DRAMToNVM: 211,
-					EvictDRAM: 226, ForegroundEvicts: 226,
+					HitDRAM: 1693, HitNVM: 4267, MissSSD: 402,
+					NVMToDRAM: 38, SSDToDRAM: 318, SSDToNVM: 84, DRAMToNVM: 234,
+					EvictDRAM:      249,
+					CleanerWakeups: 32, CleanerBatches: 50, CleanerCleanedDRAM: 249,
 				},
-				LatencyMeanNs: 31679.499, LatencyP50Ns: 32767, LatencyP99Ns: 301029,
+				LatencyMeanNs: 32015.79325, LatencyP50Ns: 32767, LatencyP99Ns: 284806,
 			},
 		},
 		{
@@ -259,35 +282,40 @@ func TestMultiWorkerRunRepeats(t *testing.T) {
 			workers: 4, warm: 100, n: 200,
 			want: PointResult{
 				Committed:       800,
-				ElapsedSec:      0.0401007715,
-				Throughput:      19949.74086720501,
-				NVMBytesWritten: 13825024, NVMBytesRead: 15468288,
-				SSDBytesWritten: 5947392, SSDBytesRead: 147456,
-				Inclusivity: 0.3624161073825503,
+				ElapsedSec:      0.04254119525,
+				Throughput:      18805.301433085617,
+				NVMBytesWritten: 14740480, NVMBytesRead: 18586624,
+				SSDBytesWritten: 5947392, SSDBytesRead: 180224,
+				Inclusivity: 0.31543624161073824,
 				Stats: core.Stats{
-					HitDRAM: 44818, HitNVM: 18842, MissSSD: 126,
-					NVMToDRAM: 189, SSDToDRAM: 98, SSDToNVM: 28, DRAMToNVM: 180,
-					EvictDRAM: 223, ForegroundEvicts: 223,
+					HitDRAM: 39467, HitNVM: 24136, MissSSD: 132,
+					NVMToDRAM: 240, SSDToDRAM: 105, SSDToNVM: 27, DRAMToNVM: 233,
+					EvictDRAM:      291,
+					CleanerWakeups: 57, CleanerBatches: 54, CleanerCleanedDRAM: 281,
+					ForegroundEvicts: 10,
 				},
-				LatencyMeanNs: 200503.8575, LatencyP50Ns: 262143, LatencyP99Ns: 852357,
+				LatencyMeanNs: 212705.97625, LatencyP50Ns: 262143, LatencyP99Ns: 884180,
 			},
 		},
 	} {
 		for i := 0; i < 2; i++ {
-			e, err := NewEnv(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Warmup(c.workers, c.warm, 5); err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.Run(c.workers, c.n, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != c.want {
+			if got := runPoint(t, c.cfg, c.workers, c.warm, c.n); got != c.want {
 				t.Fatalf("%s, build %d:\n got %#v\nwant %#v", c.name, i, got, c.want)
 			}
 		}
+	}
+}
+
+// TestHarnessStepsTheCleaner checks that Env.run steps the buffer manager's
+// cleaners between its workers, so the 8-worker YCSB-WH point runs cleaner
+// batches and its allocations find free frames. Without the cleaners the
+// same point evicts inline 226 times.
+func TestHarnessStepsTheCleaner(t *testing.T) {
+	st := runPoint(t, ycsbWH8, 8, 300, 500).Stats
+	if st.CleanerBatches == 0 {
+		t.Fatal("no cleaner batch ran: the harness does not step the cleaners")
+	}
+	if st.ForegroundEvicts >= 226 {
+		t.Fatalf("%d foreground evictions, want fewer than the 226 of a run without cleaners", st.ForegroundEvicts)
 	}
 }

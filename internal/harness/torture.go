@@ -173,7 +173,6 @@ func (t *torture) spec() engine.Spec {
 		NVMBytes:     max(pages*2/3, 4) * core.NVMFrameSlot,
 		Policy:       policy.SpitfireEager,
 		FineGrained:  t.opts.FineGrained,
-		Cleaner:      true,
 		WALShards:    t.opts.Shards,
 		LogDIMM:      true,
 		TrackCrashes: true,
@@ -199,6 +198,7 @@ func (t *torture) boot() error {
 	if err != nil {
 		return err
 	}
+	db.BM().StartCleaners()
 	tb, err := db.CreateTable(tortureTableID, "torture", tortureTupleSize)
 	if err != nil {
 		return err
@@ -459,7 +459,6 @@ func Degraded(opts DegradedOpts) (*DegradedResult, error) {
 		DRAMBytes: o.DBBytes / 8,
 		NVMBytes:  o.DBBytes / 2,
 		Policy:    policy.SpitfireEager,
-		Cleaner:   true,
 		LogDIMM:   true,
 	})
 	m.Data.Device().SetFaults(device.NewInjector(device.FaultConfig{Seed: o.Seed, FailAfterWrites: o.FailAfterWrites}))
@@ -468,6 +467,7 @@ func Degraded(opts DegradedOpts) (*DegradedResult, error) {
 		return nil, err
 	}
 	bm := db.BM()
+	bm.StartCleaners()
 	defer bm.Close()
 	wl, err := ycsb.Setup(db, ycsb.RecordsForBytes(o.DBBytes), ycsb.DefaultTheta)
 	if err != nil {

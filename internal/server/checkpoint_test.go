@@ -183,12 +183,12 @@ func TestAckedWritesSurviveCheckpoints(t *testing.T) {
 	cfg := core.Config{
 		DRAMBytes: 8 * core.PageSize, NVMBytes: dataArena.Size(),
 		Policy: policy.SpitfireEager, PMem: dataArena, SSD: disk,
-		Cleaner: true,
 	}
 	bm, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bm.StartCleaners()
 	t.Cleanup(bm.Close)
 	w, err := wal.New(wal.Options{Buffer: logArena, Store: logStore, Shards: walShards})
 	if err != nil {
@@ -237,7 +237,6 @@ func TestAckedWritesSurviveCheckpoints(t *testing.T) {
 	bm.Close()
 	dataArena.Crash()
 	logArena.Crash()
-	cfg.Cleaner = false
 	bm2, err := core.Recover(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -49,12 +49,13 @@ func newTestEngine(t *testing.T, faulty bool) (*engine.DB, *engine.KV, *device.I
 // sends every new and written page through DRAM.
 func newCleanerEngine(t *testing.T) (*engine.DB, *engine.KV) {
 	t.Helper()
-	return openTestEngine(t, core.Config{
+	db, kv := openTestEngine(t, core.Config{
 		DRAMBytes: 8 * core.PageSize,
 		NVMBytes:  32 * core.PageSize,
 		Policy:    policy.SpitfireEager,
-		Cleaner:   true,
 	})
+	db.BM().StartCleaners()
+	return db, kv
 }
 
 func openTestEngine(t *testing.T, cfg core.Config) (*engine.DB, *engine.KV) {
@@ -491,8 +492,8 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
-// TestDrainWithLiveCleaner: a drain that lands while the cleaner is still
-// replenishing checkpoints every dirty page.
+// TestDrainWithLiveCleaner checks that a drain landing while the cleaner is
+// still replenishing checkpoints every dirty page.
 func TestDrainWithLiveCleaner(t *testing.T) {
 	val := bytes.Repeat([]byte{'v'}, 64)
 	for i := 0; i < 50; i++ {

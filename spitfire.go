@@ -14,9 +14,9 @@
 //		DRAMBytes: 64 << 20,
 //		NVMBytes:  256 << 20,
 //		Policy:    spitfire.SpitfireLazy,
-//		Cleaner:   true,
 //	})
 //	db, _ := m.Open()
+//	db.BM().StartCleaners()
 //	tb, _ := db.CreateTable(1, "t", 64)
 //	ctx := spitfire.NewCtx(1)
 //	txn := db.Begin()
@@ -86,18 +86,22 @@ const (
 	TierNVM  = core.TierNVM
 )
 
-// New creates a buffer manager with the background page cleaner running: it
-// sets Config.Cleaner, which the experiment harness leaves off for
-// the paper's inline eviction. Call BufferManager.Close to stop the cleaner
-// goroutines when done.
+// New creates a buffer manager with its page cleaners running on goroutines
+// of their own (BufferManager.StartCleaners), as every live process runs
+// them; the experiment harness steps the same cleaners in simulated time
+// instead. Call BufferManager.Close to stop the cleaner goroutines when done.
 func New(cfg Config) (*BufferManager, error) {
-	cfg.Cleaner = true
-	return core.New(cfg)
+	bm, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	bm.StartCleaners()
+	return bm, nil
 }
 
 // Assembly: one description of a machine and the one constructor.
 type (
-	// Spec describes a machine: buffer sizes, policy, cleaner, log buffer.
+	// Spec describes a machine: buffer sizes, policy, log buffer.
 	Spec = engine.Spec
 	// Machine is what survives a crash: devices, NVM arenas, page store and
 	// log file. Open and Recover assemble a DB over it; Crash rolls its

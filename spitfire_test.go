@@ -65,11 +65,11 @@ func TestPublicEngineTransaction(t *testing.T) {
 		DRAMBytes: 8 * spitfire.PageSize,
 		NVMBytes:  16 * spitfire.PageSize,
 		Policy:    spitfire.SpitfireLazy,
-		Cleaner:   true,
 	}).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.BM().StartCleaners()
 	t.Cleanup(db.BM().Close)
 	tb, err := db.CreateTable(1, "t", 128)
 	if err != nil {
@@ -152,13 +152,13 @@ func TestPublicCrashRecovery(t *testing.T) {
 		DRAMBytes:    4 * spitfire.PageSize,
 		NVMBytes:     16 * (spitfire.PageSize + 64),
 		Policy:       spitfire.SpitfireLazy,
-		Cleaner:      true,
 		TrackCrashes: true,
 	})
 	db, err := m.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.BM().StartCleaners()
 	tb, err := db.CreateTable(7, "t", 64)
 	if err != nil {
 		t.Fatal(err)
