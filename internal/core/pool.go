@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/spitfire-db/spitfire/internal/bitmapclock"
+	"github.com/spitfire-db/spitfire/internal/hostmem"
 	"github.com/spitfire-db/spitfire/internal/lockcheck"
 	"github.com/spitfire-db/spitfire/internal/metrics"
 	"github.com/spitfire-db/spitfire/internal/obs"
@@ -320,9 +322,12 @@ func (p *basePool) release(h *lockcheck.Holder, f int32) {
 
 // dramPool is the DRAM buffer: a plain arena priced by a MemCharger.
 // When mini pages are enabled a slice of the budget is carved into mini
-// frames (16 loading units each) with their own CLOCK.
+// frames (16 loading units each) with their own CLOCK. Both arenas are host
+// mappings (hostmem.Map) that the pool holds, so the host backs only the
+// frames ever written and unmaps them once the pool is collected.
 type dramPool struct {
 	basePool
+	mem    *hostmem.Region
 	arena  []byte
 	charge MemCharger
 
@@ -332,6 +337,7 @@ type dramPool struct {
 
 type miniPool struct {
 	basePool
+	mem      *hostmem.Region
 	arena    []byte
 	unit     int
 	slotSize int // 16*unit bytes of data per mini frame
@@ -348,8 +354,10 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 	if nFrames < 1 {
 		return nil, fmt.Errorf("core: DRAM buffer of %d bytes holds no %d-byte page", cfg.DRAMBytes, PageSize)
 	}
+	mem := hostmem.Map(nFrames * PageSize)
 	dp := &dramPool{
-		arena:  make([]byte, int64(nFrames)*PageSize),
+		mem:    mem,
+		arena:  mem.Bytes(),
 		charge: charge,
 	}
 	dp.init(nFrames, &bm.stats, dramStats)
@@ -365,8 +373,10 @@ func newDRAMPool(bm *BufferManager, cfg Config, charge MemCharger) (*dramPool, e
 		if nMini < 1 {
 			nMini = 1
 		}
+		mem := hostmem.Map(nMini * slotSize)
 		mp := &miniPool{
-			arena:    make([]byte, nMini*slotSize),
+			mem:      mem,
+			arena:    mem.Bytes(),
 			unit:     cfg.LoadingUnit,
 			slotSize: slotSize,
 		}
@@ -543,7 +553,9 @@ func (p *nvmPool) storeWord(i int32, units uint64) error {
 
 // readWord decodes frame i's mask word without charging a device.
 func (p *nvmPool) readWord(i int32) uint64 {
-	return binary.LittleEndian.Uint64(p.pm.Bytes(p.wordOffset(i), 8))
+	w := binary.LittleEndian.Uint64(p.pm.Bytes(p.wordOffset(i), 8))
+	runtime.KeepAlive(p) // the arena is mapped only while p.pm lives
+	return w
 }
 
 // nvmHeaderTable is the CRC polynomial for the frame-header checksum.
@@ -585,6 +597,7 @@ func (p *nvmPool) writeHeader(c *vclock.Clock, i int32, pid PageID, valid bool) 
 // headers torn by a crash mid-install — read as invalid.
 func (p *nvmPool) readHeader(i int32) (pid PageID, valid bool) {
 	hdr := p.pm.Bytes(p.headerOffset(i), 16)
+	defer runtime.KeepAlive(p) // the arena is mapped only while p.pm lives
 	if binary.LittleEndian.Uint32(hdr[0:4]) != nvmFrameMagic {
 		return InvalidPageID, false
 	}
@@ -680,6 +693,7 @@ func (p *nvmPool) readPayload(c *vclock.Clock, i int32, off int, buf []byte) err
 func (p *nvmPool) copyOut(i int32, off int, buf []byte) {
 	m := &p.meta[i]
 	readLent(buf, p.pm.Bytes(p.payloadOffset(i), PageSize), m.lent.Load(), m.diff.Load(), off)
+	runtime.KeepAlive(p) // the arena is mapped only while p.pm lives
 }
 
 // viewPayload charges the read of frame i's whole payload that readPayload

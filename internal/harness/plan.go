@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 
 	"github.com/spitfire-db/spitfire/internal/anneal"
@@ -248,7 +249,10 @@ func (o Opts) measure(p point) (result, error) {
 	return out, nil
 }
 
-// measureAll measures points in order.
+// measureAll measures points in order. It collects after each point: the
+// point's stack is garbage then, and its buffer arenas (host mappings, see
+// internal/hostmem) go back to the kernel only once the collector finds
+// them, which the heap goal, not counting them, would not hurry.
 func (o Opts) measureAll(points []point) ([]result, error) {
 	out := make([]result, len(points))
 	for i, p := range points {
@@ -256,6 +260,7 @@ func (o Opts) measureAll(points []point) ([]result, error) {
 		if out[i], err = o.measure(p); err != nil {
 			return nil, err
 		}
+		runtime.GC()
 	}
 	return out, nil
 }

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"github.com/spitfire-db/spitfire/internal/device"
+	"github.com/spitfire-db/spitfire/internal/hostmem"
 	"github.com/spitfire-db/spitfire/internal/vclock"
 )
 
@@ -39,6 +40,7 @@ const CacheLineSize = 64
 // PMem is a simulated persistent-memory arena.
 type PMem struct {
 	dev  *device.Device
+	mem  *hostmem.Region // keeps data mapped while the PMem lives
 	data []byte
 
 	// trackCrashes enables the shadow log. Experiments that never crash
@@ -60,15 +62,20 @@ type Options struct {
 	TrackCrashes bool
 }
 
-// New creates an arena of the given size.
+// New creates a zeroed arena of the given size. Its bytes are a host
+// mapping (hostmem.Map), not a Go heap object: the host backs only the parts
+// ever written, and the mapping goes with the PMem. A slice of the arena
+// (Bytes, ReadView) keeps nothing alive; its user holds the PMem.
 func New(opts Options) *PMem {
 	dev := opts.Device
 	if dev == nil {
 		dev = device.New(device.NVMParams)
 	}
+	mem := hostmem.Map(int(opts.Size))
 	p := &PMem{
 		dev:          dev,
-		data:         make([]byte, opts.Size),
+		mem:          mem,
+		data:         mem.Bytes(),
 		trackCrashes: opts.TrackCrashes,
 	}
 	if opts.TrackCrashes {
@@ -123,7 +130,8 @@ func (p *PMem) ReadErr(c *vclock.Clock, off int64, buf []byte) error {
 // charge and fault-injector call, then returns the arena's own n bytes at
 // off. The view is read-only, and it holds the range's contents only until
 // the range is next written (or rolled back by Crash); the caller keeps
-// writers off the range while it uses the view.
+// writers off the range while it uses the view, and keeps p reachable
+// until its last use of it, as with Bytes.
 func (p *PMem) ReadView(c *vclock.Clock, off int64, n int) ([]byte, error) {
 	p.check(off, n)
 	if _, err := p.dev.ReadErr(c, n); err != nil {
@@ -344,7 +352,9 @@ func (p *PMem) UnpersistedLines() int {
 
 // Bytes exposes the raw arena. It exists so the buffer manager can hand out
 // zero-copy NVM frame slices; callers must charge traffic via Read/Write or
-// the device directly, and must not retain slices across Crash.
+// the device directly, and must not retain slices across Crash. The slice
+// keeps nothing alive: the caller keeps p reachable until its last use of
+// the slice (runtime.KeepAlive), or the read faults on an unmapped arena.
 func (p *PMem) Bytes(off int64, n int) []byte {
 	p.check(off, n)
 	return p.data[off : off+int64(n) : off+int64(n)]
